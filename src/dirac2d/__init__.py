@@ -13,7 +13,7 @@ from .oracle import (
     ode_residual,
     smallest_eigenvalues,
 )
-from .specfun import kummer_m, kummer_m_derivative, laguerre
+from .specfun import kummer_m, laguerre
 from .spectrum import (
     EnergyLevel,
     NrExpansion,
@@ -48,7 +48,6 @@ __all__ = [
     "natural_params",
     "to_dimensionless_z",
     "kummer_m",
-    "kummer_m_derivative",
     "laguerre",
     "QuantumNumbers",
     "EnergyLevel",

@@ -219,7 +219,7 @@ def cmd_spectrum(config: RunConfig) -> Path:
     return _emit(config, columns, rows, [])
 
 
-def cmd_wavefn(config: RunConfig, n: int | None = None, m: int | None = None) -> Path:
+def cmd_wavefn(config: RunConfig) -> Path:
     """Sampled radial profiles of one state plus its probability density.
 
     Columns: rho, z, R1_normalized, R2_derived and the spinor density
@@ -228,7 +228,7 @@ def cmd_wavefn(config: RunConfig, n: int | None = None, m: int | None = None) ->
     rows themselves, making the table self-consistently normalized.
     """
     params = config.params()
-    qn = QuantumNumbers(n=config.n if n is None else n, m=config.m if m is None else m)
+    qn = QuantumNumbers(n=config.n, m=config.m)
     grid = config.grid(params)
     level = spectrum.energy(qn, params)
     upper = wavefn.radial_psi1(qn, grid, params)
@@ -241,23 +241,18 @@ def cmd_wavefn(config: RunConfig, n: int | None = None, m: int | None = None) ->
     )
     scale = 1.0 / math.sqrt(total)
 
-    z = to_dimensionless_z(rho, params)
-    rows = []
-    for i in range(grid.num_points):
-        r1 = scale * upper.values[i]
-        r2 = scale * lower.values[i]
-        rows.append(
-            {
-                "rho": float(rho[i]),
-                "z": float(z[i]),
-                "R1_normalized": float(r1),
-                "R2_derived": float(r2),
-                "probability_density": float(
-                    2.0 * math.pi * rho[i] * (r1 * r1 + r2 * r2)
-                ),
-            }
-        )
-    columns = ["rho", "z", "R1_normalized", "R2_derived", "probability_density"]
+    r1 = scale * upper.values
+    r2 = scale * lower.values
+    table = {
+        "rho": rho,
+        "z": to_dimensionless_z(rho, params),
+        "R1_normalized": r1,
+        "R2_derived": r2,
+        "probability_density": 2.0 * math.pi * rho * (r1 * r1 + r2 * r2),
+    }
+    columns = list(table)
+    cells = zip(*(column.tolist() for column in table.values()))
+    rows = [dict(zip(columns, row)) for row in cells]
     return _emit(config, columns, rows, [])
 
 
@@ -276,8 +271,7 @@ def run_verification_checks(config: RunConfig) -> list[dict]:
     params = config.params()
     grid = config.grid(params)
     m = config.m
-    n_values = range(config.n_max + 1)
-    checks = []
+    results = []  # (check name, measured value, detail) in report order
 
     # Finite-difference spectrum against the auxiliary ladder k1 = 2(2 n_r + m + 1).
     levels = max(4, config.n_max + 2)
@@ -287,98 +281,43 @@ def run_verification_checks(config: RunConfig) -> list[dict]:
         abs(k1 - 2.0 * (2 * n_r + m + 1)) / (2.0 * (2 * n_r + m + 1))
         for n_r, k1 in enumerate(k1_fd)
     )
-    checks.append(
-        _check(
-            "fd-spectrum",
-            worst,
-            config.tolerance("fd-spectrum"),
-            f"first {levels} levels at m={m} on {grid.num_points} points",
-        )
-    )
+    detail = f"first {levels} levels at m={m} on {grid.num_points} points"
+    results.append(("fd-spectrum", worst, detail))
 
     # The same finite-difference levels mapped onto bound-state energies.
     mapped = oracle.dirac_energies_from_k1(k1_fd, m, params)
-    worst = max(
-        abs(e_fd - spectrum.energy(QuantumNumbers(n=n, m=m), params).E)
-        / spectrum.energy(QuantumNumbers(n=n, m=m), params).E
-        for n, e_fd in mapped
-    )
-    checks.append(
-        _check(
-            "dirac-energy-map",
-            worst,
-            config.tolerance("dirac-energy-map"),
-            f"{len(mapped)} mapped levels at m={m}",
-        )
-    )
+    exact = [spectrum.energy(QuantumNumbers(n=n, m=m), params).E for n, _ in mapped]
+    worst = max(abs(e_fd - e) / e for (_, e_fd), e in zip(mapped, exact))
+    results.append(("dirac-energy-map", worst, f"{len(mapped)} mapped levels at m={m}"))
 
-    # Closed-form profiles pushed through the second-order radial equation.
-    worst = 0.0
-    for n in n_values:
+    # One pass over the states: each level and psi1 profile is built once.
+    worst_ode = worst_coupled = worst_norm = 0.0
+    mismatches = 0
+    for n in range(config.n_max + 1):
         qn = QuantumNumbers(n=n, m=m)
         level = spectrum.energy(qn, params)
         rf = wavefn.radial_psi1(qn, grid, params)
-        worst = max(worst, oracle.ode_residual(rf, m, level.k1, params).rms_residual)
-    checks.append(
-        _check(
-            "ode-residual",
-            worst,
-            config.tolerance("ode-residual"),
-            f"n <= {config.n_max} at m={m}",
-        )
-    )
-
-    # Upper plus derived lower component in the coupled first-order system.
-    worst = 0.0
-    for n in n_values:
-        qn = QuantumNumbers(n=n, m=m)
-        level = spectrum.energy(qn, params)
-        worst = max(
-            worst,
-            oracle.coupled_residual(qn, level.E, params, grid=grid).rms_residual,
-        )
-    checks.append(
-        _check(
-            "coupled-residual",
-            worst,
-            config.tolerance("coupled-residual"),
-            f"n <= {config.n_max} at m={m}",
-        )
-    )
-
-    # Node counts: n+1 sign changes for psi1, n for the psi2 ansatz.
-    mismatches = 0
-    for n in n_values:
-        qn = QuantumNumbers(n=n, m=m)
+        # Closed-form profile pushed through the second-order radial equation.
+        ode = oracle.ode_residual(rf, m, level.k1, params)
+        worst_ode = max(worst_ode, ode.rms_residual)
+        # Upper plus derived lower component in the coupled first-order system.
+        coupled = oracle.coupled_residual(qn, level.E, params, grid=grid)
+        worst_coupled = max(worst_coupled, coupled.rms_residual)
+        # Node counts: n+1 sign changes for psi1, n for the psi2 ansatz.
         if wavefn.count_radial_nodes(qn, params) != n + 1:
             mismatches += 1
         ansatz = wavefn.radial_psi2(qn, grid, params)
         if wavefn.sign_changes(ansatz.values[1:-1]) != n:
             mismatches += 1
-    checks.append(
-        _check(
-            "node-counts",
-            mismatches,
-            config.tolerance("node-counts"),
-            f"n <= {config.n_max} at m={m}",
-        )
-    )
-
-    # Quadrature normalization against the Laguerre-orthogonality constant.
-    worst = 0.0
-    for n in n_values:
-        qn = QuantumNumbers(n=n, m=m)
-        quad = wavefn.normalize(wavefn.radial_psi1(qn, grid, params)).norm_constant
+        # Quadrature normalization against the Laguerre-orthogonality constant.
+        quad = wavefn.normalize(rf).norm_constant
         closed = oracle.closed_form_norm_constant(qn, params)
-        worst = max(worst, abs(quad / closed - 1.0))
-    checks.append(
-        _check(
-            "normalization",
-            worst,
-            config.tolerance("normalization"),
-            f"n <= {config.n_max} at m={m}",
-        )
-    )
+        worst_norm = max(worst_norm, abs(quad / closed - 1.0))
+    detail = f"n <= {config.n_max} at m={m}"
+    results.append(("ode-residual", worst_ode, detail))
+    results.append(("coupled-residual", worst_coupled, detail))
+    results.append(("node-counts", mismatches, detail))
+    results.append(("normalization", worst_norm, detail))
 
     # Kummer series against the independent Laguerre recurrence.
     from .specfun import kummer_m, laguerre
@@ -391,15 +330,12 @@ def run_verification_checks(config: RunConfig) -> list[dict]:
             kum = math.comb(n + alpha, n) * kummer_m(-float(n), alpha + 1.0, z_set)
             dev = np.max(np.abs(kum - lag) / np.maximum(1.0, np.abs(lag)))
             worst = max(worst, float(dev))
-    checks.append(
-        _check(
-            "kummer-laguerre",
-            worst,
-            config.tolerance("kummer-laguerre"),
-            "n <= 20 and alpha <= 10 with z up to 50",
-        )
-    )
-    return checks
+    detail = "n <= 20 and alpha <= 10 with z up to 50"
+    results.append(("kummer-laguerre", worst, detail))
+    return [
+        _check(name, value, config.tolerance(name), detail)
+        for name, value, detail in results
+    ]
 
 
 def cmd_verify(config: RunConfig) -> tuple[Path, bool]:
@@ -410,18 +346,17 @@ def cmd_verify(config: RunConfig) -> tuple[Path, bool]:
     return path, all(c["passed"] for c in checks)
 
 
-def cmd_nr_limit(config: RunConfig, lambda_list=None) -> Path:
+def cmd_nr_limit(config: RunConfig) -> Path:
     """Exact energy against the three-term expansion across lambda decades.
 
     Energies are reported in units of the rest energy, so the rows depend
     only on lambda and n.
     """
-    lambdas = tuple(lambda_list) if lambda_list is not None else config.lambdas
-    for lam in lambdas:
+    for lam in config.lambdas:
         if not (0.0 < lam <= 0.1):
             raise ValueError(f"lambda must lie in (0, 0.1], got {lam}")
     rows = []
-    for lam in lambdas:
+    for lam in config.lambdas:
         params = PhysicalParams(rest_mass=1.0, omega=lam, hbar=1.0, c=1.0)
         for n in range(config.n_max + 1):
             exact = spectrum.energy(QuantumNumbers(n=n, m=0), params).E

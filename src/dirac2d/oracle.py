@@ -48,6 +48,9 @@ __all__ = [
     "dirac_energies_from_k1",
 ]
 
+# Angles per interior radius in the coupled_residual sample set.
+COUPLED_NUM_PHI = 16
+
 
 @dataclass(frozen=True, eq=False)
 class TridiagonalOperator:
@@ -268,9 +271,7 @@ def ode_residual(
             "residual evaluation needs one"
         )
     z = to_dimensionless_z(grid.samples[1:-1], params)
-    f = rf.profile.value_z(z)
-    fz = rf.profile.dvalue_dz(z)
-    fzz = rf.profile.d2value_dz2(z)
+    f, fz, fzz = rf.profile.derivatives(z, 2)
     terms = [
         z * z * fzz,
         z * fz,
@@ -294,17 +295,16 @@ def coupled_residual(
     E: float,
     params: PhysicalParams,
     grid: RadialGrid | None = None,
-    num_phi: int = 16,
     lower: RadialFunction | None = None,
 ) -> ResidualReport:
     """Residual of (psi1, psi2) in the coupled first-order system.
 
     psi1 is the closed-form upper component; psi2 defaults to the derived
     lower component for the given E.  Both first-order equations are
-    evaluated on a polar sample set (interior radii times num_phi angles),
-    with Cartesian derivatives expressed through exact radial and angular
-    derivatives of the closed forms.  The report carries the worse of the
-    two equations' relative RMS.  Passing ``lower`` overrides the second
+    evaluated on a polar sample set (interior radii times COUPLED_NUM_PHI
+    angles), with Cartesian derivatives expressed through exact radial and
+    angular derivatives of the closed forms.  The report carries the worse of
+    the two equations' relative RMS.  Passing ``lower`` overrides the second
     component (an identically zero override is the standard decoupling
     check); only zero overrides may omit profile metadata.
     """
@@ -315,8 +315,6 @@ def coupled_residual(
         from .wavefn import default_grid
 
         grid = default_grid(params)
-    if num_phi < 1:
-        raise ValueError(f"num_phi must be positive, got {num_phi}")
 
     psi1_rf = radial_psi1(qn, grid, params)
     if lower is None:
@@ -328,12 +326,11 @@ def coupled_residual(
     hbar_c = params.hbar * params.c
     tension = params.c * params.rest_mass * params.omega  # c m0 w
 
-    p1 = psi1_rf.profile
-    r1 = p1.value_z(z)
-    r1_prime = 2.0 * params.gamma * rho * p1.dvalue_dz(z)
+    r1, r1_z = psi1_rf.profile.derivatives(z, 1)
+    r1_prime = 2.0 * params.gamma * rho * r1_z
     if lower.profile is not None:
-        g = lower.profile.value_z(z)
-        g_prime = 2.0 * params.gamma * rho * lower.profile.dvalue_dz(z)
+        g, g_z = lower.profile.derivatives(z, 1)
+        g_prime = 2.0 * params.gamma * rho * g_z
     elif not np.any(lower.values):
         g = np.zeros_like(rho)
         g_prime = np.zeros_like(rho)
@@ -357,24 +354,10 @@ def coupled_residual(
     lhs_up = terms_up[0] + terms_up[1] + terms_up[2] + terms_up[3]
     lhs_down = terms_down[0] + terms_down[1] + terms_down[2] + terms_down[3]
 
-    phis = 2.0 * math.pi * np.arange(num_phi) / num_phi
-    phase_up = np.exp(1j * m * phis)
-    phase_down = -1j * np.exp(1j * (m + 1) * phis)
-    scale_up = float(
-        np.sqrt(np.mean(np.maximum.reduce([np.abs(t) for t in terms_up]) ** 2))
-    )
-    scale_down = float(
-        np.sqrt(np.mean(np.maximum.reduce([np.abs(t) for t in terms_down]) ** 2))
-    )
-    rel_up = (
-        np.abs(np.outer(lhs_up, phase_up)) / scale_up
-        if scale_up > 0.0
-        else np.zeros((rho.size, num_phi))
-    )
-    rel_down = (
-        np.abs(np.outer(lhs_down, phase_down)) / scale_down
-        if scale_down > 0.0
-        else np.zeros((rho.size, num_phi))
+    phis = 2.0 * math.pi * np.arange(COUPLED_NUM_PHI) / COUPLED_NUM_PHI
+    rel_up = _relative_residual(np.outer(lhs_up, np.exp(1j * m * phis)), terms_up)
+    rel_down = _relative_residual(
+        np.outer(lhs_down, -1j * np.exp(1j * (m + 1) * phis)), terms_down
     )
 
     rms = max(

@@ -1,19 +1,18 @@
 """Confluent hypergeometric (Kummer) function and associated Laguerre polynomials.
 
-``kummer_m`` evaluates M(a, b, z) by its ascending series.  Every physical
-state in this package has a non-positive integer first argument, where the
-series terminates exactly and M is a polynomial; the infinite-series branch
-exists for off-eigenvalue scans.  ``laguerre`` evaluates L_n^(alpha) through
-the three-term recurrence in n and serves as an independent cross-check via
+``kummer_m`` evaluates M(a, b, z) by its ascending series for a non-positive
+integer first argument, where the series terminates and M is a polynomial.
+Every physical state in this package has such an argument; any other first
+argument is rejected.  ``laguerre`` evaluates L_n^(alpha) through the
+three-term recurrence in n and serves as an independent cross-check via
 
     binom(n + alpha, n) * M(-n, alpha + 1, z) == L_n^(alpha)(z).
 
 The terminating series is strongly alternating for large z (the value can be
-smaller than the largest term by a factor ~exp(z/2)), so that branch runs in
+smaller than the largest term by a factor ~exp(z/2)), so it runs in
 compensated double-double arithmetic: the identity above must hold to ten
 significant figures out to z = 50, n = 20, which is beyond an 80-bit
-accumulator.  The infinite-series branch accumulates in extended precision,
-which is ample for the non-terminating parameter scans this package performs.
+accumulator.
 
 The irregular second solution of Kummer's equation is intentionally absent:
 it grows at infinity and never contributes to a normalizable state.
@@ -23,13 +22,11 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["kummer_m", "kummer_m_derivative", "laguerre"]
+__all__ = ["kummer_m", "laguerre"]
 
 # Tolerance for recognising integer arguments; the quantization condition
 # produces exact integers, so this only guards against benign roundoff.
 _INT_TOL = 1e-12
-_SERIES_RTOL = 1e-15
-_MAX_TERMS = 600
 
 _SPLITTER = 134217729.0  # 2**27 + 1, Dekker splitting constant
 
@@ -107,7 +104,8 @@ def kummer_m(a: float, b: float, z):
     Parameters
     ----------
     a, b : float
-        Series parameters.  b must not be zero or a negative integer.
+        Series parameters.  a must be zero or a negative integer, so the
+        series terminates; b must not be zero or a negative integer.
     z : float or ndarray
         Non-negative, finite argument(s).
 
@@ -116,11 +114,15 @@ def kummer_m(a: float, b: float, z):
     float or ndarray matching the shape of z.
 
     The sum uses the term recurrence
-    t_{k+1} = t_k * (a + k) / ((b + k) * (k + 1)) * z.  A non-positive
-    integer a terminates the series after |a| + 1 terms (a degree-|a|
-    polynomial), evaluated in compensated arithmetic; otherwise summation
-    stops once the term falls below 1e-15 of the running sum twice in a row.
+    t_{k+1} = t_k * (a + k) / ((b + k) * (k + 1)) * z, which stops after
+    |a| + 1 terms (a degree-|a| polynomial) and runs in compensated
+    arithmetic.
     """
+    k_poly = _as_nonpositive_int(a)
+    if k_poly is None:
+        raise ValueError(
+            f"a must be zero or a negative integer (terminating series), got a={a}"
+        )
     if _as_nonpositive_int(b) is not None:
         raise ValueError(f"b must not be zero or a negative integer, got b={b}")
     arr = np.asarray(z, dtype=float)
@@ -128,45 +130,8 @@ def kummer_m(a: float, b: float, z):
         raise ValueError("z must be finite")
     if np.any(arr < 0.0):
         raise ValueError(f"negative z is outside the supported domain, got {z}")
-    scalar = arr.ndim == 0
-
-    k_poly = _as_nonpositive_int(a)
-    if k_poly is not None:
-        out = _terminating_series(float(round(a)), float(b), np.atleast_1d(arr), k_poly)
-        return float(out[0]) if scalar else out.reshape(arr.shape)
-
-    zl = arr.astype(np.longdouble)
-    al = np.longdouble(a)
-    bl = np.longdouble(b)
-    term = np.ones_like(zl)
-    total = term.copy()
-    consecutive_small = 0
-    for k in range(_MAX_TERMS):
-        term = term * ((al + k) / ((bl + k) * (k + 1.0))) * zl
-        total = total + term
-        if np.all(np.abs(term) <= _SERIES_RTOL * np.abs(total)):
-            consecutive_small += 1
-            if consecutive_small >= 2:
-                break
-        else:
-            consecutive_small = 0
-    else:
-        raise RuntimeError(
-            f"Kummer series did not converge within {_MAX_TERMS} terms "
-            f"for a={a}, b={b}, max z={arr.max()}"
-        )
-    out = total.astype(float)
-    return float(out) if scalar else out
-
-
-def kummer_m_derivative(a: float, b: float, z):
-    """dM/dz via the shift identity (a/b) * M(a+1, b+1, z)."""
-    if _as_nonpositive_int(b) is not None:
-        raise ValueError(f"b must not be zero or a negative integer, got b={b}")
-    if a == 0:
-        arr = np.asarray(z, dtype=float)
-        return 0.0 if arr.ndim == 0 else np.zeros_like(arr)
-    return (a / b) * kummer_m(a + 1.0, b + 1.0, z)
+    out = _terminating_series(float(round(a)), float(b), np.atleast_1d(arr), k_poly)
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def laguerre(n: int, alpha: int, z):

@@ -27,6 +27,13 @@ __all__ = [
 ]
 
 
+def _require_count(name: str, value, minimum: int = 0) -> None:
+    """Raise unless value is an int (bool excluded) of at least ``minimum``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        rule = "a non-negative integer" if minimum == 0 else f"an integer >= {minimum}"
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class QuantumNumbers:
     """Radial termination index n >= 0 and angular momentum index m >= 0.
@@ -40,8 +47,7 @@ class QuantumNumbers:
     m: int
 
     def __post_init__(self):
-        if not isinstance(self.n, (int,)) or isinstance(self.n, bool) or self.n < 0:
-            raise ValueError(f"n must be a non-negative integer, got {self.n!r}")
+        _require_count("n", self.n)
         if not isinstance(self.m, (int,)) or isinstance(self.m, bool):
             raise ValueError(f"m must be an integer, got {self.m!r}")
         if self.m < 0:
@@ -86,8 +92,7 @@ def quantization_residual(E_trial: float, m: int, params: PhysicalParams) -> flo
     residual against a target -(n+1) therefore recovers the spectrum without
     using the closed form.
     """
-    if not isinstance(m, (int,)) or isinstance(m, bool) or m < 0:
-        raise ValueError(f"m must be a non-negative integer, got {m!r}")
+    _require_count("m", m)
     rest = params.rest_energy
     if not math.isfinite(E_trial) or E_trial < rest:
         raise ValueError(
@@ -120,8 +125,7 @@ class NrExpansion:
 
 def nr_expansion(n: int, params: PhysicalParams) -> NrExpansion:
     """Non-relativistic expansion of the level n energy."""
-    if not isinstance(n, (int,)) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"n must be a non-negative integer, got {n!r}")
+    _require_count("n", n)
     quantum = params.energy_quantum
     harmonic = 2.0 * (n + 1) * quantum
     correction = -2.0 * (n + 1) ** 2 * quantum * quantum / params.rest_energy
@@ -139,8 +143,7 @@ def level_spacings(n_max: int, params: PhysicalParams) -> list[float]:
     root of an affine function of n, so the ladder compresses upward instead
     of staying equally spaced.
     """
-    if not isinstance(n_max, (int,)) or isinstance(n_max, bool) or n_max < 1:
-        raise ValueError(f"n_max must be an integer >= 1, got {n_max!r}")
+    _require_count("n_max", n_max, minimum=1)
     levels = [
         energy(QuantumNumbers(n=n, m=0), params).E for n in range(n_max + 1)
     ]

@@ -25,7 +25,7 @@ tests compare the two conventions without privileging either.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -64,12 +64,13 @@ class RadialGrid:
 
     samples[0] == 0 (the origin is evaluated by limit where needed) and
     samples[-1] == rho_max.  The odd count keeps the interval number even,
-    as composite Simpson quadrature requires.
+    as composite Simpson quadrature requires.  The read-only samples are
+    derived from (rho_max, num_points).
     """
 
     rho_max: float
     num_points: int
-    samples: np.ndarray
+    samples: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if not isinstance(self.num_points, (int, np.integer)) or self.num_points < 3:
@@ -81,29 +82,13 @@ class RadialGrid:
         if not math.isfinite(rho_max) or rho_max <= 0.0:
             raise ValueError(f"rho_max must be positive and finite, got {self.rho_max!r}")
         object.__setattr__(self, "rho_max", rho_max)
-        samples = np.asarray(self.samples, dtype=float).copy()
-        if samples.shape != (self.num_points,):
-            raise ValueError("samples must be a 1-d array of length num_points")
-        h = rho_max / (self.num_points - 1)
-        expected = np.arange(self.num_points) * h
-        if (
-            samples[0] != 0.0
-            or samples[-1] != rho_max
-            or not np.allclose(samples, expected, rtol=0.0, atol=1e-12 * rho_max)
-        ):
-            raise ValueError("samples must be uniformly spaced from 0 to rho_max")
+        samples = np.linspace(0.0, rho_max, self.num_points)
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
 
     @classmethod
     def uniform(cls, rho_max: float, num_points: int) -> "RadialGrid":
-        if not isinstance(num_points, (int, np.integer)) or num_points < 3:
-            raise ValueError(f"num_points must be an integer >= 3, got {num_points!r}")
-        rho_max = float(rho_max)
-        if not math.isfinite(rho_max) or rho_max <= 0.0:
-            raise ValueError(f"rho_max must be positive and finite, got {rho_max!r}")
-        samples = np.linspace(0.0, rho_max, int(num_points))
-        return cls(rho_max=rho_max, num_points=int(num_points), samples=samples)
+        return cls(rho_max=rho_max, num_points=num_points)
 
     @property
     def spacing(self) -> float:
@@ -119,39 +104,53 @@ def default_grid(
 
 @dataclass(frozen=True)
 class KummerProfile:
-    """Descriptor of coeff * exp(-z/2) * z**(mu/2) * M(a, b, z)."""
+    """Descriptor of f(z) = coeff * exp(-z/2) * z**(mu/2) * M(a, b, z).
+
+    ``derivatives`` is the one evaluator: it returns f and its first
+    ``order`` z-derivatives from the shifted terms of
+
+        d^k M/dz^k = [a (a+1)...(a+k-1)] / [b (b+1)...(b+k-1)] M(a+k, b+k, z),
+
+    evaluating each M(a+k, b+k, z) at most once.  A term whose weight is
+    exactly zero is skipped: M is a polynomial of degree -a with no
+    derivative past it, so only terminating series are ever summed.
+    ``value_z``, ``dvalue_dz`` and ``d2value_dz2`` are single-output views.
+    """
 
     coeff: float
     mu: int
     a: float
     b: float
 
+    def derivatives(self, z, order: int = 2) -> list:
+        """[f, f', ..., f^(order)] at z for order <= 2; f' needs z > 0 when mu > 0."""
+        if order not in (0, 1, 2):
+            raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
+        a, b = self.a, self.b
+        z = np.asarray(z, dtype=float)
+        pref = self.coeff * np.exp(-0.5 * z) * np.power(z, 0.5 * self.mu)
+        w = (1.0, a / b, a * (a + 1.0) / (b * (b + 1.0)))
+        # M(a+k, b+k, z), or 0.0 where the weight vanishes past the degree of M
+        m = [kummer_m(a + k, b + k, z) if w[k] else 0.0 for k in range(order + 1)]
+        out = [pref * m[0]]
+        if order >= 1:
+            g = 0.5 * self.mu / z - 0.5
+            out.append(pref * (g * m[0] + w[1] * m[1]))
+        if order == 2:
+            curv = g * g - 0.5 * self.mu / (z * z)
+            out.append(pref * (curv * m[0] + 2.0 * g * w[1] * m[1] + w[2] * m[2]))
+        return out
+
     def value_z(self, z):
-        return self.coeff * np.exp(-0.5 * np.asarray(z, dtype=float)) * np.power(
-            z, 0.5 * self.mu
-        ) * kummer_m(self.a, self.b, z)
+        return self.derivatives(z, 0)[0]
 
     def dvalue_dz(self, z):
         """Exact d/dz; requires z > 0 when mu > 0."""
-        z = np.asarray(z, dtype=float)
-        pref = self.coeff * np.exp(-0.5 * z) * np.power(z, 0.5 * self.mu)
-        g = 0.5 * self.mu / z - 0.5
-        m0 = kummer_m(self.a, self.b, z)
-        m1 = kummer_m(self.a + 1.0, self.b + 1.0, z)
-        return pref * (g * m0 + (self.a / self.b) * m1)
+        return self.derivatives(z, 1)[1]
 
     def d2value_dz2(self, z):
         """Exact d^2/dz^2; requires z > 0 when mu > 0."""
-        z = np.asarray(z, dtype=float)
-        pref = self.coeff * np.exp(-0.5 * z) * np.power(z, 0.5 * self.mu)
-        g = 0.5 * self.mu / z - 0.5
-        ab = self.a / self.b
-        m0 = kummer_m(self.a, self.b, z)
-        m1 = kummer_m(self.a + 1.0, self.b + 1.0, z)
-        m2 = kummer_m(self.a + 2.0, self.b + 2.0, z)
-        curv = g * g - 0.5 * self.mu / (z * z)
-        ab2 = self.a * (self.a + 1.0) / (self.b * (self.b + 1.0))
-        return pref * (curv * m0 + 2.0 * g * ab * m1 + ab2 * m2)
+        return self.derivatives(z, 2)[2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,15 +196,22 @@ class SpinorSample:
         object.__setattr__(self, "phi", float(self.phi) % (2.0 * math.pi))
 
 
+def _sampled(
+    profile: KummerProfile, grid: RadialGrid, params: PhysicalParams, index: int
+) -> RadialFunction:
+    """The profile on every grid sample, carrying angular index ``index``."""
+    z = to_dimensionless_z(grid.samples, params)
+    return RadialFunction(
+        grid=grid, values=profile.value_z(z), profile=profile, angular_index=index
+    )
+
+
 def radial_psi1(
     qn: QuantumNumbers, grid: RadialGrid, params: PhysicalParams
 ) -> RadialFunction:
     """Upper-component radial profile exp(-z/2) z**(m/2) M(-(n+1), m+1, z)."""
     profile = KummerProfile(coeff=1.0, mu=qn.m, a=-(qn.n + 1.0), b=qn.m + 1.0)
-    z = to_dimensionless_z(grid.samples, params)
-    return RadialFunction(
-        grid=grid, values=profile.value_z(z), profile=profile, angular_index=qn.m
-    )
+    return _sampled(profile, grid, params, qn.m)
 
 
 def radial_psi2(
@@ -219,10 +225,7 @@ def radial_psi2(
     conventions can be compared.
     """
     profile = KummerProfile(coeff=1.0, mu=qn.m, a=-float(qn.n), b=qn.m + 1.0)
-    z = to_dimensionless_z(grid.samples, params)
-    return RadialFunction(
-        grid=grid, values=profile.value_z(z), profile=profile, angular_index=qn.m
-    )
+    return _sampled(profile, grid, params, qn.m)
 
 
 def normalize(rf: RadialFunction) -> RadialFunction:
@@ -289,13 +292,7 @@ def derive_lower_component(
         a=p.a + 1.0,
         b=p.b + 1.0,
     )
-    z = to_dimensionless_z(psi1_radial.grid.samples, params)
-    return RadialFunction(
-        grid=psi1_radial.grid,
-        values=out.value_z(z),
-        profile=out,
-        angular_index=m + 1,
-    )
+    return _sampled(out, psi1_radial.grid, params, m + 1)
 
 
 def spinor_sample(
@@ -323,25 +320,23 @@ def spinor_sample(
     return SpinorSample(rho=float(rho), phi=phi, psi1=psi1, psi2=psi2)
 
 
-def sign_changes(values, rel_floor: float = NODE_FLOOR) -> int:
+def sign_changes(values) -> int:
     """Strict sign changes in a sample sequence, ignoring near-zero samples."""
     v = np.asarray(values, dtype=float)
     scale = float(np.max(np.abs(v))) if v.size else 0.0
     if scale == 0.0:
         return 0
-    kept = v[np.abs(v) > rel_floor * scale]
+    kept = v[np.abs(v) > NODE_FLOOR * scale]
     return int(np.sum(kept[:-1] * kept[1:] < 0.0))
 
 
-def count_radial_nodes(
-    qn: QuantumNumbers, params: PhysicalParams, num_points: int = 4097
-) -> int:
+def count_radial_nodes(qn: QuantumNumbers, params: PhysicalParams) -> int:
     """Sign changes of the upper radial profile on (0, rho_max); equals n+1.
 
     rho_max = (2 sqrt(4(n+1) + 2m) + 4) * b covers every root of the
     terminating polynomial with margin (Laguerre root bound).
     """
     span = 2.0 * math.sqrt(4.0 * (qn.n + 1) + 2.0 * qn.m) + 4.0
-    grid = RadialGrid.uniform(span * params.oscillator_length, num_points)
+    grid = RadialGrid.uniform(span * params.oscillator_length, 4097)
     rf = radial_psi1(qn, grid, params)
     return sign_changes(rf.values[1:-1])

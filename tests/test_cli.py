@@ -166,19 +166,20 @@ class TestVerifyCommand:
 class TestNrLimitCommand:
     def test_reported_example_row(self, tmp_path):
         config = RunConfig(
-            command="nr-limit", n_max=0, output=str(tmp_path / "n.csv")
+            command="nr-limit", n_max=0, lambdas=(1e-4,), output=str(tmp_path / "n.csv")
         )
-        _, rows = read_csv(cmd_nr_limit(config, [1e-4]))
+        _, rows = read_csv(cmd_nr_limit(config))
         assert len(rows) == 1
         assert_allclose(float(rows[0]["E_exact"]), 1.000199980004, rtol=1e-12)
         assert_allclose(float(rows[0]["E_three_term"]), 1.00019998, rtol=1e-12)
 
     def test_rejects_out_of_range_lambda(self, tmp_path):
-        config = RunConfig(command="nr-limit", output=str(tmp_path / "n.csv"))
-        with pytest.raises(ValueError):
-            cmd_nr_limit(config, [0.0])
-        with pytest.raises(ValueError):
-            cmd_nr_limit(config, [0.5])
+        for lam in (0.0, 0.5):
+            config = RunConfig(
+                command="nr-limit", lambdas=(lam,), output=str(tmp_path / "n.csv")
+            )
+            with pytest.raises(ValueError):
+                cmd_nr_limit(config)
 
     def test_cubic_error_scaling(self, tmp_path):
         config = RunConfig(
@@ -207,9 +208,9 @@ class TestNrLimitCommand:
 
     def test_error_grows_with_n(self, tmp_path):
         config = RunConfig(
-            command="nr-limit", n_max=4, output=str(tmp_path / "n.csv")
+            command="nr-limit", n_max=4, lambdas=(1e-3,), output=str(tmp_path / "n.csv")
         )
-        _, rows = read_csv(cmd_nr_limit(config, [1e-3]))
+        _, rows = read_csv(cmd_nr_limit(config))
         errors = [float(r["abs_error"]) for r in rows]
         assert all(a < b for a, b in zip(errors, errors[1:]))
 
@@ -243,6 +244,17 @@ class TestMainEntry:
         )
         assert code == 1
         assert (tmp_path / "v.csv").exists()
+
+    def test_long_grid_verify_writes_report(self, tmp_path):
+        # z reaches 676 on this grid; the n = 0 derivatives once evaluated a
+        # zero-weight non-terminating Kummer term there and did not converge
+        out = tmp_path / "v.csv"
+        code = main(["verify", "--n-max", "0", "--rho-max", "26", "--output", str(out)])
+        assert code == 0
+        header, rows = read_csv(out)
+        assert header[0] == "name"
+        assert len(rows) == 7
+        assert all(row["passed"] == "true" for row in rows)
 
     def test_output_dir_environment_override(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dirac2d import (
+    KummerProfile,
     PhysicalParams,
     QuantumNumbers,
     RadialFunction,
@@ -59,16 +60,77 @@ class TestRadialGrid:
         with pytest.raises(ValueError):
             RadialGrid.uniform(math.inf, 17)
 
-    def test_rejects_nonuniform_samples(self):
-        samples = np.linspace(0.0, 8.0, 17)
-        samples[3] += 0.01
-        with pytest.raises(ValueError):
-            RadialGrid(rho_max=8.0, num_points=17, samples=samples)
+    def test_samples_match_linspace(self):
+        grid = RadialGrid(rho_max=8.0, num_points=17)
+        assert np.array_equal(grid.samples, np.linspace(0.0, 8.0, 17))
+        assert not grid.samples.flags.writeable
+        with pytest.raises(TypeError):
+            RadialGrid(rho_max=8.0, num_points=17, samples=np.linspace(0.0, 8.0, 17))
 
     def test_samples_are_read_only(self):
         grid = RadialGrid.uniform(8.0, 17)
         with pytest.raises(ValueError):
             grid.samples[0] = 1.0
+
+
+class TestKummerProfile:
+    def test_central_difference_sweep(self):
+        # exact first and second z-derivatives of psi1 and of the derived
+        # lower profile against central differences of the next lower order
+        p = natural_params()
+        grid = RadialGrid.uniform(12.0, 9)
+        z = np.array([0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0])
+        h = 1e-5
+        for n in range(0, 21, 2):
+            for m in range(0, 11, 2):
+                qn = QuantumNumbers(n, m)
+                upper = radial_psi1(qn, grid, p)
+                lower = derive_lower_component(upper, m, energy(qn, p).E, p)
+                for prof in (upper.profile, lower.profile):
+                    f, d1, d2 = prof.derivatives(z, 2)
+                    scale = np.maximum.reduce([np.abs(f), np.abs(d1), np.abs(d2)])
+                    fd1 = (prof.value_z(z + h) - prof.value_z(z - h)) / (2.0 * h)
+                    fd2 = (prof.dvalue_dz(z + h) - prof.dvalue_dz(z - h)) / (2.0 * h)
+                    assert np.all(np.abs(fd1 - prof.dvalue_dz(z)) <= 1e-6 * scale), (n, m)
+                    assert np.all(np.abs(fd2 - prof.d2value_dz2(z)) <= 1e-6 * scale), (n, m)
+
+    def test_constant_polynomial(self):
+        # a = 0: M = 1, so f = exp(-z/2) z^(mu/2) and its derivatives follow
+        # by hand; no shifted term M(1, b+1, z) is needed
+        prof = KummerProfile(coeff=2.0, mu=3, a=0.0, b=5.0)
+        for z in (0.5, 3.0, 40.0):
+            f = 2.0 * math.exp(-z / 2.0) * z**1.5
+            g = 1.5 / z - 0.5
+            value, d1, d2 = prof.derivatives(z, 2)
+            assert_allclose(value, f, rtol=1e-14)
+            assert_allclose(d1, f * g, rtol=1e-13)
+            assert_allclose(d2, f * (g * g - 1.5 / z**2), rtol=1e-13)
+
+    def test_linear_polynomial(self):
+        # a = -1, b = 1: f = exp(-z/2) (1 - z), f' = exp(-z/2) (z - 3)/2,
+        # f'' = exp(-z/2) (5 - z)/4
+        prof = KummerProfile(coeff=1.0, mu=0, a=-1.0, b=1.0)
+        for z in (0.5, 3.0, 40.0):
+            e = math.exp(-z / 2.0)
+            value, d1, d2 = prof.derivatives(z, 2)
+            assert_allclose(value, e * (1.0 - z), rtol=1e-14)
+            assert_allclose(d1, e * (z - 3.0) / 2.0, rtol=1e-14)
+            assert_allclose(d2, e * (5.0 - z) / 4.0, rtol=1e-14)
+
+    def test_ground_state_derivatives_finite_far_out(self):
+        # n = 0: the second derivative of M(-1, b, z) is zero, and evaluating
+        # it must not reach for a non-terminating series
+        p = natural_params()
+        for m in (0, 2):
+            prof = radial_psi1(QuantumNumbers(0, m), RadialGrid.uniform(12.0, 9), p).profile
+            assert np.isfinite(prof.d2value_dz2(900.0))
+            values = prof.derivatives(np.array([899.5, 900.0]), 2)
+            assert all(np.all(np.isfinite(v)) for v in values)
+
+    def test_rejects_unsupported_order(self):
+        prof = KummerProfile(coeff=1.0, mu=0, a=-1.0, b=1.0)
+        with pytest.raises(ValueError):
+            prof.derivatives(1.0, 3)
 
 
 class TestRadialPsi1:
