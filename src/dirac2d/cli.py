@@ -202,17 +202,17 @@ def cmd_spectrum(config: RunConfig) -> Path:
         spectrum.energy(QuantumNumbers(n=n, m=config.m), params)
         for n in range(config.n_max + 1)
     ]
+    gaps = spectrum.level_spacings(config.n_max, params) if config.n_max else []
     for n, level in enumerate(levels):
-        nxt = levels[n + 1].E - level.E if n + 1 < len(levels) else None
         rows.append(
             {
                 "n": n,
                 "m": config.m,
                 "E": level.E,
-                "E_minus_mc2": level.E - params.rest_energy,
+                "E_minus_mc2": level.excitation,
                 "k1": level.k1,
                 "kummer_a": level.kummer_a,
-                "spacing_to_next": nxt,
+                "spacing_to_next": gaps[n] if n < config.n_max else None,
             }
         )
     columns = ["n", "m", "E", "E_minus_mc2", "k1", "kummer_a", "spacing_to_next"]

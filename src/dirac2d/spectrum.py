@@ -63,8 +63,9 @@ class EnergyLevel:
     """One eigenvalue with its dimensionless bookkeeping.
 
     E is the positive-branch energy, k1 the dimensionless eigenvalue,
-    kummer_a the first Kummer argument (always -(n+1) here), and k_sq the
-    squared radial wavenumber k1 * m0*omega/hbar.
+    kummer_a the first Kummer argument (always -(n+1) here), k_sq the
+    squared radial wavenumber k1 * m0*omega/hbar, and excitation E - m0 c^2
+    computed without subtracting two nearly equal energies.
     """
 
     qn: QuantumNumbers
@@ -72,16 +73,26 @@ class EnergyLevel:
     k1: float
     kummer_a: float
     k_sq: float
+    excitation: float
 
 
 def energy(qn: QuantumNumbers, params: PhysicalParams) -> EnergyLevel:
-    """Closed-form energy of the state (n, m); E never depends on m."""
+    """Closed-form energy of the state (n, m); E never depends on m.
+
+    The excitation E - m0 c^2 = m0 c^2 x / (1 + sqrt(1 + x)), x = 4(n+1) lam,
+    keeps its digits where lam is below machine epsilon (SI units).
+    """
     n = qn.n
-    E = params.rest_energy * math.sqrt(1.0 + 4.0 * (n + 1) * params.lam)
+    x = 4.0 * (n + 1) * params.lam
+    root = math.sqrt(1.0 + x)
+    E = params.rest_energy * root
+    excitation = params.rest_energy * x / (1.0 + root)
     k1 = 2.0 * (qn.m + 1) + 4.0 * (n + 1)
     kummer_a = 0.5 * (qn.m + 1 - 0.5 * k1)
     k_sq = k1 * params.gamma
-    return EnergyLevel(qn=qn, E=E, k1=k1, kummer_a=kummer_a, k_sq=k_sq)
+    return EnergyLevel(
+        qn=qn, E=E, k1=k1, kummer_a=kummer_a, k_sq=k_sq, excitation=excitation
+    )
 
 
 def quantization_residual(E_trial: float, m: int, params: PhysicalParams) -> float:
@@ -141,10 +152,12 @@ def level_spacings(n_max: int, params: PhysicalParams) -> list[float]:
 
     All gaps are positive and strictly decreasing: E grows like the square
     root of an affine function of n, so the ladder compresses upward instead
-    of staying equally spaced.
+    of staying equally spaced.  Each gap is 4 hbar w m0 c^2 / (E(n) + E(n+1)),
+    which avoids the cancellation in E(n+1) - E(n) when lam is tiny.
     """
     _require_count("n_max", n_max, minimum=1)
     levels = [
         energy(QuantumNumbers(n=n, m=0), params).E for n in range(n_max + 1)
     ]
-    return [levels[n + 1] - levels[n] for n in range(n_max)]
+    quantum, rest = params.energy_quantum, params.rest_energy
+    return [4.0 * quantum * (rest / (levels[n] + levels[n + 1])) for n in range(n_max)]

@@ -50,6 +50,18 @@ class TestSpectrumCommand:
         assert len(mantissa) == 17
         assert float(cell) == energy(QuantumNumbers(0, 0), natural_params()).E
 
+    def test_si_excitation_and_spacings(self, tmp_path):
+        # electron at omega = 1 rad/s: lam ~ 1.3e-21, far below machine epsilon
+        config = RunConfig(
+            command="spectrum", units="si", n_max=20, output=str(tmp_path / "s.csv")
+        )
+        _, rows = read_csv(cmd_spectrum(config))
+        params = config.params()
+        expected = 2.0 * params.energy_quantum * (1.0 - params.lam)
+        assert_allclose(float(rows[0]["E_minus_mc2"]), expected, rtol=1e-12)
+        spacings = [float(r["spacing_to_next"]) for r in rows[:-1]]
+        assert all(gap > 0.0 for gap in spacings)
+
     def test_deterministic_bytes(self, tmp_path):
         paths = []
         for name in ("a.csv", "b.csv"):

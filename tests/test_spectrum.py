@@ -58,6 +58,20 @@ class TestEnergy:
         reference = energy(QuantumNumbers(0, 0), p).E
         assert energy(QuantumNumbers(0, 7), p).E == reference
 
+    def test_excitation_without_cancellation(self):
+        # natural units: agrees with E - m0 c^2; electron at omega = 1 rad/s
+        # (lam ~ 1.3e-21): E - m0 c^2 rounds to zero, the excitation does not
+        for n in range(6):
+            level = energy(QuantumNumbers(n, 0), natural_params())
+            assert_allclose(level.excitation, level.E - 1.0, rtol=1e-15)
+        si = PhysicalParams(
+            rest_mass=9.1093837015e-31, omega=1.0, hbar=1.054571817e-34, c=299792458.0
+        )
+        level = energy(QuantumNumbers(2, 0), si)
+        assert level.E - si.rest_energy == 0.0
+        expected = 6.0 * si.energy_quantum * (1.0 - 3.0 * si.lam)
+        assert_allclose(level.excitation, expected, rtol=1e-12)
+
     def test_m_independence_bitwise(self):
         for p in PARAM_SETS:
             for n in range(6):
@@ -208,6 +222,14 @@ class TestLevelSpacings:
             gaps = level_spacings(100, p)
             assert all(g > 0.0 for g in gaps)
             assert all(a > b for a, b in zip(gaps, gaps[1:]))
+
+    def test_tiny_lambda_gaps(self):
+        # lam ~ 1.3e-21: every E rounds to m0 c^2, yet each gap is 2 hbar w
+        si = PhysicalParams(
+            rest_mass=9.1093837015e-31, omega=1.0, hbar=1.054571817e-34, c=299792458.0
+        )
+        for gap in level_spacings(20, si):
+            assert_allclose(gap, 2.0 * si.energy_quantum, rtol=1e-12)
 
     def test_rejects_small_n_max(self):
         with pytest.raises(ValueError):
