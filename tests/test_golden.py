@@ -25,48 +25,43 @@ if __name__ == "__main__":
 
 from dirac2d.cli import main  # noqa: E402
 
-# name -> (argv without --output, expected exit status)
+# name -> (command line without --output, expected exit status)
 CASES = {
-    "spectrum_natural.csv": (["spectrum", "--n-max", "1000", "--m", "2"], 0),
+    "spectrum_natural.csv": ("spectrum --n-max 1000 --m 2", 0),
     "spectrum_natural.json": (
-        ["spectrum", "--n-max", "40", "--m0", "2.5", "--omega", "0.3", "--format", "json"],
+        "spectrum --n-max 40 --m0 2.5 --omega 0.3 --format json",
         0,
     ),
-    "spectrum_si.csv": (["spectrum", "--units", "si", "--n-max", "20"], 0),
-    "spectrum_si.json": (
-        ["spectrum", "--units", "si", "--omega", "1e15", "--n-max", "5", "--format", "json"],
-        0,
-    ),
-    "wavefn_natural.csv": (["wavefn", "--n", "3", "--m", "2"], 0),
+    "spectrum_si.csv": ("spectrum --units si --n-max 20", 0),
+    "spectrum_si.json": ("spectrum --units si --omega 1e15 --n-max 5 --format json", 0),
+    "wavefn_natural.csv": ("wavefn --n 3 --m 2", 0),
     "wavefn_natural_1025.json": (
-        ["wavefn", "--n", "1", "--m", "0", "--grid-points", "1025", "--format", "json"],
+        "wavefn --n 1 --m 0 --grid-points 1025 --format json",
         0,
     ),
-    "wavefn_si_1025.csv": (
-        ["wavefn", "--units", "si", "--n", "2", "--m", "1", "--grid-points", "1025"],
-        0,
-    ),
-    "verify_n20_m3.csv": (["verify", "--n-max", "20", "--m", "3"], 0),
+    "wavefn_si_1025.csv": ("wavefn --units si --n 2 --m 1 --grid-points 1025", 0),
+    "verify_n20_m3.csv": ("verify --n-max 20 --m 3", 0),
     "verify_natural_1025.json": (
-        ["verify", "--n-max", "4", "--m", "1", "--omega", "0.5", "--grid-points", "1025",
-         "--format", "json"],
+        "verify --n-max 4 --m 1 --omega 0.5 --grid-points 1025 --format json",
         0,
     ),
-    "verify_si.csv": (["verify", "--units", "si", "--n-max", "3"], 1),
-    "verify_si.json": (["verify", "--units", "si", "--n-max", "2", "--format", "json"], 1),
-    "nr_limit.csv": (["nr-limit", "--n-max", "10"], 0),
+    "verify_si.csv": ("verify --units si --n-max 3", 1),
+    "verify_si.json": ("verify --units si --n-max 2 --format json", 1),
+    "nr_limit.csv": ("nr-limit --n-max 10", 0),
     "nr_limit.json": (
-        ["nr-limit", "--lambdas", "0.1,0.05,1e-3,1e-6", "--n-max", "4", "--format", "json"],
+        "nr-limit --lambdas 0.1,0.05,1e-3,1e-6 --n-max 4 --format json",
         0,
     ),
 }
 
 
 def run_case(name: str, output: Path) -> None:
-    argv, expected_status = CASES[name]
-    status = main([*argv, "--output", str(output)])
+    command, expected_status = CASES[name]
+    status = main([*command.split(), "--output", str(output)])
     if status != expected_status:
-        raise AssertionError(f"{name}: exit status {status}, expected {expected_status}")
+        raise AssertionError(
+            f"{name}: exit status {status}, expected {expected_status}"
+        )
 
 
 def first_difference(expected: bytes, actual: bytes) -> str:
@@ -79,7 +74,7 @@ def first_difference(expected: bytes, actual: bytes) -> str:
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_matches_golden(name, tmp_path, capsys):
+def test_matches_golden(name, tmp_path):
     output = tmp_path / name
     run_case(name, output)
     expected = (GOLDEN / name).read_bytes()

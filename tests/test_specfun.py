@@ -4,7 +4,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dirac2d import kummer_m, laguerre
+from dirac2d import (
+    KummerProfile,
+    QuantumNumbers,
+    RadialGrid,
+    derive_lower_component,
+    energy,
+    kummer_m,
+    laguerre,
+    natural_params,
+    radial_psi1,
+)
 
 Z_SET = [0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0]
 
@@ -57,6 +67,55 @@ class TestKummerM:
             diff = np.diff(vals, n=k + 1)
             scale = max(1.0, float(np.max(np.abs(vals))))
             assert np.all(np.abs(diff) <= 1e-10 * scale)
+
+
+class TestKummerDerivative:
+    # dM/dz = (a/b) M(a+1, b+1, z) enters through KummerProfile, whose
+    # evaluator returns exp(-z/2) z^(mu/2) M(a, b, z) with its z-derivatives
+
+    def test_constant_function(self):
+        # a = 0: M = 1, so the zero-weight term M(1, b+1, z) must not appear
+        for z in (0.5, 5.0, 40.0):
+            value, d1, d2 = KummerProfile(coeff=1.0, mu=0, a=0.0, b=1.0).derivatives(z)
+            assert d1 == -0.5 * value
+            assert d2 == 0.25 * value
+            f = 2.0 * math.exp(-z / 2.0) * z**1.5
+            g = 1.5 / z - 0.5
+            value, d1, d2 = KummerProfile(coeff=2.0, mu=3, a=0.0, b=5.0).derivatives(z)
+            assert_allclose(value, f, rtol=1e-14)
+            assert_allclose(d1, f * g, rtol=1e-13)
+            assert_allclose(d2, f * (g * g - 1.5 / z**2), rtol=1e-13)
+
+    def test_linear_case(self):
+        # a = -1, b = 1: f = exp(-z/2) (1 - z), f' = exp(-z/2) (z - 3)/2,
+        # f'' = exp(-z/2) (5 - z)/4
+        prof = KummerProfile(coeff=1.0, mu=0, a=-1.0, b=1.0)
+        for z in (0.5, 3.0, 40.0):
+            e = math.exp(-z / 2.0)
+            value, d1, d2 = prof.derivatives(z, 2)
+            assert_allclose(value, e * (1.0 - z), rtol=1e-14)
+            assert_allclose(d1, e * (z - 3.0) / 2.0, rtol=1e-14)
+            assert_allclose(d2, e * (5.0 - z) / 4.0, rtol=1e-14)
+
+    def test_central_difference_sweep(self):
+        # exact first and second z-derivatives of psi1 and of the derived
+        # lower profile against central differences of the next lower order
+        p = natural_params()
+        grid = RadialGrid.uniform(12.0, 9)
+        z = np.array([0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0])
+        h = 1e-5
+        for n in range(0, 21, 2):
+            for m in range(0, 11, 2):
+                qn = QuantumNumbers(n, m)
+                upper = radial_psi1(qn, grid, p)
+                lower = derive_lower_component(upper, m, energy(qn, p).E, p)
+                for prof in (upper.profile, lower.profile):
+                    f, d1, d2 = prof.derivatives(z, 2)
+                    tol = 1e-6 * np.maximum.reduce([np.abs(f), np.abs(d1), np.abs(d2)])
+                    fd1 = (prof.value_z(z + h) - prof.value_z(z - h)) / (2.0 * h)
+                    fd2 = (prof.dvalue_dz(z + h) - prof.dvalue_dz(z - h)) / (2.0 * h)
+                    assert np.all(np.abs(fd1 - prof.dvalue_dz(z)) <= tol), (n, m)
+                    assert np.all(np.abs(fd2 - prof.d2value_dz2(z)) <= tol), (n, m)
 
 
 class TestLaguerre:

@@ -74,55 +74,13 @@ class TestRadialGrid:
 
 
 class TestKummerProfile:
-    def test_central_difference_sweep(self):
-        # exact first and second z-derivatives of psi1 and of the derived
-        # lower profile against central differences of the next lower order
-        p = natural_params()
-        grid = RadialGrid.uniform(12.0, 9)
-        z = np.array([0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0])
-        h = 1e-5
-        for n in range(0, 21, 2):
-            for m in range(0, 11, 2):
-                qn = QuantumNumbers(n, m)
-                upper = radial_psi1(qn, grid, p)
-                lower = derive_lower_component(upper, m, energy(qn, p).E, p)
-                for prof in (upper.profile, lower.profile):
-                    f, d1, d2 = prof.derivatives(z, 2)
-                    scale = np.maximum.reduce([np.abs(f), np.abs(d1), np.abs(d2)])
-                    fd1 = (prof.value_z(z + h) - prof.value_z(z - h)) / (2.0 * h)
-                    fd2 = (prof.dvalue_dz(z + h) - prof.dvalue_dz(z - h)) / (2.0 * h)
-                    assert np.all(np.abs(fd1 - prof.dvalue_dz(z)) <= 1e-6 * scale), (n, m)
-                    assert np.all(np.abs(fd2 - prof.d2value_dz2(z)) <= 1e-6 * scale), (n, m)
-
-    def test_constant_polynomial(self):
-        # a = 0: M = 1, so f = exp(-z/2) z^(mu/2) and its derivatives follow
-        # by hand; no shifted term M(1, b+1, z) is needed
-        prof = KummerProfile(coeff=2.0, mu=3, a=0.0, b=5.0)
-        for z in (0.5, 3.0, 40.0):
-            f = 2.0 * math.exp(-z / 2.0) * z**1.5
-            g = 1.5 / z - 0.5
-            value, d1, d2 = prof.derivatives(z, 2)
-            assert_allclose(value, f, rtol=1e-14)
-            assert_allclose(d1, f * g, rtol=1e-13)
-            assert_allclose(d2, f * (g * g - 1.5 / z**2), rtol=1e-13)
-
-    def test_linear_polynomial(self):
-        # a = -1, b = 1: f = exp(-z/2) (1 - z), f' = exp(-z/2) (z - 3)/2,
-        # f'' = exp(-z/2) (5 - z)/4
-        prof = KummerProfile(coeff=1.0, mu=0, a=-1.0, b=1.0)
-        for z in (0.5, 3.0, 40.0):
-            e = math.exp(-z / 2.0)
-            value, d1, d2 = prof.derivatives(z, 2)
-            assert_allclose(value, e * (1.0 - z), rtol=1e-14)
-            assert_allclose(d1, e * (z - 3.0) / 2.0, rtol=1e-14)
-            assert_allclose(d2, e * (5.0 - z) / 4.0, rtol=1e-14)
-
     def test_ground_state_derivatives_finite_far_out(self):
         # n = 0: the second derivative of M(-1, b, z) is zero, and evaluating
         # it must not reach for a non-terminating series
         p = natural_params()
         for m in (0, 2):
-            prof = radial_psi1(QuantumNumbers(0, m), RadialGrid.uniform(12.0, 9), p).profile
+            grid = RadialGrid.uniform(12.0, 9)
+            prof = radial_psi1(QuantumNumbers(0, m), grid, p).profile
             assert np.isfinite(prof.d2value_dz2(900.0))
             values = prof.derivatives(np.array([899.5, 900.0]), 2)
             assert all(np.all(np.isfinite(v)) for v in values)
