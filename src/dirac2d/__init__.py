@@ -23,7 +23,7 @@ from .spectrum import (
     nr_expansion,
     quantization_residual,
 )
-from .units import OscillatorScales, PhysicalParams, natural_params, to_dimensionless_z
+from .units import PhysicalParams, natural_params, to_dimensionless_z
 from .wavefn import (
     KummerProfile,
     RadialFunction,
@@ -44,7 +44,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "PhysicalParams",
-    "OscillatorScales",
     "natural_params",
     "to_dimensionless_z",
     "kummer_m",

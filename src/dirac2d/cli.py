@@ -22,7 +22,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -112,20 +112,19 @@ class RunConfig:
         return self.tolerances.get(name, DEFAULT_TOLERANCES[name])
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "units": self.units,
-            "m0": self.m0,
-            "omega": self.omega,
-            "n_max": self.n_max,
-            "m": self.m,
-            "n": self.n,
-            "rho_max_in_b": self.rho_max_in_b,
-            "grid_points": self.grid_points,
-            "format": self.fmt,
-            "lambdas": list(self.lambdas),
-            "tolerances": {k: self.tolerance(k) for k in sorted(DEFAULT_TOLERANCES)},
-        }
+        """Field values in declaration order, as the JSON "config" block.
+
+        ``output`` names where the file goes, not what it holds, so it is
+        left out; ``fmt`` is emitted as "format" and every tolerance is
+        filled in.
+        """
+        out = {}
+        for f in fields(self):
+            if f.name != "output":
+                out["format" if f.name == "fmt" else f.name] = getattr(self, f.name)
+        out["lambdas"] = list(self.lambdas)
+        out["tolerances"] = {k: self.tolerance(k) for k in sorted(DEFAULT_TOLERANCES)}
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +143,9 @@ def _fmt_csv(value) -> str:
     return str(value)
 
 
-def _render_csv(columns: list[str], rows: list[dict]) -> str:
+def _render_csv(rows: list[dict]) -> str:
+    """CSV table whose header is the keys of the first record."""
+    columns = list(rows[0])
     lines = [",".join(columns)]
     for row in rows:
         lines.append(",".join(_fmt_csv(row[c]) for c in columns))
@@ -180,9 +181,9 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def _emit(config: RunConfig, columns: list[str], rows: list[dict], checks: list[dict]) -> Path:
+def _emit(config: RunConfig, rows: list[dict], checks: list[dict]) -> Path:
     if config.fmt == "csv":
-        text = _render_csv(columns, rows or checks)
+        text = _render_csv(rows or checks)
     else:
         text = _render_json(config, rows, checks)
     path = _resolve_output(config)
@@ -215,8 +216,7 @@ def cmd_spectrum(config: RunConfig) -> Path:
                 "spacing_to_next": gaps[n] if n < config.n_max else None,
             }
         )
-    columns = ["n", "m", "E", "E_minus_mc2", "k1", "kummer_a", "spacing_to_next"]
-    return _emit(config, columns, rows, [])
+    return _emit(config, rows, [])
 
 
 def cmd_wavefn(config: RunConfig) -> Path:
@@ -253,7 +253,7 @@ def cmd_wavefn(config: RunConfig) -> Path:
     columns = list(table)
     cells = zip(*(column.tolist() for column in table.values()))
     rows = [dict(zip(columns, row)) for row in cells]
-    return _emit(config, columns, rows, [])
+    return _emit(config, rows, [])
 
 
 def _check(name, measured, tolerance, detail=""):
@@ -341,8 +341,7 @@ def run_verification_checks(config: RunConfig) -> list[dict]:
 def cmd_verify(config: RunConfig) -> tuple[Path, bool]:
     """Write the verification report; returns (path, all_passed)."""
     checks = run_verification_checks(config)
-    columns = ["name", "measured", "tolerance", "passed", "detail"]
-    path = _emit(config, columns, [], checks)
+    path = _emit(config, [], checks)
     return path, all(c["passed"] for c in checks)
 
 
@@ -352,6 +351,8 @@ def cmd_nr_limit(config: RunConfig) -> Path:
     Energies are reported in units of the rest energy, so the rows depend
     only on lambda and n.
     """
+    if not config.lambdas:
+        raise ValueError("lambdas must name at least one frequency ratio")
     for lam in config.lambdas:
         if not (0.0 < lam <= 0.1):
             raise ValueError(f"lambda must lie in (0, 0.1], got {lam}")
@@ -372,48 +373,43 @@ def cmd_nr_limit(config: RunConfig) -> Path:
                     "error_over_lambda_cubed": err / lam**3,
                 }
             )
-    columns = [
-        "lambda",
-        "n",
-        "E_exact",
-        "E_three_term",
-        "abs_error",
-        "error_over_lambda_cubed",
-    ]
-    return _emit(config, columns, rows, [])
+    return _emit(config, rows, [])
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n-max", type=int, default=5, help="largest level index")
-    parser.add_argument("--m", type=int, default=0, help="angular momentum index")
-    parser.add_argument("--omega", type=float, default=None, help="oscillator frequency")
-    parser.add_argument("--m0", type=float, default=None, help="rest mass")
-    parser.add_argument(
-        "--units", choices=("natural", "si"), default="natural", help="unit system"
-    )
+def _common_options() -> argparse.ArgumentParser:
+    """Options every subcommand shares; each dest is a RunConfig field.
+
+    An option left off the command line is left out of the namespace, so
+    RunConfig's field defaults are the only defaults.
+    """
+    parser = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    parser.add_argument("--n-max", type=int, help="largest level index")
+    parser.add_argument("--m", type=int, help="angular momentum index")
+    parser.add_argument("--omega", type=float, help="oscillator frequency")
+    parser.add_argument("--m0", type=float, help="rest mass")
+    parser.add_argument("--units", choices=("natural", "si"), help="unit system")
     parser.add_argument(
         "--rho-max",
         type=float,
-        default=12.0,
-        dest="rho_max",
+        dest="rho_max_in_b",
+        metavar="RHO_MAX",
         help="grid extent in units of the oscillator length",
     )
-    parser.add_argument(
-        "--grid-points", type=int, default=4097, help="radial samples (odd)"
-    )
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--output", default=None, help="output file path")
+    parser.add_argument("--grid-points", type=int, help="radial samples (odd)")
+    parser.add_argument("--format", choices=("csv", "json"), dest="fmt")
+    parser.add_argument("--output", help="output file path")
     parser.add_argument(
         "--tolerance",
         action="append",
-        default=[],
+        dest="tolerances",
         metavar="NAME=VALUE",
         help="override a verification tolerance (repeatable)",
     )
+    return parser
 
 
 def _parse_tolerances(pairs: list[str]) -> dict[str, float]:
@@ -426,6 +422,15 @@ def _parse_tolerances(pairs: list[str]) -> dict[str, float]:
     return out
 
 
+# name -> (help, command); verify alone returns (path, all_passed)
+COMMANDS = {
+    "spectrum": ("tabulate energy levels", cmd_spectrum),
+    "wavefn": ("tabulate radial profiles for one state", cmd_wavefn),
+    "verify": ("run the oracle verification suite", cmd_verify),
+    "nr-limit": ("compare against the weak-coupling expansion", cmd_nr_limit),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dirac2d",
@@ -433,69 +438,40 @@ def build_parser() -> argparse.ArgumentParser:
         "oscillator, with independent numerical verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("spectrum", help="tabulate energy levels")
-    _add_common(p)
-
-    p = sub.add_parser("wavefn", help="tabulate radial profiles for one state")
-    _add_common(p)
-    p.add_argument("--n", type=int, default=0, help="level index of the state")
-
-    p = sub.add_parser("verify", help="run the oracle verification suite")
-    _add_common(p)
-
-    p = sub.add_parser("nr-limit", help="compare against the weak-coupling expansion")
-    _add_common(p)
-    p.add_argument(
-        "--lambdas",
-        default="1e-2,1e-3,1e-4",
-        help="comma-separated frequency ratios in (0, 0.1]",
+    common = _common_options()
+    subparsers = {
+        name: sub.add_parser(
+            name, help=text, parents=[common], argument_default=argparse.SUPPRESS
+        )
+        for name, (text, _) in COMMANDS.items()
+    }
+    subparsers["wavefn"].add_argument("--n", type=int, help="level index of the state")
+    subparsers["nr-limit"].add_argument(
+        "--lambdas", help="comma-separated frequency ratios in (0, 0.1]"
     )
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    lambdas = (1e-2, 1e-3, 1e-4)
-    if getattr(args, "lambdas", None):
-        lambdas = tuple(float(part) for part in str(args.lambdas).split(",") if part)
-    return RunConfig(
-        command=args.command,
-        units=args.units,
-        m0=args.m0,
-        omega=args.omega,
-        n_max=args.n_max,
-        m=args.m,
-        n=getattr(args, "n", 0),
-        rho_max_in_b=args.rho_max,
-        grid_points=args.grid_points,
-        fmt=args.format,
-        output=args.output,
-        lambdas=lambdas,
-        tolerances=_parse_tolerances(args.tolerance),
-    )
+    values = dict(vars(args))
+    if "lambdas" in values:
+        values["lambdas"] = tuple(float(p) for p in values["lambdas"].split(",") if p)
+    if "tolerances" in values:
+        values["tolerances"] = _parse_tolerances(values["tolerances"])
+    return RunConfig(**values)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = config_from_args(args)
-        if config.command == "spectrum":
-            path = cmd_spectrum(config)
-        elif config.command == "wavefn":
-            path = cmd_wavefn(config)
-        elif config.command == "verify":
-            path, passed = cmd_verify(config)
-            print(f"wrote {path}")
-            return 0 if passed else 1
-        elif config.command == "nr-limit":
-            path = cmd_nr_limit(config)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ValueError(f"unknown command {config.command!r}")
+        result = COMMANDS[config.command][1](config)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    path, passed = result if config.command == "verify" else (result, True)
     print(f"wrote {path}")
-    return 0
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

@@ -48,10 +48,6 @@ __all__ = [
     "dirac_energies_from_k1",
 ]
 
-# Angles per interior radius in the coupled_residual sample set.
-COUPLED_NUM_PHI = 16
-
-
 @dataclass(frozen=True, eq=False)
 class TridiagonalOperator:
     """Symmetric tridiagonal discretization of the radial eigenproblem.
@@ -156,15 +152,15 @@ def build_radial_operator(
 
 
 def _negative_pivot_count(diag, off_sq, sigma, pivmin) -> int:
-    """Sturm count: eigenvalues of the tridiagonal matrix below sigma."""
+    """Sturm count: eigenvalues of the tridiagonal matrix below sigma.
+
+    ``off_sq[i]`` couples row i to row i - 1; ``off_sq[0]`` is 0, so the
+    first pivot is diag[0] - sigma.
+    """
     count = 0
-    q = diag[0] - sigma
-    if abs(q) < pivmin:
-        q = -pivmin
-    if q < 0.0:
-        count += 1
-    for i in range(1, len(diag)):
-        q = diag[i] - sigma - off_sq[i - 1] / q
+    q = 1.0
+    for d, e2 in zip(diag, off_sq):
+        q = d - sigma - e2 / q
         if abs(q) < pivmin:
             q = -pivmin
         if q < 0.0:
@@ -188,14 +184,14 @@ def smallest_eigenvalues(op: TridiagonalOperator, count: int) -> list[float]:
         )
     diag = op.diagonal.tolist()
     off = op.off_diagonal
-    off_sq = (off * off).tolist()
+    off_sq = [0.0] + (off * off).tolist()
     radius = np.concatenate([np.abs(off), [0.0]]) + np.concatenate([[0.0], np.abs(off)])
     lower = float(np.min(op.diagonal - radius))
     upper = float(np.max(op.diagonal + radius))
     margin = 1e-12 * max(abs(lower), abs(upper), 1.0)
     lower -= margin
     upper += margin
-    pivmin = max(np.finfo(float).tiny, 1e-20 * max(off_sq, default=1.0))
+    pivmin = max(np.finfo(float).tiny, 1e-20 * max(off_sq[1:], default=1.0))
 
     eigenvalues = []
     lo_start = lower
@@ -301,12 +297,14 @@ def coupled_residual(
 
     psi1 is the closed-form upper component; psi2 defaults to the derived
     lower component for the given E.  Both first-order equations are
-    evaluated on a polar sample set (interior radii times COUPLED_NUM_PHI
-    angles), with Cartesian derivatives expressed through exact radial and
-    angular derivatives of the closed forms.  The report carries the worse of
-    the two equations' relative RMS.  Passing ``lower`` overrides the second
-    component (an identically zero override is the standard decoupling
-    check); only zero overrides may omit profile metadata.
+    evaluated at the interior radii through exact radial derivatives of the
+    closed forms.  The angular factors e^{i m phi} and -i e^{i(m+1) phi}
+    that multiply the two equations have modulus one, so every angle gives
+    the same relative residual and the radial reduction is the whole check.
+    The report carries the worse of the two equations' relative RMS.
+    Passing ``lower`` overrides the second component (an identically zero
+    override is the standard decoupling check); only zero overrides may omit
+    profile metadata.
     """
     rest = params.rest_energy
     if not math.isfinite(E) or E + rest <= 0.0:
@@ -337,8 +335,7 @@ def coupled_residual(
     else:
         raise ValueError("a non-zero lower override must carry profile metadata")
 
-    # Radial reductions of the two first-order equations; the angular factors
-    # e^{i m phi} and -i e^{i (m+1) phi} multiply them below.
+    # Radial reductions of the two first-order equations.
     terms_up = [
         (E - rest) * r1,
         hbar_c * g_prime,
@@ -354,11 +351,8 @@ def coupled_residual(
     lhs_up = terms_up[0] + terms_up[1] + terms_up[2] + terms_up[3]
     lhs_down = terms_down[0] + terms_down[1] + terms_down[2] + terms_down[3]
 
-    phis = 2.0 * math.pi * np.arange(COUPLED_NUM_PHI) / COUPLED_NUM_PHI
-    rel_up = _relative_residual(np.outer(lhs_up, np.exp(1j * m * phis)), terms_up)
-    rel_down = _relative_residual(
-        np.outer(lhs_down, -1j * np.exp(1j * (m + 1) * phis)), terms_down
-    )
+    rel_up = _relative_residual(lhs_up, terms_up)
+    rel_down = _relative_residual(lhs_down, terms_down)
 
     rms = max(
         float(np.sqrt(np.mean(rel_up * rel_up))),

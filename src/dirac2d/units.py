@@ -17,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "PhysicalParams",
-    "OscillatorScales",
     "natural_params",
     "to_dimensionless_z",
 ]
@@ -76,29 +75,6 @@ class PhysicalParams:
     def gamma(self) -> float:
         """Inverse squared oscillator length m0*omega/hbar; z = gamma*rho**2."""
         return self.rest_mass * self.omega / self.hbar
-
-    def scales(self) -> "OscillatorScales":
-        return OscillatorScales(
-            length=self.oscillator_length,
-            energy_quantum=self.energy_quantum,
-            rest_energy=self.rest_energy,
-        )
-
-
-@dataclass(frozen=True)
-class OscillatorScales:
-    """Derived scales: oscillator length, level quantum and rest energy."""
-
-    length: float
-    energy_quantum: float
-    rest_energy: float
-
-    def __post_init__(self):
-        for name in ("length", "energy_quantum", "rest_energy"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value) or value <= 0.0:
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
-            object.__setattr__(self, name, value)
 
 
 def natural_params() -> PhysicalParams:

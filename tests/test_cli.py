@@ -1,12 +1,24 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from dirac2d import QuantumNumbers, energy, natural_params
-from dirac2d.cli import RunConfig, cmd_nr_limit, cmd_spectrum, cmd_verify, cmd_wavefn, main
+from dirac2d.cli import (
+    RunConfig,
+    build_parser,
+    cmd_nr_limit,
+    cmd_spectrum,
+    cmd_verify,
+    cmd_wavefn,
+    config_from_args,
+    main,
+)
+
+CONFIG_FIELDS = [f.name for f in fields(RunConfig)]
 
 
 def read_csv(path):
@@ -282,7 +294,35 @@ class TestMainEntry:
         code = main(["nr-limit", "--lambdas", "0.5"])
         assert code == 2
 
+    @pytest.mark.parametrize("lambdas", ["", ","])
+    def test_empty_lambda_list_returns_two(self, lambdas, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code = main(["nr-limit", "--lambdas", lambdas, "--output", "nr.csv"])
+        assert code == 2
+        assert "at least one" in capsys.readouterr().err
+        assert not (tmp_path / "nr.csv").exists()
+
     def test_grid_points_validated(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         code = main(["wavefn", "--grid-points", "100"])
         assert code == 2
+
+
+class TestSingleDeclaration:
+    @pytest.mark.parametrize("command", ["spectrum", "wavefn", "verify", "nr-limit"])
+    def test_parser_dests_are_config_fields(self, command):
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        dests = {a.dest for a in sub.choices[command]._actions} - {"help"}
+        assert dests <= set(CONFIG_FIELDS)
+
+    @pytest.mark.parametrize("command", ["spectrum", "wavefn", "verify", "nr-limit"])
+    def test_defaults_come_from_config(self, command):
+        args = build_parser().parse_args([command])
+        assert config_from_args(args) == RunConfig(command=command)
+
+    def test_json_config_has_one_key_per_field(self, tmp_path):
+        out = tmp_path / "s.json"
+        code = main(["spectrum", "--n-max", "1", "--format", "json", "--output", str(out)])
+        assert code == 0
+        expected = ["format" if f == "fmt" else f for f in CONFIG_FIELDS if f != "output"]
+        assert list(json.loads(out.read_text())["config"]) == expected

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dirac2d import (
-    OscillatorScales,
-    PhysicalParams,
-    natural_params,
-    to_dimensionless_z,
-)
+from dirac2d import PhysicalParams, natural_params, to_dimensionless_z
 
 PARAM_SWEEP = [
     natural_params(),
@@ -25,10 +20,10 @@ class TestPhysicalParams:
         assert (p.rest_mass, p.omega, p.hbar, p.c) == (1.0, 1.0, 1.0, 1.0)
 
     def test_natural_scales(self):
-        scales = natural_params().scales()
-        assert scales.length == 1.0
-        assert scales.rest_energy == 1.0
-        assert scales.energy_quantum == 1.0
+        p = natural_params()
+        assert p.oscillator_length == 1.0
+        assert p.rest_energy == 1.0
+        assert p.energy_quantum == 1.0
 
     @pytest.mark.parametrize("field", ["rest_mass", "omega", "hbar", "c"])
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
@@ -44,14 +39,9 @@ class TestPhysicalParams:
 
     def test_scales_reproducible_exactly(self):
         for p in PARAM_SWEEP:
-            s = p.scales()
-            assert s.length == math.sqrt(p.hbar / (p.rest_mass * p.omega))
-            assert s.energy_quantum == p.hbar * p.omega
-            assert s.rest_energy == p.rest_mass * p.c * p.c
-
-    def test_scales_validation(self):
-        with pytest.raises(ValueError):
-            OscillatorScales(length=-1.0, energy_quantum=1.0, rest_energy=1.0)
+            assert p.oscillator_length == math.sqrt(p.hbar / (p.rest_mass * p.omega))
+            assert p.energy_quantum == p.hbar * p.omega
+            assert p.rest_energy == p.rest_mass * p.c * p.c
 
 
 class TestDimensionlessZ:
