@@ -225,13 +225,15 @@ def cmd_wavefn(config: RunConfig) -> Path:
     Columns: rho, z, R1_normalized, R2_derived and the spinor density
     2 pi rho (|psi1|^2 + |psi2|^2).  The emitted columns are scaled so the
     density column integrates to one under the trapezoid rule on the emitted
-    rows themselves, making the table self-consistently normalized.
+    rows themselves, making the table self-consistently normalized.  A state
+    that the grid truncates raises ``TruncationError`` and writes no table.
     """
     params = config.params()
     qn = QuantumNumbers(n=config.n, m=config.m)
     grid = config.grid(params)
     level = spectrum.energy(qn, params)
     upper = wavefn.radial_psi1(qn, grid, params)
+    wavefn.normalize(upper)  # tail-mass check only; the table scales itself
     lower = wavefn.derive_lower_component(upper, qn.m, level.E, params)
 
     rho = grid.samples

@@ -23,6 +23,10 @@ point of R, so the first row eliminates R_0 through R'(0) = 0; for m >= 1
 the R(0) = 0 boundary drops the coupling outright.  Working in units of the
 oscillator length makes the matrix dimensionless, so its eigenvalues are the
 k1 values directly.
+
+The eigenvalues come from Sturm counts, sped up by Newton steps on the
+determinant and certified by counts to the adjacent-float bracket that
+plain bisection ends on (see ``smallest_eigenvalues``).
 """
 
 from __future__ import annotations
@@ -155,26 +159,79 @@ def _negative_pivot_count(diag, off_sq, sigma, pivmin) -> int:
     """Sturm count: eigenvalues of the tridiagonal matrix below sigma.
 
     ``off_sq[i]`` couples row i to row i - 1; ``off_sq[0]`` is 0, so the
-    first pivot is diag[0] - sigma.
+    first pivot is diag[0] - sigma.  A pivot of modulus below pivmin is
+    replaced by -pivmin and counted.
     """
     count = 0
     q = 1.0
     for d, e2 in zip(diag, off_sq):
         q = d - sigma - e2 / q
-        if abs(q) < pivmin:
-            q = -pivmin
-        if q < 0.0:
+        if q < pivmin:
+            if q > -pivmin:
+                q = -pivmin
             count += 1
     return count
+
+
+# Newton stops at this relative step: the next step would sit in the
+# pivots' rounding noise (about 1e-11 absolute on the default grid), where
+# only Sturm counts can still resolve the eigenvalue.
+_NEWTON_RTOL = 1e-8
+_NEWTON_MAX_STEPS = 40
+
+
+def _newton_pass(diag, off_sq, sigma, pivmin) -> tuple[int, float]:
+    """Sturm count at sigma and p'/p at sigma, p(sigma) = det(T - sigma).
+
+    The pivots q_i are those of ``_negative_pivot_count``, so the count is
+    the same; p = prod q_i gives p'/p = sum q_i'/q_i with
+    q_i' = -1 + e_i^2 q_{i-1}' / q_{i-1}^2.  Overflow shows as a non-finite
+    ratio, which the caller treats as a failed step.
+    """
+    count = 0
+    q = 1.0
+    dq = 0.0
+    ratio = 0.0
+    for d, e2 in zip(diag, off_sq):
+        t = e2 / q
+        dq = t * dq / q - 1.0
+        q = d - sigma - t
+        if q < pivmin:
+            if q > -pivmin:
+                q = -pivmin
+            count += 1
+        ratio += dq / q
+    return count, ratio
 
 
 def smallest_eigenvalues(op: TridiagonalOperator, count: int) -> list[float]:
     """The ``count`` algebraically smallest eigenvalues, ascending.
 
-    Sturm-sequence bisection on the Gershgorin interval.  Each bisection runs
-    to the floating-point fixed point of the bracket, which is far inside the
-    advertised absolute tolerance of 1e-10 times the Gershgorin radius; the
-    discretization error, not the eigensolver, then limits any comparison.
+    The k-th eigenvalue is the midpoint of the adjacent-float pair (lo, hi)
+    with a Sturm count below k at lo and at least k at hi.  The IEEE count
+    (d - sigma) - e^2/q is monotone in sigma (Demmel, Dhillon and Ren 1995),
+    so that pair does not depend on how it is reached, and plain bisection
+    from the Gershgorin interval gives the same floats.  The pair is reached
+    in four phases:
+
+    1. every count narrows the bracket of every level (Barth, Martin and
+       Wilkinson 1967; LAPACK ``dstebz``);
+    2. the level's bracket is bisected until it holds exactly one eigenvalue
+       and is no wider than the larger magnitude of its ends, since Newton
+       creeps from far outside the spectrum;
+    3. safeguarded Newton steps on det(T - sigma), started at the midpoint of
+       that bracket, run until the relative step is below 1e-8 (a step
+       that leaves the bracket is replaced by its midpoint, and every pass
+       narrows the brackets through its count);
+    4. counts gallop outwards from the Newton iterate (64 ulp, times 16 per
+       round) until the bracket is closed on both sides, and bisection takes
+       it to adjacent floats.
+
+    The Newton start comes from Sturm counts alone, never from the closed
+    form.  The result sits far inside an absolute 1e-10 times the Gershgorin
+    radius, so the discretization error, not the eigensolver, limits any
+    comparison.  A level that never meets phase 2 (an exactly repeated
+    eigenvalue, or one at zero) is bisected throughout.
     """
     if not isinstance(count, (int, np.integer)) or count < 1:
         raise ValueError(f"count must be a positive integer, got {count!r}")
@@ -193,20 +250,63 @@ def smallest_eigenvalues(op: TridiagonalOperator, count: int) -> list[float]:
     upper += margin
     pivmin = max(np.finfo(float).tiny, 1e-20 * max(off_sq[1:], default=1.0))
 
+    # Level k = i + 1 lies in (lo[i], hi[i]]; lo_count/hi_count are the
+    # Sturm counts at the ends (untested ends take those of the Gershgorin
+    # interval).
+    lo, lo_count = [lower] * count, [0] * count
+    hi, hi_count = [upper] * count, [op.dimension] * count
+
+    def record(sigma, below):
+        for j in range(min(below, count)):
+            if sigma < hi[j]:
+                hi[j], hi_count[j] = sigma, below
+        for j in range(below, count):
+            if sigma > lo[j]:
+                lo[j], lo_count[j] = sigma, below
+
+    def count_at(sigma):
+        record(sigma, _negative_pivot_count(diag, off_sq, sigma, pivmin))
+
+    def bisect(i) -> bool:
+        mid = 0.5 * (lo[i] + hi[i])
+        if mid <= lo[i] or mid >= hi[i]:
+            return False
+        count_at(mid)
+        return True
+
+    def newton_ready(i) -> bool:
+        # One eigenvalue in the bracket, and a bracket no wider than its
+        # ends' magnitude: from far outside the spectrum Newton crawls.
+        isolated = (lo_count[i], hi_count[i]) == (i, i + 1)
+        return isolated and hi[i] - lo[i] <= max(-lo[i], hi[i])
+
     eigenvalues = []
-    lo_start = lower
-    for k in range(1, count + 1):
-        lo, hi = lo_start, upper
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                break
-            if _negative_pivot_count(diag, off_sq, mid, pivmin) >= k:
-                hi = mid
-            else:
-                lo = mid
-        eigenvalues.append(0.5 * (lo + hi))
-        lo_start = lo  # the (k+1)-th eigenvalue cannot lie below this bracket
+    for i in range(count):
+        while not newton_ready(i) and bisect(i):
+            pass
+        if newton_ready(i):
+            sigma = 0.5 * (lo[i] + hi[i])
+            for _ in range(_NEWTON_MAX_STEPS):
+                below, ratio = _newton_pass(diag, off_sq, sigma, pivmin)
+                record(sigma, below)
+                finite = ratio != 0.0 and math.isfinite(ratio)
+                target = sigma - 1.0 / ratio if finite else math.nan
+                if not lo[i] < target < hi[i]:
+                    target = 0.5 * (lo[i] + hi[i])
+                done = abs(target - sigma) <= _NEWTON_RTOL * abs(target)
+                sigma = target
+                if done:
+                    break
+            delta = 64.0 * math.ulp(sigma)
+            while lo[i] < sigma - delta or hi[i] > sigma + delta:
+                if lo[i] < sigma - delta:
+                    count_at(sigma - delta)
+                if hi[i] > sigma + delta:
+                    count_at(sigma + delta)
+                delta *= 16.0
+        while bisect(i):
+            pass
+        eigenvalues.append(0.5 * (lo[i] + hi[i]))
     return eigenvalues
 
 

@@ -80,13 +80,19 @@ def energy(qn: QuantumNumbers, params: PhysicalParams) -> EnergyLevel:
     """Closed-form energy of the state (n, m); E never depends on m.
 
     The excitation E - m0 c^2 = m0 c^2 x / (1 + sqrt(1 + x)), x = 4(n+1) lam,
-    keeps its digits where lam is below machine epsilon (SI units).
+    keeps its digits where lam is below machine epsilon (SI units).  A level
+    whose E or excitation overflows (x overflows with E) raises ValueError.
     """
     n = qn.n
     x = 4.0 * (n + 1) * params.lam
     root = math.sqrt(1.0 + x)
     E = params.rest_energy * root
     excitation = params.rest_energy * x / (1.0 + root)
+    if not (math.isfinite(E) and math.isfinite(excitation)):
+        raise ValueError(
+            f"energy of level n={n} overflows at lam={params.lam!r}: "
+            f"4(n+1) lam = {x!r}, E = {E!r}"
+        )
     k1 = 2.0 * (qn.m + 1) + 4.0 * (n + 1)
     kummer_a = 0.5 * (qn.m + 1 - 0.5 * k1)
     k_sq = k1 * params.gamma

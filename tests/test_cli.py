@@ -302,6 +302,25 @@ class TestMainEntry:
         assert "at least one" in capsys.readouterr().err
         assert not (tmp_path / "nr.csv").exists()
 
+    def test_overflowing_energy_returns_two(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code = main(["spectrum", "--omega", "1e308", "--n-max", "2", "--output", "s.csv"])
+        assert code == 2
+        assert "n=0 overflows at lam=1e+308" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_truncated_wavefn_returns_two(self, tmp_path, monkeypatch, capsys):
+        # n = 120 reaches about 22 oscillator lengths; the default grid stops at 12
+        monkeypatch.chdir(tmp_path)
+        code = main(["wavefn", "--n", "120", "--output", "w.csv"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "estimated tail mass" in err and "enlarge the grid" in err
+        assert not (tmp_path / "w.csv").exists()
+        wide = ["wavefn", "--n", "120", "--rho-max", "26", "--output", "w.csv"]
+        assert main(wide) == 0
+        assert (tmp_path / "w.csv").exists()
+
     def test_grid_points_validated(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         code = main(["wavefn", "--grid-points", "100"])

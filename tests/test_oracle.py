@@ -20,11 +20,92 @@ from dirac2d import (
     radial_psi1,
     smallest_eigenvalues,
 )
+from dirac2d import oracle
 
 
 def aux_k1(n_r, m):
     """Auxiliary oscillator ladder the finite-difference operator must find."""
     return 2.0 * (2 * n_r + m + 1)
+
+
+def si_params():
+    from dirac2d import PhysicalParams
+
+    return PhysicalParams(
+        rest_mass=9.1093837015e-31,
+        omega=1.0e12,
+        hbar=1.054571817e-34,
+        c=299792458.0,
+    )
+
+
+def plain_bisection(op, count):
+    """Reference: bisect each level from the Gershgorin interval to adjacent floats.
+
+    This is the eigensolver the package shipped before bracket sharing and
+    Newton steps; the current solver must return the same floats.
+    """
+    diag = op.diagonal.tolist()
+    off = op.off_diagonal
+    off_sq = [0.0] + (off * off).tolist()
+    radius = np.concatenate([np.abs(off), [0.0]]) + np.concatenate([[0.0], np.abs(off)])
+    lower = float(np.min(op.diagonal - radius))
+    upper = float(np.max(op.diagonal + radius))
+    margin = 1e-12 * max(abs(lower), abs(upper), 1.0)
+    lower -= margin
+    upper += margin
+    pivmin = max(np.finfo(float).tiny, 1e-20 * max(off_sq[1:], default=1.0))
+
+    def below(sigma):
+        n = 0
+        q = 1.0
+        for d, e2 in zip(diag, off_sq):
+            q = d - sigma - e2 / q
+            if abs(q) < pivmin:
+                q = -pivmin
+            if q < 0.0:
+                n += 1
+        return n
+
+    eigenvalues = []
+    lo_start = lower
+    for k in range(1, count + 1):
+        lo, hi = lo_start, upper
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                break
+            if below(mid) >= k:
+                hi = mid
+            else:
+                lo = mid
+        eigenvalues.append(0.5 * (lo + hi))
+        lo_start = lo
+    return eigenvalues
+
+
+def _bisection_cases():
+    """(m, points, rho_max in b, units, levels) covering every value of each axis.
+
+    Small grids run the full product; larger grids, where the reference
+    bisection costs seconds, a spread that still visits every m and extent.
+    """
+    ms, extents = (0, 1, 3, 10, 60), (6.0, 12.0, 26.0)
+    cases = [
+        (m, points, rho, units, 22)
+        for points in (65, 257)
+        for m in ms
+        for rho in extents
+        for units in ("natural", "si")
+    ]
+    cases += [
+        (m, 1025, rho, ("natural", "si")[(i + j) % 2], 12)
+        for i, m in enumerate(ms)
+        for j, rho in enumerate(extents)
+    ]
+    cases += [(m, 4097, 12.0, "natural", 7) for m in (1, 10, 60)]
+    cases += [(3, 4097, 26.0, "si", 7), (0, 4097, 12.0, "natural", 22)]
+    return cases
 
 
 class TestIntegrateRadial:
@@ -90,14 +171,7 @@ class TestRadialOperator:
 
     def test_dimensionless_across_unit_systems(self):
         # eigenvalues are k1 values, identical whatever the raw scales
-        from dirac2d import PhysicalParams
-
-        si = PhysicalParams(
-            rest_mass=9.1093837015e-31,
-            omega=1.0e12,
-            hbar=1.054571817e-34,
-            c=299792458.0,
-        )
+        si = si_params()
         natural = natural_params()
         vals_si = smallest_eigenvalues(
             build_radial_operator(1, RadialGrid.uniform(12.0 * si.oscillator_length, 1025), si), 2
@@ -148,6 +222,91 @@ class TestSmallestEigenvalues:
         brute = np.sort(np.linalg.eigvalsh(dense))[:5]
         sturm = smallest_eigenvalues(op, 5)
         assert_allclose(sturm, brute, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "m, points, rho, units, levels",
+        _bisection_cases(),
+        ids=str,
+    )
+    def test_same_floats_as_plain_bisection(self, m, points, rho, units, levels):
+        p = natural_params() if units == "natural" else si_params()
+        grid = RadialGrid.uniform(rho * p.oscillator_length, points)
+        op = build_radial_operator(m, grid, p)
+        assert smallest_eigenvalues(op, levels) == plain_bisection(op, levels)
+
+    @pytest.mark.parametrize(
+        "diagonal, off_diagonal, expected",
+        [
+            ([3.0, 1.0, 3.0, 2.0, 1.0], [0.0] * 4, [1.0, 1.0, 2.0, 3.0, 3.0]),
+            ([2.0, 2.0, 2.0, 2.0], [1.0, 0.0, 1.0], [1.0, 1.0, 3.0, 3.0]),
+        ],
+    )
+    def test_exactly_repeated_eigenvalue(self, diagonal, off_diagonal, expected):
+        op = self._operator(diagonal, off_diagonal)
+        found = smallest_eigenvalues(op, len(expected))
+        assert found == plain_bisection(op, len(expected))
+        assert_allclose(found, expected, rtol=0, atol=1e-12)
+
+    def test_one_by_one(self):
+        op = self._operator([2.5], [])
+        assert smallest_eigenvalues(op, 1) == plain_bisection(op, 1)
+        assert_allclose(smallest_eigenvalues(op, 1), [2.5], rtol=1e-15)
+
+    def test_against_scipy_tridiagonal_solver(self):
+        linalg = pytest.importorskip("scipy.linalg")
+        p = natural_params()
+        for m in (0, 3):
+            op = build_radial_operator(m, RadialGrid.uniform(12.0, 4097), p)
+            lapack = linalg.eigvalsh_tridiagonal(
+                op.diagonal, op.off_diagonal, select="i", select_range=(0, 11)
+            )
+            assert_allclose(smallest_eigenvalues(op, 12), lapack, rtol=1e-10, atol=0)
+
+    def test_newton_pass_counts_and_log_derivative(self):
+        # p'/p = sum 1/(sigma - lambda_i) over the dense spectrum
+        p = natural_params()
+        op = build_radial_operator(1, RadialGrid.uniform(12.0, 65), p)
+        dense = np.linalg.eigvalsh(
+            np.diag(op.diagonal)
+            + np.diag(op.off_diagonal, 1)
+            + np.diag(op.off_diagonal, -1)
+        )
+        diag = op.diagonal.tolist()
+        off_sq = [0.0] + (op.off_diagonal**2).tolist()
+        pivmin = 1e-20 * max(off_sq)
+        for sigma in (1.0, 5.0, 11.3, 40.0, 700.0):
+            below, ratio = oracle._newton_pass(diag, off_sq, sigma, pivmin)
+            assert below == oracle._negative_pivot_count(diag, off_sq, sigma, pivmin)
+            assert below == int(np.sum(dense < sigma))
+            assert_allclose(ratio, np.sum(1.0 / (sigma - dense)), rtol=1e-9)
+
+
+class TestSolverPasses:
+    """Row passes of the eigen-oracle, counted on the default grid.
+
+    Plain bisection needed 476 (m = 0) and 484 (m = 3) passes for 7 levels
+    and 1458 / 1489 for 22.  The counts do not depend on the machine.
+    """
+
+    @pytest.mark.parametrize("m", [0, 3])
+    @pytest.mark.parametrize("levels, budget", [(7, 300), (22, 700)])
+    def test_pass_budget(self, m, levels, budget, monkeypatch):
+        passes = []
+
+        def counted(fn):
+            def wrapper(*args):
+                passes.append(fn.__name__)
+                return fn(*args)
+
+            return wrapper
+
+        for name in ("_negative_pivot_count", "_newton_pass"):
+            monkeypatch.setattr(oracle, name, counted(getattr(oracle, name)))
+        p = natural_params()
+        op = build_radial_operator(m, RadialGrid.uniform(12.0, 4097), p)
+        smallest_eigenvalues(op, levels)
+        assert "_newton_pass" in passes
+        assert len(passes) <= budget
 
 
 class TestDiracEnergyMapping:

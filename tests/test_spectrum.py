@@ -97,6 +97,27 @@ class TestEnergy:
             for n in range(10):
                 assert energy(QuantumNumbers(n, 0), p).E > p.rest_energy
 
+    @pytest.mark.parametrize(
+        "scales, n",
+        [
+            # 4(n+1) lam overflows even though lam itself is finite
+            (dict(omega=1e308), 0),
+            (dict(omega=2e307), 2),
+            (dict(omega=3e306), 200),
+            # E = 2e254 is finite, but m0 c^2 x = 4.4e308 is not
+            (dict(omega=1e307, c=1e100), 10),
+        ],
+    )
+    def test_overflowing_level_raises(self, scales, n):
+        p = PhysicalParams(rest_mass=1.0, **scales)
+        with pytest.raises(ValueError, match=f"n={n} overflows at lam="):
+            energy(QuantumNumbers(n, 0), p)
+
+    def test_largest_finite_levels_still_evaluate(self):
+        p = PhysicalParams(rest_mass=1.0, omega=1e300)
+        level = energy(QuantumNumbers(1000, 0), p)
+        assert math.isfinite(level.E) and math.isfinite(level.excitation)
+
 
 class TestQuantizationResidual:
     def test_zero_at_threshold(self):
