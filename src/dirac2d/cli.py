@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import oracle, spectrum, wavefn
+from . import oracle, specfun, spectrum, wavefn
 from .spectrum import QuantumNumbers
 from .units import PhysicalParams, to_dimensionless_z
 
@@ -234,7 +234,7 @@ def cmd_wavefn(config: RunConfig) -> Path:
     level = spectrum.energy(qn, params)
     upper = wavefn.radial_psi1(qn, grid, params)
     wavefn.normalize(upper)  # tail-mass check only; the table scales itself
-    lower = wavefn.derive_lower_component(upper, qn.m, level.E, params)
+    lower = wavefn.derive_lower_component(upper, level.E, params)
 
     rho = grid.samples
     density_raw = 2.0 * math.pi * rho * (upper.values**2 + lower.values**2)
@@ -322,14 +322,14 @@ def run_verification_checks(config: RunConfig) -> list[dict]:
     results.append(("normalization", worst_norm, detail))
 
     # Kummer series against the independent Laguerre recurrence.
-    from .specfun import kummer_m, laguerre
-
     worst = 0.0
     z_set = np.array([0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0])
     for n in range(21):
         for alpha in range(11):
-            lag = laguerre(n, alpha, z_set)
-            kum = math.comb(n + alpha, n) * kummer_m(-float(n), alpha + 1.0, z_set)
+            lag = specfun.laguerre(n, alpha, z_set)
+            kum = math.comb(n + alpha, n) * specfun.kummer_m(
+                -float(n), alpha + 1.0, z_set
+            )
             dev = np.max(np.abs(kum - lag) / np.maximum(1.0, np.abs(lag)))
             worst = max(worst, float(dev))
     detail = "n <= 20 and alpha <= 10 with z up to 50"

@@ -38,7 +38,8 @@ import numpy as np
 
 from .spectrum import QuantumNumbers
 from .units import PhysicalParams, to_dimensionless_z
-from .wavefn import RadialFunction, RadialGrid, derive_lower_component, radial_psi1
+from .wavefn import RadialFunction, RadialGrid, default_grid
+from .wavefn import derive_lower_component, radial_psi1
 
 __all__ = [
     "TridiagonalOperator",
@@ -62,8 +63,6 @@ class TridiagonalOperator:
 
     diagonal: np.ndarray
     off_diagonal: np.ndarray
-    grid: RadialGrid
-    angular_m: int
 
     def __post_init__(self):
         diag = np.asarray(self.diagonal, dtype=float)
@@ -150,9 +149,7 @@ def build_radial_operator(
         diagonal[0] -= 0.5 / hx**2
     jj = j[:-1]
     off_diagonal = -(jj + 0.5) / (hx**2 * np.sqrt(jj * (jj + 1.0)))
-    return TridiagonalOperator(
-        diagonal=diagonal, off_diagonal=off_diagonal, grid=grid, angular_m=int(m)
-    )
+    return TridiagonalOperator(diagonal=diagonal, off_diagonal=off_diagonal)
 
 
 def _negative_pivot_count(diag, off_sq, sigma, pivmin) -> int:
@@ -361,11 +358,6 @@ def ode_residual(
             rho_max=grid.rho_max,
             degenerate=True,
         )
-    if rf.profile is None:
-        raise ValueError(
-            "radial function carries no closed-form profile; exact-derivative "
-            "residual evaluation needs one"
-        )
     z = to_dimensionless_z(grid.samples[1:-1], params)
     f, fz, fzz = rf.profile.derivatives(z, 2)
     terms = [
@@ -402,21 +394,18 @@ def coupled_residual(
     that multiply the two equations have modulus one, so every angle gives
     the same relative residual and the radial reduction is the whole check.
     The report carries the worse of the two equations' relative RMS.
-    Passing ``lower`` overrides the second component (an identically zero
-    override is the standard decoupling check); only zero overrides may omit
-    profile metadata.
+    Passing ``lower`` overrides the second component (a profile with
+    coeff 0 is the standard decoupling check).
     """
     rest = params.rest_energy
     if not math.isfinite(E) or E + rest <= 0.0:
         raise ValueError(f"E + m0 c^2 must be positive, got E={E!r}")
     if grid is None:
-        from .wavefn import default_grid
-
         grid = default_grid(params)
 
     psi1_rf = radial_psi1(qn, grid, params)
     if lower is None:
-        lower = derive_lower_component(psi1_rf, qn.m, E, params)
+        lower = derive_lower_component(psi1_rf, E, params)
 
     m = qn.m
     rho = grid.samples[1:-1]
@@ -426,14 +415,8 @@ def coupled_residual(
 
     r1, r1_z = psi1_rf.profile.derivatives(z, 1)
     r1_prime = 2.0 * params.gamma * rho * r1_z
-    if lower.profile is not None:
-        g, g_z = lower.profile.derivatives(z, 1)
-        g_prime = 2.0 * params.gamma * rho * g_z
-    elif not np.any(lower.values):
-        g = np.zeros_like(rho)
-        g_prime = np.zeros_like(rho)
-    else:
-        raise ValueError("a non-zero lower override must carry profile metadata")
+    g, g_z = lower.profile.derivatives(z, 1)
+    g_prime = 2.0 * params.gamma * rho * g_z
 
     # Radial reductions of the two first-order equations.
     terms_up = [

@@ -63,16 +63,14 @@ class EnergyLevel:
     """One eigenvalue with its dimensionless bookkeeping.
 
     E is the positive-branch energy, k1 the dimensionless eigenvalue,
-    kummer_a the first Kummer argument (always -(n+1) here), k_sq the
-    squared radial wavenumber k1 * m0*omega/hbar, and excitation E - m0 c^2
-    computed without subtracting two nearly equal energies.
+    kummer_a the first Kummer argument (always -(n+1) here), and excitation
+    E - m0 c^2 computed without subtracting two nearly equal energies.
     """
 
     qn: QuantumNumbers
     E: float
     k1: float
     kummer_a: float
-    k_sq: float
     excitation: float
 
 
@@ -95,10 +93,7 @@ def energy(qn: QuantumNumbers, params: PhysicalParams) -> EnergyLevel:
         )
     k1 = 2.0 * (qn.m + 1) + 4.0 * (n + 1)
     kummer_a = 0.5 * (qn.m + 1 - 0.5 * k1)
-    k_sq = k1 * params.gamma
-    return EnergyLevel(
-        qn=qn, E=E, k1=k1, kummer_a=kummer_a, k_sq=k_sq, excitation=excitation
-    )
+    return EnergyLevel(qn=qn, E=E, k1=k1, kummer_a=kummer_a, excitation=excitation)
 
 
 def quantization_residual(E_trial: float, m: int, params: PhysicalParams) -> float:

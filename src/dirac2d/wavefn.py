@@ -4,10 +4,12 @@ Every radial profile in this package belongs to the one-parameter family
 
     f(rho) = coeff * exp(-z/2) * z**(mu/2) * M(a, b, z),   z = gamma * rho**2,
 
-captured by ``KummerProfile``.  The upper spinor component has mu = m,
-a = -(n+1), b = m+1.  Because the family is closed under differentiation
-(through dM/dz = (a/b) M(a+1, b+1, z)), residual checks elsewhere evaluate
-exact derivatives instead of finite-differencing samples.
+captured by ``KummerProfile``.  The power mu fixes b = mu + 1 and the
+angular index of e^{i mu phi}, so a ``RadialFunction`` reads both from its
+profile.  The upper spinor component has mu = m and a = -(n+1).  Because
+the family is closed under differentiation (through
+dM/dz = (a/b) M(a+1, b+1, z)), residual checks elsewhere evaluate exact
+derivatives instead of finite-differencing samples.
 
 The lower component is not taken from an ansatz: it is derived by applying
 the first-order coupling operator to psi1 and dividing by (E + m0 c^2).
@@ -104,7 +106,7 @@ def default_grid(
 
 @dataclass(frozen=True)
 class KummerProfile:
-    """Descriptor of f(z) = coeff * exp(-z/2) * z**(mu/2) * M(a, b, z).
+    """Descriptor of f(z) = coeff * exp(-z/2) * z**(mu/2) * M(a, mu + 1, z).
 
     ``derivatives`` is the one evaluator: it returns f and its first
     ``order`` z-derivatives from the shifted terms of
@@ -120,7 +122,11 @@ class KummerProfile:
     coeff: float
     mu: int
     a: float
-    b: float
+
+    @property
+    def b(self) -> float:
+        """Second Kummer argument, fixed by the power: b = mu + 1."""
+        return self.mu + 1.0
 
     def derivatives(self, z, order: int = 2) -> list:
         """[f, f', ..., f^(order)] at z for order <= 2; f' needs z > 0 when mu > 0."""
@@ -155,18 +161,19 @@ class KummerProfile:
 
 @dataclass(frozen=True, eq=False)
 class RadialFunction:
-    """Sampled radial profile plus the closed-form descriptor that built it.
+    """A closed-form profile sampled on a grid.
 
     norm_constant is None until ``normalize`` fills it; values are never
-    rescaled in place.  angular_index records which e^{i k phi} factor the
-    full 2-d function carries (for the derived lower component this is m+1).
+    rescaled in place.  ``angular_index`` is the e^{i k phi} factor the full
+    2-d function carries: regularity at the origin ties it to the power
+    z**(mu/2), so it is the profile's mu (m+1 for the derived lower
+    component).
     """
 
     grid: RadialGrid
     values: np.ndarray
+    profile: KummerProfile
     norm_constant: float | None = None
-    profile: KummerProfile | None = None
-    angular_index: int | None = None
 
     def __post_init__(self):
         values = np.asarray(self.values)
@@ -181,6 +188,10 @@ class RadialFunction:
             math.isfinite(self.norm_constant) and self.norm_constant >= 0.0
         ):
             raise ValueError(f"norm_constant must be >= 0, got {self.norm_constant!r}")
+
+    @property
+    def angular_index(self) -> int:
+        return self.profile.mu
 
 
 @dataclass(frozen=True)
@@ -197,21 +208,19 @@ class SpinorSample:
 
 
 def _sampled(
-    profile: KummerProfile, grid: RadialGrid, params: PhysicalParams, index: int
+    profile: KummerProfile, grid: RadialGrid, params: PhysicalParams
 ) -> RadialFunction:
-    """The profile on every grid sample, carrying angular index ``index``."""
+    """The profile on every grid sample."""
     z = to_dimensionless_z(grid.samples, params)
-    return RadialFunction(
-        grid=grid, values=profile.value_z(z), profile=profile, angular_index=index
-    )
+    return RadialFunction(grid=grid, values=profile.value_z(z), profile=profile)
 
 
 def radial_psi1(
     qn: QuantumNumbers, grid: RadialGrid, params: PhysicalParams
 ) -> RadialFunction:
     """Upper-component radial profile exp(-z/2) z**(m/2) M(-(n+1), m+1, z)."""
-    profile = KummerProfile(coeff=1.0, mu=qn.m, a=-(qn.n + 1.0), b=qn.m + 1.0)
-    return _sampled(profile, grid, params, qn.m)
+    profile = KummerProfile(coeff=1.0, mu=qn.m, a=-(qn.n + 1.0))
+    return _sampled(profile, grid, params)
 
 
 def radial_psi2(
@@ -224,8 +233,8 @@ def radial_psi2(
     m+1 (see ``derive_lower_component``); both are exposed so the two
     conventions can be compared.
     """
-    profile = KummerProfile(coeff=1.0, mu=qn.m, a=-float(qn.n), b=qn.m + 1.0)
-    return _sampled(profile, grid, params, qn.m)
+    profile = KummerProfile(coeff=1.0, mu=qn.m, a=-float(qn.n))
+    return _sampled(profile, grid, params)
 
 
 def normalize(rf: RadialFunction) -> RadialFunction:
@@ -261,13 +270,13 @@ def normalize(rf: RadialFunction) -> RadialFunction:
 
 
 def derive_lower_component(
-    psi1_radial: RadialFunction, m: int, E: float, params: PhysicalParams
+    psi1_radial: RadialFunction, E: float, params: PhysicalParams
 ) -> RadialFunction:
     """Lower-component radial profile obtained from the coupling operator.
 
     Returns (hbar c / (E + m0 c^2)) * [R' - (m/rho) R + gamma rho R] as a
-    RadialFunction; the full 2-d component is -i times this profile times
-    e^{i (m+1) phi}, and angular_index records the m+1.  The bracket is
+    RadialFunction, where m is psi1's angular index; the full 2-d component
+    is -i times this profile times e^{i (m+1) phi}.  The bracket is
     evaluated through the exact derivative identity, never by finite
     differences: for R = coeff e^{-z/2} z^{m/2} M(a, b, z) it equals
     2 sqrt(gamma) coeff (a/b) e^{-z/2} z^{(m+1)/2} M(a+1, b+1, z).
@@ -276,23 +285,13 @@ def derive_lower_component(
     if not math.isfinite(E) or E + rest <= 0.0:
         raise ValueError(f"E + m0 c^2 must be positive, got E={E!r}")
     p = psi1_radial.profile
-    if p is None:
-        raise ValueError(
-            "psi1_radial carries no closed-form profile; the lower component "
-            "is built from the exact derivative of the closed form"
-        )
-    if p.mu != m:
-        raise ValueError(
-            f"angular index mismatch: profile has z**({p.mu}/2) but m={m}"
-        )
     scale = params.hbar * params.c / (E + rest)
     out = KummerProfile(
         coeff=p.coeff * scale * 2.0 * math.sqrt(params.gamma) * (p.a / p.b),
         mu=p.mu + 1,
         a=p.a + 1.0,
-        b=p.b + 1.0,
     )
-    return _sampled(out, psi1_radial.grid, params, m + 1)
+    return _sampled(out, psi1_radial.grid, params)
 
 
 def spinor_sample(
@@ -309,7 +308,7 @@ def spinor_sample(
     grid = default_grid(params)
     psi1_rf = radial_psi1(qn, grid, params)
     A = normalize(psi1_rf).norm_constant
-    lower = derive_lower_component(psi1_rf, qn.m, E, params)
+    lower = derive_lower_component(psi1_rf, E, params)
 
     z = to_dimensionless_z(rho, params)
     r1 = float(psi1_rf.profile.value_z(z))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from dirac2d import (
     TridiagonalOperator,
     build_radial_operator,
     coupled_residual,
+    derive_lower_component,
     dirac_energies_from_k1,
     energy,
     integrate_radial,
@@ -26,6 +28,15 @@ from dirac2d import oracle
 def aux_k1(n_r, m):
     """Auxiliary oscillator ladder the finite-difference operator must find."""
     return 2.0 * (2 * n_r + m + 1)
+
+
+def _zero_copy(rf):
+    """rf with coeff 0: an identically zero member of the same family."""
+    return RadialFunction(
+        grid=rf.grid,
+        values=np.zeros(rf.grid.num_points),
+        profile=replace(rf.profile, coeff=0.0),
+    )
 
 
 def si_params():
@@ -185,12 +196,9 @@ class TestRadialOperator:
 class TestSmallestEigenvalues:
     @staticmethod
     def _operator(diagonal, off_diagonal):
-        grid = RadialGrid.uniform(1.0, 65)
         return TridiagonalOperator(
             diagonal=np.asarray(diagonal, dtype=float),
             off_diagonal=np.asarray(off_diagonal, dtype=float),
-            grid=grid,
-            angular_m=0,
         )
 
     def test_two_by_two_analytic(self):
@@ -352,17 +360,12 @@ class TestOdeResidual:
             assert ode_residual(rf, m, shifted, p).rms_residual > 1e-2
 
     def test_zero_function_flagged_degenerate(self):
-        grid = RadialGrid.uniform(12.0, 257)
-        rf = RadialFunction(grid=grid, values=np.zeros(grid.num_points))
-        report = ode_residual(rf, 0, 6.0, natural_params())
+        p = natural_params()
+        rf = radial_psi1(QuantumNumbers(0, 0), RadialGrid.uniform(12.0, 257), p)
+        zero = _zero_copy(rf)
+        report = ode_residual(zero, 0, 6.0, p)
         assert report.degenerate
         assert report.rms_residual == 0.0
-
-    def test_requires_profile(self):
-        grid = RadialGrid.uniform(12.0, 257)
-        rf = RadialFunction(grid=grid, values=np.ones(grid.num_points))
-        with pytest.raises(ValueError):
-            ode_residual(rf, 0, 6.0, natural_params())
 
     def test_rms_bounded_by_max(self):
         p = natural_params()
@@ -383,9 +386,12 @@ class TestCoupledResidual:
         p = natural_params()
         qn = QuantumNumbers(0, 0)
         grid = RadialGrid.uniform(12.0, 1025)
-        zero = RadialFunction(grid=grid, values=np.zeros(grid.num_points))
-        report = coupled_residual(qn, energy(qn, p).E, p, grid=grid, lower=zero)
-        assert report.rms_residual >= 0.5
+        E = energy(qn, p).E
+        zero = _zero_copy(derive_lower_component(radial_psi1(qn, grid, p), E, p))
+        report = coupled_residual(qn, E, p, grid=grid, lower=zero)
+        # with psi2 = 0 the upper equation is its own dominant term: rms 1
+        assert_allclose(report.rms_residual, 1.0, rtol=1e-12)
+        assert not report.degenerate
 
     def test_energy_perturbation_detected(self):
         p = natural_params()
@@ -398,14 +404,6 @@ class TestCoupledResidual:
         p = natural_params()
         with pytest.raises(ValueError):
             coupled_residual(QuantumNumbers(0, 0), -1.5, p)
-
-    def test_nonzero_override_needs_profile(self):
-        p = natural_params()
-        qn = QuantumNumbers(0, 0)
-        grid = RadialGrid.uniform(12.0, 1025)
-        junk = RadialFunction(grid=grid, values=np.ones(grid.num_points))
-        with pytest.raises(ValueError):
-            coupled_residual(qn, energy(qn, p).E, p, grid=grid, lower=junk)
 
 
 class TestResidualReport:

@@ -76,12 +76,12 @@ class TestKummerDerivative:
     def test_constant_function(self):
         # a = 0: M = 1, so the zero-weight term M(1, b+1, z) must not appear
         for z in (0.5, 5.0, 40.0):
-            value, d1, d2 = KummerProfile(coeff=1.0, mu=0, a=0.0, b=1.0).derivatives(z)
+            value, d1, d2 = KummerProfile(coeff=1.0, mu=0, a=0.0).derivatives(z)
             assert d1 == -0.5 * value
             assert d2 == 0.25 * value
             f = 2.0 * math.exp(-z / 2.0) * z**1.5
             g = 1.5 / z - 0.5
-            value, d1, d2 = KummerProfile(coeff=2.0, mu=3, a=0.0, b=5.0).derivatives(z)
+            value, d1, d2 = KummerProfile(coeff=2.0, mu=3, a=0.0).derivatives(z)
             assert_allclose(value, f, rtol=1e-14)
             assert_allclose(d1, f * g, rtol=1e-13)
             assert_allclose(d2, f * (g * g - 1.5 / z**2), rtol=1e-13)
@@ -89,7 +89,7 @@ class TestKummerDerivative:
     def test_linear_case(self):
         # a = -1, b = 1: f = exp(-z/2) (1 - z), f' = exp(-z/2) (z - 3)/2,
         # f'' = exp(-z/2) (5 - z)/4
-        prof = KummerProfile(coeff=1.0, mu=0, a=-1.0, b=1.0)
+        prof = KummerProfile(coeff=1.0, mu=0, a=-1.0)
         for z in (0.5, 3.0, 40.0):
             e = math.exp(-z / 2.0)
             value, d1, d2 = prof.derivatives(z, 2)
@@ -108,7 +108,7 @@ class TestKummerDerivative:
             for m in range(0, 11, 2):
                 qn = QuantumNumbers(n, m)
                 upper = radial_psi1(qn, grid, p)
-                lower = derive_lower_component(upper, m, energy(qn, p).E, p)
+                lower = derive_lower_component(upper, energy(qn, p).E, p)
                 for prof in (upper.profile, lower.profile):
                     f, d1, d2 = prof.derivatives(z, 2)
                     tol = 1e-6 * np.maximum.reduce([np.abs(f), np.abs(d1), np.abs(d2)])

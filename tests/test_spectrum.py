@@ -51,7 +51,6 @@ class TestEnergy:
         level = energy(QuantumNumbers(0, 0), natural_params())
         assert level.k1 == 6.0
         assert level.kummer_a == -1.0
-        assert level.k_sq == 6.0
 
     def test_independent_of_m(self):
         p = natural_params()
@@ -79,8 +78,7 @@ class TestEnergy:
                 assert len(values) == 1
 
     def test_consistency_triangle(self):
-        # k1 against its defining combination, kummer_a against -(n+1),
-        # and k_sq * hbar/(m0 w) against k1
+        # k1 against its defining combination, kummer_a against -(n+1)
         for p in PARAM_SETS:
             for n in range(6):
                 for m in (0, 1, 4):
@@ -90,7 +88,6 @@ class TestEnergy:
                     ) / (p.rest_energy * p.energy_quantum)
                     assert_allclose(level.k1, k1_from_E, rtol=1e-12)
                     assert abs(level.kummer_a + (n + 1)) <= 1e-12
-                    assert_allclose(level.k_sq / p.gamma, level.k1, rtol=1e-12)
 
     def test_energy_above_rest(self):
         for p in PARAM_SETS:

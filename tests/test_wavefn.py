@@ -86,9 +86,36 @@ class TestKummerProfile:
             assert all(np.all(np.isfinite(v)) for v in values)
 
     def test_rejects_unsupported_order(self):
-        prof = KummerProfile(coeff=1.0, mu=0, a=-1.0, b=1.0)
+        prof = KummerProfile(coeff=1.0, mu=0, a=-1.0)
         with pytest.raises(ValueError):
             prof.derivatives(1.0, 3)
+
+
+class TestRadialFunction:
+    def test_profile_is_required(self):
+        grid = RadialGrid.uniform(2.0, 9)
+        with pytest.raises(TypeError):
+            RadialFunction(grid=grid, values=np.ones(9))
+
+    def test_facts_read_from_profile(self):
+        # b = mu + 1 and the angular index is mu, for psi1 (index m), the
+        # psi2 ansatz (index m) and the derived lower component (index m+1)
+        p = natural_params()
+        grid = RadialGrid.uniform(8.0, 33)
+        for n, m in [(0, 0), (2, 1), (3, 4)]:
+            qn = QuantumNumbers(n, m)
+            upper = radial_psi1(qn, grid, p)
+            lower = derive_lower_component(upper, energy(qn, p).E, p)
+            ansatz = radial_psi2(qn, grid, p)
+            for rf, index in [(upper, m), (ansatz, m), (lower, m + 1)]:
+                assert rf.angular_index == rf.profile.mu == index
+                assert rf.profile.b == rf.profile.mu + 1.0
+            assert (lower.profile.a, lower.profile.b) == (
+                upper.profile.a + 1.0,
+                upper.profile.b + 1.0,
+            )
+        with pytest.raises(AttributeError):
+            upper.angular_index = 7
 
 
 class TestRadialPsi1:
@@ -191,7 +218,10 @@ class TestNormalize:
 
     def test_rejects_zero_function(self):
         grid = RadialGrid.uniform(2.0, 9)
-        rf = RadialFunction(grid=grid, values=np.zeros(9))
+        rf = radial_psi1(QuantumNumbers(0, 0), grid, natural_params())
+        rf = RadialFunction(
+            grid=grid, values=np.zeros(9), profile=replace(rf.profile, coeff=0.0)
+        )
         with pytest.raises(ValueError):
             normalize(rf)
 
@@ -209,7 +239,7 @@ class TestDeriveLowerComponent:
         grid = RadialGrid.uniform(8.0, 513)
         qn = QuantumNumbers(0, 0)
         level = energy(qn, p)
-        lower = derive_lower_component(radial_psi1(qn, grid, p), 0, level.E, p)
+        lower = derive_lower_component(radial_psi1(qn, grid, p), level.E, p)
         z = grid.samples**2
         expected = -2.0 / (level.E + 1.0) * np.exp(-z / 2.0) * np.sqrt(z)
         assert_allclose(lower.values, expected, rtol=0, atol=1e-15)
@@ -223,7 +253,7 @@ class TestDeriveLowerComponent:
         qn = QuantumNumbers(1, 1)
         level = energy(qn, p)
         upper = radial_psi1(qn, grid, p)
-        lower = derive_lower_component(upper, 1, level.E, p)
+        lower = derive_lower_component(upper, level.E, p)
 
         rho = grid.samples[1:-1]
         r_prime = np.gradient(upper.values, grid.spacing, edge_order=2)[1:-1]
@@ -241,7 +271,7 @@ class TestDeriveLowerComponent:
             values=np.zeros(grid.num_points),
             profile=replace(rf.profile, coeff=0.0),
         )
-        lower = derive_lower_component(zero, 0, 2.0, p)
+        lower = derive_lower_component(zero, 2.0, p)
         assert np.all(lower.values == 0.0)
 
     def test_linearity_in_scale(self):
@@ -255,22 +285,15 @@ class TestDeriveLowerComponent:
             values=3.0 * rf.values,
             profile=replace(rf.profile, coeff=3.0),
         )
-        base = derive_lower_component(rf, 0, level.E, p)
-        tripled = derive_lower_component(scaled, 0, level.E, p)
+        base = derive_lower_component(rf, level.E, p)
+        tripled = derive_lower_component(scaled, level.E, p)
         assert_allclose(tripled.values, 3.0 * base.values, rtol=1e-14)
 
     def test_rejects_nonpositive_total_energy(self):
         p = natural_params()
         rf = radial_psi1(QuantumNumbers(0, 0), RadialGrid.uniform(8.0, 257), p)
         with pytest.raises(ValueError):
-            derive_lower_component(rf, 0, -2.0, p)
-
-    def test_requires_profile_metadata(self):
-        p = natural_params()
-        grid = RadialGrid.uniform(8.0, 257)
-        bare = RadialFunction(grid=grid, values=np.ones(grid.num_points))
-        with pytest.raises(ValueError):
-            derive_lower_component(bare, 0, 2.0, p)
+            derive_lower_component(rf, -2.0, p)
 
     def test_satisfies_lower_radial_equation(self):
         # the derived profile solves the second-order equation with angular
@@ -281,9 +304,7 @@ class TestDeriveLowerComponent:
             for m in range(3):
                 qn = QuantumNumbers(n, m)
                 level = energy(qn, p)
-                lower = derive_lower_component(
-                    radial_psi1(qn, grid, p), m, level.E, p
-                )
+                lower = derive_lower_component(radial_psi1(qn, grid, p), level.E, p)
                 report = ode_residual(lower, m + 1, level.k1 - 2.0, p)
                 assert report.rms_residual <= 1e-8, (n, m)
 
@@ -295,7 +316,7 @@ class TestDeriveLowerComponent:
         for n, m in [(0, 0), (2, 1), (3, 2)]:
             qn = QuantumNumbers(n, m)
             level = energy(qn, p)
-            derived = derive_lower_component(radial_psi1(qn, grid, p), m, level.E, p)
+            derived = derive_lower_component(radial_psi1(qn, grid, p), level.E, p)
             shifted = radial_psi2(QuantumNumbers(n, m + 1), grid, p)
             literal = radial_psi2(qn, grid, p)
 
