@@ -134,6 +134,17 @@ class TestLaguerre:
         assert_allclose(left, right, rtol=1e-14)
         assert_allclose(left, 0.5, rtol=1e-14)
 
+    def test_float64_recurrence(self):
+        # the same recurrence in Python floats (IEEE double on every
+        # platform) gives the same bits, so no long double is involved
+        for n, alpha, z in [(20, 0, 50.0), (13, 4, 7.25), (20, 10, 25.0)]:
+            prev, cur = 1.0, alpha + 1.0 - z
+            for k in range(1, n):
+                step = (2.0 * k + alpha + 1.0 - z) * cur - (k + alpha) * prev
+                prev, cur = cur, step / (k + 1.0)
+            assert laguerre(n, alpha, z) == cur
+            assert laguerre(n, alpha, np.array([z])).dtype == np.float64
+
     def test_rejects_negative_order_or_weight(self):
         with pytest.raises(ValueError):
             laguerre(-1, 0, 1.0)
