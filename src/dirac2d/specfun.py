@@ -141,8 +141,8 @@ def laguerre(n: int, alpha: int, z):
     (k+1) L_{k+1} = (2k + alpha + 1 - z) L_k - (k + alpha) L_{k-1}
     in float64, so the result does not depend on the platform's
     ``long double``.  Near a high-order root the final subtraction cancels
-    against intermediates ~exp(z/2) larger than the result; over n <= 20,
-    z <= 50 it still meets the Kummer series to about 1e-13.
+    against intermediates ~exp(z/2) larger than the result; for n <= 20,
+    alpha <= 10 and z <= 50 it still meets the Kummer series to about 1e-13.
     """
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise ValueError(f"n must be a non-negative integer, got {n!r}")
