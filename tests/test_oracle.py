@@ -367,6 +367,14 @@ class TestOdeResidual:
         assert report.degenerate
         assert report.rms_residual == 0.0
 
+    def test_requires_profile(self):
+        # the residual is taken from the profile, so a function without one
+        # is refused before it can reach ode_residual
+        grid = RadialGrid.uniform(12.0, 257)
+        with pytest.raises(TypeError):
+            rf = RadialFunction(grid=grid, values=np.ones(grid.num_points))
+            ode_residual(rf, 0, 6.0, natural_params())
+
     def test_rms_bounded_by_max(self):
         p = natural_params()
         rf = radial_psi1(QuantumNumbers(2, 1), RadialGrid.uniform(12.0, 513), p)
@@ -404,6 +412,14 @@ class TestCoupledResidual:
         p = natural_params()
         with pytest.raises(ValueError):
             coupled_residual(QuantumNumbers(0, 0), -1.5, p)
+
+    def test_nonzero_override_needs_profile(self):
+        p = natural_params()
+        qn = QuantumNumbers(0, 0)
+        grid = RadialGrid.uniform(12.0, 1025)
+        with pytest.raises(TypeError):
+            junk = RadialFunction(grid=grid, values=np.ones(grid.num_points))
+            coupled_residual(qn, energy(qn, p).E, p, grid=grid, lower=junk)
 
 
 class TestResidualReport:

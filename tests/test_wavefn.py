@@ -295,6 +295,15 @@ class TestDeriveLowerComponent:
         with pytest.raises(ValueError):
             derive_lower_component(rf, -2.0, p)
 
+    def test_requires_profile_metadata(self):
+        # mu, b and a of the lower component come from psi1's profile, so a
+        # function without one is refused at construction
+        p = natural_params()
+        grid = RadialGrid.uniform(8.0, 257)
+        with pytest.raises(TypeError):
+            bare = RadialFunction(grid=grid, values=np.ones(grid.num_points))
+            derive_lower_component(bare, 2.0, p)
+
     def test_satisfies_lower_radial_equation(self):
         # the derived profile solves the second-order equation with angular
         # index m+1 and eigenvalue k1 - 2
