@@ -234,7 +234,7 @@ def cmd_wavefn(config: RunConfig) -> Path:
     level = spectrum.energy(qn, params)
     upper = wavefn.radial_psi1(qn, grid, params)
     wavefn.normalize(upper)  # tail-mass check only; the table scales itself
-    lower = wavefn.derive_lower_component(upper, level.E, params)
+    lower = wavefn.derive_lower_component(upper, level.E)
 
     rho = grid.samples
     density_raw = 2.0 * math.pi * rho * (upper.values**2 + lower.values**2)
@@ -300,7 +300,7 @@ def run_verification_checks(config: RunConfig) -> list[dict]:
         level = spectrum.energy(qn, params)
         rf = wavefn.radial_psi1(qn, grid, params)
         # Closed-form profile pushed through the second-order radial equation.
-        ode = oracle.ode_residual(rf, m, level.k1, params)
+        ode = oracle.ode_residual(rf, m, level.k1)
         worst_ode = max(worst_ode, ode.rms_residual)
         # Upper plus derived lower component in the coupled first-order system.
         coupled = oracle.coupled_residual(qn, level.E, params, grid=grid)
@@ -312,7 +312,7 @@ def run_verification_checks(config: RunConfig) -> list[dict]:
         if wavefn.sign_changes(ansatz.values[1:-1]) != n:
             mismatches += 1
         # Quadrature normalization against the Laguerre-orthogonality constant.
-        quad = wavefn.normalize(rf).norm_constant
+        quad = wavefn.normalize(rf)
         closed = oracle.closed_form_norm_constant(qn, params)
         worst_norm = max(worst_norm, abs(quad / closed - 1.0))
     detail = f"n <= {config.n_max} at m={m}"

@@ -338,15 +338,13 @@ def _relative_residual(lhs: np.ndarray, term_magnitudes: list[np.ndarray]):
     return np.abs(lhs) / scale
 
 
-def ode_residual(
-    rf: RadialFunction, m: int, k1: float, params: PhysicalParams
-) -> ResidualReport:
+def ode_residual(rf: RadialFunction, m: int, k1: float) -> ResidualReport:
     """Residual of a radial profile in the second-order equation.
 
     Evaluates z^2 F'' + z F' + (k1 z - m^2 - z^2) F / 4 at the interior
-    samples, with F', F'' taken from the exact closed-form derivatives of
-    the profile (no finite differencing), and normalizes by the RMS of the
-    per-sample dominant term.
+    samples, with z in ``rf``'s own units and F', F'' taken from the exact
+    closed-form derivatives of the profile (no finite differencing), and
+    normalizes by the RMS of the per-sample dominant term.
     """
     grid = rf.grid
     if not np.any(rf.values):
@@ -358,7 +356,7 @@ def ode_residual(
             rho_max=grid.rho_max,
             degenerate=True,
         )
-    z = to_dimensionless_z(grid.samples[1:-1], params)
+    z = to_dimensionless_z(grid.samples[1:-1], rf.params)
     f, fz, fzz = rf.profile.derivatives(z, 2)
     terms = [
         z * z * fzz,
@@ -405,7 +403,7 @@ def coupled_residual(
 
     psi1_rf = radial_psi1(qn, grid, params)
     if lower is None:
-        lower = derive_lower_component(psi1_rf, E, params)
+        lower = derive_lower_component(psi1_rf, E)
 
     m = qn.m
     rho = grid.samples[1:-1]

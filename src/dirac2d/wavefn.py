@@ -5,11 +5,12 @@ Every radial profile in this package belongs to the one-parameter family
     f(rho) = coeff * exp(-z/2) * z**(mu/2) * M(a, b, z),   z = gamma * rho**2,
 
 captured by ``KummerProfile``.  The power mu fixes b = mu + 1 and the
-angular index of e^{i mu phi}, so a ``RadialFunction`` reads both from its
-profile.  The upper spinor component has mu = m and a = -(n+1).  Because
-the family is closed under differentiation (through
-dM/dz = (a/b) M(a+1, b+1, z)), residual checks elsewhere evaluate exact
-derivatives instead of finite-differencing samples.
+angular index of e^{i mu phi}.  A ``RadialFunction`` is a (grid, profile,
+params) triple: it reads both facts from its profile and samples its values
+from it, so the profile is the one source of the state.  The upper spinor
+component has mu = m and a = -(n+1).  Because the family is closed under
+differentiation (through dM/dz = (a/b) M(a+1, b+1, z)), residual checks
+elsewhere evaluate exact derivatives instead of finite-differencing samples.
 
 The lower component is not taken from an ansatz: it is derived by applying
 the first-order coupling operator to psi1 and dividing by (E + m0 c^2).
@@ -27,7 +28,7 @@ tests compare the two conventions without privileging either.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -161,33 +162,28 @@ class KummerProfile:
 
 @dataclass(frozen=True, eq=False)
 class RadialFunction:
-    """A closed-form profile sampled on a grid.
+    """A closed-form profile sampled on a grid in the given units.
 
-    norm_constant is None until ``normalize`` fills it; values are never
-    rescaled in place.  ``angular_index`` is the e^{i k phi} factor the full
-    2-d function carries: regularity at the origin ties it to the power
+    ``values`` is not an input: it is the profile evaluated once at every
+    grid sample, read-only, so the samples and the profile cannot disagree.
+    The normalization constant is a number ``normalize`` returns, not a
+    field.  ``angular_index`` is the e^{i k phi} factor the full 2-d
+    function carries: regularity at the origin ties it to the power
     z**(mu/2), so it is the profile's mu (m+1 for the derived lower
     component).
     """
 
     grid: RadialGrid
-    values: np.ndarray
     profile: KummerProfile
-    norm_constant: float | None = None
+    params: PhysicalParams
+    values: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        values = np.asarray(self.values)
-        if values.shape != (self.grid.num_points,):
-            raise ValueError("values must match the grid sample count")
+        values = self.profile.value_z(to_dimensionless_z(self.grid.samples, self.params))
         if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite at every sample")
-        values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        if self.norm_constant is not None and not (
-            math.isfinite(self.norm_constant) and self.norm_constant >= 0.0
-        ):
-            raise ValueError(f"norm_constant must be >= 0, got {self.norm_constant!r}")
 
     @property
     def angular_index(self) -> int:
@@ -207,20 +203,12 @@ class SpinorSample:
         object.__setattr__(self, "phi", float(self.phi) % (2.0 * math.pi))
 
 
-def _sampled(
-    profile: KummerProfile, grid: RadialGrid, params: PhysicalParams
-) -> RadialFunction:
-    """The profile on every grid sample."""
-    z = to_dimensionless_z(grid.samples, params)
-    return RadialFunction(grid=grid, values=profile.value_z(z), profile=profile)
-
-
 def radial_psi1(
     qn: QuantumNumbers, grid: RadialGrid, params: PhysicalParams
 ) -> RadialFunction:
     """Upper-component radial profile exp(-z/2) z**(m/2) M(-(n+1), m+1, z)."""
     profile = KummerProfile(coeff=1.0, mu=qn.m, a=-(qn.n + 1.0))
-    return _sampled(profile, grid, params)
+    return RadialFunction(grid, profile, params)
 
 
 def radial_psi2(
@@ -234,15 +222,15 @@ def radial_psi2(
     conventions can be compared.
     """
     profile = KummerProfile(coeff=1.0, mu=qn.m, a=-float(qn.n))
-    return _sampled(profile, grid, params)
+    return RadialFunction(grid, profile, params)
 
 
-def normalize(rf: RadialFunction) -> RadialFunction:
-    """Fill in A such that 2*pi * integral |A R|^2 rho d rho = 1.
+def normalize(rf: RadialFunction) -> float:
+    """The constant A such that 2*pi * integral |A R|^2 rho d rho = 1.
 
     The quadrature comes from the oracle module so the constant can be
-    checked against the closed form from Laguerre orthogonality.  Values are
-    left untouched; only norm_constant is populated.  If the integrand still
+    checked against the closed form from Laguerre orthogonality.  ``rf`` is
+    left as it is; A multiplies its values.  If the integrand still
     carries weight at rho_max (estimated tail mass above 1e-10 of the total)
     the grid is too short and a TruncationError is raised.
     """
@@ -266,21 +254,21 @@ def normalize(rf: RadialFunction) -> RadialFunction:
                 f"estimated tail mass {tail:.3e} beyond rho_max exceeds "
                 f"1e-10 of the norm integral {total:.3e}; enlarge the grid"
             )
-    return replace(rf, norm_constant=1.0 / math.sqrt(total))
+    return 1.0 / math.sqrt(total)
 
 
-def derive_lower_component(
-    psi1_radial: RadialFunction, E: float, params: PhysicalParams
-) -> RadialFunction:
+def derive_lower_component(psi1_radial: RadialFunction, E: float) -> RadialFunction:
     """Lower-component radial profile obtained from the coupling operator.
 
     Returns (hbar c / (E + m0 c^2)) * [R' - (m/rho) R + gamma rho R] as a
-    RadialFunction, where m is psi1's angular index; the full 2-d component
-    is -i times this profile times e^{i (m+1) phi}.  The bracket is
-    evaluated through the exact derivative identity, never by finite
-    differences: for R = coeff e^{-z/2} z^{m/2} M(a, b, z) it equals
+    RadialFunction on psi1's grid and in psi1's units, where m is psi1's
+    angular index; the full 2-d component is -i times this profile times
+    e^{i (m+1) phi}.  The bracket is evaluated through the exact derivative
+    identity, never by finite differences: for
+    R = coeff e^{-z/2} z^{m/2} M(a, b, z) it equals
     2 sqrt(gamma) coeff (a/b) e^{-z/2} z^{(m+1)/2} M(a+1, b+1, z).
     """
+    params = psi1_radial.params
     rest = params.rest_energy
     if not math.isfinite(E) or E + rest <= 0.0:
         raise ValueError(f"E + m0 c^2 must be positive, got E={E!r}")
@@ -291,7 +279,7 @@ def derive_lower_component(
         mu=p.mu + 1,
         a=p.a + 1.0,
     )
-    return _sampled(out, psi1_radial.grid, params)
+    return RadialFunction(psi1_radial.grid, out, params)
 
 
 def spinor_sample(
@@ -307,8 +295,8 @@ def spinor_sample(
         raise ValueError(f"rho must be non-negative, got {rho!r}")
     grid = default_grid(params)
     psi1_rf = radial_psi1(qn, grid, params)
-    A = normalize(psi1_rf).norm_constant
-    lower = derive_lower_component(psi1_rf, E, params)
+    A = normalize(psi1_rf)
+    lower = derive_lower_component(psi1_rf, E)
 
     z = to_dimensionless_z(rho, params)
     r1 = float(psi1_rf.profile.value_z(z))

@@ -135,7 +135,7 @@ def test_criterion_5_eigenfunction_self_consistency():
             level = energy(qn, p)
             rf = radial_psi1(qn, grid, p)
             worst_ode = max(
-                worst_ode, ode_residual(rf, m, level.k1, p).rms_residual
+                worst_ode, ode_residual(rf, m, level.k1).rms_residual
             )
             worst_coupled = max(
                 worst_coupled,
@@ -211,7 +211,7 @@ def test_criterion_9_normalization(tmp_path):
     for n in range(4):
         for m in range(3):
             qn = QuantumNumbers(n, m)
-            quad = normalize(radial_psi1(qn, grid, p)).norm_constant
+            quad = normalize(radial_psi1(qn, grid, p))
             worst = max(worst, abs(quad / closed_form_norm_constant(qn, p) - 1.0))
     config = RunConfig(command="wavefn", n=2, m=1, output=str(tmp_path / "w.json"), fmt="json")
     rows = json.loads(cmd_wavefn(config).read_text())["rows"]

@@ -32,11 +32,7 @@ def aux_k1(n_r, m):
 
 def _zero_copy(rf):
     """rf with coeff 0: an identically zero member of the same family."""
-    return RadialFunction(
-        grid=rf.grid,
-        values=np.zeros(rf.grid.num_points),
-        profile=replace(rf.profile, coeff=0.0),
-    )
+    return RadialFunction(rf.grid, replace(rf.profile, coeff=0.0), rf.params)
 
 
 def si_params():
@@ -337,7 +333,7 @@ class TestOdeResidual:
         qn = QuantumNumbers(0, 0)
         level = energy(qn, p)
         rf = radial_psi1(qn, RadialGrid.uniform(12.0, 4097), p)
-        report = ode_residual(rf, 0, level.k1, p)
+        report = ode_residual(rf, 0, level.k1)
         assert report.rms_residual <= 1e-12
         assert report.equation_id == "radial-ode"
         assert not report.degenerate
@@ -345,7 +341,7 @@ class TestOdeResidual:
     def test_wrong_eigenvalue_is_loud(self):
         p = natural_params()
         rf = radial_psi1(QuantumNumbers(0, 0), RadialGrid.uniform(12.0, 4097), p)
-        report = ode_residual(rf, 0, 7.0, p)
+        report = ode_residual(rf, 0, 7.0)
         assert report.rms_residual > 1e-2
 
     def test_one_percent_energy_shift_detected(self):
@@ -357,28 +353,37 @@ class TestOdeResidual:
             level = energy(qn, p)
             shifted = 2.0 * (m + 1) + ((1.01 * level.E) ** 2 - 1.0)
             rf = radial_psi1(qn, RadialGrid.uniform(12.0, 4097), p)
-            assert ode_residual(rf, m, shifted, p).rms_residual > 1e-2
+            assert ode_residual(rf, m, shifted).rms_residual > 1e-2
 
     def test_zero_function_flagged_degenerate(self):
         p = natural_params()
         rf = radial_psi1(QuantumNumbers(0, 0), RadialGrid.uniform(12.0, 257), p)
         zero = _zero_copy(rf)
-        report = ode_residual(zero, 0, 6.0, p)
+        report = ode_residual(zero, 0, 6.0)
         assert report.degenerate
         assert report.rms_residual == 0.0
+
+    def test_wrong_eigenvalue_on_coarse_grid_is_not_degenerate(self):
+        # the values come from the profile, so a function cannot look zero
+        # while its profile is not: n = 1 pushed through k1 = 99 fails loudly
+        p = natural_params()
+        rf = radial_psi1(QuantumNumbers(1, 0), RadialGrid.uniform(12.0, 257), p)
+        report = ode_residual(rf, 0, 99.0)
+        assert not report.degenerate
+        assert report.rms_residual > 0.5
 
     def test_requires_profile(self):
         # the residual is taken from the profile, so a function without one
         # is refused before it can reach ode_residual
         grid = RadialGrid.uniform(12.0, 257)
         with pytest.raises(TypeError):
-            rf = RadialFunction(grid=grid, values=np.ones(grid.num_points))
-            ode_residual(rf, 0, 6.0, natural_params())
+            rf = RadialFunction(grid=grid, params=natural_params())
+            ode_residual(rf, 0, 6.0)
 
     def test_rms_bounded_by_max(self):
         p = natural_params()
         rf = radial_psi1(QuantumNumbers(2, 1), RadialGrid.uniform(12.0, 513), p)
-        report = ode_residual(rf, 1, energy(QuantumNumbers(2, 1), p).k1, p)
+        report = ode_residual(rf, 1, energy(QuantumNumbers(2, 1), p).k1)
         assert report.rms_residual <= report.max_residual
 
 
@@ -395,7 +400,7 @@ class TestCoupledResidual:
         qn = QuantumNumbers(0, 0)
         grid = RadialGrid.uniform(12.0, 1025)
         E = energy(qn, p).E
-        zero = _zero_copy(derive_lower_component(radial_psi1(qn, grid, p), E, p))
+        zero = _zero_copy(derive_lower_component(radial_psi1(qn, grid, p), E))
         report = coupled_residual(qn, E, p, grid=grid, lower=zero)
         # with psi2 = 0 the upper equation is its own dominant term: rms 1
         assert_allclose(report.rms_residual, 1.0, rtol=1e-12)
@@ -418,7 +423,7 @@ class TestCoupledResidual:
         qn = QuantumNumbers(0, 0)
         grid = RadialGrid.uniform(12.0, 1025)
         with pytest.raises(TypeError):
-            junk = RadialFunction(grid=grid, values=np.ones(grid.num_points))
+            junk = RadialFunction(grid=grid, params=p)
             coupled_residual(qn, energy(qn, p).E, p, grid=grid, lower=junk)
 
 

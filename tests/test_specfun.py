@@ -108,7 +108,7 @@ class TestKummerDerivative:
             for m in range(0, 11, 2):
                 qn = QuantumNumbers(n, m)
                 upper = radial_psi1(qn, grid, p)
-                lower = derive_lower_component(upper, energy(qn, p).E, p)
+                lower = derive_lower_component(upper, energy(qn, p).E)
                 for prof in (upper.profile, lower.profile):
                     f, d1, d2 = prof.derivatives(z, 2)
                     tol = 1e-6 * np.maximum.reduce([np.abs(f), np.abs(d1), np.abs(d2)])

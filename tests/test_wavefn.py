@@ -95,7 +95,39 @@ class TestRadialFunction:
     def test_profile_is_required(self):
         grid = RadialGrid.uniform(2.0, 9)
         with pytest.raises(TypeError):
-            RadialFunction(grid=grid, values=np.ones(9))
+            RadialFunction(grid=grid, params=natural_params())
+
+    def test_values_are_not_an_input(self):
+        p = natural_params()
+        grid = RadialGrid.uniform(2.0, 9)
+        profile = radial_psi1(QuantumNumbers(0, 0), grid, p).profile
+        with pytest.raises(TypeError):
+            RadialFunction(grid=grid, profile=profile, params=p, values=np.ones(9))
+
+    @pytest.mark.parametrize("units", ["natural", "si"])
+    def test_values_are_the_profile_on_the_grid(self, units):
+        # psi1, the psi2 ansatz and the derived lower component all sample
+        # their own profile, bit for bit, in their own units
+        if units == "natural":
+            p = natural_params()
+        else:
+            p = PhysicalParams(
+                rest_mass=9.1093837015e-31,
+                omega=1.0e12,
+                hbar=1.054571817e-34,
+                c=299792458.0,
+            )
+        grid = default_grid(p, num_points=257)
+        qn = QuantumNumbers(2, 1)
+        upper = radial_psi1(qn, grid, p)
+        lower = derive_lower_component(upper, energy(qn, p).E)
+        for rf in (upper, radial_psi2(qn, grid, p), lower):
+            assert rf.params is p and rf.grid is grid
+            z = to_dimensionless_z(grid.samples, p)
+            assert np.array_equal(rf.values, rf.profile.value_z(z))
+            assert not rf.values.flags.writeable
+            with pytest.raises(ValueError):
+                rf.values[0] = 1.0
 
     def test_facts_read_from_profile(self):
         # b = mu + 1 and the angular index is mu, for psi1 (index m), the
@@ -105,7 +137,7 @@ class TestRadialFunction:
         for n, m in [(0, 0), (2, 1), (3, 4)]:
             qn = QuantumNumbers(n, m)
             upper = radial_psi1(qn, grid, p)
-            lower = derive_lower_component(upper, energy(qn, p).E, p)
+            lower = derive_lower_component(upper, energy(qn, p).E)
             ansatz = radial_psi2(qn, grid, p)
             for rf, index in [(upper, m), (ansatz, m), (lower, m + 1)]:
                 assert rf.angular_index == rf.profile.mu == index
@@ -174,8 +206,8 @@ class TestNormalize:
     def test_matches_closed_form_constant(self):
         p = natural_params()
         grid = RadialGrid.uniform(8.0, 4097)
-        rf = normalize(radial_psi1(QuantumNumbers(0, 0), grid, p))
-        assert_allclose(rf.norm_constant, closed_form_A(0, 0, 1.0), rtol=1e-9)
+        A = normalize(radial_psi1(QuantumNumbers(0, 0), grid, p))
+        assert_allclose(A, closed_form_A(0, 0, 1.0), rtol=1e-9)
 
     def test_closed_form_sweep(self):
         p = PhysicalParams(rest_mass=2.0, omega=0.5)
@@ -183,45 +215,38 @@ class TestNormalize:
         grid = default_grid(p)
         for n in range(4):
             for m in range(3):
-                rf = normalize(radial_psi1(QuantumNumbers(n, m), grid, p))
-                assert_allclose(rf.norm_constant, closed_form_A(n, m, b), rtol=1e-8)
+                A = normalize(radial_psi1(QuantumNumbers(n, m), grid, p))
+                assert_allclose(A, closed_form_A(n, m, b), rtol=1e-8)
 
     def test_norm_integral_is_one(self):
         p = natural_params()
         grid = default_grid(p)
-        rf = normalize(radial_psi1(QuantumNumbers(1, 1), grid, p))
-        weight = 2.0 * math.pi * (rf.norm_constant * rf.values) ** 2 * grid.samples
+        rf = radial_psi1(QuantumNumbers(1, 1), grid, p)
+        weight = 2.0 * math.pi * (normalize(rf) * rf.values) ** 2 * grid.samples
         assert_allclose(integrate_radial(weight, grid), 1.0, rtol=1e-12)
 
     def test_doubling_values_halves_constant(self):
         p = natural_params()
         grid = default_grid(p)
         rf = radial_psi1(QuantumNumbers(0, 0), grid, p)
-        doubled = RadialFunction(
-            grid=grid,
-            values=2.0 * rf.values,
-            profile=replace(rf.profile, coeff=2.0),
-        )
-        assert_allclose(
-            normalize(doubled).norm_constant,
-            0.5 * normalize(rf).norm_constant,
-            rtol=1e-14,
-        )
+        doubled = RadialFunction(grid, replace(rf.profile, coeff=2.0), p)
+        assert_allclose(normalize(doubled), 0.5 * normalize(rf), rtol=1e-14)
 
     def test_idempotent(self):
+        # normalize is pure: the same A every time, the function unchanged
         p = natural_params()
         grid = default_grid(p)
-        once = normalize(radial_psi1(QuantumNumbers(2, 0), grid, p))
-        twice = normalize(once)
-        assert twice.norm_constant == once.norm_constant
-        assert np.array_equal(twice.values, once.values)
+        rf = radial_psi1(QuantumNumbers(2, 0), grid, p)
+        before = rf.values.copy()
+        first = normalize(rf)
+        assert isinstance(first, float)
+        assert normalize(rf) == first
+        assert np.array_equal(rf.values, before)
 
     def test_rejects_zero_function(self):
         grid = RadialGrid.uniform(2.0, 9)
         rf = radial_psi1(QuantumNumbers(0, 0), grid, natural_params())
-        rf = RadialFunction(
-            grid=grid, values=np.zeros(9), profile=replace(rf.profile, coeff=0.0)
-        )
+        rf = RadialFunction(grid, replace(rf.profile, coeff=0.0), rf.params)
         with pytest.raises(ValueError):
             normalize(rf)
 
@@ -239,7 +264,7 @@ class TestDeriveLowerComponent:
         grid = RadialGrid.uniform(8.0, 513)
         qn = QuantumNumbers(0, 0)
         level = energy(qn, p)
-        lower = derive_lower_component(radial_psi1(qn, grid, p), level.E, p)
+        lower = derive_lower_component(radial_psi1(qn, grid, p), level.E)
         z = grid.samples**2
         expected = -2.0 / (level.E + 1.0) * np.exp(-z / 2.0) * np.sqrt(z)
         assert_allclose(lower.values, expected, rtol=0, atol=1e-15)
@@ -253,7 +278,7 @@ class TestDeriveLowerComponent:
         qn = QuantumNumbers(1, 1)
         level = energy(qn, p)
         upper = radial_psi1(qn, grid, p)
-        lower = derive_lower_component(upper, level.E, p)
+        lower = derive_lower_component(upper, level.E)
 
         rho = grid.samples[1:-1]
         r_prime = np.gradient(upper.values, grid.spacing, edge_order=2)[1:-1]
@@ -266,12 +291,8 @@ class TestDeriveLowerComponent:
         p = natural_params()
         grid = RadialGrid.uniform(8.0, 257)
         rf = radial_psi1(QuantumNumbers(0, 0), grid, p)
-        zero = RadialFunction(
-            grid=grid,
-            values=np.zeros(grid.num_points),
-            profile=replace(rf.profile, coeff=0.0),
-        )
-        lower = derive_lower_component(zero, 2.0, p)
+        zero = RadialFunction(grid, replace(rf.profile, coeff=0.0), p)
+        lower = derive_lower_component(zero, 2.0)
         assert np.all(lower.values == 0.0)
 
     def test_linearity_in_scale(self):
@@ -280,20 +301,16 @@ class TestDeriveLowerComponent:
         qn = QuantumNumbers(1, 0)
         level = energy(qn, p)
         rf = radial_psi1(qn, grid, p)
-        scaled = RadialFunction(
-            grid=grid,
-            values=3.0 * rf.values,
-            profile=replace(rf.profile, coeff=3.0),
-        )
-        base = derive_lower_component(rf, level.E, p)
-        tripled = derive_lower_component(scaled, level.E, p)
+        scaled = RadialFunction(grid, replace(rf.profile, coeff=3.0), p)
+        base = derive_lower_component(rf, level.E)
+        tripled = derive_lower_component(scaled, level.E)
         assert_allclose(tripled.values, 3.0 * base.values, rtol=1e-14)
 
     def test_rejects_nonpositive_total_energy(self):
         p = natural_params()
         rf = radial_psi1(QuantumNumbers(0, 0), RadialGrid.uniform(8.0, 257), p)
         with pytest.raises(ValueError):
-            derive_lower_component(rf, -2.0, p)
+            derive_lower_component(rf, -2.0)
 
     def test_requires_profile_metadata(self):
         # mu, b and a of the lower component come from psi1's profile, so a
@@ -301,8 +318,8 @@ class TestDeriveLowerComponent:
         p = natural_params()
         grid = RadialGrid.uniform(8.0, 257)
         with pytest.raises(TypeError):
-            bare = RadialFunction(grid=grid, values=np.ones(grid.num_points))
-            derive_lower_component(bare, 2.0, p)
+            bare = RadialFunction(grid=grid, params=p)
+            derive_lower_component(bare, 2.0)
 
     def test_satisfies_lower_radial_equation(self):
         # the derived profile solves the second-order equation with angular
@@ -313,8 +330,8 @@ class TestDeriveLowerComponent:
             for m in range(3):
                 qn = QuantumNumbers(n, m)
                 level = energy(qn, p)
-                lower = derive_lower_component(radial_psi1(qn, grid, p), level.E, p)
-                report = ode_residual(lower, m + 1, level.k1 - 2.0, p)
+                lower = derive_lower_component(radial_psi1(qn, grid, p), level.E)
+                report = ode_residual(lower, m + 1, level.k1 - 2.0)
                 assert report.rms_residual <= 1e-8, (n, m)
 
     def test_angular_index_hypotheses(self):
@@ -325,7 +342,7 @@ class TestDeriveLowerComponent:
         for n, m in [(0, 0), (2, 1), (3, 2)]:
             qn = QuantumNumbers(n, m)
             level = energy(qn, p)
-            derived = derive_lower_component(radial_psi1(qn, grid, p), level.E, p)
+            derived = derive_lower_component(radial_psi1(qn, grid, p), level.E)
             shifted = radial_psi2(QuantumNumbers(n, m + 1), grid, p)
             literal = radial_psi2(qn, grid, p)
 
@@ -420,8 +437,8 @@ class TestProfileShape:
         for m in range(3):
             profiles = {}
             for n in range(4):
-                rf = normalize(radial_psi1(QuantumNumbers(n, m), grid, p))
-                profiles[n] = rf.norm_constant * rf.values
+                rf = radial_psi1(QuantumNumbers(n, m), grid, p)
+                profiles[n] = normalize(rf) * rf.values
             for n in range(4):
                 for n2 in range(n + 1, 4):
                     overlap = integrate_radial(
