@@ -303,7 +303,7 @@ def run_verification_checks(config: RunConfig) -> list[dict]:
         ode = oracle.ode_residual(rf, m, level.k1)
         worst_ode = max(worst_ode, ode.rms_residual)
         # Upper plus derived lower component in the coupled first-order system.
-        coupled = oracle.coupled_residual(qn, level.E, params, grid=grid)
+        coupled = oracle.coupled_residual(level, params, grid=grid)
         worst_coupled = max(worst_coupled, coupled.rms_residual)
         # Node counts: n+1 sign changes for psi1, n for the psi2 ansatz.
         if wavefn.count_radial_nodes(qn, params) != n + 1:

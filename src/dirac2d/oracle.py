@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import QuantumNumbers
+from .spectrum import EnergyLevel, QuantumNumbers
 from .units import PhysicalParams, to_dimensionless_z
 from .wavefn import RadialFunction, RadialGrid, default_grid
 from .wavefn import derive_lower_component, radial_psi1
@@ -377,35 +377,37 @@ def ode_residual(rf: RadialFunction, m: int, k1: float) -> ResidualReport:
 
 
 def coupled_residual(
-    qn: QuantumNumbers,
-    E: float,
+    level: EnergyLevel,
     params: PhysicalParams,
     grid: RadialGrid | None = None,
     lower: RadialFunction | None = None,
 ) -> ResidualReport:
     """Residual of (psi1, psi2) in the coupled first-order system.
 
-    psi1 is the closed-form upper component; psi2 defaults to the derived
-    lower component for the given E.  Both first-order equations are
-    evaluated at the interior radii through exact radial derivatives of the
-    closed forms.  The angular factors e^{i m phi} and -i e^{i(m+1) phi}
+    psi1 is the closed-form upper component of ``level.qn``; psi2 defaults
+    to the derived lower component for ``level.E``.  The upper equation
+    takes E - m0 c^2 from ``level.excitation``, which keeps its digits where
+    subtracting the rest energy from E would cancel (SI units).  Both
+    first-order equations are evaluated at the interior radii through exact
+    radial derivatives of the closed forms.  The angular factors e^{i m phi} and -i e^{i(m+1) phi}
     that multiply the two equations have modulus one, so every angle gives
     the same relative residual and the radial reduction is the whole check.
     The report carries the worse of the two equations' relative RMS.
     Passing ``lower`` overrides the second component (a profile with
     coeff 0 is the standard decoupling check).
     """
+    E = level.E
     rest = params.rest_energy
     if not math.isfinite(E) or E + rest <= 0.0:
         raise ValueError(f"E + m0 c^2 must be positive, got E={E!r}")
     if grid is None:
         grid = default_grid(params)
 
-    psi1_rf = radial_psi1(qn, grid, params)
+    psi1_rf = radial_psi1(level.qn, grid, params)
     if lower is None:
         lower = derive_lower_component(psi1_rf, E)
 
-    m = qn.m
+    m = level.qn.m
     rho = grid.samples[1:-1]
     z = to_dimensionless_z(rho, params)
     hbar_c = params.hbar * params.c
@@ -418,7 +420,7 @@ def coupled_residual(
 
     # Radial reductions of the two first-order equations.
     terms_up = [
-        (E - rest) * r1,
+        level.excitation * r1,
         hbar_c * g_prime,
         hbar_c * (m + 1) * g / rho,
         -tension * rho * g,

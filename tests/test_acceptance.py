@@ -6,6 +6,7 @@ or rely on the assertions under plain ``pytest``.
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -134,16 +135,16 @@ def test_criterion_5_eigenfunction_self_consistency():
             qn = QuantumNumbers(n, m)
             level = energy(qn, p)
             rf = radial_psi1(qn, grid, p)
-            worst_ode = max(
-                worst_ode, ode_residual(rf, m, level.k1).rms_residual
-            )
+            worst_ode = max(worst_ode, ode_residual(rf, m, level.k1).rms_residual)
             worst_coupled = max(
                 worst_coupled,
-                coupled_residual(qn, level.E, p, grid=grid).rms_residual,
+                coupled_residual(level, p, grid=grid).rms_residual,
             )
+            E = 1.01 * level.E
+            shifted = replace(level, E=E, excitation=E - p.rest_energy)
             weakest_perturbed = min(
                 weakest_perturbed,
-                coupled_residual(qn, 1.01 * level.E, p, grid=grid).rms_residual,
+                coupled_residual(shifted, p, grid=grid).rms_residual,
             )
     report(
         5,

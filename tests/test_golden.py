@@ -45,8 +45,8 @@ CASES = {
         "verify --n-max 4 --m 1 --omega 0.5 --grid-points 1025 --format json",
         0,
     ),
-    "verify_si.csv": ("verify --units si --n-max 3", 1),
-    "verify_si.json": ("verify --units si --n-max 2 --format json", 1),
+    "verify_si.csv": ("verify --units si --n-max 3", 0),
+    "verify_si.json": ("verify --units si --n-max 2 --format json", 0),
     "nr_limit.csv": ("nr-limit --n-max 10", 0),
     "nr_limit.json": (
         "nr-limit --lambdas 0.1,0.05,1e-3,1e-6 --n-max 4 --format json",

@@ -13,6 +13,7 @@ from dirac2d import (
     TridiagonalOperator,
     build_radial_operator,
     coupled_residual,
+    default_grid,
     derive_lower_component,
     dirac_energies_from_k1,
     energy,
@@ -391,17 +392,26 @@ class TestCoupledResidual:
     def test_derived_pair_is_self_consistent(self):
         p = natural_params()
         qn = QuantumNumbers(0, 0)
-        report = coupled_residual(qn, energy(qn, p).E, p)
+        report = coupled_residual(energy(qn, p), p)
         assert report.rms_residual <= 1e-6
         assert report.equation_id == "coupled-first-order"
+
+    def test_derived_pair_is_self_consistent_in_si_units(self):
+        # E - m0 c^2 is about 1e-9 of E here, so the upper equation must take
+        # it from the level's excitation, not from E minus the rest energy
+        p = si_params()
+        for n, m in [(0, 0), (2, 1)]:
+            level = energy(QuantumNumbers(n, m), p)
+            report = coupled_residual(level, p, grid=default_grid(p, num_points=1025))
+            assert report.rms_residual <= 1e-6, (n, m)
 
     def test_zero_lower_component_breaks_coupling(self):
         p = natural_params()
         qn = QuantumNumbers(0, 0)
         grid = RadialGrid.uniform(12.0, 1025)
-        E = energy(qn, p).E
-        zero = _zero_copy(derive_lower_component(radial_psi1(qn, grid, p), E))
-        report = coupled_residual(qn, E, p, grid=grid, lower=zero)
+        level = energy(qn, p)
+        zero = _zero_copy(derive_lower_component(radial_psi1(qn, grid, p), level.E))
+        report = coupled_residual(level, p, grid=grid, lower=zero)
         # with psi2 = 0 the upper equation is its own dominant term: rms 1
         assert_allclose(report.rms_residual, 1.0, rtol=1e-12)
         assert not report.degenerate
@@ -410,13 +420,18 @@ class TestCoupledResidual:
         p = natural_params()
         for n, m in [(0, 0), (2, 1)]:
             qn = QuantumNumbers(n, m)
-            report = coupled_residual(qn, 1.01 * energy(qn, p).E, p)
+            level = energy(qn, p)
+            E = 1.01 * level.E
+            report = coupled_residual(
+                replace(level, E=E, excitation=E - p.rest_energy), p
+            )
             assert report.rms_residual > 1e-3, (n, m)
 
     def test_rejects_nonpositive_total_energy(self):
         p = natural_params()
         with pytest.raises(ValueError):
-            coupled_residual(QuantumNumbers(0, 0), -1.5, p)
+            level = energy(QuantumNumbers(0, 0), p)
+            coupled_residual(replace(level, E=-1.5, excitation=-2.5), p)
 
     def test_nonzero_override_needs_profile(self):
         p = natural_params()
@@ -424,7 +439,7 @@ class TestCoupledResidual:
         grid = RadialGrid.uniform(12.0, 1025)
         with pytest.raises(TypeError):
             junk = RadialFunction(grid=grid, params=p)
-            coupled_residual(qn, energy(qn, p).E, p, grid=grid, lower=junk)
+            coupled_residual(energy(qn, p), p, grid=grid, lower=junk)
 
 
 class TestResidualReport:
