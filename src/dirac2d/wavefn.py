@@ -89,10 +89,6 @@ class RadialGrid:
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
 
-    @classmethod
-    def uniform(cls, rho_max: float, num_points: int) -> "RadialGrid":
-        return cls(rho_max=rho_max, num_points=num_points)
-
     @property
     def spacing(self) -> float:
         return self.rho_max / (self.num_points - 1)
@@ -102,7 +98,7 @@ def default_grid(
     params: PhysicalParams, rho_max_in_b: float = 12.0, num_points: int = 4097
 ) -> RadialGrid:
     """Grid reaching 12 oscillator lengths: exp(-z/2) there is ~1e-32."""
-    return RadialGrid.uniform(rho_max_in_b * params.oscillator_length, num_points)
+    return RadialGrid(rho_max_in_b * params.oscillator_length, num_points)
 
 
 @dataclass(frozen=True)
@@ -324,6 +320,6 @@ def count_radial_nodes(qn: QuantumNumbers, params: PhysicalParams) -> int:
     terminating polynomial with margin (Laguerre root bound).
     """
     span = 2.0 * math.sqrt(4.0 * (qn.n + 1) + 2.0 * qn.m) + 4.0
-    grid = RadialGrid.uniform(span * params.oscillator_length, 4097)
+    grid = RadialGrid(span * params.oscillator_length, 4097)
     rf = radial_psi1(qn, grid, params)
     return sign_changes(rf.values[1:-1])

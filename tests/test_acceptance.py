@@ -71,8 +71,8 @@ def test_criterion_2_m_independence_bitwise():
 
 def test_criterion_3_finite_difference_oracle_agreement():
     p = natural_params()
-    coarse = RadialGrid.uniform(12.0, 4097)
-    fine = RadialGrid.uniform(12.0, 8193)
+    coarse = RadialGrid(12.0, 4097)
+    fine = RadialGrid(12.0, 8193)
     ok = True
     details = []
     for m in (0, 1, 2):

@@ -118,34 +118,34 @@ def _bisection_cases():
 
 class TestIntegrateRadial:
     def test_constant(self):
-        grid = RadialGrid.uniform(2.0, 101)
+        grid = RadialGrid(2.0, 101)
         assert_allclose(integrate_radial(np.ones(101), grid), 2.0, rtol=1e-14)
 
     def test_linear_is_exact(self):
-        grid = RadialGrid.uniform(1.0, 101)
+        grid = RadialGrid(1.0, 101)
         assert_allclose(integrate_radial(grid.samples, grid), 0.5, rtol=1e-12)
 
     def test_gaussian_moment_against_antiderivative(self):
         # integral of rho exp(-rho^2) over [0, 10] is (1 - exp(-100))/2
-        grid = RadialGrid.uniform(10.0, 8193)
+        grid = RadialGrid(10.0, 8193)
         f = grid.samples * np.exp(-grid.samples**2)
         assert_allclose(integrate_radial(f, grid), 0.5, rtol=0, atol=1e-10)
 
     def test_rejects_mismatched_values(self):
-        grid = RadialGrid.uniform(1.0, 101)
+        grid = RadialGrid(1.0, 101)
         with pytest.raises(ValueError):
             integrate_radial(np.ones(100), grid)
 
     def test_even_sample_grids_cannot_exist(self):
         with pytest.raises(ValueError):
-            RadialGrid.uniform(1.0, 100)
+            RadialGrid(1.0, 100)
 
     def test_fourth_order_convergence(self):
         # error ratio per grid doubling approaches 16 on smooth integrands
         exact = 0.5 * (1.0 - math.exp(-100.0))
 
         def err(num_points):
-            grid = RadialGrid.uniform(10.0, num_points)
+            grid = RadialGrid(10.0, num_points)
             f = grid.samples * np.exp(-grid.samples**2)
             return abs(integrate_radial(f, grid) - exact)
 
@@ -156,14 +156,14 @@ class TestIntegrateRadial:
 class TestRadialOperator:
     def test_rejects_negative_m(self):
         with pytest.raises(ValueError):
-            build_radial_operator(-1, RadialGrid.uniform(12.0, 4097), natural_params())
+            build_radial_operator(-1, RadialGrid(12.0, 4097), natural_params())
 
     def test_rejects_coarse_grid(self):
         with pytest.raises(ValueError, match="coarse"):
-            build_radial_operator(0, RadialGrid.uniform(12.0, 63), natural_params())
+            build_radial_operator(0, RadialGrid(12.0, 63), natural_params())
 
     def test_structural_symmetry(self):
-        op = build_radial_operator(1, RadialGrid.uniform(12.0, 257), natural_params())
+        op = build_radial_operator(1, RadialGrid(12.0, 257), natural_params())
         assert op.dimension == 255
         assert op.off_diagonal.shape == (254,)
         assert np.all(np.isfinite(op.diagonal))
@@ -171,7 +171,7 @@ class TestRadialOperator:
 
     def test_m0_ladder_on_default_grid(self):
         p = natural_params()
-        op = build_radial_operator(0, RadialGrid.uniform(12.0, 4097), p)
+        op = build_radial_operator(0, RadialGrid(12.0, 4097), p)
         found = smallest_eigenvalues(op, 3)
         for n_r, value in enumerate(found):
             expected = aux_k1(n_r, 0) * p.hbar / (p.rest_mass * p.omega)
@@ -182,10 +182,10 @@ class TestRadialOperator:
         si = si_params()
         natural = natural_params()
         vals_si = smallest_eigenvalues(
-            build_radial_operator(1, RadialGrid.uniform(12.0 * si.oscillator_length, 1025), si), 2
+            build_radial_operator(1, RadialGrid(12.0 * si.oscillator_length, 1025), si), 2
         )
         vals_nat = smallest_eigenvalues(
-            build_radial_operator(1, RadialGrid.uniform(12.0, 1025), natural), 2
+            build_radial_operator(1, RadialGrid(12.0, 1025), natural), 2
         )
         assert_allclose(vals_si, vals_nat, rtol=1e-12)
 
@@ -218,7 +218,7 @@ class TestSmallestEigenvalues:
     def test_against_dense_diagonalization(self):
         # brute-force oracle on a small instance
         p = natural_params()
-        op = build_radial_operator(1, RadialGrid.uniform(12.0, 65), p)
+        op = build_radial_operator(1, RadialGrid(12.0, 65), p)
         dense = (
             np.diag(op.diagonal)
             + np.diag(op.off_diagonal, 1)
@@ -235,7 +235,7 @@ class TestSmallestEigenvalues:
     )
     def test_same_floats_as_plain_bisection(self, m, points, rho, units, levels):
         p = natural_params() if units == "natural" else si_params()
-        grid = RadialGrid.uniform(rho * p.oscillator_length, points)
+        grid = RadialGrid(rho * p.oscillator_length, points)
         op = build_radial_operator(m, grid, p)
         assert smallest_eigenvalues(op, levels) == plain_bisection(op, levels)
 
@@ -261,7 +261,7 @@ class TestSmallestEigenvalues:
         linalg = pytest.importorskip("scipy.linalg")
         p = natural_params()
         for m in (0, 3):
-            op = build_radial_operator(m, RadialGrid.uniform(12.0, 4097), p)
+            op = build_radial_operator(m, RadialGrid(12.0, 4097), p)
             lapack = linalg.eigvalsh_tridiagonal(
                 op.diagonal, op.off_diagonal, select="i", select_range=(0, 11)
             )
@@ -270,7 +270,7 @@ class TestSmallestEigenvalues:
     def test_newton_pass_counts_and_log_derivative(self):
         # p'/p = sum 1/(sigma - lambda_i) over the dense spectrum
         p = natural_params()
-        op = build_radial_operator(1, RadialGrid.uniform(12.0, 65), p)
+        op = build_radial_operator(1, RadialGrid(12.0, 65), p)
         dense = np.linalg.eigvalsh(
             np.diag(op.diagonal)
             + np.diag(op.off_diagonal, 1)
@@ -308,7 +308,7 @@ class TestSolverPasses:
         for name in ("_negative_pivot_count", "_newton_pass"):
             monkeypatch.setattr(oracle, name, counted(getattr(oracle, name)))
         p = natural_params()
-        op = build_radial_operator(m, RadialGrid.uniform(12.0, 4097), p)
+        op = build_radial_operator(m, RadialGrid(12.0, 4097), p)
         smallest_eigenvalues(op, levels)
         assert "_newton_pass" in passes
         assert len(passes) <= budget
@@ -333,7 +333,7 @@ class TestOdeResidual:
         p = natural_params()
         qn = QuantumNumbers(0, 0)
         level = energy(qn, p)
-        rf = radial_psi1(qn, RadialGrid.uniform(12.0, 4097), p)
+        rf = radial_psi1(qn, RadialGrid(12.0, 4097), p)
         report = ode_residual(rf, 0, level.k1)
         assert report.rms_residual <= 1e-12
         assert report.equation_id == "radial-ode"
@@ -341,7 +341,7 @@ class TestOdeResidual:
 
     def test_wrong_eigenvalue_is_loud(self):
         p = natural_params()
-        rf = radial_psi1(QuantumNumbers(0, 0), RadialGrid.uniform(12.0, 4097), p)
+        rf = radial_psi1(QuantumNumbers(0, 0), RadialGrid(12.0, 4097), p)
         report = ode_residual(rf, 0, 7.0)
         assert report.rms_residual > 1e-2
 
@@ -353,12 +353,12 @@ class TestOdeResidual:
             qn = QuantumNumbers(n, m)
             level = energy(qn, p)
             shifted = 2.0 * (m + 1) + ((1.01 * level.E) ** 2 - 1.0)
-            rf = radial_psi1(qn, RadialGrid.uniform(12.0, 4097), p)
+            rf = radial_psi1(qn, RadialGrid(12.0, 4097), p)
             assert ode_residual(rf, m, shifted).rms_residual > 1e-2
 
     def test_zero_function_flagged_degenerate(self):
         p = natural_params()
-        rf = radial_psi1(QuantumNumbers(0, 0), RadialGrid.uniform(12.0, 257), p)
+        rf = radial_psi1(QuantumNumbers(0, 0), RadialGrid(12.0, 257), p)
         zero = _zero_copy(rf)
         report = ode_residual(zero, 0, 6.0)
         assert report.degenerate
@@ -368,7 +368,7 @@ class TestOdeResidual:
         # the values come from the profile, so a function cannot look zero
         # while its profile is not: n = 1 pushed through k1 = 99 fails loudly
         p = natural_params()
-        rf = radial_psi1(QuantumNumbers(1, 0), RadialGrid.uniform(12.0, 257), p)
+        rf = radial_psi1(QuantumNumbers(1, 0), RadialGrid(12.0, 257), p)
         report = ode_residual(rf, 0, 99.0)
         assert not report.degenerate
         assert report.rms_residual > 0.5
@@ -376,14 +376,14 @@ class TestOdeResidual:
     def test_requires_profile(self):
         # the residual is taken from the profile, so a function without one
         # is refused before it can reach ode_residual
-        grid = RadialGrid.uniform(12.0, 257)
+        grid = RadialGrid(12.0, 257)
         with pytest.raises(TypeError):
             rf = RadialFunction(grid=grid, params=natural_params())
             ode_residual(rf, 0, 6.0)
 
     def test_rms_bounded_by_max(self):
         p = natural_params()
-        rf = radial_psi1(QuantumNumbers(2, 1), RadialGrid.uniform(12.0, 513), p)
+        rf = radial_psi1(QuantumNumbers(2, 1), RadialGrid(12.0, 513), p)
         report = ode_residual(rf, 1, energy(QuantumNumbers(2, 1), p).k1)
         assert report.rms_residual <= report.max_residual
 
@@ -408,7 +408,7 @@ class TestCoupledResidual:
     def test_zero_lower_component_breaks_coupling(self):
         p = natural_params()
         qn = QuantumNumbers(0, 0)
-        grid = RadialGrid.uniform(12.0, 1025)
+        grid = RadialGrid(12.0, 1025)
         level = energy(qn, p)
         zero = _zero_copy(derive_lower_component(radial_psi1(qn, grid, p), level.E))
         report = coupled_residual(level, p, grid=grid, lower=zero)
@@ -436,7 +436,7 @@ class TestCoupledResidual:
     def test_nonzero_override_needs_profile(self):
         p = natural_params()
         qn = QuantumNumbers(0, 0)
-        grid = RadialGrid.uniform(12.0, 1025)
+        grid = RadialGrid(12.0, 1025)
         with pytest.raises(TypeError):
             junk = RadialFunction(grid=grid, params=p)
             coupled_residual(energy(qn, p), p, grid=grid, lower=junk)

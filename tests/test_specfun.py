@@ -101,7 +101,7 @@ class TestKummerDerivative:
         # exact first and second z-derivatives of psi1 and of the derived
         # lower profile against central differences of the next lower order
         p = natural_params()
-        grid = RadialGrid.uniform(12.0, 9)
+        grid = RadialGrid(12.0, 9)
         z = np.array([0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0])
         h = 1e-5
         for n in range(0, 21, 2):

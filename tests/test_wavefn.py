@@ -40,7 +40,7 @@ def closed_form_A(n, m, b):
 
 class TestRadialGrid:
     def test_uniform_construction(self):
-        grid = RadialGrid.uniform(8.0, 17)
+        grid = RadialGrid(8.0, 17)
         assert grid.samples[0] == 0.0
         assert grid.samples[-1] == 8.0
         assert grid.num_points == 17
@@ -48,17 +48,17 @@ class TestRadialGrid:
 
     def test_rejects_even_count(self):
         with pytest.raises(ValueError):
-            RadialGrid.uniform(8.0, 16)
+            RadialGrid(8.0, 16)
 
     def test_rejects_tiny_count(self):
         with pytest.raises(ValueError):
-            RadialGrid.uniform(8.0, 1)
+            RadialGrid(8.0, 1)
 
     def test_rejects_bad_rho_max(self):
         with pytest.raises(ValueError):
-            RadialGrid.uniform(-1.0, 17)
+            RadialGrid(-1.0, 17)
         with pytest.raises(ValueError):
-            RadialGrid.uniform(math.inf, 17)
+            RadialGrid(math.inf, 17)
 
     def test_samples_match_linspace(self):
         grid = RadialGrid(rho_max=8.0, num_points=17)
@@ -68,7 +68,7 @@ class TestRadialGrid:
             RadialGrid(rho_max=8.0, num_points=17, samples=np.linspace(0.0, 8.0, 17))
 
     def test_samples_are_read_only(self):
-        grid = RadialGrid.uniform(8.0, 17)
+        grid = RadialGrid(8.0, 17)
         with pytest.raises(ValueError):
             grid.samples[0] = 1.0
 
@@ -79,7 +79,7 @@ class TestKummerProfile:
         # it must not reach for a non-terminating series
         p = natural_params()
         for m in (0, 2):
-            grid = RadialGrid.uniform(12.0, 9)
+            grid = RadialGrid(12.0, 9)
             prof = radial_psi1(QuantumNumbers(0, m), grid, p).profile
             assert np.isfinite(prof.d2value_dz2(900.0))
             values = prof.derivatives(np.array([899.5, 900.0]), 2)
@@ -93,13 +93,13 @@ class TestKummerProfile:
 
 class TestRadialFunction:
     def test_profile_is_required(self):
-        grid = RadialGrid.uniform(2.0, 9)
+        grid = RadialGrid(2.0, 9)
         with pytest.raises(TypeError):
             RadialFunction(grid=grid, params=natural_params())
 
     def test_values_are_not_an_input(self):
         p = natural_params()
-        grid = RadialGrid.uniform(2.0, 9)
+        grid = RadialGrid(2.0, 9)
         profile = radial_psi1(QuantumNumbers(0, 0), grid, p).profile
         with pytest.raises(TypeError):
             RadialFunction(grid=grid, profile=profile, params=p, values=np.ones(9))
@@ -133,7 +133,7 @@ class TestRadialFunction:
         # b = mu + 1 and the angular index is mu, for psi1 (index m), the
         # psi2 ansatz (index m) and the derived lower component (index m+1)
         p = natural_params()
-        grid = RadialGrid.uniform(8.0, 33)
+        grid = RadialGrid(8.0, 33)
         for n, m in [(0, 0), (2, 1), (3, 4)]:
             qn = QuantumNumbers(n, m)
             upper = radial_psi1(qn, grid, p)
@@ -153,20 +153,20 @@ class TestRadialFunction:
 class TestRadialPsi1:
     def test_ground_state_shape(self):
         p = natural_params()
-        grid = RadialGrid.uniform(6.0, 257)
+        grid = RadialGrid(6.0, 257)
         rf = radial_psi1(QuantumNumbers(0, 0), grid, p)
         z = grid.samples**2
         assert_allclose(rf.values, np.exp(-z / 2.0) * (1.0 - z), rtol=0, atol=1e-15)
 
     def test_value_at_origin(self):
         p = natural_params()
-        rf = radial_psi1(QuantumNumbers(0, 0), RadialGrid.uniform(6.0, 257), p)
+        rf = radial_psi1(QuantumNumbers(0, 0), RadialGrid(6.0, 257), p)
         assert rf.values[0] == 1.0
 
     def test_root_at_oscillator_length(self):
         # z = 1 at rho = b, where 1 - z vanishes
         p = natural_params()
-        grid = RadialGrid.uniform(2.0, 9)  # rho = b is the sample at index 4
+        grid = RadialGrid(2.0, 9)  # rho = b is the sample at index 4
         rf = radial_psi1(QuantumNumbers(0, 0), grid, p)
         assert abs(rf.values[4]) <= 1e-15
 
@@ -180,14 +180,14 @@ class TestRadialPsi1:
 class TestRadialPsi2:
     def test_nodeless_ground_state(self):
         p = natural_params()
-        grid = RadialGrid.uniform(6.0, 257)
+        grid = RadialGrid(6.0, 257)
         rf = radial_psi2(QuantumNumbers(0, 0), grid, p)
         assert_allclose(rf.values, np.exp(-grid.samples**2 / 2.0), rtol=0, atol=1e-15)
         assert np.all(rf.values > 0.0)
 
     def test_root_at_unit_z(self):
         p = natural_params()
-        grid = RadialGrid.uniform(2.0, 9)
+        grid = RadialGrid(2.0, 9)
         rf = radial_psi2(QuantumNumbers(1, 0), grid, p)
         assert abs(rf.values[4]) <= 1e-15  # M(-1, 1, 1) = 0
 
@@ -195,7 +195,7 @@ class TestRadialPsi2:
         # exp(-z/2) sqrt(z) L_2^{(1)}(z) / binom(3, 2), Laguerre side computed
         # through its own recurrence
         p = natural_params()
-        grid = RadialGrid.uniform(7.0, 513)
+        grid = RadialGrid(7.0, 513)
         rf = radial_psi2(QuantumNumbers(2, 1), grid, p)
         z = grid.samples**2
         expected = np.exp(-z / 2.0) * np.sqrt(z) * laguerre(2, 1, z) / 3.0
@@ -205,7 +205,7 @@ class TestRadialPsi2:
 class TestNormalize:
     def test_matches_closed_form_constant(self):
         p = natural_params()
-        grid = RadialGrid.uniform(8.0, 4097)
+        grid = RadialGrid(8.0, 4097)
         A = normalize(radial_psi1(QuantumNumbers(0, 0), grid, p))
         assert_allclose(A, closed_form_A(0, 0, 1.0), rtol=1e-9)
 
@@ -244,7 +244,7 @@ class TestNormalize:
         assert np.array_equal(rf.values, before)
 
     def test_rejects_zero_function(self):
-        grid = RadialGrid.uniform(2.0, 9)
+        grid = RadialGrid(2.0, 9)
         rf = radial_psi1(QuantumNumbers(0, 0), grid, natural_params())
         rf = RadialFunction(grid, replace(rf.profile, coeff=0.0), rf.params)
         with pytest.raises(ValueError):
@@ -252,7 +252,7 @@ class TestNormalize:
 
     def test_truncation_error_on_short_grid(self):
         p = natural_params()
-        grid = RadialGrid.uniform(2.5, 257)
+        grid = RadialGrid(2.5, 257)
         with pytest.raises(TruncationError):
             normalize(radial_psi1(QuantumNumbers(0, 0), grid, p))
 
@@ -261,7 +261,7 @@ class TestDeriveLowerComponent:
     def test_ground_state_symbolic_shape(self):
         # for (n=0, m=0): (hbar c/(E + mc^2)) * (-2) sqrt(gamma) exp(-z/2) sqrt(z)
         p = natural_params()
-        grid = RadialGrid.uniform(8.0, 513)
+        grid = RadialGrid(8.0, 513)
         qn = QuantumNumbers(0, 0)
         level = energy(qn, p)
         lower = derive_lower_component(radial_psi1(qn, grid, p), level.E)
@@ -274,7 +274,7 @@ class TestDeriveLowerComponent:
         # independent route: apply R' - (m/rho) R + gamma rho R with numerical
         # derivatives of the sampled upper component
         p = natural_params()
-        grid = RadialGrid.uniform(10.0, 8193)
+        grid = RadialGrid(10.0, 8193)
         qn = QuantumNumbers(1, 1)
         level = energy(qn, p)
         upper = radial_psi1(qn, grid, p)
@@ -289,7 +289,7 @@ class TestDeriveLowerComponent:
 
     def test_zero_input_gives_zero_output(self):
         p = natural_params()
-        grid = RadialGrid.uniform(8.0, 257)
+        grid = RadialGrid(8.0, 257)
         rf = radial_psi1(QuantumNumbers(0, 0), grid, p)
         zero = RadialFunction(grid, replace(rf.profile, coeff=0.0), p)
         lower = derive_lower_component(zero, 2.0)
@@ -297,7 +297,7 @@ class TestDeriveLowerComponent:
 
     def test_linearity_in_scale(self):
         p = natural_params()
-        grid = RadialGrid.uniform(8.0, 257)
+        grid = RadialGrid(8.0, 257)
         qn = QuantumNumbers(1, 0)
         level = energy(qn, p)
         rf = radial_psi1(qn, grid, p)
@@ -308,7 +308,7 @@ class TestDeriveLowerComponent:
 
     def test_rejects_nonpositive_total_energy(self):
         p = natural_params()
-        rf = radial_psi1(QuantumNumbers(0, 0), RadialGrid.uniform(8.0, 257), p)
+        rf = radial_psi1(QuantumNumbers(0, 0), RadialGrid(8.0, 257), p)
         with pytest.raises(ValueError):
             derive_lower_component(rf, -2.0)
 
@@ -316,7 +316,7 @@ class TestDeriveLowerComponent:
         # mu, b and a of the lower component come from psi1's profile, so a
         # function without one is refused at construction
         p = natural_params()
-        grid = RadialGrid.uniform(8.0, 257)
+        grid = RadialGrid(8.0, 257)
         with pytest.raises(TypeError):
             bare = RadialFunction(grid=grid, params=p)
             derive_lower_component(bare, 2.0)
@@ -419,7 +419,7 @@ class TestProfileShape:
     def test_gaussian_decay_beats_polynomial(self):
         # |R1| e^{+z/4} still dies off toward the grid edge at z = 60
         p = natural_params()
-        grid = RadialGrid.uniform(math.sqrt(60.0), 513)
+        grid = RadialGrid(math.sqrt(60.0), 513)
         z = grid.samples**2
         for n in range(6):
             for m in range(6):
@@ -458,6 +458,6 @@ class TestSignChanges:
 
     def test_z_of_grid_matches_units_helper(self):
         p = PhysicalParams(rest_mass=3.0, omega=0.7)
-        grid = RadialGrid.uniform(2.0, 33)
+        grid = RadialGrid(2.0, 33)
         z = to_dimensionless_z(grid.samples, p)
         assert_allclose(z, p.gamma * grid.samples**2, rtol=1e-15)
