@@ -389,9 +389,10 @@ def coupled_residual(
     takes E - m0 c^2 from ``level.excitation``, which keeps its digits where
     subtracting the rest energy from E would cancel (SI units).  Both
     first-order equations are evaluated at the interior radii through exact
-    radial derivatives of the closed forms.  The angular factors e^{i m phi} and -i e^{i(m+1) phi}
-    that multiply the two equations have modulus one, so every angle gives
-    the same relative residual and the radial reduction is the whole check.
+    radial derivatives of the closed forms.  The angular factors
+    e^{i m phi} and -i e^{i(m+1) phi} that multiply the two equations have
+    modulus one, so every angle gives the same relative residual and the
+    radial reduction is the whole check.
     The report carries the worse of the two equations' relative RMS.
     Passing ``lower`` overrides the second component (a profile with
     coeff 0 is the standard decoupling check).

@@ -162,11 +162,10 @@ class RadialFunction:
 
     ``values`` is not an input: it is the profile evaluated once at every
     grid sample, read-only, so the samples and the profile cannot disagree.
-    The normalization constant is a number ``normalize`` returns, not a
-    field.  ``angular_index`` is the e^{i k phi} factor the full 2-d
-    function carries: regularity at the origin ties it to the power
-    z**(mu/2), so it is the profile's mu (m+1 for the derived lower
-    component).
+    ``normalize`` returns the function's normalization constant.
+    ``angular_index`` is the e^{i k phi} factor the full 2-d function
+    carries: regularity at the origin ties it to the power z**(mu/2), so it
+    is the profile's mu (m+1 for the derived lower component).
     """
 
     grid: RadialGrid

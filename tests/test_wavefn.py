@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -101,6 +101,8 @@ class TestRadialFunction:
         p = natural_params()
         grid = RadialGrid(2.0, 9)
         profile = radial_psi1(QuantumNumbers(0, 0), grid, p).profile
+        init = [f.name for f in fields(RadialFunction) if f.init]
+        assert init == ["grid", "profile", "params"]
         with pytest.raises(TypeError):
             RadialFunction(grid=grid, profile=profile, params=p, values=np.ones(9))
 
