@@ -106,26 +106,29 @@ class TestRadialFunction:
         with pytest.raises(TypeError):
             RadialFunction(grid=grid, profile=profile, params=p, values=np.ones(9))
 
-    @pytest.mark.parametrize("units", ["natural", "si"])
-    def test_values_are_the_profile_on_the_grid(self, units):
-        # psi1, the psi2 ansatz and the derived lower component all sample
-        # their own profile, bit for bit, in their own units
-        if units == "natural":
-            p = natural_params()
-        else:
-            p = PhysicalParams(
+    @pytest.mark.parametrize(
+        "p",
+        [
+            natural_params(),
+            PhysicalParams(
                 rest_mass=9.1093837015e-31,
                 omega=1.0e12,
                 hbar=1.054571817e-34,
                 c=299792458.0,
-            )
+            ),
+        ],
+        ids=["natural", "si"],
+    )
+    def test_values_are_the_profile_on_the_grid(self, p):
+        # psi1, the psi2 ansatz and the derived lower component all sample
+        # their own profile, bit for bit, in their own units
         grid = default_grid(p, num_points=257)
+        z = to_dimensionless_z(grid.samples, p)
         qn = QuantumNumbers(2, 1)
         upper = radial_psi1(qn, grid, p)
         lower = derive_lower_component(upper, energy(qn, p).E)
         for rf in (upper, radial_psi2(qn, grid, p), lower):
             assert rf.params is p and rf.grid is grid
-            z = to_dimensionless_z(grid.samples, p)
             assert np.array_equal(rf.values, rf.profile.value_z(z))
             assert not rf.values.flags.writeable
             with pytest.raises(ValueError):
