@@ -38,8 +38,8 @@ import numpy as np
 
 from .spectrum import EnergyLevel, QuantumNumbers
 from .units import PhysicalParams, to_dimensionless_z
-from .wavefn import RadialFunction, RadialGrid, default_grid
-from .wavefn import derive_lower_component, radial_psi1
+from .wavefn import KummerLadder, RadialFunction, RadialGrid, derive_lower_component
+from .wavefn import radial_psi1  # noqa: F401  (perfbench's tracer test reads it here)
 
 __all__ = [
     "TridiagonalOperator",
@@ -338,13 +338,16 @@ def _relative_residual(lhs: np.ndarray, term_magnitudes: list[np.ndarray]):
     return np.abs(lhs) / scale
 
 
-def ode_residual(rf: RadialFunction, m: int, k1: float) -> ResidualReport:
+def ode_residual(
+    rf: RadialFunction, m: int, k1: float, ladder: KummerLadder | None = None
+) -> ResidualReport:
     """Residual of a radial profile in the second-order equation.
 
     Evaluates z^2 F'' + z F' + (k1 z - m^2 - z^2) F / 4 at the interior
     samples, with z in ``rf``'s own units and F', F'' taken from the exact
     closed-form derivatives of the profile (no finite differencing), and
-    normalizes by the RMS of the per-sample dominant term.
+    normalizes by the RMS of the per-sample dominant term.  ``ladder``, the
+    profile's ``KummerProfile.ladder`` at those z, spares summing it again.
     """
     grid = rf.grid
     if not np.any(rf.values):
@@ -357,7 +360,7 @@ def ode_residual(rf: RadialFunction, m: int, k1: float) -> ResidualReport:
             degenerate=True,
         )
     z = to_dimensionless_z(grid.samples[1:-1], rf.params)
-    f, fz, fzz = rf.profile.derivatives(z, 2)
+    f, fz, fzz = rf.profile.derivatives(z, 2, ladder)
     terms = [
         z * z * fzz,
         z * fz,
@@ -378,45 +381,47 @@ def ode_residual(rf: RadialFunction, m: int, k1: float) -> ResidualReport:
 
 def coupled_residual(
     level: EnergyLevel,
-    params: PhysicalParams,
-    grid: RadialGrid | None = None,
+    psi1: RadialFunction,
     lower: RadialFunction | None = None,
+    ladder: KummerLadder | None = None,
 ) -> ResidualReport:
     """Residual of (psi1, psi2) in the coupled first-order system.
 
-    psi1 is the closed-form upper component of ``level.qn``; psi2 defaults
-    to the derived lower component for ``level.E``.  The upper equation
-    takes E - m0 c^2 from ``level.excitation``, which keeps its digits where
-    subtracting the rest energy from E would cancel (SI units).  Both
-    first-order equations are evaluated at the interior radii through exact
-    radial derivatives of the closed forms.  The angular factors
-    e^{i m phi} and -i e^{i(m+1) phi} that multiply the two equations have
-    modulus one, so every angle gives the same relative residual and the
-    radial reduction is the whole check.
+    psi1 is the caller's upper component, whose grid, units and angular
+    index the check uses; psi2 defaults to the lower component derived from
+    it for ``level.E``, which reads psi1's ``ladder`` from its second term
+    on.  The upper equation takes E - m0 c^2 from ``level.excitation``, which
+    keeps its digits where subtracting the rest energy from E would cancel
+    (SI units).  Both first-order equations are evaluated at the interior
+    radii through exact radial derivatives of the closed forms.  The angular
+    factors e^{i m phi} and -i e^{i(m+1) phi} that multiply the two
+    equations have modulus one, so every angle gives the same relative
+    residual and the radial reduction is the whole check.
     The report carries the worse of the two equations' relative RMS.
     Passing ``lower`` overrides the second component (a profile with
     coeff 0 is the standard decoupling check).
     """
     E = level.E
+    params, grid = psi1.params, psi1.grid
     rest = params.rest_energy
     if not math.isfinite(E) or E + rest <= 0.0:
         raise ValueError(f"E + m0 c^2 must be positive, got E={E!r}")
-    if grid is None:
-        grid = default_grid(params)
 
-    psi1_rf = radial_psi1(level.qn, grid, params)
-    if lower is None:
-        lower = derive_lower_component(psi1_rf, E)
-
-    m = level.qn.m
+    m = psi1.angular_index
     rho = grid.samples[1:-1]
     z = to_dimensionless_z(rho, params)
     hbar_c = params.hbar * params.c
     tension = params.c * params.rest_mass * params.omega  # c m0 w
 
-    r1, r1_z = psi1_rf.profile.derivatives(z, 1)
+    if ladder is None:
+        ladder = psi1.profile.ladder(z)
+    r1, r1_z = psi1.profile.derivatives(z, 1, ladder)
     r1_prime = 2.0 * params.gamma * rho * r1_z
-    g, g_z = lower.profile.derivatives(z, 1)
+    lower_ladder = None
+    if lower is None:
+        lower = derive_lower_component(psi1, E)
+        lower_ladder = KummerLadder(ladder.a + 1.0, ladder.b + 1.0, z, ladder.terms[1:])
+    g, g_z = lower.profile.derivatives(z, 1, lower_ladder)
     g_prime = 2.0 * params.gamma * rho * g_z
 
     # Radial reductions of the two first-order equations.
@@ -449,7 +454,7 @@ def coupled_residual(
         max_residual=peak,
         num_points=grid.num_points,
         rho_max=grid.rho_max,
-        degenerate=not (np.any(psi1_rf.values) or np.any(lower.values)),
+        degenerate=not (np.any(psi1.values) or np.any(lower.values)),
     )
 
 

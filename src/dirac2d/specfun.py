@@ -3,8 +3,9 @@
 ``kummer_m`` evaluates M(a, b, z) by its ascending series for a non-positive
 integer first argument, where the series terminates and M is a polynomial.
 Every physical state in this package has such an argument; any other first
-argument is rejected.  ``laguerre`` evaluates L_n^(alpha) through the
-three-term recurrence in n and serves as an independent cross-check via
+argument is rejected.  An array b broadcasts against z (a is a scalar).
+``laguerre`` evaluates L_n^(alpha) through the three-term recurrence in n
+and serves as an independent cross-check via
 
     binom(n + alpha, n) * M(-n, alpha + 1, z) == L_n^(alpha)(z).
 
@@ -31,12 +32,10 @@ _INT_TOL = 1e-12
 _SPLITTER = 134217729.0  # 2**27 + 1, Dekker splitting constant
 
 
-def _as_nonpositive_int(x) -> int | None:
-    """Return k >= 0 such that x == -k when x is a non-positive integer."""
-    r = round(float(x))
-    if abs(x - r) <= _INT_TOL and r <= 0:
-        return -r
-    return None
+def _is_nonpositive_int(x):
+    """Where x is zero or a negative integer, elementwise."""
+    near = np.round(x)
+    return (np.abs(x - near) <= _INT_TOL) & (near <= 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -83,10 +82,10 @@ def _dd_div_double(hi, lo, x):
     return _quick_renorm(q, ((hi - p) - e + lo) / x)
 
 
-def _terminating_series(a: float, b: float, z: np.ndarray, n_terms: int) -> np.ndarray:
+def _terminating_series(a: float, b, z: np.ndarray, n_terms: int) -> np.ndarray:
     """Sum the degree-(n_terms) polynomial series in double-double precision."""
-    term_hi = np.ones_like(z)
-    term_lo = np.zeros_like(z)
+    term_hi = np.ones(np.broadcast_shapes(np.shape(b), z.shape))
+    term_lo = np.zeros_like(term_hi)
     total_hi = term_hi.copy()
     total_lo = term_lo.copy()
     for k in range(n_terms):
@@ -98,40 +97,45 @@ def _terminating_series(a: float, b: float, z: np.ndarray, n_terms: int) -> np.n
     return total_hi + total_lo
 
 
-def kummer_m(a: float, b: float, z):
+def kummer_m(a: float, b, z):
     """Confluent hypergeometric function M(a, b, z) for z >= 0.
 
     Parameters
     ----------
-    a, b : float
-        Series parameters.  a must be zero or a negative integer, so the
-        series terminates; b must not be zero or a negative integer.
+    a : float
+        Zero or a negative integer, so the series terminates; a scalar.
+    b : float or ndarray
+        No element may be zero or a negative integer.  An array broadcasts
+        against z, and each element gives the same floats as its own call.
     z : float or ndarray
         Non-negative, finite argument(s).
 
     Returns
     -------
-    float or ndarray matching the shape of z.
+    float, or ndarray of the broadcast shape of b and z.
 
     The sum uses the term recurrence
     t_{k+1} = t_k * (a + k) / ((b + k) * (k + 1)) * z, which stops after
     |a| + 1 terms (a degree-|a| polynomial) and runs in compensated
     arithmetic.
     """
-    k_poly = _as_nonpositive_int(a)
-    if k_poly is None:
+    if np.ndim(a) != 0 or not _is_nonpositive_int(float(a)):
         raise ValueError(
-            f"a must be zero or a negative integer (terminating series), got a={a}"
+            f"a must be a scalar zero or negative integer (terminating series), "
+            f"got a={a}"
         )
-    if _as_nonpositive_int(b) is not None:
-        raise ValueError(f"b must not be zero or a negative integer, got b={b}")
+    b_arr = np.asarray(b, dtype=float)
+    if not np.all(np.isfinite(b_arr)) or np.any(_is_nonpositive_int(b_arr)):
+        raise ValueError(f"b must be finite, not zero or a negative integer, got b={b}")
     arr = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("z must be finite")
     if np.any(arr < 0.0):
         raise ValueError(f"negative z is outside the supported domain, got {z}")
-    out = _terminating_series(float(round(a)), float(b), np.atleast_1d(arr), k_poly)
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+    shape = np.broadcast_shapes(b_arr.shape, arr.shape)
+    k_poly = -round(float(a))
+    out = _terminating_series(float(-k_poly), b_arr, np.atleast_1d(arr), k_poly)
+    return float(out[0]) if shape == () else out.reshape(shape)
 
 
 def laguerre(n: int, alpha: int, z):

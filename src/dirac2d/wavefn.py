@@ -28,6 +28,7 @@ tests compare the two conventions without privileging either.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +40,7 @@ from .units import PhysicalParams, to_dimensionless_z
 __all__ = [
     "TruncationError",
     "RadialGrid",
+    "KummerLadder",
     "KummerProfile",
     "RadialFunction",
     "SpinorSample",
@@ -101,6 +103,10 @@ def default_grid(
     return RadialGrid(rho_max_in_b * params.oscillator_length, num_points)
 
 
+# The terms M(a+k, b+k, z), k = 0, 1, ..., each summed once at fixed z.
+KummerLadder = namedtuple("KummerLadder", "a b z terms")
+
+
 @dataclass(frozen=True)
 class KummerProfile:
     """Descriptor of f(z) = coeff * exp(-z/2) * z**(mu/2) * M(a, mu + 1, z).
@@ -110,9 +116,9 @@ class KummerProfile:
 
         d^k M/dz^k = [a (a+1)...(a+k-1)] / [b (b+1)...(b+k-1)] M(a+k, b+k, z),
 
-    evaluating each M(a+k, b+k, z) at most once.  A term whose weight is
-    exactly zero is skipped: M is a polynomial of degree -a with no
-    derivative past it, so only terminating series are ever summed.
+    which ``ladder`` evaluates, each M(a+k, b+k, z) at most once.  A term
+    whose weight is exactly zero is skipped: M is a polynomial of degree -a
+    with no derivative past it, so only terminating series are ever summed.
     ``value_z``, ``dvalue_dz`` and ``d2value_dz2`` are single-output views.
     """
 
@@ -125,23 +131,40 @@ class KummerProfile:
         """Second Kummer argument, fixed by the power: b = mu + 1."""
         return self.mu + 1.0
 
-    def derivatives(self, z, order: int = 2) -> list:
-        """[f, f', ..., f^(order)] at z for order <= 2; f' needs z > 0 when mu > 0."""
+    def ladder(self, z, order: int = 2) -> KummerLadder:
+        """M(a+k, b+k, z) for k <= order <= 2, or 0.0 where the weight vanishes."""
         if order not in (0, 1, 2):
             raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
         a, b = self.a, self.b
         z = np.asarray(z, dtype=float)
-        pref = self.coeff * np.exp(-0.5 * z) * np.power(z, 0.5 * self.mu)
         w = (1.0, a / b, a * (a + 1.0) / (b * (b + 1.0)))
-        # M(a+k, b+k, z), or 0.0 where the weight vanishes past the degree of M
-        m = [kummer_m(a + k, b + k, z) if w[k] else 0.0 for k in range(order + 1)]
+        terms = [kummer_m(a + k, b + k, z) if w[k] else 0.0 for k in range(order + 1)]
+        return KummerLadder(a, b, z, tuple(terms))
+
+    def derivatives(self, z, order: int = 2, ladder: KummerLadder | None = None):
+        """[f, f', ..., f^(order)] at z for order <= 2; f' needs z > 0 when mu > 0.
+
+        A given ``ladder`` (this a and b at these z) is read, not summed again.
+        """
+        if order not in (0, 1, 2):
+            raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
+        a, b = self.a, self.b
+        z = np.asarray(z, dtype=float)
+        ladder = self.ladder(z, order) if ladder is None else ladder
+        if ladder[:2] != (a, b) or len(ladder.terms) <= order or not (
+            np.array_equal(ladder.z, z)
+        ):
+            raise ValueError(f"ladder of {ladder[:2]} lacks order {order} of {(a, b)} at z")
+        m = ladder.terms
+        pref = self.coeff * np.exp(-0.5 * z) * np.power(z, 0.5 * self.mu)
+        w1, w2 = a / b, a * (a + 1.0) / (b * (b + 1.0))
         out = [pref * m[0]]
         if order >= 1:
             g = 0.5 * self.mu / z - 0.5
-            out.append(pref * (g * m[0] + w[1] * m[1]))
+            out.append(pref * (g * m[0] + w1 * m[1]))
         if order == 2:
             curv = g * g - 0.5 * self.mu / (z * z)
-            out.append(pref * (curv * m[0] + 2.0 * g * w[1] * m[1] + w[2] * m[2]))
+            out.append(pref * (curv * m[0] + 2.0 * g * w1 * m[1] + w2 * m[2]))
         return out
 
     def value_z(self, z):

@@ -138,13 +138,13 @@ def test_criterion_5_eigenfunction_self_consistency():
             worst_ode = max(worst_ode, ode_residual(rf, m, level.k1).rms_residual)
             worst_coupled = max(
                 worst_coupled,
-                coupled_residual(level, p, grid=grid).rms_residual,
+                coupled_residual(level, rf).rms_residual,
             )
             E = 1.01 * level.E
             shifted = replace(level, E=E, excitation=E - p.rest_energy)
             weakest_perturbed = min(
                 weakest_perturbed,
-                coupled_residual(shifted, p, grid=grid).rms_residual,
+                coupled_residual(shifted, rf).rms_residual,
             )
     report(
         5,

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dirac2d import QuantumNumbers, energy, natural_params
+from dirac2d import (
+    QuantumNumbers,
+    energy,
+    natural_params,
+    specfun,
+    spinor_sample,
+    wavefn,
+)
 from dirac2d.cli import (
     RunConfig,
     build_parser,
@@ -16,6 +23,7 @@ from dirac2d.cli import (
     cmd_wavefn,
     config_from_args,
     main,
+    run_verification_checks,
 )
 
 CONFIG_FIELDS = [f.name for f in fields(RunConfig)]
@@ -185,6 +193,45 @@ class TestVerifyCommand:
         for row in rows:
             assert len(row) == len(header)  # no stray delimiters in cells
             assert row["passed"] in ("true", "false")
+
+
+class TestKummerBudget:
+    """kummer_m calls, counted through specfun and wavefn's import copy.
+
+    A verified state sums M(a, b) on its grid, the ladder M(a+k, b+k),
+    k <= 2, once at the interior radii for both residuals, the derived lower
+    component on its grid, the node-count profile and the psi2 ansatz: 7
+    calls, 6 at n = 0, whose ladder stops at M(0, b+1).  The
+    kummer-laguerre table makes one call per n <= 20.  Evaluating the
+    residuals' terms separately and the table pair by pair took 12 calls per
+    state (10 at n = 0) and 231 for the table.  The counts do not depend on
+    the machine.
+    """
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        original = specfun.kummer_m
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(specfun, "kummer_m", counted)
+        monkeypatch.setattr(wavefn, "kummer_m", counted)
+        return calls
+
+    @pytest.mark.parametrize("m", [0, 3])
+    @pytest.mark.parametrize("n_max", [5, 20])
+    def test_verify_budget(self, calls, m, n_max):
+        run_verification_checks(RunConfig(command="verify", m=m, n_max=n_max))
+        assert len(calls) == 7 * (n_max + 1) - 1 + 21
+
+    def test_spinor_sample_budget(self, calls):
+        p = natural_params()
+        qn = QuantumNumbers(n=7, m=2)
+        spinor_sample(qn, 1.7, 0.4, energy(qn, p).E, p)
+        assert len(calls) == 4  # psi1 and psi2 on the grid, then at the point
 
 
 class TestNrLimitCommand:

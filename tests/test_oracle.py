@@ -392,7 +392,7 @@ class TestCoupledResidual:
     def test_derived_pair_is_self_consistent(self):
         p = natural_params()
         qn = QuantumNumbers(0, 0)
-        report = coupled_residual(energy(qn, p), p)
+        report = coupled_residual(energy(qn, p), radial_psi1(qn, default_grid(p), p))
         assert report.rms_residual <= 1e-6
         assert report.equation_id == "coupled-first-order"
 
@@ -402,7 +402,8 @@ class TestCoupledResidual:
         p = si_params()
         for n, m in [(0, 0), (2, 1)]:
             level = energy(QuantumNumbers(n, m), p)
-            report = coupled_residual(level, p, grid=default_grid(p, num_points=1025))
+            psi1 = radial_psi1(level.qn, default_grid(p, num_points=1025), p)
+            report = coupled_residual(level, psi1)
             assert report.rms_residual <= 1e-6, (n, m)
 
     def test_zero_lower_component_breaks_coupling(self):
@@ -410,8 +411,9 @@ class TestCoupledResidual:
         qn = QuantumNumbers(0, 0)
         grid = RadialGrid(12.0, 1025)
         level = energy(qn, p)
-        zero = _zero_copy(derive_lower_component(radial_psi1(qn, grid, p), level.E))
-        report = coupled_residual(level, p, grid=grid, lower=zero)
+        psi1 = radial_psi1(qn, grid, p)
+        zero = _zero_copy(derive_lower_component(psi1, level.E))
+        report = coupled_residual(level, psi1, lower=zero)
         # with psi2 = 0 the upper equation is its own dominant term: rms 1
         assert_allclose(report.rms_residual, 1.0, rtol=1e-12)
         assert not report.degenerate
@@ -423,7 +425,8 @@ class TestCoupledResidual:
             level = energy(qn, p)
             E = 1.01 * level.E
             report = coupled_residual(
-                replace(level, E=E, excitation=E - p.rest_energy), p
+                replace(level, E=E, excitation=E - p.rest_energy),
+                radial_psi1(qn, default_grid(p), p),
             )
             assert report.rms_residual > 1e-3, (n, m)
 
@@ -431,7 +434,38 @@ class TestCoupledResidual:
         p = natural_params()
         with pytest.raises(ValueError):
             level = energy(QuantumNumbers(0, 0), p)
-            coupled_residual(replace(level, E=-1.5, excitation=-2.5), p)
+            psi1 = radial_psi1(level.qn, RadialGrid(12.0, 257), p)
+            coupled_residual(replace(level, E=-1.5, excitation=-2.5), psi1)
+
+    def test_shared_ladder_gives_the_same_reports(self):
+        # the ladder verify shares between both residuals changes no float
+        p = natural_params()
+        grid = RadialGrid(12.0, 1025)
+        z = grid.samples[1:-1] ** 2  # natural units: b = 1
+        for n, m in [(0, 0), (3, 2)]:
+            level = energy(QuantumNumbers(n, m), p)
+            psi1 = radial_psi1(level.qn, grid, p)
+            ladder = psi1.profile.ladder(z)
+            assert ode_residual(psi1, m, level.k1, ladder) == ode_residual(
+                psi1, m, level.k1
+            )
+            assert coupled_residual(level, psi1, ladder=ladder) == coupled_residual(
+                level, psi1
+            )
+
+    def test_ladder_of_another_state_is_refused(self):
+        p = natural_params()
+        grid = RadialGrid(12.0, 257)
+        z = grid.samples[1:-1] ** 2
+        level = energy(QuantumNumbers(2, 1), p)
+        psi1 = radial_psi1(level.qn, grid, p)
+        other = radial_psi1(QuantumNumbers(3, 1), grid, p).profile.ladder(z)
+        with pytest.raises(ValueError, match="ladder"):
+            coupled_residual(level, psi1, ladder=other)
+        with pytest.raises(ValueError, match="ladder"):
+            ode_residual(psi1, 1, level.k1, other)
+        with pytest.raises(ValueError, match="ladder"):
+            coupled_residual(level, psi1, ladder=psi1.profile.ladder(z[::-1]))
 
     def test_nonzero_override_needs_profile(self):
         p = natural_params()
@@ -439,7 +473,7 @@ class TestCoupledResidual:
         grid = RadialGrid(12.0, 1025)
         with pytest.raises(TypeError):
             junk = RadialFunction(grid=grid, params=p)
-            coupled_residual(energy(qn, p), p, grid=grid, lower=junk)
+            coupled_residual(energy(qn, p), radial_psi1(qn, grid, p), lower=junk)
 
 
 class TestResidualReport:

@@ -57,6 +57,46 @@ class TestKummerM:
         for zi, oi in zip(z, out):
             assert kummer_m(-3.0, 2.0, float(zi)) == oi
 
+    @pytest.mark.parametrize("z_set", ["table", "random"])
+    def test_array_b_equals_scalar_calls_bit_for_bit(self, z_set):
+        # the kummer-laguerre table's 21 x 11 (a, b) pairs, batched over b
+        if z_set == "table":
+            z = np.array(Z_SET)
+        else:
+            z = np.random.default_rng(20261018).uniform(0.0, 60.0, 64)
+        b = np.arange(1.0, 12.0)[:, None]
+        for n in range(21):
+            batched = kummer_m(-float(n), b, z)
+            assert batched.shape == (11, z.size)
+            scalar = np.array([kummer_m(-float(n), bi, z) for bi in b[:, 0]])
+            assert np.array_equal(batched.view(np.int64), scalar.view(np.int64)), n
+
+    def test_array_b_broadcasts_and_keeps_scalar_results_float(self):
+        assert kummer_m(-2.0, np.float64(2.0), 1.0) == kummer_m(-2.0, 2.0, 1.0)
+        assert isinstance(kummer_m(-2.0, np.array(2.0), 1.0), float)
+        out = kummer_m(-2.0, np.array([1.0, 2.0]), 1.0)
+        assert out.shape == (2,)
+        assert out[0] == kummer_m(-2.0, 1.0, 1.0) and out[1] == kummer_m(-2.0, 2.0, 1.0)
+        with pytest.raises(ValueError):
+            kummer_m(-2.0, np.array([1.0, 2.0, 3.0]), np.array([0.5, 1.0]))
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, -7.0, -3.0 + 1e-13])
+    def test_rejects_array_b_with_a_nonpositive_integer(self, bad):
+        b = np.array([1.0, 2.5, bad, 4.0])
+        with pytest.raises(ValueError, match="zero or a negative integer"):
+            kummer_m(-2.0, b, np.array([0.5, 1.0])[:, None])
+
+    def test_rejects_nonfinite_b(self):
+        for b in (math.nan, math.inf, np.array([1.0, math.nan])):
+            with pytest.raises(ValueError, match="b must be finite"):
+                kummer_m(-2.0, b, 1.0)
+
+    def test_rejects_array_a(self):
+        with pytest.raises(ValueError, match="a must be a scalar"):
+            kummer_m(np.array([-1.0, -2.0]), 2.0, 1.0)
+        with pytest.raises(ValueError, match="a must be a scalar"):
+            kummer_m(np.array([-1.0]), 2.0, 1.0)
+
     def test_polynomial_termination_by_divided_differences(self):
         # a = -k gives a degree-k polynomial: its (k+1)-th finite difference
         # over equally spaced points vanishes apart from rounding.

@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dirac2d import (
+    KummerLadder,
     KummerProfile,
     PhysicalParams,
     QuantumNumbers,
@@ -89,6 +90,40 @@ class TestKummerProfile:
         prof = KummerProfile(coeff=1.0, mu=0, a=-1.0)
         with pytest.raises(ValueError):
             prof.derivatives(1.0, 3)
+        with pytest.raises(ValueError):
+            prof.ladder(1.0, 3)
+
+    def test_ladder_gives_the_same_floats(self):
+        # psi1's ladder serves psi1 and, from its second term, the derived
+        # lower component (a+1, b+1); the floats equal separate evaluation
+        p = natural_params()
+        z = np.linspace(0.01, 40.0, 97)
+        for n, m in [(0, 0), (1, 0), (4, 3)]:
+            psi1 = radial_psi1(QuantumNumbers(n, m), RadialGrid(12.0, 9), p)
+            lower = derive_lower_component(psi1, 2.0).profile
+            ladder = psi1.profile.ladder(z)
+            shifted = KummerLadder(ladder.a + 1.0, ladder.b + 1.0, z, ladder.terms[1:])
+            for order in (0, 1, 2):
+                own = psi1.profile.derivatives(z, order)
+                read = psi1.profile.derivatives(z, order, ladder)
+                assert all(np.array_equal(x, y) for x, y in zip(own, read))
+            own = lower.derivatives(z, 1)
+            read = lower.derivatives(z, 1, shifted)
+            assert all(np.array_equal(x, y) for x, y in zip(own, read))
+
+    def test_rejects_a_ladder_of_another_profile_or_other_z(self):
+        z = np.linspace(0.5, 4.0, 8)
+        prof = KummerProfile(coeff=1.0, mu=2, a=-3.0)
+        other = KummerProfile(coeff=1.0, mu=2, a=-2.0).ladder(z)
+        with pytest.raises(ValueError, match="ladder"):
+            prof.derivatives(z, 2, other)
+        with pytest.raises(ValueError, match="ladder"):
+            prof.derivatives(z + 1.0, 2, prof.ladder(z))
+        with pytest.raises(ValueError, match="ladder"):
+            prof.derivatives(z, 2, prof.ladder(z, 1))
+        # another coeff shares the terms: they depend on (a, b, z) alone
+        scaled = replace(prof, coeff=3.0).derivatives(z, 2, prof.ladder(z))
+        assert_allclose(scaled[2], 3.0 * prof.derivatives(z, 2)[2], rtol=1e-15)
 
 
 class TestRadialFunction:
