@@ -50,7 +50,7 @@ __all__ = [
     "ode_residual",
     "coupled_residual",
     "closed_form_norm_constant",
-    "dirac_energies_from_k1",
+    "dirac_excitations_from_k1",
 ]
 
 @dataclass(frozen=True, eq=False)
@@ -307,25 +307,27 @@ def smallest_eigenvalues(op: TridiagonalOperator, count: int) -> list[float]:
     return eigenvalues
 
 
-def dirac_energies_from_k1(
+def dirac_excitations_from_k1(
     k1_values, m: int, params: PhysicalParams
 ) -> list[tuple[int, float]]:
-    """Map finite-difference k1 levels onto bound-state energies.
+    """Map finite-difference k1 levels onto bound-state excitations E - m0 c^2.
 
     Each k1 = 2(2 n_r + m + 1) level with n_r >= 1 corresponds to the state
-    n = n_r - 1 through E^2 = (m0 c^2)^2 + (k1 - 2(m+1)) m0 c^2 hbar w.  The
-    n_r = 0 level sits exactly at the rest energy, where the terminating
-    index would be -1; the quantized family starts above it, so that level
-    is skipped here by design rather than reported as a mismatch.
+    n = n_r - 1 through E^2 = (m0 c^2)^2 + x (m0 c^2)^2, x = (k1 - 2(m+1)) lam.
+    The excitation m0 c^2 x / (1 + sqrt(1 + x)) keeps its digits where E
+    itself rounds to m0 c^2 (SI units).  The n_r = 0 level sits exactly at
+    the rest energy, where the terminating index would be -1; the quantized
+    family starts above it, so that level is skipped here by design rather
+    than reported as a mismatch.
     """
-    rest = params.rest_energy
     out = []
     for k1 in k1_values:
         kinetic = float(k1) - 2.0 * (m + 1)
         n_r = int(round(kinetic / 4.0))
         if n_r < 1:
             continue
-        out.append((n_r - 1, rest * math.sqrt(1.0 + kinetic * params.lam)))
+        x = kinetic * params.lam
+        out.append((n_r - 1, params.rest_energy * x / (1.0 + math.sqrt(1.0 + x))))
     return out
 
 

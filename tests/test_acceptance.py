@@ -18,7 +18,7 @@ from dirac2d import (
     coupled_residual,
     count_radial_nodes,
     default_grid,
-    dirac_energies_from_k1,
+    dirac_excitations_from_k1,
     energy,
     kummer_m,
     laguerre,
@@ -88,11 +88,9 @@ def test_criterion_3_finite_difference_oracle_agreement():
         ok = ok and bool(np.all(err_fine <= 2.5e-4))
         ok = ok and bool(np.all((ratios >= 3.6) & (ratios <= 4.4)))
         details.append(f"m={m} err {err_coarse.max():.1e} ratio {ratios.mean():.2f}")
-        for n, e_fd in dirac_energies_from_k1(k1_coarse, m, p):
-            rel = abs(e_fd - energy(QuantumNumbers(n, m), p).E) / energy(
-                QuantumNumbers(n, m), p
-            ).E
-            ok = ok and rel <= 1e-3
+        for n, x_fd in dirac_excitations_from_k1(k1_coarse, m, p):
+            exact = energy(QuantumNumbers(n, m), p).excitation
+            ok = ok and abs(x_fd - exact) / exact <= 1e-3
     report(3, "finite-difference spectrum and mapping", ok, "; ".join(details))
 
 

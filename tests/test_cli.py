@@ -10,6 +10,7 @@ from dirac2d import (
     QuantumNumbers,
     energy,
     natural_params,
+    oracle,
     specfun,
     spinor_sample,
     wavefn,
@@ -193,6 +194,37 @@ class TestVerifyCommand:
         for row in rows:
             assert len(row) == len(header)  # no stray delimiters in cells
             assert row["passed"] in ("true", "false")
+
+
+class TestDiracEnergyMapCheck:
+    """The dirac-energy-map check compares excitations E - m0 c^2.
+
+    In SI units E rounds to m0 c^2, so a check on E reads 0.0 whatever the
+    finite-difference levels are; on the excitations it can fail.
+    """
+
+    @staticmethod
+    def _checks(units):
+        config = RunConfig(command="verify", units=units, n_max=1, grid_points=1025)
+        return {c["name"]: c for c in run_verification_checks(config)}
+
+    @pytest.mark.parametrize("units", ["natural", "si"])
+    def test_levels_off_by_one_percent_fail(self, units, monkeypatch):
+        original = oracle.smallest_eigenvalues
+
+        def scaled(op, count):
+            return [1.01 * k1 for k1 in original(op, count)]
+
+        monkeypatch.setattr(oracle, "smallest_eigenvalues", scaled)
+        check = self._checks(units)["dirac-energy-map"]
+        assert not check["passed"]
+        assert check["measured"] > 1e-2
+
+    @pytest.mark.parametrize("units", ["natural", "si"])
+    def test_true_levels_pass_with_a_discretization_error(self, units):
+        check = self._checks(units)["dirac-energy-map"]
+        assert check["passed"]
+        assert 1e-7 < check["measured"] < 1e-3
 
 
 class TestKummerBudget:

@@ -15,7 +15,7 @@ from dirac2d import (
     coupled_residual,
     default_grid,
     derive_lower_component,
-    dirac_energies_from_k1,
+    dirac_excitations_from_k1,
     energy,
     integrate_radial,
     natural_params,
@@ -317,15 +317,26 @@ class TestSolverPasses:
 class TestDiracEnergyMapping:
     def test_skips_threshold_level(self):
         p = natural_params()
-        mapped = dirac_energies_from_k1([aux_k1(0, 0)], 0, p)
+        mapped = dirac_excitations_from_k1([aux_k1(0, 0)], 0, p)
         assert mapped == []
 
     def test_maps_excited_levels(self):
         p = natural_params()
-        mapped = dirac_energies_from_k1([aux_k1(nr, 2) for nr in range(4)], 2, p)
+        mapped = dirac_excitations_from_k1([aux_k1(nr, 2) for nr in range(4)], 2, p)
         assert [n for n, _ in mapped] == [0, 1, 2]
-        for n, e_fd in mapped:
-            assert_allclose(e_fd, energy(QuantumNumbers(n, 0), p).E, rtol=1e-14)
+        for n, x_fd in mapped:
+            assert_allclose(x_fd, energy(QuantumNumbers(n, 0), p).excitation, rtol=1e-14)
+
+    def test_keeps_the_excitation_digits_in_si_units(self):
+        # at omega = 1 rad/s E rounds to m0 c^2 (lam ~ 1e-21), so only the
+        # excitation can tell a wrong level from a right one
+        p = replace(si_params(), omega=1.0)
+        mapped = dirac_excitations_from_k1([aux_k1(nr, 1) for nr in range(1, 4)], 1, p)
+        for n, x_fd in mapped:
+            level = energy(QuantumNumbers(n, 1), p)
+            assert level.E == p.rest_energy
+            assert_allclose(x_fd, level.excitation, rtol=1e-14)
+            assert_allclose(x_fd, 2.0 * (n + 1) * p.energy_quantum, rtol=1e-12)
 
 
 class TestOdeResidual:
