@@ -286,11 +286,10 @@ def run_verification_checks(config: RunConfig) -> list[dict]:
     detail = f"first {levels} levels at m={m} on {grid.num_points} points"
     results.append(("fd-spectrum", worst, detail))
 
-    # The same finite-difference levels mapped onto excitations E - m0 c^2,
-    # which keep their digits where E rounds to m0 c^2 (SI units).
+    # The same finite-difference levels mapped onto excitations E - m0 c^2.
     mapped = oracle.dirac_excitations_from_k1(k1_fd, m, params)
-    exact = [spectrum.energy(QuantumNumbers(n=n, m=m), params) for n, _ in mapped]
-    worst = max(abs(x - e.excitation) / e.excitation for (_, x), e in zip(mapped, exact))
+    ref = [spectrum.energy(QuantumNumbers(n=n, m=m), params) for n, _ in mapped]
+    worst = max(abs(x - e.excitation) / e.excitation for (_, x), e in zip(mapped, ref))
     results.append(("dirac-energy-map", worst, f"{len(mapped)} mapped levels at m={m}"))
 
     # One pass over the states: each level and psi1 profile is built once.
@@ -324,15 +323,14 @@ def run_verification_checks(config: RunConfig) -> list[dict]:
     results.append(("node-counts", mismatches, detail))
     results.append(("normalization", worst_norm, detail))
 
-    # Kummer series against the independent Laguerre recurrence; one
-    # kummer_m call per n sums the series for every alpha.
+    # Kummer series against the independent Laguerre recurrence.
     worst = 0.0
     z_set = np.array([0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0])
     b_column = np.arange(1.0, 12.0)[:, None]  # alpha + 1 for alpha = 0 .. 10
     for n in range(21):
         lag = np.array([specfun.laguerre(n, alpha, z_set) for alpha in range(11)])
-        binom = [[math.comb(n + alpha, n)] for alpha in range(11)]
-        kum = np.array(binom, dtype=float) * specfun.kummer_m(-float(n), b_column, z_set)
+        binom = np.array([[math.comb(n + alpha, n)] for alpha in range(11)], float)
+        kum = binom * specfun.kummer_m(-float(n), b_column, z_set)
         dev = np.max(np.abs(kum - lag) / np.maximum(1.0, np.abs(lag)))
         worst = max(worst, float(dev))
     detail = "n <= 20 and alpha <= 10 with z up to 50"

@@ -312,13 +312,12 @@ def dirac_excitations_from_k1(
 ) -> list[tuple[int, float]]:
     """Map finite-difference k1 levels onto bound-state excitations E - m0 c^2.
 
-    Each k1 = 2(2 n_r + m + 1) level with n_r >= 1 corresponds to the state
-    n = n_r - 1 through E^2 = (m0 c^2)^2 + x (m0 c^2)^2, x = (k1 - 2(m+1)) lam.
-    The excitation m0 c^2 x / (1 + sqrt(1 + x)) keeps its digits where E
-    itself rounds to m0 c^2 (SI units).  The n_r = 0 level sits exactly at
-    the rest energy, where the terminating index would be -1; the quantized
-    family starts above it, so that level is skipped here by design rather
-    than reported as a mismatch.
+    Each k1 = 2(2 n_r + m + 1) level with n_r >= 1 is the state n = n_r - 1
+    with excitation m0 c^2 x / (1 + sqrt(1 + x)), x = (k1 - 2(m+1)) lam,
+    which keeps its digits where E rounds to m0 c^2 (SI units).  The
+    n_r = 0 level sits exactly at the rest energy, where the terminating
+    index would be -1; the quantized family starts above it, so that level
+    is skipped here by design rather than reported as a mismatch.
     """
     out = []
     for k1 in k1_values:

@@ -120,10 +120,7 @@ def kummer_m(a: float, b, z):
     arithmetic.
     """
     if np.ndim(a) != 0 or not _is_nonpositive_int(float(a)):
-        raise ValueError(
-            f"a must be a scalar zero or negative integer (terminating series), "
-            f"got a={a}"
-        )
+        raise ValueError(f"a must be a scalar in 0, -1, -2, ..., got a={a}")
     b_arr = np.asarray(b, dtype=float)
     if not np.all(np.isfinite(b_arr)) or np.any(_is_nonpositive_int(b_arr)):
         raise ValueError(f"b must be finite, not zero or a negative integer, got b={b}")
@@ -132,10 +129,9 @@ def kummer_m(a: float, b, z):
         raise ValueError("z must be finite")
     if np.any(arr < 0.0):
         raise ValueError(f"negative z is outside the supported domain, got {z}")
-    shape = np.broadcast_shapes(b_arr.shape, arr.shape)
     k_poly = -round(float(a))
     out = _terminating_series(float(-k_poly), b_arr, np.atleast_1d(arr), k_poly)
-    return float(out[0]) if shape == () else out.reshape(shape)
+    return float(out[0]) if b_arr.ndim == arr.ndim == 0 else out
 
 
 def laguerre(n: int, alpha: int, z):

@@ -142,19 +142,17 @@ class KummerProfile:
         return KummerLadder(a, b, z, tuple(terms))
 
     def derivatives(self, z, order: int = 2, ladder: KummerLadder | None = None):
-        """[f, f', ..., f^(order)] at z for order <= 2; f' needs z > 0 when mu > 0.
-
-        A given ``ladder`` (this a and b at these z) is read, not summed again.
-        """
+        """[f, f', ..., f^(order)] at z, order <= 2, read from ``ladder`` if given."""
         if order not in (0, 1, 2):
             raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
         a, b = self.a, self.b
         z = np.asarray(z, dtype=float)
-        ladder = self.ladder(z, order) if ladder is None else ladder
-        if ladder[:2] != (a, b) or len(ladder.terms) <= order or not (
+        if ladder is None:
+            ladder = self.ladder(z, order)
+        elif ladder[:2] != (a, b) or len(ladder.terms) <= order or not (
             np.array_equal(ladder.z, z)
         ):
-            raise ValueError(f"ladder of {ladder[:2]} lacks order {order} of {(a, b)} at z")
+            raise ValueError(f"ladder {ladder[:2]} lacks order {order} of {a, b} at z")
         m = ladder.terms
         pref = self.coeff * np.exp(-0.5 * z) * np.power(z, 0.5 * self.mu)
         w1, w2 = a / b, a * (a + 1.0) / (b * (b + 1.0))
