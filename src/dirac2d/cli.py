@@ -295,24 +295,32 @@ def run_verification_checks(config: RunConfig) -> list[dict]:
     # One pass over the states: each level and psi1 profile is built once.
     worst_ode = worst_coupled = worst_norm = 0.0
     mismatches = 0
+    z = to_dimensionless_z(grid.samples, params)
+    # The psi2 ansatz M(-n, m+1) of state n is psi1's profile at state n-1.
+    ansatz = wavefn.radial_psi2(QuantumNumbers(n=0, m=m), grid, params)
     for n in range(config.n_max + 1):
         qn = QuantumNumbers(n=n, m=m)
         level = spectrum.energy(qn, params)
-        rf = wavefn.radial_psi1(qn, grid, params)
-        # One Kummer ladder at the interior radii serves both residuals.
-        ladder = rf.profile.ladder(to_dimensionless_z(grid.samples[1:-1], params))
+        # psi1's Kummer ladder, summed once on the grid, gives its values and
+        # (at the interior radii) both residuals' exact derivatives.
+        profile = wavefn.psi1_profile(qn)
+        ladder = profile.ladder(z)
+        rf = wavefn.RadialFunction(grid, profile, params, ladder)
+        inner = ladder._replace(  # a zero-weight term stays 0.0
+            z=z[1:-1], terms=tuple(t[1:-1] if np.ndim(t) else t for t in ladder.terms)
+        )
         # Closed-form profile pushed through the second-order radial equation.
-        ode = oracle.ode_residual(rf, m, level.k1, ladder)
+        ode = oracle.ode_residual(rf, m, level.k1, inner)
         worst_ode = max(worst_ode, ode.rms_residual)
         # Upper plus derived lower component in the coupled first-order system.
-        coupled = oracle.coupled_residual(level, rf, ladder=ladder)
+        coupled = oracle.coupled_residual(level, rf, ladder=inner)
         worst_coupled = max(worst_coupled, coupled.rms_residual)
         # Node counts: n+1 sign changes for psi1, n for the psi2 ansatz.
         if wavefn.count_radial_nodes(qn, params) != n + 1:
             mismatches += 1
-        ansatz = wavefn.radial_psi2(qn, grid, params)
         if wavefn.sign_changes(ansatz.values[1:-1]) != n:
             mismatches += 1
+        ansatz = rf
         # Quadrature normalization against the Laguerre-orthogonality constant.
         quad = wavefn.normalize(rf)
         closed = oracle.closed_form_norm_constant(qn, params)
@@ -326,11 +334,11 @@ def run_verification_checks(config: RunConfig) -> list[dict]:
     # Kummer series against the independent Laguerre recurrence.
     worst = 0.0
     z_set = np.array([0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0])
-    b_column = np.arange(1.0, 12.0)[:, None]  # alpha + 1 for alpha = 0 .. 10
+    alpha_column = np.arange(11)[:, None]  # alpha = 0 .. 10
     for n in range(21):
-        lag = np.array([specfun.laguerre(n, alpha, z_set) for alpha in range(11)])
+        lag = specfun.laguerre(n, alpha_column, z_set)
         binom = np.array([[math.comb(n + alpha, n)] for alpha in range(11)], float)
-        kum = binom * specfun.kummer_m(-float(n), b_column, z_set)
+        kum = binom * specfun.kummer_m(-float(n), alpha_column + 1.0, z_set)
         dev = np.max(np.abs(kum - lag) / np.maximum(1.0, np.abs(lag)))
         worst = max(worst, float(dev))
     detail = "n <= 20 and alpha <= 10 with z up to 50"

@@ -38,7 +38,7 @@ import numpy as np
 
 from .spectrum import EnergyLevel, QuantumNumbers
 from .units import PhysicalParams, to_dimensionless_z
-from .wavefn import KummerLadder, RadialFunction, RadialGrid, derive_lower_component
+from .wavefn import KummerLadder, RadialFunction, RadialGrid, lower_component_profile
 from .wavefn import radial_psi1  # noqa: F401  (perfbench's tracer test reads it here)
 
 __all__ = [
@@ -89,7 +89,8 @@ class ResidualReport:
     of the equation, so the numbers are grid and parameter independent and
     a one-percent eigenvalue error registers at the percent level.
     ``degenerate`` marks an identically zero input, reported as zero
-    residual by convention.
+    residual by convention.  ``worst_rho`` is the radius of the largest
+    relative residual (0.0 where none was evaluated).
     """
 
     equation_id: str
@@ -98,6 +99,7 @@ class ResidualReport:
     num_points: int
     rho_max: float
     degenerate: bool = False
+    worst_rho: float = 0.0
 
     def __post_init__(self):
         if self.rms_residual < 0.0 or self.max_residual < 0.0:
@@ -377,6 +379,7 @@ def ode_residual(
         max_residual=float(np.max(rel)),
         num_points=grid.num_points,
         rho_max=grid.rho_max,
+        worst_rho=float(grid.samples[1 + np.argmax(rel)]),
     )
 
 
@@ -389,15 +392,16 @@ def coupled_residual(
     """Residual of (psi1, psi2) in the coupled first-order system.
 
     psi1 is the caller's upper component, whose grid, units and angular
-    index the check uses; psi2 defaults to the lower component derived from
-    it for ``level.E``, which reads psi1's ``ladder`` from its second term
-    on.  The upper equation takes E - m0 c^2 from ``level.excitation``, which
-    keeps its digits where subtracting the rest energy from E would cancel
-    (SI units).  Both first-order equations are evaluated at the interior
-    radii through exact radial derivatives of the closed forms.  The angular
-    factors e^{i m phi} and -i e^{i(m+1) phi} that multiply the two
-    equations have modulus one, so every angle gives the same relative
-    residual and the radial reduction is the whole check.
+    index the check uses; psi2 defaults to the profile of the lower
+    component derived from it for ``level.E``, which reads psi1's ``ladder``
+    from its second term on and is never sampled on the grid.  The upper
+    equation takes E - m0 c^2 from ``level.excitation``, which keeps its
+    digits where subtracting the rest energy from E would cancel (SI units).
+    Both first-order equations are evaluated at the interior radii through
+    exact radial derivatives of the closed forms.  The angular factors
+    e^{i m phi} and -i e^{i(m+1) phi} that multiply the two equations have
+    modulus one, so every angle gives the same relative residual and the
+    radial reduction is the whole check.
     The report carries the worse of the two equations' relative RMS.
     Passing ``lower`` overrides the second component (a profile with
     coeff 0 is the standard decoupling check).
@@ -418,11 +422,12 @@ def coupled_residual(
         ladder = psi1.profile.ladder(z)
     r1, r1_z = psi1.profile.derivatives(z, 1, ladder)
     r1_prime = 2.0 * params.gamma * rho * r1_z
-    lower_ladder = None
     if lower is None:
-        lower = derive_lower_component(psi1, E)
+        lower_profile = lower_component_profile(psi1, E)
         lower_ladder = KummerLadder(ladder.a + 1.0, ladder.b + 1.0, z, ladder.terms[1:])
-    g, g_z = lower.profile.derivatives(z, 1, lower_ladder)
+    else:
+        lower_profile, lower_ladder = lower.profile, None
+    g, g_z = lower_profile.derivatives(z, 1, lower_ladder)
     g_prime = 2.0 * params.gamma * rho * g_z
 
     # Radial reductions of the two first-order equations.
@@ -448,14 +453,15 @@ def coupled_residual(
         float(np.sqrt(np.mean(rel_up * rel_up))),
         float(np.sqrt(np.mean(rel_down * rel_down))),
     )
-    peak = max(float(np.max(rel_up)), float(np.max(rel_down)))
+    worse = rel_up if np.max(rel_up) >= np.max(rel_down) else rel_down
     return ResidualReport(
         equation_id="coupled-first-order",
         rms_residual=rms,
-        max_residual=peak,
+        max_residual=float(np.max(worse)),
         num_points=grid.num_points,
         rho_max=grid.rho_max,
-        degenerate=not (np.any(psi1.values) or np.any(lower.values)),
+        degenerate=not (np.any(psi1.values) or np.any(g)),
+        worst_rho=float(rho[np.argmax(worse)]),
     )
 
 

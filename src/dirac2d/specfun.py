@@ -134,7 +134,7 @@ def kummer_m(a: float, b, z):
     return float(out[0]) if b_arr.ndim == arr.ndim == 0 else out
 
 
-def laguerre(n: int, alpha: int, z):
+def laguerre(n: int, alpha, z):
     """Associated Laguerre polynomial L_n^(alpha)(z) for z >= 0.
 
     Uses the upward recurrence
@@ -143,17 +143,19 @@ def laguerre(n: int, alpha: int, z):
     ``long double``.  Near a high-order root the final subtraction cancels
     against intermediates ~exp(z/2) larger than the result; for n <= 20,
     alpha <= 10 and z <= 50 it still meets the Kummer series to about 1e-13.
+    An integer array alpha broadcasts against z, each element as its own call.
     """
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise ValueError(f"n must be a non-negative integer, got {n!r}")
-    if not isinstance(alpha, (int, np.integer)) or alpha < 0:
-        raise ValueError(f"alpha must be a non-negative integer, got {alpha!r}")
+    alpha = np.asarray(alpha)
+    if alpha.dtype.kind not in "iu" or np.any(alpha < 0):
+        raise ValueError(f"alpha must be non-negative integers, got {alpha}")
     arr = np.asarray(z, dtype=float)
     if np.any(arr < 0.0):
         raise ValueError(f"negative z is outside the supported domain, got {z}")
-    scalar = arr.ndim == 0
+    scalar = alpha.ndim == arr.ndim == 0
 
-    prev = np.ones_like(arr)
+    prev = np.ones(np.broadcast_shapes(alpha.shape, arr.shape))
     if n == 0:
         return 1.0 if scalar else prev
     cur = (alpha + 1.0) - arr

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -45,9 +45,11 @@ __all__ = [
     "RadialFunction",
     "SpinorSample",
     "default_grid",
+    "psi1_profile",
     "radial_psi1",
     "radial_psi2",
     "normalize",
+    "lower_component_profile",
     "derive_lower_component",
     "spinor_sample",
     "count_radial_nodes",
@@ -165,8 +167,8 @@ class KummerProfile:
             out.append(pref * (curv * m[0] + 2.0 * g * w1 * m[1] + w2 * m[2]))
         return out
 
-    def value_z(self, z):
-        return self.derivatives(z, 0)[0]
+    def value_z(self, z, ladder: KummerLadder | None = None):
+        return self.derivatives(z, 0, ladder)[0]
 
     def dvalue_dz(self, z):
         """Exact d/dz; requires z > 0 when mu > 0."""
@@ -183,6 +185,7 @@ class RadialFunction:
 
     ``values`` is not an input: it is the profile evaluated once at every
     grid sample, read-only, so the samples and the profile cannot disagree.
+    A ``ladder`` of the profile at those samples is read, not summed again.
     ``normalize`` returns the function's normalization constant.
     ``angular_index`` is the e^{i k phi} factor the full 2-d function
     carries: regularity at the origin ties it to the power z**(mu/2), so it
@@ -193,9 +196,11 @@ class RadialFunction:
     profile: KummerProfile
     params: PhysicalParams
     values: np.ndarray = field(init=False)
+    ladder: InitVar[KummerLadder | None] = None
 
-    def __post_init__(self):
-        values = self.profile.value_z(to_dimensionless_z(self.grid.samples, self.params))
+    def __post_init__(self, ladder):
+        z = to_dimensionless_z(self.grid.samples, self.params)
+        values = self.profile.value_z(z, ladder)
         if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite at every sample")
         values.setflags(write=False)
@@ -219,12 +224,16 @@ class SpinorSample:
         object.__setattr__(self, "phi", float(self.phi) % (2.0 * math.pi))
 
 
+def psi1_profile(qn: QuantumNumbers) -> KummerProfile:
+    """Upper-component profile exp(-z/2) z**(m/2) M(-(n+1), m+1, z)."""
+    return KummerProfile(coeff=1.0, mu=qn.m, a=-(qn.n + 1.0))
+
+
 def radial_psi1(
     qn: QuantumNumbers, grid: RadialGrid, params: PhysicalParams
 ) -> RadialFunction:
-    """Upper-component radial profile exp(-z/2) z**(m/2) M(-(n+1), m+1, z)."""
-    profile = KummerProfile(coeff=1.0, mu=qn.m, a=-(qn.n + 1.0))
-    return RadialFunction(grid, profile, params)
+    """Upper-component radial function: ``psi1_profile`` sampled on the grid."""
+    return RadialFunction(grid, psi1_profile(qn), params)
 
 
 def radial_psi2(
@@ -273,6 +282,21 @@ def normalize(rf: RadialFunction) -> float:
     return 1.0 / math.sqrt(total)
 
 
+def lower_component_profile(psi1_radial: RadialFunction, E: float) -> KummerProfile:
+    """Profile of ``derive_lower_component``, without sampling it on a grid."""
+    params = psi1_radial.params
+    rest = params.rest_energy
+    if not math.isfinite(E) or E + rest <= 0.0:
+        raise ValueError(f"E + m0 c^2 must be positive, got E={E!r}")
+    p = psi1_radial.profile
+    scale = params.hbar * params.c / (E + rest)
+    return KummerProfile(
+        coeff=p.coeff * scale * 2.0 * math.sqrt(params.gamma) * (p.a / p.b),
+        mu=p.mu + 1,
+        a=p.a + 1.0,
+    )
+
+
 def derive_lower_component(psi1_radial: RadialFunction, E: float) -> RadialFunction:
     """Lower-component radial profile obtained from the coupling operator.
 
@@ -284,18 +308,8 @@ def derive_lower_component(psi1_radial: RadialFunction, E: float) -> RadialFunct
     R = coeff e^{-z/2} z^{m/2} M(a, b, z) it equals
     2 sqrt(gamma) coeff (a/b) e^{-z/2} z^{(m+1)/2} M(a+1, b+1, z).
     """
-    params = psi1_radial.params
-    rest = params.rest_energy
-    if not math.isfinite(E) or E + rest <= 0.0:
-        raise ValueError(f"E + m0 c^2 must be positive, got E={E!r}")
-    p = psi1_radial.profile
-    scale = params.hbar * params.c / (E + rest)
-    out = KummerProfile(
-        coeff=p.coeff * scale * 2.0 * math.sqrt(params.gamma) * (p.a / p.b),
-        mu=p.mu + 1,
-        a=p.a + 1.0,
-    )
-    return RadialFunction(psi1_radial.grid, out, params)
+    profile = lower_component_profile(psi1_radial, E)
+    return RadialFunction(psi1_radial.grid, profile, psi1_radial.params)
 
 
 def spinor_sample(

@@ -228,36 +228,48 @@ class TestDiracEnergyMapCheck:
 
 
 class TestKummerBudget:
-    """kummer_m calls, counted through specfun and wavefn's import copy.
+    """kummer_m and laguerre calls, counted through the module attributes.
 
-    A verified state sums M(a, b) on its grid, the ladder M(a+k, b+k),
-    k <= 2, once at the interior radii for both residuals, the derived lower
-    component on its grid, the node-count profile and the psi2 ansatz: 7
-    calls, 6 at n = 0, whose ladder stops at M(0, b+1).  The
-    kummer-laguerre table makes one call per n <= 20.  Evaluating the
-    residuals' terms separately and the table pair by pair took 12 calls per
-    state (10 at n = 0) and 231 for the table.  The counts do not depend on
-    the machine.
+    A verified state sums psi1's ladder M(a+k, b+k), k <= 2, once on its
+    grid: the values read its first term and both residuals its interior
+    slice, and the derived lower component reads it from its second term on
+    without being sampled.  The node-count profile adds one call.  The psi2
+    ansatz M(-n, m+1) of state n is psi1's profile at state n-1, so only
+    n = 0 sums it, in place of the ladder term M(0, b+1) that stops there:
+    4 calls per state.  The kummer-laguerre table makes one kummer_m and one
+    laguerre call per n <= 20.  Summing the values, the lower component and
+    the ansatz separately took 7 calls per state (6 at n = 0); calling
+    laguerre pair by pair took 231.  The counts do not depend on the
+    machine.
     """
 
-    @pytest.fixture
-    def calls(self, monkeypatch):
+    @staticmethod
+    def _count(monkeypatch, name, owners):
         calls = []
-        original = specfun.kummer_m
+        original = getattr(specfun, name)
 
         def counted(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(specfun, "kummer_m", counted)
-        monkeypatch.setattr(wavefn, "kummer_m", counted)
+        for owner in owners:
+            monkeypatch.setattr(owner, name, counted)
         return calls
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        return self._count(monkeypatch, "kummer_m", (specfun, wavefn))
+
+    @pytest.fixture
+    def laguerre_calls(self, monkeypatch):
+        return self._count(monkeypatch, "laguerre", (specfun,))
 
     @pytest.mark.parametrize("m", [0, 3])
     @pytest.mark.parametrize("n_max", [5, 20])
-    def test_verify_budget(self, calls, m, n_max):
+    def test_verify_budget(self, calls, laguerre_calls, m, n_max):
         run_verification_checks(RunConfig(command="verify", m=m, n_max=n_max))
-        assert len(calls) == 7 * (n_max + 1) - 1 + 21
+        assert len(calls) == 4 * (n_max + 1) + 21
+        assert len(laguerre_calls) == 21
 
     def test_spinor_sample_budget(self, calls):
         p = natural_params()

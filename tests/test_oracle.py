@@ -392,6 +392,25 @@ class TestOdeResidual:
             rf = RadialFunction(grid=grid, params=natural_params())
             ode_residual(rf, 0, 6.0)
 
+    @pytest.mark.parametrize("n, m", [(0, 0), (2, 1), (5, 3)])
+    def test_worst_rho_is_where_a_perturbed_k1_peaks(self, n, m):
+        # the residual of a perturbed k1 is (dk1 / 4) z F per sample, up to
+        # the exact solution's roundoff: it peaks where |z F| does
+        p = natural_params()
+        grid = RadialGrid(12.0, 1025)
+        rf = radial_psi1(QuantumNumbers(n, m), grid, p)
+        k1 = energy(QuantumNumbers(n, m), p).k1
+        report = ode_residual(rf, m, 1.01 * k1)
+        rho = grid.samples[1:-1]
+        z = rho * rho  # natural units: b = 1
+        f, fz, fzz = rf.profile.derivatives(z, 2)
+        lhs = z * z * fzz + z * fz + 0.25 * (1.01 * k1 * z - m * m - z * z) * f
+        for peak in (np.abs(lhs), np.abs(z * f)):
+            at = peak[rho == report.worst_rho]
+            assert at.size == 1 and at[0] >= (1.0 - 1e-9) * peak.max()
+        assert ode_residual(rf, m, k1).worst_rho in rho
+        assert ode_residual(_zero_copy(rf), m, k1).worst_rho == 0.0
+
     def test_rms_bounded_by_max(self):
         p = natural_params()
         rf = radial_psi1(QuantumNumbers(2, 1), RadialGrid(12.0, 513), p)
@@ -477,6 +496,55 @@ class TestCoupledResidual:
             ode_residual(psi1, 1, level.k1, other)
         with pytest.raises(ValueError, match="ladder"):
             coupled_residual(level, psi1, ladder=psi1.profile.ladder(z[::-1]))
+
+    # (rms, max, degenerate) that sampling the derived lower component on
+    # the grid gave; reading its profile alone must keep them
+    @pytest.mark.parametrize(
+        "n, m, case, expected",
+        [
+            (0, 0, "zero psi1", (0.0, 0.0, True)),
+            (3, 2, "zero psi1", (0.0, 0.0, True)),
+            (0, 0, "coeff-0 lower", (0.9999999999999999, 4.2648978555006005, False)),
+            (3, 2, "coeff-0 lower", (0.9999999999999999, 3.3339035722470727, False)),
+        ],
+    )
+    def test_zero_inputs_keep_their_flag_and_numbers(self, n, m, case, expected):
+        p = natural_params()
+        grid = RadialGrid(12.0, 1025)
+        level = energy(QuantumNumbers(n, m), p)
+        psi1 = radial_psi1(level.qn, grid, p)
+        if case == "zero psi1":
+            report = coupled_residual(level, _zero_copy(psi1))
+        else:
+            zero = _zero_copy(derive_lower_component(psi1, level.E))
+            report = coupled_residual(level, psi1, lower=zero)
+        got = (report.rms_residual, report.max_residual, report.degenerate)
+        assert got[2] == expected[2]
+        assert_allclose(got[:2], expected[:2], rtol=1e-14, atol=0.0)
+
+    def test_derived_profile_equals_the_sampled_override(self):
+        # the default psi2 reads psi1's ladder; passing the sampled derived
+        # component sums its own terms; both give the same floats
+        p = natural_params()
+        grid = RadialGrid(12.0, 1025)
+        for n, m in [(0, 0), (3, 2)]:
+            level = energy(QuantumNumbers(n, m), p)
+            psi1 = radial_psi1(level.qn, grid, p)
+            lower = derive_lower_component(psi1, level.E)
+            assert coupled_residual(level, psi1) == coupled_residual(
+                level, psi1, lower=lower
+            )
+
+    def test_worst_rho_is_a_grid_sample_at_the_peak(self):
+        p = natural_params()
+        grid = RadialGrid(12.0, 1025)
+        level = energy(QuantumNumbers(2, 1), p)
+        psi1 = radial_psi1(level.qn, grid, p)
+        for report in (
+            coupled_residual(replace(level, E=1.01 * level.E), psi1),
+            coupled_residual(level, psi1, lower=_zero_copy(psi1)),
+        ):
+            assert report.worst_rho in grid.samples[1:-1]
 
     def test_nonzero_override_needs_profile(self):
         p = natural_params()

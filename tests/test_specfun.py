@@ -185,6 +185,31 @@ class TestLaguerre:
             assert laguerre(n, alpha, z) == cur
             assert laguerre(n, alpha, np.array([z])).dtype == np.float64
 
+    @pytest.mark.parametrize("z_set", ["table", "random"])
+    def test_array_alpha_equals_scalar_calls_bit_for_bit(self, z_set):
+        # the kummer-laguerre table's 21 x 11 (n, alpha) pairs, batched over alpha
+        if z_set == "table":
+            z = np.array(Z_SET)
+        else:
+            z = np.random.default_rng(20261018).uniform(0.0, 60.0, 64)
+        alpha = np.arange(11)[:, None]
+        for n in range(21):
+            batched = laguerre(n, alpha, z)
+            assert batched.shape == (11, z.size)
+            scalar = np.array([laguerre(n, int(a), z) for a in alpha[:, 0]])
+            assert np.array_equal(batched.view(np.int64), scalar.view(np.int64)), n
+
+    def test_array_alpha_broadcasts_and_keeps_scalar_results_float(self):
+        assert isinstance(laguerre(3, np.int64(2), 1.5), float)
+        assert laguerre(3, np.array([1, 2]), 1.5).shape == (2,)
+        assert laguerre(0, np.array([1, 2]), 1.5).shape == (2,)
+        assert laguerre(0, np.array([[1], [2]]), np.ones(3)).shape == (2, 3)
+
+    @pytest.mark.parametrize("alpha", [[0, -1], [1.0, 2.0], [0.5], 2.0, True])
+    def test_rejects_negative_or_non_integer_alpha_elements(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            laguerre(2, alpha if np.ndim(alpha) == 0 else np.array(alpha), 1.0)
+
     def test_rejects_negative_order_or_weight(self):
         with pytest.raises(ValueError):
             laguerre(-1, 0, 1.0)

@@ -18,9 +18,11 @@ from dirac2d import (
     derive_lower_component,
     energy,
     integrate_radial,
+    lower_component_profile,
     natural_params,
     normalize,
     ode_residual,
+    psi1_profile,
     radial_psi1,
     radial_psi2,
     sign_changes,
@@ -169,6 +171,64 @@ class TestRadialFunction:
             with pytest.raises(ValueError):
                 rf.values[0] = 1.0
 
+    @pytest.mark.parametrize("n, m", [(0, 0), (1, 0), (4, 3), (20, 3)])
+    def test_values_read_from_a_ladder_are_bit_identical(self, n, m):
+        # verify sums psi1's ladder once on the grid and builds psi1 from it
+        p = natural_params()
+        grid = default_grid(p)
+        z = to_dimensionless_z(grid.samples, p)
+        qn = QuantumNumbers(n, m)
+        profile = psi1_profile(qn)
+        assert profile == radial_psi1(qn, grid, p).profile
+        for order in (0, 1, 2):
+            read = RadialFunction(grid, profile, p, profile.ladder(z, order))
+            own = radial_psi1(qn, grid, p)
+            assert np.array_equal(read.values.view(np.int64), own.values.view(np.int64))
+        assert [f.name for f in fields(RadialFunction) if f.init] == [
+            "grid", "profile", "params",
+        ]
+        assert sorted(vars(read)) == ["grid", "params", "profile", "values"]
+
+    def test_a_ladder_of_another_profile_or_grid_is_refused(self):
+        p = natural_params()
+        grid = RadialGrid(8.0, 33)
+        z = to_dimensionless_z(grid.samples, p)
+        profile = psi1_profile(QuantumNumbers(2, 1))
+        with pytest.raises(ValueError, match="ladder"):
+            RadialFunction(grid, profile, p, psi1_profile(QuantumNumbers(3, 1)).ladder(z))
+        with pytest.raises(ValueError, match="ladder"):
+            RadialFunction(grid, profile, p, profile.ladder(z[1:-1]))
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            natural_params(),
+            PhysicalParams(
+                rest_mass=9.1093837015e-31,
+                omega=1.0e12,
+                hbar=1.054571817e-34,
+                c=299792458.0,
+            ),
+        ],
+        ids=["natural", "si"],
+    )
+    def test_ladder_on_the_grid_sliced_to_the_interior_is_bit_identical(self, p):
+        # the residuals read the interior slice of the ladder summed on the
+        # whole grid; Kummer terms are elementwise, so no float moves
+        grid = default_grid(p)
+        z = to_dimensionless_z(grid.samples, p)
+        inner_z = to_dimensionless_z(grid.samples[1:-1], p)
+        assert np.array_equal(z[1:-1], inner_z)
+        for n, m in [(0, 0), (0, 3), (5, 0), (20, 3)]:
+            profile = psi1_profile(QuantumNumbers(n, m))
+            full, inner = profile.ladder(z), profile.ladder(inner_z)
+            assert len(full.terms) == len(inner.terms) == 3
+            for whole, part in zip(full.terms, inner.terms):
+                if np.ndim(part) == 0:  # a zero-weight term (n = 0, k = 2)
+                    assert whole == part == 0.0
+                else:
+                    assert np.array_equal(whole[1:-1].view(np.int64), part.view(np.int64))
+
     def test_facts_read_from_profile(self):
         # b = mu + 1 and the angular index is mu, for psi1 (index m), the
         # psi2 ansatz (index m) and the derived lower component (index m+1)
@@ -240,6 +300,17 @@ class TestRadialPsi2:
         z = grid.samples**2
         expected = np.exp(-z / 2.0) * np.sqrt(z) * laguerre(2, 1, z) / 3.0
         assert_allclose(rf.values, expected, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("m", [0, 3])
+    def test_ansatz_is_psi1_one_state_down(self, m):
+        # verify counts the ansatz nodes of state n on psi1's values at n-1
+        p = natural_params()
+        grid = default_grid(p)
+        for n in range(1, 21):
+            ansatz = radial_psi2(QuantumNumbers(n, m), grid, p)
+            below = radial_psi1(QuantumNumbers(n - 1, m), grid, p)
+            assert ansatz.profile == below.profile
+            assert np.array_equal(ansatz.values.view(np.int64), below.values.view(np.int64))
 
 
 class TestNormalize:
@@ -351,6 +422,18 @@ class TestDeriveLowerComponent:
         rf = radial_psi1(QuantumNumbers(0, 0), RadialGrid(8.0, 257), p)
         with pytest.raises(ValueError):
             derive_lower_component(rf, -2.0)
+        with pytest.raises(ValueError):
+            lower_component_profile(rf, -2.0)
+
+    def test_profile_is_the_derived_components_profile(self):
+        # coupled_residual reads the profile alone, never sampling it
+        p = natural_params()
+        grid = RadialGrid(8.0, 257)
+        for n, m in [(0, 0), (2, 1), (5, 3)]:
+            qn = QuantumNumbers(n, m)
+            rf = radial_psi1(qn, grid, p)
+            E = energy(qn, p).E
+            assert lower_component_profile(rf, E) == derive_lower_component(rf, E).profile
 
     def test_requires_profile_metadata(self):
         # mu, b and a of the lower component come from psi1's profile, so a
