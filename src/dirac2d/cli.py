@@ -323,7 +323,7 @@ def run_verification_checks(config: RunConfig) -> list[dict]:
         ansatz = rf
         # Quadrature normalization against the Laguerre-orthogonality constant.
         quad = wavefn.normalize(rf)
-        closed = oracle.closed_form_norm_constant(qn, params)
+        closed = wavefn.closed_form_norm_constant(qn, params)
         worst_norm = max(worst_norm, abs(quad / closed - 1.0))
     detail = f"n <= {config.n_max} at m={m}"
     results.append(("ode-residual", worst_ode, detail))
@@ -391,38 +391,6 @@ def cmd_nr_limit(config: RunConfig) -> Path:
 # argument parsing
 
 
-def _common_options() -> argparse.ArgumentParser:
-    """Options every subcommand shares; each dest is a RunConfig field.
-
-    An option left off the command line is left out of the namespace, so
-    RunConfig's field defaults are the only defaults.
-    """
-    parser = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    parser.add_argument("--n-max", type=int, help="largest level index")
-    parser.add_argument("--m", type=int, help="angular momentum index")
-    parser.add_argument("--omega", type=float, help="oscillator frequency")
-    parser.add_argument("--m0", type=float, help="rest mass")
-    parser.add_argument("--units", choices=("natural", "si"), help="unit system")
-    parser.add_argument(
-        "--rho-max",
-        type=float,
-        dest="rho_max_in_b",
-        metavar="RHO_MAX",
-        help="grid extent in units of the oscillator length",
-    )
-    parser.add_argument("--grid-points", type=int, help="radial samples (odd)")
-    parser.add_argument("--format", choices=("csv", "json"), dest="fmt")
-    parser.add_argument("--output", help="output file path")
-    parser.add_argument(
-        "--tolerance",
-        action="append",
-        dest="tolerances",
-        metavar="NAME=VALUE",
-        help="override a verification tolerance (repeatable)",
-    )
-    return parser
-
-
 def _parse_tolerances(pairs: list[str]) -> dict[str, float]:
     out = {}
     for pair in pairs:
@@ -433,12 +401,58 @@ def _parse_tolerances(pairs: list[str]) -> dict[str, float]:
     return out
 
 
-# name -> (help, command); verify alone returns (path, all_passed)
+# flag -> add_argument keywords; each dest is a RunConfig field.  An option
+# left off the command line is left out of the namespace, so RunConfig's
+# field defaults are the only defaults.
+OPTIONS = {
+    "--n-max": dict(type=int, help="largest level index"),
+    "--n": dict(type=int, help="level index of the state"),
+    "--m": dict(type=int, help="angular momentum index"),
+    "--omega": dict(type=float, help="oscillator frequency"),
+    "--m0": dict(type=float, help="rest mass"),
+    "--units": dict(choices=("natural", "si"), help="unit system"),
+    "--rho-max": dict(
+        type=float,
+        dest="rho_max_in_b",
+        metavar="RHO_MAX",
+        help="grid extent in units of the oscillator length",
+    ),
+    "--grid-points": dict(type=int, help="radial samples (odd)"),
+    "--lambdas": dict(help="comma-separated frequency ratios in (0, 0.1]"),
+    "--format": dict(choices=("csv", "json"), dest="fmt"),
+    "--output": dict(help="output file path"),
+    "--tolerance": dict(
+        action="append",
+        dest="tolerances",
+        metavar="NAME=VALUE",
+        help="override a verification tolerance (repeatable)",
+    ),
+}
+
+# name -> (help, command, the flags it reads); verify alone returns
+# (path, all_passed)
 COMMANDS = {
-    "spectrum": ("tabulate energy levels", cmd_spectrum),
-    "wavefn": ("tabulate radial profiles for one state", cmd_wavefn),
-    "verify": ("run the oracle verification suite", cmd_verify),
-    "nr-limit": ("compare against the weak-coupling expansion", cmd_nr_limit),
+    "spectrum": (
+        "tabulate energy levels",
+        cmd_spectrum,
+        "--n-max --m --omega --m0 --units --format --output",
+    ),
+    "wavefn": (
+        "tabulate radial profiles for one state",
+        cmd_wavefn,
+        "--n --m --omega --m0 --units --rho-max --grid-points --format --output",
+    ),
+    "verify": (
+        "run the oracle verification suite",
+        cmd_verify,
+        "--n-max --m --omega --m0 --units --rho-max --grid-points --format "
+        "--output --tolerance",
+    ),
+    "nr-limit": (
+        "compare against the weak-coupling expansion",
+        cmd_nr_limit,
+        "--n-max --lambdas --format --output",
+    ),
 }
 
 
@@ -449,17 +463,13 @@ def build_parser() -> argparse.ArgumentParser:
         "oscillator, with independent numerical verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    common = _common_options()
-    subparsers = {
-        name: sub.add_parser(
-            name, help=text, parents=[common], argument_default=argparse.SUPPRESS
+    for name, (text, _, flags) in COMMANDS.items():
+        # Exact flags only: a prefix such as --n would otherwise set --n-max.
+        command = sub.add_parser(
+            name, help=text, argument_default=argparse.SUPPRESS, allow_abbrev=False
         )
-        for name, (text, _) in COMMANDS.items()
-    }
-    subparsers["wavefn"].add_argument("--n", type=int, help="level index of the state")
-    subparsers["nr-limit"].add_argument(
-        "--lambdas", help="comma-separated frequency ratios in (0, 0.1]"
-    )
+        for flag in flags.split():
+            command.add_argument(flag, **OPTIONS[flag])
     return parser
 
 

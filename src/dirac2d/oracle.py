@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import EnergyLevel, QuantumNumbers
+from .spectrum import EnergyLevel
 from .units import PhysicalParams, to_dimensionless_z
 from .wavefn import KummerLadder, RadialFunction, RadialGrid, lower_component_profile
 from .wavefn import radial_psi1  # noqa: F401  (perfbench's tracer test reads it here)
@@ -49,7 +49,6 @@ __all__ = [
     "smallest_eigenvalues",
     "ode_residual",
     "coupled_residual",
-    "closed_form_norm_constant",
     "dirac_excitations_from_k1",
 ]
 
@@ -88,16 +87,14 @@ class ResidualReport:
     The denominator is the RMS over samples of the per-sample largest term
     of the equation, so the numbers are grid and parameter independent and
     a one-percent eigenvalue error registers at the percent level.
-    ``degenerate`` marks an identically zero input, reported as zero
-    residual by convention.  ``worst_rho`` is the radius of the largest
-    relative residual (0.0 where none was evaluated).
+    ``worst_rho`` is the radius of the largest relative residual, and 0.0
+    where every residual is zero, as for an identically zero input, which
+    ``degenerate`` marks.
     """
 
     equation_id: str
     rms_residual: float
     max_residual: float
-    num_points: int
-    rho_max: float
     degenerate: bool = False
     worst_rho: float = 0.0
 
@@ -332,13 +329,26 @@ def dirac_excitations_from_k1(
     return out
 
 
-def _relative_residual(lhs: np.ndarray, term_magnitudes: list[np.ndarray]):
-    """|lhs| per sample over the RMS of the per-sample dominant term."""
-    dominant = np.maximum.reduce([np.abs(t) for t in term_magnitudes])
-    scale = float(np.sqrt(np.mean(dominant * dominant)))
-    if scale == 0.0:
-        return np.zeros_like(dominant)
-    return np.abs(lhs) / scale
+def _report(equation_id, rho, equations, degenerate) -> ResidualReport:
+    """Report the worse of ``equations``, each the list of its terms at ``rho``.
+
+    An equation's relative residual is the modulus of its terms' sum per
+    sample over the RMS of the per-sample dominant term.  The report carries
+    the largest RMS, and the largest max with its radius (the first equation
+    wins a tie); where every residual is zero, ``worst_rho`` is 0.0.
+    """
+    stats = []  # (rms, max, radius of the max) per equation
+    for terms in equations:
+        dominant = np.maximum.reduce([np.abs(t) for t in terms])
+        scale = float(np.sqrt(np.mean(dominant * dominant)))
+        rel = np.abs(sum(terms)) / scale if scale else np.zeros_like(dominant)
+        i = int(np.argmax(rel))
+        peak = float(rel[i])
+        rms = float(np.sqrt(np.mean(rel * rel)))
+        stats.append((rms, peak, float(rho[i]) if peak else 0.0))
+    _, peak, worst_rho = max(stats, key=lambda s: s[1])
+    rms = max(s[0] for s in stats)
+    return ResidualReport(equation_id, rms, peak, degenerate, worst_rho)
 
 
 def ode_residual(
@@ -352,17 +362,8 @@ def ode_residual(
     normalizes by the RMS of the per-sample dominant term.  ``ladder``, the
     profile's ``KummerProfile.ladder`` at those z, spares summing it again.
     """
-    grid = rf.grid
-    if not np.any(rf.values):
-        return ResidualReport(
-            equation_id="radial-ode",
-            rms_residual=0.0,
-            max_residual=0.0,
-            num_points=grid.num_points,
-            rho_max=grid.rho_max,
-            degenerate=True,
-        )
-    z = to_dimensionless_z(grid.samples[1:-1], rf.params)
+    rho = rf.grid.samples[1:-1]
+    z = to_dimensionless_z(rho, rf.params)
     f, fz, fzz = rf.profile.derivatives(z, 2, ladder)
     terms = [
         z * z * fzz,
@@ -371,16 +372,7 @@ def ode_residual(
         -0.25 * (m * m) * f,
         -0.25 * z * z * f,
     ]
-    lhs = terms[0] + terms[1] + terms[2] + terms[3] + terms[4]
-    rel = _relative_residual(lhs, terms)
-    return ResidualReport(
-        equation_id="radial-ode",
-        rms_residual=float(np.sqrt(np.mean(rel * rel))),
-        max_residual=float(np.max(rel)),
-        num_points=grid.num_points,
-        rho_max=grid.rho_max,
-        worst_rho=float(grid.samples[1 + np.argmax(rel)]),
-    )
+    return _report("radial-ode", rho, [terms], degenerate=not np.any(rf.values))
 
 
 def coupled_residual(
@@ -407,13 +399,13 @@ def coupled_residual(
     coeff 0 is the standard decoupling check).
     """
     E = level.E
-    params, grid = psi1.params, psi1.grid
+    params = psi1.params
     rest = params.rest_energy
     if not math.isfinite(E) or E + rest <= 0.0:
         raise ValueError(f"E + m0 c^2 must be positive, got E={E!r}")
 
     m = psi1.angular_index
-    rho = grid.samples[1:-1]
+    rho = psi1.grid.samples[1:-1]
     z = to_dimensionless_z(rho, params)
     hbar_c = params.hbar * params.c
     tension = params.c * params.rest_mass * params.omega  # c m0 w
@@ -443,43 +435,5 @@ def coupled_residual(
         tension * rho * r1,
         -(E + rest) * g,
     ]
-    lhs_up = terms_up[0] + terms_up[1] + terms_up[2] + terms_up[3]
-    lhs_down = terms_down[0] + terms_down[1] + terms_down[2] + terms_down[3]
-
-    rel_up = _relative_residual(lhs_up, terms_up)
-    rel_down = _relative_residual(lhs_down, terms_down)
-
-    rms = max(
-        float(np.sqrt(np.mean(rel_up * rel_up))),
-        float(np.sqrt(np.mean(rel_down * rel_down))),
-    )
-    worse = rel_up if np.max(rel_up) >= np.max(rel_down) else rel_down
-    return ResidualReport(
-        equation_id="coupled-first-order",
-        rms_residual=rms,
-        max_residual=float(np.max(worse)),
-        num_points=grid.num_points,
-        rho_max=grid.rho_max,
-        degenerate=not (np.any(psi1.values) or np.any(g)),
-        worst_rho=float(rho[np.argmax(worse)]),
-    )
-
-
-def closed_form_norm_constant(qn: QuantumNumbers, params: PhysicalParams) -> float:
-    """Normalization constant of psi1 from Laguerre orthogonality.
-
-    With M(-(n+1), m+1, z) = L_{n+1}^{(m)}(z) / binom(n+m+1, n+1) and
-    integral exp(-z) z^m [L_k^{(m)}]^2 dz = (k+m)!/k!, the squared norm
-    collapses to pi b^2 (n+1)! (m!)^2 / (n+m+1)!.
-    """
-    b = params.oscillator_length
-    n, m = qn.n, qn.m
-    squared = (
-        math.pi
-        * b
-        * b
-        * math.factorial(n + 1)
-        * math.factorial(m) ** 2
-        / math.factorial(n + m + 1)
-    )
-    return 1.0 / math.sqrt(squared)
+    degenerate = not (np.any(psi1.values) or np.any(g))
+    return _report("coupled-first-order", rho, [terms_up, terms_down], degenerate)

@@ -46,6 +46,7 @@ __all__ = [
     "SpinorSample",
     "default_grid",
     "psi1_profile",
+    "closed_form_norm_constant",
     "radial_psi1",
     "radial_psi2",
     "normalize",
@@ -227,6 +228,26 @@ class SpinorSample:
 def psi1_profile(qn: QuantumNumbers) -> KummerProfile:
     """Upper-component profile exp(-z/2) z**(m/2) M(-(n+1), m+1, z)."""
     return KummerProfile(coeff=1.0, mu=qn.m, a=-(qn.n + 1.0))
+
+
+def closed_form_norm_constant(qn: QuantumNumbers, params: PhysicalParams) -> float:
+    """Normalization constant of psi1 from Laguerre orthogonality.
+
+    With M(-(n+1), m+1, z) = L_{n+1}^{(m)}(z) / binom(n+m+1, n+1) and
+    integral exp(-z) z^m [L_k^{(m)}]^2 dz = (k+m)!/k!, the squared norm
+    collapses to pi b^2 (n+1)! (m!)^2 / (n+m+1)!.
+    """
+    b = params.oscillator_length
+    n, m = qn.n, qn.m
+    squared = (
+        math.pi
+        * b
+        * b
+        * math.factorial(n + 1)
+        * math.factorial(m) ** 2
+        / math.factorial(n + m + 1)
+    )
+    return 1.0 / math.sqrt(squared)
 
 
 def radial_psi1(

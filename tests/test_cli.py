@@ -418,12 +418,57 @@ class TestMainEntry:
         assert code == 2
 
 
+# The RunConfig fields each command's output depends on.
+READS = {
+    "spectrum": {"n_max", "m", "omega", "m0", "units", "fmt", "output"},
+    "wavefn": {
+        "n", "m", "omega", "m0", "units", "rho_max_in_b", "grid_points", "fmt", "output"
+    },
+    "verify": {
+        "n_max", "m", "omega", "m0", "units", "rho_max_in_b", "grid_points", "fmt",
+        "output", "tolerances",
+    },
+    "nr-limit": {"n_max", "lambdas", "fmt", "output"},
+}
+
+# (command, flag, value) that the command refuses: each flag it once parsed
+# and ignored, then prefixes of flags it reads
+REFUSED = [
+    ("spectrum", "--rho-max", "20"),
+    ("spectrum", "--grid-points", "1025"),
+    ("spectrum", "--tolerance", "ode-residual=1"),
+    ("wavefn", "--n-max", "3"),
+    ("wavefn", "--tolerance", "ode-residual=1"),
+    ("nr-limit", "--m", "3"),
+    ("nr-limit", "--omega", "0.5"),
+    ("nr-limit", "--m0", "2"),
+    ("nr-limit", "--units", "si"),
+    ("nr-limit", "--rho-max", "20"),
+    ("nr-limit", "--grid-points", "1025"),
+    ("nr-limit", "--tolerance", "ode-residual=1"),
+    ("spectrum", "--n", "7"),
+    ("verify", "--n", "3"),
+    ("nr-limit", "--n", "2"),
+    ("verify", "--grid", "1025"),
+]
+
+
 class TestSingleDeclaration:
     @pytest.mark.parametrize("command", ["spectrum", "wavefn", "verify", "nr-limit"])
     def test_parser_dests_are_config_fields(self, command):
         sub = next(a for a in build_parser()._actions if a.dest == "command")
         dests = {a.dest for a in sub.choices[command]._actions} - {"help"}
-        assert dests <= set(CONFIG_FIELDS)
+        assert dests == READS[command]
+
+    @pytest.mark.parametrize("command, flag, value", REFUSED)
+    def test_flag_the_command_does_not_read_is_refused(
+        self, command, flag, value, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as err:
+            main([command, flag, value])
+        assert err.value.code == 2
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command", ["spectrum", "wavefn", "verify", "nr-limit"])
     def test_defaults_come_from_config(self, command):

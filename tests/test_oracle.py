@@ -497,15 +497,28 @@ class TestCoupledResidual:
         with pytest.raises(ValueError, match="ladder"):
             coupled_residual(level, psi1, ladder=psi1.profile.ladder(z[::-1]))
 
-    # (rms, max, degenerate) that sampling the derived lower component on
-    # the grid gave; reading its profile alone must keep them
+    # (rms, max, degenerate, worst_rho) that sampling the derived lower
+    # component on the grid gave; reading its profile alone must keep them.
+    # A zero psi1 reads zero residuals at worst_rho 0.0 in both evaluators.
     @pytest.mark.parametrize(
         "n, m, case, expected",
         [
-            (0, 0, "zero psi1", (0.0, 0.0, True)),
-            (3, 2, "zero psi1", (0.0, 0.0, True)),
-            (0, 0, "coeff-0 lower", (0.9999999999999999, 4.2648978555006005, False)),
-            (3, 2, "coeff-0 lower", (0.9999999999999999, 3.3339035722470727, False)),
+            (0, 0, "zero psi1", (0.0, 0.0, True, 0.0)),
+            (3, 2, "zero psi1", (0.0, 0.0, True, 0.0)),
+            (
+                0,
+                0,
+                "coeff-0 lower",
+                (0.9999999999999999, 4.2648978555006005, False, 0.01171875),
+            ),
+            (
+                3,
+                2,
+                "coeff-0 lower",
+                (0.9999999999999999, 3.3339035722470727, False, 0.65625),
+            ),
+            (0, 0, "zero psi1 in the ode", (0.0, 0.0, True, 0.0)),
+            (3, 2, "zero psi1 in the ode", (0.0, 0.0, True, 0.0)),
         ],
     )
     def test_zero_inputs_keep_their_flag_and_numbers(self, n, m, case, expected):
@@ -515,12 +528,15 @@ class TestCoupledResidual:
         psi1 = radial_psi1(level.qn, grid, p)
         if case == "zero psi1":
             report = coupled_residual(level, _zero_copy(psi1))
+        elif case == "zero psi1 in the ode":
+            report = ode_residual(_zero_copy(psi1), m, level.k1)
         else:
             zero = _zero_copy(derive_lower_component(psi1, level.E))
             report = coupled_residual(level, psi1, lower=zero)
-        got = (report.rms_residual, report.max_residual, report.degenerate)
-        assert got[2] == expected[2]
-        assert_allclose(got[:2], expected[:2], rtol=1e-14, atol=0.0)
+        assert report.degenerate == expected[2]
+        assert report.worst_rho == expected[3]
+        got = (report.rms_residual, report.max_residual)
+        assert_allclose(got, expected[:2], rtol=1e-14, atol=0.0)
 
     def test_derived_profile_equals_the_sampled_override(self):
         # the default psi2 reads psi1's ladder; passing the sampled derived
@@ -562,8 +578,6 @@ class TestResidualReport:
                 equation_id="radial-ode",
                 rms_residual=-1.0,
                 max_residual=1.0,
-                num_points=9,
-                rho_max=1.0,
             )
 
     def test_rejects_rms_above_max(self):
@@ -572,6 +586,4 @@ class TestResidualReport:
                 equation_id="radial-ode",
                 rms_residual=2.0,
                 max_residual=1.0,
-                num_points=9,
-                rho_max=1.0,
             )
