@@ -304,16 +304,12 @@ def run_verification_checks(config: RunConfig) -> list[dict]:
         # psi1's Kummer ladder, summed once on the grid, gives its values and
         # (at the interior radii) both residuals' exact derivatives.
         profile = wavefn.psi1_profile(qn)
-        ladder = profile.ladder(z)
-        rf = wavefn.RadialFunction(grid, profile, params, ladder)
-        inner = ladder._replace(  # a zero-weight term stays 0.0
-            z=z[1:-1], terms=tuple(t[1:-1] if np.ndim(t) else t for t in ladder.terms)
-        )
+        rf = wavefn.RadialFunction(grid, profile, params, profile.ladder(z))
         # Closed-form profile pushed through the second-order radial equation.
-        ode = oracle.ode_residual(rf, m, level.k1, inner)
+        ode = oracle.ode_residual(rf, m, level.k1)
         worst_ode = max(worst_ode, ode.rms_residual)
         # Upper plus derived lower component in the coupled first-order system.
-        coupled = oracle.coupled_residual(level, rf, ladder=inner)
+        coupled = oracle.coupled_residual(level, rf)
         worst_coupled = max(worst_coupled, coupled.rms_residual)
         # Node counts: n+1 sign changes for psi1, n for the psi2 ansatz.
         if wavefn.count_radial_nodes(qn, params) != n + 1:

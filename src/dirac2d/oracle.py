@@ -38,7 +38,7 @@ import numpy as np
 
 from .spectrum import EnergyLevel
 from .units import PhysicalParams, to_dimensionless_z
-from .wavefn import KummerLadder, RadialFunction, RadialGrid, lower_component_profile
+from .wavefn import RadialFunction, RadialGrid, derive_lower_component
 from .wavefn import radial_psi1  # noqa: F401  (perfbench's tracer test reads it here)
 
 __all__ = [
@@ -351,20 +351,16 @@ def _report(equation_id, rho, equations, degenerate) -> ResidualReport:
     return ResidualReport(equation_id, rms, peak, degenerate, worst_rho)
 
 
-def ode_residual(
-    rf: RadialFunction, m: int, k1: float, ladder: KummerLadder | None = None
-) -> ResidualReport:
+def ode_residual(rf: RadialFunction, m: int, k1: float) -> ResidualReport:
     """Residual of a radial profile in the second-order equation.
 
     Evaluates z^2 F'' + z F' + (k1 z - m^2 - z^2) F / 4 at the interior
     samples, with z in ``rf``'s own units and F', F'' taken from the exact
     closed-form derivatives of the profile (no finite differencing), and
-    normalizes by the RMS of the per-sample dominant term.  ``ladder``, the
-    profile's ``KummerProfile.ladder`` at those z, spares summing it again.
+    normalizes by the RMS of the per-sample dominant term.
     """
-    rho = rf.grid.samples[1:-1]
+    rho, (f, fz, fzz) = rf.interior(2)
     z = to_dimensionless_z(rho, rf.params)
-    f, fz, fzz = rf.profile.derivatives(z, 2, ladder)
     terms = [
         z * z * fzz,
         z * fz,
@@ -376,50 +372,39 @@ def ode_residual(
 
 
 def coupled_residual(
-    level: EnergyLevel,
-    psi1: RadialFunction,
-    lower: RadialFunction | None = None,
-    ladder: KummerLadder | None = None,
+    level: EnergyLevel, psi1: RadialFunction, lower: RadialFunction | None = None
 ) -> ResidualReport:
     """Residual of (psi1, psi2) in the coupled first-order system.
 
-    psi1 is the caller's upper component, whose grid, units and angular
-    index the check uses; psi2 defaults to the profile of the lower
-    component derived from it for ``level.E``, which reads psi1's ``ladder``
-    from its second term on and is never sampled on the grid.  The upper
-    equation takes E - m0 c^2 from ``level.excitation``, which keeps its
-    digits where subtracting the rest energy from E would cancel (SI units).
-    Both first-order equations are evaluated at the interior radii through
-    exact radial derivatives of the closed forms.  The angular factors
-    e^{i m phi} and -i e^{i(m+1) phi} that multiply the two equations have
-    modulus one, so every angle gives the same relative residual and the
-    radial reduction is the whole check.
+    psi1 is the caller's upper component, whose angular index the check
+    uses; psi2 defaults to the lower component derived from it for
+    ``level.E``, and a ``lower`` that is passed must share psi1's grid and
+    units (a profile with coeff 0 is the standard decoupling check).  The
+    upper equation takes E - m0 c^2 from ``level.excitation``, which keeps
+    its digits where subtracting the rest energy from E would cancel (SI
+    units).  Both first-order equations are evaluated at the interior radii
+    through exact radial derivatives of the closed forms.  The angular
+    factors e^{i m phi} and -i e^{i(m+1) phi} that multiply the two
+    equations have modulus one, so every angle gives the same relative
+    residual and the radial reduction is the whole check.
     The report carries the worse of the two equations' relative RMS.
-    Passing ``lower`` overrides the second component (a profile with
-    coeff 0 is the standard decoupling check).
     """
     E = level.E
     params = psi1.params
     rest = params.rest_energy
     if not math.isfinite(E) or E + rest <= 0.0:
         raise ValueError(f"E + m0 c^2 must be positive, got E={E!r}")
+    if lower is None:
+        lower = derive_lower_component(psi1, E)
 
     m = psi1.angular_index
-    rho = psi1.grid.samples[1:-1]
-    z = to_dimensionless_z(rho, params)
     hbar_c = params.hbar * params.c
     tension = params.c * params.rest_mass * params.omega  # c m0 w
-
-    if ladder is None:
-        ladder = psi1.profile.ladder(z)
-    r1, r1_z = psi1.profile.derivatives(z, 1, ladder)
+    rho, (r1, r1_z) = psi1.interior(1)
+    rho_g, (g, g_z) = lower.interior(1)
+    if lower.params != params or not np.array_equal(rho_g, rho):
+        raise ValueError("lower must share psi1's grid and units")
     r1_prime = 2.0 * params.gamma * rho * r1_z
-    if lower is None:
-        lower_profile = lower_component_profile(psi1, E)
-        lower_ladder = KummerLadder(ladder.a + 1.0, ladder.b + 1.0, z, ladder.terms[1:])
-    else:
-        lower_profile, lower_ladder = lower.profile, None
-    g, g_z = lower_profile.derivatives(z, 1, lower_ladder)
     g_prime = 2.0 * params.gamma * rho * g_z
 
     # Radial reductions of the two first-order equations.

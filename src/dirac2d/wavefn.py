@@ -50,7 +50,6 @@ __all__ = [
     "radial_psi1",
     "radial_psi2",
     "normalize",
-    "lower_component_profile",
     "derive_lower_component",
     "spinor_sample",
     "count_radial_nodes",
@@ -186,7 +185,8 @@ class RadialFunction:
 
     ``values`` is not an input: it is the profile evaluated once at every
     grid sample, read-only, so the samples and the profile cannot disagree.
-    A ``ladder`` of the profile at those samples is read, not summed again.
+    It keeps the ``ladder`` its values read (the one passed, or the order-0
+    ladder it sums), for ``interior`` and ``derive_lower_component``.
     ``normalize`` returns the function's normalization constant.
     ``angular_index`` is the e^{i k phi} factor the full 2-d function
     carries: regularity at the origin ties it to the power z**(mu/2), so it
@@ -197,19 +197,34 @@ class RadialFunction:
     profile: KummerProfile
     params: PhysicalParams
     values: np.ndarray = field(init=False)
+    _ladder: KummerLadder = field(init=False, repr=False)
     ladder: InitVar[KummerLadder | None] = None
 
     def __post_init__(self, ladder):
         z = to_dimensionless_z(self.grid.samples, self.params)
+        if ladder is None:
+            ladder = self.profile.ladder(z, 0)
         values = self.profile.value_z(z, ladder)
         if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite at every sample")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_ladder", ladder)
 
     @property
     def angular_index(self) -> int:
         return self.profile.mu
+
+    def interior(self, order: int):
+        """rho and [f, ..., f^(order)] at grid.samples[1:-1], order <= 2.
+
+        Read from the ladder's interior slice when it reaches ``order`` (the
+        terms are elementwise in z: the floats of a ladder summed there).
+        """
+        a, b, z, terms = self._ladder
+        terms = tuple(t[1:-1] if np.ndim(t) else t for t in terms)  # 0.0 stays
+        inner = KummerLadder(a, b, z[1:-1], terms) if len(terms) > order else None
+        return self.grid.samples[1:-1], self.profile.derivatives(z[1:-1], order, inner)
 
 
 @dataclass(frozen=True)
@@ -303,21 +318,6 @@ def normalize(rf: RadialFunction) -> float:
     return 1.0 / math.sqrt(total)
 
 
-def lower_component_profile(psi1_radial: RadialFunction, E: float) -> KummerProfile:
-    """Profile of ``derive_lower_component``, without sampling it on a grid."""
-    params = psi1_radial.params
-    rest = params.rest_energy
-    if not math.isfinite(E) or E + rest <= 0.0:
-        raise ValueError(f"E + m0 c^2 must be positive, got E={E!r}")
-    p = psi1_radial.profile
-    scale = params.hbar * params.c / (E + rest)
-    return KummerProfile(
-        coeff=p.coeff * scale * 2.0 * math.sqrt(params.gamma) * (p.a / p.b),
-        mu=p.mu + 1,
-        a=p.a + 1.0,
-    )
-
-
 def derive_lower_component(psi1_radial: RadialFunction, E: float) -> RadialFunction:
     """Lower-component radial profile obtained from the coupling operator.
 
@@ -328,9 +328,22 @@ def derive_lower_component(psi1_radial: RadialFunction, E: float) -> RadialFunct
     identity, never by finite differences: for
     R = coeff e^{-z/2} z^{m/2} M(a, b, z) it equals
     2 sqrt(gamma) coeff (a/b) e^{-z/2} z^{(m+1)/2} M(a+1, b+1, z).
+    A psi1 whose ladder reaches M(a+1, b+1) hands on its terms from there.
     """
-    profile = lower_component_profile(psi1_radial, E)
-    return RadialFunction(psi1_radial.grid, profile, psi1_radial.params)
+    params = psi1_radial.params
+    rest = params.rest_energy
+    if not math.isfinite(E) or E + rest <= 0.0:
+        raise ValueError(f"E + m0 c^2 must be positive, got E={E!r}")
+    p = psi1_radial.profile
+    scale = params.hbar * params.c / (E + rest)
+    profile = KummerProfile(
+        coeff=p.coeff * scale * 2.0 * math.sqrt(params.gamma) * (p.a / p.b),
+        mu=p.mu + 1,
+        a=p.a + 1.0,
+    )
+    a, b, z, terms = psi1_radial._ladder
+    shifted = KummerLadder(a + 1.0, b + 1.0, z, terms[1:]) if len(terms) > 1 else None
+    return RadialFunction(psi1_radial.grid, profile, params, shifted)
 
 
 def spinor_sample(

@@ -22,6 +22,7 @@ from dirac2d import (
     ode_residual,
     radial_psi1,
     smallest_eigenvalues,
+    to_dimensionless_z,
 )
 from dirac2d import oracle
 
@@ -467,38 +468,35 @@ class TestCoupledResidual:
             psi1 = radial_psi1(level.qn, RadialGrid(12.0, 257), p)
             coupled_residual(replace(level, E=-1.5, excitation=-2.5), psi1)
 
-    def test_shared_ladder_gives_the_same_reports(self):
-        # the ladder verify shares between both residuals changes no float
-        p = natural_params()
-        grid = RadialGrid(12.0, 1025)
-        z = grid.samples[1:-1] ** 2  # natural units: b = 1
+    @pytest.mark.parametrize("units", ["natural", "si"])
+    def test_psi1_read_from_its_ladder_gives_the_same_reports(self, units):
+        # verify builds psi1 from its order-2 ladder, which both residuals
+        # and the derived lower component then read; no float moves
+        p = natural_params() if units == "natural" else si_params()
+        grid = default_grid(p, num_points=1025)
+        z = to_dimensionless_z(grid.samples, p)
         for n, m in [(0, 0), (3, 2)]:
             level = energy(QuantumNumbers(n, m), p)
-            psi1 = radial_psi1(level.qn, grid, p)
-            ladder = psi1.profile.ladder(z)
-            assert ode_residual(psi1, m, level.k1, ladder) == ode_residual(
-                psi1, m, level.k1
-            )
-            assert coupled_residual(level, psi1, ladder=ladder) == coupled_residual(
-                level, psi1
-            )
+            own = radial_psi1(level.qn, grid, p)
+            read = RadialFunction(grid, own.profile, p, own.profile.ladder(z))
+            assert ode_residual(read, m, level.k1) == ode_residual(own, m, level.k1)
+            assert coupled_residual(level, read) == coupled_residual(level, own)
 
-    def test_ladder_of_another_state_is_refused(self):
+    def test_lower_on_another_grid_or_in_other_units_is_refused(self):
         p = natural_params()
-        grid = RadialGrid(12.0, 257)
-        z = grid.samples[1:-1] ** 2
         level = energy(QuantumNumbers(2, 1), p)
-        psi1 = radial_psi1(level.qn, grid, p)
-        other = radial_psi1(QuantumNumbers(3, 1), grid, p).profile.ladder(z)
-        with pytest.raises(ValueError, match="ladder"):
-            coupled_residual(level, psi1, ladder=other)
-        with pytest.raises(ValueError, match="ladder"):
-            ode_residual(psi1, 1, level.k1, other)
-        with pytest.raises(ValueError, match="ladder"):
-            coupled_residual(level, psi1, ladder=psi1.profile.ladder(z[::-1]))
+        psi1 = radial_psi1(level.qn, RadialGrid(12.0, 257), p)
+        lower = derive_lower_component(psi1, level.E)
+        other_grid = derive_lower_component(
+            radial_psi1(level.qn, RadialGrid(10.0, 257), p), level.E
+        )
+        other_units = RadialFunction(psi1.grid, lower.profile, replace(p, hbar=2.0))
+        for bad in (other_grid, other_units):
+            with pytest.raises(ValueError, match="grid and units"):
+                coupled_residual(level, psi1, lower=bad)
 
     # (rms, max, degenerate, worst_rho) that sampling the derived lower
-    # component on the grid gave; reading its profile alone must keep them.
+    # component on the grid gave; reading it from psi1's ladder keeps them.
     # A zero psi1 reads zero residuals at worst_rho 0.0 in both evaluators.
     @pytest.mark.parametrize(
         "n, m, case, expected",
@@ -539,8 +537,8 @@ class TestCoupledResidual:
         assert_allclose(got, expected[:2], rtol=1e-14, atol=0.0)
 
     def test_derived_profile_equals_the_sampled_override(self):
-        # the default psi2 reads psi1's ladder; passing the sampled derived
-        # component sums its own terms; both give the same floats
+        # the default psi2 is the derived component, so passing it as an
+        # override runs the same path and gives the same floats
         p = natural_params()
         grid = RadialGrid(12.0, 1025)
         for n, m in [(0, 0), (3, 2)]:

@@ -18,7 +18,6 @@ from dirac2d import (
     derive_lower_component,
     energy,
     integrate_radial,
-    lower_component_profile,
     natural_params,
     normalize,
     ode_residual,
@@ -29,6 +28,7 @@ from dirac2d import (
     spinor_sample,
     to_dimensionless_z,
 )
+from dirac2d import wavefn
 from dirac2d.specfun import laguerre
 
 
@@ -187,7 +187,7 @@ class TestRadialFunction:
         assert [f.name for f in fields(RadialFunction) if f.init] == [
             "grid", "profile", "params",
         ]
-        assert sorted(vars(read)) == ["grid", "params", "profile", "values"]
+        assert sorted(vars(read)) == ["_ladder", "grid", "params", "profile", "values"]
 
     def test_a_ladder_of_another_profile_or_grid_is_refused(self):
         p = natural_params()
@@ -228,6 +228,41 @@ class TestRadialFunction:
                     assert whole == part == 0.0
                 else:
                     assert np.array_equal(whole[1:-1].view(np.int64), part.view(np.int64))
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            natural_params(),
+            PhysicalParams(
+                rest_mass=9.1093837015e-31,
+                omega=1.0e12,
+                hbar=1.054571817e-34,
+                c=299792458.0,
+            ),
+        ],
+        ids=["natural", "si"],
+    )
+    def test_interior_is_the_profile_at_the_interior_radii(self, p):
+        # read from a ladder's slice or summed afresh, interior(order) gives
+        # the floats of profile.derivatives at the interior z, for psi1, the
+        # psi2 ansatz and the derived lower component
+        grid = default_grid(p, num_points=1025)
+        z = to_dimensionless_z(grid.samples, p)
+        for n, m in [(0, 0), (3, 2)]:
+            qn = QuantumNumbers(n, m)
+            E = energy(qn, p).E
+            psi1 = radial_psi1(qn, grid, p)
+            read = RadialFunction(grid, psi1.profile, p, psi1.profile.ladder(z))
+            functions = [psi1, read, radial_psi2(qn, grid, p)]
+            functions += [derive_lower_component(rf, E) for rf in (psi1, read)]
+            for rf in functions:
+                for order in (0, 1, 2):
+                    rho, got = rf.interior(order)
+                    assert np.array_equal(rho, grid.samples[1:-1])
+                    want = rf.profile.derivatives(z[1:-1], order)
+                    assert len(got) == len(want) == order + 1
+                    for g, w in zip(got, want):
+                        assert np.array_equal(g.view(np.int64), w.view(np.int64))
 
     def test_facts_read_from_profile(self):
         # b = mu + 1 and the angular index is mu, for psi1 (index m), the
@@ -420,20 +455,44 @@ class TestDeriveLowerComponent:
     def test_rejects_nonpositive_total_energy(self):
         p = natural_params()
         rf = radial_psi1(QuantumNumbers(0, 0), RadialGrid(8.0, 257), p)
-        with pytest.raises(ValueError):
-            derive_lower_component(rf, -2.0)
-        with pytest.raises(ValueError):
-            lower_component_profile(rf, -2.0)
+        for E in (-2.0, math.nan):
+            with pytest.raises(ValueError, match="E \\+ m0 c\\^2"):
+                derive_lower_component(rf, E)
 
     def test_profile_is_the_derived_components_profile(self):
-        # coupled_residual reads the profile alone, never sampling it
+        # mu -> m+1, a -> a+1 and coeff 2 sqrt(gamma) (a/b) hbar c / (E + m0 c^2),
+        # whether or not psi1 carries the ladder the lower component reads
         p = natural_params()
         grid = RadialGrid(8.0, 257)
+        z = to_dimensionless_z(grid.samples, p)
         for n, m in [(0, 0), (2, 1), (5, 3)]:
             qn = QuantumNumbers(n, m)
             rf = radial_psi1(qn, grid, p)
+            read = RadialFunction(grid, rf.profile, p, rf.profile.ladder(z))
             E = energy(qn, p).E
-            assert lower_component_profile(rf, E) == derive_lower_component(rf, E).profile
+            lower = derive_lower_component(rf, E)
+            coeff = 2.0 * (-(n + 1.0) / (m + 1.0)) / (E + 1.0)
+            assert lower.profile == KummerProfile(coeff=coeff, mu=m + 1, a=-float(n))
+            assert derive_lower_component(read, E).profile == lower.profile
+
+    def test_psi1_with_its_ladder_hands_it_on_without_kummer_calls(self, monkeypatch):
+        p = natural_params()
+        grid = RadialGrid(8.0, 257)
+        z = to_dimensionless_z(grid.samples, p)
+        for n, m in [(0, 0), (4, 2)]:
+            qn = QuantumNumbers(n, m)
+            profile = psi1_profile(qn)
+            read = RadialFunction(grid, profile, p, profile.ladder(z))
+            calls = []
+            kummer_m = wavefn.kummer_m
+            monkeypatch.setattr(
+                wavefn, "kummer_m", lambda *a: calls.append(a) or kummer_m(*a)
+            )
+            lower = derive_lower_component(read, energy(qn, p).E)
+            monkeypatch.undo()
+            assert calls == []
+            own = derive_lower_component(radial_psi1(qn, grid, p), energy(qn, p).E)
+            assert np.array_equal(lower.values.view(np.int64), own.values.view(np.int64))
 
     def test_requires_profile_metadata(self):
         # mu, b and a of the lower component come from psi1's profile, so a
