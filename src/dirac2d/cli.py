@@ -84,11 +84,13 @@ class RunConfig:
             raise ValueError(f"n_max must be >= 0, got {self.n_max}")
         if self.n < 0 or self.m < 0:
             raise ValueError("n and m must be non-negative")
-        for name in self.tolerances:
+        for name, value in self.tolerances.items():
             if name not in DEFAULT_TOLERANCES:
                 raise ValueError(
                     f"unknown tolerance {name!r}; known: {sorted(DEFAULT_TOLERANCES)}"
                 )
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} tolerance must be finite and >= 0: {value}")
 
     def params(self) -> PhysicalParams:
         if self.units == "natural":
@@ -156,6 +158,7 @@ def _render_json(config: RunConfig, rows: list[dict], checks: list[dict]) -> str
     return json.dumps(
         {"config": config.to_dict(), "rows": rows, "checks": checks},
         indent=2,
+        allow_nan=False,
     ) + "\n"
 
 

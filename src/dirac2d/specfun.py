@@ -82,6 +82,7 @@ def _dd_div_double(hi, lo, x):
     return _quick_renorm(q, ((hi - p) - e + lo) / x)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below
 def _terminating_series(a: float, b, z: np.ndarray, n_terms: int) -> np.ndarray:
     """Sum the degree-(n_terms) polynomial series in double-double precision."""
     term_hi = np.ones(np.broadcast_shapes(np.shape(b), z.shape))
@@ -131,9 +132,12 @@ def kummer_m(a: float, b, z):
         raise ValueError(f"negative z is outside the supported domain, got {z}")
     k_poly = -round(float(a))
     out = _terminating_series(float(-k_poly), b_arr, np.atleast_1d(arr), k_poly)
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"M({a}, b, z) overflows float64 at z up to {np.max(arr)}")
     return float(out[0]) if b_arr.ndim == arr.ndim == 0 else out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below
 def laguerre(n: int, alpha, z):
     """Associated Laguerre polynomial L_n^(alpha)(z) for z >= 0.
 
@@ -151,6 +155,8 @@ def laguerre(n: int, alpha, z):
     if alpha.dtype.kind not in "iu" or np.any(alpha < 0):
         raise ValueError(f"alpha must be non-negative integers, got {alpha}")
     arr = np.asarray(z, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("z must be finite")
     if np.any(arr < 0.0):
         raise ValueError(f"negative z is outside the supported domain, got {z}")
     scalar = alpha.ndim == arr.ndim == 0
@@ -163,4 +169,6 @@ def laguerre(n: int, alpha, z):
         prev, cur = cur, ((2.0 * k + alpha + 1.0 - arr) * cur - (k + alpha) * prev) / (
             k + 1.0
         )
+    if not np.all(np.isfinite(cur)):
+        raise ValueError(f"L_{n}^(alpha)(z) overflows float64 at z up to {np.max(arr)}")
     return float(cur) if scalar else cur

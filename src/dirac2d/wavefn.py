@@ -357,6 +357,8 @@ def spinor_sample(
     """
     if rho < 0.0:
         raise ValueError(f"rho must be non-negative, got {rho!r}")
+    if not math.isfinite(phi):
+        raise ValueError(f"phi must be finite, got {phi!r}")
     grid = default_grid(params)
     psi1_rf = radial_psi1(qn, grid, params)
     A = normalize(psi1_rf)

@@ -15,6 +15,7 @@ from dirac2d import (
     spinor_sample,
     wavefn,
 )
+from dirac2d import cli
 from dirac2d.cli import (
     RunConfig,
     build_parser,
@@ -180,6 +181,23 @@ class TestVerifyCommand:
     def test_unknown_tolerance_rejected(self):
         with pytest.raises(ValueError):
             RunConfig(command="verify", tolerances={"bogus": 1.0})
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1e-3"])
+    def test_tolerance_that_is_not_finite_or_is_negative_is_refused(
+        self, tmp_path, capsys, value
+    ):
+        # inf passed every check and nan failed them; both wrote non-JSON
+        out = tmp_path / "v.json"
+        argv = ["verify", "--n-max", "0", "--format", "json", "--output", str(out)]
+        assert main([*argv, "--tolerance", f"fd-spectrum={value}"]) == 2
+        assert "fd-spectrum tolerance must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_json_never_holds_nan_or_infinity(self):
+        config = RunConfig(command="verify", fmt="json")
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                cli._render_json(config, [], [{"measured": bad}])
 
     def test_csv_report_parses_cleanly(self, tmp_path):
         config = RunConfig(

@@ -50,6 +50,13 @@ class TestKummerM:
         with pytest.raises(ValueError):
             kummer_m(-1.0, 1.0, math.inf)
 
+    def test_overflowing_sum_is_refused(self):
+        # the series overflows float64 and used to return nan
+        with pytest.raises(ValueError, match="overflows"):
+            kummer_m(-3.0, 1.0, 1e110)
+        with pytest.raises(ValueError, match="overflows"):
+            kummer_m(-3.0, np.array([1.0, 2.0]), np.array([1.0, 1e110]))
+
     def test_array_input(self):
         z = np.array(Z_SET)
         out = kummer_m(-3.0, 2.0, z)
@@ -217,6 +224,14 @@ class TestLaguerre:
             laguerre(2, -1, 1.0)
         with pytest.raises(ValueError):
             laguerre(2, 0, -1.0)
+
+    def test_rejects_nonfinite_z_and_an_overflowing_sum(self):
+        # nan passed through and inf read as a value, as kummer_m refuses
+        for z in (math.nan, math.inf, np.array([1.0, math.nan])):
+            with pytest.raises(ValueError, match="z must be finite"):
+                laguerre(3, 1, z)
+        with pytest.raises(ValueError, match="overflows"):
+            laguerre(20, 0, 1e300)
 
     def test_identity_sweep(self):
         # binom(n+alpha, n) M(-n, alpha+1, z) == L_n^(alpha)(z)

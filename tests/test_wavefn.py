@@ -562,6 +562,21 @@ class TestSpinorSample:
         sample = spinor_sample(qn, 1.0, 9.0, energy(qn, p).E, p)
         assert 0.0 <= sample.phi < 2.0 * math.pi
 
+    def test_nonfinite_phi_is_refused(self):
+        # nan gave psi1 = nan+nanj and inf a "math domain error"
+        p = natural_params()
+        qn = QuantumNumbers(1, 0)
+        for phi in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="phi"):
+                spinor_sample(qn, 1.0, phi, energy(qn, p).E, p)
+
+    def test_radius_where_the_series_overflows_is_refused(self):
+        # M(-21, 1, z) overflows float64 at z = 1e40 and read as nan
+        p = natural_params()
+        qn = QuantumNumbers(20, 0)
+        with pytest.raises(ValueError, match="overflows"):
+            spinor_sample(qn, 1e20, 0.0, energy(qn, p).E, p)
+
     def test_lower_component_suppressed_in_nr_limit(self):
         # |psi2/psi1| shrinks like sqrt(lam) as c grows at fixed interior rho
         qn = QuantumNumbers(0, 0)
