@@ -114,18 +114,20 @@ class RunConfig:
         return self.tolerances.get(name, DEFAULT_TOLERANCES[name])
 
     def to_dict(self) -> dict:
-        """Field values in declaration order, as the JSON "config" block.
+        """The JSON "config" block: the command and the fields its flags set.
 
-        ``output`` names where the file goes, not what it holds, so it is
-        left out; ``fmt`` is emitted as "format" and every tolerance is
-        filled in.
+        Fields come in declaration order.  ``output`` names where the file
+        goes, not what it holds, so it is left out; ``fmt`` is emitted as
+        "format" and verify fills in every tolerance.
         """
-        out = {}
+        flags = COMMANDS[self.command][2].split()
+        read = {OPTIONS[f].get("dest", f[2:].replace("-", "_")) for f in flags}
+        out = {"command": self.command}
         for f in fields(self):
-            if f.name != "output":
+            if f.name in read - {"output"}:
                 out["format" if f.name == "fmt" else f.name] = getattr(self, f.name)
-        out["lambdas"] = list(self.lambdas)
-        out["tolerances"] = {k: self.tolerance(k) for k in sorted(DEFAULT_TOLERANCES)}
+        if "tolerances" in out:
+            out["tolerances"] = {k: self.tolerance(k) for k in sorted(DEFAULT_TOLERANCES)}
         return out
 
 

@@ -494,8 +494,17 @@ class TestSingleDeclaration:
         assert config_from_args(args) == RunConfig(command=command)
 
     def test_json_config_has_one_key_per_field(self, tmp_path):
-        out = tmp_path / "s.json"
-        code = main(["spectrum", "--n-max", "1", "--format", "json", "--output", str(out)])
-        assert code == 0
-        expected = ["format" if f == "fmt" else f for f in CONFIG_FIELDS if f != "output"]
-        assert list(json.loads(out.read_text())["config"]) == expected
+        # the command and the fields its flags set, in declaration order
+        sizes = {"spectrum": 7, "wavefn": 9, "verify": 10, "nr-limit": 4}
+        for command, size in sizes.items():
+            out = tmp_path / f"{command}.json"
+            argv = [command, "--format", "json", "--output", str(out)]
+            argv += ["--n-max", "0"] if command in ("verify", "nr-limit") else []
+            assert main(argv) == 0
+            config = json.loads(out.read_text())["config"]
+            names = [f for f in CONFIG_FIELDS if f in READS[command] - {"output"}]
+            expected = ["command"] + ["format" if f == "fmt" else f for f in names]
+            assert list(config) == expected and len(expected) == size
+            if command == "verify":
+                assert len(config["tolerances"]) == 7
+        assert config["lambdas"] == list(RunConfig(command="nr-limit").lambdas)
