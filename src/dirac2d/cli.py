@@ -76,6 +76,8 @@ class RunConfig:
     tolerances: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.command not in COMMANDS:
+            raise ValueError(f"unknown command {self.command!r}")
         if self.units not in ("natural", "si"):
             raise ValueError(f"units must be 'natural' or 'si', got {self.units!r}")
         if self.fmt not in ("csv", "json"):

@@ -355,10 +355,8 @@ def spinor_sample(
     grid; psi2 follows from the coupling operator applied to that psi1, so
     the pair satisfies the first-order system by construction.
     """
-    if rho < 0.0:
-        raise ValueError(f"rho must be non-negative, got {rho!r}")
-    if not math.isfinite(phi):
-        raise ValueError(f"phi must be finite, got {phi!r}")
+    if not (rho >= 0.0 and math.isfinite(phi)):
+        raise ValueError(f"rho must be >= 0 and phi finite: rho={rho!r}, phi={phi!r}")
     grid = default_grid(params)
     psi1_rf = radial_psi1(qn, grid, params)
     A = normalize(psi1_rf)

@@ -182,6 +182,11 @@ class TestVerifyCommand:
         with pytest.raises(ValueError):
             RunConfig(command="verify", tolerances={"bogus": 1.0})
 
+    def test_unknown_command_rejected(self):
+        # the JSON config block reads the command's flags from COMMANDS
+        with pytest.raises(ValueError, match="unknown command"):
+            RunConfig(command="bogus")
+
     @pytest.mark.parametrize("value", ["inf", "nan", "-1e-3"])
     def test_tolerance_that_is_not_finite_or_is_negative_is_refused(
         self, tmp_path, capsys, value
@@ -190,7 +195,8 @@ class TestVerifyCommand:
         out = tmp_path / "v.json"
         argv = ["verify", "--n-max", "0", "--format", "json", "--output", str(out)]
         assert main([*argv, "--tolerance", f"fd-spectrum={value}"]) == 2
-        assert "fd-spectrum tolerance must be finite and >= 0" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "fd-spectrum tolerance must be finite and >= 0" in err
         assert not out.exists()
 
     def test_json_never_holds_nan_or_infinity(self):
@@ -251,7 +257,7 @@ class TestKummerBudget:
     A verified state sums psi1's ladder M(a+k, b+k), k <= 2, once on its
     grid: the values read its first term and both residuals its interior
     slice, and the derived lower component reads it from its second term on
-    without being sampled.  The node-count profile adds one call.  The psi2
+    without summing it again.  The node-count profile adds one call.  The psi2
     ansatz M(-n, m+1) of state n is psi1's profile at state n-1, so only
     n = 0 sums it, in place of the ladder term M(0, b+1) that stops there:
     4 calls per state.  The kummer-laguerre table makes one kummer_m and one

@@ -562,13 +562,13 @@ class TestSpinorSample:
         sample = spinor_sample(qn, 1.0, 9.0, energy(qn, p).E, p)
         assert 0.0 <= sample.phi < 2.0 * math.pi
 
-    def test_nonfinite_phi_is_refused(self):
-        # nan gave psi1 = nan+nanj and inf a "math domain error"
+    def test_nonfinite_phi_or_negative_rho_is_refused(self):
+        # phi = nan gave psi1 = nan+nanj and phi = inf a "math domain error"
         p = natural_params()
         qn = QuantumNumbers(1, 0)
-        for phi in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match="phi"):
-                spinor_sample(qn, 1.0, phi, energy(qn, p).E, p)
+        for rho, phi in [(1.0, math.nan), (1.0, math.inf), (1.0, -math.inf), (-1.0, 0.0)]:
+            with pytest.raises(ValueError, match="rho must be >= 0 and phi finite"):
+                spinor_sample(qn, rho, phi, energy(qn, p).E, p)
 
     def test_radius_where_the_series_overflows_is_refused(self):
         # M(-21, 1, z) overflows float64 at z = 1e40 and read as nan
