@@ -32,6 +32,21 @@ from dirac2d import wavefn
 from dirac2d.specfun import laguerre
 
 
+IN_BOTH_UNIT_SYSTEMS = pytest.mark.parametrize(
+    "p",
+    [
+        natural_params(),
+        PhysicalParams(
+            rest_mass=9.1093837015e-31,
+            omega=1.0e12,
+            hbar=1.054571817e-34,
+            c=299792458.0,
+        ),
+    ],
+    ids=["natural", "si"],
+)
+
+
 def closed_form_A(n, m, b):
     """Normalization constant from Laguerre orthogonality, derived by hand:
     2 pi int |R|^2 rho drho = pi b^2 (n+1)! (m!)^2 / (n+m+1)!."""
@@ -143,19 +158,7 @@ class TestRadialFunction:
         with pytest.raises(TypeError):
             RadialFunction(grid=grid, profile=profile, params=p, values=np.ones(9))
 
-    @pytest.mark.parametrize(
-        "p",
-        [
-            natural_params(),
-            PhysicalParams(
-                rest_mass=9.1093837015e-31,
-                omega=1.0e12,
-                hbar=1.054571817e-34,
-                c=299792458.0,
-            ),
-        ],
-        ids=["natural", "si"],
-    )
+    @IN_BOTH_UNIT_SYSTEMS
     def test_values_are_the_profile_on_the_grid(self, p):
         # psi1, the psi2 ansatz and the derived lower component all sample
         # their own profile, bit for bit, in their own units
@@ -199,19 +202,7 @@ class TestRadialFunction:
         with pytest.raises(ValueError, match="ladder"):
             RadialFunction(grid, profile, p, profile.ladder(z[1:-1]))
 
-    @pytest.mark.parametrize(
-        "p",
-        [
-            natural_params(),
-            PhysicalParams(
-                rest_mass=9.1093837015e-31,
-                omega=1.0e12,
-                hbar=1.054571817e-34,
-                c=299792458.0,
-            ),
-        ],
-        ids=["natural", "si"],
-    )
+    @IN_BOTH_UNIT_SYSTEMS
     def test_ladder_on_the_grid_sliced_to_the_interior_is_bit_identical(self, p):
         # the residuals read the interior slice of the ladder summed on the
         # whole grid; Kummer terms are elementwise, so no float moves
@@ -229,19 +220,7 @@ class TestRadialFunction:
                 else:
                     assert np.array_equal(whole[1:-1].view(np.int64), part.view(np.int64))
 
-    @pytest.mark.parametrize(
-        "p",
-        [
-            natural_params(),
-            PhysicalParams(
-                rest_mass=9.1093837015e-31,
-                omega=1.0e12,
-                hbar=1.054571817e-34,
-                c=299792458.0,
-            ),
-        ],
-        ids=["natural", "si"],
-    )
+    @IN_BOTH_UNIT_SYSTEMS
     def test_interior_is_the_profile_at_the_interior_radii(self, p):
         # read from a ladder's slice or summed afresh, interior(order) gives
         # the floats of profile.derivatives at the interior z, for psi1, the
