@@ -284,13 +284,17 @@ def run_verification_checks(config: RunConfig) -> list[dict]:
 
     # Finite-difference spectrum against the auxiliary ladder k1 = 2(2 n_r + m + 1).
     levels = max(4, config.n_max + 2)
-    op = oracle.build_radial_operator(m, grid, params)
-    k1_fd = oracle.smallest_eigenvalues(op, levels)
+    k1_fd, correction, (coarse, fine) = oracle.extrapolated_levels(
+        m, grid, params, levels
+    )
     worst = max(
         abs(k1 - 2.0 * (2 * n_r + m + 1)) / (2.0 * (2 * n_r + m + 1))
         for n_r, k1 in enumerate(k1_fd)
     )
-    detail = f"first {levels} levels at m={m} on {grid.num_points} points"
+    detail = (
+        f"first {levels} levels at m={m} extrapolated from {coarse} and {fine} "
+        f"points (correction {correction:.1e})"
+    )
     results.append(("fd-spectrum", worst, detail))
 
     # The same finite-difference levels mapped onto excitations E - m0 c^2.
@@ -370,6 +374,8 @@ def cmd_nr_limit(config: RunConfig) -> Path:
     for lam in config.lambdas:
         if not (0.0 < lam <= 0.1):
             raise ValueError(f"lambda must lie in (0, 0.1], got {lam}")
+        if lam * lam * lam < sys.float_info.min:
+            raise ValueError(f"lambda={lam} is too small: lambda**3 underflows float64")
     rows = []
     for lam in config.lambdas:
         params = PhysicalParams(rest_mass=1.0, omega=lam, hbar=1.0, c=1.0)

@@ -86,12 +86,16 @@ def to_dimensionless_z(rho, params: PhysicalParams):
     """Map a radius (or array of radii) to z = (m0*omega/hbar) * rho**2.
 
     Monotone increasing in rho and exactly quadratic, so z(2*rho) = 4*z(rho).
-    Negative radii are rejected.
+    Negative radii, and radii whose z overflows float64, are rejected.
     """
     arr = np.asarray(rho, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("rho must be finite")
     if np.any(arr < 0.0):
         raise ValueError("rho must be non-negative")
+    # The product is monotone in rho, so the largest radius decides.
+    top = float(arr.max()) if arr.size else 0.0
+    if not math.isfinite(params.gamma * top * top):
+        raise ValueError(f"z = gamma * rho**2 overflows float64 at rho={top!r}")
     z = params.gamma * arr * arr
     return float(z) if arr.ndim == 0 else z

@@ -121,6 +121,7 @@ class KummerProfile:
     which ``ladder`` evaluates, each M(a+k, b+k, z) at most once.  A term
     whose weight is exactly zero is skipped: M is a polynomial of degree -a
     with no derivative past it, so only terminating series are ever summed.
+    A profile with coeff 0 is identically zero and sums no term at all.
     ``value_z``, ``dvalue_dz`` and ``d2value_dz2`` are single-output views.
     """
 
@@ -140,7 +141,10 @@ class KummerProfile:
         a, b = self.a, self.b
         z = np.asarray(z, dtype=float)
         w = (1.0, a / b, a * (a + 1.0) / (b * (b + 1.0)))
-        terms = [kummer_m(a + k, b + k, z) if w[k] else 0.0 for k in range(order + 1)]
+        terms = [
+            kummer_m(a + k, b + k, z) if self.coeff and w[k] else 0.0
+            for k in range(order + 1)
+        ]
         return KummerLadder(a, b, z, tuple(terms))
 
     def derivatives(self, z, order: int = 2, ladder: KummerLadder | None = None):

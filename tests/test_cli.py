@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,6 +182,20 @@ class TestVerifyCommand:
         assert not by_name["fd-spectrum"]["passed"]
         assert by_name["node-counts"]["passed"]
 
+    def test_grid_too_coarse_to_extrapolate_is_refused(self, tmp_path, capsys):
+        # 505 points give a 63-point coarse grid, below the operator's 64
+        out = tmp_path / "v.csv"
+        code = main(["verify", "--grid-points", "505", "--output", str(out)])
+        assert code == 2
+        assert "--grid-points 513" in capsys.readouterr().err
+        assert not out.exists()
+        main(["verify", "--grid-points", "513", "--output", str(out)])
+        _, rows = read_csv(out)
+        by_name = {row["name"]: row for row in rows}
+        assert "from 65 and 129 points" in by_name["fd-spectrum"]["detail"]
+        assert by_name["fd-spectrum"]["passed"] == "true"
+        assert by_name["dirac-energy-map"]["passed"] == "true"
+
     def test_unknown_tolerance_rejected(self):
         with pytest.raises(ValueError):
             RunConfig(command="verify", tolerances={"bogus": 1.0})
@@ -300,6 +318,31 @@ class TestKummerBudget:
         qn = QuantumNumbers(n=7, m=2)
         spinor_sample(qn, 1.7, 0.4, energy(qn, p).E, p)
         assert len(calls) == 4  # psi1 and psi2 on the grid, then at the point
+
+
+class TestSolverRows:
+    """Rows the Sturm counts and Newton passes visit during ``verify``.
+
+    Each pass walks the whole diagonal once.  On the full 4097-point grid
+    the n_max 20, m 3 report visited 1,916,460 rows; the extrapolated levels
+    read grids of 513 and 1025 points (572,193 rows).  The counts do not
+    depend on the machine.
+    """
+
+    def test_verify_visits_a_third_of_the_full_grid_rows(self, monkeypatch):
+        rows = []
+
+        def counted(fn):
+            def wrapper(diag, *args):
+                rows.append(len(diag))
+                return fn(diag, *args)
+
+            return wrapper
+
+        for name in ("_negative_pivot_count", "_newton_pass"):
+            monkeypatch.setattr(oracle, name, counted(getattr(oracle, name)))
+        run_verification_checks(RunConfig(command="verify", m=3, n_max=20))
+        assert 3 * sum(rows) <= 1_916_460
 
 
 class TestNrLimitCommand:
@@ -435,6 +478,37 @@ class TestMainEntry:
         wide = ["wavefn", "--n", "120", "--rho-max", "26", "--output", "w.csv"]
         assert main(wide) == 0
         assert (tmp_path / "w.csv").exists()
+
+    def test_lambda_whose_cube_underflows_returns_two(self, tmp_path, monkeypatch, capsys):
+        # lambda**3 underflowed to 0 and the error column divided by it
+        monkeypatch.chdir(tmp_path)
+        code = main(["nr-limit", "--lambdas", "1e-300", "--output", "nr.csv"])
+        assert code == 2
+        assert "lambda=1e-300" in capsys.readouterr().err
+        assert not (tmp_path / "nr.csv").exists()
+
+    def test_rho_max_beyond_the_operator_returns_two(self, tmp_path, monkeypatch, capsys):
+        # the spacing's square underflowed and build_radial_operator divided by it
+        monkeypatch.chdir(tmp_path)
+        argv = ["verify", "--rho-max", "1e-300", "--n-max", "0", "--output", "v.csv"]
+        assert main(argv) == 2
+        assert "rho_max=1e-300" in capsys.readouterr().err
+        assert not (tmp_path / "v.csv").exists()
+
+    def test_overflowing_z_is_refused_without_a_warning(self, tmp_path):
+        # a subprocess sees what a user sees: numpy's RuntimeWarning printed
+        # before the refusal, which pytest would raise as an error instead
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-m", "dirac2d.cli", "wavefn", "--rho-max", "1e300"],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 2
+        assert done.stderr.splitlines() == [
+            "error: z = gamma * rho**2 overflows float64 at rho=1e+300"
+        ]
+        assert list(tmp_path.iterdir()) == []
 
     def test_grid_points_validated(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -17,6 +17,7 @@ from dirac2d import (
     derive_lower_component,
     dirac_excitations_from_k1,
     energy,
+    extrapolated_levels,
     integrate_radial,
     natural_params,
     ode_residual,
@@ -162,6 +163,13 @@ class TestRadialOperator:
     def test_rejects_coarse_grid(self):
         with pytest.raises(ValueError, match="coarse"):
             build_radial_operator(0, RadialGrid(12.0, 63), natural_params())
+
+    @pytest.mark.parametrize("rho_max", [1e-300, 1e-150, 1e160, 1e300])
+    def test_rejects_a_grid_whose_entries_overflow(self, rho_max):
+        # 1/hx^2 (squared by the Sturm counts) or x^2 leaves float64; at
+        # 1e-300 the spacing's square underflowed and divided by zero
+        with pytest.raises(ValueError, match="rho_max"):
+            build_radial_operator(0, RadialGrid(rho_max, 65), natural_params())
 
     def test_structural_symmetry(self):
         op = build_radial_operator(1, RadialGrid(12.0, 257), natural_params())
@@ -313,6 +321,58 @@ class TestSolverPasses:
         smallest_eigenvalues(op, levels)
         assert "_newton_pass" in passes
         assert len(passes) <= budget
+
+
+class TestExtrapolatedLevels:
+    """Richardson extrapolation from the grids of K and 2K intervals."""
+
+    @pytest.mark.parametrize("m, count", [(0, 7), (3, 22)])
+    def test_ten_times_closer_than_the_full_grid(self, m, count):
+        # measured: 4.9e-6 -> 2.6e-7 at m = 0 and 2.2e-5 -> 5.1e-7 at m = 3
+        p = natural_params()
+        grid = RadialGrid(12.0, 4097)
+        exact = np.array([aux_k1(n_r, m) for n_r in range(count)])
+        plain = smallest_eigenvalues(build_radial_operator(m, grid, p), count)
+        levels, correction, _ = extrapolated_levels(m, grid, p, count)
+        err_plain = np.max(np.abs(np.array(plain) - exact) / exact)
+        err = np.max(np.abs(np.array(levels) - exact) / exact)
+        assert err * 10.0 <= err_plain
+        # the correction estimates the 1025-point grid's error, 16 times the plain one
+        assert err_plain < correction < 100.0 * err_plain
+
+    @pytest.mark.parametrize("points, expected", [(4097, (513, 1025)), (1025, (129, 257))])
+    def test_grids_share_rho_max_and_halve_the_spacing(self, points, expected, monkeypatch):
+        built = []
+        original = oracle.build_radial_operator
+
+        def recorded(m, grid, params):
+            built.append((grid.rho_max, grid.num_points))
+            return original(m, grid, params)
+
+        monkeypatch.setattr(oracle, "build_radial_operator", recorded)
+        p = si_params()
+        grid = default_grid(p, 12.0, points)
+        result = extrapolated_levels(1, grid, p, 4)
+        assert result.points == expected
+        assert built == [(grid.rho_max, n) for n in expected]
+
+    def test_reads_only_the_two_grids_levels(self, monkeypatch):
+        # k = (4 k_fine - k_coarse) / 3 and correction |k - k_fine| / k_fine
+        fake = {513: [4.0, 8.5], 1025: [4.0, 8.125]}
+        monkeypatch.setattr(
+            oracle, "smallest_eigenvalues", lambda op, count: fake[op.dimension + 2]
+        )
+        levels, correction, _ = extrapolated_levels(
+            0, RadialGrid(12.0, 4097), natural_params(), 2
+        )
+        assert levels == [4.0, 8.0]
+        assert correction == 0.125 / 8.125
+
+    def test_too_coarse_a_grid_is_refused(self):
+        p = natural_params()
+        with pytest.raises(ValueError, match="--grid-points 513"):
+            extrapolated_levels(0, RadialGrid(12.0, 511), p, 4)
+        assert extrapolated_levels(0, RadialGrid(12.0, 513), p, 4).points == (65, 129)
 
 
 class TestDiracEnergyMapping:

@@ -65,6 +65,14 @@ class TestDimensionlessZ:
         with pytest.raises(ValueError):
             to_dimensionless_z(math.inf, natural_params())
 
+    def test_rejects_a_radius_whose_z_overflows(self):
+        # refused before the multiply, which warned of the overflow first
+        with pytest.raises(ValueError, match="overflows"):
+            to_dimensionless_z(np.array([0.0, 1e300]), natural_params())
+        si = PhysicalParams(rest_mass=9.1093837015e-31, omega=1e15, hbar=1.054571817e-34)
+        with pytest.raises(ValueError, match="overflows"):
+            to_dimensionless_z(1e150, si)
+
     def test_array_matches_scalars(self):
         p = PhysicalParams(rest_mass=2.0, omega=3.0)
         rho = np.array([0.0, 0.1, 1.0, 2.5])

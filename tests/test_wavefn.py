@@ -420,6 +420,26 @@ class TestDeriveLowerComponent:
         lower = derive_lower_component(zero, 2.0)
         assert np.all(lower.values == 0.0)
 
+    def test_a_zero_profile_gives_zero_whatever_its_ladder(self):
+        # the n = 0 psi2 ansatz has a = 0, so the weight a/b is exactly 0;
+        # without a ladder reaching M(1, b+1) the lower component summed
+        # that non-terminating series and raised from kummer_m
+        p = natural_params()
+        grid = RadialGrid(12.0, 33)
+        ansatz = radial_psi2(QuantumNumbers(0, 1), grid, p)
+        z = to_dimensionless_z(grid.samples, p)
+        lowers = [
+            derive_lower_component(
+                RadialFunction(grid, ansatz.profile, p, ansatz.profile.ladder(z, order)),
+                2.0,
+            )
+            for order in (0, 1, 2)
+        ]
+        lowers.append(derive_lower_component(ansatz, 2.0))
+        for lower in lowers:
+            assert not np.any(lower.values)
+            assert not np.any(lower.interior(2)[1])
+
     def test_linearity_in_scale(self):
         p = natural_params()
         grid = RadialGrid(8.0, 257)
