@@ -299,39 +299,31 @@ def run_verification_checks(config: RunConfig) -> list[dict]:
 
     # The same finite-difference levels mapped onto excitations E - m0 c^2.
     mapped = oracle.dirac_excitations_from_k1(k1_fd, m, params)
+    if not mapped:
+        raise ValueError(
+            f"dirac-energy-map: no finite-difference level maps onto an "
+            f"excitation at --rho-max {config.rho_max_in_b!r}"
+        )
     ref = [spectrum.energy(QuantumNumbers(n=n, m=m), params) for n, _ in mapped]
     worst = max(abs(x - e.excitation) / e.excitation for (_, x), e in zip(mapped, ref))
     results.append(("dirac-energy-map", worst, f"{len(mapped)} mapped levels at m={m}"))
 
-    # One pass over the states: each level and psi1 profile is built once.
+    # One pass over the states: each level and psi1 function is built once.
     worst_ode = worst_coupled = worst_norm = 0.0
     mismatches = 0
-    z = to_dimensionless_z(grid.samples, params)
-    # The psi2 ansatz M(-n, m+1) of state n is psi1's profile at state n-1.
-    ansatz = wavefn.radial_psi2(QuantumNumbers(n=0, m=m), grid, params)
     for n in range(config.n_max + 1):
         qn = QuantumNumbers(n=n, m=m)
         level = spectrum.energy(qn, params)
-        # psi1's Kummer ladder, summed once on the grid, gives its values and
-        # (at the interior radii) both residuals' exact derivatives.
-        profile = wavefn.psi1_profile(qn)
-        rf = wavefn.RadialFunction(grid, profile, params, profile.ladder(z))
+        rf = wavefn.radial_psi1(qn, grid, params)
         # Closed-form profile pushed through the second-order radial equation.
-        ode = oracle.ode_residual(rf, m, level.k1)
-        worst_ode = max(worst_ode, ode.rms_residual)
+        worst_ode = max(worst_ode, oracle.ode_residual(rf, m, level.k1).rms_residual)
         # Upper plus derived lower component in the coupled first-order system.
-        coupled = oracle.coupled_residual(level, rf)
-        worst_coupled = max(worst_coupled, coupled.rms_residual)
-        # Node counts: n+1 sign changes for psi1, n for the psi2 ansatz.
-        if wavefn.count_radial_nodes(qn, params) != n + 1:
-            mismatches += 1
-        if wavefn.sign_changes(ansatz.values[1:-1]) != n:
-            mismatches += 1
-        ansatz = rf
+        worst_coupled = max(worst_coupled, oracle.coupled_residual(level, rf).rms_residual)
+        # Node counts: n+1 sign changes in psi1's samples.
+        mismatches += wavefn.sign_changes(rf.values[1:-1]) != n + 1
         # Quadrature normalization against the Laguerre-orthogonality constant.
-        quad = wavefn.normalize(rf)
         closed = wavefn.closed_form_norm_constant(qn, params)
-        worst_norm = max(worst_norm, abs(quad / closed - 1.0))
+        worst_norm = max(worst_norm, abs(wavefn.normalize(rf) / closed - 1.0))
     detail = f"n <= {config.n_max} at m={m}"
     results.append(("ode-residual", worst_ode, detail))
     results.append(("coupled-residual", worst_coupled, detail))

@@ -138,14 +138,14 @@ class KummerProfile:
         """M(a+k, b+k, z) for k <= order <= 2, or 0.0 where the weight vanishes."""
         if order not in (0, 1, 2):
             raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
-        a, b = self.a, self.b
         z = np.asarray(z, dtype=float)
-        w = (1.0, a / b, a * (a + 1.0) / (b * (b + 1.0)))
-        terms = [
-            kummer_m(a + k, b + k, z) if self.coeff and w[k] else 0.0
-            for k in range(order + 1)
-        ]
-        return KummerLadder(a, b, z, tuple(terms))
+        terms = tuple(self._term(k, z) for k in range(order + 1))
+        return KummerLadder(self.a, self.b, z, terms)
+
+    def _term(self, k: int, z):
+        """M(a+k, b+k, z), or 0.0 where coeff or the weight's a (a+1)...(a+k-1) is 0."""
+        live = self.coeff and all(self.a + j for j in range(k))
+        return kummer_m(self.a + k, self.b + k, z) if live else 0.0
 
     def derivatives(self, z, order: int = 2, ladder: KummerLadder | None = None):
         """[f, f', ..., f^(order)] at z, order <= 2, read from ``ladder`` if given."""
@@ -189,8 +189,8 @@ class RadialFunction:
 
     ``values`` is not an input: it is the profile evaluated once at every
     grid sample, read-only, so the samples and the profile cannot disagree.
-    It keeps the ``ladder`` its values read (the one passed, or the order-0
-    ladder it sums), for ``interior`` and ``derive_lower_component``.
+    The function owns its Kummer terms M(a+k, b+k) on the grid and sums each
+    once, when ``values`` (k = 0) or ``interior`` (k <= order) first needs it.
     ``normalize`` returns the function's normalization constant.
     ``angular_index`` is the e^{i k phi} factor the full 2-d function
     carries: regularity at the origin ties it to the power z**(mu/2), so it
@@ -201,14 +201,13 @@ class RadialFunction:
     profile: KummerProfile
     params: PhysicalParams
     values: np.ndarray = field(init=False)
-    _ladder: KummerLadder = field(init=False, repr=False)
-    ladder: InitVar[KummerLadder | None] = None
+    _ladder: KummerLadder = field(init=False, repr=False)  # replaced as terms are summed
+    _handed: InitVar[tuple] = field(default=(), kw_only=True)  # from derive_lower_component
 
-    def __post_init__(self, ladder):
-        z = to_dimensionless_z(self.grid.samples, self.params)
-        if ladder is None:
-            ladder = self.profile.ladder(z, 0)
-        values = self.profile.value_z(z, ladder)
+    def __post_init__(self, _handed):
+        p, z = self.profile, to_dimensionless_z(self.grid.samples, self.params)
+        ladder = KummerLadder(p.a, p.b, z, tuple(_handed) or (p._term(0, z),))
+        values = p.value_z(z, ladder)
         if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite at every sample")
         values.setflags(write=False)
@@ -222,12 +221,14 @@ class RadialFunction:
     def interior(self, order: int):
         """rho and [f, ..., f^(order)] at grid.samples[1:-1], order <= 2.
 
-        Read from the ladder's interior slice when it reaches ``order`` (the
-        terms are elementwise in z: the floats of a ladder summed there).
+        Stores a new ladder with the missing grid terms, then slices it: the
+        terms are elementwise in z, so no float moves.
         """
         a, b, z, terms = self._ladder
-        terms = tuple(t[1:-1] if np.ndim(t) else t for t in terms)  # 0.0 stays
-        inner = KummerLadder(a, b, z[1:-1], terms) if len(terms) > order else None
+        terms += tuple(self.profile._term(k, z) for k in range(len(terms), order + 1))
+        object.__setattr__(self, "_ladder", KummerLadder(a, b, z, terms))
+        cut = tuple(t[1:-1] if np.ndim(t) else t for t in terms)  # 0.0 stays
+        inner = KummerLadder(a, b, z[1:-1], cut)
         return self.grid.samples[1:-1], self.profile.derivatives(z[1:-1], order, inner)
 
 
@@ -332,22 +333,19 @@ def derive_lower_component(psi1_radial: RadialFunction, E: float) -> RadialFunct
     identity, never by finite differences: for
     R = coeff e^{-z/2} z^{m/2} M(a, b, z) it equals
     2 sqrt(gamma) coeff (a/b) e^{-z/2} z^{(m+1)/2} M(a+1, b+1, z).
-    A psi1 whose ladder reaches M(a+1, b+1) hands on its terms from there.
+    psi1's grid terms from M(a+1, b+1) on are handed on, not summed again.
     """
-    params = psi1_radial.params
+    grid, p, params = psi1_radial.grid, psi1_radial.profile, psi1_radial.params
     rest = params.rest_energy
     if not math.isfinite(E) or E + rest <= 0.0:
         raise ValueError(f"E + m0 c^2 must be positive, got E={E!r}")
-    p = psi1_radial.profile
     scale = params.hbar * params.c / (E + rest)
     profile = KummerProfile(
         coeff=p.coeff * scale * 2.0 * math.sqrt(params.gamma) * (p.a / p.b),
         mu=p.mu + 1,
         a=p.a + 1.0,
     )
-    a, b, z, terms = psi1_radial._ladder
-    shifted = KummerLadder(a + 1.0, b + 1.0, z, terms[1:]) if len(terms) > 1 else None
-    return RadialFunction(psi1_radial.grid, profile, params, shifted)
+    return RadialFunction(grid, profile, params, _handed=psi1_radial._ladder.terms[1:])
 
 
 def spinor_sample(

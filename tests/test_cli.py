@@ -196,6 +196,21 @@ class TestVerifyCommand:
         assert by_name["fd-spectrum"]["passed"] == "true"
         assert by_name["dirac-energy-map"]["passed"] == "true"
 
+    def test_node_counts_check_is_live(self, monkeypatch):
+        # node-counts reads the sign changes of the verified psi1 samples: a
+        # profile with one node too many, M(-(n+2), m+1), must fail it
+        config = RunConfig(command="verify", n_max=2, grid_points=1025)
+        checks = {c["name"]: c for c in run_verification_checks(config)}
+        assert checks["node-counts"]["measured"] == 0.0
+
+        def one_node_too_many(qn):
+            return wavefn.KummerProfile(coeff=1.0, mu=qn.m, a=-(qn.n + 2.0))
+
+        monkeypatch.setattr(wavefn, "psi1_profile", one_node_too_many)
+        checks = {c["name"]: c for c in run_verification_checks(config)}
+        assert checks["node-counts"]["measured"] >= 1
+        assert not checks["node-counts"]["passed"]
+
     def test_unknown_tolerance_rejected(self):
         with pytest.raises(ValueError):
             RunConfig(command="verify", tolerances={"bogus": 1.0})
@@ -272,17 +287,16 @@ class TestDiracEnergyMapCheck:
 class TestKummerBudget:
     """kummer_m and laguerre calls, counted through the module attributes.
 
-    A verified state sums psi1's ladder M(a+k, b+k), k <= 2, once on its
-    grid: the values read its first term and both residuals its interior
-    slice, and the derived lower component reads it from its second term on
-    without summing it again.  The node-count profile adds one call.  The psi2
-    ansatz M(-n, m+1) of state n is psi1's profile at state n-1, so only
-    n = 0 sums it, in place of the ladder term M(0, b+1) that stops there:
-    4 calls per state.  The kummer-laguerre table makes one kummer_m and one
-    laguerre call per n <= 20.  Summing the values, the lower component and
-    the ansatz separately took 7 calls per state (6 at n = 0); calling
-    laguerre pair by pair took 231.  The counts do not depend on the
-    machine.
+    A verified state's psi1 sums each Kummer term M(a+k, b+k), k <= 2, once
+    on its grid: the values read the first term, both residuals slice the
+    interior from all three, and the derived lower component takes them
+    from the second term on without summing them again.  At n = 0 the term
+    M(a+2, b+2) has weight zero and is not summed: 3 calls per state, 2 at
+    n = 0.  Node counts read psi1's own samples; the separate node-count
+    profile and the psi2 ansatz took one call per state more.  The
+    kummer-laguerre table makes one kummer_m and one laguerre call per
+    n <= 20.  Calling laguerre pair by pair took 231.  The counts do not
+    depend on the machine.
     """
 
     @staticmethod
@@ -310,7 +324,7 @@ class TestKummerBudget:
     @pytest.mark.parametrize("n_max", [5, 20])
     def test_verify_budget(self, calls, laguerre_calls, m, n_max):
         run_verification_checks(RunConfig(command="verify", m=m, n_max=n_max))
-        assert len(calls) == 4 * (n_max + 1) + 21
+        assert len(calls) == 3 * (n_max + 1) - 1 + 21
         assert len(laguerre_calls) == 21
 
     def test_spinor_sample_budget(self, calls):
@@ -493,6 +507,17 @@ class TestMainEntry:
         argv = ["verify", "--rho-max", "1e-300", "--n-max", "0", "--output", "v.csv"]
         assert main(argv) == 2
         assert "rho_max=1e-300" in capsys.readouterr().err
+        assert not (tmp_path / "v.csv").exists()
+
+    @pytest.mark.parametrize("rho_max, shown", [("1e-70", "1e-70"), ("1e60", "1e+60")])
+    def test_no_mapped_level_returns_two(self, rho_max, shown, tmp_path, monkeypatch, capsys):
+        # no finite-difference level maps onto an excitation, and the
+        # dirac-energy-map reduction took max() of an empty list
+        monkeypatch.chdir(tmp_path)
+        argv = ["verify", "--rho-max", rho_max, "--n-max", "0", "--output", "v.csv"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "dirac-energy-map" in err and f"--rho-max {shown}" in err
         assert not (tmp_path / "v.csv").exists()
 
     def test_overflowing_z_is_refused_without_a_warning(self, tmp_path):

@@ -23,7 +23,6 @@ from dirac2d import (
     ode_residual,
     radial_psi1,
     smallest_eigenvalues,
-    to_dimensionless_z,
 )
 from dirac2d import oracle
 
@@ -530,17 +529,20 @@ class TestCoupledResidual:
 
     @pytest.mark.parametrize("units", ["natural", "si"])
     def test_psi1_read_from_its_ladder_gives_the_same_reports(self, units):
-        # verify builds psi1 from its order-2 ladder, which both residuals
-        # and the derived lower component then read; no float moves
+        # verify runs ode_residual first, so psi1 has summed M(a+k, b+k) for
+        # k <= 2 when coupled_residual hands them to the lower component;
+        # a psi1 that holds M(a, b) alone gives the same reports
         p = natural_params() if units == "natural" else si_params()
         grid = default_grid(p, num_points=1025)
-        z = to_dimensionless_z(grid.samples, p)
         for n, m in [(0, 0), (3, 2)]:
             level = energy(QuantumNumbers(n, m), p)
             own = radial_psi1(level.qn, grid, p)
-            read = RadialFunction(grid, own.profile, p, own.profile.ladder(z))
-            assert ode_residual(read, m, level.k1) == ode_residual(own, m, level.k1)
-            assert coupled_residual(level, read) == coupled_residual(level, own)
+            coupled = coupled_residual(level, own)
+            ode = ode_residual(own, m, level.k1)
+            read = radial_psi1(level.qn, grid, p)
+            read.interior(2)
+            assert ode_residual(read, m, level.k1) == ode
+            assert coupled_residual(level, read) == coupled
 
     def test_lower_on_another_grid_or_in_other_units_is_refused(self):
         p = natural_params()

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import fields, replace
 
@@ -176,31 +177,40 @@ class TestRadialFunction:
 
     @pytest.mark.parametrize("n, m", [(0, 0), (1, 0), (4, 3), (20, 3)])
     def test_values_read_from_a_ladder_are_bit_identical(self, n, m):
-        # verify sums psi1's ladder once on the grid and builds psi1 from it
+        # the values read the first Kummer term the function sums on its
+        # grid: a ladder of any order gives the same floats, and summing the
+        # higher terms for interior(2) leaves the values as they were
         p = natural_params()
         grid = default_grid(p)
         z = to_dimensionless_z(grid.samples, p)
         qn = QuantumNumbers(n, m)
-        profile = psi1_profile(qn)
-        assert profile == radial_psi1(qn, grid, p).profile
+        rf = radial_psi1(qn, grid, p)
+        assert rf.profile == psi1_profile(qn)
+        before = rf.values.copy()
+        rf.interior(2)
+        assert np.array_equal(rf.values.view(np.int64), before.view(np.int64))
         for order in (0, 1, 2):
-            read = RadialFunction(grid, profile, p, profile.ladder(z, order))
-            own = radial_psi1(qn, grid, p)
-            assert np.array_equal(read.values.view(np.int64), own.values.view(np.int64))
+            read = rf.profile.value_z(z, rf.profile.ladder(z, order))
+            assert np.array_equal(read.view(np.int64), rf.values.view(np.int64))
         assert [f.name for f in fields(RadialFunction) if f.init] == [
             "grid", "profile", "params",
         ]
-        assert sorted(vars(read)) == ["_ladder", "grid", "params", "profile", "values"]
+        assert sorted(vars(rf)) == ["_ladder", "grid", "params", "profile", "values"]
 
     def test_a_ladder_of_another_profile_or_grid_is_refused(self):
+        # a function sums its own terms, so no ladder is passed to it; its
+        # values go through value_z, which refuses the ladder of another
+        # profile or of another grid
         p = natural_params()
         grid = RadialGrid(8.0, 33)
         z = to_dimensionless_z(grid.samples, p)
         profile = psi1_profile(QuantumNumbers(2, 1))
+        with pytest.raises(TypeError):
+            RadialFunction(grid, profile, p, profile.ladder(z))
         with pytest.raises(ValueError, match="ladder"):
-            RadialFunction(grid, profile, p, psi1_profile(QuantumNumbers(3, 1)).ladder(z))
+            profile.value_z(z, psi1_profile(QuantumNumbers(3, 1)).ladder(z))
         with pytest.raises(ValueError, match="ladder"):
-            RadialFunction(grid, profile, p, profile.ladder(z[1:-1]))
+            profile.value_z(z, profile.ladder(z[1:-1]))
 
     @IN_BOTH_UNIT_SYSTEMS
     def test_ladder_on_the_grid_sliced_to_the_interior_is_bit_identical(self, p):
@@ -222,26 +232,31 @@ class TestRadialFunction:
 
     @IN_BOTH_UNIT_SYSTEMS
     def test_interior_is_the_profile_at_the_interior_radii(self, p):
-        # read from a ladder's slice or summed afresh, interior(order) gives
-        # the floats of profile.derivatives at the interior z, for psi1, the
-        # psi2 ansatz and the derived lower component
+        # interior(order) slices the grid terms summed so far and sums the
+        # ones it lacks; whichever order comes first, it gives the floats of
+        # profile.derivatives at the interior z, for psi1, the psi2 ansatz
+        # and the lower component derived after psi1's first request
         grid = default_grid(p, num_points=1025)
         z = to_dimensionless_z(grid.samples, p)
         for n, m in [(0, 0), (3, 2)]:
             qn = QuantumNumbers(n, m)
             E = energy(qn, p).E
-            psi1 = radial_psi1(qn, grid, p)
-            read = RadialFunction(grid, psi1.profile, p, psi1.profile.ladder(z))
-            functions = [psi1, read, radial_psi2(qn, grid, p)]
-            functions += [derive_lower_component(rf, E) for rf in (psi1, read)]
-            for rf in functions:
-                for order in (0, 1, 2):
-                    rho, got = rf.interior(order)
-                    assert np.array_equal(rho, grid.samples[1:-1])
-                    want = rf.profile.derivatives(z[1:-1], order)
-                    assert len(got) == len(want) == order + 1
-                    for g, w in zip(got, want):
-                        assert np.array_equal(g.view(np.int64), w.view(np.int64))
+            for orders in itertools.permutations((0, 1, 2)):
+                psi1 = radial_psi1(qn, grid, p)
+                psi1.interior(orders[0])
+                functions = [psi1, radial_psi2(qn, grid, p)]
+                functions.append(derive_lower_component(psi1, E))
+                for rf in functions:
+                    for order in orders:
+                        rho, got = rf.interior(order)
+                        assert np.array_equal(rho, grid.samples[1:-1])
+                        want = rf.profile.derivatives(z[1:-1], order)
+                        assert len(got) == len(want) == order + 1
+                        for g, w in zip(got, want):
+                            assert np.array_equal(g.view(np.int64), w.view(np.int64))
+        for order in (-1, 3):
+            with pytest.raises(ValueError, match="order"):
+                psi1.interior(order)
 
     def test_facts_read_from_profile(self):
         # b = mu + 1 and the angular index is mu, for psi1 (index m), the
@@ -422,20 +437,16 @@ class TestDeriveLowerComponent:
 
     def test_a_zero_profile_gives_zero_whatever_its_ladder(self):
         # the n = 0 psi2 ansatz has a = 0, so the weight a/b is exactly 0;
-        # without a ladder reaching M(1, b+1) the lower component summed
-        # that non-terminating series and raised from kummer_m
+        # whatever terms the ansatz has summed when it is derived, the lower
+        # component sums no non-terminating series and is zero
         p = natural_params()
         grid = RadialGrid(12.0, 33)
-        ansatz = radial_psi2(QuantumNumbers(0, 1), grid, p)
-        z = to_dimensionless_z(grid.samples, p)
-        lowers = [
-            derive_lower_component(
-                RadialFunction(grid, ansatz.profile, p, ansatz.profile.ladder(z, order)),
-                2.0,
-            )
-            for order in (0, 1, 2)
-        ]
-        lowers.append(derive_lower_component(ansatz, 2.0))
+        lowers = []
+        for order in (None, 0, 1, 2):
+            ansatz = radial_psi2(QuantumNumbers(0, 1), grid, p)
+            if order is not None:
+                ansatz.interior(order)
+            lowers.append(derive_lower_component(ansatz, 2.0))
         for lower in lowers:
             assert not np.any(lower.values)
             assert not np.any(lower.interior(2)[1])
@@ -460,14 +471,14 @@ class TestDeriveLowerComponent:
 
     def test_profile_is_the_derived_components_profile(self):
         # mu -> m+1, a -> a+1 and coeff 2 sqrt(gamma) (a/b) hbar c / (E + m0 c^2),
-        # whether or not psi1 carries the ladder the lower component reads
+        # whether or not psi1 has summed the terms the lower component reads
         p = natural_params()
         grid = RadialGrid(8.0, 257)
-        z = to_dimensionless_z(grid.samples, p)
         for n, m in [(0, 0), (2, 1), (5, 3)]:
             qn = QuantumNumbers(n, m)
             rf = radial_psi1(qn, grid, p)
-            read = RadialFunction(grid, rf.profile, p, rf.profile.ladder(z))
+            read = radial_psi1(qn, grid, p)
+            read.interior(2)
             E = energy(qn, p).E
             lower = derive_lower_component(rf, E)
             coeff = 2.0 * (-(n + 1.0) / (m + 1.0)) / (E + 1.0)
@@ -475,23 +486,25 @@ class TestDeriveLowerComponent:
             assert derive_lower_component(read, E).profile == lower.profile
 
     def test_psi1_with_its_ladder_hands_it_on_without_kummer_calls(self, monkeypatch):
+        # a psi1 that holds M(a+1, b+1) on its grid hands it on and the
+        # lower component sums nothing; one that holds M(a, b) alone leaves
+        # the lower component its first term to sum.  The floats agree.
         p = natural_params()
         grid = RadialGrid(8.0, 257)
-        z = to_dimensionless_z(grid.samples, p)
+        calls = []
+        kummer_m = wavefn.kummer_m
+        monkeypatch.setattr(wavefn, "kummer_m", lambda *a: calls.append(a) or kummer_m(*a))
         for n, m in [(0, 0), (4, 2)]:
             qn = QuantumNumbers(n, m)
-            profile = psi1_profile(qn)
-            read = RadialFunction(grid, profile, p, profile.ladder(z))
-            calls = []
-            kummer_m = wavefn.kummer_m
-            monkeypatch.setattr(
-                wavefn, "kummer_m", lambda *a: calls.append(a) or kummer_m(*a)
-            )
-            lower = derive_lower_component(read, energy(qn, p).E)
-            monkeypatch.undo()
-            assert calls == []
-            own = derive_lower_component(radial_psi1(qn, grid, p), energy(qn, p).E)
-            assert np.array_equal(lower.values.view(np.int64), own.values.view(np.int64))
+            E = energy(qn, p).E
+            for order in (0, 1, 2):
+                psi1 = radial_psi1(qn, grid, p)
+                psi1.interior(order)
+                calls.clear()
+                lower = derive_lower_component(psi1, E)
+                assert len(calls) == (order == 0), (n, m, order)
+                own = derive_lower_component(radial_psi1(qn, grid, p), E)
+                assert np.array_equal(lower.values.view(np.int64), own.values.view(np.int64))
 
     def test_requires_profile_metadata(self):
         # mu, b and a of the lower component come from psi1's profile, so a
