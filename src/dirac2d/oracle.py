@@ -453,13 +453,14 @@ def coupled_residual(
     rest = params.rest_energy
     if not math.isfinite(E) or E + rest <= 0.0:
         raise ValueError(f"E + m0 c^2 must be positive, got E={E!r}")
+    # psi1 sums M(a+1, b+1) first, so a derived lower component takes it over.
+    rho, (r1, r1_z) = psi1.interior(1)
     if lower is None:
         lower = derive_lower_component(psi1, E)
 
     m = psi1.angular_index
     hbar_c = params.hbar * params.c
     tension = params.c * params.rest_mass * params.omega  # c m0 w
-    rho, (r1, r1_z) = psi1.interior(1)
     rho_g, (g, g_z) = lower.interior(1)
     if lower.params != params or not np.array_equal(rho_g, rho):
         raise ValueError("lower must share psi1's grid and units")

@@ -27,7 +27,8 @@ class PhysicalParams:
     """Rest mass, angular frequency and the fundamental constants hbar, c.
 
     All four fields must be strictly positive and finite; NaN or infinity is
-    rejected at construction.
+    rejected at construction, and so is a product or quotient that leaves
+    float64 in the ratios the package reads: lam, gamma and b**2.
     """
 
     rest_mass: float
@@ -45,11 +46,15 @@ class PhysicalParams:
             if not math.isfinite(value) or value <= 0.0:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
             object.__setattr__(self, name, value)
-        lam = self.lam
-        if not math.isfinite(lam) or lam <= 0.0:
-            raise ValueError(
-                f"hbar*omega/(m0*c^2) = {lam!r} is not a positive finite ratio"
-            )
+        m0_omega = self.rest_mass * self.omega
+        for name, num, den in (
+            ("hbar*omega/(m0*c^2)", self.energy_quantum, self.rest_energy),
+            ("m0*omega/hbar", m0_omega, self.hbar),
+            ("hbar/(m0*omega)", self.hbar, m0_omega),
+        ):
+            ratio = num / den if den else math.inf
+            if not math.isfinite(ratio) or ratio <= 0.0:
+                raise ValueError(f"{name} = {ratio!r} is not a positive finite ratio")
 
     @property
     def rest_energy(self) -> float:

@@ -28,7 +28,6 @@ tests compare the two conventions without privileging either.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -40,7 +39,6 @@ from .units import PhysicalParams, to_dimensionless_z
 __all__ = [
     "TruncationError",
     "RadialGrid",
-    "KummerLadder",
     "KummerProfile",
     "RadialFunction",
     "SpinorSample",
@@ -105,10 +103,6 @@ def default_grid(
     return RadialGrid(rho_max_in_b * params.oscillator_length, num_points)
 
 
-# The terms M(a+k, b+k, z), k = 0, 1, ..., each summed once at fixed z.
-KummerLadder = namedtuple("KummerLadder", "a b z terms")
-
-
 @dataclass(frozen=True)
 class KummerProfile:
     """Descriptor of f(z) = coeff * exp(-z/2) * z**(mu/2) * M(a, mu + 1, z).
@@ -118,9 +112,9 @@ class KummerProfile:
 
         d^k M/dz^k = [a (a+1)...(a+k-1)] / [b (b+1)...(b+k-1)] M(a+k, b+k, z),
 
-    which ``ladder`` evaluates, each M(a+k, b+k, z) at most once.  A term
-    whose weight is exactly zero is skipped: M is a polynomial of degree -a
-    with no derivative past it, so only terminating series are ever summed.
+    summing each M(a+k, b+k, z) at most once.  A term whose weight is
+    exactly zero is skipped: M is a polynomial of degree -a with no
+    derivative past it, so only terminating series are ever summed.
     A profile with coeff 0 is identically zero and sums no term at all.
     ``value_z``, ``dvalue_dz`` and ``d2value_dz2`` are single-output views.
     """
@@ -134,32 +128,18 @@ class KummerProfile:
         """Second Kummer argument, fixed by the power: b = mu + 1."""
         return self.mu + 1.0
 
-    def ladder(self, z, order: int = 2) -> KummerLadder:
-        """M(a+k, b+k, z) for k <= order <= 2, or 0.0 where the weight vanishes."""
-        if order not in (0, 1, 2):
-            raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
-        z = np.asarray(z, dtype=float)
-        terms = tuple(self._term(k, z) for k in range(order + 1))
-        return KummerLadder(self.a, self.b, z, terms)
-
     def _term(self, k: int, z):
         """M(a+k, b+k, z), or 0.0 where coeff or the weight's a (a+1)...(a+k-1) is 0."""
         live = self.coeff and all(self.a + j for j in range(k))
         return kummer_m(self.a + k, self.b + k, z) if live else 0.0
 
-    def derivatives(self, z, order: int = 2, ladder: KummerLadder | None = None):
-        """[f, f', ..., f^(order)] at z, order <= 2, read from ``ladder`` if given."""
+    def derivatives(self, z, order: int = 2, *, _terms=()):
+        """[f, f', ..., f^(order)] at z, order <= 2, summing the terms not in _terms."""
         if order not in (0, 1, 2):
             raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
         a, b = self.a, self.b
         z = np.asarray(z, dtype=float)
-        if ladder is None:
-            ladder = self.ladder(z, order)
-        elif ladder[:2] != (a, b) or len(ladder.terms) <= order or not (
-            np.array_equal(ladder.z, z)
-        ):
-            raise ValueError(f"ladder {ladder[:2]} lacks order {order} of {a, b} at z")
-        m = ladder.terms
+        m = _terms + tuple(self._term(k, z) for k in range(len(_terms), order + 1))
         pref = self.coeff * np.exp(-0.5 * z) * np.power(z, 0.5 * self.mu)
         w1, w2 = a / b, a * (a + 1.0) / (b * (b + 1.0))
         out = [pref * m[0]]
@@ -171,8 +151,8 @@ class KummerProfile:
             out.append(pref * (curv * m[0] + 2.0 * g * w1 * m[1] + w2 * m[2]))
         return out
 
-    def value_z(self, z, ladder: KummerLadder | None = None):
-        return self.derivatives(z, 0, ladder)[0]
+    def value_z(self, z, *, _terms=()):
+        return self.derivatives(z, 0, _terms=_terms)[0]
 
     def dvalue_dz(self, z):
         """Exact d/dz; requires z > 0 when mu > 0."""
@@ -201,18 +181,20 @@ class RadialFunction:
     profile: KummerProfile
     params: PhysicalParams
     values: np.ndarray = field(init=False)
-    _ladder: KummerLadder = field(init=False, repr=False)  # replaced as terms are summed
+    _z: np.ndarray = field(init=False, repr=False)
+    _terms: tuple = field(init=False, repr=False)  # replaced as terms are summed
     _handed: InitVar[tuple] = field(default=(), kw_only=True)  # from derive_lower_component
 
     def __post_init__(self, _handed):
         p, z = self.profile, to_dimensionless_z(self.grid.samples, self.params)
-        ladder = KummerLadder(p.a, p.b, z, tuple(_handed) or (p._term(0, z),))
-        values = p.value_z(z, ladder)
+        terms = tuple(_handed) or (p._term(0, z),)
+        values = p.value_z(z, _terms=terms)
         if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite at every sample")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_ladder", ladder)
+        object.__setattr__(self, "_z", z)
+        object.__setattr__(self, "_terms", terms)
 
     @property
     def angular_index(self) -> int:
@@ -221,15 +203,14 @@ class RadialFunction:
     def interior(self, order: int):
         """rho and [f, ..., f^(order)] at grid.samples[1:-1], order <= 2.
 
-        Stores a new ladder with the missing grid terms, then slices it: the
-        terms are elementwise in z, so no float moves.
+        Stores the missing grid terms, then slices them: the terms are
+        elementwise in z, so no float moves.
         """
-        a, b, z, terms = self._ladder
+        z, terms = self._z, self._terms
         terms += tuple(self.profile._term(k, z) for k in range(len(terms), order + 1))
-        object.__setattr__(self, "_ladder", KummerLadder(a, b, z, terms))
+        object.__setattr__(self, "_terms", terms)
         cut = tuple(t[1:-1] if np.ndim(t) else t for t in terms)  # 0.0 stays
-        inner = KummerLadder(a, b, z[1:-1], cut)
-        return self.grid.samples[1:-1], self.profile.derivatives(z[1:-1], order, inner)
+        return self.grid.samples[1:-1], self.profile.derivatives(z[1:-1], order, _terms=cut)
 
 
 @dataclass(frozen=True)
@@ -345,7 +326,7 @@ def derive_lower_component(psi1_radial: RadialFunction, E: float) -> RadialFunct
         mu=p.mu + 1,
         a=p.a + 1.0,
     )
-    return RadialFunction(grid, profile, params, _handed=psi1_radial._ladder.terms[1:])
+    return RadialFunction(grid, profile, params, _handed=psi1_radial._terms[1:])
 
 
 def spinor_sample(

@@ -295,8 +295,10 @@ class TestKummerBudget:
     n = 0.  Node counts read psi1's own samples; the separate node-count
     profile and the psi2 ansatz took one call per state more.  The
     kummer-laguerre table makes one kummer_m and one laguerre call per
-    n <= 20.  Calling laguerre pair by pair took 231.  The counts do not
-    depend on the machine.
+    n <= 20.  Calling laguerre pair by pair took 231.  A lone coupled
+    residual sums psi1's first two terms, and its lower component takes the
+    second over: 3 calls per state, 2 at n = 0.  The counts do not depend on
+    the machine.
     """
 
     @staticmethod
@@ -332,6 +334,16 @@ class TestKummerBudget:
         qn = QuantumNumbers(n=7, m=2)
         spinor_sample(qn, 1.7, 0.4, energy(qn, p).E, p)
         assert len(calls) == 4  # psi1 and psi2 on the grid, then at the point
+
+    @pytest.mark.parametrize("n, m", [(0, 0), (0, 3), (3, 2), (7, 0)])
+    def test_lone_coupled_residual_budget(self, calls, n, m):
+        # psi1 sums M(a+1, b+1) before the lower component is derived, which
+        # takes it over: M(a+1, b+1) was summed twice, 4 calls per state
+        p = natural_params()
+        qn = QuantumNumbers(n, m)
+        psi1 = wavefn.radial_psi1(qn, wavefn.default_grid(p), p)
+        oracle.coupled_residual(energy(qn, p), psi1)
+        assert len(calls) == (2 if n == 0 else 3)
 
 
 class TestSolverRows:
@@ -500,6 +512,26 @@ class TestMainEntry:
         assert code == 2
         assert "lambda=1e-300" in capsys.readouterr().err
         assert not (tmp_path / "nr.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv, shown",
+        [
+            (["wavefn", "--n", "0", "--m0", "1e-200", "--omega", "1e-200"], "= 0.0"),
+            (["verify", "--n-max", "0", "--m0", "1e-170", "--omega", "1e-170"], "= 0.0"),
+            (["verify", "--n-max", "0", "--m0", "1e200", "--omega", "1e200"], "= inf"),
+        ],
+    )
+    def test_mass_frequency_product_out_of_float64_returns_two(
+        self, argv, shown, tmp_path, monkeypatch, capsys
+    ):
+        # m0*omega underflowed (a ZeroDivisionError from oscillator_length)
+        # or overflowed (a refusal naming rho_max, which was never set)
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--output", "out.csv"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: m0*omega/hbar {shown} is not a positive finite ratio"
+        ]
+        assert not (tmp_path / "out.csv").exists()
 
     def test_rho_max_beyond_the_operator_returns_two(self, tmp_path, monkeypatch, capsys):
         # the spacing's square underflowed and build_radial_operator divided by it

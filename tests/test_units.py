@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -36,6 +37,22 @@ class TestPhysicalParams:
     def test_lambda_ratio(self):
         p = PhysicalParams(rest_mass=1.0, omega=1e-4)
         assert_allclose(p.lam, 1e-4, rtol=1e-15)
+
+    @pytest.mark.parametrize(
+        "kwargs, name, ratio",
+        [
+            # m0*omega underflows to 0 or overflows to inf
+            (dict(rest_mass=1e-200, omega=1e-200), "m0*omega/hbar", "0.0"),
+            (dict(rest_mass=1e200, omega=1e200), "m0*omega/hbar", "inf"),
+            # gamma is subnormal, so b**2 = hbar/(m0*omega) overflows
+            (dict(rest_mass=1e-300, omega=1e-10, hbar=1e10, c=1e4), "hbar/(m0*omega)", "inf"),
+            # m0*c**2 underflows to 0, so lam overflows
+            (dict(rest_mass=1e-300, omega=1.0, c=1e-100), "hbar*omega/(m0*c^2)", "inf"),
+        ],
+    )
+    def test_rejects_a_ratio_that_leaves_float64(self, kwargs, name, ratio):
+        with pytest.raises(ValueError, match=re.escape(f"{name} = {ratio} is not")):
+            PhysicalParams(**kwargs)
 
     def test_scales_reproducible_exactly(self):
         for p in PARAM_SWEEP:

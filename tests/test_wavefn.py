@@ -7,7 +7,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dirac2d import (
-    KummerLadder,
     KummerProfile,
     PhysicalParams,
     QuantumNumbers,
@@ -108,40 +107,25 @@ class TestKummerProfile:
         prof = KummerProfile(coeff=1.0, mu=0, a=-1.0)
         with pytest.raises(ValueError):
             prof.derivatives(1.0, 3)
-        with pytest.raises(ValueError):
-            prof.ladder(1.0, 3)
 
     def test_ladder_gives_the_same_floats(self):
-        # psi1's ladder serves psi1 and, from its second term, the derived
-        # lower component (a+1, b+1); the floats equal separate evaluation
+        # psi1's grid terms M(a+k, b+k) serve psi1 and, from the second on,
+        # the derived lower component (a+1, b+1); the floats equal each
+        # profile's own evaluation at the same z
         p = natural_params()
-        z = np.linspace(0.01, 40.0, 97)
+        grid = RadialGrid(math.sqrt(40.0), 97)
+        z = to_dimensionless_z(grid.samples, p)
         for n, m in [(0, 0), (1, 0), (4, 3)]:
-            psi1 = radial_psi1(QuantumNumbers(n, m), RadialGrid(12.0, 9), p)
-            lower = derive_lower_component(psi1, 2.0).profile
-            ladder = psi1.profile.ladder(z)
-            shifted = KummerLadder(ladder.a + 1.0, ladder.b + 1.0, z, ladder.terms[1:])
-            for order in (0, 1, 2):
-                own = psi1.profile.derivatives(z, order)
-                read = psi1.profile.derivatives(z, order, ladder)
-                assert all(np.array_equal(x, y) for x, y in zip(own, read))
-            own = lower.derivatives(z, 1)
-            read = lower.derivatives(z, 1, shifted)
-            assert all(np.array_equal(x, y) for x, y in zip(own, read))
-
-    def test_rejects_a_ladder_of_another_profile_or_other_z(self):
-        z = np.linspace(0.5, 4.0, 8)
-        prof = KummerProfile(coeff=1.0, mu=2, a=-3.0)
-        other = KummerProfile(coeff=1.0, mu=2, a=-2.0).ladder(z)
-        with pytest.raises(ValueError, match="ladder"):
-            prof.derivatives(z, 2, other)
-        with pytest.raises(ValueError, match="ladder"):
-            prof.derivatives(z + 1.0, 2, prof.ladder(z))
-        with pytest.raises(ValueError, match="ladder"):
-            prof.derivatives(z, 2, prof.ladder(z, 1))
-        # another coeff shares the terms: they depend on (a, b, z) alone
-        scaled = replace(prof, coeff=3.0).derivatives(z, 2, prof.ladder(z))
-        assert_allclose(scaled[2], 3.0 * prof.derivatives(z, 2)[2], rtol=1e-15)
+            psi1 = radial_psi1(QuantumNumbers(n, m), grid, p)
+            psi1.interior(2)
+            lower = derive_lower_component(psi1, 2.0)
+            for rf, order in [(psi1, 0), (psi1, 1), (psi1, 2), (lower, 1)]:
+                own = rf.profile.derivatives(z[1:-1], order)
+                read = rf.interior(order)[1]
+                for x, y in zip(own, read):
+                    assert np.array_equal(x.view(np.int64), y.view(np.int64))
+            own = lower.profile.value_z(z)
+            assert np.array_equal(own.view(np.int64), lower.values.view(np.int64))
 
 
 class TestRadialFunction:
@@ -158,6 +142,9 @@ class TestRadialFunction:
         assert init == ["grid", "profile", "params"]
         with pytest.raises(TypeError):
             RadialFunction(grid=grid, profile=profile, params=p, values=np.ones(9))
+        # a function sums its own terms, so none can be passed to it
+        with pytest.raises(TypeError):
+            RadialFunction(grid, profile, p, (np.ones(9),))
 
     @IN_BOTH_UNIT_SYSTEMS
     def test_values_are_the_profile_on_the_grid(self, p):
@@ -178,8 +165,8 @@ class TestRadialFunction:
     @pytest.mark.parametrize("n, m", [(0, 0), (1, 0), (4, 3), (20, 3)])
     def test_values_read_from_a_ladder_are_bit_identical(self, n, m):
         # the values read the first Kummer term the function sums on its
-        # grid: a ladder of any order gives the same floats, and summing the
-        # higher terms for interior(2) leaves the values as they were
+        # grid: they are the floats of value_z, and summing the higher terms
+        # for interior(2) leaves them as they were
         p = natural_params()
         grid = default_grid(p)
         z = to_dimensionless_z(grid.samples, p)
@@ -189,46 +176,41 @@ class TestRadialFunction:
         before = rf.values.copy()
         rf.interior(2)
         assert np.array_equal(rf.values.view(np.int64), before.view(np.int64))
-        for order in (0, 1, 2):
-            read = rf.profile.value_z(z, rf.profile.ladder(z, order))
-            assert np.array_equal(read.view(np.int64), rf.values.view(np.int64))
+        read = rf.profile.value_z(z)
+        assert np.array_equal(read.view(np.int64), rf.values.view(np.int64))
         assert [f.name for f in fields(RadialFunction) if f.init] == [
             "grid", "profile", "params",
         ]
-        assert sorted(vars(rf)) == ["_ladder", "grid", "params", "profile", "values"]
-
-    def test_a_ladder_of_another_profile_or_grid_is_refused(self):
-        # a function sums its own terms, so no ladder is passed to it; its
-        # values go through value_z, which refuses the ladder of another
-        # profile or of another grid
-        p = natural_params()
-        grid = RadialGrid(8.0, 33)
-        z = to_dimensionless_z(grid.samples, p)
-        profile = psi1_profile(QuantumNumbers(2, 1))
-        with pytest.raises(TypeError):
-            RadialFunction(grid, profile, p, profile.ladder(z))
-        with pytest.raises(ValueError, match="ladder"):
-            profile.value_z(z, psi1_profile(QuantumNumbers(3, 1)).ladder(z))
-        with pytest.raises(ValueError, match="ladder"):
-            profile.value_z(z, profile.ladder(z[1:-1]))
+        assert sorted(vars(rf)) == [
+            "_terms", "_z", "grid", "params", "profile", "values",
+        ]
 
     @IN_BOTH_UNIT_SYSTEMS
-    def test_ladder_on_the_grid_sliced_to_the_interior_is_bit_identical(self, p):
-        # the residuals read the interior slice of the ladder summed on the
-        # whole grid; Kummer terms are elementwise, so no float moves
+    def test_ladder_on_the_grid_sliced_to_the_interior_is_bit_identical(
+        self, p, monkeypatch
+    ):
+        # interior(2) sums each term M(a+k, b+k) once on the whole grid and
+        # slices the interior; Kummer terms are elementwise, so the slice
+        # gives the floats of terms summed at the interior.  The n = 0 term
+        # k = 2 has weight zero and is never summed.
         grid = default_grid(p)
         z = to_dimensionless_z(grid.samples, p)
         inner_z = to_dimensionless_z(grid.samples[1:-1], p)
         assert np.array_equal(z[1:-1], inner_z)
+        kummer_m, calls = wavefn.kummer_m, []
+        monkeypatch.setattr(wavefn, "kummer_m", lambda *a: calls.append(a) or kummer_m(*a))
         for n, m in [(0, 0), (0, 3), (5, 0), (20, 3)]:
-            profile = psi1_profile(QuantumNumbers(n, m))
-            full, inner = profile.ladder(z), profile.ladder(inner_z)
-            assert len(full.terms) == len(inner.terms) == 3
-            for whole, part in zip(full.terms, inner.terms):
-                if np.ndim(part) == 0:  # a zero-weight term (n = 0, k = 2)
-                    assert whole == part == 0.0
-                else:
-                    assert np.array_equal(whole[1:-1].view(np.int64), part.view(np.int64))
+            calls.clear()
+            rf = radial_psi1(QuantumNumbers(n, m), grid, p)
+            rf.interior(2)
+            a, b = rf.profile.a, rf.profile.b
+            shifts = [(a + k, b + k) for k in range(2 if n == 0 else 3)]
+            assert [call[:2] for call in calls] == shifts
+            for shift_a, shift_b, where in calls:
+                assert np.array_equal(where, z)
+                whole = kummer_m(shift_a, shift_b, z)[1:-1]
+                part = kummer_m(shift_a, shift_b, inner_z)
+                assert np.array_equal(whole.view(np.int64), part.view(np.int64))
 
     @IN_BOTH_UNIT_SYSTEMS
     def test_interior_is_the_profile_at_the_interior_radii(self, p):
