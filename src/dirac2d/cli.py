@@ -9,8 +9,10 @@ nr-limit   exact energies against the three-term weak-coupling expansion
 
 Output is CSV (comma separated, '.' decimals, LF line endings, floats in
 17-significant-digit scientific form) or JSON (object with "config", "rows"
-and "checks" keys; floats serialized in shortest round-trip form).  Identical
-configurations produce byte-identical files; files are written atomically.
+and "checks" keys; floats serialized in shortest round-trip form).  Rows are
+rendered column-wise through one row template, byte-identical to
+json.dumps(indent=2) of one dict per row.  Identical configurations produce
+byte-identical files; files are written atomically.
 The environment variable DIRAC2D_OUTPUT_DIR redirects relative output paths.
 """
 
@@ -149,21 +151,52 @@ def _fmt_csv(value) -> str:
     return str(value)
 
 
-def _render_csv(rows: list[dict]) -> str:
-    """CSV table whose header is the keys of the first record."""
-    columns = list(rows[0])
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt_csv(row[c]) for c in columns))
-    return "\n".join(lines) + "\n"
+def _cells(column) -> tuple[list, bool]:
+    """A column's cells as a list, and whether every cell is a float."""
+    cells = column.tolist() if isinstance(column, np.ndarray) else list(column)
+    return cells, set(map(type, cells)) == {float}
 
 
-def _render_json(config: RunConfig, rows: list[dict], checks: list[dict]) -> str:
-    return json.dumps(
-        {"config": config.to_dict(), "rows": rows, "checks": checks},
-        indent=2,
-        allow_nan=False,
-    ) + "\n"
+def _render_csv(table: dict) -> str:
+    """CSV table: a header of the column names, then one line per row.
+
+    A column of floats fills a %.16e slot of the row template, which formats
+    like f"{v:.16e}"; any other column is formatted once through _fmt_csv.
+    """
+    slots, columns = [], []
+    for column in table.values():
+        cells, floats = _cells(column)
+        slots.append("%.16e" if floats else "%s")
+        columns.append(cells if floats else [_fmt_csv(v) for v in cells])
+    line = ",".join(slots) + "\n"
+    return ",".join(table) + "\n" + "".join(line % row for row in zip(*columns))
+
+
+def _render_json(config: RunConfig, table: dict, checks: list[dict]) -> str:
+    """The object {"config", "rows", "checks"} as json.dumps writes it.
+
+    Byte-identical to json.dumps(..., indent=2, allow_nan=False) with one
+    dict per row of ``table``, but the rows fill one row template: a float
+    cell takes float.__repr__ (as json does), any other cell json.dumps, and
+    a float that is not finite raises ValueError.
+    """
+
+    def nested(value):  # a value of the top-level object, indented one level
+        return json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n  ")
+
+    cell = json.JSONEncoder(allow_nan=False).encode  # json.dumps(v, allow_nan=False)
+    slots, columns = [], []
+    for name, column in table.items():
+        cells, floats = _cells(column)
+        if floats and not all(map(math.isfinite, cells)):
+            raise ValueError(f"column {name!r} holds a float that is not finite")
+        slots.append(f'      {json.dumps(name).replace("%", "%%")}: %s')
+        columns.append(list(map(float.__repr__ if floats else cell, cells)))
+    row = "    {\n" + ",\n".join(slots) + "\n    }"
+    rows = ",\n".join(row % cells for cells in zip(*columns))
+    rows = f"[\n{rows}\n  ]" if rows else "[]"
+    head = f'{{\n  "config": {nested(config.to_dict())},\n  "rows": {rows},\n'
+    return head + f'  "checks": {nested(checks)}\n}}\n'
 
 
 def _resolve_output(config: RunConfig) -> Path:
@@ -188,11 +221,12 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def _emit(config: RunConfig, rows: list[dict], checks: list[dict]) -> Path:
+def _emit(config: RunConfig, table: dict, checks: list[dict]) -> Path:
+    """Write ``table`` (column name -> column) or, in CSV without one, ``checks``."""
     if config.fmt == "csv":
-        text = _render_csv(rows or checks)
+        text = _render_csv(table or {k: [c[k] for c in checks] for k in checks[0]})
     else:
-        text = _render_json(config, rows, checks)
+        text = _render_json(config, table, checks)
     path = _resolve_output(config)
     _write_atomic(path, text)
     return path
@@ -205,25 +239,19 @@ def _emit(config: RunConfig, rows: list[dict], checks: list[dict]) -> Path:
 def cmd_spectrum(config: RunConfig) -> Path:
     """Table of levels n = 0 .. n_max at fixed m."""
     params = config.params()
-    rows = []
-    levels = [
-        spectrum.energy(QuantumNumbers(n=n, m=config.m), params)
-        for n in range(config.n_max + 1)
-    ]
+    ns = range(config.n_max + 1)
+    levels = [spectrum.energy(QuantumNumbers(n=n, m=config.m), params) for n in ns]
     gaps = spectrum.level_spacings(config.n_max, params) if config.n_max else []
-    for n, level in enumerate(levels):
-        rows.append(
-            {
-                "n": n,
-                "m": config.m,
-                "E": level.E,
-                "E_minus_mc2": level.excitation,
-                "k1": level.k1,
-                "kummer_a": level.kummer_a,
-                "spacing_to_next": gaps[n] if n < config.n_max else None,
-            }
-        )
-    return _emit(config, rows, [])
+    table = {
+        "n": ns,
+        "m": [config.m] * len(ns),
+        "E": [level.E for level in levels],
+        "E_minus_mc2": [level.excitation for level in levels],
+        "k1": [level.k1 for level in levels],
+        "kummer_a": [level.kummer_a for level in levels],
+        "spacing_to_next": [*gaps, None],
+    }
+    return _emit(config, table, [])
 
 
 def cmd_wavefn(config: RunConfig) -> Path:
@@ -259,10 +287,7 @@ def cmd_wavefn(config: RunConfig) -> Path:
         "R2_derived": r2,
         "probability_density": 2.0 * math.pi * rho * (r1 * r1 + r2 * r2),
     }
-    columns = list(table)
-    cells = zip(*(column.tolist() for column in table.values()))
-    rows = [dict(zip(columns, row)) for row in cells]
-    return _emit(config, rows, [])
+    return _emit(config, table, [])
 
 
 def _check(name, measured, tolerance, detail=""):
@@ -351,7 +376,7 @@ def run_verification_checks(config: RunConfig) -> list[dict]:
 def cmd_verify(config: RunConfig) -> tuple[Path, bool]:
     """Write the verification report; returns (path, all_passed)."""
     checks = run_verification_checks(config)
-    path = _emit(config, [], checks)
+    path = _emit(config, {}, checks)
     return path, all(c["passed"] for c in checks)
 
 
@@ -375,17 +400,9 @@ def cmd_nr_limit(config: RunConfig) -> Path:
             exact = spectrum.energy(QuantumNumbers(n=n, m=0), params).E
             approx = spectrum.nr_expansion(n, params).total
             err = abs(exact - approx)
-            rows.append(
-                {
-                    "lambda": lam,
-                    "n": n,
-                    "E_exact": exact,
-                    "E_three_term": approx,
-                    "abs_error": err,
-                    "error_over_lambda_cubed": err / lam**3,
-                }
-            )
-    return _emit(config, rows, [])
+            rows.append((lam, n, exact, approx, err, err / lam**3))
+    names = "lambda n E_exact E_three_term abs_error error_over_lambda_cubed"
+    return _emit(config, dict(zip(names.split(), zip(*rows))), [])
 
 
 # ---------------------------------------------------------------------------

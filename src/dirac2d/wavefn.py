@@ -206,6 +206,8 @@ class RadialFunction:
         Stores the missing grid terms, then slices them: the terms are
         elementwise in z, so no float moves.
         """
+        if order not in (0, 1, 2):
+            raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
         z, terms = self._z, self._terms
         terms += tuple(self.profile._term(k, z) for k in range(len(terms), order + 1))
         object.__setattr__(self, "_terms", terms)

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from dirac2d import (
@@ -233,10 +235,15 @@ class TestVerifyCommand:
         assert not out.exists()
 
     def test_json_never_holds_nan_or_infinity(self):
+        # in checks, and in a rows column of floats, of numpy floats or of
+        # mixed cells (the last is rendered cell by cell through json.dumps)
         config = RunConfig(command="verify", fmt="json")
-        for bad in (math.nan, math.inf):
+        for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError):
-                cli._render_json(config, [], [{"measured": bad}])
+                cli._render_json(config, {}, [{"measured": bad}])
+            for column in ([1.0, bad], np.array([1.0, bad]), [None, bad]):
+                with pytest.raises(ValueError):
+                    cli._render_json(config, {"E": column}, [])
 
     def test_csv_report_parses_cleanly(self, tmp_path):
         config = RunConfig(
@@ -645,3 +652,70 @@ class TestSingleDeclaration:
             if command == "verify":
                 assert len(config["tolerances"]) == 7
         assert config["lambdas"] == list(RunConfig(command="nr-limit").lambdas)
+
+
+# Cells the writers meet: the float edge cases, numpy floats (which repr as
+# np.float64(...) in numpy 2), ints, None, bools and strings with quotes,
+# backslashes, percent signs and non-ASCII characters.
+FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, 1e308, -1e308])
+TEXT = st.text() | st.sampled_from(['"', "\\", '\\"%s', "%%", "é", "ψ₁ \u2028"])
+CELLS = st.one_of(
+    st.none(), st.booleans(), st.integers(), FLOATS, FLOATS.map(np.float64), TEXT
+)
+
+
+@st.composite
+def tables(draw, min_columns=0):
+    """A table as the commands hand it on: column name -> list or array."""
+    size = draw(st.integers(0, 5))
+    names = draw(st.lists(TEXT, min_size=min_columns, max_size=4, unique=True))
+    floats = st.lists(FLOATS, min_size=size, max_size=size)
+    column = st.one_of(
+        floats,
+        floats.map(lambda cells: np.array(cells, dtype=float)),
+        st.lists(CELLS, min_size=size, max_size=size),
+    )
+    return {name: draw(column) for name in names}
+
+
+def _outcome(render):
+    """The rendered text, or ValueError if rendering refused a float."""
+    try:
+        return render()
+    except ValueError:
+        return ValueError
+
+
+def _per_cell_csv(table):
+    """The per-cell reference: each cell of each row through _fmt_csv."""
+    lines = [",".join(table)]
+    for row in zip(*table.values()):
+        lines.append(",".join(cli._fmt_csv(cell) for cell in row))
+    return "\n".join(lines) + "\n"
+
+
+class TestColumnwiseRendering:
+    """The row-template writers match json.dumps and the per-cell CSV path."""
+
+    PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
+    EDGES = {"x": np.array([-0.0, 5e-324, 1e308, 0.1]), "n": [0, 1, True, None]}
+
+    @PROPERTY
+    @example(table=EDGES, checks=[], command="wavefn")
+    @given(
+        table=tables(),
+        checks=st.lists(st.dictionaries(TEXT, CELLS, max_size=3), max_size=2),
+        command=st.sampled_from(sorted(cli.COMMANDS)),
+    )
+    def test_json_equals_json_dumps_of_the_row_dicts(self, table, checks, command):
+        config = RunConfig(command=command, fmt="json")
+        rows = [dict(zip(table, row)) for row in zip(*table.values())]
+        payload = {"config": config.to_dict(), "rows": rows, "checks": checks}
+        expected = _outcome(lambda: json.dumps(payload, indent=2, allow_nan=False) + "\n")
+        assert _outcome(lambda: cli._render_json(config, table, checks)) == expected
+
+    @PROPERTY
+    @example(table=EDGES)
+    @given(table=tables(min_columns=1))
+    def test_csv_equals_the_per_cell_path(self, table):
+        assert cli._render_csv(table) == _per_cell_csv(table)

@@ -212,6 +212,19 @@ class TestRadialFunction:
                 part = kummer_m(shift_a, shift_b, inner_z)
                 assert np.array_equal(whole.view(np.int64), part.view(np.int64))
 
+    def test_order_above_two_is_refused_before_any_term_is_summed(self, monkeypatch):
+        # an order derivatives refuses sums no grid term M(a+k, b+k) first,
+        # and leaves the terms the function holds as they were
+        p = natural_params()
+        rf = radial_psi1(QuantumNumbers(5, 1), default_grid(p), p)
+        terms = rf._terms
+        kummer_m, calls = wavefn.kummer_m, []
+        monkeypatch.setattr(wavefn, "kummer_m", lambda *a: calls.append(a) or kummer_m(*a))
+        with pytest.raises(ValueError, match="order must be 0, 1 or 2, got 3"):
+            rf.interior(3)
+        assert calls == []
+        assert rf._terms is terms
+
     @IN_BOTH_UNIT_SYSTEMS
     def test_interior_is_the_profile_at_the_interior_radii(self, p):
         # interior(order) slices the grid terms summed so far and sums the
