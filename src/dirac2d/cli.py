@@ -47,6 +47,8 @@ OUTPUT_DIR_ENV = "DIRAC2D_OUTPUT_DIR"
 SI_HBAR = 1.054571817e-34
 SI_C = 299792458.0
 SI_ELECTRON_MASS = 9.1093837015e-31
+# unit system -> default rest mass, hbar and c
+_UNITS = {"natural": (1.0, 1.0, 1.0), "si": (SI_ELECTRON_MASS, SI_HBAR, SI_C)}
 
 DEFAULT_TOLERANCES = {
     "fd-spectrum": 1e-3,
@@ -80,8 +82,9 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
-        if self.units not in ("natural", "si"):
-            raise ValueError(f"units must be 'natural' or 'si', got {self.units!r}")
+        if self.units not in _UNITS:
+            known = " or ".join(map(repr, _UNITS))
+            raise ValueError(f"units must be {known}, got {self.units!r}")
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"format must be 'csv' or 'json', got {self.fmt!r}")
         if self.n_max < 0:
@@ -97,18 +100,12 @@ class RunConfig:
                 raise ValueError(f"{name} tolerance must be finite and >= 0: {value}")
 
     def params(self) -> PhysicalParams:
-        if self.units == "natural":
-            return PhysicalParams(
-                rest_mass=self.m0 if self.m0 is not None else 1.0,
-                omega=self.omega if self.omega is not None else 1.0,
-                hbar=1.0,
-                c=1.0,
-            )
+        m0, hbar, c = _UNITS[self.units]
         return PhysicalParams(
-            rest_mass=self.m0 if self.m0 is not None else SI_ELECTRON_MASS,
+            rest_mass=self.m0 if self.m0 is not None else m0,
             omega=self.omega if self.omega is not None else 1.0,
-            hbar=SI_HBAR,
-            c=SI_C,
+            hbar=hbar,
+            c=c,
         )
 
     def grid(self, params: PhysicalParams) -> wavefn.RadialGrid:
@@ -356,15 +353,14 @@ def run_verification_checks(config: RunConfig) -> list[dict]:
     results.append(("normalization", worst_norm, detail))
 
     # Kummer series against the independent Laguerre recurrence.
-    worst = 0.0
     z_set = np.array([0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0])
     alpha_column = np.arange(11)[:, None]  # alpha = 0 .. 10
-    for n in range(21):
-        lag = specfun.laguerre(n, alpha_column, z_set)
-        binom = np.array([[math.comb(n + alpha, n)] for alpha in range(11)], float)
-        kum = binom * specfun.kummer_m(-float(n), alpha_column + 1.0, z_set)
-        dev = np.max(np.abs(kum - lag) / np.maximum(1.0, np.abs(lag)))
-        worst = max(worst, float(dev))
+    lag = specfun.laguerre(np.arange(21)[:, None, None], alpha_column, z_set)
+    binom = [[[math.comb(n + alpha, n)] for alpha in range(11)] for n in range(21)]
+    kum = binom * np.array(
+        [specfun.kummer_m(-float(n), alpha_column + 1.0, z_set) for n in range(21)]
+    )
+    worst = float(np.max(np.abs(kum - lag) / np.maximum(1.0, np.abs(lag))))
     detail = "n <= 20 and alpha <= 10 with z up to 50"
     results.append(("kummer-laguerre", worst, detail))
     return [
@@ -428,7 +424,7 @@ OPTIONS = {
     "--m": dict(type=int, help="angular momentum index"),
     "--omega": dict(type=float, help="oscillator frequency"),
     "--m0": dict(type=float, help="rest mass"),
-    "--units": dict(choices=("natural", "si"), help="unit system"),
+    "--units": dict(choices=tuple(_UNITS), help="unit system"),
     "--rho-max": dict(
         type=float,
         dest="rho_max_in_b",

@@ -98,6 +98,16 @@ def _terminating_series(a: float, b, z: np.ndarray, n_terms: int) -> np.ndarray:
     return total_hi + total_lo
 
 
+def _domain(z) -> np.ndarray:
+    """z as a float array; refused unless finite and non-negative."""
+    arr = np.asarray(z, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("z must be finite")
+    if np.any(arr < 0.0):
+        raise ValueError(f"negative z is outside the supported domain, got {z}")
+    return arr
+
+
 def kummer_m(a: float, b, z):
     """Confluent hypergeometric function M(a, b, z) for z >= 0.
 
@@ -125,11 +135,7 @@ def kummer_m(a: float, b, z):
     b_arr = np.asarray(b, dtype=float)
     if not np.all(np.isfinite(b_arr)) or np.any(_is_nonpositive_int(b_arr)):
         raise ValueError(f"b must be finite, not zero or a negative integer, got b={b}")
-    arr = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("z must be finite")
-    if np.any(arr < 0.0):
-        raise ValueError(f"negative z is outside the supported domain, got {z}")
+    arr = _domain(z)
     k_poly = -round(float(a))
     out = _terminating_series(float(-k_poly), b_arr, np.atleast_1d(arr), k_poly)
     if not np.all(np.isfinite(out)):
@@ -137,8 +143,8 @@ def kummer_m(a: float, b, z):
     return float(out[0]) if b_arr.ndim == arr.ndim == 0 else out
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below
-def laguerre(n: int, alpha, z):
+@np.errstate(over="ignore", invalid="ignore")  # a returned overflow is refused below
+def laguerre(n, alpha, z):
     """Associated Laguerre polynomial L_n^(alpha)(z) for z >= 0.
 
     Uses the upward recurrence
@@ -147,28 +153,23 @@ def laguerre(n: int, alpha, z):
     ``long double``.  Near a high-order root the final subtraction cancels
     against intermediates ~exp(z/2) larger than the result; for n <= 20,
     alpha <= 10 and z <= 50 it still meets the Kummer series to about 1e-13.
-    An integer array alpha broadcasts against z, each element as its own call.
+    Integer arrays n and alpha broadcast against z; one pass up to the
+    largest n serves every order, and each element equals its own call.
     """
-    if not isinstance(n, (int, np.integer)) or n < 0:
+    orders = np.asarray(n)
+    if orders.dtype.kind not in "iu" or np.any(orders < 0):
         raise ValueError(f"n must be a non-negative integer, got {n!r}")
     alpha = np.asarray(alpha)
     if alpha.dtype.kind not in "iu" or np.any(alpha < 0):
         raise ValueError(f"alpha must be non-negative integers, got {alpha}")
-    arr = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("z must be finite")
-    if np.any(arr < 0.0):
-        raise ValueError(f"negative z is outside the supported domain, got {z}")
-    scalar = alpha.ndim == arr.ndim == 0
+    arr = _domain(z)
 
-    prev = np.ones(np.broadcast_shapes(alpha.shape, arr.shape))
-    if n == 0:
-        return 1.0 if scalar else prev
-    cur = (alpha + 1.0) - arr
-    for k in range(1, n):
-        prev, cur = cur, ((2.0 * k + alpha + 1.0 - arr) * cur - (k + alpha) * prev) / (
-            k + 1.0
-        )
-    if not np.all(np.isfinite(cur)):
+    out = np.ones(np.broadcast_shapes(orders.shape, alpha.shape, arr.shape))
+    prev, cur = 0.0, 1.0  # L_{-1} and L_0
+    for k in range(int(np.max(orders, initial=0))):
+        step = (2.0 * k + alpha + 1.0 - arr) * cur - (k + alpha) * prev
+        prev, cur = cur, step / (k + 1.0)
+        np.copyto(out, cur, where=orders == k + 1)
+    if not np.all(np.isfinite(out)):
         raise ValueError(f"L_{n}^(alpha)(z) overflows float64 at z up to {np.max(arr)}")
-    return float(cur) if scalar else cur
+    return float(out) if out.ndim == 0 else out

@@ -28,6 +28,7 @@ tests compare the two conventions without privileging either.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -238,18 +239,18 @@ def closed_form_norm_constant(qn: QuantumNumbers, params: PhysicalParams) -> flo
 
     With M(-(n+1), m+1, z) = L_{n+1}^{(m)}(z) / binom(n+m+1, n+1) and
     integral exp(-z) z^m [L_k^{(m)}]^2 dz = (k+m)!/k!, the squared norm
-    collapses to pi b^2 (n+1)! (m!)^2 / (n+m+1)!.
+    collapses to pi b^2 (n+1)! (m!)^2 / (n+m+1)! = pi b^2 m! / binom(n+m+1, m),
+    that exact ratio rounded once.  Outside float64's normal range it is refused.
     """
     b = params.oscillator_length
     n, m = qn.n, qn.m
-    squared = (
-        math.pi
-        * b
-        * b
-        * math.factorial(n + 1)
-        * math.factorial(m) ** 2
-        / math.factorial(n + m + 1)
-    )
+    try:
+        ratio = math.factorial(m) / math.comb(n + m + 1, m)
+    except OverflowError:
+        ratio = math.inf
+    squared = math.pi * b * b * ratio
+    if not all(sys.float_info.min <= x < math.inf for x in (ratio, squared)):
+        raise ValueError(f"the norm constant at n={n}, m={m} leaves float64")
     return 1.0 / math.sqrt(squared)
 
 

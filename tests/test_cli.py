@@ -301,11 +301,11 @@ class TestKummerBudget:
     M(a+2, b+2) has weight zero and is not summed: 3 calls per state, 2 at
     n = 0.  Node counts read psi1's own samples; the separate node-count
     profile and the psi2 ansatz took one call per state more.  The
-    kummer-laguerre table makes one kummer_m and one laguerre call per
-    n <= 20.  Calling laguerre pair by pair took 231.  A lone coupled
-    residual sums psi1's first two terms, and its lower component takes the
-    second over: 3 calls per state, 2 at n = 0.  The counts do not depend on
-    the machine.
+    kummer-laguerre table makes one kummer_m call per n <= 20 and reads
+    every order from one laguerre call; calling laguerre per n took 21, and
+    pair by pair 231.  A lone coupled residual sums psi1's first two terms,
+    and its lower component takes the second over: 3 calls per state, 2 at
+    n = 0.  The counts do not depend on the machine.
     """
 
     @staticmethod
@@ -334,7 +334,7 @@ class TestKummerBudget:
     def test_verify_budget(self, calls, laguerre_calls, m, n_max):
         run_verification_checks(RunConfig(command="verify", m=m, n_max=n_max))
         assert len(calls) == 3 * (n_max + 1) - 1 + 21
-        assert len(laguerre_calls) == 21
+        assert len(laguerre_calls) == 1
 
     def test_spinor_sample_budget(self, calls):
         p = natural_params()

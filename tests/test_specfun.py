@@ -212,6 +212,42 @@ class TestLaguerre:
         assert laguerre(0, np.array([1, 2]), 1.5).shape == (2,)
         assert laguerre(0, np.array([[1], [2]]), np.ones(3)).shape == (2, 3)
 
+    @pytest.mark.parametrize("z_set", ["table", "random"])
+    def test_array_n_equals_per_n_calls_bit_for_bit(self, z_set):
+        # the kummer-laguerre table's 21 x 11 x 8 values from one call
+        if z_set == "table":
+            z = np.array(Z_SET)
+        else:
+            z = np.random.default_rng(20261019).uniform(0.0, 60.0, 64)
+        alpha = np.arange(11)[:, None]
+        batched = laguerre(np.arange(21)[:, None, None], alpha, z)
+        assert batched.shape == (21, 11, z.size)
+        stacked = np.array([laguerre(n, alpha, z) for n in range(21)])
+        assert np.array_equal(batched.view(np.int64), stacked.view(np.int64))
+        ragged = laguerre(np.array([3, 0, 20, 7]), 2, z[:4])
+        single = [laguerre(n, 2, x) for n, x in zip([3, 0, 20, 7], z[:4])]
+        assert np.array_equal(ragged, single)
+
+    def test_array_n_broadcasts(self):
+        assert laguerre(np.array([0, 1]), 0, 2.0).tolist() == [1.0, -1.0]
+        assert laguerre(np.array([[0], [2]]), np.array([0, 1]), 0.0).shape == (2, 2)
+        assert isinstance(laguerre(np.int64(2), 1, 1.0), float)
+
+    @pytest.mark.parametrize("n", [True, 2.0, [1, -1], [1.0], np.bool_(False)])
+    def test_rejects_bool_float_and_negative_n(self, n):
+        with pytest.raises(ValueError, match="n must be a non-negative integer"):
+            laguerre(n if np.ndim(n) == 0 else np.array(n), 0, 1.0)
+
+    def test_batch_overflow_counts_only_returned_elements(self):
+        # past n = 1 the recurrence overflows at z = 1e12, but only the
+        # n = 30 element reads that far, and it sits at z = 1
+        out = laguerre(np.array([1, 30]), 0, np.array([1e12, 1.0]))
+        assert np.all(np.isfinite(out))
+        assert out[0] == 1.0 - 1e12
+        assert out[1] == laguerre(30, 0, 1.0)
+        with pytest.raises(ValueError, match="overflows"):
+            laguerre(np.array([1, 30]), 0, np.array([1.0, 1e12]))
+
     @pytest.mark.parametrize("alpha", [[0, -1], [1.0, 2.0], [0.5], 2.0, True])
     def test_rejects_negative_or_non_integer_alpha_elements(self, alpha):
         with pytest.raises(ValueError, match="alpha"):

@@ -1,9 +1,12 @@
 import itertools
 import math
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from dirac2d import (
@@ -13,6 +16,7 @@ from dirac2d import (
     RadialFunction,
     RadialGrid,
     TruncationError,
+    closed_form_norm_constant,
     count_radial_nodes,
     default_grid,
     derive_lower_component,
@@ -29,6 +33,7 @@ from dirac2d import (
     to_dimensionless_z,
 )
 from dirac2d import wavefn
+from dirac2d.cli import RunConfig
 from dirac2d.specfun import laguerre
 
 
@@ -390,6 +395,39 @@ class TestNormalize:
         grid = RadialGrid(2.5, 257)
         with pytest.raises(TruncationError):
             normalize(radial_psi1(QuantumNumbers(0, 0), grid, p))
+
+
+class TestClosedFormNormConstant:
+    """A = 1 / sqrt(pi b^2 (n+1)! (m!)^2 / (n+m+1)!), the ratio rounded once."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(0, 400),
+        m=st.integers(0, 60),
+        units=st.sampled_from(["natural", "si"]),
+    )
+    def test_exact_ratio_rounded_once(self, n, m, units):
+        p = RunConfig(command="verify", units=units).params()
+        b = p.oscillator_length
+        exact = Fraction(
+            math.factorial(n + 1) * math.factorial(m) ** 2, math.factorial(n + m + 1)
+        )
+        expected = 1.0 / math.sqrt(math.pi * b * b * float(exact))
+        assert closed_form_norm_constant(QuantumNumbers(n, m), p) == expected
+
+    @IN_BOTH_UNIT_SYSTEMS
+    @pytest.mark.parametrize("n", [169, 170, 10**5])
+    def test_large_n_at_m_zero(self, p, n):
+        # the factorials cancel to 1; (n+1)! alone left float64 from n = 170
+        b = p.oscillator_length
+        got = closed_form_norm_constant(QuantumNumbers(n, 0), p)
+        assert got == 1.0 / math.sqrt(math.pi * b * b)
+
+    @pytest.mark.parametrize("n, m", [(0, 400), (10**7, 100)])
+    def test_ratio_outside_float64_is_refused(self, n, m):
+        # (0, 400) overflows, (10**7, 100) underflows
+        with pytest.raises(ValueError, match=f"n={n}, m={m}"):
+            closed_form_norm_constant(QuantumNumbers(n, m), natural_params())
 
 
 class TestDeriveLowerComponent:
