@@ -269,11 +269,14 @@ def cmd_wavefn(config: RunConfig) -> Path:
     lower = wavefn.derive_lower_component(upper, level.E)
 
     rho = grid.samples
-    density_raw = 2.0 * math.pi * rho * (upper.values**2 + lower.values**2)
-    total = grid.spacing * float(
-        0.5 * density_raw[0] + density_raw[1:-1].sum() + 0.5 * density_raw[-1]
+    _, total, _, unit = wavefn._norm_integral(
+        lambda rho, r1, r2: 2.0 * math.pi * rho * (r1**2 + r2**2),
+        lambda d, g: g.spacing * float(0.5 * d[0] + d[1:-1].sum() + 0.5 * d[-1]),
+        grid,
+        upper.values,
+        lower.values,
     )
-    scale = 1.0 / math.sqrt(total)
+    scale = 1.0 / wavefn._root(total, unit)
 
     r1 = scale * upper.values
     r2 = scale * lower.values
@@ -357,9 +360,7 @@ def run_verification_checks(config: RunConfig) -> list[dict]:
     alpha_column = np.arange(11)[:, None]  # alpha = 0 .. 10
     lag = specfun.laguerre(np.arange(21)[:, None, None], alpha_column, z_set)
     binom = [[[math.comb(n + alpha, n)] for alpha in range(11)] for n in range(21)]
-    kum = binom * np.array(
-        [specfun.kummer_m(-float(n), alpha_column + 1.0, z_set) for n in range(21)]
-    )
+    kum = binom * specfun._kummer_orders(20, alpha_column + 1.0, z_set)
     worst = float(np.max(np.abs(kum - lag) / np.maximum(1.0, np.abs(lag))))
     detail = "n <= 20 and alpha <= 10 with z up to 50"
     results.append(("kummer-laguerre", worst, detail))

@@ -34,6 +34,7 @@ error from two coarse grids whose spacings differ by exactly 2.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -234,18 +235,21 @@ def smallest_eigenvalues(op: TridiagonalOperator, count: int) -> list[float]:
     2. the level's bracket is bisected until it holds exactly one eigenvalue
        and is no wider than the larger magnitude of its ends, since Newton
        creeps from far outside the spectrum;
-    3. safeguarded Newton steps on det(T - sigma), started at the midpoint of
-       that bracket, run until the relative step is below 1e-8 (a step
-       that leaves the bracket is replaced by its midpoint, and every pass
-       narrows the brackets through its count);
+    3. safeguarded Newton steps on det(T - sigma) run until the relative
+       step is below 1e-8 (a step that leaves the bracket is replaced by its
+       midpoint, and every pass narrows the brackets through its count).
+       They start from the levels this call has already returned, at
+       3 l[-1] - 3 l[-2] + l[-3] (2 l[-1] - l[-2] for the third level),
+       where that lies strictly inside the bracket, and at its midpoint
+       otherwise;
     4. counts gallop outwards from the Newton iterate (64 ulp, times 16 per
        round) until the bracket is closed on both sides, and bisection takes
        it to adjacent floats.
 
-    The Newton start comes from Sturm counts alone, never from the closed
-    form.  The result sits far inside an absolute 1e-10 times the Gershgorin
-    radius, so the discretization error, not the eigensolver, limits any
-    comparison.  A level that never meets phase 2 (an exactly repeated
+    The Newton start comes from Sturm counts and count-certified levels of
+    the same operator alone, never from the closed form.  The result sits
+    far inside an absolute 1e-10 times the Gershgorin radius, so the
+    discretization error, not the eigensolver, limits any comparison.  A level that never meets phase 2 (an exactly repeated
     eigenvalue, or one at zero) is bisected throughout.
     """
     if not isinstance(count, (int, np.integer)) or count < 1:
@@ -300,7 +304,14 @@ def smallest_eigenvalues(op: TridiagonalOperator, count: int) -> list[float]:
         while not newton_ready(i) and bisect(i):
             pass
         if newton_ready(i):
-            sigma = 0.5 * (lo[i] + hi[i])
+            # Extrapolate the levels already found: quadratically, or
+            # linearly at the third level.
+            guess = math.nan
+            if i >= 3:
+                guess = 3.0 * eigenvalues[-1] - 3.0 * eigenvalues[-2] + eigenvalues[-3]
+            elif i == 2:
+                guess = 2.0 * eigenvalues[-1] - eigenvalues[-2]
+            sigma = guess if lo[i] < guess < hi[i] else 0.5 * (lo[i] + hi[i])
             for _ in range(_NEWTON_MAX_STEPS):
                 below, ratio = _newton_pass(diag, off_sq, sigma, pivmin)
                 record(sigma, below)
@@ -394,12 +405,24 @@ def _report(equation_id, rho, equations, degenerate) -> ResidualReport:
     An equation's relative residual is the modulus of its terms' sum per
     sample over the RMS of the per-sample dominant term.  The report carries
     the largest RMS, and the largest max with its radius (the first equation
-    wins a tie); where every residual is zero, ``worst_rho`` is 0.0.
+    wins a tie); where every residual is zero, ``worst_rho`` is 0.0.  A term
+    that is not finite is refused.  Where the mean square of the dominant
+    term leaves float64's normal range, every term is first divided by the
+    largest dominant term, which leaves the relative residuals as they are.
     """
     stats = []  # (rms, max, radius of the max) per equation
     for terms in equations:
+        if not all(np.all(np.isfinite(t)) for t in terms):
+            raise ValueError(f"{equation_id}: a term of the equation leaves float64")
         dominant = np.maximum.reduce([np.abs(t) for t in terms])
-        scale = float(np.sqrt(np.mean(dominant * dominant)))
+        with np.errstate(over="ignore"):
+            square = np.mean(dominant * dominant)
+        peak = float(np.max(dominant))
+        if peak and not sys.float_info.min <= square < math.inf:
+            terms = [t / peak for t in terms]
+            dominant = dominant / peak
+            square = np.mean(dominant * dominant)
+        scale = float(np.sqrt(square))
         rel = np.abs(sum(terms)) / scale if scale else np.zeros_like(dominant)
         i = int(np.argmax(rel))
         peak = float(rel[i])
@@ -451,8 +474,8 @@ def coupled_residual(
     E = level.E
     params = psi1.params
     rest = params.rest_energy
-    if not math.isfinite(E) or E + rest <= 0.0:
-        raise ValueError(f"E + m0 c^2 must be positive, got E={E!r}")
+    if not (math.isfinite(E) and 0.0 < E + rest < math.inf):
+        raise ValueError(f"E + m0 c^2 must be positive and finite, got E={E!r}")
     # psi1 sums M(a+1, b+1) first, so a derived lower component takes it over.
     rho, (r1, r1_z) = psi1.interior(1)
     if lower is None:
@@ -464,8 +487,9 @@ def coupled_residual(
     rho_g, (g, g_z) = lower.interior(1)
     if lower.params != params or not np.array_equal(rho_g, rho):
         raise ValueError("lower must share psi1's grid and units")
-    r1_prime = 2.0 * params.gamma * rho * r1_z
-    g_prime = 2.0 * params.gamma * rho * g_z
+    # 2 (gamma rho) is (2 gamma) rho exactly, and finite where 2 gamma is not.
+    r1_prime = 2.0 * (params.gamma * rho) * r1_z
+    g_prime = 2.0 * (params.gamma * rho) * g_z
 
     # Radial reductions of the two first-order equations.
     terms_up = [

@@ -83,9 +83,14 @@ def _dd_div_double(hi, lo, x):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below
-def _terminating_series(a: float, b, z: np.ndarray, n_terms: int) -> np.ndarray:
-    """Sum the degree-(n_terms) polynomial series in double-double precision."""
-    term_hi = np.ones(np.broadcast_shapes(np.shape(b), z.shape))
+def _terminating_series(a, b, z: np.ndarray, n_terms: int) -> np.ndarray:
+    """Sum n_terms terms of the series in double-double precision.
+
+    a, b and z broadcast.  Past its own degree -a a series adds exact zeros,
+    so a shorter polynomial summed to n_terms keeps its floats.  A sum that
+    overflows is refused.
+    """
+    term_hi = np.ones(np.broadcast_shapes(np.shape(a), np.shape(b), z.shape))
     term_lo = np.zeros_like(term_hi)
     total_hi = term_hi.copy()
     total_lo = term_lo.copy()
@@ -95,7 +100,18 @@ def _terminating_series(a: float, b, z: np.ndarray, n_terms: int) -> np.ndarray:
         term_hi, term_lo = _dd_div_double(term_hi, term_lo, b + k)
         term_hi, term_lo = _dd_div_double(term_hi, term_lo, k + 1.0)
         total_hi, total_lo = _dd_add(total_hi, total_lo, term_hi, term_lo)
-    return total_hi + total_lo
+    out = total_hi + total_lo
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"M({np.min(a)}, b, z) overflows float64 at z up to {np.max(z)}")
+    return out
+
+
+def _arguments(b, z) -> tuple[np.ndarray, np.ndarray]:
+    """b and z of a Kummer series as float arrays, refused outside its domain."""
+    b_arr = np.asarray(b, dtype=float)
+    if not np.all(np.isfinite(b_arr)) or np.any(_is_nonpositive_int(b_arr)):
+        raise ValueError(f"b must be finite, not zero or a negative integer, got b={b}")
+    return b_arr, _domain(z)
 
 
 def _domain(z) -> np.ndarray:
@@ -132,15 +148,22 @@ def kummer_m(a: float, b, z):
     """
     if np.ndim(a) != 0 or not _is_nonpositive_int(float(a)):
         raise ValueError(f"a must be a scalar in 0, -1, -2, ..., got a={a}")
-    b_arr = np.asarray(b, dtype=float)
-    if not np.all(np.isfinite(b_arr)) or np.any(_is_nonpositive_int(b_arr)):
-        raise ValueError(f"b must be finite, not zero or a negative integer, got b={b}")
-    arr = _domain(z)
+    b_arr, arr = _arguments(b, z)
     k_poly = -round(float(a))
     out = _terminating_series(float(-k_poly), b_arr, np.atleast_1d(arr), k_poly)
-    if not np.all(np.isfinite(out)):
-        raise ValueError(f"M({a}, b, z) overflows float64 at z up to {np.max(arr)}")
     return float(out[0]) if b_arr.ndim == arr.ndim == 0 else out
+
+
+def _kummer_orders(n_max: int, b, z) -> np.ndarray:
+    """M(-n, b, z) for n = 0 .. n_max from one series pass, n along a new first axis.
+
+    b and z are checked as ``kummer_m`` checks them.  Each row equals its own
+    ``kummer_m(-n, b, z)`` bit for bit: the pass runs n_max terms, and a row
+    adds exact zeros once its own series has terminated.
+    """
+    b_arr, arr = _arguments(b, z)
+    a = -np.arange(n_max + 1.0).reshape((-1,) + (1,) * max(b_arr.ndim, arr.ndim))
+    return _terminating_series(a, b_arr, arr, n_max)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a returned overflow is refused below

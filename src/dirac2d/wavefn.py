@@ -275,6 +275,28 @@ def radial_psi2(
     return RadialFunction(grid, profile, params)
 
 
+def _norm_integral(integrand, integrate, grid: RadialGrid, *parts):
+    """The norm integral ``integrate(integrand(rho, *parts), grid)``.
+
+    Returns (weight, total, grid, unit): the sampled integrand, its integral
+    and the grid it was taken on, where the norm integral is total * unit**2.
+    Where the plain integral stays in float64's normal range that is the
+    plain one with unit 1.0.  Elsewhere the parts are divided by their
+    largest modulus and rho by rho_max, and unit is the product of the two.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 at rho = 0
+        weight = integrand(grid.samples, *parts)
+        total = integrate(weight, grid)
+    peak = 0.0
+    if not sys.float_info.min <= total < math.inf:
+        peak = max(float(np.max(np.abs(p))) for p in parts)
+    if not peak:
+        return weight, total, grid, 1.0
+    unit_grid = RadialGrid(1.0, grid.num_points)
+    weight = integrand(unit_grid.samples, *(p / peak for p in parts))
+    return weight, integrate(weight, unit_grid), unit_grid, peak * grid.rho_max
+
+
 def normalize(rf: RadialFunction) -> float:
     """The constant A such that 2*pi * integral |A R|^2 rho d rho = 1.
 
@@ -282,12 +304,18 @@ def normalize(rf: RadialFunction) -> float:
     checked against the closed form from Laguerre orthogonality.  ``rf`` is
     left as it is; A multiplies its values.  If the integrand still
     carries weight at rho_max (estimated tail mass above 1e-10 of the total)
-    the grid is too short and a TruncationError is raised.
+    the grid is too short and a TruncationError is raised.  A norm integral
+    outside float64 is taken in rescaled units (see ``_norm_integral``); a
+    constant A outside float64's normal range is refused.
     """
     from .oracle import integrate_radial
 
-    weight = 2.0 * math.pi * np.abs(rf.values) ** 2 * rf.grid.samples
-    total = integrate_radial(weight, rf.grid)
+    weight, total, grid, unit = _norm_integral(
+        lambda rho, v: 2.0 * math.pi * np.abs(v) ** 2 * rho,
+        integrate_radial,
+        rf.grid,
+        rf.values,
+    )
     if total <= 0.0:
         raise ValueError("cannot normalize an identically zero radial function")
     f_end = float(weight[-1])
@@ -296,15 +324,25 @@ def normalize(rf: RadialFunction) -> float:
         # edge: fit f ~ exp(-rho/L) to the last two samples, tail ~ f_end * L.
         f_prev = float(weight[-2])
         if f_prev > f_end:
-            tail = f_end * rf.grid.spacing / math.log(f_prev / f_end)
+            tail = f_end * grid.spacing / math.log(f_prev / f_end)
         else:
-            tail = f_end * rf.grid.rho_max
+            tail = f_end * grid.rho_max
         if tail > 1e-10 * total:
             raise TruncationError(
-                f"estimated tail mass {tail:.3e} beyond rho_max exceeds "
-                f"1e-10 of the norm integral {total:.3e}; enlarge the grid"
+                f"estimated tail mass beyond rho_max is {tail / total:.3e} of the "
+                "norm integral, above 1e-10; enlarge the grid"
             )
-    return 1.0 / math.sqrt(total)
+    return 1.0 / _root(total, unit)
+
+
+def _root(total: float, unit: float) -> float:
+    """unit * sqrt(total), refused where its inverse would leave float64."""
+    root = unit * math.sqrt(total)
+    if not sys.float_info.min <= root < math.inf:
+        raise ValueError(
+            f"the normalization constant 1/({unit:.3e} * sqrt({total:.3e})) leaves float64"
+        )
+    return root
 
 
 def derive_lower_component(psi1_radial: RadialFunction, E: float) -> RadialFunction:
@@ -321,8 +359,8 @@ def derive_lower_component(psi1_radial: RadialFunction, E: float) -> RadialFunct
     """
     grid, p, params = psi1_radial.grid, psi1_radial.profile, psi1_radial.params
     rest = params.rest_energy
-    if not math.isfinite(E) or E + rest <= 0.0:
-        raise ValueError(f"E + m0 c^2 must be positive, got E={E!r}")
+    if not (math.isfinite(E) and 0.0 < E + rest < math.inf):
+        raise ValueError(f"E + m0 c^2 must be positive and finite, got E={E!r}")
     scale = params.hbar * params.c / (E + rest)
     profile = KummerProfile(
         coeff=p.coeff * scale * 2.0 * math.sqrt(params.gamma) * (p.a / p.b),

@@ -301,9 +301,9 @@ class TestKummerBudget:
     M(a+2, b+2) has weight zero and is not summed: 3 calls per state, 2 at
     n = 0.  Node counts read psi1's own samples; the separate node-count
     profile and the psi2 ansatz took one call per state more.  The
-    kummer-laguerre table makes one kummer_m call per n <= 20 and reads
-    every order from one laguerre call; calling laguerre per n took 21, and
-    pair by pair 231.  A lone coupled residual sums psi1's first two terms,
+    kummer-laguerre table reads every n <= 20 from one Kummer series pass
+    (``_kummer_orders``) and one laguerre call; one kummer_m call per n took
+    21, and pair by pair 231.  A lone coupled residual sums psi1's first two terms,
     and its lower component takes the second over: 3 calls per state, 2 at
     n = 0.  The counts do not depend on the machine.
     """
@@ -329,11 +329,16 @@ class TestKummerBudget:
     def laguerre_calls(self, monkeypatch):
         return self._count(monkeypatch, "laguerre", (specfun,))
 
+    @pytest.fixture
+    def table_passes(self, monkeypatch):
+        return self._count(monkeypatch, "_kummer_orders", (specfun,))
+
     @pytest.mark.parametrize("m", [0, 3])
     @pytest.mark.parametrize("n_max", [5, 20])
-    def test_verify_budget(self, calls, laguerre_calls, m, n_max):
+    def test_verify_budget(self, calls, laguerre_calls, table_passes, m, n_max):
         run_verification_checks(RunConfig(command="verify", m=m, n_max=n_max))
-        assert len(calls) == 3 * (n_max + 1) - 1 + 21
+        assert len(calls) == 3 * (n_max + 1) - 1
+        assert len(table_passes) == 1
         assert len(laguerre_calls) == 1
 
     def test_spinor_sample_budget(self, calls):
@@ -578,6 +583,78 @@ class TestMainEntry:
         monkeypatch.chdir(tmp_path)
         code = main(["wavefn", "--grid-points", "100"])
         assert code == 2
+
+
+def _trapezoid(rows, column):
+    rho = [float(r["rho"]) for r in rows]
+    f = [float(r[column]) for r in rows]
+    h = (rho[-1] - rho[0]) / (len(rho) - 1)
+    return h * (0.5 * f[0] + sum(f[1:-1]) + 0.5 * f[-1])
+
+
+class TestExtremeScales:
+    """Inputs whose plain sums leave float64, driven through ``main``.
+
+    Each run either exits 2 with one stderr line and no file, or writes a
+    file whose floats are all finite and correct.  The coupled residual read
+    exactly 0.0 where the mean square of its dominant term overflowed, and
+    the wavefn table was all zeros where its norm integral did (A = 0).
+    """
+
+    @staticmethod
+    def _run(argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code = main([*argv, "--output", "out.csv"])
+        err = capsys.readouterr().err.splitlines()
+        out = tmp_path / "out.csv"
+        if code == 2:
+            assert len(err) == 1 and err[0].startswith("error: ")
+            assert not out.exists()
+            return code, err[0], None
+        header, rows = read_csv(out)
+        floats = [r[k] for r in rows for k in header if k not in ("name", "passed", "detail")]
+        assert all(math.isfinite(float(v)) for v in floats)
+        return code, None, rows
+
+    def test_huge_frequency_reads_a_true_coupled_residual(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        argv = "verify --omega 1e300 --grid-points 513 --n-max 6 --m 38".split()
+        code, _, rows = self._run(argv, tmp_path, monkeypatch, capsys)
+        assert code == 0
+        coupled = {r["name"]: float(r["measured"]) for r in rows}["coupled-residual"]
+        assert 0.0 < coupled < 1e-15
+
+    def test_rest_energy_at_the_float64_limit_is_refused(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # E + m0 c^2 overflowed: the lower component's coefficient became 0
+        # and the coupled residual formed inf * 0
+        argv = [
+            "verify", "--m0", "1.7976931348623157e308", "--grid-points", "513",
+            "--n-max", "6", "--m", "27",
+        ]
+        code, err, _ = self._run(argv, tmp_path, monkeypatch, capsys)
+        assert code == 2
+        assert "E + m0 c^2 must be positive and finite" in err
+
+    @pytest.mark.parametrize(
+        "argv, wider",
+        [
+            ("wavefn --m0 1e-300 --n 14 --m 32", "--rho-max 14"),
+            ("wavefn --omega 1e-300 --n 26 --m 26 --grid-points 65", "--rho-max 15"),
+        ],
+    )
+    def test_wavefn_norm_outside_float64(self, argv, wider, tmp_path, monkeypatch, capsys):
+        # the states reach past 12 oscillator lengths, in natural units too;
+        # on a longer grid the rescaled norm writes a normalized table
+        code, err, _ = self._run(argv.split(), tmp_path, monkeypatch, capsys)
+        assert code == 2
+        assert "estimated tail mass" in err
+        code, _, rows = self._run([*argv.split(), *wider.split()], tmp_path, monkeypatch, capsys)
+        assert code == 0
+        assert any(float(r["R1_normalized"]) for r in rows)
+        assert _trapezoid(rows, "probability_density") == pytest.approx(1.0, abs=1e-12)
 
 
 # The RunConfig fields each command's output depends on.

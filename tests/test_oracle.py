@@ -298,12 +298,14 @@ class TestSolverPasses:
     """Row passes of the eigen-oracle, counted on the default grid.
 
     Plain bisection needed 476 (m = 0) and 484 (m = 3) passes for 7 levels
-    and 1458 / 1489 for 22.  The counts do not depend on the machine.
+    and 1458 / 1489 for 22.  Newton started at the bracket midpoint took
+    39-42 Newton passes for 7 levels and 112-121 for 22; started from the
+    extrapolated earlier levels it takes 17-19 and 32-34.  The counts do not
+    depend on the machine.
     """
 
-    @pytest.mark.parametrize("m", [0, 3])
-    @pytest.mark.parametrize("levels, budget", [(7, 300), (22, 700)])
-    def test_pass_budget(self, m, levels, budget, monkeypatch):
+    @staticmethod
+    def _passes(monkeypatch, m, points, levels):
         passes = []
 
         def counted(fn):
@@ -316,10 +318,35 @@ class TestSolverPasses:
         for name in ("_negative_pivot_count", "_newton_pass"):
             monkeypatch.setattr(oracle, name, counted(getattr(oracle, name)))
         p = natural_params()
-        op = build_radial_operator(m, RadialGrid(12.0, 4097), p)
-        smallest_eigenvalues(op, levels)
-        assert "_newton_pass" in passes
+        smallest_eigenvalues(build_radial_operator(m, RadialGrid(12.0, points), p), levels)
+        return passes
+
+    @pytest.mark.parametrize("m", [0, 3])
+    @pytest.mark.parametrize("levels, budget", [(7, 300), (22, 700)])
+    def test_pass_budget(self, m, levels, budget, monkeypatch):
+        passes = self._passes(monkeypatch, m, 4097, levels)
         assert len(passes) <= budget
+        assert 0 < passes.count("_newton_pass") <= {7: 25, 22: 45}[levels]
+
+    @pytest.mark.parametrize(
+        "m, points, levels, before",
+        [
+            (0, 513, 7, 129),
+            (0, 513, 22, 352),
+            (3, 513, 7, 123),
+            (3, 513, 22, 351),
+            (0, 1025, 7, 144),
+            (0, 1025, 22, 396),
+            (3, 1025, 7, 139),
+            (3, 1025, 22, 384),
+        ],
+    )
+    def test_verify_operators_need_no_more_passes(
+        self, m, points, levels, before, monkeypatch
+    ):
+        # the operators ``verify`` builds by default; ``before`` is the total
+        # with Newton started at the bracket midpoint
+        assert len(self._passes(monkeypatch, m, points, levels)) <= before
 
 
 class TestExtrapolatedLevels:
@@ -629,6 +656,37 @@ class TestCoupledResidual:
         with pytest.raises(TypeError):
             junk = RadialFunction(grid=grid, params=p)
             coupled_residual(energy(qn, p), radial_psi1(qn, grid, p), lower=junk)
+
+
+class TestReportScaling:
+    """``_report`` where the squares of the dominant terms leave float64."""
+
+    @staticmethod
+    def _terms(factor):
+        rho = np.linspace(0.1, 1.0, 50)
+        wave = np.sin(7.0 * rho)
+        return rho, [factor * wave, factor * (1e-9 * rho - wave), factor * 0.5 * rho]
+
+    @pytest.mark.parametrize("factor", [1e300, 1e-300])
+    def test_relative_residual_does_not_depend_on_the_scale(self, factor):
+        # the mean square overflowed to inf (every residual read 0.0) or
+        # underflowed to 0 (likewise)
+        rho, terms = self._terms(1.0)
+        plain = oracle._report("x", rho, [terms], False)
+        scaled = oracle._report("x", rho, [self._terms(factor)[1]], False)
+        assert plain.rms_residual > 0.0
+        assert_allclose(
+            [scaled.rms_residual, scaled.max_residual],
+            [plain.rms_residual, plain.max_residual],
+            rtol=1e-12,
+        )
+        assert scaled.worst_rho == plain.worst_rho
+
+    def test_a_term_that_is_not_finite_is_refused(self):
+        rho, terms = self._terms(1.0)
+        terms[1][3] = math.inf
+        with pytest.raises(ValueError, match="leaves float64"):
+            oracle._report("x", rho, [terms], False)
 
 
 class TestResidualReport:

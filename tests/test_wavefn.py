@@ -396,6 +396,29 @@ class TestNormalize:
         with pytest.raises(TruncationError):
             normalize(radial_psi1(QuantumNumbers(0, 0), grid, p))
 
+    @pytest.mark.parametrize("coeff", [1e300, 1e-300])
+    def test_norm_integral_outside_float64_is_rescaled(self, coeff):
+        # the plain integral overflows to inf (A read 0) or underflows to 0
+        p = natural_params()
+        grid = default_grid(p)
+        rf = radial_psi1(QuantumNumbers(3, 2), grid, p)
+        scaled = RadialFunction(grid, replace(rf.profile, coeff=coeff), p)
+        assert_allclose(normalize(scaled) * coeff, normalize(rf), rtol=1e-13)
+
+    def test_truncation_is_seen_in_rescaled_units(self):
+        p = natural_params()
+        rf = radial_psi1(QuantumNumbers(0, 0), RadialGrid(2.5, 257), p)
+        scaled = RadialFunction(rf.grid, replace(rf.profile, coeff=1e300), p)
+        with pytest.raises(TruncationError, match="enlarge the grid"):
+            normalize(scaled)
+
+    def test_constant_outside_float64_is_refused(self):
+        p = natural_params()
+        rf = radial_psi1(QuantumNumbers(0, 0), default_grid(p), p)
+        tiny = RadialFunction(rf.grid, replace(rf.profile, coeff=5e-324), p)
+        with pytest.raises(ValueError, match="leaves float64"):
+            normalize(tiny)
+
 
 class TestClosedFormNormConstant:
     """A = 1 / sqrt(pi b^2 (n+1)! (m!)^2 / (n+m+1)!), the ratio rounded once."""
