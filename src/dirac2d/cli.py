@@ -333,13 +333,14 @@ def run_verification_checks(config: RunConfig) -> list[dict]:
     worst = max(abs(x - e.excitation) / e.excitation for (_, x), e in zip(mapped, ref))
     results.append(("dirac-energy-map", worst, f"{len(mapped)} mapped levels at m={m}"))
 
-    # One pass over the states: each level and psi1 function is built once.
+    # One pass over the states: each level and psi1 function is built once,
+    # and the psi1 family reads every state's Kummer terms from three
+    # recurrence passes in all.
     worst_ode = worst_coupled = worst_norm = 0.0
     mismatches = 0
-    for n in range(config.n_max + 1):
+    for n, rf in enumerate(wavefn._psi1_family(m, config.n_max, grid, params)):
         qn = QuantumNumbers(n=n, m=m)
         level = spectrum.energy(qn, params)
-        rf = wavefn.radial_psi1(qn, grid, params)
         # Closed-form profile pushed through the second-order radial equation.
         worst_ode = max(worst_ode, oracle.ode_residual(rf, m, level.k1).rms_residual)
         # Upper plus derived lower component in the coupled first-order system.
@@ -355,10 +356,10 @@ def run_verification_checks(config: RunConfig) -> list[dict]:
     results.append(("node-counts", mismatches, detail))
     results.append(("normalization", worst_norm, detail))
 
-    # Kummer series against the independent Laguerre recurrence.
+    # Kummer recurrence against Laguerre polynomials in exact rational arithmetic.
     z_set = np.array([0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0])
     alpha_column = np.arange(11)[:, None]  # alpha = 0 .. 10
-    lag = specfun.laguerre(np.arange(21)[:, None, None], alpha_column, z_set)
+    lag = oracle._laguerre_table(20, 10, z_set)
     binom = [[[math.comb(n + alpha, n)] for alpha in range(11)] for n in range(21)]
     kum = binom * specfun._kummer_orders(20, alpha_column + 1.0, z_set)
     worst = float(np.max(np.abs(kum - lag) / np.maximum(1.0, np.abs(lag))))

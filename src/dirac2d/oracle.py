@@ -2,8 +2,9 @@
 
 Nothing in this module reuses the analytic spectrum or eigenfunction shapes:
 the eigensolver discretizes the radial differential operator directly, the
-quadrature is plain composite Simpson, and the residual evaluators push
-candidate solutions back through the differential equations.  Agreement
+quadrature is plain composite Simpson, the Laguerre reference table is
+exact integer arithmetic, and the residual evaluators push candidate
+solutions back through the differential equations.  Agreement
 between this module and the closed-form modules is the package's primary
 correctness evidence.
 
@@ -396,6 +397,26 @@ def dirac_excitations_from_k1(
             continue
         x = kinetic * params.lam
         out.append((n_r - 1, params.rest_energy * x / (1.0 + math.sqrt(1.0 + x))))
+    return out
+
+
+def _laguerre_table(n_max: int, alpha_max: int, z_set) -> np.ndarray:
+    """L_n^(alpha)(z) for n <= n_max and alpha <= alpha_max at each z of z_set.
+
+    The values are exact rationals, each rounded once to float64, with the
+    table along (n, alpha, z).  For z = p/q, L_k = A_k / (k! q^k), where
+    A_0 = 1 and A_{k+1} = ((2k + alpha + 1) q - p) A_k - (k + alpha) k q^2 A_{k-1}
+    is the Laguerre recurrence cleared of its denominators, in integers.
+    """
+    out = np.empty((n_max + 1, alpha_max + 1, len(z_set)))
+    for j, z in enumerate(z_set):
+        p, q = float(z).as_integer_ratio()
+        for alpha in range(alpha_max + 1):
+            prev, cur, denominator = 0, 1, 1
+            for k in range(n_max + 1):
+                out[k, alpha, j] = cur / denominator  # int / int rounds once
+                step = ((2 * k + alpha + 1) * q - p) * cur - (k + alpha) * k * q * q * prev
+                prev, cur, denominator = cur, step, denominator * (k + 1) * q
     return out
 
 

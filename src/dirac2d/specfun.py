@@ -1,25 +1,39 @@
 """Confluent hypergeometric (Kummer) function and associated Laguerre polynomials.
 
-``kummer_m`` evaluates M(a, b, z) by its ascending series for a non-positive
-integer first argument, where the series terminates and M is a polynomial.
-Every physical state in this package has such an argument; any other first
-argument is rejected.  An array b broadcasts against z (a is a scalar).
-``laguerre`` evaluates L_n^(alpha) through the three-term recurrence in n
-and serves as an independent cross-check via
+``kummer_m`` evaluates M(a, b, z) for a first argument a = 0, -1, -2, ...,
+where M is a polynomial of degree -a in z.  Every physical state in this
+package has such an argument; any other first argument is rejected.  An
+array b broadcasts against z (a is a scalar).
 
-    binom(n + alpha, n) * M(-n, alpha + 1, z) == L_n^(alpha)(z).
+Every degree of one b comes from the three-term recurrence in the degree
+(the contiguous relation in a; Gil, Segura and Temme, *Numerical Methods for
+Special Functions*, SIAM 2007, ch. 4)
 
-The terminating series is strongly alternating for large z (the value can be
-smaller than the largest term by a factor ~exp(z/2)), so it runs in
-compensated double-double arithmetic: the identity above must hold to ten
-significant figures out to z = 50, n = 20, which is beyond an 80-bit
-accumulator.
+    (b + n) M(-(n+1), b, z) = (2n + b - z) M(-n, b, z) - n M(-(n-1), b, z),
+
+so one pass over n yields M(0, b, z), M(-1, b, z), M(-2, b, z), ... in turn.
+It runs in the difference form D_{n+1} = (n D_n - z M_n) / (b + n),
+M_{n+1} = M_n + D_{n+1}, in compensated double-double arithmetic, and each
+row is rounded to float64 once.  The ascending series that it replaced is
+strongly alternating for large z (terms exceed the value by a factor up to
+~exp(z/2)) and lost the states past degree 50 to cancellation.
+
+``laguerre`` reads the same rows through
+
+    L_n^(alpha)(z) = binom(n + alpha, n) * M(-n, alpha + 1, z),
+
+so it is not an independent check of them; the ``kummer-laguerre``
+verification compares both with a Laguerre table in exact rational
+arithmetic (``oracle``).
 
 The irregular second solution of Kummer's equation is intentionally absent:
 it grows at infinity and never contributes to a normalizable state.
 """
 
 from __future__ import annotations
+
+import math
+from itertools import count, islice
 
 import numpy as np
 
@@ -42,6 +56,13 @@ def _is_nonpositive_int(x):
 # double-double building blocks (error-free transformations on IEEE doubles)
 
 
+def _split(x):
+    """Dekker's split: x = hi + lo exactly, each half of 26 bits or fewer."""
+    c = _SPLITTER * x
+    hi = c - (c - x)
+    return hi, x - hi
+
+
 def _two_sum(x, y):
     s = x + y
     t = s - x
@@ -54,14 +75,11 @@ def _quick_renorm(hi, lo):
     return s, lo - (s - hi)
 
 
-def _two_prod(x, y):
+def _two_prod(x, y, y_parts=None):
+    """x * y = p + e exactly; y_parts is y's split where the caller holds it."""
     p = x * y
-    cx = _SPLITTER * x
-    xh = cx - (cx - x)
-    xl = x - xh
-    cy = _SPLITTER * y
-    yh = cy - (cy - y)
-    yl = y - yh
+    xh, xl = _split(x)
+    yh, yl = y_parts or _split(y)
     e = ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
     return p, e
 
@@ -71,8 +89,8 @@ def _dd_add(hi1, lo1, hi2, lo2):
     return _quick_renorm(s, e + lo1 + lo2)
 
 
-def _dd_mul_double(hi, lo, x):
-    p, e = _two_prod(hi, x)
+def _dd_mul_double(hi, lo, x, x_parts=None):
+    p, e = _two_prod(hi, x, x_parts)
     return _quick_renorm(p, e + lo * x)
 
 
@@ -82,32 +100,34 @@ def _dd_div_double(hi, lo, x):
     return _quick_renorm(q, ((hi - p) - e + lo) / x)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below
-def _terminating_series(a, b, z: np.ndarray, n_terms: int) -> np.ndarray:
-    """Sum n_terms terms of the series in double-double precision.
+def _degree_step(n, b, z, z_parts, m, d):
+    """(M_{n+1}, D_{n+1}) from (M_n, D_n), each a double-double pair (hi, lo)."""
+    t_hi, t_lo = _dd_mul_double(*d, n)
+    u_hi, u_lo = _dd_mul_double(*m, z, z_parts)
+    d = _dd_div_double(*_dd_add(t_hi, t_lo, -u_hi, -u_lo), b + n)
+    return _dd_add(*m, *d), d
 
-    a, b and z broadcast.  Past its own degree -a a series adds exact zeros,
-    so a shorter polynomial summed to n_terms keeps its floats.  A sum that
-    overflows is refused.
+
+def _degree_rows(b, z):
+    """Yield M(0, b, z), M(-1, b, z), M(-2, b, z), ... without end.
+
+    b and z broadcast and are checked as ``kummer_m`` checks them.  A row
+    that leaves float64 is yielded as it is (inf or nan) and every later row
+    with it: callers refuse the rows they return.  Between rows the stream
+    holds only M_n and D_n and the split of z.
     """
-    term_hi = np.ones(np.broadcast_shapes(np.shape(a), np.shape(b), z.shape))
-    term_lo = np.zeros_like(term_hi)
-    total_hi = term_hi.copy()
-    total_lo = term_lo.copy()
-    for k in range(n_terms):
-        term_hi, term_lo = _dd_mul_double(term_hi, term_lo, a + k)
-        term_hi, term_lo = _dd_mul_double(term_hi, term_lo, z)
-        term_hi, term_lo = _dd_div_double(term_hi, term_lo, b + k)
-        term_hi, term_lo = _dd_div_double(term_hi, term_lo, k + 1.0)
-        total_hi, total_lo = _dd_add(total_hi, total_lo, term_hi, term_lo)
-    out = total_hi + total_lo
-    if not np.all(np.isfinite(out)):
-        raise ValueError(f"M({np.min(a)}, b, z) overflows float64 at z up to {np.max(z)}")
-    return out
+    b, z = _arguments(b, z)
+    m = (np.ones(np.broadcast_shapes(b.shape, z.shape)), 0.0)
+    d = (0.0, 0.0)
+    z_parts = _split(z)
+    for n in count(0.0):
+        yield m[0] + m[1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            m, d = _degree_step(n, b, z, z_parts, m, d)
 
 
 def _arguments(b, z) -> tuple[np.ndarray, np.ndarray]:
-    """b and z of a Kummer series as float arrays, refused outside its domain."""
+    """b and z of a Kummer function as float arrays, refused outside its domain."""
     b_arr = np.asarray(b, dtype=float)
     if not np.all(np.isfinite(b_arr)) or np.any(_is_nonpositive_int(b_arr)):
         raise ValueError(f"b must be finite, not zero or a negative integer, got b={b}")
@@ -124,13 +144,19 @@ def _domain(z) -> np.ndarray:
     return arr
 
 
+def _refuse_overflow(values, what: str, z):
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} overflows float64 at z up to {np.max(z)}")
+    return values
+
+
 def kummer_m(a: float, b, z):
     """Confluent hypergeometric function M(a, b, z) for z >= 0.
 
     Parameters
     ----------
     a : float
-        Zero or a negative integer, so the series terminates; a scalar.
+        Zero or a negative integer, so M is a polynomial of degree -a; a scalar.
     b : float or ndarray
         No element may be zero or a negative integer.  An array broadcasts
         against z, and each element gives the same floats as its own call.
@@ -141,43 +167,35 @@ def kummer_m(a: float, b, z):
     -------
     float, or ndarray of the broadcast shape of b and z.
 
-    The sum uses the term recurrence
-    t_{k+1} = t_k * (a + k) / ((b + k) * (k + 1)) * z, which stops after
-    |a| + 1 terms (a degree-|a| polynomial) and runs in compensated
-    arithmetic.
+    The value is row -a of the degree recurrence (see the module docstring),
+    -a steps in compensated arithmetic.  A value that overflows is refused.
     """
     if np.ndim(a) != 0 or not _is_nonpositive_int(float(a)):
         raise ValueError(f"a must be a scalar in 0, -1, -2, ..., got a={a}")
-    b_arr, arr = _arguments(b, z)
-    k_poly = -round(float(a))
-    out = _terminating_series(float(-k_poly), b_arr, np.atleast_1d(arr), k_poly)
-    return float(out[0]) if b_arr.ndim == arr.ndim == 0 else out
+    degree = -round(float(a))
+    row = next(islice(_degree_rows(b, z), degree, None))
+    _refuse_overflow(row, f"M({-degree}, b, z)", z)
+    return float(row) if np.ndim(row) == 0 else row
 
 
 def _kummer_orders(n_max: int, b, z) -> np.ndarray:
-    """M(-n, b, z) for n = 0 .. n_max from one series pass, n along a new first axis.
+    """M(-n, b, z) for n = 0 .. n_max from one recurrence pass, n along a new first axis.
 
-    b and z are checked as ``kummer_m`` checks them.  Each row equals its own
-    ``kummer_m(-n, b, z)`` bit for bit: the pass runs n_max terms, and a row
-    adds exact zeros once its own series has terminated.
+    b and z are checked as ``kummer_m`` checks them, and each row equals its
+    own ``kummer_m(-n, b, z)`` bit for bit: it is the same steps.
     """
-    b_arr, arr = _arguments(b, z)
-    a = -np.arange(n_max + 1.0).reshape((-1,) + (1,) * max(b_arr.ndim, arr.ndim))
-    return _terminating_series(a, b_arr, arr, n_max)
+    rows = np.stack(list(islice(_degree_rows(b, z), n_max + 1)))
+    return _refuse_overflow(rows, f"M(-{n_max}, b, z)", z)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a returned overflow is refused below
 def laguerre(n, alpha, z):
     """Associated Laguerre polynomial L_n^(alpha)(z) for z >= 0.
 
-    Uses the upward recurrence
-    (k+1) L_{k+1} = (2k + alpha + 1 - z) L_k - (k + alpha) L_{k-1}
-    in float64, so the result does not depend on the platform's
-    ``long double``.  Near a high-order root the final subtraction cancels
-    against intermediates ~exp(z/2) larger than the result; for n <= 20,
-    alpha <= 10 and z <= 50 it still meets the Kummer series to about 1e-13.
+    binom(n + alpha, n) times the row M(-n, alpha + 1, z) of the degree
+    recurrence (see the module docstring), the binomial rounded once.
     Integer arrays n and alpha broadcast against z; one pass up to the
     largest n serves every order, and each element equals its own call.
+    Only the returned elements are refused where they overflow.
     """
     orders = np.asarray(n)
     if orders.dtype.kind not in "iu" or np.any(orders < 0):
@@ -186,13 +204,17 @@ def laguerre(n, alpha, z):
     if alpha.dtype.kind not in "iu" or np.any(alpha < 0):
         raise ValueError(f"alpha must be non-negative integers, got {alpha}")
     arr = _domain(z)
+    what = f"L_{n}^(alpha)(z)"
+    try:
+        binom = np.asarray(np.frompyfunc(math.comb, 2, 1)(orders + alpha, orders), float)
+    except OverflowError:
+        raise ValueError(f"{what} overflows float64: binom(n + alpha, n) does") from None
 
     out = np.ones(np.broadcast_shapes(orders.shape, alpha.shape, arr.shape))
-    prev, cur = 0.0, 1.0  # L_{-1} and L_0
-    for k in range(int(np.max(orders, initial=0))):
-        step = (2.0 * k + alpha + 1.0 - arr) * cur - (k + alpha) * prev
-        prev, cur = cur, step / (k + 1.0)
-        np.copyto(out, cur, where=orders == k + 1)
-    if not np.all(np.isfinite(out)):
-        raise ValueError(f"L_{n}^(alpha)(z) overflows float64 at z up to {np.max(arr)}")
+    rows = _degree_rows(alpha + 1.0, arr)
+    for k, row in enumerate(islice(rows, int(np.max(orders, initial=0)) + 1)):
+        np.copyto(out, row, where=orders == k)
+    with np.errstate(over="ignore", invalid="ignore"):  # a returned overflow is refused
+        out *= binom
+    _refuse_overflow(out, what, arr)
     return float(out) if out.ndim == 0 else out

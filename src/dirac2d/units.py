@@ -11,6 +11,7 @@ ratios, so SI magnitudes never enter raw arithmetic.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,8 @@ class PhysicalParams:
 
     All four fields must be strictly positive and finite; NaN or infinity is
     rejected at construction, and so is a product or quotient that leaves
-    float64 in the ratios the package reads: lam, gamma and b**2.
+    float64 in the ratios the package reads: lam, gamma and b**2.  A
+    subnormal lam is refused too.
     """
 
     rest_mass: float
@@ -55,6 +57,11 @@ class PhysicalParams:
             ratio = num / den if den else math.inf
             if not math.isfinite(ratio) or ratio <= 0.0:
                 raise ValueError(f"{name} = {ratio!r} is not a positive finite ratio")
+        # A subnormal lam carries fewer than 53 bits, and every excitation loses them.
+        if self.lam < sys.float_info.min:
+            raise ValueError(
+                f"hbar*omega/(m0*c^2) = {self.lam!r} is below float64's normal range"
+            )
 
     @property
     def rest_energy(self) -> float:

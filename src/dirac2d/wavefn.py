@@ -33,7 +33,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .specfun import kummer_m
+from .specfun import _degree_rows, kummer_m
 from .spectrum import QuantumNumbers
 from .units import PhysicalParams, to_dimensionless_z
 
@@ -129,10 +129,13 @@ class KummerProfile:
         """Second Kummer argument, fixed by the power: b = mu + 1."""
         return self.mu + 1.0
 
-    def _term(self, k: int, z):
-        """M(a+k, b+k, z), or 0.0 where coeff or the weight's a (a+1)...(a+k-1) is 0."""
+    def _term(self, k: int, z, evaluate=None):
+        """M(a+k, b+k, z), or 0.0 where coeff or the weight's a (a+1)...(a+k-1) is 0.
+
+        ``evaluate(a, b, z)`` gives M where it is passed, ``kummer_m`` elsewhere.
+        """
         live = self.coeff and all(self.a + j for j in range(k))
-        return kummer_m(self.a + k, self.b + k, z) if live else 0.0
+        return (evaluate or kummer_m)(self.a + k, self.b + k, z) if live else 0.0
 
     def derivatives(self, z, order: int = 2, *, _terms=()):
         """[f, f', ..., f^(order)] at z, order <= 2, summing the terms not in _terms."""
@@ -171,7 +174,8 @@ class RadialFunction:
     ``values`` is not an input: it is the profile evaluated once at every
     grid sample, read-only, so the samples and the profile cannot disagree.
     The function owns its Kummer terms M(a+k, b+k) on the grid and sums each
-    once, when ``values`` (k = 0) or ``interior`` (k <= order) first needs it.
+    once, when ``values`` (k = 0) or ``interior`` (k <= order) first needs it;
+    ``derive_lower_component`` and ``_psi1_family`` hand it terms instead.
     ``normalize`` returns the function's normalization constant.
     ``angular_index`` is the e^{i k phi} factor the full 2-d function
     carries: regularity at the origin ties it to the power z**(mu/2), so it
@@ -184,7 +188,7 @@ class RadialFunction:
     values: np.ndarray = field(init=False)
     _z: np.ndarray = field(init=False, repr=False)
     _terms: tuple = field(init=False, repr=False)  # replaced as terms are summed
-    _handed: InitVar[tuple] = field(default=(), kw_only=True)  # from derive_lower_component
+    _handed: InitVar[tuple] = field(default=(), kw_only=True)
 
     def __post_init__(self, _handed):
         p, z = self.profile, to_dimensionless_z(self.grid.samples, self.params)
@@ -259,6 +263,34 @@ def radial_psi1(
 ) -> RadialFunction:
     """Upper-component radial function: ``psi1_profile`` sampled on the grid."""
     return RadialFunction(grid, psi1_profile(qn), params)
+
+
+def _psi1_family(m: int, n_max: int, grid: RadialGrid, params: PhysicalParams):
+    """Yield ``radial_psi1`` of the states n = 0 .. n_max at angular index m.
+
+    No state sums a Kummer term of its own: term k, M(a+k, b+k), of each
+    state's profile is a row of the degree recurrence of b + k, and each
+    recurrence runs forward once for the whole family.  The psi1 terms of
+    n <= n_max take n_max + 1, n_max and n_max - 1 steps in all.  A row is
+    the same steps as ``kummer_m`` of its degree, so each function equals
+    its own ``radial_psi1`` bit for bit.
+    """
+    streams = {}  # b -> [degree of the row read last, that row, its recurrence]
+
+    def read(a, b, z):
+        degree = -round(a)
+        if b not in streams or streams[b][0] > degree:
+            streams[b] = [-1, None, _degree_rows(b, z)]
+        state = streams[b]
+        while state[0] < degree:
+            state[:2] = state[0] + 1, next(state[2])
+        return state[1]
+
+    z = to_dimensionless_z(grid.samples, params)
+    for n in range(n_max + 1):
+        profile = psi1_profile(QuantumNumbers(n, m))
+        terms = tuple(profile._term(k, z, read) for k in range(3))
+        yield RadialFunction(grid, profile, params, _handed=terms)
 
 
 def radial_psi2(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -292,20 +293,20 @@ class TestDiracEnergyMapCheck:
 
 
 class TestKummerBudget:
-    """kummer_m and laguerre calls, counted through the module attributes.
+    """Kummer work counted through the module attributes.
 
-    A verified state's psi1 sums each Kummer term M(a+k, b+k), k <= 2, once
-    on its grid: the values read the first term, both residuals slice the
-    interior from all three, and the derived lower component takes them
-    from the second term on without summing them again.  At n = 0 the term
-    M(a+2, b+2) has weight zero and is not summed: 3 calls per state, 2 at
-    n = 0.  Node counts read psi1's own samples; the separate node-count
-    profile and the psi2 ansatz took one call per state more.  The
-    kummer-laguerre table reads every n <= 20 from one Kummer series pass
-    (``_kummer_orders``) and one laguerre call; one kummer_m call per n took
-    21, and pair by pair 231.  A lone coupled residual sums psi1's first two terms,
-    and its lower component takes the second over: 3 calls per state, 2 at
-    n = 0.  The counts do not depend on the machine.
+    A verify makes no per-state ``kummer_m`` call.  The psi1 family reads
+    each state's terms M(a+k, b+k), k <= 2, from one degree recurrence per
+    b + k: n_max + 1 steps at b = m+1, n_max at m+2 and n_max - 1 at m+3,
+    where summing each term on its own took 3(n_max + 1) - 1 calls and
+    631 series passes at n_max 20.  The kummer-laguerre table is one
+    recurrence pass of 20 steps (``_kummer_orders``) over an array b, and
+    its reference is exact, so no ``laguerre`` call is made.
+    ``spinor_sample`` and a lone coupled residual sum each term as before:
+    psi1 and psi2 on the grid, then at the point; psi1's first two terms,
+    of which the lower component takes the second over (3 calls per state,
+    2 at n = 0, where M(a+2, b+2) has weight zero).  The counts do not
+    depend on the machine.
     """
 
     @staticmethod
@@ -325,21 +326,20 @@ class TestKummerBudget:
     def calls(self, monkeypatch):
         return self._count(monkeypatch, "kummer_m", (specfun, wavefn))
 
-    @pytest.fixture
-    def laguerre_calls(self, monkeypatch):
-        return self._count(monkeypatch, "laguerre", (specfun,))
-
-    @pytest.fixture
-    def table_passes(self, monkeypatch):
-        return self._count(monkeypatch, "_kummer_orders", (specfun,))
-
     @pytest.mark.parametrize("m", [0, 3])
     @pytest.mark.parametrize("n_max", [5, 20])
-    def test_verify_budget(self, calls, laguerre_calls, table_passes, m, n_max):
+    def test_verify_budget(self, calls, monkeypatch, m, n_max):
+        laguerre_calls = self._count(monkeypatch, "laguerre", (specfun,))
+        table_passes = self._count(monkeypatch, "_kummer_orders", (specfun,))
+        streams = self._count(monkeypatch, "_degree_rows", (specfun, wavefn))
+        steps = self._count(monkeypatch, "_degree_step", (specfun,))
         run_verification_checks(RunConfig(command="verify", m=m, n_max=n_max))
-        assert len(calls) == 3 * (n_max + 1) - 1
-        assert len(table_passes) == 1
-        assert len(laguerre_calls) == 1
+        assert calls == [] and laguerre_calls == [] and len(table_passes) == 1
+        scalar_b = [b for b, _ in streams if np.ndim(b) == 0]
+        assert scalar_b == [m + 1.0, m + 2.0, m + 3.0]
+        per_b = [sum(1 for step in steps if np.array_equal(step[1], b)) for b in scalar_b]
+        assert per_b == [n_max + 1, n_max, n_max - 1]
+        assert len(streams) == 4 and len(steps) == 3 * n_max + 20
 
     def test_spinor_sample_budget(self, calls):
         p = natural_params()
@@ -629,14 +629,36 @@ class TestExtremeScales:
         self, tmp_path, monkeypatch, capsys
     ):
         # E + m0 c^2 overflowed: the lower component's coefficient became 0
-        # and the coupled residual formed inf * 0
+        # and the coupled residual formed inf * 0.  Its lam is subnormal, so
+        # the run is refused before any state is built; the API refuses E.
         argv = [
             "verify", "--m0", "1.7976931348623157e308", "--grid-points", "513",
             "--n-max", "6", "--m", "27",
         ]
         code, err, _ = self._run(argv, tmp_path, monkeypatch, capsys)
         assert code == 2
-        assert "E + m0 c^2 must be positive and finite" in err
+        assert "hbar*omega/(m0*c^2) = 5.562684646268003e-309 is below" in err
+        p = natural_params()
+        qn = QuantumNumbers(0, 0)
+        psi1 = wavefn.radial_psi1(qn, wavefn.RadialGrid(12.0, 65), p)
+        level = energy(qn, p)
+        for E in (math.inf, math.nan, -1.0):
+            with pytest.raises(ValueError, match=r"E \+ m0 c\^2 must be positive and finite"):
+                wavefn.derive_lower_component(psi1, E)
+            with pytest.raises(ValueError, match=r"E \+ m0 c\^2 must be positive and finite"):
+                oracle.coupled_residual(dataclasses.replace(level, E=E), psi1)
+
+    @pytest.mark.parametrize("m0, code", [("1e270", 2), ("1e250", 0)])
+    def test_subnormal_frequency_ratio_is_refused(self, m0, code, tmp_path, monkeypatch, capsys):
+        # lam 1.4e-317 lost digits: coupled-residual read 1.03e-7 and passed
+        argv = f"verify --units si --m0 {m0} --omega 1.2e4 --n-max 2".split()
+        status, err, rows = self._run(argv, tmp_path, monkeypatch, capsys)
+        assert status == code
+        if code == 2:
+            assert "is below float64's normal range" in err
+        else:
+            coupled = {r["name"]: float(r["measured"]) for r in rows}["coupled-residual"]
+            assert coupled < 1e-15
 
     @pytest.mark.parametrize(
         "argv, wider",

@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 from dataclasses import replace
 
 import numpy as np
@@ -687,6 +689,22 @@ class TestReportScaling:
         terms[1][3] = math.inf
         with pytest.raises(ValueError, match="leaves float64"):
             oracle._report("x", rho, [terms], False)
+
+
+class TestLaguerreTable:
+    def test_matches_the_explicit_sum_in_fractions(self):
+        # L_n^(alpha)(z) = sum_i (-1)^i binom(n+alpha, n-i) z^i / i!, exactly
+        z_set = [0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0]
+        table = oracle._laguerre_table(20, 10, z_set)
+        assert table.shape == (21, 11, 8)
+        for j, z in enumerate(z_set):
+            x = Fraction(z)
+            for n, alpha in itertools.product(range(21), range(11)):
+                exact = sum(
+                    Fraction((-1) ** i * math.comb(n + alpha, n - i), math.factorial(i)) * x**i
+                    for i in range(n + 1)
+                )
+                assert table[n, alpha, j] == float(exact), (n, alpha, z)
 
 
 class TestResidualReport:

@@ -15,7 +15,7 @@ from dirac2d import (
     natural_params,
     radial_psi1,
 )
-from dirac2d import specfun
+from dirac2d import oracle, specfun
 
 Z_SET = [0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0]
 
@@ -135,6 +135,27 @@ class TestKummerM:
         with pytest.raises(ValueError, match="a must be a scalar"):
             kummer_m(np.array([-1.0]), 2.0, 1.0)
 
+    @pytest.mark.parametrize("degree, alpha", [(67, 0), (101, 0), (61, 14)])
+    def test_large_degrees_meet_the_exact_polynomial(self, degree, alpha):
+        # the ascending series was off by 6e-3, 7e13 and 9e-2 of the peak of
+        # e^(-z/2) z^(alpha/2) |L|, cancelling across terms ~exp(z/2) larger
+        z = np.linspace(0.5, 400.0, 64)
+        exact = oracle._laguerre_table(degree, alpha, z)[degree, alpha]
+        got = math.comb(degree + alpha, degree) * kummer_m(-degree, alpha + 1.0, z)
+        weight = np.exp(-0.5 * z) * z ** (0.5 * alpha)
+        assert np.max(np.abs(got - exact) * weight) <= 1e-15 * np.max(np.abs(exact) * weight)
+
+    @pytest.mark.parametrize(
+        "b, z",
+        [(np.arange(1.0, 12.0)[:, None], np.array(Z_SET)), (np.array([1.0, 2.5, 7.0]), 3.75)],
+    )
+    def test_recurrence_rows_equal_kummer_m_bit_for_bit(self, b, z):
+        rows = specfun._degree_rows(b, z)
+        for n in range(31):
+            row = next(rows)
+            assert row.shape == np.broadcast_shapes(np.shape(b), np.shape(z))
+            assert np.array_equal(row.view(np.int64), kummer_m(-n, b, z).view(np.int64)), n
+
     def test_polynomial_termination_by_divided_differences(self):
         # a = -k gives a degree-k polynomial: its (k+1)-th finite difference
         # over equally spaced points vanishes apart from rounding.
@@ -206,22 +227,23 @@ class TestLaguerre:
             assert laguerre(1, 0, z) == 1.0 - z
 
     def test_cross_check_against_kummer(self):
-        # both sides computed through their own algorithm
+        # the identity's two sides and the exact value 1/2
         left = laguerre(2, 1, 1.0)
         right = 3.0 * kummer_m(-2.0, 2.0, 1.0)
         assert_allclose(left, right, rtol=1e-14)
         assert_allclose(left, 0.5, rtol=1e-14)
 
-    def test_float64_recurrence(self):
-        # the same recurrence in Python floats (IEEE double on every
-        # platform) gives the same bits, so no long double is involved
+    def test_binomial_times_the_kummer_row(self):
+        # the binomial rounded once times the Kummer row, bit for bit
         for n, alpha, z in [(20, 0, 50.0), (13, 4, 7.25), (20, 10, 25.0)]:
-            prev, cur = 1.0, alpha + 1.0 - z
-            for k in range(1, n):
-                step = (2.0 * k + alpha + 1.0 - z) * cur - (k + alpha) * prev
-                prev, cur = cur, step / (k + 1.0)
-            assert laguerre(n, alpha, z) == cur
+            row = kummer_m(-float(n), alpha + 1.0, z)
+            assert laguerre(n, alpha, z) == float(math.comb(n + alpha, n)) * row
             assert laguerre(n, alpha, np.array([z])).dtype == np.float64
+
+    def test_overflowing_binomial_is_refused(self):
+        # binom(1200, 600) ~ 4e359: L is refused where it once read inf
+        with pytest.raises(ValueError, match="overflows"):
+            laguerre(600, 600, 1.0)
 
     @pytest.mark.parametrize("z_set", ["table", "random"])
     def test_array_alpha_equals_scalar_calls_bit_for_bit(self, z_set):
@@ -301,14 +323,15 @@ class TestLaguerre:
             laguerre(20, 0, 1e300)
 
     def test_identity_sweep(self):
-        # binom(n+alpha, n) M(-n, alpha+1, z) == L_n^(alpha)(z)
+        # binom(n+alpha, n) M(-n, alpha+1, z) == L_n^(alpha)(z), the right
+        # side exact (the kummer-laguerre check's table); 2.2e-16 at worst
         z = np.array(Z_SET)
+        exact = oracle._laguerre_table(20, 10, z)
         for n in range(21):
             for alpha in range(11):
-                lag = laguerre(n, alpha, z)
                 kum = math.comb(n + alpha, n) * kummer_m(-float(n), alpha + 1.0, z)
-                bound = 1e-10 * np.maximum(1.0, np.abs(lag))
-                assert np.all(np.abs(kum - lag) <= bound), (n, alpha)
+                bound = 1e-15 * np.maximum(1.0, np.abs(exact[n, alpha]))
+                assert np.all(np.abs(kum - exact[n, alpha]) <= bound), (n, alpha)
 
     def test_root_count_bound(self):
         # M(-k, m+1, z) has exactly k sign changes on (0, 4k + 2m + 4);

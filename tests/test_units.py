@@ -1,4 +1,5 @@
 import math
+import sys
 import re
 
 import numpy as np
@@ -53,6 +54,13 @@ class TestPhysicalParams:
     def test_rejects_a_ratio_that_leaves_float64(self, kwargs, name, ratio):
         with pytest.raises(ValueError, match=re.escape(f"{name} = {ratio} is not")):
             PhysicalParams(**kwargs)
+
+    def test_rejects_a_subnormal_frequency_ratio(self):
+        # lam = 1.4e-317 kept 24 bits: E - m0 c^2 read 1.99999979 hbar omega at n = 0
+        si = dict(omega=1.2e4, hbar=1.054571817e-34, c=299792458.0)
+        with pytest.raises(ValueError, match="is below float64's normal range"):
+            PhysicalParams(rest_mass=1e270, **si)
+        assert PhysicalParams(rest_mass=1e250, **si).lam > sys.float_info.min
 
     def test_scales_reproducible_exactly(self):
         for p in PARAM_SWEEP:

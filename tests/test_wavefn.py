@@ -306,6 +306,27 @@ class TestRadialPsi1:
         assert rf.profile.mu == 3
 
 
+class TestPsi1Family:
+    """``verify``'s states, whose Kummer terms come from three recurrences."""
+
+    @IN_BOTH_UNIT_SYSTEMS
+    @pytest.mark.parametrize("m", [0, 3, 10])
+    def test_equals_radial_psi1_bit_for_bit(self, m, p):
+        grid = default_grid(p)
+        family = list(wavefn._psi1_family(m, 20, grid, p))
+        assert len(family) == 21
+        for n, rf in enumerate(family):
+            alone = radial_psi1(QuantumNumbers(n, m), grid, p)
+            assert rf.profile == alone.profile
+            _, own = alone.interior(2)
+            _, read = rf.interior(2)
+            cut = [t[1:-1] if np.ndim(t) else t for t in rf._terms]
+            own_cut = [t[1:-1] if np.ndim(t) else t for t in alone._terms]
+            for x, y in zip([rf.values, *read, *cut], [alone.values, *own, *own_cut]):
+                assert np.asarray(x).tobytes() == np.asarray(y).tobytes(), n
+        assert family[0]._terms[2] == 0.0  # M(1, b+2) has weight zero
+
+
 class TestRadialPsi2:
     def test_nodeless_ground_state(self):
         p = natural_params()
