@@ -199,6 +199,18 @@ class TestVerifyCommand:
         assert by_name["fd-spectrum"]["passed"] == "true"
         assert by_name["dirac-energy-map"]["passed"] == "true"
 
+    def test_more_levels_than_the_coarse_grid_holds_are_refused(self, tmp_path, capsys):
+        # n_max 70 reads 72 levels; 513 points give a coarse grid of 63
+        # interior rows, where the refusal named the operator dimension
+        out = tmp_path / "v.csv"
+        argv = ["verify", "--grid-points", "513", "--n-max", "70", "--output", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "too few to extrapolate 72 levels" in err
+        assert "--grid-points 593" in err
+        assert not out.exists()
+
     def test_node_counts_check_is_live(self, monkeypatch):
         # node-counts reads the sign changes of the verified psi1 samples: a
         # profile with one node too many, M(-(n+2), m+1), must fail it
@@ -363,11 +375,13 @@ class TestSolverRows:
 
     Each pass walks the whole diagonal once.  On the full 4097-point grid
     the n_max 20, m 3 report visited 1,916,460 rows; the extrapolated levels
-    read grids of 513 and 1025 points (572,193 rows).  The counts do not
-    depend on the machine.
+    read grids of 513 and 1025 points (572,193 rows, then 445,892 with the
+    Newton start from earlier levels).  Reusing a bracket end's count where
+    a shift rounds the diagonal as that end did leaves 226,009.  The counts
+    do not depend on the machine.
     """
 
-    def test_verify_visits_a_third_of_the_full_grid_rows(self, monkeypatch):
+    def test_verify_visits_an_eighth_of_the_full_grid_rows(self, monkeypatch):
         rows = []
 
         def counted(fn):
@@ -380,7 +394,7 @@ class TestSolverRows:
         for name in ("_negative_pivot_count", "_newton_pass"):
             monkeypatch.setattr(oracle, name, counted(getattr(oracle, name)))
         run_verification_checks(RunConfig(command="verify", m=3, n_max=20))
-        assert 3 * sum(rows) <= 1_916_460
+        assert sum(rows) <= 226_009  # 1,916,460 / 8.48
 
 
 class TestNrLimitCommand:
