@@ -153,13 +153,13 @@ def _tridiagonals(draw):
     bytes, which Hypothesis makes far faster than a draw per entry.
     """
     n = draw(st.integers(1, 40))
-    words = st.integers(0, 2**32 - 1)
-    pool = [_binade_float(w) for w in draw(st.lists(words, min_size=1, max_size=4))]
+    words = draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4))
+    pool = [_binade_float(w) for w in words]
     raw = draw(st.binary(min_size=4 * (2 * n - 1), max_size=4 * (2 * n - 1)))
     bits = np.frombuffer(raw, dtype="<u4").tolist()
     diagonal = [_entry(w, pool, None) for w in bits[:n]]
     off_diagonal = [_entry(w, pool, 0.0) for w in bits[n:]]
-    op = TridiagonalOperator(np.array(diagonal), np.array(off_diagonal, dtype=float))
+    op = TridiagonalOperator(np.array(diagonal), np.array(off_diagonal))
     return op, draw(st.integers(1, n))
 
 
