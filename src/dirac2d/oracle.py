@@ -268,7 +268,9 @@ def smallest_eigenvalues(op: TridiagonalOperator, count: int) -> list[float]:
     far inside an absolute 1e-10 times the Gershgorin radius, so the
     discretization error, not the eigensolver, limits any comparison.  A
     level that never meets phase 2 (an exactly repeated eigenvalue, or one
-    at zero) is bisected throughout.
+    at zero) is bisected throughout.  An operator whose squared
+    off-diagonal, or 4 times the larger end of its Gershgorin interval,
+    leaves float64 is refused, so that no shift, midpoint or pivot overflows.
     """
     if not isinstance(count, (int, np.integer)) or count < 1:
         raise ValueError(f"count must be a positive integer, got {count!r}")
@@ -278,11 +280,15 @@ def smallest_eigenvalues(op: TridiagonalOperator, count: int) -> list[float]:
         )
     diag = op.diagonal.tolist()
     off = op.off_diagonal
-    off_sq = [0.0] + (off * off).tolist()
-    radius = np.concatenate([np.abs(off), [0.0]]) + np.concatenate([[0.0], np.abs(off)])
-    lower = float(np.min(op.diagonal - radius))
-    upper = float(np.max(op.diagonal + radius))
-    margin = 1e-12 * max(abs(lower), abs(upper), 1.0)
+    with np.errstate(over="ignore"):  # refused below
+        off_sq = [0.0] + (off * off).tolist()
+        radius = np.concatenate([np.abs(off), [0.0]]) + np.concatenate([[0.0], np.abs(off)])
+        lower = float(np.min(op.diagonal - radius))
+        upper = float(np.max(op.diagonal + radius))
+    bound = max(abs(lower), abs(upper))
+    if not math.isfinite(4.0 * bound + max(off_sq)):
+        raise ValueError(f"operator entries leave float64 (Gershgorin bound {bound!r})")
+    margin = 1e-12 * max(bound, 1.0)
     lower -= margin
     upper += margin
     pivmin = max(np.finfo(float).tiny, 1e-20 * max(off_sq[1:], default=1.0))
@@ -529,7 +535,6 @@ def coupled_residual(
     rest = params.rest_energy
     if not (math.isfinite(E) and 0.0 < E + rest < math.inf):
         raise ValueError(f"E + m0 c^2 must be positive and finite, got E={E!r}")
-    # psi1 sums M(a+1, b+1) first, so a derived lower component takes it over.
     rho, (r1, r1_z) = psi1.interior(1)
     if lower is None:
         lower = derive_lower_component(psi1, E)

@@ -147,7 +147,6 @@ def _domain(z) -> np.ndarray:
 def _refuse_overflow(values, what: str, z):
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{what} overflows float64 at z up to {np.max(z)}")
-    return values
 
 
 def kummer_m(a: float, b, z):
@@ -176,16 +175,6 @@ def kummer_m(a: float, b, z):
     row = next(islice(_degree_rows(b, z), degree, None))
     _refuse_overflow(row, f"M({-degree}, b, z)", z)
     return float(row) if np.ndim(row) == 0 else row
-
-
-def _kummer_orders(n_max: int, b, z) -> np.ndarray:
-    """M(-n, b, z) for n = 0 .. n_max from one recurrence pass, n along a new first axis.
-
-    b and z are checked as ``kummer_m`` checks them, and each row equals its
-    own ``kummer_m(-n, b, z)`` bit for bit: it is the same steps.
-    """
-    rows = np.stack(list(islice(_degree_rows(b, z), n_max + 1)))
-    return _refuse_overflow(rows, f"M(-{n_max}, b, z)", z)
 
 
 def laguerre(n, alpha, z):

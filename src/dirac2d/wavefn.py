@@ -174,8 +174,9 @@ class RadialFunction:
     ``values`` is not an input: it is the profile evaluated once at every
     grid sample, read-only, so the samples and the profile cannot disagree.
     The function owns its Kummer terms M(a+k, b+k) on the grid and sums each
-    once, when ``values`` (k = 0) or ``interior`` (k <= order) first needs it;
-    ``derive_lower_component`` and ``_psi1_family`` hand it terms instead.
+    once, when ``values`` (k = 0), ``interior`` (k <= order) or a lower
+    component derived from it (k = 1) first needs it; ``_psi1_family`` and
+    ``derive_lower_component`` hand it terms instead.
     ``normalize`` returns the function's normalization constant.
     ``angular_index`` is the e^{i k phi} factor the full 2-d function
     carries: regularity at the origin ties it to the power z**(mu/2), so it
@@ -191,15 +192,14 @@ class RadialFunction:
     _handed: InitVar[tuple] = field(default=(), kw_only=True)
 
     def __post_init__(self, _handed):
-        p, z = self.profile, to_dimensionless_z(self.grid.samples, self.params)
-        terms = tuple(_handed) or (p._term(0, z),)
-        values = p.value_z(z, _terms=terms)
+        z = to_dimensionless_z(self.grid.samples, self.params)
+        object.__setattr__(self, "_z", z)
+        object.__setattr__(self, "_terms", tuple(_handed))
+        values = self.profile.value_z(z, _terms=self._grid_terms(0))
         if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite at every sample")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_z", z)
-        object.__setattr__(self, "_terms", terms)
 
     @property
     def angular_index(self) -> int:
@@ -213,11 +213,16 @@ class RadialFunction:
         """
         if order not in (0, 1, 2):
             raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
+        cut = tuple(t[1:-1] if np.ndim(t) else t for t in self._grid_terms(order))
+        z = self._z[1:-1]
+        return self.grid.samples[1:-1], self.profile.derivatives(z, order, _terms=cut)
+
+    def _grid_terms(self, order: int) -> tuple:
+        """The grid terms held, after summing and storing those up to ``order``."""
         z, terms = self._z, self._terms
         terms += tuple(self.profile._term(k, z) for k in range(len(terms), order + 1))
         object.__setattr__(self, "_terms", terms)
-        cut = tuple(t[1:-1] if np.ndim(t) else t for t in terms)  # 0.0 stays
-        return self.grid.samples[1:-1], self.profile.derivatives(z[1:-1], order, _terms=cut)
+        return terms
 
 
 @dataclass(frozen=True)
@@ -387,7 +392,8 @@ def derive_lower_component(psi1_radial: RadialFunction, E: float) -> RadialFunct
     identity, never by finite differences: for
     R = coeff e^{-z/2} z^{m/2} M(a, b, z) it equals
     2 sqrt(gamma) coeff (a/b) e^{-z/2} z^{(m+1)/2} M(a+1, b+1, z).
-    psi1's grid terms from M(a+1, b+1) on are handed on, not summed again.
+    Its grid terms are psi1's from M(a+1, b+1) on, which psi1 sums and keeps
+    first where it lacks it: neither function sums it twice, in any order.
     """
     grid, p, params = psi1_radial.grid, psi1_radial.profile, psi1_radial.params
     rest = params.rest_energy
@@ -399,7 +405,7 @@ def derive_lower_component(psi1_radial: RadialFunction, E: float) -> RadialFunct
         mu=p.mu + 1,
         a=p.a + 1.0,
     )
-    return RadialFunction(grid, profile, params, _handed=psi1_radial._terms[1:])
+    return RadialFunction(grid, profile, params, _handed=psi1_radial._grid_terms(1)[1:])
 
 
 def spinor_sample(

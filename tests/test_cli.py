@@ -312,13 +312,13 @@ class TestKummerBudget:
     b + k: n_max + 1 steps at b = m+1, n_max at m+2 and n_max - 1 at m+3,
     where summing each term on its own took 3(n_max + 1) - 1 calls and
     631 series passes at n_max 20.  The kummer-laguerre table is one
-    recurrence pass of 20 steps (``_kummer_orders``) over an array b, and
-    its reference is exact, so no ``laguerre`` call is made.
+    ``laguerre`` call over an array n and alpha, one recurrence pass of 20
+    steps, and its reference is exact.
     ``spinor_sample`` and a lone coupled residual sum each term as before:
     psi1 and psi2 on the grid, then at the point; psi1's first two terms,
-    of which the lower component takes the second over (3 calls per state,
-    2 at n = 0, where M(a+2, b+2) has weight zero).  The counts do not
-    depend on the machine.
+    of which the lower component always takes the second over (3 calls per
+    state, 2 at n = 0, where M(a+2, b+2) has weight zero).  The counts do
+    not depend on the machine.
     """
 
     @staticmethod
@@ -342,11 +342,10 @@ class TestKummerBudget:
     @pytest.mark.parametrize("n_max", [5, 20])
     def test_verify_budget(self, calls, monkeypatch, m, n_max):
         laguerre_calls = self._count(monkeypatch, "laguerre", (specfun,))
-        table_passes = self._count(monkeypatch, "_kummer_orders", (specfun,))
         streams = self._count(monkeypatch, "_degree_rows", (specfun, wavefn))
         steps = self._count(monkeypatch, "_degree_step", (specfun,))
         run_verification_checks(RunConfig(command="verify", m=m, n_max=n_max))
-        assert calls == [] and laguerre_calls == [] and len(table_passes) == 1
+        assert calls == [] and len(laguerre_calls) == 1
         scalar_b = [b for b, _ in streams if np.ndim(b) == 0]
         assert scalar_b == [m + 1.0, m + 2.0, m + 3.0]
         per_b = [sum(1 for step in steps if np.array_equal(step[1], b)) for b in scalar_b]
@@ -359,14 +358,21 @@ class TestKummerBudget:
         spinor_sample(qn, 1.7, 0.4, energy(qn, p).E, p)
         assert len(calls) == 4  # psi1 and psi2 on the grid, then at the point
 
-    @pytest.mark.parametrize("n, m", [(0, 0), (0, 3), (3, 2), (7, 0)])
-    def test_lone_coupled_residual_budget(self, calls, n, m):
-        # psi1 sums M(a+1, b+1) before the lower component is derived, which
-        # takes it over: M(a+1, b+1) was summed twice, 4 calls per state
+    @pytest.mark.parametrize(
+        "n, m, derive_first",
+        [(0, 0, False), (0, 3, False), (3, 2, False), (7, 0, False), (0, 3, True), (7, 0, True)],
+        ids=["0-0", "0-3", "3-2", "7-0", "0-3-derive-first", "7-0-derive-first"],
+    )
+    def test_lone_coupled_residual_budget(self, calls, n, m, derive_first):
+        # the lower component reads M(a+1, b+1) from psi1, which sums it if
+        # it does not hold it yet, so the order of the two reads does not
+        # matter; derived first, it was summed twice (4 calls, 3 at n = 0)
         p = natural_params()
         qn = QuantumNumbers(n, m)
+        level = energy(qn, p)
         psi1 = wavefn.radial_psi1(qn, wavefn.default_grid(p), p)
-        oracle.coupled_residual(energy(qn, p), psi1)
+        lower = wavefn.derive_lower_component(psi1, level.E) if derive_first else None
+        oracle.coupled_residual(level, psi1, lower)
         assert len(calls) == (2 if n == 0 else 3)
 
 

@@ -1,11 +1,12 @@
 import itertools
 import math
+import warnings
 from fractions import Fraction
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -56,7 +57,9 @@ def plain_bisection(op, count):
     """Reference: bisect each level from the Gershgorin interval to adjacent floats.
 
     This is the eigensolver the package shipped before bracket sharing and
-    Newton steps; the current solver must return the same floats.
+    Newton steps; the current solver must return the same floats.  Each
+    halving halves the bracket, so 2200 of them take any two finite floats
+    to adjacent ones, down to the subnormals around a zero eigenvalue.
     """
     diag = op.diagonal.tolist()
     off = op.off_diagonal
@@ -84,7 +87,7 @@ def plain_bisection(op, count):
     lo_start = lower
     for k in range(1, count + 1):
         lo, hi = lo_start, upper
-        for _ in range(200):
+        for _ in range(2200):
             mid = 0.5 * (lo + hi)
             if mid <= lo or mid >= hi:
                 break
@@ -121,45 +124,43 @@ def _bisection_cases():
     return cases
 
 
-def _binade_float(word):
-    """A float of either sign from random bits, in one of the twelve binades
-    of [2**-6, 2**6) in magnitude."""
-    sign, binade, mantissa = word & 1, (word >> 1) % 12, (word >> 8) % 2**20
-    return math.ldexp((1.0 - 2.0 * sign) * (1.0 + mantissa / 2**20), binade - 6)
+def _binade_float(word, binades):
+    """A float of either sign from random bits, of modulus in one of the
+    binades [2**e, 2**(e + 1)) for e in ``binades``."""
+    sign, binade, mantissa = word & 1, (word >> 1) % len(binades), (word >> 8) % 2**20
+    return math.ldexp((1.0 - 2.0 * sign) * (1.0 + mantissa / 2**20), binades[binade])
 
 
-def _entry(word, pool, zero):
+def _entry(word, pool, binades):
     """An operator entry from 32 random bits: a value of ``pool``, repeated
-    exactly, for a quarter of the words, ``zero`` for another quarter where
-    one is given, and a fresh ``_binade_float`` otherwise."""
+    exactly, for a quarter of the words, 0.0 for another quarter, and a
+    fresh ``_binade_float`` otherwise."""
     kind, word = word % 4, word >> 2
     if kind == 0:
         return pool[word % len(pool)]
-    if kind == 1 and zero is not None:
-        return zero
-    return _binade_float(word)
+    if kind == 1:
+        return 0.0
+    return _binade_float(word, binades)
 
 
 @st.composite
-def _tridiagonals(draw):
+def _tridiagonals(draw, binades=range(-6, 6)):
     """A symmetric tridiagonal operator of dimension 1-40 and a level count.
 
-    Both diagonals share a pool of up to four values, so equal rows, equal
-    blocks and exactly zero determinants occur, and the off-diagonal holds
-    exact zeros, which split the matrix.  No diagonal entry is 0: with every
-    off-diagonal 0 too, the pivot floor is the smallest normal float, and
-    plain bisection's 200 halvings stop short of the adjacent floats below
-    a zero eigenvalue.  The entries are decoded from one draw of random
-    bytes, which Hypothesis makes far faster than a draw per entry.
+    The entries other than 0 have their modulus in ``binades``.  Both
+    diagonals share a pool of up to four values, so equal rows, equal
+    blocks and exactly zero determinants occur, and both hold exact zeros:
+    a zero off-diagonal splits the matrix, and with zero diagonal entries
+    too, some eigenvalues are exactly 0.  The entries are decoded from one
+    draw of random bytes, which Hypothesis makes far faster than a draw per
+    entry.
     """
     n = draw(st.integers(1, 40))
     words = draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4))
-    pool = [_binade_float(w) for w in words]
+    pool = [_binade_float(w, binades) for w in words]
     raw = draw(st.binary(min_size=4 * (2 * n - 1), max_size=4 * (2 * n - 1)))
-    bits = np.frombuffer(raw, dtype="<u4").tolist()
-    diagonal = [_entry(w, pool, None) for w in bits[:n]]
-    off_diagonal = [_entry(w, pool, 0.0) for w in bits[n:]]
-    op = TridiagonalOperator(np.array(diagonal), np.array(off_diagonal))
+    entries = [_entry(w, pool, binades) for w in np.frombuffer(raw, dtype="<u4").tolist()]
+    op = TridiagonalOperator(np.array(entries[:n]), np.array(entries[n:]))
     return op, draw(st.integers(1, n))
 
 
@@ -295,12 +296,59 @@ class TestSmallestEigenvalues:
 
     @settings(deadline=None, derandomize=True)  # examples from the profile
     @given(case=_tridiagonals())
+    @example(case=(TridiagonalOperator(np.array([0.0, 1.0]), np.array([0.0])), 1))
     def test_same_floats_as_plain_bisection_on_random_tridiagonals(self, case):
         # unlike the radial operators, whose diagonal spans one or two
         # binades, these rows round d - sigma in rounding cells of different
-        # widths, so a shift can change some rows and keep others
+        # widths, so a shift can change some rows and keep others; in the
+        # example the pivot floor is the smallest normal float, and the
+        # level at 0 reads -2.2e-308 after about 1075 halvings
         op, count = case
         assert smallest_eigenvalues(op, count) == plain_bisection(op, count)
+
+    def test_huge_random_tridiagonals_are_refused_or_give_the_floats_of_plain_bisection(
+        self,
+    ):
+        # entries of modulus in [2**1000, 2**1024): an operator whose squared
+        # off-diagonal or 4 times its Gershgorin bound leaves float64 is
+        # refused, and any other (split, with its diagonal below 2**1022)
+        # gives plain bisection's floats; no warning either way
+        outcomes = set()
+
+        @settings(deadline=None, derandomize=True)  # examples from the profile
+        @given(case=_tridiagonals(binades=range(1000, 1024)))
+        def check(case):
+            op, count = case
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    found = smallest_eigenvalues(op, count)
+                except ValueError as error:
+                    assert "float64" in str(error)
+                    outcomes.add("refused")
+                    return
+                assert found == plain_bisection(op, count)
+            outcomes.add("solved")
+
+        check()
+        assert outcomes == {"refused", "solved"}
+
+    @pytest.mark.parametrize(
+        "diagonal, off_diagonal",
+        [
+            ([1e308, -1e308], [0.0]),  # returned [-inf, inf]
+            ([1.7e308], []),  # returned inf
+            ([1e308, 1e308], [0.0]),  # returned inf
+            ([1e308, 1e308], [1e308]),  # warned of an overflow
+            ([1.0, 2.0], [1e200]),  # warned of an overflow
+        ],
+    )
+    def test_refuses_an_operator_past_float64(self, diagonal, off_diagonal):
+        op = self._operator(diagonal, off_diagonal)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="float64"):
+                smallest_eigenvalues(op, len(diagonal))
 
     @pytest.mark.parametrize(
         "diagonal, off_diagonal, expected",

@@ -101,33 +101,37 @@ class TestKummerM:
 
     @pytest.mark.parametrize("z_set", ["table", "random"])
     def test_orders_in_one_pass_equal_the_calls_per_n_bit_for_bit(self, z_set):
-        # the kummer-laguerre table: a = 0, -1, ..., -20 in one series pass
+        # the kummer-laguerre table: one laguerre pass over n = 0 .. 20 reads
+        # the rows M(-n, alpha + 1, z) of kummer_m, each times its binomial
         if z_set == "table":
             z = np.array(Z_SET)
         else:
             z = np.random.default_rng(20261018).uniform(0.0, 60.0, 64)
-        b = np.arange(1.0, 12.0)[:, None]
-        table = specfun._kummer_orders(20, b, z)
+        alpha = np.arange(11)[:, None]
+        table = laguerre(np.arange(21)[:, None, None], alpha, z)
         assert table.shape == (21, 11, z.size)
-        stacked = np.array([kummer_m(-float(n), b, z) for n in range(21)])
+        binom = [[[math.comb(n + a, n)] for a in range(11)] for n in range(21)]
+        stacked = binom * np.array([kummer_m(-float(n), alpha + 1.0, z) for n in range(21)])
         assert np.array_equal(table.view(np.int64), stacked.view(np.int64))
 
     def test_orders_of_scalar_arguments_and_order_zero(self):
-        assert specfun._kummer_orders(0, 2.0, 3.0).tolist() == [1.0]
-        row = specfun._kummer_orders(3, 2.0, 1.5)
-        assert row.tolist() == [kummer_m(-float(n), 2.0, 1.5) for n in range(4)]
+        assert laguerre(np.array([0]), 1, 3.0).tolist() == [1.0]
+        row = laguerre(np.arange(4), 1, 1.5)
+        assert row.tolist() == [(n + 1) * kummer_m(-float(n), 2.0, 1.5) for n in range(4)]
 
     def test_orders_keep_the_checks_on_b_and_z(self):
-        with pytest.raises(ValueError, match="zero or a negative integer"):
-            specfun._kummer_orders(3, np.array([1.0, -2.0]), 1.0)
-        with pytest.raises(ValueError, match="b must be finite"):
-            specfun._kummer_orders(3, math.nan, 1.0)
+        # alpha + 1 is the b of the rows
+        orders = np.arange(4)
+        with pytest.raises(ValueError, match="alpha must be non-negative"):
+            laguerre(orders, np.array([1, -2]), 1.0)
+        with pytest.raises(ValueError, match="alpha must be non-negative"):
+            laguerre(orders, math.nan, 1.0)
         with pytest.raises(ValueError, match="negative z"):
-            specfun._kummer_orders(3, 1.0, np.array([1.0, -0.5]))
+            laguerre(orders, 0, np.array([1.0, -0.5, 2.0, 3.0]))
         with pytest.raises(ValueError, match="z must be finite"):
-            specfun._kummer_orders(3, 1.0, math.inf)
+            laguerre(orders, 0, math.inf)
         with pytest.raises(ValueError, match="overflows"):
-            specfun._kummer_orders(3, 1.0, 1e110)
+            laguerre(orders, 0, 1e110)
 
     def test_rejects_array_a(self):
         with pytest.raises(ValueError, match="a must be a scalar"):
