@@ -39,7 +39,6 @@ error from two coarse grids whose spacings differ by exactly 2.
 from __future__ import annotations
 
 import math
-import sys
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -465,23 +464,20 @@ def _report(equation_id, rho, equations, degenerate) -> ResidualReport:
     sample over the RMS of the per-sample dominant term.  The report carries
     the largest RMS, and the largest max with its radius (the first equation
     wins a tie); where every residual is zero, ``worst_rho`` is 0.0.  A term
-    that is not finite is refused.  Where the mean square of the dominant
-    term leaves float64's normal range, every term is first divided by the
-    largest dominant term, which leaves the relative residuals as they are.
+    that is not finite is refused.  Every term is first divided by the power
+    of two that brings the largest dominant term into [1, 2), so the mean
+    square never leaves float64; the division is exact, so the residuals are
+    those of the plain terms wherever their squares stay normal.
     """
     stats = []  # (rms, max, radius of the max) per equation
     for terms in equations:
         if not all(np.all(np.isfinite(t)) for t in terms):
             raise ValueError(f"{equation_id}: a term of the equation leaves float64")
         dominant = np.maximum.reduce([np.abs(t) for t in terms])
-        with np.errstate(over="ignore"):
-            square = np.mean(dominant * dominant)
-        peak = float(np.max(dominant))
-        if peak and not sys.float_info.min <= square < math.inf:
-            terms = [t / peak for t in terms]
-            dominant = dominant / peak
-            square = np.mean(dominant * dominant)
-        scale = float(np.sqrt(square))
+        e = math.frexp(float(np.max(dominant)))[1] - 1
+        terms = [np.ldexp(t, -e) for t in terms]
+        dominant = np.ldexp(dominant, -e)
+        scale = float(np.sqrt(np.mean(dominant * dominant)))
         rel = np.abs(sum(terms)) / scale if scale else np.zeros_like(dominant)
         i = int(np.argmax(rel))
         peak = float(rel[i])

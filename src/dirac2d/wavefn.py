@@ -144,7 +144,11 @@ class KummerProfile:
         a, b = self.a, self.b
         z = np.asarray(z, dtype=float)
         m = _terms + tuple(self._term(k, z) for k in range(len(_terms), order + 1))
-        pref = self.coeff * np.exp(-0.5 * z) * np.power(z, 0.5 * self.mu)
+        with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf, refused below
+            pref = self.coeff * np.exp(-0.5 * z) * np.power(z, 0.5 * self.mu)
+        if not np.all(np.isfinite(pref)):
+            bad = float(np.min(z[~np.isfinite(pref)]))
+            raise ValueError(f"coeff exp(-z/2) z**(mu/2) leaves float64 at z = {bad:.6g}")
         w1, w2 = a / b, a * (a + 1.0) / (b * (b + 1.0))
         out = [pref * m[0]]
         if order >= 1:
@@ -313,25 +317,22 @@ def radial_psi2(
 
 
 def _norm_integral(integrand, integrate, grid: RadialGrid, *parts):
-    """The norm integral ``integrate(integrand(rho, *parts), grid)``.
+    """The norm integral ``integrate(integrand(rho, *parts), grid)``, scaled exactly.
 
     Returns (weight, total, grid, unit): the sampled integrand, its integral
     and the grid it was taken on, where the norm integral is total * unit**2.
-    Where the plain integral stays in float64's normal range that is the
-    plain one with unit 1.0.  Elsewhere the parts are divided by their
-    largest modulus and rho by rho_max, and unit is the product of the two.
+    The parts are divided by 2**e and rho by 2**f, the powers of two that
+    bring the largest part and rho_max into [1, 2), and unit = 2**(e + f).
+    That division is exact: wherever the plain integral is a normal float,
+    total * unit**2 is that float.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 at rho = 0
-        weight = integrand(grid.samples, *parts)
-        total = integrate(weight, grid)
-    peak = 0.0
-    if not sys.float_info.min <= total < math.inf:
-        peak = max(float(np.max(np.abs(p))) for p in parts)
-    if not peak:
-        return weight, total, grid, 1.0
-    unit_grid = RadialGrid(1.0, grid.num_points)
-    weight = integrand(unit_grid.samples, *(p / peak for p in parts))
-    return weight, integrate(weight, unit_grid), unit_grid, peak * grid.rho_max
+    e = math.frexp(max(float(np.max(np.abs(p))) for p in parts))[1] - 1
+    f = math.frexp(grid.rho_max)[1] - 1
+    unit_grid = RadialGrid(math.ldexp(grid.rho_max, -f), grid.num_points)
+    weight = integrand(unit_grid.samples, *(np.ldexp(p, -e) for p in parts))
+    # two float factors: where 2**(e + f) leaves float64, unit reads inf or 0
+    unit = math.ldexp(1.0, e) * math.ldexp(1.0, f)
+    return weight, integrate(weight, unit_grid), unit_grid, unit
 
 
 def normalize(rf: RadialFunction) -> float:
@@ -341,9 +342,9 @@ def normalize(rf: RadialFunction) -> float:
     checked against the closed form from Laguerre orthogonality.  ``rf`` is
     left as it is; A multiplies its values.  If the integrand still
     carries weight at rho_max (estimated tail mass above 1e-10 of the total)
-    the grid is too short and a TruncationError is raised.  A norm integral
-    outside float64 is taken in rescaled units (see ``_norm_integral``); a
-    constant A outside float64's normal range is refused.
+    the grid is too short and a TruncationError is raised.  The integral is
+    scaled by powers of two (see ``_norm_integral``), so it never leaves
+    float64; a constant A outside float64's normal range is refused.
     """
     from .oracle import integrate_radial
 

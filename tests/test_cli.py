@@ -680,6 +680,22 @@ class TestExtremeScales:
             coupled = {r["name"]: float(r["measured"]) for r in rows}["coupled-residual"]
             assert coupled < 1e-15
 
+    def test_prefactor_outside_float64_is_one_refusal(self, tmp_path):
+        # a subprocess sees what a user sees: four RuntimeWarning lines from
+        # exp(-z/2) * z**100 = 0 * inf came before the refusal
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        argv = "wavefn --n 0 --m 200 --rho-max 40 --output w.csv".split()
+        done = subprocess.run(
+            [sys.executable, "-m", "dirac2d.cli", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 2
+        assert done.stderr.splitlines() == [
+            "error: coeff exp(-z/2) z**(mu/2) leaves float64 at z = 1210.01"
+        ]
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "argv, wider",
         [

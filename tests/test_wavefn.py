@@ -1,11 +1,12 @@
 import itertools
 import math
+import re
 from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -440,6 +441,48 @@ class TestNormalize:
         with pytest.raises(ValueError, match="leaves float64"):
             normalize(tiny)
 
+    @pytest.mark.parametrize("units", ["natural", "si"])
+    def test_scaled_integral_is_the_plain_one_bit_for_bit(self, units):
+        # the parts and rho are divided by powers of two, which is exact
+        p = RunConfig(command="verify", units=units).params()
+        grid = default_grid(p)
+
+        def square(rho, v):
+            return 2.0 * math.pi * np.abs(v) ** 2 * rho
+
+        for m in range(6):
+            for rf in wavefn._psi1_family(m, 20, grid, p):
+                plain = integrate_radial(square(grid.samples, rf.values), grid)
+                _, total, _, unit = wavefn._norm_integral(
+                    square, integrate_radial, grid, rf.values
+                )
+                assert total * unit * unit == plain
+                assert normalize(rf) == 1.0 / math.sqrt(plain)
+
+    @settings(deadline=None, derandomize=True)  # examples from the profile
+    @given(n=st.integers(0, 20), m=st.integers(0, 10), k=st.integers(-1000, 1000))
+    def test_power_of_two_scales_the_constant_exactly(self, n, m, k):
+        # dividing by the peak instead rounds: the constant moved by a few
+        # ulps wherever the plain integral left float64
+        p = natural_params()
+        rf = radial_psi1(QuantumNumbers(n, m), default_grid(p), p)
+        with np.errstate(over="ignore"):
+            expected = np.ldexp(rf.values, k)
+        assume(np.array_equal(np.ldexp(expected, -k), rf.values))
+        scaled = RadialFunction(rf.grid, replace(rf.profile, coeff=math.ldexp(1.0, k)), p)
+        assume(np.array_equal(scaled.values.view(np.int64), expected.view(np.int64)))
+        constants = []
+        for f in (rf, scaled):
+            try:
+                constants.append(normalize(f))
+            except ValueError:  # TruncationError too: both calls must refuse
+                constants.append(None)
+        plain, got = constants
+        if plain is None:
+            assert got is None
+        else:
+            assert got == math.ldexp(plain, -k)
+
 
 class TestClosedFormNormConstant:
     """A = 1 / sqrt(pi b^2 (n+1)! (m!)^2 / (n+m+1)!), the ratio rounded once."""
@@ -666,6 +709,14 @@ class TestSpinorSample:
         with pytest.raises(ValueError, match="overflows"):
             spinor_sample(qn, 1e20, 0.0, energy(qn, p).E, p)
 
+    @pytest.mark.parametrize("m, rho, z", [(3, 1e120, "1e+240"), (50, 1e8, "1e+16")])
+    def test_radius_where_the_prefactor_leaves_float64_is_refused(self, m, rho, z):
+        # exp(-z/2) underflowed to 0 and z**(m/2) overflowed: psi1 read nan+nanj
+        p = natural_params()
+        qn = QuantumNumbers(0, m)
+        with pytest.raises(ValueError, match=re.escape(f"leaves float64 at z = {z}")):
+            spinor_sample(qn, rho, 0.3, energy(qn, p).E, p)
+
     def test_lower_component_suppressed_in_nr_limit(self):
         # |psi2/psi1| shrinks like sqrt(lam) as c grows at fixed interior rho
         qn = QuantumNumbers(0, 0)
@@ -689,6 +740,12 @@ class TestNodeCounts:
 
     def test_high_m_single_node(self):
         assert count_radial_nodes(QuantumNumbers(0, 5), natural_params()) == 1
+
+    def test_prefactor_outside_float64_is_refused(self):
+        # the root-bound grid reaches z = 1953, where z**100 overflowed and
+        # 0 * inf raised a RuntimeWarning; the answer 1 needs a log-space prefactor
+        with pytest.raises(ValueError, match=r"z\*\*\(mu/2\) leaves float64 at z = 1209"):
+            count_radial_nodes(QuantumNumbers(0, 200), natural_params())
 
     def test_full_sweep_both_components(self):
         p = natural_params()
