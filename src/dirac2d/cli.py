@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import oracle, specfun, spectrum, wavefn
+from . import oracle, spectrum, wavefn
 from .spectrum import QuantumNumbers
 from .units import PhysicalParams, to_dimensionless_z
 
@@ -334,10 +334,12 @@ def run_verification_checks(config: RunConfig) -> list[dict]:
     results.append(("dirac-energy-map", worst, f"{len(mapped)} mapped levels at m={m}"))
 
     # One pass over the states: each level and psi1 function is built once,
-    # and the psi1 family reads every state's Kummer terms from three
-    # recurrence passes in all.
+    # the psi1 family reads their Kummer terms from one recurrence pass, and
+    # each term is kept at 8 samples spanning (0, z_max] as (degree, alpha - m, row).
     worst_ode = worst_coupled = worst_norm = 0.0
     mismatches = 0
+    picks = np.linspace(0, grid.num_points - 1, 9).astype(int)[1:]
+    held = []
     for n, rf in enumerate(wavefn._psi1_family(m, config.n_max, grid, params)):
         qn = QuantumNumbers(n=n, m=m)
         level = spectrum.energy(qn, params)
@@ -350,18 +352,20 @@ def run_verification_checks(config: RunConfig) -> list[dict]:
         # Quadrature normalization against the Laguerre-orthogonality constant.
         closed = wavefn.closed_form_norm_constant(qn, params)
         worst_norm = max(worst_norm, abs(wavefn.normalize(rf) / closed - 1.0))
+        top, terms = -round(rf.profile.a), enumerate(rf._grid_terms(2))
+        held += [(top - k, k, t[picks]) for k, t in terms if np.ndim(t)]
     detail = f"n <= {config.n_max} at m={m}"
     results.append(("ode-residual", worst_ode, detail))
     results.append(("coupled-residual", worst_coupled, detail))
     results.append(("node-counts", mismatches, detail))
     results.append(("normalization", worst_norm, detail))
 
-    # Kummer recurrence against Laguerre polynomials in exact rational arithmetic.
-    z_set = np.array([0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0])
-    lag = oracle._laguerre_table(20, 10, z_set)
-    kum = specfun.laguerre(np.arange(21)[:, None, None], np.arange(11)[:, None], z_set)
-    worst = float(np.max(np.abs(kum - lag) / np.maximum(1.0, np.abs(lag))))
-    detail = "n <= 20 and alpha <= 10 with z up to 50"
+    # The Kummer rows the states read against exact rational Laguerre values.
+    degrees, columns, got = zip(*held)
+    z_set = to_dimensionless_z(grid.samples[picks], params)
+    exact = oracle._laguerre_table(max(degrees), range(m, m + 3), z_set)[degrees, columns]
+    worst = float(np.max(np.abs(np.array(got) - exact) / np.maximum(1.0, np.abs(exact))))
+    detail = f"n <= {max(degrees)} and alpha {m}..{m + 2} at 8 z up to {z_set[-1]:g}"
     results.append(("kummer-laguerre", worst, detail))
     return [
         _check(name, value, config.tolerance(name), detail)

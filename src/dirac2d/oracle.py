@@ -437,23 +437,23 @@ def dirac_excitations_from_k1(
     return out
 
 
-def _laguerre_table(n_max: int, alpha_max: int, z_set) -> np.ndarray:
-    """L_n^(alpha)(z) for n <= n_max and alpha <= alpha_max at each z of z_set.
+def _laguerre_table(n_max: int, alphas, z_set) -> np.ndarray:
+    """M(-n, alpha+1, z) = L_n^(alpha)(z) / binom(n+alpha, n) for n <= n_max.
 
-    The values are exact rationals, each rounded once to float64, with the
-    table along (n, alpha, z).  For z = p/q, L_k = A_k / (k! q^k), where
-    A_0 = 1 and A_{k+1} = ((2k + alpha + 1) q - p) A_k - (k + alpha) k q^2 A_{k-1}
+    Exact rationals, each rounded once to float64, along (n, alpha of
+    ``alphas``, z of ``z_set``).  For z = p/q, M_k = A_k alpha! / (q^k (k+alpha)!),
+    where A_0 = 1 and A_{k+1} = ((2k + alpha + 1) q - p) A_k - (k + alpha) k q^2 A_{k-1}
     is the Laguerre recurrence cleared of its denominators, in integers.
     """
-    out = np.empty((n_max + 1, alpha_max + 1, len(z_set)))
+    out = np.empty((n_max + 1, len(alphas), len(z_set)))
     for j, z in enumerate(z_set):
         p, q = float(z).as_integer_ratio()
-        for alpha in range(alpha_max + 1):
+        for i, alpha in enumerate(alphas):
             prev, cur, denominator = 0, 1, 1
             for k in range(n_max + 1):
-                out[k, alpha, j] = cur / denominator  # int / int rounds once
+                out[k, i, j] = cur / denominator  # int / int rounds once
                 step = ((2 * k + alpha + 1) * q - p) * cur - (k + alpha) * k * q * q * prev
-                prev, cur, denominator = cur, step, denominator * (k + 1) * q
+                prev, cur, denominator = cur, step, denominator * (k + alpha + 1) * q
     return out
 
 
@@ -464,19 +464,20 @@ def _report(equation_id, rho, equations, degenerate) -> ResidualReport:
     sample over the RMS of the per-sample dominant term.  The report carries
     the largest RMS, and the largest max with its radius (the first equation
     wins a tie); where every residual is zero, ``worst_rho`` is 0.0.  A term
-    that is not finite is refused.  Every term is first divided by the power
-    of two that brings the largest dominant term into [1, 2), so the mean
-    square never leaves float64; the division is exact, so the residuals are
-    those of the plain terms wherever their squares stay normal.
+    that is not finite reaches the largest dominant term and is refused there.
+    Every term is first divided by the power of two that brings that term
+    into [1, 2), so the mean square never leaves float64; the division is
+    exact, so the residuals are those of the plain terms wherever their
+    squares stay normal.
     """
     stats = []  # (rms, max, radius of the max) per equation
     for terms in equations:
-        if not all(np.all(np.isfinite(t)) for t in terms):
-            raise ValueError(f"{equation_id}: a term of the equation leaves float64")
         dominant = np.maximum.reduce([np.abs(t) for t in terms])
-        e = math.frexp(float(np.max(dominant)))[1] - 1
-        terms = [np.ldexp(t, -e) for t in terms]
-        dominant = np.ldexp(dominant, -e)
+        largest, e = math.frexp(float(np.max(dominant)))
+        if not math.isfinite(largest):
+            raise ValueError(f"{equation_id}: a term of the equation leaves float64")
+        terms = [np.ldexp(t, 1 - e) for t in terms]
+        dominant = np.ldexp(dominant, 1 - e)
         scale = float(np.sqrt(np.mean(dominant * dominant)))
         rel = np.abs(sum(terms)) / scale if scale else np.zeros_like(dominant)
         i = int(np.argmax(rel))

@@ -22,9 +22,9 @@ strongly alternating for large z (terms exceed the value by a factor up to
 
     L_n^(alpha)(z) = binom(n + alpha, n) * M(-n, alpha + 1, z),
 
-so it is not an independent check of them; the ``kummer-laguerre``
-verification compares both with a Laguerre table in exact rational
-arithmetic (``oracle``).
+so it is not an independent check of them.  The ``kummer-laguerre``
+verification compares the rows that ``verify``'s states hold with
+L_n^(alpha) / binom(n + alpha, n) in exact rational arithmetic (``oracle``).
 
 The irregular second solution of Kummer's equation is intentionally absent:
 it grows at infinity and never contributes to a normalizable state.

@@ -180,7 +180,8 @@ class RadialFunction:
     The function owns its Kummer terms M(a+k, b+k) on the grid and sums each
     once, when ``values`` (k = 0), ``interior`` (k <= order) or a lower
     component derived from it (k = 1) first needs it; ``_psi1_family`` and
-    ``derive_lower_component`` hand it terms instead.
+    ``derive_lower_component`` hand it terms instead.  ``interior`` keeps
+    the samples it forms, so both residuals of a state read one set.
     ``normalize`` returns the function's normalization constant.
     ``angular_index`` is the e^{i k phi} factor the full 2-d function
     carries: regularity at the origin ties it to the power z**(mu/2), so it
@@ -193,6 +194,7 @@ class RadialFunction:
     values: np.ndarray = field(init=False)
     _z: np.ndarray = field(init=False, repr=False)
     _terms: tuple = field(init=False, repr=False)  # replaced as terms are summed
+    _interior: tuple = field(init=False, repr=False, default=())
     _handed: InitVar[tuple] = field(default=(), kw_only=True)
 
     def __post_init__(self, _handed):
@@ -210,16 +212,21 @@ class RadialFunction:
         return self.profile.mu
 
     def interior(self, order: int):
-        """rho and [f, ..., f^(order)] at grid.samples[1:-1], order <= 2.
+        """rho and [f, ..., f^(order)] at grid.samples[1:-1], order <= 2, read-only.
 
         Stores the missing grid terms, then slices them: the terms are
-        elementwise in z, so no float moves.
+        elementwise in z, so no float moves.  The highest order formed is
+        kept, and a lower one reads its head: f and f' do not depend on it.
         """
         if order not in (0, 1, 2):
             raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
-        cut = tuple(t[1:-1] if np.ndim(t) else t for t in self._grid_terms(order))
-        z = self._z[1:-1]
-        return self.grid.samples[1:-1], self.profile.derivatives(z, order, _terms=cut)
+        if len(self._interior) <= order:
+            cut = tuple(t[1:-1] if np.ndim(t) else t for t in self._grid_terms(order))
+            out = self.profile.derivatives(self._z[1:-1], order, _terms=cut)
+            for samples in out:
+                samples.setflags(write=False)
+            object.__setattr__(self, "_interior", tuple(out))
+        return self.grid.samples[1:-1], self._interior[: order + 1]
 
     def _grid_terms(self, order: int) -> tuple:
         """The grid terms held, after summing and storing those up to ``order``."""
@@ -278,27 +285,23 @@ def _psi1_family(m: int, n_max: int, grid: RadialGrid, params: PhysicalParams):
     """Yield ``radial_psi1`` of the states n = 0 .. n_max at angular index m.
 
     No state sums a Kummer term of its own: term k, M(a+k, b+k), of each
-    state's profile is a row of the degree recurrence of b + k, and each
-    recurrence runs forward once for the whole family.  The psi1 terms of
-    n <= n_max take n_max + 1, n_max and n_max - 1 steps in all.  A row is
-    the same steps as ``kummer_m`` of its degree, so each function equals
-    its own ``radial_psi1`` bit for bit.
+    state's profile is a row of the degree recurrence of b + k.  One pass
+    over the column b = (m+1, m+2, m+3), n_max + 1 steps, serves the family
+    and holds only the three rows the current state reads.  Each element of
+    a row is the same steps as ``kummer_m`` of its degree and b, so each
+    function equals its own ``radial_psi1`` bit for bit.
     """
-    streams = {}  # b -> [degree of the row read last, that row, its recurrence]
-
-    def read(a, b, z):
-        degree = -round(a)
-        if b not in streams or streams[b][0] > degree:
-            streams[b] = [-1, None, _degree_rows(b, z)]
-        state = streams[b]
-        while state[0] < degree:
-            state[:2] = state[0] + 1, next(state[2])
-        return state[1]
-
     z = to_dimensionless_z(grid.samples, params)
+    rows = enumerate(_degree_rows(m + np.array([[1.0], [2.0], [3.0]]), z))
+    held = {}  # degree -> the stacked row of that degree
     for n in range(n_max + 1):
         profile = psi1_profile(QuantumNumbers(n, m))
-        terms = tuple(profile._term(k, z, read) for k in range(3))
+        top = -round(profile.a)
+        while max(held, default=-1) < top:
+            held.update([next(rows)])
+        held = {d: row for d, row in held.items() if d > top - 3}
+        row = lambda a, b, _: held[-round(a)][round(b) - m - 1]  # noqa: E731
+        terms = tuple(profile._term(k, z, row) for k in range(3))
         yield RadialFunction(grid, profile, params, _handed=terms)
 
 

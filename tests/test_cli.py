@@ -226,6 +226,27 @@ class TestVerifyCommand:
         assert checks["node-counts"]["measured"] >= 1
         assert not checks["node-counts"]["passed"]
 
+    def test_kummer_laguerre_check_is_live(self, monkeypatch):
+        # kummer-laguerre compares the Kummer rows the verified states hold
+        # with exact values: the row of degree 3 at b = m+1 off by 1e-9 of
+        # itself at z_max, which the 8 samples include, must fail it
+        config = RunConfig(command="verify", n_max=2, grid_points=1025)
+        checks = {c["name"]: c for c in run_verification_checks(config)}
+        assert checks["kummer-laguerre"]["passed"]
+        assert checks["kummer-laguerre"]["detail"] == "n <= 3 and alpha 0..2 at 8 z up to 144"
+        rows = wavefn._degree_rows
+
+        def one_row_off(b, z):
+            for degree, row in enumerate(rows(b, z)):
+                if degree == 3:
+                    row[0, -1] *= 1.0 + 1e-9
+                yield row
+
+        monkeypatch.setattr(wavefn, "_degree_rows", one_row_off)
+        checks = {c["name"]: c for c in run_verification_checks(config)}
+        assert checks["kummer-laguerre"]["measured"] > 1e-10
+        assert not checks["kummer-laguerre"]["passed"]
+
     def test_unknown_tolerance_rejected(self):
         with pytest.raises(ValueError):
             RunConfig(command="verify", tolerances={"bogus": 1.0})
@@ -307,13 +328,13 @@ class TestDiracEnergyMapCheck:
 class TestKummerBudget:
     """Kummer work counted through the module attributes.
 
-    A verify makes no per-state ``kummer_m`` call.  The psi1 family reads
-    each state's terms M(a+k, b+k), k <= 2, from one degree recurrence per
-    b + k: n_max + 1 steps at b = m+1, n_max at m+2 and n_max - 1 at m+3,
-    where summing each term on its own took 3(n_max + 1) - 1 calls and
-    631 series passes at n_max 20.  The kummer-laguerre table is one
-    ``laguerre`` call over an array n and alpha, one recurrence pass of 20
-    steps, and its reference is exact.
+    A verify makes no per-state ``kummer_m`` call and no ``laguerre`` call.
+    The psi1 family reads each state's terms M(a+k, b+k), k <= 2, from one
+    degree recurrence over the column b = (m+1, m+2, m+3): n_max + 1 steps,
+    where three streams of one b took 3 n_max steps, and summing each term
+    on its own took 3(n_max + 1) - 1 calls and 631 series passes at
+    n_max 20.  The kummer-laguerre check compares those rows with an exact
+    table, so it runs no recurrence of its own.
     ``spinor_sample`` and a lone coupled residual sum each term as before:
     psi1 and psi2 on the grid, then at the point; psi1's first two terms,
     of which the lower component always takes the second over (3 calls per
@@ -345,12 +366,12 @@ class TestKummerBudget:
         streams = self._count(monkeypatch, "_degree_rows", (specfun, wavefn))
         steps = self._count(monkeypatch, "_degree_step", (specfun,))
         run_verification_checks(RunConfig(command="verify", m=m, n_max=n_max))
-        assert calls == [] and len(laguerre_calls) == 1
-        scalar_b = [b for b, _ in streams if np.ndim(b) == 0]
-        assert scalar_b == [m + 1.0, m + 2.0, m + 3.0]
-        per_b = [sum(1 for step in steps if np.array_equal(step[1], b)) for b in scalar_b]
-        assert per_b == [n_max + 1, n_max, n_max - 1]
-        assert len(streams) == 4 and len(steps) == 3 * n_max + 20
+        assert calls == [] and laguerre_calls == []
+        assert len(streams) == 1
+        (b, _), = streams
+        assert b.tolist() == [[m + 1.0], [m + 2.0], [m + 3.0]]
+        assert len(steps) == n_max + 1
+        assert all(np.array_equal(step[1], b) for step in steps)
 
     def test_spinor_sample_budget(self, calls):
         p = natural_params()

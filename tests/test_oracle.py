@@ -829,21 +829,45 @@ class TestReportScaling:
         with pytest.raises(ValueError, match="leaves float64"):
             oracle._report("x", rho, [terms], False)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("equation", [0, 1])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_any_term_that_is_not_finite_is_refused_without_a_warning(
+        self, bad, equation, position
+    ):
+        # finiteness is tested once, on the largest dominant term, which
+        # nan and inf in any term reach
+        rho, terms = self._terms(1.0)
+        equations = [terms, self._terms(2.0)[1]]
+        equations[equation][position][7] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^x: a term of the equation leaves float64$"):
+                oracle._report("x", rho, equations, False)
+
 
 class TestLaguerreTable:
-    def test_matches_the_explicit_sum_in_fractions(self):
+    @pytest.mark.parametrize(
+        "n_max, alphas, z_set",
+        [
+            (20, range(11), [0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0]),
+            (6, [60, 61, 62], [2.25, 9.0, 20.25, 36.0, 56.25, 81.0, 110.25, 144.0]),
+        ],
+        ids=["alpha-0-10", "alpha-60-62"],
+    )
+    def test_matches_the_explicit_sum_in_fractions(self, n_max, alphas, z_set):
+        # M(-n, alpha+1, z) = L_n^(alpha)(z) / binom(n+alpha, n), where
         # L_n^(alpha)(z) = sum_i (-1)^i binom(n+alpha, n-i) z^i / i!, exactly
-        z_set = [0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0]
-        table = oracle._laguerre_table(20, 10, z_set)
-        assert table.shape == (21, 11, 8)
+        table = oracle._laguerre_table(n_max, alphas, z_set)
+        assert table.shape == (n_max + 1, len(alphas), len(z_set))
         for j, z in enumerate(z_set):
             x = Fraction(z)
-            for n, alpha in itertools.product(range(21), range(11)):
+            for n, (i, alpha) in itertools.product(range(n_max + 1), enumerate(alphas)):
                 exact = sum(
                     Fraction((-1) ** i * math.comb(n + alpha, n - i), math.factorial(i)) * x**i
                     for i in range(n + 1)
                 )
-                assert table[n, alpha, j] == float(exact), (n, alpha, z)
+                assert table[n, i, j] == float(exact / math.comb(n + alpha, n)), (n, alpha, z)
 
 
 class TestResidualReport:

@@ -188,7 +188,7 @@ class TestRadialFunction:
             "grid", "profile", "params",
         ]
         assert sorted(vars(rf)) == [
-            "_terms", "_z", "grid", "params", "profile", "values",
+            "_interior", "_terms", "_z", "grid", "params", "profile", "values",
         ]
 
     @IN_BOTH_UNIT_SYSTEMS
@@ -258,6 +258,26 @@ class TestRadialFunction:
         for order in (-1, 3):
             with pytest.raises(ValueError, match="order"):
                 psi1.interior(order)
+
+    @pytest.mark.parametrize("n, m", [(0, 0), (3, 2)])
+    def test_lower_orders_read_the_samples_formed_and_are_read_only(self, n, m):
+        # interior keeps the samples of the highest order it formed; f and
+        # f' read from interior(2) are the floats a fresh interior(1) forms
+        p = natural_params()
+        grid = default_grid(p, num_points=1025)
+        qn = QuantumNumbers(n, m)
+        rf = radial_psi1(qn, grid, p)
+        _, second = rf.interior(2)
+        rho, first = rf.interior(1)
+        _, fresh = radial_psi1(qn, grid, p).interior(1)
+        assert len(first) == 2
+        for got, want, kept in zip(first, fresh, second):
+            assert got is kept
+            assert got.tobytes() == want.tobytes()
+        for samples in (rho, *second, *fresh):
+            assert not samples.flags.writeable
+            with pytest.raises(ValueError):
+                samples[0] = 1.0
 
     def test_facts_read_from_profile(self):
         # b = mu + 1 and the angular index is mu, for psi1 (index m), the
