@@ -473,11 +473,12 @@ def _report(equation_id, rho, equations, degenerate) -> ResidualReport:
     stats = []  # (rms, max, radius of the max) per equation
     for terms in equations:
         dominant = np.maximum.reduce([np.abs(t) for t in terms])
-        largest, e = math.frexp(float(np.max(dominant)))
+        largest = float(np.max(dominant))
         if not math.isfinite(largest):
             raise ValueError(f"{equation_id}: a term of the equation leaves float64")
-        terms = [np.ldexp(t, 1 - e) for t in terms]
-        dominant = np.ldexp(dominant, 1 - e)
+        e = math.frexp(largest)[1] - 1
+        terms = [np.ldexp(t, -e) for t in terms]
+        dominant = np.ldexp(dominant, -e)
         scale = float(np.sqrt(np.mean(dominant * dominant)))
         rel = np.abs(sum(terms)) / scale if scale else np.zeros_like(dominant)
         i = int(np.argmax(rel))

@@ -847,15 +847,15 @@ class TestReportScaling:
 
 
 class TestLaguerreTable:
-    @pytest.mark.parametrize(
-        "n_max, alphas, z_set",
-        [
-            (20, range(11), [0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0]),
-            (6, [60, 61, 62], [2.25, 9.0, 20.25, 36.0, 56.25, 81.0, 110.25, 144.0]),
-        ],
-        ids=["alpha-0-10", "alpha-60-62"],
-    )
-    def test_matches_the_explicit_sum_in_fractions(self, n_max, alphas, z_set):
+    def test_matches_the_explicit_sum_in_fractions(self):
+        self._check(20, range(11), [0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0])
+
+    def test_takes_the_alpha_values_it_needs(self):
+        # verify --m 60 reads alpha 60..62, not the 60 columns below them
+        self._check(6, [60, 61, 62], [2.25, 9.0, 20.25, 36.0, 56.25, 81.0, 110.25, 144.0])
+
+    @staticmethod
+    def _check(n_max, alphas, z_set):
         # M(-n, alpha+1, z) = L_n^(alpha)(z) / binom(n+alpha, n), where
         # L_n^(alpha)(z) = sum_i (-1)^i binom(n+alpha, n-i) z^i / i!, exactly
         table = oracle._laguerre_table(n_max, alphas, z_set)
