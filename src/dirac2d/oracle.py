@@ -30,8 +30,8 @@ determinant and certified by counts to the adjacent-float bracket that
 plain bisection ends on (see ``smallest_eigenvalues``).  A count reads the
 shift only through the rounded diagonal d_j - sigma, so a shift that
 rounds it as a bracket end did takes that end's count without a pass over
-the rows: a ``verify`` at n_max 20 makes 196-226 counts and 63-69 Newton
-passes, where counting every shift took 503-526 counts.  Because the
+the rows, and a predicted level skips the isolating bisection: a ``verify``
+at n_max 20 makes 148-169 counts and 59-62 Newton passes.  Because the
 convergence is second order, ``extrapolated_levels`` cancels the leading
 error from two coarse grids whose spacings differ by exactly 2.
 """
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectrum import EnergyLevel
-from .units import PhysicalParams, to_dimensionless_z
+from .units import PhysicalParams
 from .wavefn import RadialFunction, RadialGrid, derive_lower_component
 from .wavefn import radial_psi1  # noqa: F401  (perfbench's tracer test reads it here)
 
@@ -204,27 +204,27 @@ def _newton_pass(diag, off_sq, sigma, pivmin) -> tuple[int, float]:
     """Sturm count at sigma and p'/p at sigma, p(sigma) = det(T - sigma).
 
     The pivots q_i are those of ``_negative_pivot_count``, so the count is
-    the same; p = prod q_i gives p'/p = sum q_i'/q_i with
-    q_i' = -1 + e_i^2 q_{i-1}' / q_{i-1}^2.  Overflow shows as a non-finite
-    ratio, which the caller treats as a failed step.
+    the same; p = prod q_i gives p'/p = sum q_i'/q_i, where q_i'/q_i =
+    (t_i q_{i-1}'/q_{i-1} - 1) / q_i with t_i = e_i^2 / q_{i-1}.  Overflow
+    shows as a non-finite ratio, which the caller treats as a failed step.
     """
     count = 0
     q = 1.0
-    dq = 0.0
+    r = 0.0
     ratio = 0.0
     for d, e2 in zip(diag, off_sq):
         t = e2 / q
-        dq = t * dq / q - 1.0
         q = d - sigma - t
         if q < pivmin:
             if q > -pivmin:
                 q = -pivmin
             count += 1
-        ratio += dq / q
+        r = (t * r - 1.0) / q
+        ratio += r
     return count, ratio
 
 
-def smallest_eigenvalues(op: TridiagonalOperator, count: int) -> list[float]:
+def smallest_eigenvalues(op: TridiagonalOperator, count: int, *, starts=()) -> list[float]:
     """The ``count`` algebraically smallest eigenvalues, ascending.
 
     The k-th eigenvalue is the midpoint of the adjacent-float pair (lo, hi)
@@ -236,16 +236,18 @@ def smallest_eigenvalues(op: TridiagonalOperator, count: int) -> list[float]:
 
     1. every count narrows the bracket of every level (Barth, Martin and
        Wilkinson 1967; LAPACK ``dstebz``);
-    2. the level's bracket is bisected until it holds exactly one eigenvalue
-       and is no wider than the larger magnitude of its ends, since Newton
-       creeps from far outside the spectrum;
-    3. safeguarded Newton steps on det(T - sigma) run until the relative
-       step is below 1e-8 (a step that leaves the bracket is replaced by its
-       midpoint, and every pass narrows the brackets through its count).
-       They start from the levels this call has already returned, at
-       3 l[-1] - 3 l[-2] + l[-3] (2 l[-1] - l[-2] for the third level),
-       where that lies strictly inside the bracket, and at its midpoint
-       otherwise;
+    2. level i (from 0) is predicted from the levels returned, at
+       3 l[-1] - 3 l[-2] + l[-3] from i = 3 on; below, at starts[i] +
+       (l[-1] - starts[i-1]) (starts[0] at i = 0), or without a start at
+       2 l[-1] - l[-2] for i = 2.  A prediction strictly inside the bracket,
+       with i or i + 1 eigenvalues below it, skips this phase; otherwise the
+       bracket is bisected until it holds exactly one eigenvalue and is no
+       wider than the larger magnitude of its ends, since Newton creeps from
+       far outside the spectrum;
+    3. safeguarded Newton steps on det(T - sigma) run from the prediction,
+       or else the bracket midpoint, until the relative step is below 1e-8
+       (a step that leaves the bracket is replaced by its midpoint, and
+       every pass narrows the brackets through its count);
     4. counts gallop outwards from the Newton iterate until the bracket is
        closed on both sides, and bisection takes it to adjacent floats.  The
        first step is half the finest spacing of the floats |d_j - sigma|
@@ -262,8 +264,9 @@ def smallest_eigenvalues(op: TridiagonalOperator, count: int) -> list[float]:
     bisection, and since most shifts of phase 4 fall in the cell of an end,
     the passes over the rows fall by more than half.
 
-    The Newton start comes from Sturm counts and count-certified levels of
-    the same operator alone, never from the closed form.  The result sits
+    ``starts`` (count-certified levels of an operator for the same
+    equation, never the closed form) steer only the path: any values give
+    the same floats; a wrong prediction costs one pass.  The result sits
     far inside an absolute 1e-10 times the Gershgorin radius, so the
     discretization error, not the eigensolver, limits any comparison.  A
     level that never meets phase 2 (an exactly repeated eigenvalue, or one
@@ -277,6 +280,7 @@ def smallest_eigenvalues(op: TridiagonalOperator, count: int) -> list[float]:
         raise ValueError(
             f"count={count} exceeds the operator dimension {op.dimension}"
         )
+    starts = [float(s) for s in starts]
     diag = op.diagonal.tolist()
     off = op.off_diagonal
     with np.errstate(over="ignore"):  # refused below
@@ -329,33 +333,44 @@ def smallest_eigenvalues(op: TridiagonalOperator, count: int) -> list[float]:
         isolated = (lo_count[i], hi_count[i]) == (i, i + 1)
         return isolated and hi[i] - lo[i] <= max(-lo[i], hi[i])
 
+    def prediction(i) -> float:
+        if i >= 3:
+            return 3.0 * eigenvalues[-1] - 3.0 * eigenvalues[-2] + eigenvalues[-3]
+        if i < len(starts):
+            return starts[i] + (eigenvalues[-1] - starts[i - 1] if i else 0.0)
+        return 2.0 * eigenvalues[-1] - eigenvalues[-2] if i == 2 else math.nan
+
+    def newton(i, sigma, predicted) -> float:
+        # The Newton iterate, or nan for a sigma off the bracket or the level.
+        if not lo[i] < sigma < hi[i]:
+            return math.nan
+        for step in range(_NEWTON_MAX_STEPS):
+            below, ratio = _newton_pass(diag, off_sq, sigma, pivmin)
+            record(sigma, below, (op.diagonal - sigma).tobytes())
+            if predicted and step == 0 and below not in (i, i + 1):
+                return math.nan
+            finite = ratio != 0.0 and math.isfinite(ratio)
+            target = sigma - 1.0 / ratio if finite else math.nan
+            if not lo[i] <= target <= hi[i]:
+                target = 0.5 * (lo[i] + hi[i])
+            done = abs(target - sigma) <= _NEWTON_RTOL * abs(target)
+            sigma = target
+            if done:
+                break
+        return sigma
+
     eigenvalues = []
     for i in range(count):
         # (bytes of the rounded d - sigma, count) at level i's latest shift
         # below and above its eigenvalue: its bracket ends, once it moved them.
         ends = [(b"", 0), (b"", 0)]
-        while not newton_ready(i) and bisect(i):
-            pass
-        if newton_ready(i):
-            # Extrapolate the levels already found: quadratically, or
-            # linearly at the third level.
-            guess = math.nan
-            if i >= 3:
-                guess = 3.0 * eigenvalues[-1] - 3.0 * eigenvalues[-2] + eigenvalues[-3]
-            elif i == 2:
-                guess = 2.0 * eigenvalues[-1] - eigenvalues[-2]
-            sigma = guess if lo[i] < guess < hi[i] else 0.5 * (lo[i] + hi[i])
-            for _ in range(_NEWTON_MAX_STEPS):
-                below, ratio = _newton_pass(diag, off_sq, sigma, pivmin)
-                record(sigma, below, (op.diagonal - sigma).tobytes())
-                finite = ratio != 0.0 and math.isfinite(ratio)
-                target = sigma - 1.0 / ratio if finite else math.nan
-                if not lo[i] < target < hi[i]:
-                    target = 0.5 * (lo[i] + hi[i])
-                done = abs(target - sigma) <= _NEWTON_RTOL * abs(target)
-                sigma = target
-                if done:
-                    break
+        sigma = newton(i, prediction(i), predicted=True)
+        if math.isnan(sigma):
+            while not newton_ready(i) and bisect(i):
+                pass
+            if newton_ready(i):
+                sigma = newton(i, 0.5 * (lo[i] + hi[i]), predicted=False)
+        if not math.isnan(sigma):
             # Gallop from the rounding cell of the shifted diagonal: a
             # shorter step seldom rounds it otherwise, and would repeat a count.
             spacing = np.spacing(np.abs(op.diagonal - sigma))
@@ -390,9 +405,10 @@ def extrapolated_levels(
     leading term.  The correction |k - k_fine| / k_fine (the operator is
     positive definite, so k_fine > 0) estimates the fine grid's
     discretization error.  Only finite-difference eigenvalues enter,
-    never the closed-form ladder.  A grid whose coarse partner would fall
-    below the operator's 64 points, or hold fewer than ``count`` interior
-    rows, is refused.
+    never the closed-form ladder.  The coarse levels are the fine solve's
+    ``starts``: they spare its isolating bisections and move no float.  A
+    grid whose coarse partner would fall below the operator's 64 points, or
+    hold fewer than ``count`` interior rows, is refused.
     """
     intervals = 2 * ((grid.num_points - 1) // 16)
     needed = max(_MIN_POINTS - 1, count + 1)  # intervals of the coarse grid
@@ -403,12 +419,9 @@ def extrapolated_levels(
             f"{count} levels of the spectrum: use --grid-points {least} or more"
         )
     points = (intervals + 1, 2 * intervals + 1)
-    k_coarse, k_fine = [
-        smallest_eigenvalues(
-            build_radial_operator(m, RadialGrid(grid.rho_max, n), params), count
-        )
-        for n in points
-    ]
+    operators = (build_radial_operator(m, RadialGrid(grid.rho_max, n), params) for n in points)
+    k_coarse = smallest_eigenvalues(next(operators), count)
+    k_fine = smallest_eigenvalues(next(operators), count, starts=k_coarse)
     levels = [(4.0 * fine - coarse) / 3.0 for coarse, fine in zip(k_coarse, k_fine)]
     correction = max(abs(k - fine) / fine for k, fine in zip(levels, k_fine))
     return Extrapolation(levels, correction, points)
@@ -499,7 +512,7 @@ def ode_residual(rf: RadialFunction, m: int, k1: float) -> ResidualReport:
     normalizes by the RMS of the per-sample dominant term.
     """
     rho, (f, fz, fzz) = rf.interior(2)
-    z = to_dimensionless_z(rho, rf.params)
+    z = rf._z[1:-1]  # rf's own z at the interior samples
     terms = [
         z * z * fzz,
         z * fz,

@@ -180,8 +180,8 @@ class RadialFunction:
     The function owns its Kummer terms M(a+k, b+k) on the grid and sums each
     once, when ``values`` (k = 0), ``interior`` (k <= order) or a lower
     component derived from it (k = 1) first needs it; ``_psi1_family`` and
-    ``derive_lower_component`` hand it terms instead.  ``interior`` keeps
-    the samples it forms, so both residuals of a state read one set.
+    ``derive_lower_component`` hand it z and terms instead.  ``interior``
+    keeps the samples it forms, so both residuals of a state read one set.
     ``normalize`` returns the function's normalization constant.
     ``angular_index`` is the e^{i k phi} factor the full 2-d function
     carries: regularity at the origin ties it to the power z**(mu/2), so it
@@ -195,12 +195,13 @@ class RadialFunction:
     _z: np.ndarray = field(init=False, repr=False)
     _terms: tuple = field(init=False, repr=False)  # replaced as terms are summed
     _interior: tuple = field(init=False, repr=False, default=())
-    _handed: InitVar[tuple] = field(default=(), kw_only=True)
+    _handed: InitVar[tuple] = field(default=(), kw_only=True)  # (z, term 0, term 1, ...)
 
     def __post_init__(self, _handed):
-        z = to_dimensionless_z(self.grid.samples, self.params)
+        z, *terms = _handed or (to_dimensionless_z(self.grid.samples, self.params),)
+        z.setflags(write=False)  # shared by a family and its lower components
         object.__setattr__(self, "_z", z)
-        object.__setattr__(self, "_terms", tuple(_handed))
+        object.__setattr__(self, "_terms", tuple(terms))
         values = self.profile.value_z(z, _terms=self._grid_terms(0))
         if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite at every sample")
@@ -302,7 +303,7 @@ def _psi1_family(m: int, n_max: int, grid: RadialGrid, params: PhysicalParams):
         held = {d: row for d, row in held.items() if d > top - 3}
         row = lambda a, b, _: held[-round(a)][round(b) - m - 1]  # noqa: E731
         terms = tuple(profile._term(k, z, row) for k in range(3))
-        yield RadialFunction(grid, profile, params, _handed=terms)
+        yield RadialFunction(grid, profile, params, _handed=(z, *terms))
 
 
 def radial_psi2(
@@ -396,8 +397,8 @@ def derive_lower_component(psi1_radial: RadialFunction, E: float) -> RadialFunct
     identity, never by finite differences: for
     R = coeff e^{-z/2} z^{m/2} M(a, b, z) it equals
     2 sqrt(gamma) coeff (a/b) e^{-z/2} z^{(m+1)/2} M(a+1, b+1, z).
-    Its grid terms are psi1's from M(a+1, b+1) on, which psi1 sums and keeps
-    first where it lacks it: neither function sums it twice, in any order.
+    Its z is psi1's, and its grid terms psi1's from M(a+1, b+1) on, which
+    psi1 sums and keeps first where it lacks it: neither sums it twice.
     """
     grid, p, params = psi1_radial.grid, psi1_radial.profile, psi1_radial.params
     rest = params.rest_energy
@@ -409,7 +410,8 @@ def derive_lower_component(psi1_radial: RadialFunction, E: float) -> RadialFunct
         mu=p.mu + 1,
         a=p.a + 1.0,
     )
-    return RadialFunction(grid, profile, params, _handed=psi1_radial._grid_terms(1)[1:])
+    handed = (psi1_radial._z, *psi1_radial._grid_terms(1)[1:])
+    return RadialFunction(grid, profile, params, _handed=handed)
 
 
 def spinor_sample(

@@ -20,6 +20,7 @@ from dirac2d import (
     oracle,
     specfun,
     spinor_sample,
+    units,
     wavefn,
 )
 from dirac2d import cli
@@ -310,8 +311,8 @@ class TestDiracEnergyMapCheck:
     def test_levels_off_by_one_percent_fail(self, units, monkeypatch):
         original = oracle.smallest_eigenvalues
 
-        def scaled(op, count):
-            return [1.01 * k1 for k1 in original(op, count)]
+        def scaled(op, count, starts=()):
+            return [1.01 * k1 for k1 in original(op, count, starts=starts)]
 
         monkeypatch.setattr(oracle, "smallest_eigenvalues", scaled)
         check = self._checks(units)["dirac-energy-map"]
@@ -397,31 +398,72 @@ class TestKummerBudget:
         assert len(calls) == (2 if n == 0 else 3)
 
 
+class TestZBudget:
+    """z = gamma rho**2 formed per ``verify``: once on the grid, for the psi1
+    family, whose states and derived lower components share it, and once
+    at the kummer-laguerre samples.  Each state formed it three times
+    before (65 calls at n_max 20, m 3).  The counts do not depend on the
+    machine.
+    """
+
+    @pytest.mark.parametrize("m, n_max", [(0, 5), (3, 20)])
+    def test_verify_forms_z_once_per_grid(self, monkeypatch, m, n_max):
+        shapes = []
+        original = units.to_dimensionless_z
+
+        def counted(rho, params):
+            shapes.append(np.shape(rho))
+            return original(rho, params)
+
+        for owner in (units, wavefn, cli):
+            monkeypatch.setattr(owner, "to_dimensionless_z", counted)
+        run_verification_checks(RunConfig(command="verify", m=m, n_max=n_max))
+        assert shapes == [(4097,), (8,)]
+
+
 class TestSolverRows:
-    """Rows the Sturm counts and Newton passes visit during ``verify``.
+    """Sturm counts, Newton passes and rows they visit during ``verify``.
 
     Each pass walks the whole diagonal once.  On the full 4097-point grid
     the n_max 20, m 3 report visited 1,916,460 rows; the extrapolated levels
     read grids of 513 and 1025 points (572,193 rows, then 445,892 with the
     Newton start from earlier levels).  Reusing a bracket end's count where
-    a shift rounds the diagonal as that end did leaves 226,009.  The counts
-    do not depend on the machine.
+    a shift rounds the diagonal as that end did left 226,009.  Starting the
+    1025-point solve from the 513-point levels, and skipping the isolating
+    bisection of every level predicted inside its bracket, leaves 170,777.
+    The counts do not depend on the machine.
     """
 
-    def test_verify_visits_an_eighth_of_the_full_grid_rows(self, monkeypatch):
-        rows = []
+    @staticmethod
+    def _passes(monkeypatch, m, n_max):
+        passes = []  # (name, rows) per pass
 
         def counted(fn):
             def wrapper(diag, *args):
-                rows.append(len(diag))
+                passes.append((fn.__name__, len(diag)))
                 return fn(diag, *args)
 
             return wrapper
 
         for name in ("_negative_pivot_count", "_newton_pass"):
             monkeypatch.setattr(oracle, name, counted(getattr(oracle, name)))
-        run_verification_checks(RunConfig(command="verify", m=3, n_max=20))
-        assert sum(rows) <= 226_009  # 1,916,460 / 8.48
+        run_verification_checks(RunConfig(command="verify", m=m, n_max=n_max))
+        return passes
+
+    def test_verify_visits_an_eighth_of_the_full_grid_rows(self, monkeypatch):
+        passes = self._passes(monkeypatch, 3, 20)
+        assert sum(rows for _, rows in passes) <= 170_777  # 1,916,460 / 11.2
+
+    # (Sturm counts, Newton passes) per verify at the perfbench (m, n_max);
+    # with every level isolated by bisection they were (72, 33), (85, 39),
+    # (196, 63) and (226, 69)
+    PASSES = {(0, 5): (52, 29), (3, 5): (60, 32), (0, 20): (148, 59), (3, 20): (169, 62)}
+
+    @pytest.mark.parametrize("m, n_max", sorted(PASSES))
+    def test_counts_and_newton_passes_are_pinned(self, m, n_max, monkeypatch):
+        names = [name for name, _ in self._passes(monkeypatch, m, n_max)]
+        counts = names.count("_negative_pivot_count"), names.count("_newton_pass")
+        assert counts == self.PASSES[m, n_max]
 
 
 class TestNrLimitCommand:

@@ -307,6 +307,29 @@ class TestSmallestEigenvalues:
         op, count = case
         assert smallest_eigenvalues(op, count) == plain_bisection(op, count)
 
+    @settings(deadline=None, derandomize=True)  # examples from the profile
+    @given(case=_tridiagonals(), data=st.data())
+    def test_any_starts_give_the_floats_of_plain_bisection_on_random_tridiagonals(
+        self, case, data
+    ):
+        # starts steer only the path: nan, infinities, shifts outside the
+        # Gershgorin interval or anywhere inside it, the exact levels and
+        # their neighbours, and fewer starts than levels
+        op, count = case
+        exact = plain_bisection(op, min(count + 1, op.dimension))
+        radius = float(np.max(np.abs(op.off_diagonal), initial=0.0))
+        outside = 3.0 * (float(np.max(np.abs(op.diagonal))) + radius) + 1.0
+        words = data.draw(st.lists(st.integers(0, 2**32 - 1), max_size=count))
+
+        def start(i, word):
+            kind, fraction = word % 9, (word >> 4) / 2**28
+            neighbours = [exact[i], exact[max(i - 1, 0)], exact[min(i + 1, len(exact) - 1)]]
+            edges = [math.nan, math.inf, -math.inf, -outside, outside]
+            return (neighbours + edges + [outside * (2.0 * fraction - 1.0)])[kind]
+
+        starts = [start(i, word) for i, word in enumerate(words)]
+        assert smallest_eigenvalues(op, count, starts=starts) == exact[:count]
+
     def test_huge_random_tridiagonals_are_refused_or_give_the_floats_of_plain_bisection(
         self,
     ):
@@ -408,12 +431,14 @@ class TestSolverPasses:
     every shift of the final gallop (64 ulp, times 16) and bisection, the
     totals were 141-163 for 7 levels and 370-407 for 22.  A gallop in steps
     of the shifted diagonal's rounding cell, and a bracket end's count for
-    every shift that rounds the diagonal as that end did, leave 64-68 and
-    137-147.  The counts do not depend on the machine.
+    every shift that rounds the diagonal as that end did, left 64-68 and
+    137-147.  Skipping the isolating bisection of every level that the
+    earlier levels predict inside its bracket leaves 60-64 and 119-127.
+    The counts do not depend on the machine.
     """
 
     @staticmethod
-    def _passes(monkeypatch, m, points, levels):
+    def _counted(monkeypatch):
         passes = []
 
         def counted(fn):
@@ -425,6 +450,11 @@ class TestSolverPasses:
 
         for name in ("_negative_pivot_count", "_newton_pass"):
             monkeypatch.setattr(oracle, name, counted(getattr(oracle, name)))
+        return passes
+
+    @classmethod
+    def _passes(cls, monkeypatch, m, points, levels):
+        passes = cls._counted(monkeypatch)
         p = natural_params()
         smallest_eigenvalues(build_radial_operator(m, RadialGrid(12.0, points), p), levels)
         return passes
@@ -437,17 +467,28 @@ class TestSolverPasses:
         assert len(passes) <= {7: 70, 22: 150}[levels] < before
         assert 0 < passes.count("_newton_pass") <= {7: 20, 22: 35}[levels]
 
+    def test_a_start_on_its_level_ends_newton_at_once(self, monkeypatch):
+        # Newton's step from a level's own float lands on the bracket end
+        # that pass counted, and ends there; replaced by the bracket
+        # midpoint, it took 16 Newton passes and 46 counts here, not 3 and 4
+        op = TridiagonalOperator(np.arange(1.0, 31.0), np.full(29, 0.5))
+        exact = smallest_eigenvalues(op, 3)
+        passes = self._counted(monkeypatch)
+        assert smallest_eigenvalues(op, 3, starts=exact) == exact
+        assert (passes.count("_newton_pass"), passes.count("_negative_pivot_count")) == (3, 4)
+
     # the totals with a pass at every final shift: 108, 275, 106, 272 on
-    # 513 points and 125, 314, 125, 300 on 1025
+    # 513 points and 125, 314, 125, 300 on 1025; with every level isolated
+    # by bisection: 52, 128, 61, 148 and 53, 131, 63, 147
     PASSES = {
-        (0, 513, 7): 52,
-        (0, 513, 22): 128,
-        (3, 513, 7): 61,
-        (3, 513, 22): 148,
-        (0, 1025, 7): 53,
-        (0, 1025, 22): 131,
-        (3, 1025, 7): 63,
-        (3, 1025, 22): 147,
+        (0, 513, 7): 49,
+        (0, 513, 22): 111,
+        (3, 513, 7): 57,
+        (3, 513, 22): 128,
+        (0, 1025, 7): 50,
+        (0, 1025, 22): 114,
+        (3, 1025, 7): 59,
+        (3, 1025, 22): 127,
     }
 
     @pytest.mark.parametrize(
@@ -509,13 +550,33 @@ class TestExtrapolatedLevels:
         # k = (4 k_fine - k_coarse) / 3 and correction |k - k_fine| / k_fine
         fake = {513: [4.0, 8.5], 1025: [4.0, 8.125]}
         monkeypatch.setattr(
-            oracle, "smallest_eigenvalues", lambda op, count: fake[op.dimension + 2]
+            oracle,
+            "smallest_eigenvalues",
+            lambda op, count, starts=(): fake[op.dimension + 2],
         )
         levels, correction, _ = extrapolated_levels(
             0, RadialGrid(12.0, 4097), natural_params(), 2
         )
         assert levels == [4.0, 8.0]
         assert correction == 0.125 / 8.125
+
+    def test_the_fine_solve_starts_from_the_coarse_levels(self, monkeypatch):
+        # the coarse solve gets no starts and the fine one exactly the coarse
+        # levels, which leave its floats those of a solve without them
+        calls = []
+        original = oracle.smallest_eigenvalues
+
+        def recorded(op, count, **kwargs):
+            levels = original(op, count, **kwargs)
+            calls.append((op, kwargs, levels))
+            return levels
+
+        monkeypatch.setattr(oracle, "smallest_eigenvalues", recorded)
+        extrapolated_levels(3, RadialGrid(12.0, 4097), natural_params(), 6)
+        (coarse, none, k_coarse), (fine, starts, k_fine) = calls
+        assert (coarse.dimension, fine.dimension) == (511, 1023)
+        assert none == {} and starts == {"starts": k_coarse}
+        assert k_fine == original(fine, 6)
 
     def test_too_coarse_a_grid_is_refused(self):
         p = natural_params()
