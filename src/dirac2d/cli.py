@@ -282,7 +282,7 @@ def cmd_wavefn(config: RunConfig) -> Path:
     r2 = scale * lower.values
     table = {
         "rho": rho,
-        "z": to_dimensionless_z(rho, params),
+        "z": upper._rows.z,  # psi1's own z on the grid
         "R1_normalized": r1,
         "R2_derived": r2,
         "probability_density": 2.0 * math.pi * rho * (r1 * r1 + r2 * r2),
@@ -334,8 +334,9 @@ def run_verification_checks(config: RunConfig) -> list[dict]:
     results.append(("dirac-energy-map", worst, f"{len(mapped)} mapped levels at m={m}"))
 
     # One pass over the states: each level and psi1 function is built once,
-    # the psi1 family reads their Kummer terms from one recurrence pass, and
-    # each term is kept at 8 samples spanning (0, z_max] as (degree, alpha - m, row).
+    # the psi1 family reads their Kummer rows from one recurrence pass, and
+    # each row M(a, b) read is kept at 8 samples spanning (0, z_max] as
+    # (degree -a, alpha - m = b - m - 1, row).
     worst_ode = worst_coupled = worst_norm = 0.0
     mismatches = 0
     picks = np.linspace(0, grid.num_points - 1, 9).astype(int)[1:]
@@ -352,8 +353,8 @@ def run_verification_checks(config: RunConfig) -> list[dict]:
         # Quadrature normalization against the Laguerre-orthogonality constant.
         closed = wavefn.closed_form_norm_constant(qn, params)
         worst_norm = max(worst_norm, abs(wavefn.normalize(rf) / closed - 1.0))
-        top, terms = -round(rf.profile.a), enumerate(rf._grid_terms(2))
-        held += [(top - k, k, t[picks]) for k, t in terms if np.ndim(t)]
+        keys = rf.profile._keys(2)
+        held += [(-round(a), round(b) - m - 1, rf._rows[a, b][picks]) for a, b in keys]
     detail = f"n <= {config.n_max} at m={m}"
     results.append(("ode-residual", worst_ode, detail))
     results.append(("coupled-residual", worst_coupled, detail))

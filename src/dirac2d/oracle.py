@@ -512,7 +512,7 @@ def ode_residual(rf: RadialFunction, m: int, k1: float) -> ResidualReport:
     normalizes by the RMS of the per-sample dominant term.
     """
     rho, (f, fz, fzz) = rf.interior(2)
-    z = rf._z[1:-1]  # rf's own z at the interior samples
+    z = rf._rows.z[1:-1]  # rf's own z at the interior samples
     terms = [
         z * z * fzz,
         z * fz,

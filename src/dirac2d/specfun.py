@@ -1,4 +1,4 @@
-"""Confluent hypergeometric (Kummer) function and associated Laguerre polynomials.
+"""Confluent hypergeometric (Kummer) function M(a, b, z) of terminating a.
 
 ``kummer_m`` evaluates M(a, b, z) for a first argument a = 0, -1, -2, ...,
 where M is a polynomial of degree -a in z.  Every physical state in this
@@ -18,13 +18,9 @@ row is rounded to float64 once.  The ascending series that it replaced is
 strongly alternating for large z (terms exceed the value by a factor up to
 ~exp(z/2)) and lost the states past degree 50 to cancellation.
 
-``laguerre`` reads the same rows through
-
-    L_n^(alpha)(z) = binom(n + alpha, n) * M(-n, alpha + 1, z),
-
-so it is not an independent check of them.  The ``kummer-laguerre``
-verification compares the rows that ``verify``'s states hold with
-L_n^(alpha) / binom(n + alpha, n) in exact rational arithmetic (``oracle``).
+The ``kummer-laguerre`` verification compares the rows that ``verify``'s
+states hold with L_n^(alpha)(z) / binom(n + alpha, n) = M(-n, alpha + 1, z)
+in exact rational arithmetic (``oracle``).
 
 The irregular second solution of Kummer's equation is intentionally absent:
 it grows at infinity and never contributes to a normalizable state.
@@ -32,12 +28,11 @@ it grows at infinity and never contributes to a normalizable state.
 
 from __future__ import annotations
 
-import math
 from itertools import count, islice
 
 import numpy as np
 
-__all__ = ["kummer_m", "laguerre"]
+__all__ = ["kummer_m"]
 
 # Tolerance for recognising integer arguments; the quantization condition
 # produces exact integers, so this only guards against benign roundoff.
@@ -128,25 +123,14 @@ def _degree_rows(b, z):
 
 def _arguments(b, z) -> tuple[np.ndarray, np.ndarray]:
     """b and z of a Kummer function as float arrays, refused outside its domain."""
-    b_arr = np.asarray(b, dtype=float)
+    b_arr, z_arr = np.asarray(b, dtype=float), np.asarray(z, dtype=float)
     if not np.all(np.isfinite(b_arr)) or np.any(_is_nonpositive_int(b_arr)):
         raise ValueError(f"b must be finite, not zero or a negative integer, got b={b}")
-    return b_arr, _domain(z)
-
-
-def _domain(z) -> np.ndarray:
-    """z as a float array; refused unless finite and non-negative."""
-    arr = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.all(np.isfinite(z_arr)):
         raise ValueError("z must be finite")
-    if np.any(arr < 0.0):
+    if np.any(z_arr < 0.0):
         raise ValueError(f"negative z is outside the supported domain, got {z}")
-    return arr
-
-
-def _refuse_overflow(values, what: str, z):
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"{what} overflows float64 at z up to {np.max(z)}")
+    return b_arr, z_arr
 
 
 def kummer_m(a: float, b, z):
@@ -173,37 +157,7 @@ def kummer_m(a: float, b, z):
         raise ValueError(f"a must be a scalar in 0, -1, -2, ..., got a={a}")
     degree = -round(float(a))
     row = next(islice(_degree_rows(b, z), degree, None))
-    _refuse_overflow(row, f"M({-degree}, b, z)", z)
+    if not np.all(np.isfinite(row)):
+        raise ValueError(f"M({-degree}, b, z) overflows float64 at z up to {np.max(z)}")
     return float(row) if np.ndim(row) == 0 else row
 
-
-def laguerre(n, alpha, z):
-    """Associated Laguerre polynomial L_n^(alpha)(z) for z >= 0.
-
-    binom(n + alpha, n) times the row M(-n, alpha + 1, z) of the degree
-    recurrence (see the module docstring), the binomial rounded once.
-    Integer arrays n and alpha broadcast against z; one pass up to the
-    largest n serves every order, and each element equals its own call.
-    Only the returned elements are refused where they overflow.
-    """
-    orders = np.asarray(n)
-    if orders.dtype.kind not in "iu" or np.any(orders < 0):
-        raise ValueError(f"n must be a non-negative integer, got {n!r}")
-    alpha = np.asarray(alpha)
-    if alpha.dtype.kind not in "iu" or np.any(alpha < 0):
-        raise ValueError(f"alpha must be non-negative integers, got {alpha}")
-    arr = _domain(z)
-    what = f"L_{n}^(alpha)(z)"
-    try:
-        binom = np.asarray(np.frompyfunc(math.comb, 2, 1)(orders + alpha, orders), float)
-    except OverflowError:
-        raise ValueError(f"{what} overflows float64: binom(n + alpha, n) does") from None
-
-    out = np.ones(np.broadcast_shapes(orders.shape, alpha.shape, arr.shape))
-    rows = _degree_rows(alpha + 1.0, arr)
-    for k, row in enumerate(islice(rows, int(np.max(orders, initial=0)) + 1)):
-        np.copyto(out, row, where=orders == k)
-    with np.errstate(over="ignore", invalid="ignore"):  # a returned overflow is refused
-        out *= binom
-    _refuse_overflow(out, what, arr)
-    return float(out) if out.ndim == 0 else out

@@ -23,13 +23,18 @@ another family member with mu -> mu+1, a -> a+1, b -> b+1.  Note that the
 derived component carries angular index m+1, one unit above psi1; the
 ``radial_psi2`` ansatz pairs its radial shape with index m instead, and the
 tests compare the two conventions without privileging either.
+
+Every Kummer term is a row M(a, b, z) on a grid's z.  A ``RadialFunction``
+reads its rows from a private table keyed by (a, b), which sums a missing
+row once with ``kummer_m`` and keeps it; a derived lower component and the
+states of ``_psi1_family`` share their table, so no row is summed twice.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -104,6 +109,18 @@ def default_grid(
     return RadialGrid(rho_max_in_b * params.oscillator_length, num_points)
 
 
+class _Rows(dict):
+    """Rows M(a, b, z) on one z, keyed by (a, b); a missing row is summed and kept."""
+
+    def __init__(self, z):
+        super().__init__()
+        self.z = z
+
+    def __missing__(self, key):
+        row = self[key] = kummer_m(*key, self.z)
+        return row
+
+
 @dataclass(frozen=True)
 class KummerProfile:
     """Descriptor of f(z) = coeff * exp(-z/2) * z**(mu/2) * M(a, mu + 1, z).
@@ -117,6 +134,7 @@ class KummerProfile:
     exactly zero is skipped: M is a polynomial of degree -a with no
     derivative past it, so only terminating series are ever summed.
     A profile with coeff 0 is identically zero and sums no term at all.
+    z may be a row table, whose z it evaluates at and whose rows it reads.
     ``value_z``, ``dvalue_dz`` and ``d2value_dz2`` are single-output views.
     """
 
@@ -129,21 +147,19 @@ class KummerProfile:
         """Second Kummer argument, fixed by the power: b = mu + 1."""
         return self.mu + 1.0
 
-    def _term(self, k: int, z, evaluate=None):
-        """M(a+k, b+k, z), or 0.0 where coeff or the weight's a (a+1)...(a+k-1) is 0.
+    def _keys(self, order: int) -> list:
+        """(a+k, b+k), k <= order, where coeff and the weight a (a+1)...(a+k-1) are not 0."""
+        live = (k for k in range(order + 1) if all(self.a + j for j in range(k)))
+        return [(self.a + k, self.b + k) for k in live] if self.coeff else []
 
-        ``evaluate(a, b, z)`` gives M where it is passed, ``kummer_m`` elsewhere.
-        """
-        live = self.coeff and all(self.a + j for j in range(k))
-        return (evaluate or kummer_m)(self.a + k, self.b + k, z) if live else 0.0
-
-    def derivatives(self, z, order: int = 2, *, _terms=()):
-        """[f, f', ..., f^(order)] at z, order <= 2, summing the terms not in _terms."""
+    def derivatives(self, z, order: int = 2):
+        """[f, f', ..., f^(order)] at z (or a row table), order <= 2."""
         if order not in (0, 1, 2):
             raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
         a, b = self.a, self.b
-        z = np.asarray(z, dtype=float)
-        m = _terms + tuple(self._term(k, z) for k in range(len(_terms), order + 1))
+        rows = z if isinstance(z, _Rows) else _Rows(np.asarray(z, dtype=float))
+        z, keys = rows.z, self._keys(order)
+        m = [rows[key] for key in keys] + [0.0] * (order + 1 - len(keys))
         with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf, refused below
             pref = self.coeff * np.exp(-0.5 * z) * np.power(z, 0.5 * self.mu)
         if not np.all(np.isfinite(pref)):
@@ -159,8 +175,8 @@ class KummerProfile:
             out.append(pref * (curv * m[0] + 2.0 * g * w1 * m[1] + w2 * m[2]))
         return out
 
-    def value_z(self, z, *, _terms=()):
-        return self.derivatives(z, 0, _terms=_terms)[0]
+    def value_z(self, z):
+        return self.derivatives(z, 0)[0]
 
     def dvalue_dz(self, z):
         """Exact d/dz; requires z > 0 when mu > 0."""
@@ -177,11 +193,12 @@ class RadialFunction:
 
     ``values`` is not an input: it is the profile evaluated once at every
     grid sample, read-only, so the samples and the profile cannot disagree.
-    The function owns its Kummer terms M(a+k, b+k) on the grid and sums each
-    once, when ``values`` (k = 0), ``interior`` (k <= order) or a lower
-    component derived from it (k = 1) first needs it; ``_psi1_family`` and
-    ``derive_lower_component`` hand it z and terms instead.  ``interior``
-    keeps the samples it forms, so both residuals of a state read one set.
+    It reads its Kummer terms M(a+k, b+k) from a row table on the grid's
+    read-only z: ``values`` reads k = 0 and ``interior`` k <= order.  The
+    table sums a row when it is first read, for this function or any that
+    shares the table (see ``derive_lower_component`` and ``_psi1_family``).
+    ``interior`` keeps the samples it forms, so both residuals of a state
+    read one set.
     ``normalize`` returns the function's normalization constant.
     ``angular_index`` is the e^{i k phi} factor the full 2-d function
     carries: regularity at the origin ties it to the power z**(mu/2), so it
@@ -192,17 +209,15 @@ class RadialFunction:
     profile: KummerProfile
     params: PhysicalParams
     values: np.ndarray = field(init=False)
-    _z: np.ndarray = field(init=False, repr=False)
-    _terms: tuple = field(init=False, repr=False)  # replaced as terms are summed
     _interior: tuple = field(init=False, repr=False, default=())
-    _handed: InitVar[tuple] = field(default=(), kw_only=True)  # (z, term 0, term 1, ...)
+    _rows: _Rows = field(default=None, repr=False, kw_only=True)  # a shared table
 
-    def __post_init__(self, _handed):
-        z, *terms = _handed or (to_dimensionless_z(self.grid.samples, self.params),)
-        z.setflags(write=False)  # shared by a family and its lower components
-        object.__setattr__(self, "_z", z)
-        object.__setattr__(self, "_terms", tuple(terms))
-        values = self.profile.value_z(z, _terms=self._grid_terms(0))
+    def __post_init__(self):
+        if self._rows is None:
+            z = to_dimensionless_z(self.grid.samples, self.params)
+            z.setflags(write=False)
+            object.__setattr__(self, "_rows", _Rows(z))
+        values = self.profile.value_z(self._rows)
         if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite at every sample")
         values.setflags(write=False)
@@ -215,26 +230,20 @@ class RadialFunction:
     def interior(self, order: int):
         """rho and [f, ..., f^(order)] at grid.samples[1:-1], order <= 2, read-only.
 
-        Stores the missing grid terms, then slices them: the terms are
+        Reads the grid rows from the table, then slices them: the rows are
         elementwise in z, so no float moves.  The highest order formed is
         kept, and a lower one reads its head: f and f' do not depend on it.
         """
         if order not in (0, 1, 2):
             raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
         if len(self._interior) <= order:
-            cut = tuple(t[1:-1] if np.ndim(t) else t for t in self._grid_terms(order))
-            out = self.profile.derivatives(self._z[1:-1], order, _terms=cut)
+            inner, rows = _Rows(self._rows.z[1:-1]), self._rows
+            inner.update((key, rows[key][1:-1]) for key in self.profile._keys(order))
+            out = self.profile.derivatives(inner, order)
             for samples in out:
                 samples.setflags(write=False)
             object.__setattr__(self, "_interior", tuple(out))
         return self.grid.samples[1:-1], self._interior[: order + 1]
-
-    def _grid_terms(self, order: int) -> tuple:
-        """The grid terms held, after summing and storing those up to ``order``."""
-        z, terms = self._z, self._terms
-        terms += tuple(self.profile._term(k, z) for k in range(len(terms), order + 1))
-        object.__setattr__(self, "_terms", terms)
-        return terms
 
 
 @dataclass(frozen=True)
@@ -285,25 +294,25 @@ def radial_psi1(
 def _psi1_family(m: int, n_max: int, grid: RadialGrid, params: PhysicalParams):
     """Yield ``radial_psi1`` of the states n = 0 .. n_max at angular index m.
 
-    No state sums a Kummer term of its own: term k, M(a+k, b+k), of each
-    state's profile is a row of the degree recurrence of b + k.  One pass
-    over the column b = (m+1, m+2, m+3), n_max + 1 steps, serves the family
-    and holds only the three rows the current state reads.  Each element of
-    a row is the same steps as ``kummer_m`` of its degree and b, so each
-    function equals its own ``radial_psi1`` bit for bit.
+    The states share one row table, and none sums a row of its own: state
+    n reads M(-(n+1-k), m+1+k), k <= 2, the rows of degrees n+1, n and n-1
+    of one degree recurrence over the column b = (m+1, m+2, m+3).  That
+    pass, n_max + 1 steps, puts each degree's three rows in, and the table
+    drops the degrees below the three the current state reads, so it holds
+    at most nine rows.  Each element of a row is the same steps as
+    ``kummer_m`` of its degree and b, so each function equals its own
+    ``radial_psi1`` bit for bit.
     """
     z = to_dimensionless_z(grid.samples, params)
-    rows = enumerate(_degree_rows(m + np.array([[1.0], [2.0], [3.0]]), z))
-    held = {}  # degree -> the stacked row of that degree
-    for n in range(n_max + 1):
-        profile = psi1_profile(QuantumNumbers(n, m))
-        top = -round(profile.a)
-        while max(held, default=-1) < top:
-            held.update([next(rows)])
-        held = {d: row for d, row in held.items() if d > top - 3}
-        row = lambda a, b, _: held[-round(a)][round(b) - m - 1]  # noqa: E731
-        terms = tuple(profile._term(k, z, row) for k in range(3))
-        yield RadialFunction(grid, profile, params, _handed=(z, *terms))
+    z.setflags(write=False)
+    rows, stream = _Rows(z), _degree_rows(m + np.array([[1.0], [2.0], [3.0]]), z)
+    for d, stacked in zip(range(n_max + 2), stream):
+        rows.update(((-float(d), m + 1.0 + i), row) for i, row in enumerate(stacked))
+        for key in [key for key in rows if -key[0] < d - 2]:
+            del rows[key]
+        if d:  # state d - 1 reads degrees d - 2 .. d
+            profile = psi1_profile(QuantumNumbers(d - 1, m))
+            yield RadialFunction(grid, profile, params, _rows=rows)
 
 
 def radial_psi2(
@@ -397,8 +406,8 @@ def derive_lower_component(psi1_radial: RadialFunction, E: float) -> RadialFunct
     identity, never by finite differences: for
     R = coeff e^{-z/2} z^{m/2} M(a, b, z) it equals
     2 sqrt(gamma) coeff (a/b) e^{-z/2} z^{(m+1)/2} M(a+1, b+1, z).
-    Its z is psi1's, and its grid terms psi1's from M(a+1, b+1) on, which
-    psi1 sums and keeps first where it lacks it: neither sums it twice.
+    It reads psi1's row table: its terms M(a+1+k, b+1+k) are psi1's from
+    k = 1 on, so a row that either reads is summed once.
     """
     grid, p, params = psi1_radial.grid, psi1_radial.profile, psi1_radial.params
     rest = params.rest_energy
@@ -410,8 +419,7 @@ def derive_lower_component(psi1_radial: RadialFunction, E: float) -> RadialFunct
         mu=p.mu + 1,
         a=p.a + 1.0,
     )
-    handed = (psi1_radial._z, *psi1_radial._grid_terms(1)[1:])
-    return RadialFunction(grid, profile, params, _handed=handed)
+    return RadialFunction(grid, profile, params, _rows=psi1_radial._rows)
 
 
 def spinor_sample(

@@ -21,12 +21,12 @@ from dirac2d import (
     dirac_excitations_from_k1,
     energy,
     kummer_m,
-    laguerre,
     level_spacings,
     natural_params,
     normalize,
     nr_expansion,
     ode_residual,
+    oracle,
     quantization_residual,
     radial_psi1,
     radial_psi2,
@@ -166,12 +166,16 @@ def test_criterion_6_node_counts():
 
 
 def test_criterion_7_kummer_laguerre_identity():
+    # L_n^(a) from exact rational arithmetic: the table holds L / binom,
+    # rounded once, so binom times it is L to a rounding
     z = np.array([0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0])
+    exact = oracle._laguerre_table(20, range(11), z)
     worst = 0.0
     for n in range(21):
         for alpha in range(11):
-            lag = laguerre(n, alpha, z)
-            kum = math.comb(n + alpha, n) * kummer_m(-float(n), alpha + 1.0, z)
+            binom = math.comb(n + alpha, n)
+            lag = binom * exact[n, alpha]
+            kum = binom * kummer_m(-float(n), alpha + 1.0, z)
             dev = np.max(np.abs(kum - lag) / np.maximum(1.0, np.abs(lag)))
             worst = max(worst, float(dev))
     report(

@@ -329,7 +329,7 @@ class TestDiracEnergyMapCheck:
 class TestKummerBudget:
     """Kummer work counted through the module attributes.
 
-    A verify makes no per-state ``kummer_m`` call and no ``laguerre`` call.
+    A verify makes no per-state ``kummer_m`` call.
     The psi1 family reads each state's terms M(a+k, b+k), k <= 2, from one
     degree recurrence over the column b = (m+1, m+2, m+3): n_max + 1 steps,
     where three streams of one b took 3 n_max steps, and summing each term
@@ -363,11 +363,10 @@ class TestKummerBudget:
     @pytest.mark.parametrize("m", [0, 3])
     @pytest.mark.parametrize("n_max", [5, 20])
     def test_verify_budget(self, calls, monkeypatch, m, n_max):
-        laguerre_calls = self._count(monkeypatch, "laguerre", (specfun,))
         streams = self._count(monkeypatch, "_degree_rows", (specfun, wavefn))
         steps = self._count(monkeypatch, "_degree_step", (specfun,))
         run_verification_checks(RunConfig(command="verify", m=m, n_max=n_max))
-        assert calls == [] and laguerre_calls == []
+        assert calls == []
         assert len(streams) == 1
         (b, _), = streams
         assert b.tolist() == [[m + 1.0], [m + 2.0], [m + 3.0]]
@@ -402,12 +401,13 @@ class TestZBudget:
     """z = gamma rho**2 formed per ``verify``: once on the grid, for the psi1
     family, whose states and derived lower components share it, and once
     at the kummer-laguerre samples.  Each state formed it three times
-    before (65 calls at n_max 20, m 3).  The counts do not depend on the
-    machine.
+    before (65 calls at n_max 20, m 3).  ``wavefn`` forms it once, for psi1,
+    whose lower component and z column read it.  The counts do not depend
+    on the machine.
     """
 
-    @pytest.mark.parametrize("m, n_max", [(0, 5), (3, 20)])
-    def test_verify_forms_z_once_per_grid(self, monkeypatch, m, n_max):
+    @pytest.fixture
+    def shapes(self, monkeypatch):
         shapes = []
         original = units.to_dimensionless_z
 
@@ -417,8 +417,21 @@ class TestZBudget:
 
         for owner in (units, wavefn, cli):
             monkeypatch.setattr(owner, "to_dimensionless_z", counted)
+        return shapes
+
+    @pytest.mark.parametrize("m, n_max", [(0, 5), (3, 20)])
+    def test_verify_forms_z_once_per_grid(self, shapes, m, n_max):
         run_verification_checks(RunConfig(command="verify", m=m, n_max=n_max))
         assert shapes == [(4097,), (8,)]
+
+    def test_wavefn_forms_z_once(self, shapes, tmp_path):
+        config = RunConfig(command="wavefn", n=7, m=2, output=str(tmp_path / "w.csv"))
+        _, rows = read_csv(cmd_wavefn(config))
+        assert shapes == [(4097,)]
+        rho = np.array([float(row["rho"]) for row in rows])
+        z = np.array([float(row["z"]) for row in rows])
+        want = units.to_dimensionless_z(rho, config.params())
+        assert z.tobytes() == want.tobytes()
 
 
 class TestSolverRows:

@@ -11,7 +11,6 @@ from dirac2d import (
     derive_lower_component,
     energy,
     kummer_m,
-    laguerre,
     natural_params,
     radial_psi1,
 )
@@ -99,40 +98,6 @@ class TestKummerM:
         for b in (math.nan, math.inf, np.array([1.0, math.nan])):
             with pytest.raises(ValueError, match="b must be finite"):
                 kummer_m(-2.0, b, 1.0)
-
-    @pytest.mark.parametrize("z_set", ["table", "random"])
-    def test_orders_in_one_pass_equal_the_calls_per_n_bit_for_bit(self, z_set):
-        # one laguerre pass over n = 0 .. 20 reads the rows
-        # M(-n, alpha + 1, z) of kummer_m, each times its binomial
-        if z_set == "table":
-            z = np.array(Z_SET)
-        else:
-            z = np.random.default_rng(20261018).uniform(0.0, 60.0, 64)
-        alpha = np.arange(11)[:, None]
-        table = laguerre(np.arange(21)[:, None, None], alpha, z)
-        assert table.shape == (21, 11, z.size)
-        binom = [[[math.comb(n + a, n)] for a in range(11)] for n in range(21)]
-        stacked = binom * np.array([kummer_m(-float(n), alpha + 1.0, z) for n in range(21)])
-        assert np.array_equal(table.view(np.int64), stacked.view(np.int64))
-
-    def test_orders_of_scalar_arguments_and_order_zero(self):
-        assert laguerre(np.array([0]), 1, 3.0).tolist() == [1.0]
-        row = laguerre(np.arange(4), 1, 1.5)
-        assert row.tolist() == [(n + 1) * kummer_m(-float(n), 2.0, 1.5) for n in range(4)]
-
-    def test_orders_keep_the_checks_on_b_and_z(self):
-        # alpha + 1 is the b of the rows
-        orders = np.arange(4)
-        with pytest.raises(ValueError, match="alpha must be non-negative"):
-            laguerre(orders, np.array([1, -2]), 1.0)
-        with pytest.raises(ValueError, match="alpha must be non-negative"):
-            laguerre(orders, math.nan, 1.0)
-        with pytest.raises(ValueError, match="negative z"):
-            laguerre(orders, 0, np.array([1.0, -0.5, 2.0, 3.0]))
-        with pytest.raises(ValueError, match="z must be finite"):
-            laguerre(orders, 0, math.inf)
-        with pytest.raises(ValueError, match="overflows"):
-            laguerre(orders, 0, 1e110)
 
     def test_rejects_array_a(self):
         with pytest.raises(ValueError, match="a must be a scalar"):
@@ -223,110 +188,6 @@ class TestKummerDerivative:
 
 
 class TestLaguerre:
-    def test_order_zero(self):
-        for alpha in (0, 3, 9):
-            assert laguerre(0, alpha, 17.2) == 1.0
-
-    def test_order_one(self):
-        for z in (0.0, 1.0, 4.5):
-            assert laguerre(1, 0, z) == 1.0 - z
-
-    def test_cross_check_against_kummer(self):
-        # the identity's two sides and the exact value 1/2
-        left = laguerre(2, 1, 1.0)
-        right = 3.0 * kummer_m(-2.0, 2.0, 1.0)
-        assert_allclose(left, right, rtol=1e-14)
-        assert_allclose(left, 0.5, rtol=1e-14)
-
-    def test_binomial_times_the_kummer_row(self):
-        # the binomial rounded once times the Kummer row, bit for bit
-        for n, alpha, z in [(20, 0, 50.0), (13, 4, 7.25), (20, 10, 25.0)]:
-            row = kummer_m(-float(n), alpha + 1.0, z)
-            assert laguerre(n, alpha, z) == float(math.comb(n + alpha, n)) * row
-            assert laguerre(n, alpha, np.array([z])).dtype == np.float64
-
-    def test_overflowing_binomial_is_refused(self):
-        # binom(1200, 600) ~ 4e359: L is refused where it once read inf
-        with pytest.raises(ValueError, match="overflows"):
-            laguerre(600, 600, 1.0)
-
-    @pytest.mark.parametrize("z_set", ["table", "random"])
-    def test_array_alpha_equals_scalar_calls_bit_for_bit(self, z_set):
-        # 21 x 11 (n, alpha) pairs, batched over alpha
-        if z_set == "table":
-            z = np.array(Z_SET)
-        else:
-            z = np.random.default_rng(20261018).uniform(0.0, 60.0, 64)
-        alpha = np.arange(11)[:, None]
-        for n in range(21):
-            batched = laguerre(n, alpha, z)
-            assert batched.shape == (11, z.size)
-            scalar = np.array([laguerre(n, int(a), z) for a in alpha[:, 0]])
-            assert np.array_equal(batched.view(np.int64), scalar.view(np.int64)), n
-
-    def test_array_alpha_broadcasts_and_keeps_scalar_results_float(self):
-        assert isinstance(laguerre(3, np.int64(2), 1.5), float)
-        assert laguerre(3, np.array([1, 2]), 1.5).shape == (2,)
-        assert laguerre(0, np.array([1, 2]), 1.5).shape == (2,)
-        assert laguerre(0, np.array([[1], [2]]), np.ones(3)).shape == (2, 3)
-
-    @pytest.mark.parametrize("z_set", ["table", "random"])
-    def test_array_n_equals_per_n_calls_bit_for_bit(self, z_set):
-        # 21 x 11 x 8 values from one call
-        if z_set == "table":
-            z = np.array(Z_SET)
-        else:
-            z = np.random.default_rng(20261019).uniform(0.0, 60.0, 64)
-        alpha = np.arange(11)[:, None]
-        batched = laguerre(np.arange(21)[:, None, None], alpha, z)
-        assert batched.shape == (21, 11, z.size)
-        stacked = np.array([laguerre(n, alpha, z) for n in range(21)])
-        assert np.array_equal(batched.view(np.int64), stacked.view(np.int64))
-        ragged = laguerre(np.array([3, 0, 20, 7]), 2, z[:4])
-        single = [laguerre(n, 2, x) for n, x in zip([3, 0, 20, 7], z[:4])]
-        assert np.array_equal(ragged, single)
-
-    def test_array_n_broadcasts(self):
-        assert laguerre(np.array([0, 1]), 0, 2.0).tolist() == [1.0, -1.0]
-        assert laguerre(np.array([[0], [2]]), np.array([0, 1]), 0.0).shape == (2, 2)
-        assert isinstance(laguerre(np.int64(2), 1, 1.0), float)
-
-    @pytest.mark.parametrize("n", [True, 2.0, [1, -1], [1.0], np.bool_(False)])
-    def test_rejects_bool_float_and_negative_n(self, n):
-        with pytest.raises(ValueError, match="n must be a non-negative integer"):
-            laguerre(n if np.ndim(n) == 0 else np.array(n), 0, 1.0)
-
-    def test_batch_overflow_counts_only_returned_elements(self):
-        # past n = 1 the recurrence overflows at z = 1e12, but only the
-        # n = 30 element reads that far, and it sits at z = 1
-        out = laguerre(np.array([1, 30]), 0, np.array([1e12, 1.0]))
-        assert np.all(np.isfinite(out))
-        assert out[0] == 1.0 - 1e12
-        assert out[1] == laguerre(30, 0, 1.0)
-        with pytest.raises(ValueError, match="overflows"):
-            laguerre(np.array([1, 30]), 0, np.array([1.0, 1e12]))
-
-    @pytest.mark.parametrize("alpha", [[0, -1], [1.0, 2.0], [0.5], 2.0, True])
-    def test_rejects_negative_or_non_integer_alpha_elements(self, alpha):
-        with pytest.raises(ValueError, match="alpha"):
-            laguerre(2, alpha if np.ndim(alpha) == 0 else np.array(alpha), 1.0)
-
-    def test_rejects_negative_order_or_weight(self):
-        with pytest.raises(ValueError):
-            laguerre(-1, 0, 1.0)
-        with pytest.raises(ValueError):
-            laguerre(2, -1, 1.0)
-        with pytest.raises(ValueError):
-            laguerre(2, 0, -1.0)
-
-    def test_rejects_nonfinite_z_and_an_overflowing_sum(self):
-        # nan passed through and inf read as a value, as kummer_m refuses
-        for z in (math.nan, math.inf, np.array([1.0, math.nan])):
-            with pytest.raises(ValueError, match="z must be finite"):
-                laguerre(3, 1, z)
-        with pytest.raises(ValueError, match="overflows"):
-            laguerre(20, 0, 1e300)
-
     def test_identity_sweep(self):
         # M(-n, alpha+1, z) == L_n^(alpha)(z) / binom(n+alpha, n), the right
         # side exact (the kummer-laguerre check's table), over n <= 20 and

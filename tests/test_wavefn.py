@@ -1,7 +1,7 @@
 import itertools
 import math
 import re
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import numpy as np
@@ -33,9 +33,8 @@ from dirac2d import (
     spinor_sample,
     to_dimensionless_z,
 )
-from dirac2d import wavefn
+from dirac2d import oracle, wavefn
 from dirac2d.cli import RunConfig
-from dirac2d.specfun import laguerre
 
 
 IN_BOTH_UNIT_SYSTEMS = pytest.mark.parametrize(
@@ -144,13 +143,14 @@ class TestRadialFunction:
         p = natural_params()
         grid = RadialGrid(2.0, 9)
         profile = radial_psi1(QuantumNumbers(0, 0), grid, p).profile
-        init = [f.name for f in fields(RadialFunction) if f.init]
-        assert init == ["grid", "profile", "params"]
         with pytest.raises(TypeError):
             RadialFunction(grid=grid, profile=profile, params=p, values=np.ones(9))
-        # a function sums its own terms, so none can be passed to it
+        # nor are Kummer terms: a fourth positional argument is refused
         with pytest.raises(TypeError):
             RadialFunction(grid, profile, p, (np.ones(9),))
+        rf = RadialFunction(grid, profile, p)
+        with pytest.raises(FrozenInstanceError):
+            rf.values = np.ones(9)
 
     @IN_BOTH_UNIT_SYSTEMS
     def test_values_are_the_profile_on_the_grid(self, p):
@@ -184,12 +184,6 @@ class TestRadialFunction:
         assert np.array_equal(rf.values.view(np.int64), before.view(np.int64))
         read = rf.profile.value_z(z)
         assert np.array_equal(read.view(np.int64), rf.values.view(np.int64))
-        assert [f.name for f in fields(RadialFunction) if f.init] == [
-            "grid", "profile", "params",
-        ]
-        assert sorted(vars(rf)) == [
-            "_interior", "_terms", "_z", "grid", "params", "profile", "values",
-        ]
 
     @IN_BOTH_UNIT_SYSTEMS
     def test_ladder_on_the_grid_sliced_to_the_interior_is_bit_identical(
@@ -220,16 +214,19 @@ class TestRadialFunction:
 
     def test_order_above_two_is_refused_before_any_term_is_summed(self, monkeypatch):
         # an order derivatives refuses sums no grid term M(a+k, b+k) first,
-        # and leaves the terms the function holds as they were
+        # so interior(2) then sums the two terms it lacks, as on a fresh
+        # function, and the floats are a fresh function's
         p = natural_params()
         rf = radial_psi1(QuantumNumbers(5, 1), default_grid(p), p)
-        terms = rf._terms
         kummer_m, calls = wavefn.kummer_m, []
         monkeypatch.setattr(wavefn, "kummer_m", lambda *a: calls.append(a) or kummer_m(*a))
         with pytest.raises(ValueError, match="order must be 0, 1 or 2, got 3"):
             rf.interior(3)
         assert calls == []
-        assert rf._terms is terms
+        _, got = rf.interior(2)
+        assert [call[:2] for call in calls] == [(-5.0, 3.0), (-4.0, 4.0)]
+        _, want = radial_psi1(QuantumNumbers(5, 1), default_grid(p), p).interior(2)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
     @IN_BOTH_UNIT_SYSTEMS
     def test_interior_is_the_profile_at_the_interior_radii(self, p):
@@ -328,24 +325,82 @@ class TestRadialPsi1:
 
 
 class TestPsi1Family:
-    """``verify``'s states, whose Kummer terms come from three recurrences."""
+    """``verify``'s states, whose Kummer rows come from one recurrence pass."""
 
     @IN_BOTH_UNIT_SYSTEMS
     @pytest.mark.parametrize("m", [0, 3, 10])
-    def test_equals_radial_psi1_bit_for_bit(self, m, p):
+    def test_equals_radial_psi1_bit_for_bit(self, m, p, monkeypatch):
+        # each state, read as verify reads it, gives its standalone floats;
+        # the family sums no row with kummer_m, so none of weight zero
         grid = default_grid(p)
-        family = list(wavefn._psi1_family(m, 20, grid, p))
-        assert len(family) == 21
+        kummer_m, calls = wavefn.kummer_m, []
+        monkeypatch.setattr(wavefn, "kummer_m", lambda *a: calls.append(a) or kummer_m(*a))
+        family = wavefn._psi1_family(m, 20, grid, p)
+        states = []
         for n, rf in enumerate(family):
-            alone = radial_psi1(QuantumNumbers(n, m), grid, p)
+            qn = QuantumNumbers(n, m)
+            E = energy(qn, p).E
+            got = [rf.values, *rf.interior(2)[1]]
+            got += derive_lower_component(rf, E).interior(1)[1]
+            states.append((rf, got))
+        assert calls == [] and len(states) == 21
+        for n, (rf, got) in enumerate(states):
+            qn = QuantumNumbers(n, m)
+            alone = radial_psi1(qn, grid, p)
             assert rf.profile == alone.profile
-            _, own = alone.interior(2)
-            _, read = rf.interior(2)
-            cut = [t[1:-1] if np.ndim(t) else t for t in rf._terms]
-            own_cut = [t[1:-1] if np.ndim(t) else t for t in alone._terms]
-            for x, y in zip([rf.values, *read, *cut], [alone.values, *own, *own_cut]):
-                assert np.asarray(x).tobytes() == np.asarray(y).tobytes(), n
-        assert family[0]._terms[2] == 0.0  # M(1, b+2) has weight zero
+            want = [alone.values, *alone.interior(2)[1]]
+            want += derive_lower_component(alone, energy(qn, p).E).interior(1)[1]
+            assert [x.tobytes() for x in got] == [y.tobytes() for y in want], n
+
+    @pytest.mark.parametrize("m", [0, 3])
+    def test_table_holds_at_most_nine_rows(self, m):
+        # at each yield, after verify's reads, the shared table holds the
+        # degrees n-1 .. n+1 at b = m+1 .. m+3 and nothing else
+        p = natural_params()
+        for n, rf in enumerate(wavefn._psi1_family(m, 20, default_grid(p, num_points=257), p)):
+            rf.interior(2)
+            derive_lower_component(rf, energy(QuantumNumbers(n, m), p).E).interior(1)
+            held = {(-round(a), round(b) - m) for a, b in rf._rows}
+            assert len(rf._rows) == len(held) <= 9
+            assert held <= set(itertools.product(range(n - 1, n + 2), (1, 2, 3))), n
+
+    READS = ["values", "interior 0", "interior 1", "interior 2", "lower", "lower 0", "lower 1"]
+
+    @staticmethod
+    def _read(psi1, reads, E):
+        """The floats that ``reads`` read, in order, and the live keys they read."""
+        floats, keys, lower = [psi1.values], psi1.profile._keys(0), None
+        for read in reads:
+            if read.startswith("lower") and lower is None:
+                lower = derive_lower_component(psi1, E)
+                floats.append(lower.values)
+                keys += lower.profile._keys(0)
+            if read[-1].isdigit():
+                rf = lower if read.startswith("lower") else psi1
+                floats += rf.interior(int(read[-1]))[1]
+                keys += rf.profile._keys(int(read[-1]))
+            elif read == "values":
+                floats.append(psi1.values)
+        return [x.tobytes() for x in floats], list(dict.fromkeys(keys))
+
+    @IN_BOTH_UNIT_SYSTEMS
+    @settings(deadline=None)
+    @given(n=st.integers(0, 20), m=st.integers(0, 10), reads=st.lists(st.sampled_from(READS)))
+    def test_shared_rows_read_in_any_order(self, p, n, m, reads):
+        # a family state and its standalone twin give the same floats for
+        # any order of reads; the standalone table sums each live key read
+        # once, and the family's table holds every key its state reads
+        grid = default_grid(p, num_points=257)
+        E = energy(QuantumNumbers(n, m), p).E
+        kummer_m, calls = wavefn.kummer_m, []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(wavefn, "kummer_m", lambda *a: calls.append(a[:2]) or kummer_m(*a))
+            state = next(itertools.islice(wavefn._psi1_family(m, n, grid, p), n, None))
+            family = self._read(state, reads, E)
+            assert calls == []
+            alone = self._read(radial_psi1(QuantumNumbers(n, m), grid, p), reads, E)
+        assert family[0] == alone[0]
+        assert calls == family[1] == alone[1]
 
 
 class TestRadialPsi2:
@@ -363,14 +418,17 @@ class TestRadialPsi2:
         assert abs(rf.values[4]) <= 1e-15  # M(-1, 1, 1) = 0
 
     def test_against_laguerre_profile(self):
-        # exp(-z/2) sqrt(z) L_2^{(1)}(z) / binom(3, 2), Laguerre side computed
-        # through its own recurrence
+        # exp(-z/2) sqrt(z) L_2^{(1)}(z) / binom(3, 2) with the explicit
+        # L_2^{(1)}(z) = (z^2 - 6z + 6) / 2, and the exact rational table
         p = natural_params()
         grid = RadialGrid(7.0, 513)
         rf = radial_psi2(QuantumNumbers(2, 1), grid, p)
         z = grid.samples**2
-        expected = np.exp(-z / 2.0) * np.sqrt(z) * laguerre(2, 1, z) / 3.0
+        envelope = np.exp(-z / 2.0) * np.sqrt(z)
+        expected = envelope * (z * z - 6.0 * z + 6.0) / 6.0
         assert_allclose(rf.values, expected, rtol=0, atol=1e-14)
+        exact = oracle._laguerre_table(2, [1], z[::8])[2, 0]
+        assert_allclose(rf.values[::8], envelope[::8] * exact, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("m", [0, 3])
     def test_ansatz_is_psi1_one_state_down(self, m):
