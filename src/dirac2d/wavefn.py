@@ -26,8 +26,9 @@ tests compare the two conventions without privileging either.
 
 Every Kummer term is a row M(a, b, z) on a grid's z.  A ``RadialFunction``
 reads its rows from a private table keyed by (a, b), which sums a missing
-row once with ``kummer_m`` and keeps it; a derived lower component and the
-states of ``_psi1_family`` share their table, so no row is summed twice.
+row once with ``kummer_m`` and keeps it; a derived lower component reads
+its psi1's table, and the states of ``_psi1_family`` one that its
+recurrence pass fills.
 """
 
 from __future__ import annotations

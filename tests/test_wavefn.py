@@ -338,18 +338,16 @@ class TestPsi1Family:
         family = wavefn._psi1_family(m, 20, grid, p)
         states = []
         for n, rf in enumerate(family):
-            qn = QuantumNumbers(n, m)
-            E = energy(qn, p).E
+            E = energy(QuantumNumbers(n, m), p).E
             got = [rf.values, *rf.interior(2)[1]]
             got += derive_lower_component(rf, E).interior(1)[1]
-            states.append((rf, got))
+            states.append((rf, E, got))
         assert calls == [] and len(states) == 21
-        for n, (rf, got) in enumerate(states):
-            qn = QuantumNumbers(n, m)
-            alone = radial_psi1(qn, grid, p)
+        for n, (rf, E, got) in enumerate(states):
+            alone = radial_psi1(QuantumNumbers(n, m), grid, p)
             assert rf.profile == alone.profile
             want = [alone.values, *alone.interior(2)[1]]
-            want += derive_lower_component(alone, energy(qn, p).E).interior(1)[1]
+            want += derive_lower_component(alone, E).interior(1)[1]
             assert [x.tobytes() for x in got] == [y.tobytes() for y in want], n
 
     @pytest.mark.parametrize("m", [0, 3])
