@@ -1,4 +1,6 @@
 import math
+from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -99,6 +101,50 @@ class TestKummerM:
             with pytest.raises(ValueError, match="b must be finite"):
                 kummer_m(-2.0, b, 1.0)
 
+    @pytest.mark.parametrize("z_set", ["table", "random"])
+    def test_orders_in_one_pass_equal_the_calls_per_n_bit_for_bit(self, z_set):
+        # one degree stream over the psi1 family's column b = (m+1, m+2, m+3),
+        # m = 10, serves every order n <= 30: row n is kummer_m(-n, b, z)
+        if z_set == "table":
+            z = np.array(Z_SET)
+        else:
+            z = np.random.default_rng(20261018).uniform(0.0, 60.0, 64)
+        b = 10.0 + np.array([[1.0], [2.0], [3.0]])
+        for n, row in enumerate(islice(specfun._degree_rows(b, z), 31)):
+            assert row.shape == (3, z.size)
+            each = np.array([kummer_m(-float(n), bi, z) for bi in b[:, 0]])
+            assert np.array_equal(row.view(np.int64), each.view(np.int64)), n
+
+    def test_orders_of_scalar_arguments_and_order_zero(self):
+        # scalar b and z give 0-d rows, the first exactly 1 and the second
+        # M(-1, 2, 1.5) = 1 - 1.5/2, exact in binary
+        rows = specfun._degree_rows(2.0, 1.5)
+        assert [next(rows) for _ in range(2)] == [1.0, 0.25]
+        for n, row in enumerate(islice(rows, 10), start=2):
+            assert np.ndim(row) == 0 and row == kummer_m(-float(n), 2.0, 1.5), n
+
+    def test_orders_keep_the_checks_on_b_and_z(self):
+        # the stream refuses b and z as kummer_m does, at its first row
+        for b, z, match in [
+            (0.0, 1.0, "b must be finite"),
+            (math.nan, 1.0, "b must be finite"),
+            (np.array([1.0, -2.0]), 1.0, "zero or a negative integer"),
+            (2.0, np.array([1.0, -0.5, 2.0]), "negative z"),
+            (2.0, math.inf, "z must be finite"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                next(specfun._degree_rows(b, z))
+
+    def test_rows_past_an_overflow_are_yielded_for_the_caller_to_refuse(self):
+        # M(-3, 1, 1e110) leaves float64: that element is yielded as it is,
+        # and every later row with it, while the element at z = 1 stays
+        # kummer_m's row; kummer_m itself refuses the overflow
+        rows = list(islice(specfun._degree_rows(1.0, np.array([1.0, 1e110])), 8))
+        assert [bool(np.isfinite(row[1])) for row in rows] == [True] * 3 + [False] * 5
+        assert [row[0] for row in rows] == [kummer_m(-float(n), 1.0, 1.0) for n in range(8)]
+        with pytest.raises(ValueError, match="overflows"):
+            kummer_m(-3.0, 1.0, 1e110)
+
     def test_rejects_array_a(self):
         with pytest.raises(ValueError, match="a must be a scalar"):
             kummer_m(np.array([-1.0, -2.0]), 2.0, 1.0)
@@ -188,6 +234,33 @@ class TestKummerDerivative:
 
 
 class TestLaguerre:
+    """M(-n, alpha+1, z) = L_n^(alpha)(z) / binom(n+alpha, n), L read exactly."""
+
+    def test_order_zero(self):
+        for alpha in (0, 3, 9):
+            assert kummer_m(0.0, alpha + 1.0, 17.2) == 1.0
+
+    def test_order_one(self):
+        # L_1^(0)(z) = 1 - z, exact in binary at these z
+        for z in (0.0, 1.0, 4.5):
+            assert kummer_m(-1.0, 1.0, z) == 1.0 - z
+
+    def test_cross_check_against_kummer(self):
+        # binom(3, 2) M(-2, 2, 1) and the explicit L_2^(1)(1) = (1 - 6 + 6) / 2
+        assert_allclose(3.0 * kummer_m(-2.0, 2.0, 1.0), 0.5, rtol=1e-15)
+
+    def test_binomial_times_the_kummer_row(self):
+        # against L_n^(alpha)(z) = sum_i (-1)^i binom(n+alpha, n-i) z^i / i!
+        # in exact rationals, on L's scale
+        for n, alpha, z in [(20, 0, 50.0), (13, 4, 7.25), (20, 10, 25.0)]:
+            exact = sum(
+                Fraction((-1) ** i * math.comb(n + alpha, n - i), math.factorial(i))
+                * Fraction(z) ** i
+                for i in range(n + 1)
+            )
+            lag = math.comb(n + alpha, n) * kummer_m(-float(n), alpha + 1.0, z)
+            assert abs(lag - float(exact)) <= 1e-15 * max(1.0, abs(float(exact))), n
+
     def test_identity_sweep(self):
         # M(-n, alpha+1, z) == L_n^(alpha)(z) / binom(n+alpha, n), the right
         # side exact (the kummer-laguerre check's table), over n <= 20 and

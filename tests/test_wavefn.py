@@ -33,7 +33,7 @@ from dirac2d import (
     spinor_sample,
     to_dimensionless_z,
 )
-from dirac2d import oracle, wavefn
+from dirac2d import oracle, specfun, wavefn
 from dirac2d.cli import RunConfig
 
 
@@ -131,6 +131,81 @@ class TestKummerProfile:
                     assert np.array_equal(x.view(np.int64), y.view(np.int64))
             own = lower.profile.value_z(z)
             assert np.array_equal(own.view(np.int64), lower.values.view(np.int64))
+
+
+@pytest.fixture
+def kummer_calls(monkeypatch):
+    """The (a, b) of every ``kummer_m`` call that ``wavefn`` makes."""
+    kummer_m, calls = wavefn.kummer_m, []
+    monkeypatch.setattr(wavefn, "kummer_m", lambda *a: calls.append(a[:2]) or kummer_m(*a))
+    return calls
+
+
+class TestRowTable:
+    """The rows M(a, b, z) on one z, keyed by (a, b), that a profile reads."""
+
+    Z = np.linspace(0.0, 30.0, 31)
+
+    def test_missing_row_is_summed_once_and_kept(self, kummer_calls):
+        rows = wavefn._Rows(self.Z)
+        row = rows[-4.0, 3.0]
+        assert kummer_calls == [(-4.0, 3.0)]
+        assert row.tobytes() == specfun.kummer_m(-4.0, 3.0, self.Z).tobytes()
+        assert rows[-4.0, 3.0] is row and list(rows) == [(-4.0, 3.0)]
+        assert kummer_calls == [(-4.0, 3.0)]
+
+    @pytest.mark.parametrize(
+        "a, coeff, order, keys",
+        [
+            (-3.0, 1.0, 2, [(-3.0, 2.0), (-2.0, 3.0), (-1.0, 4.0)]),
+            (-3.0, 1.0, 0, [(-3.0, 2.0)]),
+            (-2.0, -0.5, 1, [(-2.0, 2.0), (-1.0, 3.0)]),
+            (-1.0, 1.0, 2, [(-1.0, 2.0), (0.0, 3.0)]),
+            (0.0, 1.0, 2, [(0.0, 2.0)]),
+            (-3.0, 0.0, 2, []),
+        ],
+        ids=["a-3", "order0", "negative-coeff", "a-1", "a0", "coeff0"],
+    )
+    def test_derivatives_sum_only_the_rows_of_nonzero_weight(
+        self, kummer_calls, a, coeff, order, keys
+    ):
+        # M(a+k, b+k) is read for k <= order unless its weight
+        # coeff a (a+1)...(a+k-1) is exactly 0; a row of weight 0 is not summed
+        rows = wavefn._Rows(self.Z[1:])
+        out = KummerProfile(coeff=coeff, mu=1, a=a).derivatives(rows, order)
+        assert list(rows) == keys and kummer_calls == keys
+        assert len(out) == order + 1 and all(np.all(np.isfinite(f)) for f in out)
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_derivatives_read_a_table_as_they_read_its_z(self, order):
+        profile = psi1_profile(QuantumNumbers(4, 2))
+        rows = wavefn._Rows(self.Z[1:])
+        got = profile.derivatives(rows, order)
+        want = profile.derivatives(self.Z[1:], order)
+        assert [f.tobytes() for f in got] == [f.tobytes() for f in want]
+        again = profile.derivatives(rows, order)
+        assert [f.tobytes() for f in again] == [f.tobytes() for f in want]
+
+    @IN_BOTH_UNIT_SYSTEMS
+    def test_function_table_is_on_the_read_only_grid_z(self, p):
+        rf = radial_psi1(QuantumNumbers(2, 1), RadialGrid(3.0, 33), p)
+        assert not rf._rows.z.flags.writeable
+        want = to_dimensionless_z(rf.grid.samples, p)
+        assert rf._rows.z.tobytes() == want.tobytes()
+        assert list(rf._rows) == [(-3.0, 2.0)]  # values reads M(a, b) alone
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_lower_component_sums_only_the_rows_psi1_has_not(self, kummer_calls, order):
+        # psi1 (n=3, m=1) reads M(-4, 2), M(-3, 3), M(-2, 4) for k <= order;
+        # its lower component reads M(-3, 3) and M(-2, 4) from the same table
+        p = natural_params()
+        psi1 = radial_psi1(QuantumNumbers(3, 1), RadialGrid(4.0, 65), p)
+        psi1.interior(order)
+        del kummer_calls[:]
+        lower = derive_lower_component(psi1, energy(QuantumNumbers(3, 1), p).E)
+        lower.interior(1)
+        assert lower._rows is psi1._rows
+        assert kummer_calls == [(-3.0, 3.0), (-2.0, 4.0)][order:]
 
 
 class TestRadialFunction:
@@ -361,6 +436,26 @@ class TestPsi1Family:
             held = {(-round(a), round(b) - m) for a, b in rf._rows}
             assert len(rf._rows) == len(held) <= 9
             assert held <= set(itertools.product(range(n - 1, n + 2), (1, 2, 3))), n
+
+    @pytest.mark.parametrize("m", [0, 3])
+    def test_held_rows_are_kummer_m_rows_bit_for_bit(self, m):
+        # verify's kummer-laguerre check reads these rows by key
+        p = natural_params()
+        grid = default_grid(p, num_points=257)
+        z = to_dimensionless_z(grid.samples, p)
+        for n, rf in enumerate(wavefn._psi1_family(m, 20, grid, p)):
+            assert not rf._rows.z.flags.writeable
+            assert rf._rows.z.tobytes() == z.tobytes()
+            for (a, b), row in rf._rows.items():
+                assert row.tobytes() == wavefn.kummer_m(a, b, z).tobytes(), (n, a, b)
+
+    def test_n_max_zero_yields_the_ground_state_alone(self):
+        p = natural_params()
+        grid = default_grid(p, num_points=257)
+        (rf,) = wavefn._psi1_family(2, 0, grid, p)
+        alone = radial_psi1(QuantumNumbers(0, 2), grid, p)
+        assert rf.profile == alone.profile
+        assert rf.values.tobytes() == alone.values.tobytes()
 
     READS = ["values", "interior 0", "interior 1", "interior 2", "lower", "lower 0", "lower 1"]
 
