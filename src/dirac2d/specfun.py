@@ -14,7 +14,17 @@ Special Functions*, SIAM 2007, ch. 4)
 so one pass over n yields M(0, b, z), M(-1, b, z), M(-2, b, z), ... in turn.
 It runs in the difference form D_{n+1} = (n D_n - z M_n) / (b + n),
 M_{n+1} = M_n + D_{n+1}, in compensated double-double arithmetic, and each
-row is rounded to float64 once.  The ascending series that it replaced is
+row is rounded to float64 once.  An array stream holds M and D as (hi, lo)
+arrays, with five scratch arrays, for the whole pass and writes every
+operation into them; a 0-d stream steps in floats, since a ufunc call with
+out costs about eight float operations.  Both run one operation sequence
+(``_degree_step``), Dekker's and Knuth's error-free transformations with
+three cuts that move no finite float: the degree n < 2**26 splits as (n, 0),
+so D n has no products by a zero half; T - U is one two-difference, the
+floats of a two-sum with -U; and where every b + n has a zero low half (an
+integer b), the quotient's error product drops the products by it.  An
+element that overflows is inf or nan on both paths, not always with the
+same nan bits.  The ascending series that it replaced is
 strongly alternating for large z (terms exceed the value by a factor up to
 ~exp(z/2)) and lost the states past degree 50 to cancellation.
 
@@ -51,56 +61,76 @@ def _is_nonpositive_int(x):
 # double-double building blocks (error-free transformations on IEEE doubles)
 
 
-def _split(x):
+# Arithmetic called f(x, y, out): the ufuncs write into out, the functional
+# forms (0-d streams, the splits of z and b + n) return a new value.
+_IN_PLACE = (np.add, np.subtract, np.multiply, np.divide)
+_NEW = (lambda x, y, _: x + y, lambda x, y, _: x - y,
+        lambda x, y, _: x * y, lambda x, y, _: x / y)
+
+
+def _split(x, hi, lo, ops):
     """Dekker's split: x = hi + lo exactly, each half of 26 bits or fewer."""
-    c = _SPLITTER * x
-    hi = c - (c - x)
-    return hi, x - hi
+    _, sub, mul, _ = ops
+    hi = mul(_SPLITTER, x, hi)
+    lo = sub(hi, x, lo)
+    hi = sub(hi, lo, hi)
+    return hi, sub(x, hi, lo)
 
 
-def _two_sum(x, y):
-    s = x + y
-    t = s - x
-    e = (x - (s - t)) + (y - t)
-    return s, e
+def _renorm(p, w, hi, lo, ops):
+    """p + w as (hi, lo), |w| small against |p|; lo may be p's register."""
+    add, sub, _, _ = ops
+    hi = add(p, w, hi)
+    return hi, sub(w, sub(hi, p, lo), lo)
 
 
-def _quick_renorm(hi, lo):
-    s = hi + lo
-    return s, lo - (s - hi)
+def _degree_step(n, b, z, m, d, r, ops):
+    """(M_{n+1}, D_{n+1}) from (M_n, D_n), each a double-double pair (hi, lo).
 
-
-def _two_prod(x, y, y_parts=None):
-    """x * y = p + e exactly; y_parts is y's split where the caller holds it."""
-    p = x * y
-    xh, xl = _split(x)
-    yh, yl = y_parts or _split(y)
-    e = ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
-    return p, e
-
-
-def _dd_add(hi1, lo1, hi2, lo2):
-    s, e = _two_sum(hi1, hi2)
-    return _quick_renorm(s, e + lo1 + lo2)
-
-
-def _dd_mul_double(hi, lo, x, x_parts=None):
-    p, e = _two_prod(hi, x, x_parts)
-    return _quick_renorm(p, e + lo * x)
-
-
-def _dd_div_double(hi, lo, x):
-    q = hi / x
-    p, e = _two_prod(q, x)
-    return _quick_renorm(q, ((hi - p) - e + lo) / x)
-
-
-def _degree_step(n, b, z, z_parts, m, d):
-    """(M_{n+1}, D_{n+1}) from (M_n, D_n), each a double-double pair (hi, lo)."""
-    t_hi, t_lo = _dd_mul_double(*d, n)
-    u_hi, u_lo = _dd_mul_double(*m, z, z_parts)
-    d = _dd_div_double(*_dd_add(t_hi, t_lo, -u_hi, -u_lo), b + n)
-    return _dd_add(*m, *d), d
+    T = D n, U = M z, R = T - U, D' = R / (b + n) and M' = M + D', as the
+    module docstring says: ``_IN_PLACE`` writes each operation into a state
+    array or one of the scratch arrays r, ``_NEW`` returns it anew.
+    """
+    add, sub, mul, div = ops
+    (mh, ml), (dh, dl), (z, zh, zl), (r0, r1, r2, r3, r4) = m, d, z, r
+    # T = D n
+    r0 = mul(dh, n, r0)
+    r1, r2 = _split(dh, r1, r2, ops)
+    r1 = sub(mul(r1, n, r1), r0, r1)
+    r1 = add(add(r1, mul(r2, n, r2), r1), mul(dl, n, r2), r1)
+    dh, dl = _renorm(r0, r1, dh, dl, ops)
+    # U = M z, z split once per stream
+    r0 = mul(mh, z, r0)
+    r1, r2 = _split(mh, r1, r2, ops)
+    r3 = add(sub(mul(r1, zh, r3), r0, r3), mul(r1, zl, r1), r3)
+    r3 = add(add(r3, mul(r2, zh, r4), r3), mul(r2, zl, r2), r3)
+    r1, r2 = _renorm(r0, add(r3, mul(ml, z, r1), r3), r1, r2, ops)
+    # R = T - U
+    r0 = sub(dh, r1, r0)
+    r3 = sub(r0, dh, r3)
+    r4 = sub(sub(dh, sub(r0, r3, r4), r4), add(r1, r3, r3), r4)
+    dh, dl = _renorm(r0, sub(add(r4, dl, r4), r2, r4), dh, dl, ops)
+    # D' = R / x with x = b + n on b's shape
+    x = b + n
+    xh, xl = _split(x, None, None, _NEW)
+    exact = not np.count_nonzero(xl)
+    r0 = div(dh, x, r0)
+    r1 = mul(r0, x, r1)
+    r2, r3 = _split(r0, r2, r3, ops)
+    r4 = sub(mul(r2, xh, r4), r1, r4)
+    if not exact:
+        r4 = add(r4, mul(r2, xl, r2), r4)
+    r4 = add(r4, mul(r3, xh, r2), r4)
+    if not exact:
+        r4 = add(r4, mul(r3, xl, r3), r4)
+    r1 = div(add(sub(sub(dh, r1, r1), r4, r1), dl, r1), x, r1)
+    dh, dl = _renorm(r0, r1, dh, dl, ops)
+    # M' = M + D'
+    r0 = add(mh, dh, r0)
+    r1 = sub(r0, mh, r1)
+    r2 = add(sub(mh, sub(r0, r1, r2), r2), sub(dh, r1, r1), r2)
+    mh, ml = _renorm(r0, add(add(r2, ml, r2), dl, r2), mh, ml, ops)
+    return (mh, ml), (dh, dl)
 
 
 def _degree_rows(b, z):
@@ -109,16 +139,23 @@ def _degree_rows(b, z):
     b and z broadcast and are checked as ``kummer_m`` checks them.  A row
     that leaves float64 is yielded as it is (inf or nan) and every later row
     with it: callers refuse the rows they return.  Between rows the stream
-    holds only M_n and D_n and the split of z.
+    holds only M_n and D_n, its scratch and the split of z; each row is a
+    new hi + lo, which the caller may keep.
     """
     b, z = _arguments(b, z)
-    m = (np.ones(np.broadcast_shapes(b.shape, z.shape)), 0.0)
-    d = (0.0, 0.0)
-    z_parts = _split(z)
+    shape = np.broadcast_shapes(b.shape, z.shape)
+    if shape:  # in place: M, D and the scratch allocated once per stream
+        ops = _IN_PLACE
+        m, d = (np.ones(shape), np.zeros(shape)), (np.zeros(shape), np.zeros(shape))
+        r = tuple(np.empty(shape) for _ in range(5))
+    else:
+        ops, b, z = _NEW, float(b), float(z)
+        m, d, r = (1.0, 0.0), (0.0, 0.0), (None,) * 5
+    z = (z, *_split(z, None, None, _NEW))
     for n in count(0.0):
         yield m[0] + m[1]
         with np.errstate(over="ignore", invalid="ignore"):
-            m, d = _degree_step(n, b, z, z_parts, m, d)
+            m, d = _degree_step(n, b, z, m, d, r, ops)
 
 
 def _arguments(b, z) -> tuple[np.ndarray, np.ndarray]:

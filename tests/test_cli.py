@@ -331,8 +331,9 @@ class TestKummerBudget:
 
     A verify makes no per-state ``kummer_m`` call.
     The psi1 family reads each state's terms M(a+k, b+k), k <= 2, from one
-    degree recurrence over the column b = (m+1, m+2, m+3): n_max + 1 steps,
-    where three streams of one b took 3 n_max steps, and summing each term
+    degree recurrence over the column b = (m+1, m+2, m+3): n_max + 1 steps
+    in place, on four state and five scratch arrays allocated once for the
+    pass.  Three streams of one b took 3 n_max steps, and summing each term
     on its own took 3(n_max + 1) - 1 calls and 631 series passes at
     n_max 20.  The kummer-laguerre check compares those rows with an exact
     table, so it runs no recurrence of its own.
@@ -371,7 +372,9 @@ class TestKummerBudget:
         (b, _), = streams
         assert b.tolist() == [[m + 1.0], [m + 2.0], [m + 3.0]]
         assert len(steps) == n_max + 1
-        assert all(np.array_equal(step[1], b) for step in steps)
+        assert all(np.array_equal(step[1], b) and step[-1] is specfun._IN_PLACE for step in steps)
+        # (M, D) and the scratch r are the same nine arrays at every step
+        assert len({id(x) for _, _, _, m_, d, r, _ in steps for x in (*m_, *d, *r)}) == 9
 
     def test_spinor_sample_budget(self, calls):
         p = natural_params()

@@ -1,9 +1,11 @@
 import math
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from dirac2d import (
@@ -182,6 +184,53 @@ class TestKummerM:
             diff = np.diff(vals, n=k + 1)
             scale = max(1.0, float(np.max(np.abs(vals))))
             assert np.all(np.abs(diff) <= 1e-10 * scale)
+
+
+# b: integers 1..80 or non-integers; z: 0, below 1e-300, up to 700, and
+# far past it, where the rows of degree 2 or so leave float64
+_B = st.one_of(
+    st.integers(1, 80).map(float),
+    st.floats(-80.0, 80.0).filter(lambda b: abs(b - round(b)) > 1e-9),
+)
+_Z = st.one_of(
+    st.just(0.0), st.floats(0.0, 1e-300), st.floats(0.0, 700.0), st.floats(1e100, 1e300)
+)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+class TestInPlaceStream:
+    """An array stream steps in place, a 0-d one in floats: the same floats."""
+
+    @given(
+        b=st.one_of(_B, st.lists(_B, min_size=1, max_size=4).map(lambda b: np.array(b)[:, None])),
+        z=st.lists(_Z, min_size=1, max_size=6).map(np.array),
+        degree=st.integers(0, 60),
+    )
+    @example(b=np.array([[1.0], [2.5], [80.0]]), z=np.array([0.0, 5e-324, 1e-301, 700.0, 1e110]),
+             degree=60)
+    def test_in_place_rows_equal_the_0d_rows_bit_for_bit(self, b, z, degree):
+        rows = list(islice(specfun._degree_rows(b, z), degree + 1))
+        for (i, bi), (j, zj) in product(enumerate(np.ravel(b)), enumerate(z)):
+            alone = islice(specfun._degree_rows(float(bi), float(zj)), degree + 1)
+            for n, (row, one) in enumerate(zip(rows, alone)):
+                got = np.reshape(row, (-1, z.size))[i, j]
+                assert np.isfinite(got) == np.isfinite(one), (bi, zj, n)
+                if np.isfinite(one):
+                    assert _bits(got) == _bits(one), (bi, zj, n)
+
+    @pytest.mark.parametrize("b", [2.5, np.array([[1.0], [2.0], [3.0]])], ids=["row", "column"])
+    def test_yielded_rows_keep_their_bytes(self, b):
+        # each row is a new array: ten more degrees leave the rows kept
+        # from the first ten as they were
+        rows = specfun._degree_rows(b, np.linspace(0.0, 60.0, 33))
+        kept = list(islice(rows, 10))
+        before = [row.tobytes() for row in kept]
+        list(islice(rows, 10))
+        assert [row.tobytes() for row in kept] == before
+        assert len({id(row) for row in kept}) == 10
 
 
 class TestKummerDerivative:

@@ -449,6 +449,18 @@ class TestPsi1Family:
             for (a, b), row in rf._rows.items():
                 assert row.tobytes() == wavefn.kummer_m(a, b, z).tobytes(), (n, a, b)
 
+    def test_states_keep_their_floats_after_the_pass(self):
+        # the stream steps in place; the rows it yielded, and the values
+        # formed from them, stay as they were when the family is exhausted
+        p = natural_params()
+        seen = []
+        for rf in wavefn._psi1_family(3, 12, default_grid(p, num_points=257), p):
+            held = dict(rf._rows)
+            seen.append((rf, held, [rf.values.tobytes(), *(row.tobytes() for row in held.values())]))
+        assert len(seen) == 13
+        for n, (rf, held, before) in enumerate(seen):
+            assert [rf.values.tobytes(), *(row.tobytes() for row in held.values())] == before, n
+
     def test_n_max_zero_yields_the_ground_state_alone(self):
         p = natural_params()
         grid = default_grid(p, num_points=257)
