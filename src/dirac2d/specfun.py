@@ -14,17 +14,18 @@ Special Functions*, SIAM 2007, ch. 4)
 so one pass over n yields M(0, b, z), M(-1, b, z), M(-2, b, z), ... in turn.
 It runs in the difference form D_{n+1} = (n D_n - z M_n) / (b + n),
 M_{n+1} = M_n + D_{n+1}, in compensated double-double arithmetic, and each
-row is rounded to float64 once.  An array stream holds M and D as (hi, lo)
-arrays, with five scratch arrays, for the whole pass and writes every
-operation into them; a 0-d stream steps in floats, since a ufunc call with
-out costs about eight float operations.  Both run one operation sequence
-(``_degree_step``), Dekker's and Knuth's error-free transformations with
-three cuts that move no finite float: the degree n < 2**26 splits as (n, 0),
-so D n has no products by a zero half; T - U is one two-difference, the
-floats of a two-sum with -U; and where every b + n has a zero low half (an
-integer b), the quotient's error product drops the products by it.  An
-element that overflows is inf or nan on both paths, not always with the
-same nan bits.  The ascending series that it replaced is
+row is rounded to float64 once.  Each step forms T = n D, U = z M and
+R = T - U, then D' = R / (b + n) and M' = M + D', by Dekker's and Knuth's
+error-free transformations with three cuts that move no finite float: the
+degree n < 2**26 splits as (n, 0), so T has no products by a zero half;
+T - U is one two-difference, the floats of a two-sum with -U; and where
+every b + n has a zero low half (an integer b), the quotient's error
+product drops the products by it.  An array stream holds M and D as
+(hi, lo) arrays, with five scratch arrays, for the whole pass and writes
+every operation into them; a 0-d stream runs the same sequence in Python
+floats, since a ufunc call on one value costs several float operations.
+An element that overflows is inf or nan on both paths, not always with the
+same nan bits.  The ascending series that the recurrence replaced is
 strongly alternating for large z (terms exceed the value by a factor up to
 ~exp(z/2)) and lost the states past degree 50 to cancellation.
 
@@ -78,7 +79,7 @@ def _split(x, hi, lo, ops):
 
 
 def _renorm(p, w, hi, lo, ops):
-    """p + w as (hi, lo), |w| small against |p|; lo may be p's register."""
+    """p + w as (hi, lo) for |w| small against |p|; lo may be p's array, not w's."""
     add, sub, _, _ = ops
     hi = add(p, w, hi)
     return hi, sub(w, sub(hi, p, lo), lo)
@@ -87,9 +88,8 @@ def _renorm(p, w, hi, lo, ops):
 def _degree_step(n, b, z, m, d, r, ops):
     """(M_{n+1}, D_{n+1}) from (M_n, D_n), each a double-double pair (hi, lo).
 
-    T = D n, U = M z, R = T - U, D' = R / (b + n) and M' = M + D', as the
-    module docstring says: ``_IN_PLACE`` writes each operation into a state
-    array or one of the scratch arrays r, ``_NEW`` returns it anew.
+    The module docstring's sequence: ``_IN_PLACE`` writes each operation
+    into a state array or one of the scratch arrays r, ``_NEW`` returns it.
     """
     add, sub, mul, div = ops
     (mh, ml), (dh, dl), (z, zh, zl), (r0, r1, r2, r3, r4) = m, d, z, r
@@ -113,15 +113,15 @@ def _degree_step(n, b, z, m, d, r, ops):
     # D' = R / x with x = b + n on b's shape
     x = b + n
     xh, xl = _split(x, None, None, _NEW)
-    exact = not np.count_nonzero(xl)
+    inexact = np.count_nonzero(xl)  # some b + n has a nonzero low half
     r0 = div(dh, x, r0)
     r1 = mul(r0, x, r1)
     r2, r3 = _split(r0, r2, r3, ops)
     r4 = sub(mul(r2, xh, r4), r1, r4)
-    if not exact:
+    if inexact:
         r4 = add(r4, mul(r2, xl, r2), r4)
     r4 = add(r4, mul(r3, xh, r2), r4)
-    if not exact:
+    if inexact:
         r4 = add(r4, mul(r3, xl, r3), r4)
     r1 = div(add(sub(sub(dh, r1, r1), r4, r1), dl, r1), x, r1)
     dh, dl = _renorm(r0, r1, dh, dl, ops)

@@ -452,14 +452,17 @@ class TestPsi1Family:
     def test_states_keep_their_floats_after_the_pass(self):
         # the stream steps in place; the rows it yielded, and the values
         # formed from them, stay as they were when the family is exhausted
+        def floats(rf, held):
+            return [rf.values.tobytes(), *(row.tobytes() for row in held.values())]
+
         p = natural_params()
         seen = []
         for rf in wavefn._psi1_family(3, 12, default_grid(p, num_points=257), p):
             held = dict(rf._rows)
-            seen.append((rf, held, [rf.values.tobytes(), *(row.tobytes() for row in held.values())]))
+            seen.append((rf, held, floats(rf, held)))
         assert len(seen) == 13
         for n, (rf, held, before) in enumerate(seen):
-            assert [rf.values.tobytes(), *(row.tobytes() for row in held.values())] == before, n
+            assert floats(rf, held) == before, n
 
     def test_n_max_zero_yields_the_ground_state_alone(self):
         p = natural_params()
