@@ -137,10 +137,12 @@ def _degree_rows(b, z):
     """Yield M(0, b, z), M(-1, b, z), M(-2, b, z), ... without end.
 
     b and z broadcast and are checked as ``kummer_m`` checks them.  A row
-    that leaves float64 is yielded as it is (inf or nan) and every later row
-    with it: callers refuse the rows they return.  Between rows the stream
-    holds only M_n and D_n, its scratch and the split of z; each row is a
-    new hi + lo, which the caller may keep.
+    that leaves float64 is yielded as it is (inf or nan, whose nan bits are
+    not fixed) and every later row with it: callers refuse the rows they
+    return.  Between rows the stream holds only M_n and D_n, in place for
+    array arguments with five scratch arrays, and the split of z; a 0-d
+    stream steps in floats through the same sequence, with the three exact
+    cuts of the module docstring.  Each row is a new hi + lo to keep.
     """
     b, z = _arguments(b, z)
     shape = np.broadcast_shapes(b.shape, z.shape)
