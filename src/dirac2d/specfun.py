@@ -90,6 +90,7 @@ def _degree_step(n, b, z, m, d, r, ops):
 
     The module docstring's sequence: ``_IN_PLACE`` writes each operation
     into a state array or one of the scratch arrays r, ``_NEW`` returns it.
+    An operation writes only into an array whose value is read no more.
     """
     add, sub, mul, div = ops
     (mh, ml), (dh, dl), (z, zh, zl), (r0, r1, r2, r3, r4) = m, d, z, r
