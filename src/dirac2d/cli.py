@@ -31,7 +31,7 @@ import numpy as np
 
 from . import oracle, spectrum, wavefn
 from .spectrum import QuantumNumbers
-from .units import PhysicalParams, to_dimensionless_z
+from .units import PhysicalParams
 
 __all__ = [
     "RunConfig",
@@ -363,7 +363,7 @@ def run_verification_checks(config: RunConfig) -> list[dict]:
 
     # The Kummer rows the states read against exact rational Laguerre values.
     degrees, columns, got = zip(*held)
-    z_set = to_dimensionless_z(grid.samples[picks], params)
+    z_set = rf._rows.z[picks]  # the states' own z
     exact = oracle._laguerre_table(max(degrees), range(m, m + 3), z_set)[degrees, columns]
     worst = float(np.max(np.abs(np.array(got) - exact) / np.maximum(1.0, np.abs(exact))))
     detail = f"n <= {max(degrees)} and alpha {m}..{m + 2} at 8 z up to {z_set[-1]:g}"

@@ -1,9 +1,9 @@
 """Confluent hypergeometric (Kummer) function M(a, b, z) of terminating a.
 
-``kummer_m`` evaluates M(a, b, z) for a first argument a = 0, -1, -2, ...,
-where M is a polynomial of degree -a in z.  Every physical state in this
-package has such an argument; any other first argument is rejected.  An
-array b broadcasts against z (a is a scalar).
+``kummer_m`` evaluates M(a, b, z), a polynomial of degree -a in z, for
+integer orders -a in 0 .. 2**25 - 1 and b in 1 .. 2**25 - 1: those of every
+state e^(-z/2) z^(m/2) M(-(n+1), m+1, z) of the oscillator.  Any other order
+is refused.  An array b broadcasts against z (a is a scalar).
 
 Every degree of one b comes from the three-term recurrence in the degree
 (the contiguous relation in a; Gil, Segura and Temme, *Numerical Methods for
@@ -16,14 +16,14 @@ It runs in the difference form D_{n+1} = (n D_n - z M_n) / (b + n),
 M_{n+1} = M_n + D_{n+1}, in compensated double-double arithmetic, and each
 row is rounded to float64 once.  Each step forms T = n D, U = z M and
 R = T - U, then D' = R / (b + n) and M' = M + D', by Dekker's and Knuth's
-error-free transformations with three cuts that move no finite float: the
-degree n < 2**26 splits as (n, 0), so T has no products by a zero half;
-T - U is one two-difference, the floats of a two-sum with -U; and where
-every b + n has a zero low half (an integer b), the quotient's error
-product drops the products by it.  An array stream holds M and D as
-(hi, lo) arrays, with five scratch arrays, for the whole pass and writes
-every operation into them; a 0-d stream runs the same sequence in Python
-floats, since a ufunc call on one value costs several float operations.
+error-free transformations with two cuts that move no finite float: the
+degree n and the divisor b + n, integers below 2**26, split as (n, 0) and
+(b + n, 0), so T and the quotient's error product have no products by a
+zero half; and T - U is one two-difference, the floats of a two-sum with
+-U.  An array stream holds M and D as (hi, lo) arrays, with five scratch
+arrays, for the whole pass and writes every operation into them; a 0-d
+stream runs the same sequence in Python floats, since a ufunc call on one
+value costs several float operations.
 An element that overflows is inf or nan on both paths, not always with the
 same nan bits.  The ascending series that the recurrence replaced is
 strongly alternating for large z (terms exceed the value by a factor up to
@@ -45,17 +45,8 @@ import numpy as np
 
 __all__ = ["kummer_m"]
 
-# Tolerance for recognising integer arguments; the quantization condition
-# produces exact integers, so this only guards against benign roundoff.
-_INT_TOL = 1e-12
-
 _SPLITTER = 134217729.0  # 2**27 + 1, Dekker splitting constant
-
-
-def _is_nonpositive_int(x):
-    """Where x is zero or a negative integer, elementwise."""
-    near = np.round(x)
-    return (np.abs(x - near) <= _INT_TOL) & (near <= 0.0)
+_ORDER_MAX = 2.0**25 - 1.0  # largest b and -a: every b + n stays below 2**26
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +54,7 @@ def _is_nonpositive_int(x):
 
 
 # Arithmetic called f(x, y, out): the ufuncs write into out, the functional
-# forms (0-d streams, the splits of z and b + n) return a new value.
+# forms (0-d streams, the split of z) return a new value.
 _IN_PLACE = (np.add, np.subtract, np.multiply, np.divide)
 _NEW = (lambda x, y, _: x + y, lambda x, y, _: x - y,
         lambda x, y, _: x * y, lambda x, y, _: x / y)
@@ -111,19 +102,12 @@ def _degree_step(n, b, z, m, d, r, ops):
     r3 = sub(r0, dh, r3)
     r4 = sub(sub(dh, sub(r0, r3, r4), r4), add(r1, r3, r3), r4)
     dh, dl = _renorm(r0, sub(add(r4, dl, r4), r2, r4), dh, dl, ops)
-    # D' = R / x with x = b + n on b's shape
+    # D' = R / x with x = b + n on b's shape, split as (x, 0)
     x = b + n
-    xh, xl = _split(x, None, None, _NEW)
-    inexact = np.count_nonzero(xl)  # some b + n has a nonzero low half
     r0 = div(dh, x, r0)
     r1 = mul(r0, x, r1)
     r2, r3 = _split(r0, r2, r3, ops)
-    r4 = sub(mul(r2, xh, r4), r1, r4)
-    if inexact:
-        r4 = add(r4, mul(r2, xl, r2), r4)
-    r4 = add(r4, mul(r3, xh, r2), r4)
-    if inexact:
-        r4 = add(r4, mul(r3, xl, r3), r4)
+    r4 = add(sub(mul(r2, x, r4), r1, r4), mul(r3, x, r2), r4)
     r1 = div(add(sub(sub(dh, r1, r1), r4, r1), dl, r1), x, r1)
     dh, dl = _renorm(r0, r1, dh, dl, ops)
     # M' = M + D'
@@ -137,15 +121,22 @@ def _degree_step(n, b, z, m, d, r, ops):
 def _degree_rows(b, z):
     """Yield M(0, b, z), M(-1, b, z), M(-2, b, z), ... without end.
 
-    b and z broadcast and are checked as ``kummer_m`` checks them.  A row
-    that leaves float64 is yielded as it is (inf or nan, whose nan bits are
-    not fixed) and every later row with it: callers refuse the rows they
-    return.  Between rows the stream holds only M_n and D_n, in place for
-    array arguments with five scratch arrays, and the split of z; a 0-d
-    stream steps in floats through the same sequence, with the three exact
-    cuts of the module docstring.  Each row is a new hi + lo to keep.
+    b and z broadcast, and are refused at the first row unless each b is an
+    integer in 1 .. 2**25 - 1, so the exact cuts hold to degree 2**25 - 1,
+    and each z is finite and non-negative.  A row that leaves float64 is
+    yielded as it is (inf or nan, whose nan bits are not fixed) and every
+    later row with it: callers refuse the rows they return.  Between rows
+    the stream holds only M_n and D_n, in place for array arguments with
+    five scratch arrays, and the split of z; a 0-d stream steps and yields
+    Python floats.  Each row is a new hi + lo to keep.
     """
-    b, z = _arguments(b, z)
+    b, z = np.asarray(b, dtype=float), np.asarray(z, dtype=float)
+    if not np.all(_is_order(b, 1.0)):
+        raise ValueError(f"b must be an integer in 1 .. 2**25 - 1, got b={b}")
+    if not np.all(np.isfinite(z)):
+        raise ValueError("z must be finite")
+    if np.any(z < 0.0):
+        raise ValueError(f"negative z is outside the supported domain, got {z}")
     shape = np.broadcast_shapes(b.shape, z.shape)
     if shape:  # in place: M, D and the scratch allocated once per stream
         ops = _IN_PLACE
@@ -161,16 +152,9 @@ def _degree_rows(b, z):
             m, d = _degree_step(n, b, z, m, d, r, ops)
 
 
-def _arguments(b, z) -> tuple[np.ndarray, np.ndarray]:
-    """b and z of a Kummer function as float arrays, refused outside its domain."""
-    b_arr, z_arr = np.asarray(b, dtype=float), np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(b_arr)) or np.any(_is_nonpositive_int(b_arr)):
-        raise ValueError(f"b must be finite, not zero or a negative integer, got b={b}")
-    if not np.all(np.isfinite(z_arr)):
-        raise ValueError("z must be finite")
-    if np.any(z_arr < 0.0):
-        raise ValueError(f"negative z is outside the supported domain, got {z}")
-    return b_arr, z_arr
+def _is_order(x, low):
+    """Where x is an integer in low .. 2**25 - 1, elementwise: never nan or inf."""
+    return (x == np.floor(x)) & (x >= low) & (x <= _ORDER_MAX)
 
 
 def kummer_m(a: float, b, z):
@@ -179,10 +163,10 @@ def kummer_m(a: float, b, z):
     Parameters
     ----------
     a : float
-        Zero or a negative integer, so M is a polynomial of degree -a; a scalar.
+        A scalar integer in -(2**25 - 1) .. 0: M is a polynomial of degree -a.
     b : float or ndarray
-        No element may be zero or a negative integer.  An array broadcasts
-        against z, and each element gives the same floats as its own call.
+        Integers in 1 .. 2**25 - 1.  An array broadcasts against z, and
+        each element gives the same floats as its own call.
     z : float or ndarray
         Non-negative, finite argument(s).
 
@@ -191,13 +175,14 @@ def kummer_m(a: float, b, z):
     float, or ndarray of the broadcast shape of b and z.
 
     The value is row -a of the degree recurrence (see the module docstring),
-    -a steps in compensated arithmetic.  A value that overflows is refused.
+    -a steps in compensated arithmetic.  Any other order (nan and inf too)
+    and a value that overflows are refused with ``ValueError``.
     """
-    if np.ndim(a) != 0 or not _is_nonpositive_int(float(a)):
-        raise ValueError(f"a must be a scalar in 0, -1, -2, ..., got a={a}")
-    degree = -round(float(a))
+    if np.ndim(a) != 0 or not _is_order(-float(a), 0.0):
+        raise ValueError(f"a must be a scalar integer in -(2**25 - 1) .. 0, got a={a}")
+    degree = int(-float(a))
     row = next(islice(_degree_rows(b, z), degree, None))
     if not np.all(np.isfinite(row)):
         raise ValueError(f"M({-degree}, b, z) overflows float64 at z up to {np.max(z)}")
-    return float(row) if np.ndim(row) == 0 else row
+    return row
 
