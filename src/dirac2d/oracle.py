@@ -303,10 +303,11 @@ def smallest_eigenvalues(op: TridiagonalOperator, count: int, *, starts=()) -> l
     hi, hi_count = [upper] * count, [op.dimension] * count
 
     def record(sigma, below, cell):
-        for j in range(min(below, count)):
+        # the levels below i are solved: only the brackets from i on move
+        for j in range(i, min(below, count)):
             if sigma < hi[j]:
                 hi[j], hi_count[j] = sigma, below
-        for j in range(below, count):
+        for j in range(max(below, i), count):
             if sigma > lo[j]:
                 lo[j], lo_count[j] = sigma, below
         ends[below > i] = cell, below
@@ -371,10 +372,11 @@ def smallest_eigenvalues(op: TridiagonalOperator, count: int, *, starts=()) -> l
             if newton_ready(i):
                 sigma = newton(i, 0.5 * (lo[i] + hi[i]), predicted=False)
         if not math.isnan(sigma):
-            # Gallop from the rounding cell of the shifted diagonal: a
-            # shorter step seldom rounds it otherwise, and would repeat a count.
-            spacing = np.spacing(np.abs(op.diagonal - sigma))
-            delta = max(0.5 * float(np.min(spacing)), math.ulp(sigma))
+            # Gallop from the rounding cell of the shifted diagonal, the
+            # spacing of its smallest magnitude: a shorter step seldom
+            # rounds it otherwise, and would repeat a count.
+            spacing = np.spacing(np.min(np.abs(op.diagonal - sigma)))
+            delta = max(0.5 * float(spacing), math.ulp(sigma))
             while lo[i] < sigma - delta or hi[i] > sigma + delta:
                 if lo[i] < sigma - delta:
                     count_at(sigma - delta)
@@ -481,19 +483,24 @@ def _report(equation_id, rho, equations, degenerate) -> ResidualReport:
     Every term is first divided by the power of two that brings that term
     into [1, 2), so the mean square never leaves float64; the division is
     exact, so the residuals are those of the plain terms wherever their
-    squares stay normal.
+    squares stay normal.  The dominant term and the sum accumulate the
+    terms in place, in their order.
     """
     stats = []  # (rms, max, radius of the max) per equation
     for terms in equations:
-        dominant = np.maximum.reduce([np.abs(t) for t in terms])
+        dominant = np.abs(terms[0])
+        for t in terms[1:]:
+            np.maximum(dominant, np.abs(t), out=dominant)
         largest = float(np.max(dominant))
         if not math.isfinite(largest):
             raise ValueError(f"{equation_id}: a term of the equation leaves float64")
         e = math.frexp(largest)[1] - 1
-        terms = [np.ldexp(t, -e) for t in terms]
-        dominant = np.ldexp(dominant, -e)
+        np.ldexp(dominant, -e, out=dominant)
         scale = float(np.sqrt(np.mean(dominant * dominant)))
-        rel = np.abs(sum(terms)) / scale if scale else np.zeros_like(dominant)
+        rel = np.ldexp(terms[0], -e)
+        for t in terms[1:]:
+            rel += np.ldexp(t, -e)
+        rel = np.abs(rel, out=rel) / scale if scale else np.zeros_like(dominant)
         i = int(np.argmax(rel))
         peak = float(rel[i])
         rms = float(np.sqrt(np.mean(rel * rel)))
@@ -557,8 +564,8 @@ def coupled_residual(
     if lower.params != params or not np.array_equal(rho_g, rho):
         raise ValueError("lower must share psi1's grid and units")
     # 2 (gamma rho) is (2 gamma) rho exactly, and finite where 2 gamma is not.
-    r1_prime = 2.0 * (params.gamma * rho) * r1_z
-    g_prime = 2.0 * (params.gamma * rho) * g_z
+    dz_drho = 2.0 * (params.gamma * rho)
+    r1_prime, g_prime = dz_drho * r1_z, dz_drho * g_z
 
     # Radial reductions of the two first-order equations.
     terms_up = [

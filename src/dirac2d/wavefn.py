@@ -28,7 +28,9 @@ Every Kummer term is a row M(a, b, z) on a grid's z.  A ``RadialFunction``
 reads its rows from a private table keyed by (a, b), which sums a missing
 row once with ``kummer_m`` and keeps it; a derived lower component reads
 its psi1's table, and the states of ``_psi1_family`` one that its
-recurrence pass fills.
+recurrence pass fills.  The table forms exp(-z/2), and per power mu
+z**(mu/2) and the derivative terms, once on its own z; its interior
+samples share one set, formed on z[1:-1].
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -111,15 +114,25 @@ def default_grid(
 
 
 class _Rows(dict):
-    """Rows M(a, b, z) on one z, keyed by (a, b); a missing row is summed and kept."""
+    """Rows M(a, b, z) on one z, keyed by (a, b); a missing row is summed and kept.
 
-    def __init__(self, z):
+    ``once`` keeps what depends on z alone: the profiles' factors, each
+    formed on this z when first read, and the factors its interior tables share.
+    """
+
+    def __init__(self, z, factors=None):
         super().__init__()
-        self.z = z
+        self.z, self._factors = z, {} if factors is None else factors
 
     def __missing__(self, key):
         row = self[key] = kummer_m(*key, self.z)
         return row
+
+    def once(self, key, form):
+        """The entry ``key``: ``form()`` at its first read, kept for the later ones."""
+        if key not in self._factors:
+            self._factors[key] = form()
+        return self._factors[key]
 
 
 @dataclass(frozen=True)
@@ -157,22 +170,23 @@ class KummerProfile:
         """[f, f', ..., f^(order)] at z (or a row table), order <= 2."""
         if order not in (0, 1, 2):
             raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
-        a, b = self.a, self.b
+        a, b, mu = self.a, self.b, self.mu
         rows = z if isinstance(z, _Rows) else _Rows(np.asarray(z, dtype=float))
         z, keys = rows.z, self._keys(order)
         m = [rows[key] for key in keys] + [0.0] * (order + 1 - len(keys))
         with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf, refused below
-            pref = self.coeff * np.exp(-0.5 * z) * np.power(z, 0.5 * self.mu)
+            decay = rows.once("exp", lambda: np.exp(-0.5 * z))
+            pref = self.coeff * decay * rows.once(("power", mu), lambda: np.power(z, 0.5 * mu))
         if not np.all(np.isfinite(pref)):
             bad = float(np.min(z[~np.isfinite(pref)]))
             raise ValueError(f"coeff exp(-z/2) z**(mu/2) leaves float64 at z = {bad:.6g}")
         w1, w2 = a / b, a * (a + 1.0) / (b * (b + 1.0))
         out = [pref * m[0]]
         if order >= 1:
-            g = 0.5 * self.mu / z - 0.5
+            g = rows.once(("g", mu), lambda: 0.5 * mu / z - 0.5)
             out.append(pref * (g * m[0] + w1 * m[1]))
         if order == 2:
-            curv = g * g - 0.5 * self.mu / (z * z)
+            curv = rows.once(("curv", mu), lambda: g * g - 0.5 * mu / (z * z))
             out.append(pref * (curv * m[0] + 2.0 * g * w1 * m[1] + w2 * m[2]))
         return out
 
@@ -192,8 +206,9 @@ class KummerProfile:
 class RadialFunction:
     """A closed-form profile sampled on a grid in the given units.
 
-    ``values`` is not an input: it is the profile evaluated once at every
-    grid sample, read-only, so the samples and the profile cannot disagree.
+    ``values`` is not an input: it is the profile evaluated at every grid
+    sample when first read, read-only, so the samples and the profile
+    cannot disagree, and a function whose values no one reads samples none.
     It reads its Kummer terms M(a+k, b+k) from a row table on the grid's
     read-only z: ``values`` reads k = 0 and ``interior`` k <= order.  The
     table sums a row when it is first read, for this function or any that
@@ -209,7 +224,6 @@ class RadialFunction:
     grid: RadialGrid
     profile: KummerProfile
     params: PhysicalParams
-    values: np.ndarray = field(init=False)
     _interior: tuple = field(init=False, repr=False, default=())
     _rows: _Rows = field(default=None, repr=False, kw_only=True)  # a shared table
 
@@ -218,11 +232,14 @@ class RadialFunction:
             z = to_dimensionless_z(self.grid.samples, self.params)
             z.setflags(write=False)
             object.__setattr__(self, "_rows", _Rows(z))
+
+    @cached_property
+    def values(self) -> np.ndarray:
         values = self.profile.value_z(self._rows)
         if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite at every sample")
         values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        return values
 
     @property
     def angular_index(self) -> int:
@@ -238,7 +255,8 @@ class RadialFunction:
         if order not in (0, 1, 2):
             raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
         if len(self._interior) <= order:
-            inner, rows = _Rows(self._rows.z[1:-1]), self._rows
+            rows = self._rows
+            inner = _Rows(rows.z[1:-1], rows.once("interior", dict))  # one set of factors
             inner.update((key, rows[key][1:-1]) for key in self.profile._keys(order))
             out = self.profile.derivatives(inner, order)
             for samples in out:
@@ -257,7 +275,9 @@ class SpinorSample:
     psi2: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "phi", float(self.phi) % (2.0 * math.pi))
+        # a tiny negative phi rounds up to 2pi, which the range leaves out
+        phi = float(self.phi) % (2.0 * math.pi)
+        object.__setattr__(self, "phi", phi if phi < 2.0 * math.pi else 0.0)
 
 
 def psi1_profile(qn: QuantumNumbers) -> KummerProfile:
@@ -438,6 +458,7 @@ def spinor_sample(
     psi1_rf = radial_psi1(qn, grid, params)
     A = normalize(psi1_rf)
     lower = derive_lower_component(psi1_rf, E)
+    lower.values  # refuses a lower component that leaves float64 on the grid
 
     z = to_dimensionless_z(rho, params)
     r1 = float(psi1_rf.profile.value_z(z))

@@ -438,6 +438,59 @@ class TestZBudget:
         assert z.tobytes() == want.tobytes()
 
 
+class TestFactorBudget:
+    """The factors of z formed per ``verify``, counted through ``wavefn.np``.
+
+    The psi1 family reads two tables: the grid's, for each state's values,
+    and its interior one, for both residuals.  Each table forms exp(-z/2)
+    once and z**(mu/2) once per mu: mu = m for psi1, and mu = m + 1 on the
+    interior alone, since the coupled residual reads only the derived lower
+    component's interior.  Each of four evaluations per state formed them
+    afresh before, the lower component's values on all 4097 points among
+    them: 84 exps and 84 powers at n_max 20.  The counts do not depend on
+    the machine.
+    """
+
+    @pytest.mark.parametrize("m, n_max", [(0, 5), (3, 20)])
+    def test_verify_forms_each_factor_once_per_table(self, m, n_max, monkeypatch):
+        formed, sampled = [], []
+
+        class CountedNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def exp(self, x):
+                formed.append(("exp", x.shape))
+                return np.exp(x)
+
+            def power(self, z, p):
+                formed.append(("power", z.shape, p))
+                return np.power(z, p)
+
+        derivatives = wavefn.KummerProfile.derivatives
+
+        def counted(profile, z, order=2):
+            sampled.append((profile.mu, np.shape(getattr(z, "z", z))))
+            return derivatives(profile, z, order)
+
+        monkeypatch.setattr(wavefn, "np", CountedNumpy())
+        monkeypatch.setattr(wavefn.KummerProfile, "derivatives", counted)
+        run_verification_checks(RunConfig(command="verify", m=m, n_max=n_max))
+        assert sorted(formed, key=repr) == sorted(
+            [
+                ("exp", (4097,)),
+                ("exp", (4095,)),
+                ("power", (4097,), 0.5 * m),
+                ("power", (4095,), 0.5 * m),
+                ("power", (4095,), 0.5 * (m + 1)),
+            ],
+            key=repr,
+        )
+        # per state psi1's values and interior(2), and the lower component's interior(1)
+        assert len(sampled) == 3 * (n_max + 1)
+        assert (m + 1, (4097,)) not in sampled  # the lower component is never sampled on the grid
+
+
 class TestSolverRows:
     """Sturm counts, Newton passes and rows they visit during ``verify``.
 

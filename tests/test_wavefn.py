@@ -192,6 +192,8 @@ class TestRowTable:
         assert not rf._rows.z.flags.writeable
         want = to_dimensionless_z(rf.grid.samples, p)
         assert rf._rows.z.tobytes() == want.tobytes()
+        assert list(rf._rows) == []  # values are sampled when first read
+        rf.values
         assert list(rf._rows) == [(-3.0, 2.0)]  # values reads M(a, b) alone
 
     @pytest.mark.parametrize("order", [0, 1, 2])
@@ -289,8 +291,8 @@ class TestRadialFunction:
 
     def test_order_above_two_is_refused_before_any_term_is_summed(self, monkeypatch):
         # an order derivatives refuses sums no grid term M(a+k, b+k) first,
-        # so interior(2) then sums the two terms it lacks, as on a fresh
-        # function, and the floats are a fresh function's
+        # so interior(2) then sums its three terms, as on a fresh function,
+        # and the floats are a fresh function's
         p = natural_params()
         rf = radial_psi1(QuantumNumbers(5, 1), default_grid(p), p)
         kummer_m, calls = wavefn.kummer_m, []
@@ -299,7 +301,7 @@ class TestRadialFunction:
             rf.interior(3)
         assert calls == []
         _, got = rf.interior(2)
-        assert [call[:2] for call in calls] == [(-5.0, 3.0), (-4.0, 4.0)]
+        assert [call[:2] for call in calls] == [(-6.0, 2.0), (-5.0, 3.0), (-4.0, 4.0)]
         _, want = radial_psi1(QuantumNumbers(5, 1), default_grid(p), p).interior(2)
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
@@ -472,23 +474,24 @@ class TestPsi1Family:
         assert rf.profile == alone.profile
         assert rf.values.tobytes() == alone.values.tobytes()
 
-    READS = ["values", "interior 0", "interior 1", "interior 2", "lower", "lower 0", "lower 1"]
+    READS = ["values", "interior 0", "interior 1", "interior 2", "lower values", "lower 0", "lower 1"]
 
     @staticmethod
     def _read(psi1, reads, E):
-        """The floats that ``reads`` read, in order, and the live keys they read."""
-        floats, keys, lower = [psi1.values], psi1.profile._keys(0), None
+        """The floats that ``reads`` read, in order, and the live keys they read.
+
+        Every read forms the factors of z it needs at its first read on the
+        table, so the reads cover every order in which they are formed:
+        the lower component's values before psi1's among them.
+        """
+        floats, keys, lower = [], [], None
         for read in reads:
-            if read.startswith("lower") and lower is None:
-                lower = derive_lower_component(psi1, E)
-                floats.append(lower.values)
-                keys += lower.profile._keys(0)
-            if read[-1].isdigit():
-                rf = lower if read.startswith("lower") else psi1
-                floats += rf.interior(int(read[-1]))[1]
-                keys += rf.profile._keys(int(read[-1]))
-            elif read == "values":
-                floats.append(psi1.values)
+            rf = psi1
+            if read.startswith("lower"):
+                rf = lower = lower or derive_lower_component(psi1, E)
+            order = int(read[-1]) if read[-1].isdigit() else None
+            floats += [rf.values] if order is None else rf.interior(order)[1]
+            keys += rf.profile._keys(order or 0)
         return [x.tobytes() for x in floats], list(dict.fromkeys(keys))
 
     @IN_BOTH_UNIT_SYSTEMS
@@ -496,8 +499,10 @@ class TestPsi1Family:
     @given(n=st.integers(0, 20), m=st.integers(0, 10), reads=st.lists(st.sampled_from(READS)))
     def test_shared_rows_read_in_any_order(self, p, n, m, reads):
         # a family state and its standalone twin give the same floats for
-        # any order of reads; the standalone table sums each live key read
-        # once, and the family's table holds every key its state reads
+        # any order of reads, of rows and of the factors of z, and each read
+        # gives the floats it gives first on a fresh function; the
+        # standalone table sums each live key read once, and the family's
+        # table holds every key its state reads
         grid = default_grid(p, num_points=257)
         E = energy(QuantumNumbers(n, m), p).E
         kummer_m, calls = wavefn.kummer_m, []
@@ -509,6 +514,9 @@ class TestPsi1Family:
             alone = self._read(radial_psi1(QuantumNumbers(n, m), grid, p), reads, E)
         assert family[0] == alone[0]
         assert calls == family[1] == alone[1]
+        qn = QuantumNumbers(n, m)
+        fresh = [self._read(radial_psi1(qn, grid, p), [read], E)[0] for read in reads]
+        assert family[0] == [x for floats in fresh for x in floats]
 
 
 class TestRadialPsi2:
@@ -793,8 +801,8 @@ class TestDeriveLowerComponent:
 
     def test_psi1_with_its_ladder_hands_it_on_without_kummer_calls(self, monkeypatch):
         # a psi1 that holds M(a+1, b+1) on its grid hands it on and the
-        # lower component sums nothing; one that holds M(a, b) alone leaves
-        # the lower component its first term to sum.  The floats agree.
+        # lower component's values sum nothing; one that holds M(a, b) alone
+        # leaves the lower component its first term to sum.  The floats agree.
         p = natural_params()
         grid = RadialGrid(8.0, 257)
         calls = []
@@ -808,6 +816,8 @@ class TestDeriveLowerComponent:
                 psi1.interior(order)
                 calls.clear()
                 lower = derive_lower_component(psi1, E)
+                assert calls == []  # values are sampled when first read
+                lower.values
                 assert len(calls) == (order == 0), (n, m, order)
                 own = derive_lower_component(radial_psi1(qn, grid, p), E)
                 assert np.array_equal(lower.values.view(np.int64), own.values.view(np.int64))
@@ -874,11 +884,18 @@ class TestSpinorSample:
             assert_allclose(abs(sample.psi1), abs(reference.psi1), rtol=1e-13)
             assert_allclose(abs(sample.psi2), abs(reference.psi2), rtol=1e-13)
 
-    def test_phi_folded_into_principal_range(self):
+    @pytest.mark.parametrize(
+        "phi, folded",
+        [(9.0, 9.0 - 2.0 * math.pi), (-1e-300, 0.0), (-1e-20, 0.0), (-5e-324, 0.0),
+         (-0.0, 0.0), (2.0 * math.pi, 0.0)],
+    )
+    def test_phi_folded_into_principal_range(self, phi, folded):
+        # a tiny negative phi % 2pi rounds up to 2pi, which is read as 0.0
         p = natural_params()
         qn = QuantumNumbers(0, 0)
-        sample = spinor_sample(qn, 1.0, 9.0, energy(qn, p).E, p)
+        sample = spinor_sample(qn, 1.0, phi, energy(qn, p).E, p)
         assert 0.0 <= sample.phi < 2.0 * math.pi
+        assert sample.phi == folded and math.copysign(1.0, sample.phi) == 1.0
 
     def test_nonfinite_phi_or_negative_rho_is_refused(self):
         # phi = nan gave psi1 = nan+nanj and phi = inf a "math domain error"
