@@ -307,31 +307,25 @@ def run_verification_checks(config: RunConfig) -> list[dict]:
     m = config.m
     results = []  # (check name, measured value, detail) in report order
 
-    # Finite-difference spectrum against the auxiliary ladder k1 = 2(2 n_r + m + 1).
-    levels = max(4, config.n_max + 2)
-    k1_fd, correction, (coarse, fine) = oracle.extrapolated_levels(
-        m, grid, params, levels
-    )
-    worst = max(
-        abs(k1 - 2.0 * (2 * n_r + m + 1)) / (2.0 * (2 * n_r + m + 1))
-        for n_r, k1 in enumerate(k1_fd)
-    )
+    # Levels of the discrete Dirac operator B B^T against its ladder 4(n + 1).
+    levels = config.n_max + 1
+    found, correction, (coarse, fine) = oracle.extrapolated_levels(m, grid, params, levels)
+    worst = max(abs(level - 4.0 * (n + 1)) / (4.0 * (n + 1)) for n, level in enumerate(found))
     detail = (
         f"first {levels} levels at m={m} extrapolated from {coarse} and {fine} "
         f"points (correction {correction:.1e})"
     )
     results.append(("fd-spectrum", worst, detail))
 
-    # The same finite-difference levels mapped onto excitations E - m0 c^2.
-    mapped = oracle.dirac_excitations_from_k1(k1_fd, m, params)
-    if not mapped:
-        raise ValueError(
-            f"dirac-energy-map: no finite-difference level maps onto an "
-            f"excitation at --rho-max {config.rho_max_in_b!r}"
-        )
-    ref = [spectrum.energy(QuantumNumbers(n=n, m=m), params) for n, _ in mapped]
-    worst = max(abs(x - e.excitation) / e.excitation for (_, x), e in zip(mapped, ref))
-    results.append(("dirac-energy-map", worst, f"{len(mapped)} mapped levels at m={m}"))
+    # The same levels mapped onto excitations E - m0 c^2 = m0 c^2 x / (1 + sqrt(1 + x)),
+    # x = level lam, which keep their digits where E rounds to m0 c^2.
+    worst = 0.0
+    for n, level in enumerate(found):
+        x = level * params.lam
+        excitation = params.rest_energy * x / (1.0 + math.sqrt(1.0 + x))
+        exact = spectrum.energy(QuantumNumbers(n=n, m=m), params).excitation
+        worst = max(worst, abs(excitation - exact) / exact)
+    results.append(("dirac-energy-map", worst, f"{levels} mapped levels at m={m}"))
 
     # One pass over the states: each level and psi1 function is built once,
     # the psi1 family reads their Kummer rows from one recurrence pass, and

@@ -1,29 +1,22 @@
 """Independent numerical machinery that checks the closed forms.
 
 Nothing in this module reuses the analytic spectrum or eigenfunction shapes:
-the eigensolver discretizes the radial differential operator directly, the
+the eigensolver discretizes the Dirac coupling operator directly, the
 quadrature is plain composite Simpson, the Laguerre reference table is
 exact integer arithmetic, and the residual evaluators push candidate
 solutions back through the differential equations.  Agreement
 between this module and the closed-form modules is the package's primary
 correctness evidence.
 
-The radial operator is posed for u(rho) = rho**(1/2) R(rho), which removes
-the first-derivative term and leaves the symmetric form
-
-    -u'' + [(m^2 - 1/4)/rho^2 + gamma^2 rho^2] u = k^2 u.
-
-Discretely, the rho-weighted flux form of the R equation is symmetrized by
-the similarity w_j = rho_j**(1/2) R_j, giving a symmetric tridiagonal matrix
-whose stencil weights -(j + 1/2)/(h^2 sqrt(j (j+1))) carry the -1/(4 rho^2)
-part geometrically.  Evaluating that singular term as a bare diagonal
-potential instead stalls the m = 0 convergence near the origin (the exact u
-behaves like rho**(1/2) there); the flux form restores clean second-order
-eigenvalue convergence for every m >= 0.  For m = 0 the origin is a regular
-point of R, so the first row eliminates R_0 through R'(0) = 0; for m >= 1
-the R(0) = 0 boundary drops the coupling outright.  Working in units of the
-oscillator length makes the matrix dimensionless, so its eigenvalues are the
-k1 values directly.
+The coupled equations factorise.  With x = rho/b, the lower component is
+A applied to the upper one, A = d/dx - m/x + x, and in the x dx inner
+product A^dagger = -d/dx - (m+1)/x + x.  A^dagger A is the radial operator
+minus 2(m+1), with the levels 4 n_r and a zero mode at the rest energy;
+A A^dagger has the levels 4(n+1), n >= 0, with none at zero, and its
+level times lam is the x of E = m0 c^2 sqrt(1 + x).  ``build_dirac_operator``
+discretizes A as a bidiagonal B between cell centres and faces, so B B^T is
+a symmetric tridiagonal matrix whose eigenvalues approximate those levels
+for every m alike.
 
 The eigenvalues come from Sturm counts, sped up by Newton steps on the
 determinant and certified by counts to the adjacent-float bracket that
@@ -31,7 +24,7 @@ plain bisection ends on (see ``smallest_eigenvalues``).  A count reads the
 shift only through the rounded diagonal d_j - sigma, so a shift that
 rounds it as a bracket end did takes that end's count without a pass over
 the rows, and a predicted level skips the isolating bisection: a ``verify``
-at n_max 20 makes 148-169 counts and 59-62 Newton passes.  Because the
+at n_max 20 makes 104-111 counts and 60-63 Newton passes.  Because the
 convergence is second order, ``extrapolated_levels`` cancels the leading
 error from two coarse grids whose spacings differ by exactly 2.
 """
@@ -53,25 +46,24 @@ __all__ = [
     "TridiagonalOperator",
     "ResidualReport",
     "integrate_radial",
-    "build_radial_operator",
+    "build_dirac_operator",
     "smallest_eigenvalues",
     "Extrapolation",
     "extrapolated_levels",
     "ode_residual",
     "coupled_residual",
-    "dirac_excitations_from_k1",
 ]
 
-# The smallest grid, in points, that build_radial_operator discretizes.
+# The smallest grid, in points, that build_dirac_operator discretizes.
 _MIN_POINTS = 64
 
 
 @dataclass(frozen=True, eq=False)
 class TridiagonalOperator:
-    """Symmetric tridiagonal discretization of the radial eigenproblem.
+    """Symmetric tridiagonal matrix, such as the Dirac operator B B^T.
 
     Entries are dimensionless (grid coordinates divided by the oscillator
-    length), so eigenvalues approximate the k1 spectrum 2(2*n_r + m + 1).
+    length), so B B^T's eigenvalues approximate the levels 4(n + 1).
     """
 
     diagonal: np.ndarray
@@ -136,14 +128,17 @@ def integrate_radial(values, grid: RadialGrid) -> float:
     )
 
 
-def build_radial_operator(
+def build_dirac_operator(
     m: int, grid: RadialGrid, params: PhysicalParams
 ) -> TridiagonalOperator:
-    """Discretize the radial operator for angular index m on the given grid.
+    """B B^T for the coupling operator A = d/dx - m/x + x, x = rho/b.
 
-    Interior nodes run from rho_1 = h to rho_{N-2}; u vanishes at both ends
-    (at the origin through the rho**(1/2) factor, at rho_max by Dirichlet
-    truncation).  Eigenvalues of the returned matrix approximate k1.
+    On K = N - 1 intervals of width h, r sits on the cell centres
+    c_j = (j - 1/2) h and g = A r on the interior faces f_j = j h, with
+    g_j = (r_{j+1} - r_j)/h + (f_j - m/f_j)(r_j + r_{j+1})/2.  Scaling the
+    rows by sqrt(f_j) and the columns by 1/sqrt(c_j) makes B act between
+    the discrete x dx norms, so the eigenvalues of B B^T approximate those
+    of A A^dagger, 4(n + 1) for n >= 0.  Only A's coefficients enter.
     """
     if not isinstance(m, (int, np.integer)) or m < 0:
         raise ValueError(f"m must be a non-negative integer, got {m!r}")
@@ -153,26 +148,23 @@ def build_radial_operator(
             f"{grid.num_points} < {_MIN_POINTS} points"
         )
     b = params.oscillator_length
-    hx = (grid.rho_max / b) / (grid.num_points - 1)
-    # The Sturm counts square the off-diagonal, about 1/hx^2, and the
-    # diagonal reaches (rho_max/b)^2: refuse a grid where either overflows.
-    inv_h2 = 1.0 / (hx * hx) if hx * hx > 0.0 else math.inf
-    x_end = hx * (grid.num_points - 2)
-    if not math.isfinite(inv_h2 * inv_h2 + x_end * x_end):
+    intervals = grid.num_points - 1
+    h = (grid.rho_max / b) / intervals
+    # B's entries stay below (m + 1)/h + x_max in modulus, and the Sturm
+    # counts square those of B B^T: refuse a grid where that leaves float64.
+    bound = (m + 1) / h + h * intervals if h > 0.0 else math.inf
+    if not math.isfinite(bound * bound * bound * bound):
         raise ValueError(
             f"rho_max={grid.rho_max!r} ({grid.rho_max / b!r} oscillator lengths) "
             "puts the operator's entries beyond float64"
         )
-    j = np.arange(1, grid.num_points - 1, dtype=float)
-    x = j * hx
-    diagonal = 2.0 / hx**2 + (m * m) / (x * x) + x * x
-    if m == 0:
-        # R is regular at the origin with R'(0) = 0; eliminating R_0 ~ R_1
-        # from the first flux cell reduces the leading diagonal entry.
-        diagonal[0] -= 0.5 / hx**2
-    jj = j[:-1]
-    off_diagonal = -(jj + 0.5) / (hx**2 * np.sqrt(jj * (jj + 1.0)))
-    return TridiagonalOperator(diagonal=diagonal, off_diagonal=off_diagonal)
+    centres = (np.arange(1, intervals + 1) - 0.5) * h
+    faces = np.arange(1, intervals) * h
+    half = 0.5 * (faces - m / faces)
+    weight = np.sqrt(faces)
+    d = weight / np.sqrt(centres[:-1]) * (half - 1.0 / h)
+    e = weight / np.sqrt(centres[1:]) * (half + 1.0 / h)
+    return TridiagonalOperator(diagonal=d * d + e * e, off_diagonal=e[:-1] * d[1:])
 
 
 def _negative_pivot_count(diag, off_sq, sigma, pivmin) -> int:
@@ -397,20 +389,21 @@ Extrapolation = namedtuple("Extrapolation", "levels correction points")
 def extrapolated_levels(
     m: int, grid: RadialGrid, params: PhysicalParams, count: int
 ) -> Extrapolation:
-    """The ``count`` smallest levels of the radial operator at zero spacing.
+    """The ``count`` smallest levels of the Dirac operator B B^T at zero spacing.
 
     ``smallest_eigenvalues`` reads the levels k_coarse and k_fine on two grids
     over ``grid``'s [0, rho_max], of K and 2K intervals with
     K = 2 floor((N - 1) / 16) for a grid of N points (513 and 1025 points
     when N = 4097).  Their spacings differ by exactly 2 and the error is
     second order in the spacing, so (4 k_fine - k_coarse) / 3 cancels its
-    leading term.  The correction |k - k_fine| / k_fine (the operator is
-    positive definite, so k_fine > 0) estimates the fine grid's
-    discretization error.  Only finite-difference eigenvalues enter,
+    leading term.  The correction |k - k_fine| / k_fine estimates the fine
+    grid's discretization error.  Only finite-difference eigenvalues enter,
     never the closed-form ladder.  The coarse levels are the fine solve's
     ``starts``: they spare its isolating bisections and move no float.  A
     grid whose coarse partner would fall below the operator's 64 points, or
-    hold fewer than ``count`` interior rows, is refused.
+    hold fewer than ``count`` interior rows, is refused, and so is an extent
+    at which a level reads zero or less: B B^T is positive definite, so
+    rounding has swamped it there.
     """
     intervals = 2 * ((grid.num_points - 1) // 16)
     needed = max(_MIN_POINTS - 1, count + 1)  # intervals of the coarse grid
@@ -421,35 +414,18 @@ def extrapolated_levels(
             f"{count} levels of the spectrum: use --grid-points {least} or more"
         )
     points = (intervals + 1, 2 * intervals + 1)
-    operators = (build_radial_operator(m, RadialGrid(grid.rho_max, n), params) for n in points)
+    operators = (build_dirac_operator(m, RadialGrid(grid.rho_max, n), params) for n in points)
     k_coarse = smallest_eigenvalues(next(operators), count)
     k_fine = smallest_eigenvalues(next(operators), count, starts=k_coarse)
     levels = [(4.0 * fine - coarse) / 3.0 for coarse, fine in zip(k_coarse, k_fine)]
+    lowest = min(k_coarse + k_fine + levels)
+    if lowest <= 0.0:
+        raise ValueError(
+            f"rho_max={grid.rho_max!r} ({grid.rho_max / params.oscillator_length!r} "
+            f"oscillator lengths) swamps the operator's levels in rounding: one reads {lowest!r}"
+        )
     correction = max(abs(k - fine) / fine for k, fine in zip(levels, k_fine))
     return Extrapolation(levels, correction, points)
-
-
-def dirac_excitations_from_k1(
-    k1_values, m: int, params: PhysicalParams
-) -> list[tuple[int, float]]:
-    """Map finite-difference k1 levels onto bound-state excitations E - m0 c^2.
-
-    Each k1 = 2(2 n_r + m + 1) level with n_r >= 1 is the state n = n_r - 1
-    with excitation m0 c^2 x / (1 + sqrt(1 + x)), x = (k1 - 2(m+1)) lam,
-    which keeps its digits where E rounds to m0 c^2 (SI units).  The
-    n_r = 0 level sits exactly at the rest energy, where the terminating
-    index would be -1; the quantized family starts above it, so that level
-    is skipped here by design rather than reported as a mismatch.
-    """
-    out = []
-    for k1 in k1_values:
-        kinetic = float(k1) - 2.0 * (m + 1)
-        n_r = int(round(kinetic / 4.0))
-        if n_r < 1:
-            continue
-        x = kinetic * params.lam
-        out.append((n_r - 1, params.rest_energy * x / (1.0 + math.sqrt(1.0 + x))))
-    return out
 
 
 def _laguerre_table(n_max: int, alphas, z_set) -> np.ndarray:

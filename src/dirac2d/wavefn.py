@@ -183,10 +183,11 @@ class KummerProfile:
         w1, w2 = a / b, a * (a + 1.0) / (b * (b + 1.0))
         out = [pref * m[0]]
         if order >= 1:
-            g = rows.once(("g", mu), lambda: 0.5 * mu / z - 0.5)
+            # at mu = 0 these are the constants the forms give at z > 0, and at z = 0
+            g = rows.once(("g", mu), lambda: 0.5 * mu / z - 0.5 if mu else -0.5)
             out.append(pref * (g * m[0] + w1 * m[1]))
         if order == 2:
-            curv = rows.once(("curv", mu), lambda: g * g - 0.5 * mu / (z * z))
+            curv = rows.once(("curv", mu), lambda: g * g - 0.5 * mu / (z * z) if mu else 0.25)
             out.append(pref * (curv * m[0] + 2.0 * g * w1 * m[1] + w2 * m[2]))
         return out
 

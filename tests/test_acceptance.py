@@ -13,12 +13,11 @@ import numpy as np
 from dirac2d import (
     PhysicalParams,
     QuantumNumbers,
-    build_radial_operator,
+    build_dirac_operator,
     closed_form_norm_constant,
     coupled_residual,
     count_radial_nodes,
     default_grid,
-    dirac_excitations_from_k1,
     energy,
     kummer_m,
     level_spacings,
@@ -73,24 +72,24 @@ def test_criterion_3_finite_difference_oracle_agreement():
     p = natural_params()
     coarse = RadialGrid(12.0, 4097)
     fine = RadialGrid(12.0, 8193)
+    exact = np.array([4.0 * (n + 1) for n in range(4)])
     ok = True
     details = []
     for m in (0, 1, 2):
-        exact = np.array([2.0 * (2 * nr + m + 1) for nr in range(4)])
-        k1_coarse = np.array(
-            smallest_eigenvalues(build_radial_operator(m, coarse, p), 4)
-        )
-        k1_fine = np.array(smallest_eigenvalues(build_radial_operator(m, fine, p), 4))
-        err_coarse = np.abs(k1_coarse - exact) / exact
-        err_fine = np.abs(k1_fine - exact) / exact
+        k_coarse = np.array(smallest_eigenvalues(build_dirac_operator(m, coarse, p), 4))
+        k_fine = np.array(smallest_eigenvalues(build_dirac_operator(m, fine, p), 4))
+        err_coarse = np.abs(k_coarse - exact) / exact
+        err_fine = np.abs(k_fine - exact) / exact
         ratios = err_coarse / err_fine
         ok = ok and bool(np.all(err_coarse <= 1e-3))
         ok = ok and bool(np.all(err_fine <= 2.5e-4))
         ok = ok and bool(np.all((ratios >= 3.6) & (ratios <= 4.4)))
         details.append(f"m={m} err {err_coarse.max():.1e} ratio {ratios.mean():.2f}")
-        for n, x_fd in dirac_excitations_from_k1(k1_coarse, m, p):
-            exact = energy(QuantumNumbers(n, m), p).excitation
-            ok = ok and abs(x_fd - exact) / exact <= 1e-3
+        for n, level in enumerate(k_coarse):
+            x = level * p.lam
+            x_fd = p.rest_energy * x / (1.0 + math.sqrt(1.0 + x))
+            excitation = energy(QuantumNumbers(n, m), p).excitation
+            ok = ok and abs(x_fd - excitation) / excitation <= 1e-3
     report(3, "finite-difference spectrum and mapping", ok, "; ".join(details))
 
 

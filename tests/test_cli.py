@@ -201,15 +201,15 @@ class TestVerifyCommand:
         assert by_name["dirac-energy-map"]["passed"] == "true"
 
     def test_more_levels_than_the_coarse_grid_holds_are_refused(self, tmp_path, capsys):
-        # n_max 70 reads 72 levels; 513 points give a coarse grid of 63
+        # n_max 70 reads 71 levels; 513 points give a coarse grid of 63
         # interior rows, where the refusal named the operator dimension
         out = tmp_path / "v.csv"
         argv = ["verify", "--grid-points", "513", "--n-max", "70", "--output", str(out)]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert "too few to extrapolate 72 levels" in err
-        assert "--grid-points 593" in err
+        assert "too few to extrapolate 71 levels" in err
+        assert "--grid-points 577" in err
         assert not out.exists()
 
     def test_node_counts_check_is_live(self, monkeypatch):
@@ -309,21 +309,23 @@ class TestDiracEnergyMapCheck:
 
     @pytest.mark.parametrize("units", ["natural", "si"])
     def test_levels_off_by_one_percent_fail(self, units, monkeypatch):
+        # at lam = 1 a 1% level error is a 0.72% excitation error
         original = oracle.smallest_eigenvalues
 
         def scaled(op, count, starts=()):
-            return [1.01 * k1 for k1 in original(op, count, starts=starts)]
+            return [1.01 * level for level in original(op, count, starts=starts)]
 
         monkeypatch.setattr(oracle, "smallest_eigenvalues", scaled)
         check = self._checks(units)["dirac-energy-map"]
         assert not check["passed"]
-        assert check["measured"] > 1e-2
+        assert check["measured"] > 7e-3
 
     @pytest.mark.parametrize("units", ["natural", "si"])
-    def test_true_levels_pass_with_a_discretization_error(self, units):
+    def test_true_levels_pass_at_rounding_level(self, units):
+        # measured 1.3e-14 (natural) and 1.8e-14 (si)
         check = self._checks(units)["dirac-energy-map"]
         assert check["passed"]
-        assert 1e-7 < check["measured"] < 1e-3
+        assert check["measured"] < 1e-13
 
 
 class TestKummerBudget:
@@ -500,7 +502,9 @@ class TestSolverRows:
     Newton start from earlier levels).  Reusing a bracket end's count where
     a shift rounds the diagonal as that end did left 226,009.  Starting the
     1025-point solve from the 513-point levels, and skipping the isolating
-    bisection of every level predicted inside its bracket, leaves 170,777.
+    bisection of every level predicted inside its bracket, left 170,777.
+    Those levels were of the second-order radial operator, n_max + 2 of
+    them; n_max + 1 levels of the Dirac operator B B^T leave 121,170.
     The counts do not depend on the machine.
     """
 
@@ -522,12 +526,13 @@ class TestSolverRows:
 
     def test_verify_visits_an_eighth_of_the_full_grid_rows(self, monkeypatch):
         passes = self._passes(monkeypatch, 3, 20)
-        assert sum(rows for _, rows in passes) <= 170_777  # 1,916,460 / 11.2
+        assert sum(rows for _, rows in passes) <= 121_170  # 1,916,460 / 15.8
 
     # (Sturm counts, Newton passes) per verify at the perfbench (m, n_max);
-    # with every level isolated by bisection they were (72, 33), (85, 39),
-    # (196, 63) and (226, 69)
-    PASSES = {(0, 5): (52, 29), (3, 5): (60, 32), (0, 20): (148, 59), (3, 20): (169, 62)}
+    # on the radial operator they were (52, 29), (60, 32), (148, 59) and
+    # (169, 62), and with every level isolated by bisection (72, 33),
+    # (85, 39), (196, 63) and (226, 69)
+    PASSES = {(0, 5): (43, 30), (3, 5): (40, 33), (0, 20): (104, 60), (3, 20): (111, 63)}
 
     @pytest.mark.parametrize("m, n_max", sorted(PASSES))
     def test_counts_and_newton_passes_are_pinned(self, m, n_max, monkeypatch):
@@ -699,22 +704,30 @@ class TestMainEntry:
         assert not (tmp_path / "out.csv").exists()
 
     def test_rho_max_beyond_the_operator_returns_two(self, tmp_path, monkeypatch, capsys):
-        # the spacing's square underflowed and build_radial_operator divided by it
+        # 1/h to the fourth power leaves float64; before that refusal, the
+        # radial operator's spacing squared underflowed and it divided by it
         monkeypatch.chdir(tmp_path)
         argv = ["verify", "--rho-max", "1e-300", "--n-max", "0", "--output", "v.csv"]
         assert main(argv) == 2
         assert "rho_max=1e-300" in capsys.readouterr().err
         assert not (tmp_path / "v.csv").exists()
 
-    @pytest.mark.parametrize("rho_max, shown", [("1e-70", "1e-70"), ("1e60", "1e+60")])
-    def test_no_mapped_level_returns_two(self, rho_max, shown, tmp_path, monkeypatch, capsys):
-        # no finite-difference level maps onto an excitation, and the
-        # dirac-energy-map reduction took max() of an empty list
+    @pytest.mark.parametrize(
+        "rho_max, shown",
+        [("1e-70", "beyond rho_max"), ("1e5", "rho_max=100000.0"), ("1e60", "rho_max=1e+60")],
+    )
+    def test_an_extent_without_a_report_returns_two(
+        self, rho_max, shown, tmp_path, monkeypatch, capsys
+    ):
+        # at 1e5 and 1e60 rounding swamps the operator's levels, which read
+        # -65.9 and -1.1e108, and sqrt(1 + x) failed on them; at 1e-70 the
+        # grid truncates every state.  Before, no level mapped onto an
+        # excitation at any of them.
         monkeypatch.chdir(tmp_path)
         argv = ["verify", "--rho-max", rho_max, "--n-max", "0", "--output", "v.csv"]
         assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert "dirac-energy-map" in err and f"--rho-max {shown}" in err
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and shown in line
         assert not (tmp_path / "v.csv").exists()
 
     def test_overflowing_z_is_refused_without_a_warning(self, tmp_path):

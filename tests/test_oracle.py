@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 from fractions import Fraction
 from dataclasses import replace
@@ -16,11 +17,10 @@ from dirac2d import (
     RadialGrid,
     ResidualReport,
     TridiagonalOperator,
-    build_radial_operator,
+    build_dirac_operator,
     coupled_residual,
     default_grid,
     derive_lower_component,
-    dirac_excitations_from_k1,
     energy,
     extrapolated_levels,
     integrate_radial,
@@ -32,9 +32,9 @@ from dirac2d import (
 from dirac2d import oracle
 
 
-def aux_k1(n_r, m):
-    """Auxiliary oscillator ladder the finite-difference operator must find."""
-    return 2.0 * (2 * n_r + m + 1)
+def dirac_level(n):
+    """Level 4(n + 1) of A A^dagger, which the discrete operator must find."""
+    return 4.0 * (n + 1)
 
 
 def _zero_copy(rf):
@@ -202,48 +202,94 @@ class TestIntegrateRadial:
         assert 12.0 < ratio < 20.0
 
 
-class TestRadialOperator:
+class TestDiracOperator:
     def test_rejects_negative_m(self):
         with pytest.raises(ValueError):
-            build_radial_operator(-1, RadialGrid(12.0, 4097), natural_params())
+            build_dirac_operator(-1, RadialGrid(12.0, 4097), natural_params())
 
     def test_rejects_coarse_grid(self):
         with pytest.raises(ValueError, match="coarse"):
-            build_radial_operator(0, RadialGrid(12.0, 63), natural_params())
+            build_dirac_operator(0, RadialGrid(12.0, 63), natural_params())
 
     @pytest.mark.parametrize("rho_max", [1e-300, 1e-150, 1e160, 1e300])
     def test_rejects_a_grid_whose_entries_overflow(self, rho_max):
-        # 1/hx^2 (squared by the Sturm counts) or x^2 leaves float64; at
-        # 1e-300 the spacing's square underflowed and divided by zero
+        # 1/h or x_max, taken to the fourth power by the Sturm counts,
+        # leaves float64
         with pytest.raises(ValueError, match="rho_max"):
-            build_radial_operator(0, RadialGrid(rho_max, 65), natural_params())
+            build_dirac_operator(0, RadialGrid(rho_max, 65), natural_params())
 
     def test_structural_symmetry(self):
-        op = build_radial_operator(1, RadialGrid(12.0, 257), natural_params())
+        op = build_dirac_operator(1, RadialGrid(12.0, 257), natural_params())
         assert op.dimension == 255
         assert op.off_diagonal.shape == (254,)
         assert np.all(np.isfinite(op.diagonal))
         assert np.all(np.isfinite(op.off_diagonal))
 
-    def test_m0_ladder_on_default_grid(self):
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_is_the_gram_matrix_of_the_weighted_coupling_stencil(self, m):
+        # B from its definition, dense: g_j = (r_{j+1} - r_j)/h
+        # + (f_j - m/f_j)(r_j + r_{j+1})/2, rows times sqrt(f_j) and
+        # columns over sqrt(c_j)
         p = natural_params()
-        op = build_radial_operator(0, RadialGrid(12.0, 4097), p)
-        found = smallest_eigenvalues(op, 3)
-        for n_r, value in enumerate(found):
-            expected = aux_k1(n_r, 0) * p.hbar / (p.rest_mass * p.omega)
-            assert abs(value - expected) / expected <= 1e-3
+        points = 65
+        h = 12.0 / (points - 1)
+        centres = (np.arange(points - 1) + 0.5) * h
+        faces = np.arange(1, points - 1) * h
+        B = np.zeros((faces.size, centres.size))
+        for j, f in enumerate(faces):
+            B[j, j] = -1.0 / h + 0.5 * (f - m / f)
+            B[j, j + 1] = 1.0 / h + 0.5 * (f - m / f)
+        B = np.sqrt(faces)[:, None] * B / np.sqrt(centres)[None, :]
+        op = build_dirac_operator(m, RadialGrid(12.0, points), p)
+        dense = np.diag(op.diagonal) + np.diag(op.off_diagonal, 1) + np.diag(op.off_diagonal, -1)
+        assert_allclose(dense, B @ B.T, rtol=1e-13, atol=1e-10)
+
+    def test_ladder_on_default_grid(self):
+        # measured: 1.7e-5 at the fourth level, the h^2 error of every m
+        p = natural_params()
+        op = build_dirac_operator(0, RadialGrid(12.0, 4097), p)
+        found = smallest_eigenvalues(op, 4)
+        for n, value in enumerate(found):
+            assert abs(value - dirac_level(n)) / dirac_level(n) <= 2e-5
+
+    def test_levels_do_not_depend_on_m(self):
+        # the paper's m-independence: the raw 1025-point levels of
+        # m = 0..10 agree to 1.36e-8 relative over 22 levels
+        p = natural_params()
+        levels = np.array(
+            [
+                smallest_eigenvalues(build_dirac_operator(m, RadialGrid(12.0, 1025), p), 22)
+                for m in range(11)
+            ]
+        )
+        spread = (levels.max(axis=0) - levels.min(axis=0)) / levels.min(axis=0)
+        assert np.max(spread) <= 1.4e-8
 
     def test_dimensionless_across_unit_systems(self):
-        # eigenvalues are k1 values, identical whatever the raw scales
+        # eigenvalues are those of A A^dagger in x = rho/b, whatever the raw scales
         si = si_params()
         natural = natural_params()
         vals_si = smallest_eigenvalues(
-            build_radial_operator(1, RadialGrid(12.0 * si.oscillator_length, 1025), si), 2
+            build_dirac_operator(1, RadialGrid(12.0 * si.oscillator_length, 1025), si), 2
         )
         vals_nat = smallest_eigenvalues(
-            build_radial_operator(1, RadialGrid(12.0, 1025), natural), 2
+            build_dirac_operator(1, RadialGrid(12.0, 1025), natural), 2
         )
         assert_allclose(vals_si, vals_nat, rtol=1e-12)
+
+    def test_reads_no_closed_form(self, monkeypatch):
+        # the oracle's side of fd-spectrum: no energy, Kummer row or psi1 profile
+        def refuse(*args, **kwargs):
+            raise AssertionError("the operator read a closed form")
+
+        from dirac2d import specfun, spectrum, wavefn
+
+        for module in (specfun, wavefn):
+            monkeypatch.setattr(module, "kummer_m", refuse)
+            monkeypatch.setattr(module, "_degree_rows", refuse)
+        monkeypatch.setattr(spectrum, "energy", refuse)
+        levels, _, _ = extrapolated_levels(3, RadialGrid(12.0, 1025), natural_params(), 4)
+        assert_allclose(levels, [dirac_level(n) for n in range(4)], rtol=1e-8)  # 9.9e-10
 
 
 class TestSmallestEigenvalues:
@@ -274,7 +320,7 @@ class TestSmallestEigenvalues:
     def test_against_dense_diagonalization(self):
         # brute-force oracle on a small instance
         p = natural_params()
-        op = build_radial_operator(1, RadialGrid(12.0, 65), p)
+        op = build_dirac_operator(1, RadialGrid(12.0, 65), p)
         dense = (
             np.diag(op.diagonal)
             + np.diag(op.off_diagonal, 1)
@@ -292,7 +338,7 @@ class TestSmallestEigenvalues:
     def test_same_floats_as_plain_bisection(self, m, points, rho, units, levels):
         p = natural_params() if units == "natural" else si_params()
         grid = RadialGrid(rho * p.oscillator_length, points)
-        op = build_radial_operator(m, grid, p)
+        op = build_dirac_operator(m, grid, p)
         assert smallest_eigenvalues(op, levels) == plain_bisection(op, levels)
 
     @settings(deadline=None, derandomize=True)  # examples from the profile
@@ -396,7 +442,7 @@ class TestSmallestEigenvalues:
         linalg = pytest.importorskip("scipy.linalg")
         p = natural_params()
         for m in (0, 3):
-            op = build_radial_operator(m, RadialGrid(12.0, 4097), p)
+            op = build_dirac_operator(m, RadialGrid(12.0, 4097), p)
             lapack = linalg.eigvalsh_tridiagonal(
                 op.diagonal, op.off_diagonal, select="i", select_range=(0, 11)
             )
@@ -405,7 +451,7 @@ class TestSmallestEigenvalues:
     def test_newton_pass_counts_and_log_derivative(self):
         # p'/p = sum 1/(sigma - lambda_i) over the dense spectrum
         p = natural_params()
-        op = build_radial_operator(1, RadialGrid(12.0, 65), p)
+        op = build_dirac_operator(1, RadialGrid(12.0, 65), p)
         dense = np.linalg.eigvalsh(
             np.diag(op.diagonal)
             + np.diag(op.off_diagonal, 1)
@@ -434,7 +480,9 @@ class TestSolverPasses:
     every shift that rounds the diagonal as that end did, left 64-68 and
     137-147.  Skipping the isolating bisection of every level that the
     earlier levels predict inside its bracket leaves 60-64 and 119-127.
-    The counts do not depend on the machine.
+    Those were the counts of the second-order radial operator; the Dirac
+    operator B B^T that replaced it takes 52-55 and 96-99, with 18-21 and
+    33-36 Newton passes.  The counts do not depend on the machine.
     """
 
     @staticmethod
@@ -456,7 +504,7 @@ class TestSolverPasses:
     def _passes(cls, monkeypatch, m, points, levels):
         passes = cls._counted(monkeypatch)
         p = natural_params()
-        smallest_eigenvalues(build_radial_operator(m, RadialGrid(12.0, points), p), levels)
+        smallest_eigenvalues(build_dirac_operator(m, RadialGrid(12.0, points), p), levels)
         return passes
 
     @pytest.mark.parametrize("m", [0, 3])
@@ -464,8 +512,8 @@ class TestSolverPasses:
     def test_pass_budget(self, m, levels, before, monkeypatch):
         # ``before`` is the budget while every final shift took a pass
         passes = self._passes(monkeypatch, m, 4097, levels)
-        assert len(passes) <= {7: 70, 22: 150}[levels] < before
-        assert 0 < passes.count("_newton_pass") <= {7: 20, 22: 35}[levels]
+        assert len(passes) <= {7: 56, 22: 100}[levels] < before
+        assert 0 < passes.count("_newton_pass") <= {7: 21, 22: 36}[levels]
 
     def test_a_start_on_its_level_ends_newton_at_once(self, monkeypatch):
         # Newton's step from a level's own float lands on the bracket end
@@ -477,18 +525,19 @@ class TestSolverPasses:
         assert smallest_eigenvalues(op, 3, starts=exact) == exact
         assert (passes.count("_newton_pass"), passes.count("_negative_pivot_count")) == (3, 4)
 
-    # the totals with a pass at every final shift: 108, 275, 106, 272 on
-    # 513 points and 125, 314, 125, 300 on 1025; with every level isolated
-    # by bisection: 52, 128, 61, 148 and 53, 131, 63, 147
+    # on the radial operator B B^T replaced: 49, 111, 57, 128 on 513 points
+    # and 50, 114, 59, 127 on 1025; with a pass at every final shift 108,
+    # 275, 106, 272 and 125, 314, 125, 300; with every level isolated by
+    # bisection 52, 128, 61, 148 and 53, 131, 63, 147
     PASSES = {
-        (0, 513, 7): 49,
-        (0, 513, 22): 111,
-        (3, 513, 7): 57,
-        (3, 513, 22): 128,
-        (0, 1025, 7): 50,
-        (0, 1025, 22): 114,
-        (3, 1025, 7): 59,
-        (3, 1025, 22): 127,
+        (0, 513, 7): 47,
+        (0, 513, 22): 92,
+        (3, 513, 7): 55,
+        (3, 513, 22): 116,
+        (0, 1025, 7): 53,
+        (0, 1025, 22): 98,
+        (3, 1025, 7): 48,
+        (3, 1025, 22): 90,
     }
 
     @pytest.mark.parametrize(
@@ -507,8 +556,8 @@ class TestSolverPasses:
     def test_verify_operators_need_no_more_passes(
         self, m, points, levels, before, monkeypatch
     ):
-        # the operators ``verify`` builds by default; ``before`` is the total
-        # with Newton started at the bracket midpoint
+        # the operators ``verify`` builds by default; ``before`` is the
+        # radial operator's total with Newton started at the bracket midpoint
         passes = self._passes(monkeypatch, m, points, levels)
         assert len(passes) <= self.PASSES[m, points, levels] < before
 
@@ -518,11 +567,11 @@ class TestExtrapolatedLevels:
 
     @pytest.mark.parametrize("m, count", [(0, 7), (3, 22)])
     def test_ten_times_closer_than_the_full_grid(self, m, count):
-        # measured: 4.9e-6 -> 2.6e-7 at m = 0 and 2.2e-5 -> 5.1e-7 at m = 3
+        # measured: 1.7e-5 -> 2.8e-13 at m = 0 and 4.9e-5 -> 2.8e-12 at m = 3
         p = natural_params()
         grid = RadialGrid(12.0, 4097)
-        exact = np.array([aux_k1(n_r, m) for n_r in range(count)])
-        plain = smallest_eigenvalues(build_radial_operator(m, grid, p), count)
+        exact = np.array([dirac_level(n) for n in range(count)])
+        plain = smallest_eigenvalues(build_dirac_operator(m, grid, p), count)
         levels, correction, _ = extrapolated_levels(m, grid, p, count)
         err_plain = np.max(np.abs(np.array(plain) - exact) / exact)
         err = np.max(np.abs(np.array(levels) - exact) / exact)
@@ -533,13 +582,13 @@ class TestExtrapolatedLevels:
     @pytest.mark.parametrize("points, expected", [(4097, (513, 1025)), (1025, (129, 257))])
     def test_grids_share_rho_max_and_halve_the_spacing(self, points, expected, monkeypatch):
         built = []
-        original = oracle.build_radial_operator
+        original = oracle.build_dirac_operator
 
         def recorded(m, grid, params):
             built.append((grid.rho_max, grid.num_points))
             return original(m, grid, params)
 
-        monkeypatch.setattr(oracle, "build_radial_operator", recorded)
+        monkeypatch.setattr(oracle, "build_dirac_operator", recorded)
         p = si_params()
         grid = default_grid(p, 12.0, points)
         result = extrapolated_levels(1, grid, p, 4)
@@ -559,6 +608,27 @@ class TestExtrapolatedLevels:
         )
         assert levels == [4.0, 8.0]
         assert correction == 0.125 / 8.125
+
+    @pytest.mark.parametrize(
+        "fake",
+        [{513: [-1.0], 1025: [4.0]}, {513: [4.0], 1025: [0.0]}, {513: [16.0], 1025: [1.0]}],
+    )
+    def test_a_level_at_or_below_zero_is_refused(self, fake, monkeypatch):
+        # B B^T is positive definite, so such a level is rounding, and the
+        # correction divides by k_fine; the last extrapolates to -4
+        monkeypatch.setattr(
+            oracle,
+            "smallest_eigenvalues",
+            lambda op, count, starts=(): fake[op.dimension + 2],
+        )
+        with pytest.raises(ValueError, match=r"rho_max=12\.0 .* one reads -?\d"):
+            extrapolated_levels(0, RadialGrid(12.0, 4097), natural_params(), 1)
+
+    @pytest.mark.parametrize("rho_max, shown", [(1e4, "10000.0"), (1e5, "100000.0"), (1e60, "1e+60")])
+    def test_levels_that_rounding_swamps_are_refused(self, rho_max, shown):
+        # 1025 points over 1e5 b read a first level of -65.9, and over 1e60 b -1.1e108
+        with pytest.raises(ValueError, match=rf"rho_max={re.escape(shown)} .* swamps"):
+            extrapolated_levels(0, RadialGrid(rho_max, 4097), natural_params(), 1)
 
     def test_the_fine_solve_starts_from_the_coarse_levels(self, monkeypatch):
         # the coarse solve gets no starts and the fine one exactly the coarse
@@ -591,31 +661,6 @@ class TestExtrapolatedLevels:
         with pytest.raises(ValueError, match="72 levels .* --grid-points 593 or more"):
             extrapolated_levels(0, RadialGrid(12.0, 577), p, 72)
         assert extrapolated_levels(0, RadialGrid(12.0, 593), p, 72).points == (75, 149)
-
-
-class TestDiracEnergyMapping:
-    def test_skips_threshold_level(self):
-        p = natural_params()
-        mapped = dirac_excitations_from_k1([aux_k1(0, 0)], 0, p)
-        assert mapped == []
-
-    def test_maps_excited_levels(self):
-        p = natural_params()
-        mapped = dirac_excitations_from_k1([aux_k1(nr, 2) for nr in range(4)], 2, p)
-        assert [n for n, _ in mapped] == [0, 1, 2]
-        for n, x_fd in mapped:
-            assert_allclose(x_fd, energy(QuantumNumbers(n, 0), p).excitation, rtol=1e-14)
-
-    def test_keeps_the_excitation_digits_in_si_units(self):
-        # at omega = 1 rad/s E rounds to m0 c^2 (lam ~ 1e-21), so only the
-        # excitation can tell a wrong level from a right one
-        p = replace(si_params(), omega=1.0)
-        mapped = dirac_excitations_from_k1([aux_k1(nr, 1) for nr in range(1, 4)], 1, p)
-        for n, x_fd in mapped:
-            level = energy(QuantumNumbers(n, 1), p)
-            assert level.E == p.rest_energy
-            assert_allclose(x_fd, level.excitation, rtol=1e-14)
-            assert_allclose(x_fd, 2.0 * (n + 1) * p.energy_quantum, rtol=1e-12)
 
 
 class TestOdeResidual:

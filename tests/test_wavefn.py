@@ -108,6 +108,18 @@ class TestKummerProfile:
             values = prof.derivatives(np.array([899.5, 900.0]), 2)
             assert all(np.all(np.isfinite(v)) for v in values)
 
+    def test_mu_zero_derivatives_at_the_origin(self):
+        # f = e^{-z/2} (1 - z) has f'(0) = -3/2 and f''(0) = 5/4; g = mu/(2z) - 1/2
+        # read 0/0 there and gave nan with a RuntimeWarning
+        prof = KummerProfile(coeff=1.0, mu=0, a=-1.0)
+        assert prof.dvalue_dz(0.0) == -1.5
+        assert prof.d2value_dz2(0.0) == 1.25
+        z = np.array([0.0, 1e-300, 0.5, 3.0, 40.0])
+        _, fz, fzz = prof.derivatives(z, 2)
+        decay = np.exp(-0.5 * z)
+        assert_allclose(fz, decay * (0.5 * z - 1.5), rtol=1e-14)
+        assert_allclose(fzz, decay * (1.25 - 0.25 * z), rtol=1e-14)
+
     def test_rejects_unsupported_order(self):
         prof = KummerProfile(coeff=1.0, mu=0, a=-1.0)
         with pytest.raises(ValueError):
