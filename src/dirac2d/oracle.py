@@ -147,15 +147,15 @@ def build_dirac_operator(
             "grid too coarse for the eigensolver: "
             f"{grid.num_points} < {_MIN_POINTS} points"
         )
-    b = params.oscillator_length
+    x_max = grid.rho_max / params.oscillator_length
     intervals = grid.num_points - 1
-    h = (grid.rho_max / b) / intervals
+    h = x_max / intervals
     # B's entries stay below (m + 1)/h + x_max in modulus, and the Sturm
     # counts square those of B B^T: refuse a grid where that leaves float64.
-    bound = (m + 1) / h + h * intervals if h > 0.0 else math.inf
+    bound = (m + 1) / h + x_max if h > 0.0 else math.inf
     if not math.isfinite(bound * bound * bound * bound):
         raise ValueError(
-            f"rho_max={grid.rho_max!r} ({grid.rho_max / b!r} oscillator lengths) "
+            f"rho_max={grid.rho_max!r} ({x_max!r} oscillator lengths) "
             "puts the operator's entries beyond float64"
         )
     centres = (np.arange(1, intervals + 1) - 0.5) * h

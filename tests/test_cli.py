@@ -704,8 +704,7 @@ class TestMainEntry:
         assert not (tmp_path / "out.csv").exists()
 
     def test_rho_max_beyond_the_operator_returns_two(self, tmp_path, monkeypatch, capsys):
-        # 1/h to the fourth power leaves float64; before that refusal, the
-        # radial operator's spacing squared underflowed and it divided by it
+        # 1/h to the fourth power, which the Sturm counts reach, leaves float64
         monkeypatch.chdir(tmp_path)
         argv = ["verify", "--rho-max", "1e-300", "--n-max", "0", "--output", "v.csv"]
         assert main(argv) == 2
@@ -720,9 +719,8 @@ class TestMainEntry:
         self, rho_max, shown, tmp_path, monkeypatch, capsys
     ):
         # at 1e5 and 1e60 rounding swamps the operator's levels, which read
-        # -65.9 and -1.1e108, and sqrt(1 + x) failed on them; at 1e-70 the
-        # grid truncates every state.  Before, no level mapped onto an
-        # excitation at any of them.
+        # -65.9 and -1.1e108, where sqrt(1 + x) would fail; at 1e-70 the
+        # grid truncates every state
         monkeypatch.chdir(tmp_path)
         argv = ["verify", "--rho-max", rho_max, "--n-max", "0", "--output", "v.csv"]
         assert main(argv) == 2
