@@ -245,7 +245,7 @@ class TestDiracOperator:
         assert_allclose(dense, B @ B.T, rtol=1e-13, atol=1e-10)
 
     def test_ladder_on_default_grid(self):
-        # measured: 1.7e-5 at the fourth level, the h^2 error of every m
+        # measured: at most 1.7e-5 relative, the h^2 error
         p = natural_params()
         op = build_dirac_operator(0, RadialGrid(12.0, 4097), p)
         found = smallest_eigenvalues(op, 4)
@@ -278,7 +278,7 @@ class TestDiracOperator:
         assert_allclose(vals_si, vals_nat, rtol=1e-12)
 
     def test_reads_no_closed_form(self, monkeypatch):
-        # the oracle's side of fd-spectrum: no energy, Kummer row or psi1 profile
+        # the oracle's side of fd-spectrum reads no energy and no Kummer row
         def refuse(*args, **kwargs):
             raise AssertionError("the operator read a closed form")
 
