@@ -19,6 +19,7 @@ The environment variable DIRAC2D_OUTPUT_DIR redirects relative output paths.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -495,8 +496,12 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**values)
 
 
+# main's parser, built on its first call: parsing leaves a parser unchanged.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         config = config_from_args(args)
         result = COMMANDS[config.command][1](config)

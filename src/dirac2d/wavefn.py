@@ -323,7 +323,10 @@ def _psi1_family(m: int, n_max: int, grid: RadialGrid, params: PhysicalParams):
     drops the degrees below the three the current state reads, so it holds
     at most nine rows.  Each element of a row is the same steps as
     ``kummer_m`` of its degree and b, so each function equals its own
-    ``radial_psi1`` bit for bit.
+    ``radial_psi1`` bit for bit.  Read each state before drawing the next:
+    a state first read later finds its rows dropped and sums each again
+    with a full ``kummer_m``, which gives the same floats at several times
+    the cost.
     """
     z = to_dimensionless_z(grid.samples, params)
     z.setflags(write=False)

@@ -504,7 +504,11 @@ class TestSolverRows:
     1025-point solve from the 513-point levels, and skipping the isolating
     bisection of every level predicted inside its bracket, left 170,777.
     Those levels were of the second-order radial operator, n_max + 2 of
-    them; n_max + 1 levels of the Dirac operator B B^T leave 121,170.
+    them; n_max + 1 levels of the Dirac operator B B^T left 121,170.
+    Solving the first three levels on 65 and 129 points first, and starting
+    the 513- and 1025-point solves from their extrapolations, leaves
+    111,027: the head grids add passes, but short ones, and every head level
+    of the two large grids then takes one Newton pass.
     The counts do not depend on the machine.
     """
 
@@ -524,21 +528,33 @@ class TestSolverRows:
         run_verification_checks(RunConfig(command="verify", m=m, n_max=n_max))
         return passes
 
-    def test_verify_visits_an_eighth_of_the_full_grid_rows(self, monkeypatch):
-        passes = self._passes(monkeypatch, 3, 20)
-        assert sum(rows for _, rows in passes) <= 121_170  # 1,916,460 / 15.8
+    # rows per verify at the perfbench (m, n_max), and before the 65- and
+    # 129-point head solves: 52,663, 49,079, 122,716 and 121,170
+    ROWS = {(0, 5): 36_516, (3, 5): 38_936, (0, 20): 106_569, (3, 20): 111_027}
 
-    # (Sturm counts, Newton passes) per verify at the perfbench (m, n_max);
-    # on the radial operator they were (52, 29), (60, 32), (148, 59) and
+    @pytest.mark.parametrize("m, n_max", sorted(ROWS))
+    def test_verify_visits_an_eighth_of_the_full_grid_rows(self, m, n_max, monkeypatch):
+        passes = self._passes(monkeypatch, m, n_max)
+        assert sum(rows for _, rows in passes) <= self.ROWS[m, n_max]
+
+    # (Sturm counts, Newton passes) per verify and operator size (rows); on
+    # 511 and 1023 rows alone they were (43, 30), (40, 33), (104, 60) and
+    # (111, 63), on the radial operator (52, 29), (60, 32), (148, 59) and
     # (169, 62), and with every level isolated by bisection (72, 33),
     # (85, 39), (196, 63) and (226, 69)
-    PASSES = {(0, 5): (43, 30), (3, 5): (40, 33), (0, 20): (104, 60), (3, 20): (111, 63)}
+    PASSES = {
+        (0, 5): {63: (14, 14), 127: (11, 13), 511: (12, 6), 1023: (16, 6)},
+        (3, 5): {63: (17, 17), 127: (11, 13), 511: (17, 9), 1023: (14, 6)},
+        (0, 20): {63: (14, 14), 127: (11, 13), 511: (42, 21), 1023: (47, 21)},
+        (3, 20): {63: (17, 17), 127: (11, 13), 511: (63, 24), 1023: (39, 21)},
+    }
 
     @pytest.mark.parametrize("m, n_max", sorted(PASSES))
     def test_counts_and_newton_passes_are_pinned(self, m, n_max, monkeypatch):
-        names = [name for name, _ in self._passes(monkeypatch, m, n_max)]
-        counts = names.count("_negative_pivot_count"), names.count("_newton_pass")
-        assert counts == self.PASSES[m, n_max]
+        passes = self._passes(monkeypatch, m, n_max)
+        names = ("_negative_pivot_count", "_newton_pass")
+        pinned = {rows: tuple(passes.count((name, rows)) for name in names) for _, rows in passes}
+        assert pinned == self.PASSES[m, n_max]
 
 
 class TestNrLimitCommand:
@@ -910,6 +926,25 @@ class TestSingleDeclaration:
             main([command, flag, value])
         assert err.value.code == 2
         assert not any(tmp_path.iterdir())
+
+    def test_main_builds_one_parser_that_keeps_no_state(self, tmp_path, monkeypatch):
+        # a refused parse, or a flag repeated in one call, leaves nothing
+        # behind for the next call
+        monkeypatch.chdir(tmp_path)
+        configs = []
+
+        def recorded(args):
+            configs.append(config_from_args(args))
+            return configs[-1]
+
+        monkeypatch.setattr(cli, "config_from_args", recorded)
+        with pytest.raises(SystemExit):
+            main(["verify", "--n", "3"])
+        argv = ["verify", "--n-max", "0", "--output", "v.csv"]
+        assert main([*argv, "--tolerance", "ode-residual=1", "--tolerance", "normalization=1"]) == 0
+        assert main(argv) == 0
+        assert [c.tolerances for c in configs] == [{"ode-residual": 1.0, "normalization": 1.0}, {}]
+        assert cli._parser.cache_info().misses == 1
 
     @pytest.mark.parametrize("command", ["spectrum", "wavefn", "verify", "nr-limit"])
     def test_defaults_come_from_config(self, command):

@@ -482,7 +482,9 @@ class TestSolverPasses:
     earlier levels predict inside its bracket leaves 60-64 and 119-127.
     Those were the counts of the second-order radial operator; the Dirac
     operator B B^T that replaced it takes 52-55 and 96-99, with 18-21 and
-    33-36 Newton passes.  The counts do not depend on the machine.
+    33-36 Newton passes.  These solves have no starts; ``verify``'s solves
+    start from the levels of shorter grids, and ``TestSolverRows`` in
+    test_cli.py pins their passes.  The counts do not depend on the machine.
     """
 
     @staticmethod
@@ -579,13 +581,19 @@ class TestExtrapolatedLevels:
         # the correction estimates the 1025-point grid's error, 16 times the plain one
         assert err_plain < correction < 100.0 * err_plain
 
-    @pytest.mark.parametrize("points, expected", [(4097, (513, 1025)), (1025, (129, 257))])
-    def test_grids_share_rho_max_and_halve_the_spacing(self, points, expected, monkeypatch):
-        built = []
+    @pytest.mark.parametrize(
+        "points, expected, built",
+        [(4097, (513, 1025), (65, 129, 513, 1025)), (1025, (129, 257), (129, 257))],
+    )
+    def test_grids_share_rho_max_and_halve_the_spacing(
+        self, points, expected, built, monkeypatch
+    ):
+        # a coarse grid of more than 128 intervals is seeded from 65 and 129 points
+        seen = []
         original = oracle.build_dirac_operator
 
         def recorded(m, grid, params):
-            built.append((grid.rho_max, grid.num_points))
+            seen.append((grid.rho_max, grid.num_points))
             return original(m, grid, params)
 
         monkeypatch.setattr(oracle, "build_dirac_operator", recorded)
@@ -593,15 +601,16 @@ class TestExtrapolatedLevels:
         grid = default_grid(p, 12.0, points)
         result = extrapolated_levels(1, grid, p, 4)
         assert result.points == expected
-        assert built == [(grid.rho_max, n) for n in expected]
+        assert seen == [(grid.rho_max, n) for n in built]
 
     def test_reads_only_the_two_grids_levels(self, monkeypatch):
-        # k = (4 k_fine - k_coarse) / 3 and correction |k - k_fine| / k_fine
-        fake = {513: [4.0, 8.5], 1025: [4.0, 8.125]}
+        # k = (4 k_fine - k_coarse) / 3 and correction |k - k_fine| / k_fine;
+        # the head grids' levels only steer the solves
+        fake = {65: [5.0, 11.0], 129: [4.25, 9.0], 513: [4.0, 8.5], 1025: [4.0, 8.125]}
         monkeypatch.setattr(
             oracle,
             "smallest_eigenvalues",
-            lambda op, count, starts=(): fake[op.dimension + 2],
+            lambda op, count, starts=(): fake[op.dimension + 2][:count],
         )
         levels, correction, _ = extrapolated_levels(
             0, RadialGrid(12.0, 4097), natural_params(), 2
@@ -615,7 +624,9 @@ class TestExtrapolatedLevels:
     )
     def test_a_level_at_or_below_zero_is_refused(self, fake, monkeypatch):
         # B B^T is positive definite, so such a level is rounding, and the
-        # correction divides by k_fine; the last extrapolates to -4
+        # correction divides by k_fine; the last extrapolates to -4.  The
+        # head grids read the true levels, which refuse nothing.
+        fake = {65: [4.0], 129: [4.0], **fake}
         monkeypatch.setattr(
             oracle,
             "smallest_eigenvalues",
@@ -624,29 +635,81 @@ class TestExtrapolatedLevels:
         with pytest.raises(ValueError, match=r"rho_max=12\.0 .* one reads -?\d"):
             extrapolated_levels(0, RadialGrid(12.0, 4097), natural_params(), 1)
 
+    @pytest.mark.parametrize("head", [[-1.0], [0.0], [math.nan]])
+    def test_a_head_level_at_or_below_zero_only_steers(self, head, monkeypatch):
+        fake = {65: head, 129: head, 513: [4.0], 1025: [4.0]}
+        monkeypatch.setattr(
+            oracle,
+            "smallest_eigenvalues",
+            lambda op, count, starts=(): fake[op.dimension + 2],
+        )
+        result = extrapolated_levels(0, RadialGrid(12.0, 4097), natural_params(), 1)
+        assert result.levels == [4.0]
+
     @pytest.mark.parametrize("rho_max, shown", [(1e4, "10000.0"), (1e5, "100000.0"), (1e60, "1e+60")])
     def test_levels_that_rounding_swamps_are_refused(self, rho_max, shown):
         # 1025 points over 1e5 b read a first level of -65.9, and over 1e60 b -1.1e108
         with pytest.raises(ValueError, match=rf"rho_max={re.escape(shown)} .* swamps"):
             extrapolated_levels(0, RadialGrid(rho_max, 4097), natural_params(), 1)
 
-    def test_the_fine_solve_starts_from_the_coarse_levels(self, monkeypatch):
-        # the coarse solve gets no starts and the fine one exactly the coarse
-        # levels, which leave its floats those of a solve without them
-        calls = []
+    @staticmethod
+    def _solves(monkeypatch, points, count):
+        calls = []  # (operator, starts, levels) per solve
         original = oracle.smallest_eigenvalues
 
-        def recorded(op, count, **kwargs):
-            levels = original(op, count, **kwargs)
-            calls.append((op, kwargs, levels))
-            return levels
+        def recorded(op, levels, starts=()):
+            found = original(op, levels, starts=starts)
+            calls.append((op, list(starts), found))
+            return found
 
         monkeypatch.setattr(oracle, "smallest_eigenvalues", recorded)
-        extrapolated_levels(3, RadialGrid(12.0, 4097), natural_params(), 6)
+        extrapolated_levels(3, RadialGrid(12.0, points), natural_params(), count)
+        return calls, original
+
+    def test_the_fine_solve_starts_from_the_coarse_levels(self, monkeypatch):
+        # the 129-point solve starts from the 65-point levels a, the coarse
+        # solve from L + (b - L)(128/K)^2 with L = (4b - a)/3, and the fine
+        # one from L' + (c - L')/4 with L' = (q c - b)/(q - 1), q = (K/128)^2;
+        # the starts leave every float that of a solve without them
+        calls, original = self._solves(monkeypatch, 4097, 6)
+        (_, s1, a), (_, s2, b), (_, s3, c), (_, s4, _) = calls
+        assert [op.dimension for op, _, _ in calls] == [63, 127, 511, 1023]
+        assert (s1, s2) == ([], a) and len(a) == len(b) == 3
+        limit = [(4.0 * y - x) / 3.0 for x, y in zip(a, b)]
+        assert s3 == [L + (y - L) * (128 / 512) ** 2 for L, y in zip(limit, b)]
+        limit = [(16.0 * z - y) / 15.0 for z, y in zip(c, b)]
+        assert s4 == [L + (z - L) / 4.0 for L, z in zip(limit, c)]
+        for op, _, found in calls:
+            assert found == original(op, len(found))
+
+    def test_a_coarse_grid_of_128_intervals_is_solved_without_starts(self, monkeypatch):
+        calls, original = self._solves(monkeypatch, 1025, 6)
         (coarse, none, k_coarse), (fine, starts, k_fine) = calls
-        assert (coarse.dimension, fine.dimension) == (511, 1023)
-        assert none == {} and starts == {"starts": k_coarse}
+        assert (coarse.dimension, fine.dimension) == (127, 255)
+        assert none == [] and starts == k_coarse
         assert k_fine == original(fine, 6)
+
+    # a quarter of the profile's examples: each one solves up to six grids
+    @settings(max_examples=settings.default.max_examples // 4, deadline=None, derandomize=True)
+    @given(
+        points=st.integers(256, 4096).map(lambda k: 2 * k + 1),
+        m=st.integers(0, 60),
+        rho_max=st.floats(4.0, 24.0),
+        data=st.data(),
+    )
+    def test_same_floats_as_two_solves_without_starts(self, points, m, rho_max, data):
+        # the start cascade steers only the path: the levels are those of
+        # coarse and fine solves without starts, extrapolated, bit for bit
+        p = natural_params()
+        grid = RadialGrid(rho_max, points)
+        intervals = 2 * ((points - 1) // 16)
+        count = data.draw(st.integers(1, min(25, intervals - 1)), label="count")
+        coarse, fine = (
+            smallest_eigenvalues(build_dirac_operator(m, RadialGrid(rho_max, n), p), count)
+            for n in (intervals + 1, 2 * intervals + 1)
+        )
+        result = extrapolated_levels(m, grid, p, count)
+        assert result.levels == [(4.0 * y - x) / 3.0 for x, y in zip(coarse, fine)]
 
     def test_too_coarse_a_grid_is_refused(self):
         p = natural_params()
