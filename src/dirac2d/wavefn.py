@@ -27,10 +27,10 @@ tests compare the two conventions without privileging either.
 Every Kummer term is a row M(a, b, z) on a grid's z.  A ``RadialFunction``
 reads its rows from a private table keyed by (a, b), which sums a missing
 row once with ``kummer_m`` and keeps it; a derived lower component reads
-its psi1's table, and the states of ``_psi1_family`` one that its
-recurrence pass fills.  The table forms exp(-z/2), and per power mu
-z**(mu/2) and the derivative terms, once on its own z; its interior
-samples share one set, formed on z[1:-1].
+its psi1's table, and each state of ``_psi1_family`` a table of the rows
+it reads, filled by one recurrence pass.  The table forms exp(-z/2), and
+per power mu z**(mu/2) and the derivative terms, once on its own z; its
+interior samples share one set, formed on z[1:-1].
 """
 
 from __future__ import annotations
@@ -120,8 +120,8 @@ class _Rows(dict):
     formed on this z when first read, and the factors its interior tables share.
     """
 
-    def __init__(self, z, factors=None):
-        super().__init__()
+    def __init__(self, z, factors=None, rows=()):
+        super().__init__(rows)
         self.z, self._factors = z, {} if factors is None else factors
 
     def __missing__(self, key):
@@ -213,7 +213,8 @@ class RadialFunction:
     It reads its Kummer terms M(a+k, b+k) from a row table on the grid's
     read-only z: ``values`` reads k = 0 and ``interior`` k <= order.  The
     table sums a row when it is first read, for this function or any that
-    shares the table (see ``derive_lower_component`` and ``_psi1_family``).
+    shares the table (see ``derive_lower_component``), unless it holds it
+    (see ``_psi1_family``).
     ``interior`` keeps the samples it forms, so both residuals of a state
     read one set.
     ``normalize`` returns the function's normalization constant.
@@ -316,28 +317,23 @@ def radial_psi1(
 def _psi1_family(m: int, n_max: int, grid: RadialGrid, params: PhysicalParams):
     """Yield ``radial_psi1`` of the states n = 0 .. n_max at angular index m.
 
-    The states share one row table, and none sums a row of its own: state
-    n reads M(-(n+1-k), m+1+k), k <= 2, the rows of degrees n+1, n and n-1
-    of one degree recurrence over the column b = (m+1, m+2, m+3).  That
-    pass, n_max + 1 steps, puts each degree's three rows in, and the table
-    drops the degrees below the three the current state reads, so it holds
-    at most nine rows.  Each element of a row is the same steps as
-    ``kummer_m`` of its degree and b, so each function equals its own
-    ``radial_psi1`` bit for bit.  Read each state before drawing the next:
-    a state first read later finds its rows dropped and sums each again
-    with a full ``kummer_m``, which gives the same floats at several times
-    the cost.
+    No state sums a row of its own: state n reads M(-(n+1-k), m+1+k), k <= 2,
+    the rows of degrees n+1, n and n-1 of one degree recurrence over the
+    column b = (m+1, m+2, m+3), n_max + 1 steps.  Each state's table holds
+    exactly those rows, and all share one z and one set of factors.  Each
+    element of a row is the same steps as ``kummer_m`` of its degree and b,
+    so each function equals its own ``radial_psi1`` bit for bit.
     """
     z = to_dimensionless_z(grid.samples, params)
     z.setflags(write=False)
-    rows, stream = _Rows(z), _degree_rows(m + np.array([[1.0], [2.0], [3.0]]), z)
+    factors, held, stream = {}, {}, _degree_rows(m + np.array([[1.0], [2.0], [3.0]]), z)
     for d, stacked in zip(range(n_max + 2), stream):
-        rows.update(((-float(d), m + 1.0 + i), row) for i, row in enumerate(stacked))
-        for key in [key for key in rows if -key[0] < d - 2]:
-            del rows[key]
+        held = {key: row for key, row in held.items() if -key[0] > d - 3}
+        held.update(((-float(d), m + 1.0 + i), row) for i, row in enumerate(stacked))
         if d:  # state d - 1 reads degrees d - 2 .. d
             profile = psi1_profile(QuantumNumbers(d - 1, m))
-            yield RadialFunction(grid, profile, params, _rows=rows)
+            own = {key: held[key] for key in profile._keys(2) if key in held}
+            yield RadialFunction(grid, profile, params, _rows=_Rows(z, factors, own))
 
 
 def radial_psi2(

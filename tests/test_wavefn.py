@@ -440,16 +440,34 @@ class TestPsi1Family:
             assert [x.tobytes() for x in got] == [y.tobytes() for y in want], n
 
     @pytest.mark.parametrize("m", [0, 3])
-    def test_table_holds_at_most_nine_rows(self, m):
-        # at each yield, after verify's reads, the shared table holds the
-        # degrees n-1 .. n+1 at b = m+1 .. m+3 and nothing else
+    def test_each_table_holds_exactly_its_own_rows(self, m):
+        # state n holds M(-(n+1)+k, m+1+k) for k <= 2 of nonzero weight
+        # (k <= 1 at n = 0) when drawn, and verify's reads add none
         p = natural_params()
         for n, rf in enumerate(wavefn._psi1_family(m, 20, default_grid(p, num_points=257), p)):
+            own = [(-(n + 1.0) + k, m + 1.0 + k) for k in range(3 if n else 2)]
+            assert list(rf._rows) == own, n
             rf.interior(2)
             derive_lower_component(rf, energy(QuantumNumbers(n, m), p).E).interior(1)
-            held = {(-round(a), round(b) - m) for a, b in rf._rows}
-            assert len(rf._rows) == len(held) <= 9
-            assert held <= set(itertools.product(range(n - 1, n + 2), (1, 2, 3))), n
+            assert list(rf._rows) == own, n
+
+    @pytest.mark.parametrize("m", [0, 3])
+    def test_held_states_read_late_sum_no_row(self, m, monkeypatch):
+        # states read after the pass has moved on, as a list holds them,
+        # give the floats of states read as they are drawn
+        p = natural_params()
+        grid = default_grid(p, num_points=257)
+
+        def floats(n, rf):
+            lower = derive_lower_component(rf, energy(QuantumNumbers(n, m), p).E)
+            return [x.tobytes() for x in (rf.values, *rf.interior(2)[1], *lower.interior(1)[1])]
+
+        streamed = [floats(n, rf) for n, rf in enumerate(wavefn._psi1_family(m, 20, grid, p))]
+        kummer_m, calls = wavefn.kummer_m, []
+        monkeypatch.setattr(wavefn, "kummer_m", lambda *a: calls.append(a) or kummer_m(*a))
+        held = list(wavefn._psi1_family(m, 20, grid, p))
+        assert [floats(n, rf) for n, rf in enumerate(held)] == streamed
+        assert calls == []
 
     @pytest.mark.parametrize("m", [0, 3])
     def test_held_rows_are_kummer_m_rows_bit_for_bit(self, m):
