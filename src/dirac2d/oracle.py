@@ -267,9 +267,12 @@ def smallest_eigenvalues(op: TridiagonalOperator, count: int, *, starts=()) -> l
     far inside an absolute 1e-10 times the Gershgorin radius, so the
     discretization error, not the eigensolver, limits any comparison.  A
     level that never meets phase 2 (an exactly repeated eigenvalue, or one
-    at zero) is bisected throughout.  An operator whose squared
-    off-diagonal, or 4 times the larger end of its Gershgorin interval,
-    leaves float64 is refused, so that no shift, midpoint or pivot overflows.
+    at zero) is bisected throughout.  The solve runs on 2**-e times the
+    operator, where 2**-e brings its largest entry into [1/2, 1), so no
+    shift, midpoint, pivot or pivot floor leaves float64.  The division is
+    exact wherever no entry falls below float64's normal range, so the
+    levels of 2**k times an operator are 2**k times its levels.  A level
+    that leaves float64 when multiplied back by 2**e is refused.
     """
     if not isinstance(count, (int, np.integer)) or count < 1:
         raise ValueError(f"count must be a positive integer, got {count!r}")
@@ -277,18 +280,20 @@ def smallest_eigenvalues(op: TridiagonalOperator, count: int, *, starts=()) -> l
         raise ValueError(
             f"count={count} exceeds the operator dimension {op.dimension}"
         )
-    starts = [float(s) for s in starts]
-    diag = op.diagonal.tolist()
-    off = op.off_diagonal
-    with np.errstate(over="ignore"):  # refused below
-        off_sq = [0.0] + (off * off).tolist()
-        radius = np.concatenate([np.abs(off), [0.0]]) + np.concatenate([[0.0], np.abs(off)])
-        lower = float(np.min(op.diagonal - radius))
-        upper = float(np.max(op.diagonal + radius))
+    # solve 2**-e times the operator, whose largest entry is in [1/2, 1)
+    largest = max(np.max(np.abs(op.diagonal)), np.max(np.abs(op.off_diagonal), initial=0.0))
+    e = math.frexp(largest)[1]
+    with np.errstate(over="ignore"):  # a start past float64 steers nowhere
+        starts = np.ldexp(np.fromiter(starts, float), -e).tolist()
+    diagonal, off = np.ldexp(op.diagonal, -e), np.ldexp(op.off_diagonal, -e)
+    diag = diagonal.tolist()
+    off_sq = [0.0] + (off * off).tolist()
+    radius = np.concatenate([np.abs(off), [0.0]]) + np.concatenate([[0.0], np.abs(off)])
+    lower = float(np.min(diagonal - radius))
+    upper = float(np.max(diagonal + radius))
     bound = max(abs(lower), abs(upper))
-    if not math.isfinite(4.0 * bound + max(off_sq)):
-        raise ValueError(f"operator entries leave float64 (Gershgorin bound {bound!r})")
-    margin = 1e-12 * max(bound, 1.0)
+    # the unscaled solve's margin 1e-12 max(bound, 1), times 2**-e (capped where that overflows)
+    margin = 1e-12 * max(bound, math.ldexp(1.0, min(-e, 1023)))
     lower -= margin
     upper += margin
     pivmin = max(np.finfo(float).tiny, 1e-20 * max(off_sq[1:], default=1.0))
@@ -312,7 +317,7 @@ def smallest_eigenvalues(op: TridiagonalOperator, count: int, *, starts=()) -> l
     def count_at(sigma):
         # The pivots read sigma only through the rounded d_j - sigma, so a
         # shift that rounds the diagonal as a bracket end did takes its count.
-        cell = (op.diagonal - sigma).tobytes()
+        cell = (diagonal - sigma).tobytes()
         below = next((n for end, n in ends if end == cell), None)
         if below is None:
             below = _negative_pivot_count(diag, off_sq, sigma, pivmin)
@@ -344,7 +349,7 @@ def smallest_eigenvalues(op: TridiagonalOperator, count: int, *, starts=()) -> l
             return math.nan
         for step in range(_NEWTON_MAX_STEPS):
             below, ratio = _newton_pass(diag, off_sq, sigma, pivmin)
-            record(sigma, below, (op.diagonal - sigma).tobytes())
+            record(sigma, below, (diagonal - sigma).tobytes())
             if predicted and step == 0 and below not in (i, i + 1):
                 return math.nan
             finite = ratio != 0.0 and math.isfinite(ratio)
@@ -372,7 +377,7 @@ def smallest_eigenvalues(op: TridiagonalOperator, count: int, *, starts=()) -> l
             # Gallop from the rounding cell of the shifted diagonal, the
             # spacing of its smallest magnitude: a shorter step seldom
             # rounds it otherwise, and would repeat a count.
-            spacing = np.spacing(np.min(np.abs(op.diagonal - sigma)))
+            spacing = np.spacing(np.min(np.abs(diagonal - sigma)))
             delta = max(0.5 * float(spacing), math.ulp(sigma))
             while lo[i] < sigma - delta or hi[i] > sigma + delta:
                 if lo[i] < sigma - delta:
@@ -383,7 +388,11 @@ def smallest_eigenvalues(op: TridiagonalOperator, count: int, *, starts=()) -> l
         while bisect(i):
             pass
         eigenvalues.append(0.5 * (lo[i] + hi[i]))
-    return eigenvalues
+    try:
+        return [math.ldexp(level, e) for level in eigenvalues]
+    except OverflowError:
+        top = max(eigenvalues, key=abs)
+        raise ValueError(f"the operator's level {top!r} * 2**{e} leaves float64") from None
 
 
 # Levels extrapolated to zero spacing, the largest relative correction

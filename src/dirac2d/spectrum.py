@@ -102,7 +102,7 @@ def quantization_residual(E_trial: float, m: int, params: PhysicalParams) -> flo
     Zero at the threshold E_trial = m0 c^2, strictly decreasing in E_trial,
     and equal to -(n+1) exactly at the n-th eigenvalue.  A bisection on this
     residual against a target -(n+1) therefore recovers the spectrum without
-    using the closed form.
+    using the closed form.  A residual that leaves float64 is refused.
     """
     _require_count("m", m)
     rest = params.rest_energy
@@ -112,7 +112,10 @@ def quantization_residual(E_trial: float, m: int, params: PhysicalParams) -> flo
         )
     kinetic = (E_trial - rest) * (E_trial + rest) / (rest * params.energy_quantum)
     k1 = 2.0 * (m + 1) + kinetic
-    return 0.5 * (m + 1 - 0.5 * k1)
+    residual = 0.5 * (m + 1 - 0.5 * k1)
+    if not math.isfinite(residual):
+        raise ValueError(f"the quantization residual at E_trial={E_trial!r} leaves float64")
+    return residual
 
 
 @dataclass(frozen=True)

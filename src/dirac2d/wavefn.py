@@ -29,8 +29,8 @@ reads its rows from a private table keyed by (a, b), which sums a missing
 row once with ``kummer_m`` and keeps it; a derived lower component reads
 its psi1's table, and each state of ``_psi1_family`` a table of the rows
 it reads, filled by one recurrence pass.  The table forms exp(-z/2), and
-per power mu z**(mu/2) and the derivative terms, once on its own z; its
-interior samples share one set, formed on z[1:-1].
+per power mu z**(mu/2) and the derivative terms, once on its own z, where
+a function samples its profile once: its interior samples are slices.
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ class _Rows(dict):
     """Rows M(a, b, z) on one z, keyed by (a, b); a missing row is summed and kept.
 
     ``once`` keeps what depends on z alone: the profiles' factors, each
-    formed on this z when first read, and the factors its interior tables share.
+    formed on this z when first read.
     """
 
     def __init__(self, z, factors=None, rows=()):
@@ -210,13 +210,12 @@ class RadialFunction:
     ``values`` is not an input: it is the profile evaluated at every grid
     sample when first read, read-only, so the samples and the profile
     cannot disagree, and a function whose values no one reads samples none.
-    It reads its Kummer terms M(a+k, b+k) from a row table on the grid's
-    read-only z: ``values`` reads k = 0 and ``interior`` k <= order.  The
-    table sums a row when it is first read, for this function or any that
-    shares the table (see ``derive_lower_component``), unless it holds it
-    (see ``_psi1_family``).
-    ``interior`` keeps the samples it forms, so both residuals of a state
-    read one set.
+    It keeps one read-only tuple [f, ..., f^(k)] on the grid, at the highest
+    order k read so far: ``values`` is its f, and ``interior`` its slices
+    [1:-1], which are the floats formed at the interior z.  Its terms
+    M(a+k, b+k) come from a row table on the grid's read-only z, which sums
+    a row when first read, for this function or any that shares the table
+    (see ``derive_lower_component``), unless it holds it (see ``_psi1_family``).
     ``normalize`` returns the function's normalization constant.
     ``angular_index`` is the e^{i k phi} factor the full 2-d function
     carries: regularity at the origin ties it to the power z**(mu/2), so it
@@ -226,7 +225,7 @@ class RadialFunction:
     grid: RadialGrid
     profile: KummerProfile
     params: PhysicalParams
-    _interior: tuple = field(init=False, repr=False, default=())
+    _samples: tuple = field(init=False, repr=False, default=())
     _rows: _Rows = field(default=None, repr=False, kw_only=True)  # a shared table
 
     def __post_init__(self):
@@ -235,12 +234,26 @@ class RadialFunction:
             z.setflags(write=False)
             object.__setattr__(self, "_rows", _Rows(z))
 
+    def _grid_samples(self, order: int) -> tuple:
+        """[f, ..., f^(order)] on the grid, order <= 2, read-only, kept at the highest
+        order formed; order 0 goes through ``value_z``, which perfbench's tracer counts."""
+        if order not in (0, 1, 2):
+            raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
+        if len(self._samples) <= order:
+            rows, profile = self._rows, self.profile
+            # for mu > 0, f' and f'' read inf or nan at z = 0, where no one reads them
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out = profile.derivatives(rows, order) if order else [profile.value_z(rows)]
+            for samples in out:
+                samples.setflags(write=False)
+            object.__setattr__(self, "_samples", tuple(out))
+        return self._samples[: order + 1]
+
     @cached_property
     def values(self) -> np.ndarray:
-        values = self.profile.value_z(self._rows)
+        (values,) = self._grid_samples(0)
         if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite at every sample")
-        values.setflags(write=False)
         return values
 
     @property
@@ -248,23 +261,8 @@ class RadialFunction:
         return self.profile.mu
 
     def interior(self, order: int):
-        """rho and [f, ..., f^(order)] at grid.samples[1:-1], order <= 2, read-only.
-
-        Reads the grid rows from the table, then slices them: the rows are
-        elementwise in z, so no float moves.  The highest order formed is
-        kept, and a lower one reads its head: f and f' do not depend on it.
-        """
-        if order not in (0, 1, 2):
-            raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
-        if len(self._interior) <= order:
-            rows = self._rows
-            inner = _Rows(rows.z[1:-1], rows.once("interior", dict))  # one set of factors
-            inner.update((key, rows[key][1:-1]) for key in self.profile._keys(order))
-            out = self.profile.derivatives(inner, order)
-            for samples in out:
-                samples.setflags(write=False)
-            object.__setattr__(self, "_interior", tuple(out))
-        return self.grid.samples[1:-1], self._interior[: order + 1]
+        """rho and [f, ..., f^(order)] at grid.samples[1:-1], order <= 2, read-only."""
+        return self.grid.samples[1:-1], tuple(f[1:-1] for f in self._grid_samples(order))
 
 
 @dataclass(frozen=True)
@@ -293,10 +291,17 @@ def closed_form_norm_constant(qn: QuantumNumbers, params: PhysicalParams) -> flo
     With M(-(n+1), m+1, z) = L_{n+1}^{(m)}(z) / binom(n+m+1, n+1) and
     integral exp(-z) z^m [L_k^{(m)}]^2 dz = (k+m)!/k!, the squared norm
     collapses to pi b^2 (n+1)! (m!)^2 / (n+m+1)! = pi b^2 m! / binom(n+m+1, m),
-    that exact ratio rounded once.  Outside float64's normal range it is refused.
+    that exact ratio rounded once.  Outside float64's normal range it is refused:
+    before any factorial is formed, where its log-gamma estimate is beyond 2**+-1100.
     """
     b = params.oscillator_length
     n, m = qn.n, qn.m
+    try:
+        log_ratio = 2.0 * math.lgamma(m + 1) + math.lgamma(n + 2) - math.lgamma(n + m + 2)
+    except OverflowError:  # past 1e305 the exact ratio decides
+        log_ratio = 0.0
+    if abs(log_ratio) > 1100.0 * math.log(2.0):
+        raise ValueError(f"the norm constant at n={n}, m={m} leaves float64")
     try:
         ratio = math.factorial(m) / math.comb(n + m + 1, m)
     except OverflowError:
@@ -470,8 +475,10 @@ def spinor_sample(
 
 
 def sign_changes(values) -> int:
-    """Strict sign changes in a sample sequence, ignoring near-zero samples."""
+    """Strict sign changes in a sequence of finite samples, ignoring near-zero ones."""
     v = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise ValueError("sign changes need finite samples")
     scale = float(np.max(np.abs(v))) if v.size else 0.0
     if scale == 0.0:
         return 0

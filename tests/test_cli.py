@@ -444,14 +444,17 @@ class TestZBudget:
 class TestFactorBudget:
     """The factors of z formed per ``verify``, counted through ``wavefn.np``.
 
-    The psi1 family reads two tables: the grid's, for each state's values,
-    and its interior one, for both residuals.  Each table forms exp(-z/2)
-    once and z**(mu/2) once per mu: mu = m for psi1, and mu = m + 1 on the
-    interior alone, since the coupled residual reads only the derived lower
-    component's interior.  Each of four evaluations per state formed them
-    afresh before, the lower component's values on all 4097 points among
-    them: 84 exps and 84 powers at n_max 20.  The counts do not depend on
-    the machine.
+    The psi1 family reads one table, on the grid's z, and each function
+    samples its profile there once, at the highest order read: psi1 at
+    order 2 for both residuals, and its derived lower component at order 1
+    for the coupled residual.  The interior samples are slices of those.
+    The table forms exp(-z/2) once and z**(mu/2) once per mu: mu = m for
+    psi1 and m + 1 for the lower component.  An interior table of its own
+    formed exp(-z/2) and both powers again, on z[1:-1], and psi1 was
+    sampled a second time for its values: 5 factor arrays and 3
+    evaluations per state.  Each of four evaluations per state formed them
+    afresh before that: 84 exps and 84 powers at n_max 20.  The counts do
+    not depend on the machine.
     """
 
     @pytest.mark.parametrize("m, n_max", [(0, 5), (3, 20)])
@@ -473,7 +476,7 @@ class TestFactorBudget:
         derivatives = wavefn.KummerProfile.derivatives
 
         def counted(profile, z, order=2):
-            sampled.append((profile.mu, np.shape(getattr(z, "z", z))))
+            sampled.append((profile.mu, np.shape(getattr(z, "z", z)), order))
             return derivatives(profile, z, order)
 
         monkeypatch.setattr(wavefn, "np", CountedNumpy())
@@ -482,16 +485,14 @@ class TestFactorBudget:
         assert sorted(formed, key=repr) == sorted(
             [
                 ("exp", (4097,)),
-                ("exp", (4095,)),
                 ("power", (4097,), 0.5 * m),
-                ("power", (4095,), 0.5 * m),
-                ("power", (4095,), 0.5 * (m + 1)),
+                ("power", (4097,), 0.5 * (m + 1)),
             ],
             key=repr,
         )
-        # per state psi1's values and interior(2), and the lower component's interior(1)
-        assert len(sampled) == 3 * (n_max + 1)
-        assert (m + 1, (4097,)) not in sampled  # the lower component is never sampled on the grid
+        # per state psi1 at order 2, and the lower component at order 1
+        want = [(m, (4097,), 2), (m + 1, (4097,), 1)] * (n_max + 1)
+        assert sampled == want
 
 
 class TestSolverRows:

@@ -1,13 +1,14 @@
 import itertools
 import math
 import re
+import sys
 import warnings
 from fractions import Fraction
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -59,15 +60,19 @@ def plain_bisection(op, count):
     This is the eigensolver the package shipped before bracket sharing and
     Newton steps; the current solver must return the same floats.  Each
     halving halves the bracket, so 2200 of them take any two finite floats
-    to adjacent ones, down to the subnormals around a zero eigenvalue.
+    to adjacent ones, down to the subnormals around a zero eigenvalue.  Like
+    the solver, it bisects 2**-e times the operator, with its largest entry
+    in [1/2, 1), from the margin 1e-12 max(bound, 1) of the unscaled one.
     """
-    diag = op.diagonal.tolist()
-    off = op.off_diagonal
+    largest = max(np.max(np.abs(op.diagonal)), np.max(np.abs(op.off_diagonal), initial=0.0))
+    e = math.frexp(largest)[1]
+    diagonal, off = np.ldexp(op.diagonal, -e), np.ldexp(op.off_diagonal, -e)
+    diag = diagonal.tolist()
     off_sq = [0.0] + (off * off).tolist()
     radius = np.concatenate([np.abs(off), [0.0]]) + np.concatenate([[0.0], np.abs(off)])
-    lower = float(np.min(op.diagonal - radius))
-    upper = float(np.max(op.diagonal + radius))
-    margin = 1e-12 * max(abs(lower), abs(upper), 1.0)
+    lower = float(np.min(diagonal - radius))
+    upper = float(np.max(diagonal + radius))
+    margin = 1e-12 * max(abs(lower), abs(upper), math.ldexp(1.0, min(-e, 1023)))
     lower -= margin
     upper += margin
     pivmin = max(np.finfo(float).tiny, 1e-20 * max(off_sq[1:], default=1.0))
@@ -95,7 +100,7 @@ def plain_bisection(op, count):
                 hi = mid
             else:
                 lo = mid
-        eigenvalues.append(0.5 * (lo + hi))
+        eigenvalues.append(math.ldexp(0.5 * (lo + hi), e))
         lo_start = lo
     return eigenvalues
 
@@ -349,7 +354,8 @@ class TestSmallestEigenvalues:
         # binades, these rows round d - sigma in rounding cells of different
         # widths, so a shift can change some rows and keep others; in the
         # example the pivot floor is the smallest normal float, and the
-        # level at 0 reads -2.2e-308 after about 1075 halvings
+        # level at 0 reads -2.2e-308 after about 1075 halvings, on the
+        # operator halved: -4.5e-308
         op, count = case
         assert smallest_eigenvalues(op, count) == plain_bisection(op, count)
 
@@ -379,10 +385,9 @@ class TestSmallestEigenvalues:
     def test_huge_random_tridiagonals_are_refused_or_give_the_floats_of_plain_bisection(
         self,
     ):
-        # entries of modulus in [2**1000, 2**1024): an operator whose squared
-        # off-diagonal or 4 times its Gershgorin bound leaves float64 is
-        # refused, and any other (split, with its diagonal below 2**1022)
-        # gives plain bisection's floats; no warning either way
+        # entries of modulus in [2**1000, 2**1024): an operator with a level
+        # past float64 is refused, and any other gives plain bisection's
+        # floats; no warning either way
         outcomes = set()
 
         @settings(deadline=None, derandomize=True)  # examples from the profile
@@ -403,22 +408,68 @@ class TestSmallestEigenvalues:
         check()
         assert outcomes == {"refused", "solved"}
 
-    @pytest.mark.parametrize(
-        "diagonal, off_diagonal",
-        [
-            ([1e308, -1e308], [0.0]),  # returned [-inf, inf]
-            ([1.7e308], []),  # returned inf
-            ([1e308, 1e308], [0.0]),  # returned inf
-            ([1e308, 1e308], [1e308]),  # warned of an overflow
-            ([1.0, 2.0], [1e200]),  # warned of an overflow
-        ],
-    )
-    def test_refuses_an_operator_past_float64(self, diagonal, off_diagonal):
-        op = self._operator(diagonal, off_diagonal)
+    def test_refuses_an_operator_past_float64(self):
+        # its levels are 0 and 2e308; it warned of an overflow once
+        op = self._operator([1e308, 1e308], [1e308])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="float64"):
-                smallest_eigenvalues(op, len(diagonal))
+                smallest_eigenvalues(op, 2)
+
+    @pytest.mark.parametrize(
+        "diagonal, off_diagonal, expected",
+        [
+            ([1e308, -1e308], [0.0], [-1e308, 1e308]),  # returned [-inf, inf] once
+            ([1.7e308], [], [1.7e308]),  # returned inf once
+            ([1e308, 1e308], [0.0], [1e308, 1e308]),  # returned inf once
+            ([1.0, 2.0], [1e200], [-1e200, 1e200]),  # warned of an overflow once
+        ],
+    )
+    def test_operators_at_the_edge_of_float64_give_their_levels(
+        self, diagonal, off_diagonal, expected
+    ):
+        # the solve runs on the operator divided by a power of two, so no
+        # shift or squared entry overflows, and these were refused before
+        op = self._operator(diagonal, off_diagonal)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            found = smallest_eigenvalues(op, len(diagonal))
+        assert found == expected == plain_bisection(op, len(diagonal))
+
+    @pytest.mark.parametrize("k", [-1000, -530, 60, 1000])
+    def test_power_of_two_scaled_operators_give_scaled_levels(self, k):
+        # the squared pivot floor 1e-20 max(off**2) underflowed below about
+        # 1e-154 and took over the counts above about 1e150: from k >= 50 or
+        # k <= -530 the levels did not scale, and 1e150 [[1, 1], [1, 1]]
+        # read [-2e138, -2e138] against [0, 2e150]
+        rng = np.random.default_rng(3)
+        ops = [
+            build_dirac_operator(3, RadialGrid(12.0, 129), natural_params()),
+            self._operator(rng.normal(size=40), rng.normal(size=39)),
+            self._operator([1.0, 1.0], [1.0]),
+        ]
+        for op in ops:
+            count = min(op.dimension, 12)
+            plain = smallest_eigenvalues(op, count)
+            scaled = self._operator(np.ldexp(op.diagonal, k), np.ldexp(op.off_diagonal, k))
+            assert smallest_eigenvalues(scaled, count) == [math.ldexp(x, k) for x in plain]
+            dense = np.diag(op.diagonal) + np.diag(op.off_diagonal, 1) + np.diag(op.off_diagonal, -1)
+            bound = float(np.max(np.abs(np.linalg.eigvalsh(dense))))
+            assert_allclose(plain, np.linalg.eigvalsh(dense)[:count], rtol=0, atol=1e-13 * bound)
+
+    @settings(deadline=None, derandomize=True)  # examples from the profile
+    @given(case=_tridiagonals(), k=st.integers(-1000, 1000))
+    def test_power_of_two_scaled_random_tridiagonals_give_scaled_levels(self, case, k):
+        # entries of modulus in [2**-6, 2**6) stay normal times 2**k; a level
+        # that is subnormal at either scale is rounded there, and is skipped,
+        # and 2**k times the zero operator is itself
+        op, count = case
+        assume(np.any(op.diagonal) or np.any(op.off_diagonal))
+        scaled = self._operator(np.ldexp(op.diagonal, k), np.ldexp(op.off_diagonal, k))
+        plain, found = smallest_eigenvalues(op, count), smallest_eigenvalues(scaled, count)
+        for x, y in zip(plain, found):
+            if min(abs(x), abs(math.ldexp(x, k))) >= sys.float_info.min or x == 0.0:
+                assert y == math.ldexp(x, k)
 
     @pytest.mark.parametrize(
         "diagonal, off_diagonal, expected",

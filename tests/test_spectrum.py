@@ -140,6 +140,12 @@ class TestQuantizationResidual:
         with pytest.raises(ValueError):
             quantization_residual(2.0, -1, natural_params())
 
+    @pytest.mark.parametrize("E_trial", [1e155, 1e308])
+    def test_refuses_a_residual_past_float64(self, E_trial):
+        # E**2 overflows: 1e308 returned -inf
+        with pytest.raises(ValueError, match="leaves float64"):
+            quantization_residual(E_trial, 0, natural_params())
+
     def test_strictly_decreasing(self):
         for p in PARAM_SETS:
             samples = [

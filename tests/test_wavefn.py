@@ -347,8 +347,9 @@ class TestRadialFunction:
 
     @pytest.mark.parametrize("n, m", [(0, 0), (3, 2)])
     def test_lower_orders_read_the_samples_formed_and_are_read_only(self, n, m):
-        # interior keeps the samples of the highest order it formed; f and
-        # f' read from interior(2) are the floats a fresh interior(1) forms
+        # the function keeps the grid samples of the highest order it formed;
+        # f and f' read from interior(2) slice them, and are the floats a
+        # fresh interior(1) forms
         p = natural_params()
         grid = default_grid(p, num_points=1025)
         qn = QuantumNumbers(n, m)
@@ -358,7 +359,7 @@ class TestRadialFunction:
         _, fresh = radial_psi1(qn, grid, p).interior(1)
         assert len(first) == 2
         for got, want, kept in zip(first, fresh, second):
-            assert got is kept
+            assert np.shares_memory(got, kept)
             assert got.tobytes() == want.tobytes()
         for samples in (rho, *second, *fresh):
             assert not samples.flags.writeable
@@ -547,6 +548,26 @@ class TestPsi1Family:
         qn = QuantumNumbers(n, m)
         fresh = [self._read(radial_psi1(qn, grid, p), [read], E)[0] for read in reads]
         assert family[0] == [x for floats in fresh for x in floats]
+
+
+    @IN_BOTH_UNIT_SYSTEMS
+    @settings(deadline=None)
+    @given(n=st.integers(0, 20), m=st.integers(0, 10), half=st.integers(32, 2048))
+    def test_interior_samples_are_the_grid_samples_sliced(self, p, n, m, half):
+        # a family state and its lower component each sample their profile
+        # once on the whole grid, and the interior samples slice that: they
+        # are the floats the profile forms afresh at the interior z, and the
+        # values are those it forms on the grid
+        grid = default_grid(p, num_points=2 * half + 1)
+        z = to_dimensionless_z(grid.samples, p)
+        state = next(itertools.islice(wavefn._psi1_family(m, n, grid, p), n, None))
+        lower = derive_lower_component(state, energy(QuantumNumbers(n, m), p).E)
+        for rf, order in [(state, 2), (lower, 1)]:
+            rho, got = rf.interior(order)
+            assert rho.tobytes() == grid.samples[1:-1].tobytes()
+            want = rf.profile.derivatives(z[1:-1], order)
+            assert [f.tobytes() for f in got] == [f.tobytes() for f in want]
+            assert rf.values.tobytes() == rf.profile.value_z(z).tobytes()
 
 
 class TestRadialPsi2:
@@ -738,6 +759,16 @@ class TestClosedFormNormConstant:
     def test_ratio_outside_float64_is_refused(self, n, m):
         # (0, 400) overflows, (10**7, 100) underflows
         with pytest.raises(ValueError, match=f"n={n}, m={m}"):
+            closed_form_norm_constant(QuantumNumbers(n, m), natural_params())
+
+    @pytest.mark.parametrize("n, m", [(0, 10**6), (10**6, 10**6), (10**7, 2000)])
+    def test_far_outside_float64_is_refused_before_any_factorial(self, n, m, monkeypatch):
+        # (0, 10**6) took 11.9 s to form m! and then refuse it
+        def factorial(k):
+            raise AssertionError(f"{k}! was formed")
+
+        monkeypatch.setattr(math, "factorial", factorial)
+        with pytest.raises(ValueError, match=f"n={n}, m={m} leaves float64"):
             closed_form_norm_constant(QuantumNumbers(n, m), natural_params())
 
 
@@ -1031,6 +1062,15 @@ class TestSignChanges:
     def test_ignores_noise_at_roots(self):
         values = np.array([1.0, 1e-16, -1.0, -0.5, 1e-15, 1.0])
         assert sign_changes(values) == 2
+
+    @pytest.mark.parametrize(
+        "values", [[1.0, math.nan, -1.0], [math.inf, 1.0, -1.0], [1.0, -math.inf]]
+    )
+    def test_refuses_samples_that_are_not_finite(self, values):
+        # the first two counted 0: nan failed every comparison, and inf made
+        # the floor inf, so every finite sample read as noise
+        with pytest.raises(ValueError, match="finite"):
+            sign_changes(values)
 
     def test_z_of_grid_matches_units_helper(self):
         p = PhysicalParams(rest_mass=3.0, omega=0.7)
