@@ -26,9 +26,7 @@ rounds it as a bracket end did takes that end's count without a pass over
 the rows, and a predicted level skips the isolating bisection.  Because
 the convergence is second order, ``extrapolated_levels`` cancels the
 leading error from two coarse grids whose spacings differ by exactly 2,
-and it predicts their first three levels from grids of 65 and 129 points:
-a ``verify`` at n_max 20 makes 114-130 counts and 69-75 Newton passes, a
-third of them on those short grids, and visits 106,569-111,027 rows.
+each solve starting from the levels of the solves before it.
 """
 
 from __future__ import annotations
@@ -58,9 +56,9 @@ __all__ = [
 
 # The smallest grid, in points, that build_dirac_operator discretizes.
 _MIN_POINTS = 64
-# extrapolated_levels seeds a coarse grid of more intervals than this from
-# the head levels of grids of this many intervals and half as many.
-_HEAD_INTERVALS = 128
+# extrapolated_levels first solves up to three levels on these interval
+# counts when its coarse grid has more intervals than the last.
+_HEAD_INTERVALS = (64, 128)
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,14 +341,14 @@ def smallest_eigenvalues(op: TridiagonalOperator, count: int, *, starts=()) -> l
             return starts[i] + (eigenvalues[-1] - starts[i - 1] if i else 0.0)
         return 2.0 * eigenvalues[-1] - eigenvalues[-2] if i == 2 else math.nan
 
-    def newton(i, sigma, predicted) -> float:
+    def newton(i, sigma) -> float:
         # The Newton iterate, or nan for a sigma off the bracket or the level.
         if not lo[i] < sigma < hi[i]:
             return math.nan
         for step in range(_NEWTON_MAX_STEPS):
             below, ratio = _newton_pass(diag, off_sq, sigma, pivmin)
             record(sigma, below, (diagonal - sigma).tobytes())
-            if predicted and step == 0 and below not in (i, i + 1):
+            if step == 0 and below not in (i, i + 1):
                 return math.nan
             finite = ratio != 0.0 and math.isfinite(ratio)
             target = sigma - 1.0 / ratio if finite else math.nan
@@ -367,12 +365,12 @@ def smallest_eigenvalues(op: TridiagonalOperator, count: int, *, starts=()) -> l
         # (bytes of the rounded d - sigma, count) at level i's latest shift
         # below and above its eigenvalue: its bracket ends, once it moved them.
         ends = [(b"", 0), (b"", 0)]
-        sigma = newton(i, prediction(i), predicted=True)
+        sigma = newton(i, prediction(i))
         if math.isnan(sigma):
             while not newton_ready(i) and bisect(i):
                 pass
             if newton_ready(i):
-                sigma = newton(i, 0.5 * (lo[i] + hi[i]), predicted=False)
+                sigma = newton(i, 0.5 * (lo[i] + hi[i]))
         if not math.isnan(sigma):
             # Gallop from the rounding cell of the shifted diagonal, the
             # spacing of its smallest magnitude: a shorter step seldom
@@ -400,6 +398,11 @@ def smallest_eigenvalues(op: TridiagonalOperator, count: int, *, starts=()) -> l
 Extrapolation = namedtuple("Extrapolation", "levels correction points")
 
 
+def _richardson(coarse, fine, ratio):
+    """(ratio y - x) / (ratio - 1) for level pairs whose spacings' squares differ by ratio."""
+    return [(ratio * y - x) / (ratio - 1.0) for x, y in zip(coarse, fine)]
+
+
 def extrapolated_levels(
     m: int, grid: RadialGrid, params: PhysicalParams, count: int
 ) -> Extrapolation:
@@ -414,16 +417,15 @@ def extrapolated_levels(
     grid's discretization error.  Only finite-difference eigenvalues enter,
     never the closed-form ladder.
 
-    The solves take ``starts``, which spare their isolating bisections and
-    Newton passes and move no float.  When K > 128, the first
-    h = min(count, 3) levels are first solved on 64 and 128 intervals over
-    the same extent (65 and 129 points), the second solve starting from the
-    first one's levels a.  Its levels b extrapolate to L = (4b - a)/3, and
-    the coarse solve starts from L + (b - L)(128/K)^2.  With its levels c
-    and q = (K/128)^2, the fine solve starts from L' + (c - L')/4, where
-    L' = (q c - b)/(q - 1).  These levels only steer: none enters the
-    result.  For K <= 128 the coarse solve has no starts and the fine solve
-    starts from the coarse levels.
+    The solves form one chain over the interval counts: for K > 128 the
+    first min(count, 3) levels on 64 and 128 intervals over the same extent
+    (65 and 129 points), then K and 2K.  The first solve has no starts and
+    the second starts from its levels.  Each later solve, of n intervals,
+    starts from the two before it, levels x on n0 intervals and y on n1:
+    from their limit L = (r y - x)/(r - 1), r = (n1/n0)^2, plus y's error
+    scaled to its own spacing, L + (y - L)(n1/n)^2.  Starts spare isolating
+    bisections and Newton passes and move no float: only the last two
+    solves enter the result.
 
     A grid whose coarse partner would fall below the operator's 64 points,
     or hold fewer than ``count`` interior rows, is refused, and so is an
@@ -439,25 +441,19 @@ def extrapolated_levels(
             f"{count} levels of the spectrum: use --grid-points {least} or more"
         )
     points = (intervals + 1, 2 * intervals + 1)
-
-    def solve(n, levels, starts=()):
-        op = build_dirac_operator(m, RadialGrid(grid.rho_max, n), params)
-        return smallest_eigenvalues(op, levels, starts=starts)
-
-    if intervals <= _HEAD_INTERVALS:
-        k_coarse = solve(points[0], count)
-        k_fine = solve(points[1], count, k_coarse)
-    else:
-        head = min(count, 3)  # the solver reads starts for three levels only
-        a = solve(_HEAD_INTERVALS // 2 + 1, head)
-        b = solve(_HEAD_INTERVALS + 1, head, a)
-        limit = [(4.0 * y - x) / 3.0 for x, y in zip(a, b)]
-        ratio = (_HEAD_INTERVALS / intervals) ** 2
-        k_coarse = solve(points[0], count, [L + (y - L) * ratio for L, y in zip(limit, b)])
-        q = (intervals / _HEAD_INTERVALS) ** 2
-        limit = [(q * c - y) / (q - 1.0) for c, y in zip(k_coarse, b)]
-        k_fine = solve(points[1], count, [L + (c - L) / 4.0 for L, c in zip(limit, k_coarse)])
-    levels = [(4.0 * fine - coarse) / 3.0 for coarse, fine in zip(k_coarse, k_fine)]
+    head = min(count, 3)  # the solver reads starts for three levels only
+    chain = [(n, head) for n in _HEAD_INTERVALS if intervals > _HEAD_INTERVALS[-1]]
+    solves = []  # (intervals, levels) per solve, in order
+    for n, levels in chain + [(intervals, count), (2 * intervals, count)]:
+        starts = solves[-1][1] if solves else ()
+        if len(solves) >= 2:
+            (n0, x), (n1, y) = solves[-2:]
+            limit = _richardson(x, y, (n1 / n0) ** 2)
+            starts = [L + (b - L) * (n1 / n) ** 2 for L, b in zip(limit, y)]
+        op = build_dirac_operator(m, RadialGrid(grid.rho_max, n + 1), params)
+        solves.append((n, smallest_eigenvalues(op, levels, starts=starts)))
+    (_, k_coarse), (_, k_fine) = solves[-2:]
+    levels = _richardson(k_coarse, k_fine, 4.0)
     lowest = min(k_coarse + k_fine + levels)
     if lowest <= 0.0:
         raise ValueError(

@@ -717,18 +717,21 @@ class TestExtrapolatedLevels:
         extrapolated_levels(3, RadialGrid(12.0, points), natural_params(), count)
         return calls, original
 
-    def test_the_fine_solve_starts_from_the_coarse_levels(self, monkeypatch):
+    # K = 512 coarse intervals, and K = 132, which is not 128 times a power of two
+    @pytest.mark.parametrize("points, K", [(4097, 512), (1057, 132)])
+    def test_the_fine_solve_starts_from_the_coarse_levels(self, points, K, monkeypatch):
         # the 129-point solve starts from the 65-point levels a, the coarse
         # solve from L + (b - L)(128/K)^2 with L = (4b - a)/3, and the fine
         # one from L' + (c - L')/4 with L' = (q c - b)/(q - 1), q = (K/128)^2;
         # the starts leave every float that of a solve without them
-        calls, original = self._solves(monkeypatch, 4097, 6)
+        calls, original = self._solves(monkeypatch, points, 6)
         (_, s1, a), (_, s2, b), (_, s3, c), (_, s4, _) = calls
-        assert [op.dimension for op, _, _ in calls] == [63, 127, 511, 1023]
+        assert [op.dimension for op, _, _ in calls] == [63, 127, K - 1, 2 * K - 1]
         assert (s1, s2) == ([], a) and len(a) == len(b) == 3
         limit = [(4.0 * y - x) / 3.0 for x, y in zip(a, b)]
-        assert s3 == [L + (y - L) * (128 / 512) ** 2 for L, y in zip(limit, b)]
-        limit = [(16.0 * z - y) / 15.0 for z, y in zip(c, b)]
+        assert s3 == [L + (y - L) * (128 / K) ** 2 for L, y in zip(limit, b)]
+        q = (K / 128) ** 2
+        limit = [(q * z - y) / (q - 1.0) for z, y in zip(c, b)]
         assert s4 == [L + (z - L) / 4.0 for L, z in zip(limit, c)]
         for op, _, found in calls:
             assert found == original(op, len(found))
