@@ -241,8 +241,9 @@ class RadialFunction:
             raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
         if len(self._samples) <= order:
             rows, profile = self._rows, self.profile
-            # for mu > 0, f' and f'' read inf or nan at z = 0, where no one reads them
-            with np.errstate(divide="ignore", invalid="ignore"):
+            # for mu > 0, f' and f'' read inf or nan at z = 0, where no one reads them,
+            # and overflow at a tiny first z > 0, where the residuals refuse them
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 out = profile.derivatives(rows, order) if order else [profile.value_z(rows)]
             for samples in out:
                 samples.setflags(write=False)

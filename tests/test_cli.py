@@ -746,6 +746,20 @@ class TestMainEntry:
         assert line.startswith("error: ") and shown in line
         assert not (tmp_path / "v.csv").exists()
 
+    @pytest.mark.parametrize("rho_max, m", [("2e-74", "1"), ("4e-74", "3")])
+    def test_a_tiny_extent_is_refused_without_a_warning(
+        self, rho_max, m, tmp_path, monkeypatch, capsys
+    ):
+        # f'' overflows at the first interior z, below about 1e-154: the
+        # ODE residual refuses it, with no RuntimeWarning printed first
+        monkeypatch.chdir(tmp_path)
+        argv = ["verify", "--rho-max", rho_max, "--m", m, "--n-max", "0", "--output", "v.csv"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: radial-ode: a term of the equation leaves float64"
+        ]
+        assert not (tmp_path / "v.csv").exists()
+
     def test_overflowing_z_is_refused_without_a_warning(self, tmp_path):
         # a subprocess sees what a user sees: numpy's RuntimeWarning printed
         # before the refusal, which pytest would raise as an error instead
