@@ -153,10 +153,10 @@ def build_dirac_operator(
     x_max = grid.rho_max / params.oscillator_length
     intervals = grid.num_points - 1
     h = x_max / intervals
-    # B's entries stay below (m + 1)/h + x_max in modulus, and the Sturm
-    # counts square those of B B^T: refuse a grid where that leaves float64.
+    # B's entries stay below (m + 1)/h + x_max in modulus, so B B^T's stay
+    # below 4 times its square: refuse a grid where that leaves float64.
     bound = (m + 1) / h + x_max if h > 0.0 else math.inf
-    if not math.isfinite(bound * bound * bound * bound):
+    if not math.isfinite(4.0 * bound * bound):
         raise ValueError(
             f"rho_max={grid.rho_max!r} ({x_max!r} oscillator lengths) "
             "puts the operator's entries beyond float64"

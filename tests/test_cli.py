@@ -722,7 +722,7 @@ class TestMainEntry:
         assert not (tmp_path / "out.csv").exists()
 
     def test_rho_max_beyond_the_operator_returns_two(self, tmp_path, monkeypatch, capsys):
-        # 1/h to the fourth power, which the Sturm counts reach, leaves float64
+        # 1/h squared, which B B^T's entries reach, leaves float64
         monkeypatch.chdir(tmp_path)
         argv = ["verify", "--rho-max", "1e-300", "--n-max", "0", "--output", "v.csv"]
         assert main(argv) == 2

@@ -216,12 +216,19 @@ class TestDiracOperator:
         with pytest.raises(ValueError, match="coarse"):
             build_dirac_operator(0, RadialGrid(12.0, 63), natural_params())
 
-    @pytest.mark.parametrize("rho_max", [1e-300, 1e-150, 1e160, 1e300])
+    @pytest.mark.parametrize("rho_max", [1e-300, 1e-153, 1e160, 1e300])
     def test_rejects_a_grid_whose_entries_overflow(self, rho_max):
-        # 1/h or x_max, taken to the fourth power by the Sturm counts,
-        # leaves float64
+        # 1/h or x_max, squared in B B^T's entries, leaves float64
         with pytest.raises(ValueError, match="rho_max"):
             build_dirac_operator(0, RadialGrid(rho_max, 65), natural_params())
+
+    @pytest.mark.parametrize("rho_max", [1e-150, 1e150])
+    def test_builds_where_only_the_entries_fourth_power_overflows(self, rho_max):
+        # the solve scales the operator by a power of two, so only B B^T's
+        # own entries must stay finite
+        op = build_dirac_operator(0, RadialGrid(rho_max, 65), natural_params())
+        assert np.all(np.isfinite(op.diagonal)) and np.all(np.isfinite(op.off_diagonal))
+        assert all(math.isfinite(level) for level in smallest_eigenvalues(op, 3))
 
     def test_structural_symmetry(self):
         op = build_dirac_operator(1, RadialGrid(12.0, 257), natural_params())
