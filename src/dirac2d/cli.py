@@ -59,7 +59,7 @@ DEFAULT_TOLERANCES = {
     "fd-spectrum": 1e-3,
     "dirac-energy-map": 1e-3,
     "ode-residual": 1e-12,
-    "coupled-residual": 1e-6,
+    "coupled-residual": 1e-12,
     "node-counts": 0.0,
     "normalization": 1e-8,
     "kummer-laguerre": 1e-10,

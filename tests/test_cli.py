@@ -249,6 +249,22 @@ class TestVerifyCommand:
         assert checks["kummer-laguerre"]["measured"] > 1e-10
         assert not checks["kummer-laguerre"]["passed"]
 
+    @pytest.mark.parametrize("units, m", [("natural", 0), ("natural", 3), ("si", 2)])
+    def test_coupled_residual_check_is_live(self, units, m, monkeypatch):
+        # E off by 1e-9 of itself moves the upper equation's residual by
+        # about 5e-10: only coupled-residual reads E, and it must fail
+        config = RunConfig(command="verify", units=units, m=m, n_max=5)
+        assert all(c["passed"] for c in run_verification_checks(config))
+        energy = cli.spectrum.energy
+
+        def e_off(qn, params):
+            level = energy(qn, params)
+            return dataclasses.replace(level, E=level.E * (1.0 + 1e-9))
+
+        monkeypatch.setattr(cli.spectrum, "energy", e_off)
+        failed = [c["name"] for c in run_verification_checks(config) if not c["passed"]]
+        assert failed == ["coupled-residual"]
+
     def test_unknown_tolerance_rejected(self):
         with pytest.raises(ValueError):
             RunConfig(command="verify", tolerances={"bogus": 1.0})

@@ -871,7 +871,7 @@ class TestCoupledResidual:
         p = natural_params()
         qn = QuantumNumbers(0, 0)
         report = coupled_residual(energy(qn, p), radial_psi1(qn, default_grid(p), p))
-        assert report.rms_residual <= 1e-6
+        assert report.rms_residual <= 1e-12
         assert report.equation_id == "coupled-first-order"
 
     def test_derived_pair_is_self_consistent_in_si_units(self):
@@ -882,7 +882,7 @@ class TestCoupledResidual:
             level = energy(QuantumNumbers(n, m), p)
             psi1 = radial_psi1(level.qn, default_grid(p, num_points=1025), p)
             report = coupled_residual(level, psi1)
-            assert report.rms_residual <= 1e-6, (n, m)
+            assert report.rms_residual <= 1e-12, (n, m)
 
     def test_zero_lower_component_breaks_coupling(self):
         p = natural_params()
