@@ -234,15 +234,14 @@ def smallest_eigenvalues(op: TridiagonalOperator, count: int, *, starts=()) -> l
     2. level i (from 0) is predicted from the levels returned, at
        3 l[-1] - 3 l[-2] + l[-3] from i = 3 on; below, at starts[i] +
        (l[-1] - starts[i-1]) (starts[0] at i = 0), or without a start at
-       2 l[-1] - l[-2] for i = 2.  A prediction strictly inside the bracket,
-       with i or i + 1 eigenvalues below it, skips this phase; otherwise the
-       bracket is bisected until it holds exactly one eigenvalue and is no
-       wider than the larger magnitude of its ends, since Newton creeps from
-       far outside the spectrum;
-    3. safeguarded Newton steps on det(T - sigma) run from the prediction,
-       or else the bracket midpoint, until the relative step is below 1e-8
-       (a step that leaves the bracket is replaced by its midpoint, and
-       every pass narrows the brackets through its count);
+       2 l[-1] - l[-2] for i = 2;
+    3. safeguarded Newton steps on det(T - sigma) run from the prediction
+       until the relative step is below 1e-8 (a step that leaves the
+       bracket is replaced by its midpoint, and every pass narrows the
+       brackets through its count).  A prediction off the bracket, or a
+       pass with neither i nor i + 1 eigenvalues below it, ends Newton: the
+       bracket is bisected until it holds exactly one eigenvalue, and Newton
+       restarts from its midpoint;
     4. counts gallop outwards from the Newton iterate until the bracket is
        closed on both sides, and bisection takes it to adjacent floats.  The
        first step is half the finest spacing of the floats |d_j - sigma|
@@ -261,11 +260,11 @@ def smallest_eigenvalues(op: TridiagonalOperator, count: int, *, starts=()) -> l
 
     ``starts`` (count-certified levels of an operator for the same
     equation, never the closed form) steer only the path: any values give
-    the same floats; a wrong prediction costs one pass.  The result sits
+    the same floats; a wrong prediction costs a few passes.  The result sits
     far inside an absolute 1e-10 times the Gershgorin radius, so the
     discretization error, not the eigensolver, limits any comparison.  A
-    level that never meets phase 2 (an exactly repeated eigenvalue, or one
-    at zero) is bisected throughout.  The solve runs on 2**-e times the
+    level whose bracket never holds it alone (an exactly repeated
+    eigenvalue) is bisected throughout.  The solve runs on 2**-e times the
     operator, where 2**-e brings its largest entry into [1/2, 1), so no
     shift, midpoint, pivot or pivot floor leaves float64.  The division is
     exact wherever no entry falls below float64's normal range, so the
@@ -328,12 +327,6 @@ def smallest_eigenvalues(op: TridiagonalOperator, count: int, *, starts=()) -> l
         count_at(mid)
         return True
 
-    def newton_ready(i) -> bool:
-        # One eigenvalue in the bracket, and a bracket no wider than its
-        # ends' magnitude: from far outside the spectrum Newton crawls.
-        isolated = (lo_count[i], hi_count[i]) == (i, i + 1)
-        return isolated and hi[i] - lo[i] <= max(-lo[i], hi[i])
-
     def prediction(i) -> float:
         if i >= 3:
             return 3.0 * eigenvalues[-1] - 3.0 * eigenvalues[-2] + eigenvalues[-3]
@@ -342,13 +335,13 @@ def smallest_eigenvalues(op: TridiagonalOperator, count: int, *, starts=()) -> l
         return 2.0 * eigenvalues[-1] - eigenvalues[-2] if i == 2 else math.nan
 
     def newton(i, sigma) -> float:
-        # The Newton iterate, or nan for a sigma off the bracket or the level.
+        # The Newton iterate, or nan for a sigma off the bracket or a pass off the level.
         if not lo[i] < sigma < hi[i]:
             return math.nan
-        for step in range(_NEWTON_MAX_STEPS):
+        for _ in range(_NEWTON_MAX_STEPS):
             below, ratio = _newton_pass(diag, off_sq, sigma, pivmin)
             record(sigma, below, (diagonal - sigma).tobytes())
-            if step == 0 and below not in (i, i + 1):
+            if below not in (i, i + 1):
                 return math.nan
             finite = ratio != 0.0 and math.isfinite(ratio)
             target = sigma - 1.0 / ratio if finite else math.nan
@@ -367,10 +360,9 @@ def smallest_eigenvalues(op: TridiagonalOperator, count: int, *, starts=()) -> l
         ends = [(b"", 0), (b"", 0)]
         sigma = newton(i, prediction(i))
         if math.isnan(sigma):
-            while not newton_ready(i) and bisect(i):
+            while (lo_count[i], hi_count[i]) != (i, i + 1) and bisect(i):
                 pass
-            if newton_ready(i):
-                sigma = newton(i, 0.5 * (lo[i] + hi[i]))
+            sigma = newton(i, 0.5 * (lo[i] + hi[i]))
         if not math.isnan(sigma):
             # Gallop from the rounding cell of the shifted diagonal, the
             # spacing of its smallest magnitude: a shorter step seldom

@@ -384,7 +384,8 @@ def normalize(rf: RadialFunction) -> float:
     carries weight at rho_max (estimated tail mass above 1e-10 of the total)
     the grid is too short and a TruncationError is raised.  The integral is
     scaled by powers of two (see ``_norm_integral``), so it never leaves
-    float64; a constant A outside float64's normal range is refused.
+    float64; a constant A outside float64's normal range is refused, and a
+    profile that reads 0 at every sample names the factor that underflowed.
     """
     from .oracle import integrate_radial
 
@@ -395,7 +396,13 @@ def normalize(rf: RadialFunction) -> float:
         rf.values,
     )
     if total <= 0.0:
-        raise ValueError("cannot normalize an identically zero radial function")
+        z, profile = rf._rows.z[1:], rf.profile
+        cause = "cannot normalize an identically zero radial function"
+        if profile.coeff and not np.any(np.power(z, 0.5 * profile.mu)):
+            cause = "z**(mu/2) underflows to 0 at every sample: use a larger --rho-max"
+        elif profile.coeff and not np.any(np.exp(-0.5 * z)):
+            cause = "exp(-z/2) underflows to 0 past the first sample: use more --grid-points"
+        raise ValueError(cause)
     f_end = float(weight[-1])
     if f_end > 0.0:
         # Estimate the lost tail from the integrand's own decay rate at the

@@ -776,6 +776,25 @@ class TestMainEntry:
         ]
         assert not (tmp_path / "v.csv").exists()
 
+    @pytest.mark.parametrize(
+        "argv, factor, flags",
+        [
+            (["--rho-max", "1e-160"], "z**(mu/2)", "a larger --rho-max"),
+            (["--rho-max", "1e5", "--grid-points", "65"], "exp(-z/2)", "more --grid-points"),
+        ],
+    )
+    def test_a_profile_that_underflows_at_every_sample_names_its_factor(
+        self, argv, factor, flags, tmp_path, monkeypatch, capsys
+    ):
+        # both read "identically zero", although the profile is not: z**(3/2)
+        # underflows on the short grid, exp(-z/2) past the origin of the long one
+        monkeypatch.chdir(tmp_path)
+        assert main(["wavefn", "--m", "3", *argv, "--output", "w.csv"]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {factor} underflows to 0 ")
+        assert flags in line
+        assert not (tmp_path / "w.csv").exists()
+
     def test_overflowing_z_is_refused_without_a_warning(self, tmp_path):
         # a subprocess sees what a user sees: numpy's RuntimeWarning printed
         # before the refusal, which pytest would raise as an error instead

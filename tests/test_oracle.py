@@ -585,6 +585,45 @@ class TestSolverPasses:
         assert smallest_eigenvalues(op, 3, starts=exact) == exact
         assert (passes.count("_newton_pass"), passes.count("_negative_pivot_count")) == (3, 4)
 
+    def test_exact_starts_take_no_more_passes_on_an_irregular_spectrum(self, monkeypatch):
+        # with the level checked on the first Newton pass only, Newton for
+        # level 3 converged on the 18th eigenvalue, whose bracket still
+        # reached the Gershgorin end, and the gallop doubled its way back:
+        # 182 passes with these starts against 111 without
+        rng = np.random.default_rng(1)
+        for _ in range(2):  # the second draw
+            op = TridiagonalOperator(rng.normal(size=30), rng.normal(size=29))
+        exact = plain_bisection(op, 10)
+        passes = self._counted(monkeypatch)
+        assert smallest_eigenvalues(op, 10) == exact
+        without = len(passes)
+        assert smallest_eigenvalues(op, 10, starts=exact[:3]) == exact
+        assert len(passes) - without <= without
+
+    @settings(deadline=None, derandomize=True)  # examples from the profile
+    @given(
+        rows=st.integers(4, 40),
+        ladder=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_exact_starts_cost_few_passes_on_random_tridiagonals(self, rows, ladder, seed, data):
+        # standard-normal entries, or the ladder 1..rows under a constant
+        # coupling; starts may cost a pass or two, never a level's solve
+        rng = np.random.default_rng(seed)
+        if ladder:
+            coupling = np.full(rows - 1, rng.uniform(0.05, 2.0))
+            op = TridiagonalOperator(np.arange(1.0, rows + 1), coupling)
+        else:
+            op = TridiagonalOperator(rng.normal(size=rows), rng.normal(size=rows - 1))
+        count = data.draw(st.integers(4, rows))
+        with pytest.MonkeyPatch.context() as patch:
+            passes = self._counted(patch)
+            levels = smallest_eigenvalues(op, count)
+            without = len(passes)
+            assert smallest_eigenvalues(op, count, starts=levels) == levels
+        assert len(passes) - without <= 1.1 * without + 2
+
     # on the radial operator B B^T replaced: 49, 111, 57, 128 on 513 points
     # and 50, 114, 59, 127 on 1025; with a pass at every final shift 108,
     # 275, 106, 272 and 125, 314, 125, 300; with every level isolated by

@@ -654,7 +654,7 @@ class TestNormalize:
         grid = RadialGrid(2.0, 9)
         rf = radial_psi1(QuantumNumbers(0, 0), grid, natural_params())
         rf = RadialFunction(grid, replace(rf.profile, coeff=0.0), rf.params)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="identically zero"):
             normalize(rf)
 
     def test_truncation_error_on_short_grid(self):
