@@ -117,14 +117,11 @@ class ResidualReport:
 def integrate_radial(values, grid: RadialGrid) -> float:
     """Composite Simpson integral of sampled values over [0, rho_max].
 
-    The sample count (including the rho = 0 endpoint) must be odd so the
-    interval count is even.
+    A RadialGrid's sample count is odd, so its interval count is even.
     """
     v = np.asarray(values, dtype=float)
     if v.shape != (grid.num_points,):
         raise ValueError("values must match the grid sample count")
-    if grid.num_points % 2 == 0:
-        raise ValueError("composite Simpson needs an odd number of samples")
     h = grid.spacing
     return float(
         (h / 3.0) * (v[0] + v[-1] + 4.0 * v[1:-1:2].sum() + 2.0 * v[2:-1:2].sum())
@@ -534,15 +531,12 @@ def ode_residual(rf: RadialFunction, m: int, k1: float) -> ResidualReport:
     return _report("radial-ode", rho, [terms], degenerate=not np.any(rf.values))
 
 
-def coupled_residual(
-    level: EnergyLevel, psi1: RadialFunction, lower: RadialFunction | None = None
-) -> ResidualReport:
+def coupled_residual(level: EnergyLevel, psi1: RadialFunction) -> ResidualReport:
     """Residual of (psi1, psi2) in the coupled first-order system.
 
     psi1 is the caller's upper component, whose angular index the check
-    uses; psi2 defaults to the lower component derived from it for
-    ``level.E``, and a ``lower`` that is passed must share psi1's grid and
-    units (a profile with coeff 0 is the standard decoupling check).  The
+    uses; psi2 is the lower component derived from it for ``level.E``,
+    which refuses an E + m0 c^2 that is not positive and finite.  The
     upper equation takes E - m0 c^2 from ``level.excitation``, which keeps
     its digits where subtracting the rest energy from E would cancel (SI
     units).  Both first-order equations are evaluated at the interior radii
@@ -554,19 +548,13 @@ def coupled_residual(
     """
     E = level.E
     params = psi1.params
-    rest = params.rest_energy
-    if not (math.isfinite(E) and 0.0 < E + rest < math.inf):
-        raise ValueError(f"E + m0 c^2 must be positive and finite, got E={E!r}")
+    lower = derive_lower_component(psi1, E)
     rho, (r1, r1_z) = psi1.interior(1)
-    if lower is None:
-        lower = derive_lower_component(psi1, E)
+    _, (g, g_z) = lower.interior(1)
 
     m = psi1.angular_index
     hbar_c = params.hbar * params.c
     tension = params.c * params.rest_mass * params.omega  # c m0 w
-    rho_g, (g, g_z) = lower.interior(1)
-    if lower.params != params or not np.array_equal(rho_g, rho):
-        raise ValueError("lower must share psi1's grid and units")
     # 2 (gamma rho) is (2 gamma) rho exactly, and finite where 2 gamma is not.
     dz_drho = 2.0 * (params.gamma * rho)
     r1_prime, g_prime = dz_drho * r1_z, dz_drho * g_z
@@ -582,7 +570,7 @@ def coupled_residual(
         hbar_c * r1_prime,
         -hbar_c * m * r1 / rho,
         tension * rho * r1,
-        -(E + rest) * g,
+        -(E + params.rest_energy) * g,
     ]
     degenerate = not (np.any(psi1.values) or np.any(g))
     return _report("coupled-first-order", rho, [terms_up, terms_down], degenerate)

@@ -48,14 +48,7 @@ class QuantumNumbers:
 
     def __post_init__(self):
         _require_count("n", self.n)
-        if not isinstance(self.m, (int,)) or isinstance(self.m, bool):
-            raise ValueError(f"m must be an integer, got {self.m!r}")
-        if self.m < 0:
-            raise ValueError(
-                f"m must be non-negative (got {self.m}); the z**(m/2) radial "
-                "factor diverges at the origin for negative m and that sector "
-                "is outside this package's domain"
-            )
+        _require_count("m", self.m)
 
 
 @dataclass(frozen=True)

@@ -381,11 +381,12 @@ def normalize(rf: RadialFunction) -> float:
     The quadrature comes from the oracle module so the constant can be
     checked against the closed form from Laguerre orthogonality.  ``rf`` is
     left as it is; A multiplies its values.  If the integrand still
-    carries weight at rho_max (estimated tail mass above 1e-10 of the total)
-    the grid is too short and a TruncationError is raised.  The integral is
-    scaled by powers of two (see ``_norm_integral``), so it never leaves
-    float64; a constant A outside float64's normal range is refused, and a
-    profile that reads 0 at every sample names the factor that underflowed.
+    carries weight at rho_max (estimated tail mass above 1e-10 of the total,
+    or an integrand that still rises there) the grid is too short and a
+    TruncationError is raised.  The integral is scaled by powers of two
+    (see ``_norm_integral``), so it never leaves float64; a constant A
+    outside float64's normal range is refused, and a profile that reads 0
+    at every sample names the factor that underflowed.
     """
     from .oracle import integrate_radial
 
@@ -407,16 +408,19 @@ def normalize(rf: RadialFunction) -> float:
     if f_end > 0.0:
         # Estimate the lost tail from the integrand's own decay rate at the
         # edge: fit f ~ exp(-rho/L) to the last two samples, tail ~ f_end * L.
+        # Where it still rises, f_end * rho_max weighs the edge, not a tail.
         f_prev = float(weight[-2])
         if f_prev > f_end:
             tail = f_end * grid.spacing / math.log(f_prev / f_end)
+            cause = (
+                f"estimated tail mass beyond rho_max is {tail / total:.3e} of the "
+                "norm integral, above 1e-10"
+            )
         else:
             tail = f_end * grid.rho_max
+            cause = "the norm integrand still rises at rho_max"
         if tail > 1e-10 * total:
-            raise TruncationError(
-                f"estimated tail mass beyond rho_max is {tail / total:.3e} of the "
-                "norm integral, above 1e-10; enlarge the grid"
-            )
+            raise TruncationError(f"{cause}; enlarge the grid")
     return 1.0 / _root(total, unit)
 
 

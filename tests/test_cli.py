@@ -408,14 +408,15 @@ class TestKummerBudget:
     )
     def test_lone_coupled_residual_budget(self, calls, n, m, derive_first):
         # the lower component reads M(a+1, b+1) from psi1, which sums it if
-        # it does not hold it yet, so the order of the two reads does not
-        # matter; derived first, it was summed twice (4 calls, 3 at n = 0)
+        # it does not hold it yet, so a derived lower component's values
+        # read before the residual sum no row twice
         p = natural_params()
         qn = QuantumNumbers(n, m)
         level = energy(qn, p)
         psi1 = wavefn.radial_psi1(qn, wavefn.default_grid(p), p)
-        lower = wavefn.derive_lower_component(psi1, level.E) if derive_first else None
-        oracle.coupled_residual(level, psi1, lower)
+        if derive_first:
+            wavefn.derive_lower_component(psi1, level.E).values
+        oracle.coupled_residual(level, psi1)
         assert len(calls) == (2 if n == 0 else 3)
 
 
@@ -703,7 +704,7 @@ class TestMainEntry:
         code = main(["wavefn", "--n", "120", "--output", "w.csv"])
         assert code == 2
         err = capsys.readouterr().err
-        assert "estimated tail mass" in err and "enlarge the grid" in err
+        assert "integrand still rises at rho_max" in err and "enlarge the grid" in err
         assert not (tmp_path / "w.csv").exists()
         wide = ["wavefn", "--n", "120", "--rho-max", "26", "--output", "w.csv"]
         assert main(wide) == 0
@@ -747,7 +748,11 @@ class TestMainEntry:
 
     @pytest.mark.parametrize(
         "rho_max, shown",
-        [("1e-70", "beyond rho_max"), ("1e5", "rho_max=100000.0"), ("1e60", "rho_max=1e+60")],
+        [
+            ("1e-70", "still rises at rho_max"),
+            ("1e5", "rho_max=100000.0"),
+            ("1e60", "rho_max=1e+60"),
+        ],
     )
     def test_an_extent_without_a_report_returns_two(
         self, rho_max, shown, tmp_path, monkeypatch, capsys
@@ -908,18 +913,24 @@ class TestExtremeScales:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
-        "argv, wider",
+        "argv, wider, refusal",
         [
-            ("wavefn --m0 1e-300 --n 14 --m 32", "--rho-max 14"),
-            ("wavefn --omega 1e-300 --n 26 --m 26 --grid-points 65", "--rho-max 15"),
+            ("wavefn --m0 1e-300 --n 14 --m 32", "--rho-max 14", "estimated tail mass"),
+            (
+                "wavefn --omega 1e-300 --n 26 --m 26 --grid-points 65",
+                "--rho-max 15",
+                "integrand still rises at rho_max",
+            ),
         ],
     )
-    def test_wavefn_norm_outside_float64(self, argv, wider, tmp_path, monkeypatch, capsys):
+    def test_wavefn_norm_outside_float64(
+        self, argv, wider, refusal, tmp_path, monkeypatch, capsys
+    ):
         # the states reach past 12 oscillator lengths, in natural units too;
         # on a longer grid the rescaled norm writes a normalized table
         code, err, _ = self._run(argv.split(), tmp_path, monkeypatch, capsys)
         assert code == 2
-        assert "estimated tail mass" in err
+        assert refusal in err
         code, _, rows = self._run([*argv.split(), *wider.split()], tmp_path, monkeypatch, capsys)
         assert code == 0
         assert any(float(r["R1_normalized"]) for r in rows)

@@ -43,6 +43,11 @@ def _zero_copy(rf):
     return RadialFunction(rf.grid, replace(rf.profile, coeff=0.0), rf.params)
 
 
+def _zero_lower(psi1, E):
+    """The derived lower component with coeff 0, for ``oracle.derive_lower_component``."""
+    return _zero_copy(derive_lower_component(psi1, E))
+
+
 def si_params():
     from dirac2d import PhysicalParams
 
@@ -923,14 +928,14 @@ class TestCoupledResidual:
             report = coupled_residual(level, psi1)
             assert report.rms_residual <= 1e-12, (n, m)
 
-    def test_zero_lower_component_breaks_coupling(self):
+    def test_zero_lower_component_breaks_coupling(self, monkeypatch):
         p = natural_params()
         qn = QuantumNumbers(0, 0)
         grid = RadialGrid(12.0, 1025)
         level = energy(qn, p)
         psi1 = radial_psi1(qn, grid, p)
-        zero = _zero_copy(derive_lower_component(psi1, level.E))
-        report = coupled_residual(level, psi1, lower=zero)
+        monkeypatch.setattr(oracle, "derive_lower_component", _zero_lower)
+        report = coupled_residual(level, psi1)
         # with psi2 = 0 the upper equation is its own dominant term: rms 1
         assert_allclose(report.rms_residual, 1.0, rtol=1e-12)
         assert not report.degenerate
@@ -971,19 +976,6 @@ class TestCoupledResidual:
             assert ode_residual(read, m, level.k1) == ode
             assert coupled_residual(level, read) == coupled
 
-    def test_lower_on_another_grid_or_in_other_units_is_refused(self):
-        p = natural_params()
-        level = energy(QuantumNumbers(2, 1), p)
-        psi1 = radial_psi1(level.qn, RadialGrid(12.0, 257), p)
-        lower = derive_lower_component(psi1, level.E)
-        other_grid = derive_lower_component(
-            radial_psi1(level.qn, RadialGrid(10.0, 257), p), level.E
-        )
-        other_units = RadialFunction(psi1.grid, lower.profile, replace(p, hbar=2.0))
-        for bad in (other_grid, other_units):
-            with pytest.raises(ValueError, match="grid and units"):
-                coupled_residual(level, psi1, lower=bad)
-
     # (rms, max, degenerate, worst_rho) that sampling the derived lower
     # component on the grid gave; reading it from psi1's ladder keeps them.
     # A zero psi1 reads zero residuals at worst_rho 0.0 in both evaluators.
@@ -1008,7 +1000,7 @@ class TestCoupledResidual:
             (3, 2, "zero psi1 in the ode", (0.0, 0.0, True, 0.0)),
         ],
     )
-    def test_zero_inputs_keep_their_flag_and_numbers(self, n, m, case, expected):
+    def test_zero_inputs_keep_their_flag_and_numbers(self, n, m, case, expected, monkeypatch):
         p = natural_params()
         grid = RadialGrid(12.0, 1025)
         level = energy(QuantumNumbers(n, m), p)
@@ -1018,44 +1010,23 @@ class TestCoupledResidual:
         elif case == "zero psi1 in the ode":
             report = ode_residual(_zero_copy(psi1), m, level.k1)
         else:
-            zero = _zero_copy(derive_lower_component(psi1, level.E))
-            report = coupled_residual(level, psi1, lower=zero)
+            monkeypatch.setattr(oracle, "derive_lower_component", _zero_lower)
+            report = coupled_residual(level, psi1)
         assert report.degenerate == expected[2]
         assert report.worst_rho == expected[3]
         got = (report.rms_residual, report.max_residual)
         assert_allclose(got, expected[:2], rtol=1e-14, atol=0.0)
 
-    def test_derived_profile_equals_the_sampled_override(self):
-        # the default psi2 is the derived component, so passing it as an
-        # override runs the same path and gives the same floats
-        p = natural_params()
-        grid = RadialGrid(12.0, 1025)
-        for n, m in [(0, 0), (3, 2)]:
-            level = energy(QuantumNumbers(n, m), p)
-            psi1 = radial_psi1(level.qn, grid, p)
-            lower = derive_lower_component(psi1, level.E)
-            assert coupled_residual(level, psi1) == coupled_residual(
-                level, psi1, lower=lower
-            )
-
-    def test_worst_rho_is_a_grid_sample_at_the_peak(self):
+    def test_worst_rho_is_a_grid_sample_at_the_peak(self, monkeypatch):
         p = natural_params()
         grid = RadialGrid(12.0, 1025)
         level = energy(QuantumNumbers(2, 1), p)
         psi1 = radial_psi1(level.qn, grid, p)
-        for report in (
-            coupled_residual(replace(level, E=1.01 * level.E), psi1),
-            coupled_residual(level, psi1, lower=_zero_copy(psi1)),
-        ):
+        reports = [coupled_residual(replace(level, E=1.01 * level.E), psi1)]
+        monkeypatch.setattr(oracle, "derive_lower_component", lambda rf, E: _zero_copy(rf))
+        reports.append(coupled_residual(level, psi1))
+        for report in reports:
             assert report.worst_rho in grid.samples[1:-1]
-
-    def test_nonzero_override_needs_profile(self):
-        p = natural_params()
-        qn = QuantumNumbers(0, 0)
-        grid = RadialGrid(12.0, 1025)
-        with pytest.raises(TypeError):
-            junk = RadialFunction(grid=grid, params=p)
-            coupled_residual(energy(qn, p), radial_psi1(qn, grid, p), lower=junk)
 
 
 class TestReportScaling:
