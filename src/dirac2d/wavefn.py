@@ -410,16 +410,18 @@ def normalize(rf: RadialFunction) -> float:
         # edge: fit f ~ exp(-rho/L) to the last two samples, tail ~ f_end * L.
         # Where it still rises, f_end * rho_max weighs the edge, not a tail.
         f_prev = float(weight[-2])
-        if f_prev > f_end:
+        rising = f_prev <= f_end
+        if rising:
+            tail = f_end * grid.rho_max
+        else:
             tail = f_end * grid.spacing / math.log(f_prev / f_end)
+        if tail > 1e-10 * total:
             cause = (
-                f"estimated tail mass beyond rho_max is {tail / total:.3e} of the "
+                "the norm integrand still rises at rho_max"
+                if rising
+                else f"estimated tail mass beyond rho_max is {tail / total:.3e} of the "
                 "norm integral, above 1e-10"
             )
-        else:
-            tail = f_end * grid.rho_max
-            cause = "the norm integrand still rises at rho_max"
-        if tail > 1e-10 * total:
             raise TruncationError(f"{cause}; enlarge the grid")
     return 1.0 / _root(total, unit)
 
