@@ -336,9 +336,9 @@ def run_verification_checks(config: RunConfig) -> list[dict]:
 
     # The same levels mapped onto excitations E - m0 c^2 = m0 c^2 x / (1 + sqrt(1 + x)),
     # x = level lam, which keep their digits where E rounds to m0 c^2.
-    exact = [spectrum.energy(QuantumNumbers(n=n, m=m), params) for n in range(levels)]
+    states = [spectrum.energy(QuantumNumbers(n=n, m=m), params) for n in range(levels)]
     worst = 0.0
-    for level, state in zip(found, exact):
+    for level, state in zip(found, states):
         x = level * params.lam
         excitation = params.rest_energy * x / (1.0 + math.sqrt(1.0 + x))
         worst = max(worst, abs(excitation - state.excitation) / state.excitation)
@@ -352,15 +352,15 @@ def run_verification_checks(config: RunConfig) -> list[dict]:
     mismatches = 0
     picks = np.linspace(0, grid.num_points - 1, 9).astype(int)[1:]
     held = []
-    for level, rf in zip(exact, wavefn._psi1_family(m, config.n_max, grid, params)):
+    for state, rf in zip(states, wavefn._psi1_family(m, config.n_max, grid, params)):
         # Closed-form profile pushed through the second-order radial equation.
-        worst_ode = max(worst_ode, oracle.ode_residual(rf, m, level.k1).rms_residual)
+        worst_ode = max(worst_ode, oracle.ode_residual(rf, m, state.k1).rms_residual)
         # Upper plus derived lower component in the coupled first-order system.
-        worst_coupled = max(worst_coupled, oracle.coupled_residual(level, rf).rms_residual)
+        worst_coupled = max(worst_coupled, oracle.coupled_residual(state, rf).rms_residual)
         # Node counts: n+1 sign changes in psi1's samples.
-        mismatches += wavefn.sign_changes(rf.values[1:-1]) != level.qn.n + 1
+        mismatches += wavefn.sign_changes(rf.values[1:-1]) != state.qn.n + 1
         # Quadrature normalization against the Laguerre-orthogonality constant.
-        closed = wavefn.closed_form_norm_constant(level.qn, params)
+        closed = wavefn.closed_form_norm_constant(state.qn, params)
         worst_norm = max(worst_norm, abs(wavefn.normalize(rf) / closed - 1.0))
         keys = rf.profile._keys(2)
         held += [(-round(a), round(b) - m - 1, rf._rows[a, b][picks]) for a, b in keys]
