@@ -345,6 +345,21 @@ class TestDiracEnergyMapCheck:
         assert check["measured"] < 1e-13
 
 
+    def test_each_state_level_is_built_once(self, monkeypatch):
+        # dirac-energy-map and the state checks read the same EnergyLevel
+        energy_of = cli.spectrum.energy
+        built = []
+
+        def counted(qn, params):
+            built.append(qn)
+            return energy_of(qn, params)
+
+        monkeypatch.setattr(cli.spectrum, "energy", counted)
+        config = RunConfig(command="verify", m=3, n_max=4, grid_points=1025)
+        assert all(c["passed"] for c in run_verification_checks(config))
+        assert built == [QuantumNumbers(n, 3) for n in range(5)]
+
+
 class TestKummerBudget:
     """Kummer work counted through the module attributes.
 

@@ -976,6 +976,24 @@ class TestCoupledResidual:
             assert ode_residual(read, m, level.k1) == ode
             assert coupled_residual(level, read) == coupled
 
+    def test_checks_the_lower_component_derived_for_its_level(self, monkeypatch):
+        # psi2 is not an input: each call derives it once, from the caller's
+        # psi1 at level.E, and the residual is that pair's
+        p = natural_params()
+        level = energy(QuantumNumbers(3, 2), p)
+        psi1 = radial_psi1(level.qn, RadialGrid(12.0, 1025), p)
+        expected = coupled_residual(level, psi1)
+        calls = []
+
+        def recorded(rf, E):
+            calls.append((rf, E))
+            return derive_lower_component(rf, E)
+
+        monkeypatch.setattr(oracle, "derive_lower_component", recorded)
+        assert coupled_residual(level, psi1) == expected
+        assert len(calls) == 1
+        assert calls[0][0] is psi1 and calls[0][1] == level.E
+
     # (rms, max, degenerate, worst_rho) that sampling the derived lower
     # component on the grid gave; reading it from psi1's ladder keeps them.
     # A zero psi1 reads zero residuals at worst_rho 0.0 in both evaluators.

@@ -37,6 +37,12 @@ class TestQuantumNumbers:
         with pytest.raises(ValueError):
             QuantumNumbers(n=0.5, m=0)
 
+    def test_rejects_non_integer_m_as_it_does_n(self):
+        # a float or a bool is no angular index, even where it equals one
+        for m in (0.5, 1.0, True):
+            with pytest.raises(ValueError, match="m must be a non-negative integer"):
+                QuantumNumbers(n=0, m=m)
+
 
 class TestEnergy:
     def test_ground_state_natural_units(self):
