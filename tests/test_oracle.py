@@ -1046,6 +1046,16 @@ class TestCoupledResidual:
         for report in reports:
             assert report.worst_rho in grid.samples[1:-1]
 
+    def test_nonzero_override_needs_profile(self, monkeypatch):
+        p = natural_params()
+        qn = QuantumNumbers(0, 0)
+        grid = RadialGrid(12.0, 1025)
+        monkeypatch.setattr(
+            oracle, "derive_lower_component", lambda rf, E: RadialFunction(grid=grid, params=p)
+        )
+        with pytest.raises(TypeError):
+            coupled_residual(energy(qn, p), radial_psi1(qn, grid, p))
+
 
 class TestReportScaling:
     """``_report`` where the squares of the dominant terms leave float64."""

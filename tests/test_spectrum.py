@@ -33,15 +33,11 @@ class TestQuantumNumbers:
         with pytest.raises(ValueError, match="non-negative"):
             QuantumNumbers(n=0, m=-1)
 
-    def test_rejects_non_integers(self):
-        with pytest.raises(ValueError):
-            QuantumNumbers(n=0.5, m=0)
-
-    def test_rejects_non_integer_m_as_it_does_n(self):
-        # a float or a bool is no angular index, even where it equals one
-        for m in (0.5, 1.0, True):
-            with pytest.raises(ValueError, match="m must be a non-negative integer"):
-                QuantumNumbers(n=0, m=m)
+    # a float or a bool is no quantum number, even where it equals one
+    @pytest.mark.parametrize("n, m", [(0.5, 0), (0, 0.5), (0, 1.0), (0, True)])
+    def test_rejects_non_integers(self, n, m):
+        with pytest.raises(ValueError, match="must be a non-negative integer"):
+            QuantumNumbers(n=n, m=m)
 
 
 class TestEnergy:
