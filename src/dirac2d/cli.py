@@ -26,8 +26,8 @@ import itertools
 import json
 import math
 import os
+import secrets
 import sys
-import tempfile
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -224,7 +224,9 @@ def _resolve_output(config: RunConfig) -> Path:
 
 def _write_atomic(path: Path, pieces) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name, suffix=".tmp")
+    # mode 0o666 leaves the umask to set the file's mode, as open(path, "w") does
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="\n") as handle:
             handle.writelines(pieces)

@@ -229,9 +229,8 @@ def smallest_eigenvalues(op: TridiagonalOperator, count: int, *, starts=()) -> l
     1. every count narrows the bracket of every level (Barth, Martin and
        Wilkinson 1967; LAPACK ``dstebz``);
     2. level i (from 0) is predicted from the levels returned, at
-       3 l[-1] - 3 l[-2] + l[-3] from i = 3 on; below, at starts[i] +
-       (l[-1] - starts[i-1]) (starts[0] at i = 0), or without a start at
-       2 l[-1] - l[-2] for i = 2;
+       3 l[-1] - 3 l[-2] + l[-3] from i = 3 on; below, at starts[i], or
+       without a start at 2 l[-1] - l[-2] for i = 2;
     3. safeguarded Newton steps on det(T - sigma) run from the prediction
        until the relative step is below 1e-8 (a step that leaves the
        bracket is replaced by its midpoint, and every pass narrows the
@@ -239,12 +238,9 @@ def smallest_eigenvalues(op: TridiagonalOperator, count: int, *, starts=()) -> l
        pass with neither i nor i + 1 eigenvalues below it, ends Newton: the
        bracket is bisected until it holds exactly one eigenvalue, and Newton
        restarts from its midpoint;
-    4. counts gallop outwards from the Newton iterate until the bracket is
-       closed on both sides, and bisection takes it to adjacent floats.  The
-       first step is half the finest spacing of the floats |d_j - sigma|
-       (and at least one ulp of sigma), the rounding cell of the shifted
-       diagonal: a shorter step seldom changes any fl(d_j - sigma).  Each
-       round doubles the step.
+    4. counts gallop outwards from the Newton iterate, one ulp of it on
+       either side and doubling the step each round, until the bracket is
+       closed on both sides, and bisection takes it to adjacent floats.
 
     Every shift a level counts is compared with those at its bracket
     ends: a shift whose rounded diagonal fl(d_j - sigma) matches one end's,
@@ -328,7 +324,7 @@ def smallest_eigenvalues(op: TridiagonalOperator, count: int, *, starts=()) -> l
         if i >= 3:
             return 3.0 * eigenvalues[-1] - 3.0 * eigenvalues[-2] + eigenvalues[-3]
         if i < len(starts):
-            return starts[i] + (eigenvalues[-1] - starts[i - 1] if i else 0.0)
+            return starts[i]
         return 2.0 * eigenvalues[-1] - eigenvalues[-2] if i == 2 else math.nan
 
     def newton(i, sigma) -> float:
@@ -361,11 +357,7 @@ def smallest_eigenvalues(op: TridiagonalOperator, count: int, *, starts=()) -> l
                 pass
             sigma = newton(i, 0.5 * (lo[i] + hi[i]))
         if not math.isnan(sigma):
-            # Gallop from the rounding cell of the shifted diagonal, the
-            # spacing of its smallest magnitude: a shorter step seldom
-            # rounds it otherwise, and would repeat a count.
-            spacing = np.spacing(np.min(np.abs(diagonal - sigma)))
-            delta = max(0.5 * float(spacing), math.ulp(sigma))
+            delta = math.ulp(sigma)
             while lo[i] < sigma - delta or hi[i] > sigma + delta:
                 if lo[i] < sigma - delta:
                     count_at(sigma - delta)

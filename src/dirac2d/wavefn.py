@@ -465,11 +465,13 @@ def derive_lower_component(psi1_radial: RadialFunction, E: float) -> RadialFunct
 def spinor_sample(
     qn: QuantumNumbers, rho: float, phi: float, E: float, params: PhysicalParams
 ) -> SpinorSample:
-    """Both spinor components at (rho, phi) for the normalized state.
+    """Both spinor components at (rho, phi), with psi1 normalized.
 
     psi1 = A e^{i m phi} R1(rho) with A fixed by ``normalize`` on the default
     grid; psi2 follows from the coupling operator applied to that psi1, so
-    the pair satisfies the first-order system by construction.
+    the pair satisfies the first-order system by construction.  Only psi1
+    has unit norm: the whole spinor's squared norm is 2E/(E + m0 c^2).
+    (``dirac2d wavefn`` tables normalize the whole spinor density instead.)
     """
     if not (rho >= 0.0 and math.isfinite(phi)):
         raise ValueError(f"rho must be >= 0 and phi finite: rho={rho!r}, phi={phi!r}")

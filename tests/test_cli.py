@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -274,6 +275,23 @@ class TestVerifyCommand:
         with pytest.raises(ValueError, match="unknown command"):
             RunConfig(command="bogus")
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [(dict(units="cgs"), "units must be"), (dict(fmt="xml"), "format must be")],
+        ids=["units", "format"],
+    )
+    def test_unknown_units_or_format_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            RunConfig(command="spectrum", **kwargs)
+
+    def test_tolerance_without_a_value_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "v.csv"
+        argv = ["verify", "--n-max", "0", "--tolerance", "fd-spectrum", "--output", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "tolerance override must look like name=value" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["inf", "nan", "-1e-3"])
     def test_tolerance_that_is_not_finite_or_is_negative_is_refused(
         self, tmp_path, capsys, value
@@ -540,9 +558,13 @@ class TestSolverRows:
     Those levels were of the second-order radial operator, n_max + 2 of
     them; n_max + 1 levels of the Dirac operator B B^T left 121,170.
     Solving the first three levels on 65 and 129 points first, and starting
-    the 513- and 1025-point solves from their extrapolations, leaves
-    111,027: the head grids add passes, but short ones, and every head level
-    of the two large grids then takes one Newton pass.
+    the 513- and 1025-point solves from their extrapolations, left 111,027:
+    the head grids add passes, but short ones, and every head level of the
+    two large grids then takes one Newton pass.  Predicting each started
+    level at its start, not shifted by the offset the level before it
+    showed, and galloping from one ulp of the Newton iterate, not from half
+    the rounding cell of the shifted diagonal, leaves 102,467; the
+    129-point solve takes one more Newton pass.
     The counts do not depend on the machine.
     """
 
@@ -562,25 +584,27 @@ class TestSolverRows:
         run_verification_checks(RunConfig(command="verify", m=m, n_max=n_max))
         return passes
 
-    # rows per verify at the perfbench (m, n_max), and before the 65- and
-    # 129-point head solves: 52,663, 49,079, 122,716 and 121,170
-    ROWS = {(0, 5): 36_516, (3, 5): 38_936, (0, 20): 106_569, (3, 20): 111_027}
+    # rows per verify at the perfbench (m, n_max); with shifted starts and
+    # the rounding-cell gallop step 36,516, 38,936, 106,569 and 111,027, and
+    # before the 65- and 129-point head solves 52,663, 49,079, 122,716 and 121,170
+    ROWS = {(0, 5): 34_602, (3, 5): 35_487, (0, 20): 103_122, (3, 20): 102_467}
 
     @pytest.mark.parametrize("m, n_max", sorted(ROWS))
     def test_verify_visits_an_eighth_of_the_full_grid_rows(self, m, n_max, monkeypatch):
         passes = self._passes(monkeypatch, m, n_max)
         assert sum(rows for _, rows in passes) <= self.ROWS[m, n_max]
 
-    # (Sturm counts, Newton passes) per verify and operator size (rows); on
-    # 511 and 1023 rows alone they were (43, 30), (40, 33), (104, 60) and
-    # (111, 63), on the radial operator (52, 29), (60, 32), (148, 59) and
-    # (169, 62), and with every level isolated by bisection (72, 33),
-    # (85, 39), (196, 63) and (226, 69)
+    # (Sturm counts, Newton passes) per verify and operator size (rows); in
+    # total, with shifted starts and the rounding-cell gallop step they were
+    # (53, 39), (59, 45), (114, 69) and (130, 75); on 511 and 1023 rows alone
+    # (43, 30), (40, 33), (104, 60) and (111, 63), on the radial operator
+    # (52, 29), (60, 32), (148, 59) and (169, 62), and with every level
+    # isolated by bisection (72, 33), (85, 39), (196, 63) and (226, 69)
     PASSES = {
-        (0, 5): {63: (14, 14), 127: (11, 13), 511: (12, 6), 1023: (16, 6)},
-        (3, 5): {63: (17, 17), 127: (11, 13), 511: (17, 9), 1023: (14, 6)},
-        (0, 20): {63: (14, 14), 127: (11, 13), 511: (42, 21), 1023: (47, 21)},
-        (3, 20): {63: (17, 17), 127: (11, 13), 511: (63, 24), 1023: (39, 21)},
+        (0, 5): {63: (12, 14), 127: (8, 14), 511: (11, 6), 1023: (15, 6)},
+        (3, 5): {63: (17, 17), 127: (7, 14), 511: (15, 9), 1023: (12, 6)},
+        (0, 20): {63: (12, 14), 127: (8, 14), 511: (38, 21), 1023: (46, 21)},
+        (3, 20): {63: (17, 17), 127: (7, 14), 511: (53, 24), 1023: (36, 21)},
     }
 
     @pytest.mark.parametrize("m, n_max", sorted(PASSES))
@@ -692,6 +716,21 @@ class TestMainEntry:
         assert code == 0
         assert (target / "s.csv").exists()
         assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["spectrum", "--n-max", "-1"], "n_max must be >= 0"),
+            (["wavefn", "--n", "-1"], "n and m must be non-negative"),
+        ],
+        ids=["spectrum", "wavefn"],
+    )
+    def test_negative_index_returns_two(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "x.csv"
+        assert main([*argv, "--output", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and message in err[0]
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_config_returns_two(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -1166,6 +1205,18 @@ class TestPiecewiseWriting:
         with pytest.raises(ValueError, match="a later piece fails"):
             cli._write_atomic(tmp_path / "x.json", pieces())
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+    def test_output_mode_follows_the_umask(self, tmp_path, umask, mode):
+        # mkstemp made every table 0600 whatever the umask
+        out = tmp_path / "s.csv"
+        previous = os.umask(umask)
+        try:
+            assert main(["spectrum", "--n-max", "2", "--output", str(out)]) == 0
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(out.stat().st_mode) == mode
+        assert list(tmp_path.iterdir()) == [out]
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_memory_does_not_grow_with_the_rows(self, tmp_path, fmt):

@@ -212,6 +212,17 @@ class TestIntegrateRadial:
         assert 12.0 < ratio < 20.0
 
 
+class TestTridiagonalOperator:
+    def test_rejects_an_off_diagonal_as_long_as_the_diagonal(self):
+        with pytest.raises(ValueError, match="one entry shorter"):
+            TridiagonalOperator([1.0, 2.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize("diagonal, off", [([1.0, math.nan], [1.0]), ([1.0, 2.0], [math.inf])])
+    def test_rejects_a_non_finite_entry(self, diagonal, off):
+        with pytest.raises(ValueError, match="entries must be finite"):
+            TridiagonalOperator(diagonal, off)
+
+
 class TestDiracOperator:
     def test_rejects_negative_m(self):
         with pytest.raises(ValueError):
@@ -542,10 +553,12 @@ class TestSolverPasses:
     of the shifted diagonal's rounding cell, and a bracket end's count for
     every shift that rounds the diagonal as that end did, left 64-68 and
     137-147.  Skipping the isolating bisection of every level that the
-    earlier levels predict inside its bracket leaves 60-64 and 119-127.
+    earlier levels predict inside its bracket left 60-64 and 119-127.
     Those were the counts of the second-order radial operator; the Dirac
-    operator B B^T that replaced it takes 52-55 and 96-99, with 18-21 and
-    33-36 Newton passes.  These solves have no starts; ``verify``'s solves
+    operator B B^T that replaced it took 52-55 and 96-99, with 18-21 and
+    33-36 Newton passes.  A final gallop from one ulp of the Newton iterate
+    leaves 51-54 and 94-95, with the same Newton passes.  These solves have
+    no starts; ``verify``'s solves
     start from the levels of shorter grids, and ``TestSolverRows`` in
     test_cli.py pins their passes.  The counts do not depend on the machine.
     """

@@ -28,7 +28,7 @@ class TestPhysicalParams:
         assert p.energy_quantum == 1.0
 
     @pytest.mark.parametrize("field", ["rest_mass", "omega", "hbar", "c"])
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, "a"])
     def test_rejects_nonpositive_or_nonfinite(self, field, bad):
         kwargs = dict(rest_mass=1.0, omega=1.0, hbar=1.0, c=1.0)
         kwargs[field] = bad

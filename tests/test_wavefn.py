@@ -188,6 +188,15 @@ class TestRowTable:
         assert list(rows) == keys and kummer_calls == keys
         assert len(out) == order + 1 and all(np.all(np.isfinite(f)) for f in out)
 
+    def test_values_refuse_a_table_with_an_inf_row(self):
+        p, grid = natural_params(), RadialGrid(8.0, 9)
+        profile = psi1_profile(QuantumNumbers(0, 0))
+        row = np.ones(grid.num_points)
+        row[3] = np.inf
+        rows = wavefn._Rows(to_dimensionless_z(grid.samples, p), rows={(profile.a, profile.b): row})
+        with pytest.raises(ValueError, match="values must be finite at every sample"):
+            RadialFunction(grid, profile, p, _rows=rows).values
+
     @pytest.mark.parametrize("order", [0, 1, 2])
     def test_derivatives_read_a_table_as_they_read_its_z(self, order):
         profile = psi1_profile(QuantumNumbers(4, 2))
@@ -748,16 +757,18 @@ class TestClosedFormNormConstant:
         assert closed_form_norm_constant(QuantumNumbers(n, m), p) == expected
 
     @IN_BOTH_UNIT_SYSTEMS
-    @pytest.mark.parametrize("n", [169, 170, 10**5])
+    @pytest.mark.parametrize("n", [169, 170, 10**5, 10**306])
     def test_large_n_at_m_zero(self, p, n):
-        # the factorials cancel to 1; (n+1)! alone left float64 from n = 170
+        # the factorials cancel to 1; (n+1)! alone left float64 from n = 170,
+        # and at 10**306 lgamma overflows and the exact ratio decides
         b = p.oscillator_length
         got = closed_form_norm_constant(QuantumNumbers(n, 0), p)
         assert got == 1.0 / math.sqrt(math.pi * b * b)
 
-    @pytest.mark.parametrize("n, m", [(0, 400), (10**7, 100)])
+    @pytest.mark.parametrize("n, m", [(0, 400), (10**7, 100), (0, 172)])
     def test_ratio_outside_float64_is_refused(self, n, m):
-        # (0, 400) overflows, (10**7, 100) underflows
+        # (0, 400) overflows, (10**7, 100) underflows; 172!/173, about
+        # e^711.7, passes the log-gamma guard and overflows in the division
         with pytest.raises(ValueError, match=f"n={n}, m={m}"):
             closed_form_norm_constant(QuantumNumbers(n, m), natural_params())
 
