@@ -12,9 +12,8 @@ Output is CSV (comma separated, '.' decimals, LF line endings, floats in
 and "checks" keys; floats serialized in shortest round-trip form).  Rows are
 rendered column-wise through one row template, byte-identical to
 json.dumps(indent=2) of one dict per row, and written in pieces of
-_PIECE_ROWS rows: memory does not grow with the row count (66 MB peak RSS
-for a 262,145-point wavefn table).  Identical configurations produce
-byte-identical files; files are written atomically.
+_PIECE_ROWS rows: memory does not grow with the row count.  Identical
+configurations produce byte-identical files; files are written atomically.
 The environment variable DIRAC2D_OUTPUT_DIR redirects relative output paths.
 """
 
@@ -26,7 +25,6 @@ import itertools
 import json
 import math
 import os
-import secrets
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -225,7 +223,7 @@ def _resolve_output(config: RunConfig) -> Path:
 def _write_atomic(path: Path, pieces) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     # mode 0o666 leaves the umask to set the file's mode, as open(path, "w") does
-    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="\n") as handle:

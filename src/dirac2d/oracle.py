@@ -227,7 +227,8 @@ def smallest_eigenvalues(op: TridiagonalOperator, count: int, *, starts=()) -> l
     in four phases:
 
     1. every count narrows the bracket of every level (Barth, Martin and
-       Wilkinson 1967; LAPACK ``dstebz``);
+       Wilkinson 1967; LAPACK ``dstebz``); the brackets ascend with the
+       level, so the narrowing stops at the first end a count cannot move;
     2. level i (from 0) is predicted from the levels returned, at
        3 l[-1] - 3 l[-2] + l[-3] from i = 3 on; below, at starts[i], or
        without a start at 2 l[-1] - l[-2] for i = 2;
@@ -295,21 +296,32 @@ def smallest_eigenvalues(op: TridiagonalOperator, count: int, *, starts=()) -> l
     hi, hi_count = [upper] * count, [op.dimension] * count
 
     def record(sigma, below, cell):
-        # the levels below i are solved: only the brackets from i on move
-        for j in range(i, min(below, count)):
-            if sigma < hi[j]:
-                hi[j], hi_count[j] = sigma, below
+        # The levels below i are solved: only the brackets from i on move.
+        # From i on, lo and hi ascend with the level (by induction over this
+        # function, their only writer), so no end past the first one a walk
+        # keeps (hi walking down, lo walking up) moves either.
+        for j in range(min(below, count) - 1, i - 1, -1):
+            if sigma >= hi[j]:
+                break
+            hi[j], hi_count[j] = sigma, below
         for j in range(max(below, i), count):
-            if sigma > lo[j]:
-                lo[j], lo_count[j] = sigma, below
+            if sigma <= lo[j]:
+                break
+            lo[j], lo_count[j] = sigma, below
         ends[below > i] = cell, below
+
+    shifted = np.empty_like(diagonal)  # the rounded d - sigma of the latest shift
 
     def count_at(sigma):
         # The pivots read sigma only through the rounded d_j - sigma, so a
         # shift that rounds the diagonal as a bracket end did takes its count.
-        cell = (diagonal - sigma).tobytes()
-        below = next((n for end, n in ends if end == cell), None)
-        if below is None:
+        cell = np.subtract(diagonal, sigma, out=shifted).tobytes()
+        (lo_cell, lo_below), (hi_cell, hi_below) = ends
+        if cell == lo_cell:
+            below = lo_below
+        elif cell == hi_cell:
+            below = hi_below
+        else:
             below = _negative_pivot_count(diag, off_sq, sigma, pivmin)
         record(sigma, below, cell)
 
@@ -333,7 +345,7 @@ def smallest_eigenvalues(op: TridiagonalOperator, count: int, *, starts=()) -> l
             return math.nan
         for _ in range(_NEWTON_MAX_STEPS):
             below, ratio = _newton_pass(diag, off_sq, sigma, pivmin)
-            record(sigma, below, (diagonal - sigma).tobytes())
+            record(sigma, below, np.subtract(diagonal, sigma, out=shifted).tobytes())
             if below not in (i, i + 1):
                 return math.nan
             finite = ratio != 0.0 and math.isfinite(ratio)
@@ -484,19 +496,20 @@ def _report(equation_id, rho, equations, degenerate) -> ResidualReport:
         dominant = np.abs(terms[0])
         for t in terms[1:]:
             np.maximum(dominant, np.abs(t), out=dominant)
-        largest = float(np.max(dominant))
+        largest = float(dominant.max())
         if not math.isfinite(largest):
             raise ValueError(f"{equation_id}: a term of the equation leaves float64")
         e = math.frexp(largest)[1] - 1
         np.ldexp(dominant, -e, out=dominant)
-        scale = float(np.sqrt(np.mean(dominant * dominant)))
+        # np.add.reduce(x) / x.size is np.mean's pairwise sum and division
+        scale = float(np.sqrt(np.add.reduce(dominant * dominant) / dominant.size))
         rel = np.ldexp(terms[0], -e)
         for t in terms[1:]:
             rel += np.ldexp(t, -e)
         rel = np.abs(rel, out=rel) / scale if scale else np.zeros_like(dominant)
-        i = int(np.argmax(rel))
+        i = int(rel.argmax())
         peak = float(rel[i])
-        rms = float(np.sqrt(np.mean(rel * rel)))
+        rms = float(np.sqrt(np.add.reduce(rel * rel) / rel.size))
         stats.append((rms, peak, float(rho[i]) if peak else 0.0))
     _, peak, worst_rho = max(stats, key=lambda s: s[1])
     rms = max(s[0] for s in stats)

@@ -1206,6 +1206,18 @@ class TestPiecewiseWriting:
             cli._write_atomic(tmp_path / "x.json", pieces())
         assert list(tmp_path.iterdir()) == []
 
+    def test_importing_the_cli_leaves_hashlib_out(self):
+        # a fresh interpreter: the temporary file's random name comes from
+        # os.urandom, and secrets would import hashlib and OpenSSL's _hashlib
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        probe = "import sys, dirac2d.cli; print(sorted({'hashlib', '_hashlib'} & sys.modules.keys()))"
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
+
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
     def test_output_mode_follows_the_umask(self, tmp_path, umask, mode):
         # mkstemp made every table 0600 whatever the umask

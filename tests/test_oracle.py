@@ -4,7 +4,7 @@ import re
 import sys
 import warnings
 from fractions import Fraction
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -1125,6 +1125,91 @@ class TestReportScaling:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^x: a term of the equation leaves float64$"):
                 oracle._report("x", rho, equations, False)
+
+
+def _reference_report(equation_id, rho, equations, degenerate):
+    """``oracle._report`` reduced through np.mean, np.max and np.argmax."""
+    stats = []
+    for terms in equations:
+        dominant = np.abs(terms[0])
+        for t in terms[1:]:
+            np.maximum(dominant, np.abs(t), out=dominant)
+        largest = float(np.max(dominant))
+        e = math.frexp(largest)[1] - 1
+        np.ldexp(dominant, -e, out=dominant)
+        scale = float(np.sqrt(np.mean(dominant * dominant)))
+        rel = np.ldexp(terms[0], -e)
+        for t in terms[1:]:
+            rel += np.ldexp(t, -e)
+        rel = np.abs(rel, out=rel) / scale if scale else np.zeros_like(dominant)
+        i = int(np.argmax(rel))
+        peak = float(rel[i])
+        rms = float(np.sqrt(np.mean(rel * rel)))
+        stats.append((rms, peak, float(rho[i]) if peak else 0.0))
+    _, peak, worst_rho = max(stats, key=lambda s: s[1])
+    rms = max(s[0] for s in stats)
+    return ResidualReport(equation_id, rms, peak, degenerate, worst_rho)
+
+
+class TestReportReference:
+    """``_report`` gives the floats of the np.mean/np.max/np.argmax formulation."""
+
+    @staticmethod
+    def _assert_same(equation_id, rho, equations, degenerate=False):
+        report = oracle._report(equation_id, rho, equations, degenerate)
+        reference = _reference_report(equation_id, rho, equations, degenerate)
+        hexed = [
+            [v.hex() if isinstance(v, float) else v for v in astuple(r)]
+            for r in (report, reference)
+        ]
+        assert hexed[0] == hexed[1]
+        return report
+
+    @pytest.mark.parametrize("factor", [1e-300, 1e-150, 1e-30, 1.0, 1e30, 1e150, 1e300])
+    def test_terms_at_every_magnitude(self, factor):
+        rho, terms = TestReportScaling._terms(factor)
+        other = [0.5 * factor * rho, -factor * np.cos(3.0 * rho), factor * 1e-7 * rho * rho]
+        self._assert_same("x", rho, [terms, other])
+
+    @pytest.mark.parametrize("units", ["natural", "si"])
+    def test_the_residual_checks_own_terms(self, units, monkeypatch):
+        # the equations ode_residual and coupled_residual hand to _report
+        calls = []
+        report = oracle._report
+
+        def recording(equation_id, rho, equations, degenerate):
+            calls.append((equation_id, rho, equations, degenerate))
+            return report(equation_id, rho, equations, degenerate)
+
+        monkeypatch.setattr(oracle, "_report", recording)
+        p = natural_params() if units == "natural" else si_params()
+        grid = default_grid(p, num_points=1025)
+        for qn in [QuantumNumbers(0, 0), QuantumNumbers(3, 1), QuantumNumbers(7, 4)]:
+            psi1 = radial_psi1(qn, grid, p)
+            level = energy(qn, p)
+            ode_residual(psi1, qn.m, level.k1)
+            coupled_residual(level, psi1)
+        monkeypatch.undo()
+        assert len(calls) == 6
+        for args in calls:
+            self._assert_same(*args)
+
+    def test_an_equation_whose_terms_are_all_zero(self):
+        rho, terms = TestReportScaling._terms(1.0)
+        zero = [np.zeros_like(rho)] * 3
+        assert self._assert_same("x", rho, [zero], degenerate=True).worst_rho == 0.0
+        self._assert_same("x", rho, [zero, terms])
+        self._assert_same("x", rho, [terms, zero])
+
+    def test_two_equations_that_tie_on_their_max(self):
+        # dyadic terms sum exactly in any order, so the mirrored equation's
+        # max ties bit for bit and the first equation's radius wins
+        rho = np.linspace(0.5, 4.0, 8)
+        up = [np.array([1.0, 2.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]), -np.ones(8)]
+        down = [t[::-1].copy() for t in up]
+        first = self._assert_same("x", rho, [up, down])
+        assert first.worst_rho == rho[1]
+        assert self._assert_same("x", rho, [down, up]).worst_rho == rho[6]
 
 
 class TestLaguerreTable:
