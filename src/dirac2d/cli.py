@@ -26,7 +26,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +53,8 @@ SI_ELECTRON_MASS = 9.1093837015e-31
 # unit system -> default rest mass, hbar and c
 _UNITS = {"natural": (1.0, 1.0, 1.0), "si": (SI_ELECTRON_MASS, SI_HBAR, SI_C)}
 
-DEFAULT_TOLERANCES = {
+# verify's pass/fail bound per check, in report order
+TOLERANCES = {
     "fd-spectrum": 1e-3,
     "dirac-energy-map": 1e-3,
     "ode-residual": 1e-12,
@@ -80,7 +81,6 @@ class RunConfig:
     fmt: str = "csv"
     output: str | None = None
     lambdas: tuple[float, ...] = (1e-2, 1e-3, 1e-4)
-    tolerances: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.command not in COMMANDS:
@@ -94,13 +94,6 @@ class RunConfig:
             raise ValueError(f"n_max must be >= 0, got {self.n_max}")
         if self.n < 0 or self.m < 0:
             raise ValueError("n and m must be non-negative")
-        for name, value in self.tolerances.items():
-            if name not in DEFAULT_TOLERANCES:
-                raise ValueError(
-                    f"unknown tolerance {name!r}; known: {sorted(DEFAULT_TOLERANCES)}"
-                )
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{name} tolerance must be finite and >= 0: {value}")
 
     def params(self) -> PhysicalParams:
         m0, hbar, c = _UNITS[self.units]
@@ -114,15 +107,12 @@ class RunConfig:
     def grid(self, params: PhysicalParams) -> wavefn.RadialGrid:
         return wavefn.default_grid(params, self.rho_max_in_b, self.grid_points)
 
-    def tolerance(self, name: str) -> float:
-        return self.tolerances.get(name, DEFAULT_TOLERANCES[name])
-
     def to_dict(self) -> dict:
         """The JSON "config" block: the command and the fields its flags set.
 
         Fields come in declaration order.  ``output`` names where the file
         goes, not what it holds, so it is left out; ``fmt`` is emitted as
-        "format" and verify fills in every tolerance.
+        "format".
         """
         flags = COMMANDS[self.command][2].split()
         read = {OPTIONS[f].get("dest", f[2:].replace("-", "_")) for f in flags}
@@ -130,8 +120,6 @@ class RunConfig:
         for f in fields(self):
             if f.name in read - {"output"}:
                 out["format" if f.name == "fmt" else f.name] = getattr(self, f.name)
-        if "tolerances" in out:
-            out["tolerances"] = {k: self.tolerance(k) for k in sorted(DEFAULT_TOLERANCES)}
         return out
 
 
@@ -275,7 +263,9 @@ def cmd_wavefn(config: RunConfig) -> Path:
     2 pi rho (|psi1|^2 + |psi2|^2).  The emitted columns are scaled so the
     density column integrates to one under the trapezoid rule on the emitted
     rows themselves, making the table self-consistently normalized.  A state
-    that the grid truncates raises ``TruncationError`` and writes no table.
+    that the grid truncates raises ``TruncationError`` and writes no table;
+    so does a grid too coarse for its trapezoid and Simpson norms to agree
+    within 1e-2, with a ValueError.
     """
     params = config.params()
     qn = QuantumNumbers(n=config.n, m=config.m)
@@ -286,13 +276,17 @@ def cmd_wavefn(config: RunConfig) -> Path:
     lower = wavefn.derive_lower_component(upper, level.E)
 
     rho = grid.samples
-    _, total, _, unit = wavefn._norm_integral(
+    weight, total, unit_grid, unit = wavefn._norm_integral(
         lambda rho, r1, r2: 2.0 * math.pi * rho * (r1**2 + r2**2),
         lambda d, g: g.spacing * float(0.5 * d[0] + d[1:-1].sum() + 0.5 * d[-1]),
         grid,
         upper.values,
         lower.values,
     )
+    # where the trapezoid and Simpson totals part, the grid does not resolve the state
+    gap = abs(total / oracle.integrate_radial(weight, unit_grid) - 1.0)
+    if gap > 1e-2:
+        raise ValueError(f"trapezoid and Simpson norms differ by {gap:.1e}: use more --grid-points")
     scale = 1.0 / wavefn._root(total, unit)
 
     r1 = scale * upper.values
@@ -377,10 +371,7 @@ def run_verification_checks(config: RunConfig) -> list[dict]:
     worst = float(np.max(np.abs(np.array(got) - exact) / np.maximum(1.0, np.abs(exact))))
     detail = f"n <= {max(degrees)} and alpha {m}..{m + 2} at 8 z up to {z_set[-1]:g}"
     results.append(("kummer-laguerre", worst, detail))
-    return [
-        _check(name, value, config.tolerance(name), detail)
-        for name, value, detail in results
-    ]
+    return [_check(name, value, TOLERANCES[name], detail) for name, value, detail in results]
 
 
 def cmd_verify(config: RunConfig) -> tuple[Path, bool]:
@@ -419,16 +410,6 @@ def cmd_nr_limit(config: RunConfig) -> Path:
 # argument parsing
 
 
-def _parse_tolerances(pairs: list[str]) -> dict[str, float]:
-    out = {}
-    for pair in pairs:
-        name, sep, value = pair.partition("=")
-        if not sep:
-            raise ValueError(f"tolerance override must look like name=value, got {pair!r}")
-        out[name.strip()] = float(value)
-    return out
-
-
 # flag -> add_argument keywords; each dest is a RunConfig field.  An option
 # left off the command line is left out of the namespace, so RunConfig's
 # field defaults are the only defaults.
@@ -449,12 +430,6 @@ OPTIONS = {
     "--lambdas": dict(help="comma-separated frequency ratios in (0, 0.1]"),
     "--format": dict(choices=("csv", "json"), dest="fmt"),
     "--output": dict(help="output file path"),
-    "--tolerance": dict(
-        action="append",
-        dest="tolerances",
-        metavar="NAME=VALUE",
-        help="override a verification tolerance (repeatable)",
-    ),
 }
 
 # name -> (help, command, the flags it reads); verify alone returns
@@ -473,8 +448,7 @@ COMMANDS = {
     "verify": (
         "run the oracle verification suite",
         cmd_verify,
-        "--n-max --m --omega --m0 --units --rho-max --grid-points --format "
-        "--output --tolerance",
+        "--n-max --m --omega --m0 --units --rho-max --grid-points --format --output",
     ),
     "nr-limit": (
         "compare against the weak-coupling expansion",
@@ -505,8 +479,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     values = dict(vars(args))
     if "lambdas" in values:
         values["lambdas"] = tuple(float(p) for p in values["lambdas"].split(",") if p)
-    if "tolerances" in values:
-        values["tolerances"] = _parse_tolerances(values["tolerances"])
     return RunConfig(**values)
 
 

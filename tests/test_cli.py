@@ -172,15 +172,15 @@ class TestVerifyCommand:
         path, _ = cmd_verify(config)
         assert len(json.loads(path.read_text())["checks"]) >= 6
 
-    def test_impossible_tolerance_fails_honestly(self, tmp_path):
+    def test_impossible_tolerance_fails_honestly(self, tmp_path, monkeypatch):
         config = RunConfig(
             command="verify",
             n_max=0,
             grid_points=1025,
             fmt="json",
             output=str(tmp_path / "v.json"),
-            tolerances={"fd-spectrum": 1e-16},
         )
+        monkeypatch.setitem(cli.TOLERANCES, "fd-spectrum", 1e-16)
         path, passed = cmd_verify(config)
         assert not passed
         payload = json.loads(path.read_text())
@@ -266,10 +266,6 @@ class TestVerifyCommand:
         failed = [c["name"] for c in run_verification_checks(config) if not c["passed"]]
         assert failed == ["coupled-residual"]
 
-    def test_unknown_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            RunConfig(command="verify", tolerances={"bogus": 1.0})
-
     def test_unknown_command_rejected(self):
         # the JSON config block reads the command's flags from COMMANDS
         with pytest.raises(ValueError, match="unknown command"):
@@ -283,26 +279,6 @@ class TestVerifyCommand:
     def test_unknown_units_or_format_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             RunConfig(command="spectrum", **kwargs)
-
-    def test_tolerance_without_a_value_is_refused(self, tmp_path, capsys):
-        out = tmp_path / "v.csv"
-        argv = ["verify", "--n-max", "0", "--tolerance", "fd-spectrum", "--output", str(out)]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert "tolerance override must look like name=value" in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("value", ["inf", "nan", "-1e-3"])
-    def test_tolerance_that_is_not_finite_or_is_negative_is_refused(
-        self, tmp_path, capsys, value
-    ):
-        # inf passed every check and nan failed them; both wrote non-JSON
-        out = tmp_path / "v.json"
-        argv = ["verify", "--n-max", "0", "--format", "json", "--output", str(out)]
-        assert main([*argv, "--tolerance", f"fd-spectrum={value}"]) == 2
-        err = capsys.readouterr().err
-        assert "fd-spectrum tolerance must be finite and >= 0" in err
-        assert not out.exists()
 
     def test_json_never_holds_nan_or_infinity(self):
         # in checks, and in a rows column of floats, of numpy floats or of
@@ -681,19 +657,8 @@ class TestMainEntry:
 
     def test_verify_exit_status_reflects_failure(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        code = main(
-            [
-                "verify",
-                "--n-max",
-                "0",
-                "--grid-points",
-                "1025",
-                "--tolerance",
-                "fd-spectrum=1e-16",
-                "--output",
-                "v.csv",
-            ]
-        )
+        monkeypatch.setitem(cli.TOLERANCES, "fd-spectrum", 1e-16)
+        code = main(["verify", "--n-max", "0", "--grid-points", "1025", "--output", "v.csv"])
         assert code == 1
         assert (tmp_path / "v.csv").exists()
 
@@ -869,6 +834,19 @@ class TestMainEntry:
         ]
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("points", ["3", "5"])
+    def test_grid_too_coarse_for_the_state_is_refused(
+        self, points, tmp_path, monkeypatch, capsys
+    ):
+        # 3 points once wrote R1_normalized 1.24e5 at rho 0, 5 points 1.46,
+        # where about 0.48 is right: the trapezoid and Simpson norms part
+        monkeypatch.chdir(tmp_path)
+        assert main(["wavefn", "--grid-points", points, "--output", "w.csv"]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: trapezoid and Simpson norms differ by ")
+        assert line.endswith("use more --grid-points")
+        assert not (tmp_path / "w.csv").exists()
+
     def test_grid_points_validated(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         code = main(["wavefn", "--grid-points", "100"])
@@ -999,7 +977,7 @@ READS = {
     },
     "verify": {
         "n_max", "m", "omega", "m0", "units", "rho_max_in_b", "grid_points", "fmt",
-        "output", "tolerances",
+        "output",
     },
     "nr-limit": {"n_max", "lambdas", "fmt", "output"},
 }
@@ -1019,6 +997,7 @@ REFUSED = [
     ("nr-limit", "--rho-max", "20"),
     ("nr-limit", "--grid-points", "1025"),
     ("nr-limit", "--tolerance", "ode-residual=1"),
+    ("verify", "--tolerance", "fd-spectrum=1"),
     ("spectrum", "--n", "7"),
     ("verify", "--n", "3"),
     ("nr-limit", "--n", "2"),
@@ -1057,9 +1036,9 @@ class TestSingleDeclaration:
         with pytest.raises(SystemExit):
             main(["verify", "--n", "3"])
         argv = ["verify", "--n-max", "0", "--output", "v.csv"]
-        assert main([*argv, "--tolerance", "ode-residual=1", "--tolerance", "normalization=1"]) == 0
+        assert main([*argv, "--m", "1", "--m", "2"]) == 0
         assert main(argv) == 0
-        assert [c.tolerances for c in configs] == [{"ode-residual": 1.0, "normalization": 1.0}, {}]
+        assert [c.m for c in configs] == [2, 0]
         assert cli._parser.cache_info().misses == 1
 
     @pytest.mark.parametrize("command", ["spectrum", "wavefn", "verify", "nr-limit"])
@@ -1069,7 +1048,7 @@ class TestSingleDeclaration:
 
     def test_json_config_has_one_key_per_field(self, tmp_path):
         # the command and the fields its flags set, in declaration order
-        sizes = {"spectrum": 7, "wavefn": 9, "verify": 10, "nr-limit": 4}
+        sizes = {"spectrum": 7, "wavefn": 9, "verify": 9, "nr-limit": 4}
         for command, size in sizes.items():
             out = tmp_path / f"{command}.json"
             argv = [command, "--format", "json", "--output", str(out)]
@@ -1079,8 +1058,6 @@ class TestSingleDeclaration:
             names = [f for f in CONFIG_FIELDS if f in READS[command] - {"output"}]
             expected = ["command"] + ["format" if f == "fmt" else f for f in names]
             assert list(config) == expected and len(expected) == size
-            if command == "verify":
-                assert len(config["tolerances"]) == 7
         assert config["lambdas"] == list(RunConfig(command="nr-limit").lambdas)
 
 
