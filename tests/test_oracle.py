@@ -816,7 +816,7 @@ class TestExtrapolatedLevels:
         data=st.data(),
     )
     def test_same_floats_as_two_solves_without_starts(self, points, m, rho_max, data):
-        # the start cascade steers only the path: the levels are those of
+        # the solve chain's starts steer only the path: the levels are those of
         # coarse and fine solves without starts, extrapolated, bit for bit
         p = natural_params()
         grid = RadialGrid(rho_max, points)
