@@ -188,6 +188,12 @@ class TestVerifyCommand:
         assert not by_name["fd-spectrum"]["passed"]
         assert by_name["node-counts"]["passed"]
 
+    def test_report_bounds_are_the_module_constants(self):
+        # every check reports the engine's own bound, in TOLERANCES' order
+        config = RunConfig(command="verify", n_max=0, grid_points=1025)
+        checks = run_verification_checks(config)
+        assert [(c["name"], c["tolerance"]) for c in checks] == list(cli.TOLERANCES.items())
+
     def test_grid_too_coarse_to_extrapolate_is_refused(self, tmp_path, capsys):
         # 505 points give a 63-point coarse grid, below the operator's 64
         out = tmp_path / "v.csv"
@@ -834,7 +840,7 @@ class TestMainEntry:
         ]
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("points", ["3", "5"])
+    @pytest.mark.parametrize("points", ["3", "5", "17"])
     def test_grid_too_coarse_for_the_state_is_refused(
         self, points, tmp_path, monkeypatch, capsys
     ):
@@ -846,6 +852,15 @@ class TestMainEntry:
         assert line.startswith("error: trapezoid and Simpson norms differ by ")
         assert line.endswith("use more --grid-points")
         assert not (tmp_path / "w.csv").exists()
+
+    def test_coarsest_grid_let_through_writes_a_normalized_table(self, tmp_path, monkeypatch):
+        # n 0, m 0 parts its norms most at 129 points over n <= 26 (about
+        # 1.1e-3), still inside the 1e-2 refusal bound
+        monkeypatch.chdir(tmp_path)
+        assert main(["wavefn", "--grid-points", "129", "--output", "w.csv"]) == 0
+        _, rows = read_csv(tmp_path / "w.csv")
+        assert len(rows) == 129
+        assert _trapezoid(rows, "probability_density") == pytest.approx(1.0, abs=1e-12)
 
     def test_grid_points_validated(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
