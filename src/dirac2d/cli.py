@@ -318,7 +318,7 @@ def run_verification_checks(config: RunConfig) -> list[dict]:
     m = config.m
     results = []  # (check name, measured value, detail) in report order
 
-    # Levels of the discrete Dirac operator B B^T against its ladder 4(n + 1).
+    # Levels of the discrete Dirac operator B B^T on the user's grid against 4(n + 1).
     levels = config.n_max + 1
     found, correction, (coarse, fine) = oracle.extrapolated_levels(m, grid, params, levels)
     worst = max(abs(level - 4.0 * (n + 1)) / (4.0 * (n + 1)) for n, level in enumerate(found))
@@ -338,24 +338,28 @@ def run_verification_checks(config: RunConfig) -> list[dict]:
         worst = max(worst, abs(excitation - state.excitation) / state.excitation)
     results.append(("dirac-energy-map", worst, f"{levels} mapped levels at m={m}"))
 
-    # One pass over the states: each psi1 function is built once, the psi1
-    # family reads their Kummer rows from one recurrence pass, and each row
-    # M(a, b) read is kept at 8 samples spanning (0, z_max] as
-    # (degree -a, alpha - m = b - m - 1, row).
+    # One pass over the states, on the t-trapezoid nodes: each psi1 function
+    # is built once, the psi1 family reads their Kummer rows from one
+    # recurrence pass, and each row M(a, b) read is kept at 8 nodes spread
+    # evenly in rho, the outermost last, as (degree -a, alpha - m = b - m - 1, row).
+    nodes = oracle.trapezoid_nodes(m, config.n_max, params.oscillator_length)
     worst_ode = worst_coupled = worst_norm = 0.0
     mismatches = 0
-    picks = np.linspace(0, grid.num_points - 1, 9).astype(int)[1:]
+    picks = np.searchsorted(nodes.samples, nodes.samples[-1] * np.arange(1, 9) / 8.0)
     held = []
-    for state, rf in zip(states, wavefn._psi1_family(m, config.n_max, grid, params)):
+    for state, rf in zip(states, wavefn._psi1_family(m, config.n_max, nodes, params)):
         # Closed-form profile pushed through the second-order radial equation.
         worst_ode = max(worst_ode, oracle.ode_residual(rf, m, state.k1).rms_residual)
         # Upper plus derived lower component in the coupled first-order system.
         worst_coupled = max(worst_coupled, oracle.coupled_residual(state, rf).rms_residual)
         # Node counts: n+1 sign changes in psi1's samples.
         mismatches += wavefn.sign_changes(rf.values[1:-1]) != state.qn.n + 1
-        # Quadrature normalization against the Laguerre-orthogonality constant.
-        closed = wavefn.closed_form_norm_constant(state.qn, params)
-        worst_norm = max(worst_norm, abs(wavefn.normalize(rf) / closed - 1.0))
+        # The t-trapezoid norm, of samples divided by 2**e to stay in float64,
+        # times the Laguerre-orthogonality constant, which makes it 1.
+        e = math.frexp(float(np.max(np.abs(rf.values))))[1]
+        root = math.sqrt(float(np.add.reduce(nodes.weights * np.ldexp(rf.values, -e) ** 2)))
+        closed = wavefn.closed_form_norm_constant(state.qn, params) * params.oscillator_length
+        worst_norm = max(worst_norm, abs(root * math.ldexp(closed, e) - 1.0))
         keys = rf.profile._keys(2)
         held += [(-round(a), round(b) - m - 1, rf._rows[a, b][picks]) for a, b in keys]
     detail = f"n <= {config.n_max} at m={m}"

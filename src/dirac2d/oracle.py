@@ -2,11 +2,11 @@
 
 Nothing in this module reuses the analytic spectrum or eigenfunction shapes:
 the eigensolver discretizes the Dirac coupling operator directly, the
-quadrature is plain composite Simpson, the Laguerre reference table is
-exact integer arithmetic, and the residual evaluators push candidate
-solutions back through the differential equations.  Agreement
-between this module and the closed-form modules is the package's primary
-correctness evidence.
+quadratures are composite Simpson and a trapezoid rule on nodes set by m,
+n_max and b alone, the Laguerre reference table is exact integer
+arithmetic, and the residual evaluators push candidate solutions back
+through the differential equations.  Agreement between this module and the
+closed-form modules is the package's primary correctness evidence.
 
 The coupled equations factorise.  With x = rho/b, the lower component is
 A applied to the upper one, A = d/dx - m/x + x, and in the x dx inner
@@ -46,6 +46,8 @@ __all__ = [
     "TridiagonalOperator",
     "ResidualReport",
     "integrate_radial",
+    "TrapezoidNodes",
+    "trapezoid_nodes",
     "build_dirac_operator",
     "smallest_eigenvalues",
     "Extrapolation",
@@ -126,6 +128,29 @@ def integrate_radial(values, grid: RadialGrid) -> float:
     return float(
         (h / 3.0) * (v[0] + v[-1] + 4.0 * v[1:-1:2].sum() + 2.0 * v[2:-1:2].sum())
     )
+
+
+TrapezoidNodes = namedtuple("TrapezoidNodes", "samples weights")
+
+
+def trapezoid_nodes(m: int, n_max: int, b: float) -> TrapezoidNodes:
+    """Radii rho_k = b log(1 + e^{t_k}) and weights w_k for states n <= n_max at index m.
+
+    b^2 sum_k w_k f(rho_k) is the t-trapezoid for integral 2 pi rho f d rho,
+    w_k = h 2 pi x dx/dt at x = rho/b; t_k = t_min + k h, t_min = -20/(m + 1),
+    up to the first at or past s + 7, s = sqrt(4(n_max + 1) + 2m), h = min(0.15, 2.3/s).
+    The integrand falls as e^{(2m + 2) t} below t_min and as a Gaussian past
+    the top state's turning point s b, so the rule converges exponentially
+    (Trefethen and Weideman, SIAM Review 56, 2014).  Only m, n_max, b enter.
+    """
+    s = math.sqrt(4.0 * (n_max + 1) + 2.0 * m)
+    h = min(0.15, 2.3 / s)
+    t_min = -20.0 / (m + 1)
+    t = t_min + h * np.arange(math.ceil((s + 7.0 - t_min) / h) + 1)
+    x = np.logaddexp(0.0, t)
+    samples = b * x
+    samples.setflags(write=False)
+    return TrapezoidNodes(samples, h * 2.0 * math.pi * x / (1.0 + np.exp(-t)))
 
 
 def build_dirac_operator(

@@ -328,7 +328,8 @@ def _psi1_family(m: int, n_max: int, grid: RadialGrid, params: PhysicalParams):
     column b = (m+1, m+2, m+3), n_max + 1 steps.  Each state's table holds
     exactly those rows, and all share one z and one set of factors.  Each
     element of a row is the same steps as ``kummer_m`` of its degree and b,
-    so each function equals its own ``radial_psi1`` bit for bit.
+    so each function equals its own ``radial_psi1`` bit for bit.  Only
+    ``grid.samples`` is read: ``verify`` passes ``oracle.trapezoid_nodes``.
     """
     z = to_dimensionless_z(grid.samples, params)
     z.setflags(write=False)

@@ -238,11 +238,12 @@ class TestVerifyCommand:
     def test_kummer_laguerre_check_is_live(self, monkeypatch):
         # kummer-laguerre compares the Kummer rows the verified states hold
         # with exact values: the row of degree 3 at b = m+1 off by 1e-9 of
-        # itself at z_max, which the 8 samples include, must fail it
+        # itself at the outermost node, which the 8 samples include, must fail it
         config = RunConfig(command="verify", n_max=2, grid_points=1025)
         checks = {c["name"]: c for c in run_verification_checks(config)}
         assert checks["kummer-laguerre"]["passed"]
-        assert checks["kummer-laguerre"]["detail"] == "n <= 3 and alpha 0..2 at 8 z up to 144"
+        detail = "n <= 3 and alpha 0..2 at 8 z up to 112.361"
+        assert checks["kummer-laguerre"]["detail"] == detail
         rows = wavefn._degree_rows
 
         def one_row_off(b, z):
@@ -271,6 +272,70 @@ class TestVerifyCommand:
         monkeypatch.setattr(cli.spectrum, "energy", e_off)
         failed = [c["name"] for c in run_verification_checks(config) if not c["passed"]]
         assert failed == ["coupled-residual"]
+
+    @pytest.mark.parametrize("units, m", [("natural", 0), ("natural", 3), ("si", 2)])
+    def test_normalization_check_is_live(self, units, m, monkeypatch):
+        # the t-trapezoid norm against the closed-form constant: that
+        # constant off by 1e-7 of itself, or pi b**2 written as pi b, must fail it
+        config = RunConfig(command="verify", units=units, m=m, n_max=5)
+        assert all(c["passed"] for c in run_verification_checks(config))
+        constant = wavefn.closed_form_norm_constant
+        if units == "si":
+            b = config.params().oscillator_length
+
+            def off(qn, params):  # 1/sqrt(pi b ratio) = constant * sqrt(b)
+                return constant(qn, params) * math.sqrt(b)
+        else:
+
+            def off(qn, params):
+                return constant(qn, params) * (1.0 + 1e-7)
+
+        monkeypatch.setattr(wavefn, "closed_form_norm_constant", off)
+        failed = [c["name"] for c in run_verification_checks(config) if not c["passed"]]
+        assert failed == ["normalization"]
+
+    def test_a_profile_zero_at_every_node_fails_two_checks(self, monkeypatch):
+        # gamma with hbar**2 in SI units puts z near 1e28 at the first node,
+        # where every psi1 sample underflows to 0: the norm reads 0 and no
+        # node is found, and the residuals of a zero function read 0
+        gamma = units.PhysicalParams.gamma
+        hbar_squared = property(lambda p: p.rest_mass * p.omega / (p.hbar * p.hbar))
+        config = RunConfig(command="verify", units="si", m=2, n_max=5)
+        monkeypatch.setattr(units.PhysicalParams, "gamma", hbar_squared)
+        checks = {c["name"]: c for c in run_verification_checks(config)}
+        assert [name for name, c in checks.items() if not c["passed"]] == [
+            "node-counts",
+            "normalization",
+        ]
+        assert checks["normalization"]["measured"] == 1.0
+        monkeypatch.setattr(units.PhysicalParams, "gamma", gamma)
+        assert all(c["passed"] for c in run_verification_checks(config))
+
+    @pytest.mark.parametrize(
+        "argv",
+        ["--n-max 24", "--n-max 20 --m 10", "--n-max 5 --m 60"]
+        + [f"--grid-points 513 --n-max 5 --m {m}" for m in (0, 1)],
+    )
+    def test_states_past_the_default_grid_pass_every_check(self, argv, tmp_path):
+        # on the 12 b grid the first three exited 2 (a TruncationError from
+        # its Simpson norm), and 513 points failed normalization at m <= 1
+        out = tmp_path / "v.csv"
+        assert main(["verify", *argv.split(), "--output", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert [row["passed"] for row in rows] == ["true"] * 7
+
+    @pytest.mark.parametrize(
+        "argv, fd", [("--n-max 20 --m 60", 1.6e-1), ("--n-max 40", 3.3e-2)]
+    )
+    def test_states_past_the_fd_grid_fail_only_the_fd_checks(self, argv, fd, tmp_path):
+        # the finite-difference oracle on 12 b misses the top levels; the
+        # closed-form checks on the nodes pass
+        out = tmp_path / "v.csv"
+        assert main(["verify", *argv.split(), "--output", str(out)]) == 1
+        _, rows = read_csv(out)
+        failed = [row["name"] for row in rows if row["passed"] == "false"]
+        assert failed == ["fd-spectrum", "dirac-energy-map"]
+        assert float(rows[0]["measured"]) == pytest.approx(fd, rel=0.05)
 
     def test_unknown_command_rejected(self):
         # the JSON config block reads the command's flags from COMMANDS
@@ -403,8 +468,11 @@ class TestKummerBudget:
         run_verification_checks(RunConfig(command="verify", m=m, n_max=n_max))
         assert calls == []
         assert len(streams) == 1
-        (b, _), = streams
+        (b, z), = streams
         assert b.tolist() == [[m + 1.0], [m + 2.0], [m + 3.0]]
+        # on the t-trapezoid nodes' z, not the 4097-point grid's
+        rho = oracle.trapezoid_nodes(m, n_max, 1.0).samples
+        assert z.tobytes() == units.to_dimensionless_z(rho, natural_params()).tobytes()
         assert len(steps) == n_max + 1
         assert all(np.array_equal(step[1], b) and step[-1] is specfun._IN_PLACE for step in steps)
         # (M, D) and the scratch r are the same nine arrays at every step
@@ -436,12 +504,13 @@ class TestKummerBudget:
 
 
 class TestZBudget:
-    """z = gamma rho**2 formed per ``verify``: once on the grid, for the psi1
-    family, whose states, derived lower components and kummer-laguerre
-    samples share it.  Each state formed it three times before (65 calls at
-    n_max 20, m 3).  ``wavefn`` forms it once, for psi1, whose lower
-    component and z column read it.  The counts do not depend on the
-    machine.
+    """z = gamma rho**2 formed per ``verify``: once on the t-trapezoid nodes,
+    for the psi1 family, whose states, derived lower components and
+    kummer-laguerre samples share it.  It was formed on the 4097-point grid
+    until those checks moved to the nodes, and each state formed it three
+    times before that (65 calls at n_max 20, m 3).  ``wavefn`` forms it
+    once, for psi1, whose lower component and z column read it.  The counts
+    do not depend on the machine.
     """
 
     @pytest.fixture
@@ -458,10 +527,10 @@ class TestZBudget:
             monkeypatch.setattr(owner, "to_dimensionless_z", counted, raising=False)
         return shapes
 
-    @pytest.mark.parametrize("m, n_max", [(0, 5), (3, 20)])
-    def test_verify_forms_z_once_per_grid(self, shapes, m, n_max):
+    @pytest.mark.parametrize("m, n_max, nodes", [(0, 5, 214), (3, 20, 145)], ids=["0-5", "3-20"])
+    def test_verify_forms_z_once_per_grid(self, shapes, m, n_max, nodes):
         run_verification_checks(RunConfig(command="verify", m=m, n_max=n_max))
-        assert shapes == [(4097,)]
+        assert shapes == [(nodes,)]
 
     def test_wavefn_forms_z_once(self, shapes, tmp_path):
         config = RunConfig(command="wavefn", n=7, m=2, output=str(tmp_path / "w.csv"))
@@ -476,7 +545,8 @@ class TestZBudget:
 class TestFactorBudget:
     """The factors of z formed per ``verify``, counted through ``wavefn.np``.
 
-    The psi1 family reads one table, on the grid's z, and each function
+    The psi1 family reads one table, on the t-trapezoid nodes' z (the
+    4097-point grid's until the closed-form checks moved), and each function
     samples its profile there once, at the highest order read: psi1 at
     order 2 for both residuals, and its derived lower component at order 1
     for the coupled residual.  The interior samples are slices of those.
@@ -489,8 +559,8 @@ class TestFactorBudget:
     not depend on the machine.
     """
 
-    @pytest.mark.parametrize("m, n_max", [(0, 5), (3, 20)])
-    def test_verify_forms_each_factor_once_per_table(self, m, n_max, monkeypatch):
+    @pytest.mark.parametrize("m, n_max, nodes", [(0, 5, 214), (3, 20, 145)], ids=["0-5", "3-20"])
+    def test_verify_forms_each_factor_once_per_table(self, m, n_max, nodes, monkeypatch):
         formed, sampled = [], []
 
         class CountedNumpy:
@@ -516,14 +586,14 @@ class TestFactorBudget:
         run_verification_checks(RunConfig(command="verify", m=m, n_max=n_max))
         assert sorted(formed, key=repr) == sorted(
             [
-                ("exp", (4097,)),
-                ("power", (4097,), 0.5 * m),
-                ("power", (4097,), 0.5 * (m + 1)),
+                ("exp", (nodes,)),
+                ("power", (nodes,), 0.5 * m),
+                ("power", (nodes,), 0.5 * (m + 1)),
             ],
             key=repr,
         )
         # per state psi1 at order 2, and the lower component at order 1
-        want = [(m, (4097,), 2), (m + 1, (4097,), 1)] * (n_max + 1)
+        want = [(m, (nodes,), 2), (m + 1, (nodes,), 1)] * (n_max + 1)
         assert sampled == want
 
 
@@ -773,18 +843,13 @@ class TestMainEntry:
 
     @pytest.mark.parametrize(
         "rho_max, shown",
-        [
-            ("1e-70", "still rises at rho_max"),
-            ("1e5", "rho_max=100000.0"),
-            ("1e60", "rho_max=1e+60"),
-        ],
+        [("1e5", "rho_max=100000.0"), ("1e60", "rho_max=1e+60")],
     )
     def test_an_extent_without_a_report_returns_two(
         self, rho_max, shown, tmp_path, monkeypatch, capsys
     ):
         # at 1e5 and 1e60 rounding swamps the operator's levels, which read
-        # -65.9 and -1.1e108, where sqrt(1 + x) would fail; at 1e-70 the
-        # grid truncates every state
+        # -65.9 and -1.1e108, where sqrt(1 + x) would fail
         monkeypatch.chdir(tmp_path)
         argv = ["verify", "--rho-max", rho_max, "--n-max", "0", "--output", "v.csv"]
         assert main(argv) == 2
@@ -792,19 +857,25 @@ class TestMainEntry:
         assert line.startswith("error: ") and shown in line
         assert not (tmp_path / "v.csv").exists()
 
-    @pytest.mark.parametrize("rho_max, m", [("2e-74", "1"), ("4e-74", "3")])
-    def test_a_tiny_extent_is_refused_without_a_warning(
-        self, rho_max, m, tmp_path, monkeypatch, capsys
+    @pytest.mark.parametrize(
+        "rho_max, m, fd", [("1e-70", "0", 3.7e140), ("2e-74", "1", 1.6e148), ("4e-74", "3", 9.0e147)]
+    )
+    def test_a_tiny_extent_fails_only_the_fd_checks(
+        self, rho_max, m, fd, tmp_path, monkeypatch, capsys
     ):
-        # f'' overflows at the first interior z, below about 1e-154: the
-        # ODE residual refuses it, with no RuntimeWarning printed first
+        # --rho-max shapes only the finite-difference oracle's grids, whose
+        # levels it leaves far off; the closed-form checks read the nodes and
+        # pass.  On the tiny grid itself the norm refused 1e-70 (the integrand
+        # still rose at rho_max), and the ODE residual 2e-74 and 4e-74, where
+        # f'' overflowed at the first interior z: exit 2 and no report.
         monkeypatch.chdir(tmp_path)
         argv = ["verify", "--rho-max", rho_max, "--m", m, "--n-max", "0", "--output", "v.csv"]
-        assert main(argv) == 2
-        assert capsys.readouterr().err.splitlines() == [
-            "error: radial-ode: a term of the equation leaves float64"
-        ]
-        assert not (tmp_path / "v.csv").exists()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == ""  # no RuntimeWarning either
+        _, rows = read_csv(tmp_path / "v.csv")
+        failed = [row["name"] for row in rows if row["passed"] == "false"]
+        assert failed == ["fd-spectrum", "dirac-energy-map"]
+        assert float(rows[0]["measured"]) == pytest.approx(fd, rel=0.05)
 
     @pytest.mark.parametrize(
         "argv, factor, flags",

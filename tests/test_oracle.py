@@ -212,6 +212,56 @@ class TestIntegrateRadial:
         assert 12.0 < ratio < 20.0
 
 
+class TestTrapezoidNodes:
+    """The t-trapezoid nodes rho = b log(1 + e^t) that verify's closed-form checks read."""
+
+    @pytest.mark.parametrize(
+        "m, n_max, count", [(0, 5, 214), (3, 5, 118), (0, 20, 243), (3, 20, 145), (0, 200, 684)]
+    )
+    def test_node_counts(self, m, n_max, count):
+        nodes = oracle.trapezoid_nodes(m, n_max, 1.0)
+        assert nodes.samples.shape == nodes.weights.shape == (count,)
+        assert not nodes.samples.flags.writeable
+        assert np.all(np.diff(nodes.samples) > 0.0) and nodes.samples[0] > 0.0
+
+    @pytest.mark.parametrize("n_max", [0, 5, 20, 150])
+    @pytest.mark.parametrize("m", range(6))
+    def test_gaussian_moments(self, m, n_max):
+        # integral 2 pi rho rho^(2m) exp(-rho^2) d rho = pi m!, a form that
+        # shares no code with the closed-form states
+        rho, weights = oracle.trapezoid_nodes(m, n_max, 1.0)
+        total = math.fsum(weights * rho ** (2 * m) * np.exp(-rho * rho))
+        assert total == pytest.approx(math.pi * math.factorial(m), rel=1e-14)
+
+    @pytest.mark.parametrize("b", [2.0**-500, 0.75, 1e150])
+    def test_samples_scale_with_b_and_weights_do_not(self, b):
+        unit, scaled = oracle.trapezoid_nodes(3, 7, 1.0), oracle.trapezoid_nodes(3, 7, b)
+        assert_allclose(scaled.samples, b * unit.samples, rtol=1e-15)
+        assert scaled.weights.tobytes() == unit.weights.tobytes()
+
+    @staticmethod
+    def _node_checks(monkeypatch, m, n_max):
+        # verify's closed-form checks alone: the FD oracle reads its exact ladder
+        def exact(m, grid, params, count):
+            return oracle.Extrapolation([dirac_level(n) for n in range(count)], 0.0, (0, 0))
+
+        monkeypatch.setattr(oracle, "extrapolated_levels", exact)
+        from dirac2d.cli import RunConfig, run_verification_checks
+
+        config = RunConfig(command="verify", m=m, n_max=n_max)
+        return {c["name"]: c["measured"] for c in run_verification_checks(config)}
+
+    @pytest.mark.parametrize("n_max", [100, 150])
+    @pytest.mark.parametrize("m", [0, 3])
+    def test_the_spacing_resolves_the_top_state(self, m, n_max, monkeypatch):
+        # a fixed h = 0.15 read normalization 4.6e-5 at (0, 100) and missed
+        # 28-35 nodes at n_max 150
+        checks = self._node_checks(monkeypatch, m, n_max)
+        assert checks["node-counts"] == 0.0
+        assert checks["normalization"] <= 1e-12
+        assert max(checks["ode-residual"], checks["coupled-residual"]) <= 1e-15
+
+
 class TestTridiagonalOperator:
     def test_rejects_an_off_diagonal_as_long_as_the_diagonal(self):
         with pytest.raises(ValueError, match="one entry shorter"):

@@ -491,6 +491,19 @@ class TestPsi1Family:
             for (a, b), row in rf._rows.items():
                 assert row.tobytes() == wavefn.kummer_m(a, b, z).tobytes(), (n, a, b)
 
+    @pytest.mark.parametrize("m", [0, 3])
+    def test_rows_on_the_trapezoid_nodes_are_kummer_m_rows_bit_for_bit(self, m):
+        # verify streams the family on the nodes, not on a RadialGrid
+        p = natural_params()
+        nodes = oracle.trapezoid_nodes(m, 20, p.oscillator_length)
+        z = to_dimensionless_z(nodes.samples, p)
+        for n, rf in enumerate(wavefn._psi1_family(m, 20, nodes, p)):
+            assert rf._rows.z.tobytes() == z.tobytes()
+            for (a, b), row in rf._rows.items():
+                assert row.tobytes() == wavefn.kummer_m(a, b, z).tobytes(), (n, a, b)
+            alone = RadialFunction(nodes, wavefn.psi1_profile(QuantumNumbers(n, m)), p)
+            assert rf.interior(2)[1][2].tobytes() == alone.interior(2)[1][2].tobytes()
+
     def test_states_keep_their_floats_after_the_pass(self):
         # the stream steps in place; the rows it yielded, and the values
         # formed from them, stay as they were when the family is exhausted
