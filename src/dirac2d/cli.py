@@ -354,8 +354,7 @@ def run_verification_checks(config: RunConfig) -> list[dict]:
         worst_coupled = max(worst_coupled, oracle.coupled_residual(state, rf).rms_residual)
         # Node counts: n+1 sign changes in psi1's samples.
         mismatches += wavefn.sign_changes(rf.values[1:-1]) != state.qn.n + 1
-        # The t-trapezoid norm, of samples divided by 2**e to stay in float64,
-        # times the Laguerre-orthogonality constant, which makes it 1.
+        # The t-trapezoid norm of samples scaled by 2**-e, times the closed-form constant, is 1.
         e = math.frexp(float(np.max(np.abs(rf.values))))[1]
         root = math.sqrt(float(np.add.reduce(nodes.weights * np.ldexp(rf.values, -e) ** 2)))
         closed = wavefn.closed_form_norm_constant(state.qn, params) * params.oscillator_length

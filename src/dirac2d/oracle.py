@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import EnergyLevel
+from .spectrum import EnergyLevel, _require_count
 from .units import PhysicalParams
 from .wavefn import RadialFunction, RadialGrid, derive_lower_component
 from .wavefn import radial_psi1  # noqa: F401  (perfbench's tracer test reads it here)
@@ -143,14 +143,14 @@ def trapezoid_nodes(m: int, n_max: int, b: float) -> TrapezoidNodes:
     the top state's turning point s b, so the rule converges exponentially
     (Trefethen and Weideman, SIAM Review 56, 2014).  Only m, n_max, b enter.
     """
+    _require_count("m", m)
+    _require_count("n_max", n_max)
     s = math.sqrt(4.0 * (n_max + 1) + 2.0 * m)
     h = min(0.15, 2.3 / s)
     t_min = -20.0 / (m + 1)
     t = t_min + h * np.arange(math.ceil((s + 7.0 - t_min) / h) + 1)
     x = np.logaddexp(0.0, t)
-    samples = b * x
-    samples.setflags(write=False)
-    return TrapezoidNodes(samples, h * 2.0 * math.pi * x / (1.0 + np.exp(-t)))
+    return TrapezoidNodes(b * x, h * 2.0 * math.pi * x / (1.0 + np.exp(-t)))
 
 
 def build_dirac_operator(

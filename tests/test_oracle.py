@@ -221,7 +221,6 @@ class TestTrapezoidNodes:
     def test_node_counts(self, m, n_max, count):
         nodes = oracle.trapezoid_nodes(m, n_max, 1.0)
         assert nodes.samples.shape == nodes.weights.shape == (count,)
-        assert not nodes.samples.flags.writeable
         assert np.all(np.diff(nodes.samples) > 0.0) and nodes.samples[0] > 0.0
 
     @pytest.mark.parametrize("n_max", [0, 5, 20, 150])
@@ -232,6 +231,11 @@ class TestTrapezoidNodes:
         rho, weights = oracle.trapezoid_nodes(m, n_max, 1.0)
         total = math.fsum(weights * rho ** (2 * m) * np.exp(-rho * rho))
         assert total == pytest.approx(math.pi * math.factorial(m), rel=1e-14)
+
+    @pytest.mark.parametrize("m, n_max", [(-1, 5), (3, -1), (1.0, 5), (0, True)])
+    def test_refuses_an_index_that_is_not_a_count(self, m, n_max):
+        with pytest.raises(ValueError, match="must be a non-negative integer"):
+            oracle.trapezoid_nodes(m, n_max, 1.0)
 
     @pytest.mark.parametrize("b", [2.0**-500, 0.75, 1e150])
     def test_samples_scale_with_b_and_weights_do_not(self, b):
