@@ -31,6 +31,7 @@ from dirac2d import (
     smallest_eigenvalues,
 )
 from dirac2d import oracle
+from dirac2d.cli import RunConfig, run_verification_checks
 
 
 def dirac_level(n):
@@ -250,8 +251,6 @@ class TestTrapezoidNodes:
             return oracle.Extrapolation([dirac_level(n) for n in range(count)], 0.0, (0, 0))
 
         monkeypatch.setattr(oracle, "extrapolated_levels", exact)
-        from dirac2d.cli import RunConfig, run_verification_checks
-
         config = RunConfig(command="verify", m=m, n_max=n_max)
         return {c["name"]: c["measured"] for c in run_verification_checks(config)}
 
