@@ -94,6 +94,9 @@ class RunConfig:
             raise ValueError(f"n_max must be >= 0, got {self.n_max}")
         if self.n < 0 or self.m < 0:
             raise ValueError("n and m must be non-negative")
+        for name in ("n_max", "n", "m"):
+            if getattr(self, name) > sys.float_info.max:
+                raise ValueError(f"{name} lies past float64's largest value")
 
     def params(self) -> PhysicalParams:
         m0, hbar, c = _UNITS[self.units]
@@ -103,9 +106,6 @@ class RunConfig:
             hbar=hbar,
             c=c,
         )
-
-    def grid(self, params: PhysicalParams) -> wavefn.RadialGrid:
-        return wavefn.default_grid(params, self.rho_max_in_b, self.grid_points)
 
     def to_dict(self) -> dict:
         """The JSON "config" block: the command and the fields its flags set.
@@ -269,7 +269,7 @@ def cmd_wavefn(config: RunConfig) -> Path:
     """
     params = config.params()
     qn = QuantumNumbers(n=config.n, m=config.m)
-    grid = config.grid(params)
+    grid = wavefn.default_grid(params, config.rho_max_in_b, config.grid_points)
     level = spectrum.energy(qn, params)
     upper = wavefn.radial_psi1(qn, grid, params)
     wavefn.normalize(upper)  # tail-mass check only; the table scales itself
@@ -311,16 +311,20 @@ def _check(name, measured, tolerance, detail=""):
     }
 
 
+def _residual(report: oracle.ResidualReport) -> float:
+    """A report's relative RMS, or 1.0 for a profile zero at every sample, as its norm reads."""
+    return 1.0 if report.degenerate else report.rms_residual
+
+
 def run_verification_checks(config: RunConfig) -> list[dict]:
     """The oracle suite behind ``verify``; returns one record per check."""
     params = config.params()
-    grid = config.grid(params)
     m = config.m
     results = []  # (check name, measured value, detail) in report order
 
-    # Levels of the discrete Dirac operator B B^T on the user's grid against 4(n + 1).
+    # Levels of the discrete Dirac operator B B^T, on grids m and n_max size, against 4(n + 1).
     levels = config.n_max + 1
-    found, correction, (coarse, fine) = oracle.extrapolated_levels(m, grid, params, levels)
+    found, correction, (coarse, fine) = oracle.extrapolated_levels(m, config.n_max, params)
     worst = max(abs(level - 4.0 * (n + 1)) / (4.0 * (n + 1)) for n, level in enumerate(found))
     detail = (
         f"first {levels} levels at m={m} extrapolated from {coarse} and {fine} "
@@ -349,9 +353,9 @@ def run_verification_checks(config: RunConfig) -> list[dict]:
     held = []
     for state, rf in zip(states, wavefn._psi1_family(m, config.n_max, nodes, params)):
         # Closed-form profile pushed through the second-order radial equation.
-        worst_ode = max(worst_ode, oracle.ode_residual(rf, m, state.k1).rms_residual)
+        worst_ode = max(worst_ode, _residual(oracle.ode_residual(rf, m, state.k1)))
         # Upper plus derived lower component in the coupled first-order system.
-        worst_coupled = max(worst_coupled, oracle.coupled_residual(state, rf).rms_residual)
+        worst_coupled = max(worst_coupled, _residual(oracle.coupled_residual(state, rf)))
         # Node counts: n+1 sign changes in psi1's samples.
         mismatches += wavefn.sign_changes(rf.values[1:-1]) != state.qn.n + 1
         # The t-trapezoid norm of samples scaled by 2**-e, times the closed-form constant, is 1.
@@ -451,7 +455,7 @@ COMMANDS = {
     "verify": (
         "run the oracle verification suite",
         cmd_verify,
-        "--n-max --m --omega --m0 --units --rho-max --grid-points --format --output",
+        "--n-max --m --omega --m0 --units --format --output",
     ),
     "nr-limit": (
         "compare against the weak-coupling expansion",

@@ -58,9 +58,6 @@ __all__ = [
 
 # The smallest grid, in points, that build_dirac_operator discretizes.
 _MIN_POINTS = 64
-# extrapolated_levels first solves up to three levels on these interval
-# counts when its coarse grid has more intervals than the last.
-_HEAD_INTERVALS = (64, 128)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,6 +130,19 @@ def integrate_radial(values, grid: RadialGrid) -> float:
 TrapezoidNodes = namedtuple("TrapezoidNodes", "samples weights")
 
 
+def _turning_point(m: int, n_max: int) -> float:
+    """s = sqrt(4(n_max + 1) + 2m), the top state's turning point in oscillator lengths.
+
+    Both oracles size their samples from s.  4(n_max + 1) + 2m of 4096 or
+    more (s of 64 or more) is refused, in integer arithmetic, before any float.
+    """
+    _require_count("m", m)
+    _require_count("n_max", n_max)
+    if 4 * (n_max + 1) + 2 * m >= 4096:
+        raise ValueError("4(n_max + 1) + 2m must be below 4096 (a turning point inside 64 b)")
+    return math.sqrt(4 * (n_max + 1) + 2 * m)
+
+
 def trapezoid_nodes(m: int, n_max: int, b: float) -> TrapezoidNodes:
     """Radii rho_k = b log(1 + e^{t_k}) and weights w_k for states n <= n_max at index m.
 
@@ -141,11 +151,10 @@ def trapezoid_nodes(m: int, n_max: int, b: float) -> TrapezoidNodes:
     up to the first at or past s + 7, s = sqrt(4(n_max + 1) + 2m), h = min(0.15, 2.3/s).
     The integrand falls as e^{(2m + 2) t} below t_min and as a Gaussian past
     the top state's turning point s b, so the rule converges exponentially
-    (Trefethen and Weideman, SIAM Review 56, 2014).  Only m, n_max, b enter.
+    (Trefethen and Weideman, SIAM Review 56, 2014).  Only m, n_max, b enter;
+    s of 64 or more is refused.
     """
-    _require_count("m", m)
-    _require_count("n_max", n_max)
-    s = math.sqrt(4.0 * (n_max + 1) + 2.0 * m)
+    s = _turning_point(m, n_max)
     h = min(0.15, 2.3 / s)
     t_min = -20.0 / (m + 1)
     t = t_min + h * np.arange(math.ceil((s + 7.0 - t_min) / h) + 1)
@@ -421,65 +430,49 @@ def _richardson(coarse, fine, ratio):
     return [(ratio * y - x) / (ratio - 1.0) for x, y in zip(coarse, fine)]
 
 
-def extrapolated_levels(
-    m: int, grid: RadialGrid, params: PhysicalParams, count: int
-) -> Extrapolation:
-    """The ``count`` smallest levels of the Dirac operator B B^T at zero spacing.
+def extrapolated_levels(m: int, n_max: int, params: PhysicalParams) -> Extrapolation:
+    """The levels n <= n_max of the Dirac operator B B^T at zero spacing.
 
-    ``smallest_eigenvalues`` reads the levels k_coarse and k_fine on two grids
-    over ``grid``'s [0, rho_max], of K and 2K intervals with
-    K = 2 floor((N - 1) / 16) for a grid of N points (513 and 1025 points
-    when N = 4097).  Their spacings differ by exactly 2 and the error is
-    second order in the spacing, so (4 k_fine - k_coarse) / 3 cancels its
-    leading term.  The correction |k - k_fine| / k_fine estimates the fine
-    grid's discretization error.  Only finite-difference eigenvalues enter,
-    never the closed-form ladder.
+    ``smallest_eigenvalues`` reads the levels k_coarse and k_fine on K and 2K
+    intervals of width b/32 and b/64, K = 16 ceil(2(s + 4)) for the top
+    state's turning point s b (``_turning_point``), so the extent reaches 4 b
+    past it.  The error is second order in the spacing, so
+    (4 k_fine - k_coarse) / 3 cancels its leading term, and the correction
+    |k - k_fine| / k_fine estimates the fine grid's error.  Only m and n_max
+    size the grids, and only finite-difference eigenvalues enter.  On one
+    spacing a shorter grid's B B^T is a leading principal submatrix of a
+    longer grid's, so by Cauchy interlacing an extent too short can only
+    raise the levels: it fails the comparison with 4(n + 1), never hides it.
 
-    The solves form one chain over the interval counts: for K > 128 the
-    first min(count, 3) levels on 64 and 128 intervals over the same extent
-    (65 and 129 points), then K and 2K.  The first solve has no starts and
-    the second starts from its levels.  Each later solve, of n intervals,
-    starts from the two before it, levels x on n0 intervals and y on n1:
-    from their limit L = (r y - x)/(r - 1), r = (n1/n0)^2, plus y's error
-    scaled to its own spacing, L + (y - L)(n1/n)^2.  Starts spare isolating
-    bisections and Newton passes and move no float: only the last two
-    solves enter the result.
-
-    A grid whose coarse partner would fall below the operator's 64 points,
-    or hold fewer than ``count`` interior rows, is refused, and so is an
-    extent at which a coarse, fine or extrapolated level reads zero or
-    less: B B^T is positive definite, so rounding has swamped it there.
+    The solves form one chain: the first min(n_max + 1, 3) levels on 64 and
+    128 intervals over the same extent, then K and 2K.  The first solve has
+    no starts and the second starts from its levels.  Each later solve, of
+    n intervals, starts from the two before it, levels x on n0 intervals
+    and y on n1: from their limit L = (r y - x)/(r - 1), r = (n1/n0)^2, plus
+    y's error scaled to its own spacing, L + (y - L)(n1/n)^2.  Starts move
+    no float: only the last two solves enter the result.  A level at zero or
+    below is refused: B B^T is positive definite, so rounding swamped it.
     """
-    intervals = 2 * ((grid.num_points - 1) // 16)
-    needed = max(_MIN_POINTS - 1, count + 1)  # intervals of the coarse grid
-    if intervals < needed:
-        least = 16 * math.ceil(needed / 2) + 1
-        raise ValueError(
-            f"{grid.num_points} grid points are too few to extrapolate "
-            f"{count} levels of the spectrum: use --grid-points {least} or more"
-        )
-    points = (intervals + 1, 2 * intervals + 1)
+    count = n_max + 1
+    intervals = 16 * math.ceil(2.0 * (_turning_point(m, n_max) + 4.0))
+    rho_max = intervals / 32.0 * params.oscillator_length
     head = min(count, 3)  # the solver reads starts for three levels only
-    chain = [(n, head) for n in _HEAD_INTERVALS if intervals > _HEAD_INTERVALS[-1]]
     solves = []  # (intervals, levels) per solve, in order
-    for n, levels in chain + [(intervals, count), (2 * intervals, count)]:
+    for n, levels in [(64, head), (128, head), (intervals, count), (2 * intervals, count)]:
         starts = solves[-1][1] if solves else ()
         if len(solves) >= 2:
             (n0, x), (n1, y) = solves[-2:]
             limit = _richardson(x, y, (n1 / n0) ** 2)
             starts = [L + (b - L) * (n1 / n) ** 2 for L, b in zip(limit, y)]
-        op = build_dirac_operator(m, RadialGrid(grid.rho_max, n + 1), params)
+        op = build_dirac_operator(m, RadialGrid(rho_max, n + 1), params)
         solves.append((n, smallest_eigenvalues(op, levels, starts=starts)))
     (_, k_coarse), (_, k_fine) = solves[-2:]
     levels = _richardson(k_coarse, k_fine, 4.0)
     lowest = min(k_coarse + k_fine + levels)
     if lowest <= 0.0:
-        raise ValueError(
-            f"rho_max={grid.rho_max!r} ({grid.rho_max / params.oscillator_length!r} "
-            f"oscillator lengths) swamps the operator's levels in rounding: one reads {lowest!r}"
-        )
+        raise ValueError(f"rounding swamps the operator's levels at m={m}: one reads {lowest!r}")
     correction = max(abs(k - fine) / fine for k, fine in zip(levels, k_fine))
-    return Extrapolation(levels, correction, points)
+    return Extrapolation(levels, correction, (intervals + 1, 2 * intervals + 1))
 
 
 def _laguerre_table(n_max: int, alphas, z_set) -> np.ndarray:

@@ -151,7 +151,6 @@ class TestVerifyCommand:
         config = RunConfig(
             command="verify",
             n_max=1,
-            grid_points=1025,
             fmt="json",
             output=str(tmp_path / "v.json"),
         )
@@ -165,7 +164,6 @@ class TestVerifyCommand:
         config = RunConfig(
             command="verify",
             n_max=0,
-            grid_points=1025,
             fmt="json",
             output=str(tmp_path / "v.json"),
         )
@@ -176,7 +174,6 @@ class TestVerifyCommand:
         config = RunConfig(
             command="verify",
             n_max=0,
-            grid_points=1025,
             fmt="json",
             output=str(tmp_path / "v.json"),
         )
@@ -190,40 +187,14 @@ class TestVerifyCommand:
 
     def test_report_bounds_are_the_module_constants(self):
         # every check reports the engine's own bound, in TOLERANCES' order
-        config = RunConfig(command="verify", n_max=0, grid_points=1025)
+        config = RunConfig(command="verify", n_max=0)
         checks = run_verification_checks(config)
         assert [(c["name"], c["tolerance"]) for c in checks] == list(cli.TOLERANCES.items())
-
-    def test_grid_too_coarse_to_extrapolate_is_refused(self, tmp_path, capsys):
-        # 505 points give a 63-point coarse grid, below the operator's 64
-        out = tmp_path / "v.csv"
-        code = main(["verify", "--grid-points", "505", "--output", str(out)])
-        assert code == 2
-        assert "--grid-points 513" in capsys.readouterr().err
-        assert not out.exists()
-        main(["verify", "--grid-points", "513", "--output", str(out)])
-        _, rows = read_csv(out)
-        by_name = {row["name"]: row for row in rows}
-        assert "from 65 and 129 points" in by_name["fd-spectrum"]["detail"]
-        assert by_name["fd-spectrum"]["passed"] == "true"
-        assert by_name["dirac-energy-map"]["passed"] == "true"
-
-    def test_more_levels_than_the_coarse_grid_holds_are_refused(self, tmp_path, capsys):
-        # n_max 70 reads 71 levels; 513 points give a coarse grid of 63
-        # interior rows, where the refusal named the operator dimension
-        out = tmp_path / "v.csv"
-        argv = ["verify", "--grid-points", "513", "--n-max", "70", "--output", str(out)]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert "too few to extrapolate 71 levels" in err
-        assert "--grid-points 577" in err
-        assert not out.exists()
 
     def test_node_counts_check_is_live(self, monkeypatch):
         # node-counts reads the sign changes of the verified psi1 samples: a
         # profile with one node too many, M(-(n+2), m+1), must fail it
-        config = RunConfig(command="verify", n_max=2, grid_points=1025)
+        config = RunConfig(command="verify", n_max=2)
         checks = {c["name"]: c for c in run_verification_checks(config)}
         assert checks["node-counts"]["measured"] == 0.0
 
@@ -239,7 +210,7 @@ class TestVerifyCommand:
         # kummer-laguerre compares the Kummer rows the verified states hold
         # with exact values: the row of degree 3 at b = m+1 off by 1e-9 of
         # itself at the outermost node, which the 8 samples include, must fail it
-        config = RunConfig(command="verify", n_max=2, grid_points=1025)
+        config = RunConfig(command="verify", n_max=2)
         checks = {c["name"]: c for c in run_verification_checks(config)}
         assert checks["kummer-laguerre"]["passed"]
         detail = "n <= 3 and alpha 0..2 at 8 z up to 112.361"
@@ -294,46 +265,42 @@ class TestVerifyCommand:
         failed = [c["name"] for c in run_verification_checks(config) if not c["passed"]]
         assert failed == ["normalization"]
 
-    def test_a_profile_zero_at_every_node_fails_two_checks(self, monkeypatch):
+    def test_a_profile_zero_at_every_node_fails_four_checks(self, monkeypatch):
         # gamma with hbar**2 in SI units puts z near 1e28 at the first node,
-        # where every psi1 sample underflows to 0: the norm reads 0 and no
-        # node is found, and the residuals of a zero function read 0
+        # where every psi1 sample underflows to 0: the norm reads 0, no node
+        # is found, and the residuals of a zero function read 1.0, not 0
         config = RunConfig(command="verify", units="si", m=2, n_max=5)
         assert all(c["passed"] for c in run_verification_checks(config))
         hbar_squared = property(lambda p: p.rest_mass * p.omega / (p.hbar * p.hbar))
         monkeypatch.setattr(units.PhysicalParams, "gamma", hbar_squared)
         checks = {c["name"]: c for c in run_verification_checks(config)}
         assert [name for name, c in checks.items() if not c["passed"]] == [
+            "ode-residual",
+            "coupled-residual",
             "node-counts",
             "normalization",
         ]
-        assert checks["normalization"]["measured"] == 1.0
+        for name in ("ode-residual", "coupled-residual", "normalization"):
+            assert checks[name]["measured"] == 1.0
 
-    @pytest.mark.parametrize(
-        "argv",
-        ["--n-max 24", "--n-max 20 --m 10", "--n-max 5 --m 60"]
-        + [f"--grid-points 513 --n-max 5 --m {m}" for m in (0, 1)],
-    )
+    @pytest.mark.parametrize("argv", ["--n-max 24", "--n-max 20 --m 10", "--n-max 5 --m 60"])
     def test_states_past_the_default_grid_pass_every_check(self, argv, tmp_path):
-        # on the 12 b grid the first three exited 2 (a TruncationError from
-        # its Simpson norm), and 513 points failed normalization at m <= 1
+        # on the 12 b grid these exited 2 (a TruncationError from its Simpson norm)
         out = tmp_path / "v.csv"
         assert main(["verify", *argv.split(), "--output", str(out)]) == 0
         _, rows = read_csv(out)
         assert [row["passed"] for row in rows] == ["true"] * 7
 
-    @pytest.mark.parametrize(
-        "argv, fd", [("--n-max 20 --m 60", 1.6e-1), ("--n-max 40", 3.3e-2)]
-    )
-    def test_states_past_the_fd_grid_fail_only_the_fd_checks(self, argv, fd, tmp_path):
-        # the finite-difference oracle on 12 b misses the top levels; the
-        # closed-form checks on the nodes pass
+    @pytest.mark.parametrize("argv", ["--n-max 40", "--n-max 20 --m 60", "--n-max 60"])
+    def test_states_past_a_12_b_fd_grid_pass_every_check(self, argv, tmp_path):
+        # the finite-difference oracle on a fixed 12 b missed the top levels
+        # (fd-spectrum 3.3e-2 at n_max 40, 1.6e-1 at n_max 20 and m 60); its
+        # grids now reach 4 b past the top state's turning point
         out = tmp_path / "v.csv"
-        assert main(["verify", *argv.split(), "--output", str(out)]) == 1
+        assert main(["verify", *argv.split(), "--output", str(out)]) == 0
         _, rows = read_csv(out)
-        failed = [row["name"] for row in rows if row["passed"] == "false"]
-        assert failed == ["fd-spectrum", "dirac-energy-map"]
-        assert float(rows[0]["measured"]) == pytest.approx(fd, rel=0.05)
+        assert [row["passed"] for row in rows] == ["true"] * 7
+        assert float(rows[0]["measured"]) <= 1e-11
 
     def test_unknown_command_rejected(self):
         # the JSON config block reads the command's flags from COMMANDS
@@ -364,7 +331,6 @@ class TestVerifyCommand:
         config = RunConfig(
             command="verify",
             n_max=0,
-            grid_points=1025,
             output=str(tmp_path / "v.csv"),
         )
         path, _ = cmd_verify(config)
@@ -384,7 +350,7 @@ class TestDiracEnergyMapCheck:
 
     @staticmethod
     def _checks(units):
-        config = RunConfig(command="verify", units=units, n_max=1, grid_points=1025)
+        config = RunConfig(command="verify", units=units, n_max=1)
         return {c["name"]: c for c in run_verification_checks(config)}
 
     @pytest.mark.parametrize("units", ["natural", "si"])
@@ -402,10 +368,12 @@ class TestDiracEnergyMapCheck:
 
     @pytest.mark.parametrize("units", ["natural", "si"])
     def test_true_levels_pass_at_rounding_level(self, units):
-        # measured 1.3e-14 (natural) and 1.8e-14 (si)
+        # measured 1.0e-13 (natural) and 1.4e-13 (si) on spacings b/32 and
+        # b/64; 1.3e-14 and 1.8e-14 on 12 b/128 and 12 b/256, where B B^T's
+        # entries, which grow as 1/h^2, rounded less
         check = self._checks(units)["dirac-energy-map"]
         assert check["passed"]
-        assert check["measured"] < 1e-13
+        assert check["measured"] < 1e-12
 
 
     def test_each_state_level_is_built_once(self, monkeypatch):
@@ -418,7 +386,7 @@ class TestDiracEnergyMapCheck:
             return energy_of(qn, params)
 
         monkeypatch.setattr(cli.spectrum, "energy", counted)
-        config = RunConfig(command="verify", m=3, n_max=4, grid_points=1025)
+        config = RunConfig(command="verify", m=3, n_max=4)
         assert all(c["passed"] for c in run_verification_checks(config))
         assert built == [QuantumNumbers(n, 3) for n in range(5)]
 
@@ -614,7 +582,10 @@ class TestSolverRows:
     level at its start, not shifted by the offset the level before it
     showed, and galloping from one ulp of the Newton iterate, not from half
     the rounding cell of the shifted diagonal, leaves 102,467; the
-    129-point solve takes one more Newton pass.
+    129-point solve takes one more Newton pass.  Grids of K intervals of
+    b/32 and 2K of b/64, K = 16 ceil(2(s + 4)) for the top state's turning
+    point s b, in place of 513 and 1025 points over 12 b, leave 92,738:
+    the n_max 20, m 3 grids hold 431 and 863 rows.
     The counts do not depend on the machine.
     """
 
@@ -634,27 +605,29 @@ class TestSolverRows:
         run_verification_checks(RunConfig(command="verify", m=m, n_max=n_max))
         return passes
 
-    # rows per verify at the perfbench (m, n_max); with shifted starts and
-    # the rounding-cell gallop step 36,516, 38,936, 106,569 and 111,027, and
+    # rows per verify at the perfbench (m, n_max); on 513 and 1025 points over
+    # 12 b 34,602, 35,487, 103,122 and 102,467, with shifted starts and the
+    # rounding-cell gallop step 36,516, 38,936, 106,569 and 111,027, and
     # before the 65- and 129-point head solves 52,663, 49,079, 122,716 and 121,170
-    ROWS = {(0, 5): 34_602, (3, 5): 35_487, (0, 20): 103_122, (3, 20): 102_467}
+    ROWS = {(0, 5): 16_176, (3, 5): 22_100, (0, 20): 71_300, (3, 20): 92_738}
 
     @pytest.mark.parametrize("m, n_max", sorted(ROWS))
     def test_verify_visits_an_eighth_of_the_full_grid_rows(self, m, n_max, monkeypatch):
         passes = self._passes(monkeypatch, m, n_max)
         assert sum(rows for _, rows in passes) <= self.ROWS[m, n_max]
 
-    # (Sturm counts, Newton passes) per verify and operator size (rows); in
-    # total, with shifted starts and the rounding-cell gallop step they were
+    # (Sturm counts, Newton passes) per verify and operator size (rows); on
+    # 513 and 1025 points over 12 b they were (46, 40), (51, 46), (104, 70)
+    # and (113, 76) in total, with shifted starts and the rounding-cell gallop step
     # (53, 39), (59, 45), (114, 69) and (130, 75); on 511 and 1023 rows alone
     # (43, 30), (40, 33), (104, 60) and (111, 63), on the radial operator
     # (52, 29), (60, 32), (148, 59) and (169, 62), and with every level
     # isolated by bisection (72, 33), (85, 39), (196, 63) and (226, 69)
     PASSES = {
-        (0, 5): {63: (12, 14), 127: (8, 14), 511: (11, 6), 1023: (15, 6)},
-        (3, 5): {63: (17, 17), 127: (7, 14), 511: (15, 9), 1023: (12, 6)},
-        (0, 20): {63: (12, 14), 127: (8, 14), 511: (38, 21), 1023: (46, 21)},
-        (3, 20): {63: (17, 17), 127: (7, 14), 511: (53, 24), 1023: (36, 21)},
+        (0, 5): {63: (15, 17), 127: (8, 13), 287: (8, 6), 575: (7, 6)},
+        (3, 5): {63: (18, 14), 127: (9, 13), 303: (12, 7), 607: (13, 6)},
+        (0, 20): {63: (13, 18), 127: (9, 14), 431: (29, 21), 863: (31, 21)},
+        (3, 20): {63: (14, 15), 127: (9, 14), 431: (48, 24), 863: (45, 21)},
     }
 
     @pytest.mark.parametrize("m, n_max", sorted(PASSES))
@@ -732,20 +705,9 @@ class TestMainEntry:
     def test_verify_exit_status_reflects_failure(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         monkeypatch.setitem(cli.TOLERANCES, "fd-spectrum", 1e-16)
-        code = main(["verify", "--n-max", "0", "--grid-points", "1025", "--output", "v.csv"])
+        code = main(["verify", "--n-max", "0", "--output", "v.csv"])
         assert code == 1
         assert (tmp_path / "v.csv").exists()
-
-    def test_long_grid_verify_writes_report(self, tmp_path):
-        # z reaches 676 on this grid; the n = 0 derivatives once evaluated a
-        # zero-weight non-terminating Kummer term there and did not converge
-        out = tmp_path / "v.csv"
-        code = main(["verify", "--n-max", "0", "--rho-max", "26", "--output", str(out)])
-        assert code == 0
-        header, rows = read_csv(out)
-        assert header[0] == "name"
-        assert len(rows) == 7
-        assert all(row["passed"] == "true" for row in rows)
 
     def test_output_dir_environment_override(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -769,6 +731,24 @@ class TestMainEntry:
         assert main([*argv, "--output", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and message in err[0]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            ("spectrum --n-max 0 --m", "m"),
+            ("wavefn --n 0 --m", "m"),
+            ("verify --n-max 0 --m", "m"),
+            ("verify --n-max", "n_max"),
+        ],
+    )
+    def test_an_index_past_float64_returns_two(self, argv, name, tmp_path, capsys):
+        # 10**400 raised an OverflowError (exit 1, which verify reports as a failed check)
+        out = tmp_path / "x.csv"
+        assert main([*argv.split(), str(10**400), "--output", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {name} lies past float64's largest value"
+        ]
         assert list(tmp_path.iterdir()) == []
 
     def test_bad_config_returns_two(self, tmp_path, monkeypatch):
@@ -830,50 +810,6 @@ class TestMainEntry:
             f"error: m0*omega/hbar {shown} is not a positive finite ratio"
         ]
         assert not (tmp_path / "out.csv").exists()
-
-    def test_rho_max_beyond_the_operator_returns_two(self, tmp_path, monkeypatch, capsys):
-        # 1/h squared, which B B^T's entries reach, leaves float64
-        monkeypatch.chdir(tmp_path)
-        argv = ["verify", "--rho-max", "1e-300", "--n-max", "0", "--output", "v.csv"]
-        assert main(argv) == 2
-        assert "rho_max=1e-300" in capsys.readouterr().err
-        assert not (tmp_path / "v.csv").exists()
-
-    @pytest.mark.parametrize(
-        "rho_max, shown",
-        [("1e5", "rho_max=100000.0"), ("1e60", "rho_max=1e+60")],
-    )
-    def test_an_extent_without_a_report_returns_two(
-        self, rho_max, shown, tmp_path, monkeypatch, capsys
-    ):
-        # at 1e5 and 1e60 rounding swamps the operator's levels, which read
-        # -65.9 and -1.1e108, where sqrt(1 + x) would fail
-        monkeypatch.chdir(tmp_path)
-        argv = ["verify", "--rho-max", rho_max, "--n-max", "0", "--output", "v.csv"]
-        assert main(argv) == 2
-        (line,) = capsys.readouterr().err.splitlines()
-        assert line.startswith("error: ") and shown in line
-        assert not (tmp_path / "v.csv").exists()
-
-    @pytest.mark.parametrize(
-        "rho_max, m, fd", [("1e-70", "0", 3.7e140), ("2e-74", "1", 1.6e148), ("4e-74", "3", 9.0e147)]
-    )
-    def test_a_tiny_extent_fails_only_the_fd_checks(
-        self, rho_max, m, fd, tmp_path, monkeypatch, capsys
-    ):
-        # --rho-max shapes only the finite-difference oracle's grids, whose
-        # levels it leaves far off; the closed-form checks read the nodes and
-        # pass.  On the tiny grid itself the norm refused 1e-70 (the integrand
-        # still rose at rho_max), and the ODE residual 2e-74 and 4e-74, where
-        # f'' overflowed at the first interior z: exit 2 and no report.
-        monkeypatch.chdir(tmp_path)
-        argv = ["verify", "--rho-max", rho_max, "--m", m, "--n-max", "0", "--output", "v.csv"]
-        assert main(argv) == 1
-        assert capsys.readouterr().err == ""  # no RuntimeWarning either
-        _, rows = read_csv(tmp_path / "v.csv")
-        failed = [row["name"] for row in rows if row["passed"] == "false"]
-        assert failed == ["fd-spectrum", "dirac-energy-map"]
-        assert float(rows[0]["measured"]) == pytest.approx(fd, rel=0.05)
 
     @pytest.mark.parametrize(
         "argv, factor, flags",
@@ -971,7 +907,7 @@ class TestExtremeScales:
     def test_huge_frequency_reads_a_true_coupled_residual(
         self, tmp_path, monkeypatch, capsys
     ):
-        argv = "verify --omega 1e300 --grid-points 513 --n-max 6 --m 38".split()
+        argv = "verify --omega 1e300 --n-max 6 --m 38".split()
         code, _, rows = self._run(argv, tmp_path, monkeypatch, capsys)
         assert code == 0
         coupled = {r["name"]: float(r["measured"]) for r in rows}["coupled-residual"]
@@ -984,8 +920,7 @@ class TestExtremeScales:
         # and the coupled residual formed inf * 0.  Its lam is subnormal, so
         # the run is refused before any state is built; the API refuses E.
         argv = [
-            "verify", "--m0", "1.7976931348623157e308", "--grid-points", "513",
-            "--n-max", "6", "--m", "27",
+            "verify", "--m0", "1.7976931348623157e308", "--n-max", "6", "--m", "27",
         ]
         code, err, _ = self._run(argv, tmp_path, monkeypatch, capsys)
         assert code == 2
@@ -1059,10 +994,7 @@ READS = {
     "wavefn": {
         "n", "m", "omega", "m0", "units", "rho_max_in_b", "grid_points", "fmt", "output"
     },
-    "verify": {
-        "n_max", "m", "omega", "m0", "units", "rho_max_in_b", "grid_points", "fmt",
-        "output",
-    },
+    "verify": {"n_max", "m", "omega", "m0", "units", "fmt", "output"},
     "nr-limit": {"n_max", "lambdas", "fmt", "output"},
 }
 
@@ -1082,6 +1014,8 @@ REFUSED = [
     ("nr-limit", "--grid-points", "1025"),
     ("nr-limit", "--tolerance", "ode-residual=1"),
     ("verify", "--tolerance", "fd-spectrum=1"),
+    ("verify", "--rho-max", "12"),
+    ("verify", "--grid-points", "4097"),
     ("spectrum", "--n", "7"),
     ("verify", "--n", "3"),
     ("nr-limit", "--n", "2"),
@@ -1132,7 +1066,7 @@ class TestSingleDeclaration:
 
     def test_json_config_has_one_key_per_field(self, tmp_path):
         # the command and the fields its flags set, in declaration order
-        sizes = {"spectrum": 7, "wavefn": 9, "verify": 9, "nr-limit": 4}
+        sizes = {"spectrum": 7, "wavefn": 9, "verify": 7, "nr-limit": 4}
         for command, size in sizes.items():
             out = tmp_path / f"{command}.json"
             argv = [command, "--format", "json", "--output", str(out)]

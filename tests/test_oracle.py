@@ -1,6 +1,5 @@
 import itertools
 import math
-import re
 import sys
 import warnings
 from fractions import Fraction
@@ -247,8 +246,8 @@ class TestTrapezoidNodes:
     @staticmethod
     def _node_checks(monkeypatch, m, n_max):
         # verify's closed-form checks alone: the FD oracle reads its exact ladder
-        def exact(m, grid, params, count):
-            return oracle.Extrapolation([dirac_level(n) for n in range(count)], 0.0, (0, 0))
+        def exact(m, n_max, params):
+            return oracle.Extrapolation([dirac_level(n) for n in range(n_max + 1)], 0.0, (0, 0))
 
         monkeypatch.setattr(oracle, "extrapolated_levels", exact)
         config = RunConfig(command="verify", m=m, n_max=n_max)
@@ -369,8 +368,8 @@ class TestDiracOperator:
             monkeypatch.setattr(module, "kummer_m", refuse)
             monkeypatch.setattr(module, "_degree_rows", refuse)
         monkeypatch.setattr(spectrum, "energy", refuse)
-        levels, _, _ = extrapolated_levels(3, RadialGrid(12.0, 1025), natural_params(), 4)
-        assert_allclose(levels, [dirac_level(n) for n in range(4)], rtol=1e-8)  # 9.9e-10
+        levels, _, _ = extrapolated_levels(3, 3, natural_params())
+        assert_allclose(levels, [dirac_level(n) for n in range(4)], rtol=1e-12)  # 1.4e-13
 
 
 class TestSmallestEigenvalues:
@@ -726,37 +725,38 @@ class TestSolverPasses:
     def test_verify_operators_need_no_more_passes(
         self, m, points, levels, before, monkeypatch
     ):
-        # the operators ``verify`` builds by default; ``before`` is the
+        # the operators over 12 b that ``verify`` once read; ``before`` is the
         # radial operator's total with Newton started at the bracket midpoint
         passes = self._passes(monkeypatch, m, points, levels)
         assert len(passes) <= self.PASSES[m, points, levels] < before
 
 
 class TestExtrapolatedLevels:
-    """Richardson extrapolation from the grids of K and 2K intervals."""
+    """Richardson extrapolation from grids of K intervals of b/32 and 2K of b/64."""
 
-    @pytest.mark.parametrize("m, count", [(0, 7), (3, 22)])
-    def test_ten_times_closer_than_the_full_grid(self, m, count):
-        # measured: 1.7e-5 -> 2.8e-13 at m = 0 and 4.9e-5 -> 2.8e-12 at m = 3
+    @pytest.mark.parametrize("m, n_max", [(0, 6), (3, 21)])
+    def test_ten_times_closer_than_the_fine_grid(self, m, n_max):
+        # measured: 4.9e-4 -> 1.4e-13 at m = 0 and 1.4e-3 -> 9.2e-12 at m = 3
         p = natural_params()
-        grid = RadialGrid(12.0, 4097)
-        exact = np.array([dirac_level(n) for n in range(count)])
-        plain = smallest_eigenvalues(build_dirac_operator(m, grid, p), count)
-        levels, correction, _ = extrapolated_levels(m, grid, p, count)
+        levels, correction, (coarse, fine) = extrapolated_levels(m, n_max, p)
+        exact = np.array([dirac_level(n) for n in range(n_max + 1)])
+        grid = RadialGrid((coarse - 1) / 32.0, fine)
+        plain = smallest_eigenvalues(build_dirac_operator(m, grid, p), n_max + 1)
         err_plain = np.max(np.abs(np.array(plain) - exact) / exact)
         err = np.max(np.abs(np.array(levels) - exact) / exact)
         assert err * 10.0 <= err_plain
-        # the correction estimates the 1025-point grid's error, 16 times the plain one
-        assert err_plain < correction < 100.0 * err_plain
+        # the correction estimates the fine grid's error
+        assert correction == pytest.approx(err_plain, rel=1e-2)
 
     @pytest.mark.parametrize(
-        "points, expected, built",
-        [(4097, (513, 1025), (65, 129, 513, 1025)), (1025, (129, 257), (129, 257))],
+        "m, n_max, built",
+        [(1, 3, (65, 129, 273, 545)), (0, 20, (65, 129, 433, 865))],
     )
-    def test_grids_share_rho_max_and_halve_the_spacing(
-        self, points, expected, built, monkeypatch
+    def test_grids_share_their_extent_and_follow_the_turning_point(
+        self, m, n_max, built, monkeypatch
     ):
-        # a coarse grid of more than 128 intervals is seeded from 65 and 129 points
+        # K = 16 ceil(2(s + 4)) with s = sqrt(4(n_max + 1) + 2m): 272 and 432
+        # intervals over K/32 oscillator lengths, after the 64- and 128-interval heads
         seen = []
         original = oracle.build_dirac_operator
 
@@ -766,29 +766,27 @@ class TestExtrapolatedLevels:
 
         monkeypatch.setattr(oracle, "build_dirac_operator", recorded)
         p = si_params()
-        grid = default_grid(p, 12.0, points)
-        result = extrapolated_levels(1, grid, p, 4)
-        assert result.points == expected
-        assert seen == [(grid.rho_max, n) for n in built]
+        result = extrapolated_levels(m, n_max, p)
+        assert result.points == built[2:]
+        rho_max = (built[2] - 1) / 32.0 * p.oscillator_length
+        assert seen == [(rho_max, n) for n in built]
 
     def test_reads_only_the_two_grids_levels(self, monkeypatch):
         # k = (4 k_fine - k_coarse) / 3 and correction |k - k_fine| / k_fine;
         # the head grids' levels only steer the solves
-        fake = {65: [5.0, 11.0], 129: [4.25, 9.0], 513: [4.0, 8.5], 1025: [4.0, 8.125]}
+        fake = {65: [5.0, 11.0], 129: [4.25, 9.0], 225: [4.0, 8.5], 449: [4.0, 8.125]}
         monkeypatch.setattr(
             oracle,
             "smallest_eigenvalues",
             lambda op, count, starts=(): fake[op.dimension + 2][:count],
         )
-        levels, correction, _ = extrapolated_levels(
-            0, RadialGrid(12.0, 4097), natural_params(), 2
-        )
+        levels, correction, _ = extrapolated_levels(0, 1, natural_params())
         assert levels == [4.0, 8.0]
         assert correction == 0.125 / 8.125
 
     @pytest.mark.parametrize(
         "fake",
-        [{513: [-1.0], 1025: [4.0]}, {513: [4.0], 1025: [0.0]}, {513: [16.0], 1025: [1.0]}],
+        [{193: [-1.0], 385: [4.0]}, {193: [4.0], 385: [0.0]}, {193: [16.0], 385: [1.0]}],
     )
     def test_a_level_at_or_below_zero_is_refused(self, fake, monkeypatch):
         # B B^T is positive definite, so such a level is rounding, and the
@@ -800,28 +798,47 @@ class TestExtrapolatedLevels:
             "smallest_eigenvalues",
             lambda op, count, starts=(): fake[op.dimension + 2],
         )
-        with pytest.raises(ValueError, match=r"rho_max=12\.0 .* one reads -?\d"):
-            extrapolated_levels(0, RadialGrid(12.0, 4097), natural_params(), 1)
+        with pytest.raises(ValueError, match=r"swamps the operator's levels at m=0: one reads -?\d"):
+            extrapolated_levels(0, 0, natural_params())
 
     @pytest.mark.parametrize("head", [[-1.0], [0.0], [math.nan]])
     def test_a_head_level_at_or_below_zero_only_steers(self, head, monkeypatch):
-        fake = {65: head, 129: head, 513: [4.0], 1025: [4.0]}
+        fake = {65: head, 129: head, 193: [4.0], 385: [4.0]}
         monkeypatch.setattr(
             oracle,
             "smallest_eigenvalues",
             lambda op, count, starts=(): fake[op.dimension + 2],
         )
-        result = extrapolated_levels(0, RadialGrid(12.0, 4097), natural_params(), 1)
+        result = extrapolated_levels(0, 0, natural_params())
         assert result.levels == [4.0]
 
-    @pytest.mark.parametrize("rho_max, shown", [(1e4, "10000.0"), (1e5, "100000.0"), (1e60, "1e+60")])
-    def test_levels_that_rounding_swamps_are_refused(self, rho_max, shown):
-        # 1025 points over 1e5 b read a first level of -65.9, and over 1e60 b -1.1e108
-        with pytest.raises(ValueError, match=rf"rho_max={re.escape(shown)} .* swamps"):
-            extrapolated_levels(0, RadialGrid(rho_max, 4097), natural_params(), 1)
+    @pytest.mark.parametrize("m", [0, 1, 3, 10])
+    @pytest.mark.parametrize("K", [64, 128, 192, 288])
+    def test_a_shorter_extent_only_raises_the_levels(self, m, K):
+        # on one spacing the shorter grid's B B^T is a leading principal
+        # submatrix of the longer one's, so by Cauchy interlacing its levels
+        # lie at or above: an extent set too short fails fd-spectrum and hides
+        # nothing.  Measured: 2 b above 4 b by up to 383, 9 b by up to 1e-4.
+        p = natural_params()
+        short, long = (
+            smallest_eigenvalues(build_dirac_operator(m, RadialGrid(n / 32.0, n + 1), p), 10)
+            for n in (K, K + 64)
+        )
+        assert all(a >= b for a, b in zip(short, long))
+
+    @pytest.mark.parametrize(
+        "m, n_max", [(2046, 5), (0, 1023), (10**400, 0)], ids=["2046-5", "0-1023", "10**400-0"]
+    )
+    def test_both_oracles_refuse_a_turning_point_past_64_b(self, m, n_max):
+        # 4(n_max + 1) + 2m of 4096 or more, refused in integer arithmetic
+        # before a float or an array exists
+        with pytest.raises(ValueError, match="must be below 4096"):
+            oracle.trapezoid_nodes(m, n_max, 1.0)
+        with pytest.raises(ValueError, match="must be below 4096"):
+            extrapolated_levels(m, n_max, natural_params())
 
     @staticmethod
-    def _solves(monkeypatch, points, count):
+    def _solves(monkeypatch, m, n_max):
         calls = []  # (operator, starts, levels) per solve
         original = oracle.smallest_eigenvalues
 
@@ -831,17 +848,17 @@ class TestExtrapolatedLevels:
             return found
 
         monkeypatch.setattr(oracle, "smallest_eigenvalues", recorded)
-        extrapolated_levels(3, RadialGrid(12.0, points), natural_params(), count)
+        extrapolated_levels(m, n_max, natural_params())
         return calls, original
 
-    # K = 512 coarse intervals, and K = 132, which is not 128 times a power of two
-    @pytest.mark.parametrize("points, K", [(4097, 512), (1057, 132)])
-    def test_the_fine_solve_starts_from_the_coarse_levels(self, points, K, monkeypatch):
+    # K = 512 coarse intervals, and K = 304, which is not 128 times a power of two
+    @pytest.mark.parametrize("n_max, K", [(31, 512), (5, 304)])
+    def test_the_fine_solve_starts_from_the_coarse_levels(self, n_max, K, monkeypatch):
         # the 129-point solve starts from the 65-point levels a, the coarse
         # solve from L + (b - L)(128/K)^2 with L = (4b - a)/3, and the fine
         # one from L' + (c - L')/4 with L' = (q c - b)/(q - 1), q = (K/128)^2;
         # the starts leave every float that of a solve without them
-        calls, original = self._solves(monkeypatch, points, 6)
+        calls, original = self._solves(monkeypatch, 3, n_max)
         (_, s1, a), (_, s2, b), (_, s3, c), (_, s4, _) = calls
         assert [op.dimension for op, _, _ in calls] == [63, 127, K - 1, 2 * K - 1]
         assert (s1, s2) == ([], a) and len(a) == len(b) == 3
@@ -853,48 +870,20 @@ class TestExtrapolatedLevels:
         for op, _, found in calls:
             assert found == original(op, len(found))
 
-    def test_a_coarse_grid_of_128_intervals_is_solved_without_starts(self, monkeypatch):
-        calls, original = self._solves(monkeypatch, 1025, 6)
-        (coarse, none, k_coarse), (fine, starts, k_fine) = calls
-        assert (coarse.dimension, fine.dimension) == (127, 255)
-        assert none == [] and starts == k_coarse
-        assert k_fine == original(fine, 6)
-
-    # a quarter of the profile's examples: each one solves up to six grids
+    # a quarter of the profile's examples: each one solves six grids
     @settings(max_examples=settings.default.max_examples // 4, deadline=None, derandomize=True)
-    @given(
-        points=st.integers(256, 4096).map(lambda k: 2 * k + 1),
-        m=st.integers(0, 60),
-        rho_max=st.floats(4.0, 24.0),
-        data=st.data(),
-    )
-    def test_same_floats_as_two_solves_without_starts(self, points, m, rho_max, data):
+    @given(m=st.integers(0, 60), n_max=st.integers(0, 24))
+    def test_same_floats_as_two_solves_without_starts(self, m, n_max):
         # the solve chain's starts steer only the path: the levels are those of
         # coarse and fine solves without starts, extrapolated, bit for bit
         p = natural_params()
-        grid = RadialGrid(rho_max, points)
-        intervals = 2 * ((points - 1) // 16)
-        count = data.draw(st.integers(1, min(25, intervals - 1)), label="count")
+        result = extrapolated_levels(m, n_max, p)
+        rho_max = (result.points[0] - 1) / 32.0
         coarse, fine = (
-            smallest_eigenvalues(build_dirac_operator(m, RadialGrid(rho_max, n), p), count)
-            for n in (intervals + 1, 2 * intervals + 1)
+            smallest_eigenvalues(build_dirac_operator(m, RadialGrid(rho_max, n), p), n_max + 1)
+            for n in result.points
         )
-        result = extrapolated_levels(m, grid, p, count)
         assert result.levels == [(4.0 * y - x) / 3.0 for x, y in zip(coarse, fine)]
-
-    def test_too_coarse_a_grid_is_refused(self):
-        p = natural_params()
-        with pytest.raises(ValueError, match="--grid-points 513"):
-            extrapolated_levels(0, RadialGrid(12.0, 511), p, 4)
-        assert extrapolated_levels(0, RadialGrid(12.0, 513), p, 4).points == (65, 129)
-
-    def test_more_levels_than_coarse_rows_are_refused(self):
-        # the coarse grid of 577 points has 72 intervals and 71 interior rows;
-        # 593 points give 74 intervals, the least that holds 72 levels
-        p = natural_params()
-        with pytest.raises(ValueError, match="72 levels .* --grid-points 593 or more"):
-            extrapolated_levels(0, RadialGrid(12.0, 577), p, 72)
-        assert extrapolated_levels(0, RadialGrid(12.0, 593), p, 72).points == (75, 149)
 
 
 class TestOdeResidual:
