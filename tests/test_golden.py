@@ -41,10 +41,7 @@ CASES = {
     ),
     "wavefn_si_1025.csv": ("wavefn --units si --n 2 --m 1 --grid-points 1025", 0),
     "verify_n20_m3.csv": ("verify --n-max 20 --m 3", 0),
-    "verify_natural_1025.json": (
-        "verify --n-max 4 --m 1 --omega 0.5 --grid-points 1025 --format json",
-        0,
-    ),
+    "verify_natural.json": ("verify --n-max 4 --m 1 --omega 0.5 --format json", 0),
     "verify_si.csv": ("verify --units si --n-max 3", 0),
     "verify_si.json": ("verify --units si --n-max 2 --format json", 0),
     "nr_limit.csv": ("nr-limit --n-max 10", 0),
