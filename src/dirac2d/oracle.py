@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectrum import EnergyLevel, _require_count
-from .units import PhysicalParams
+from .units import PhysicalParams, natural_params
 from .wavefn import RadialFunction, RadialGrid, derive_lower_component
 from .wavefn import radial_psi1  # noqa: F401  (perfbench's tracer test reads it here)
 
@@ -430,7 +430,7 @@ def _richardson(coarse, fine, ratio):
     return [(ratio * y - x) / (ratio - 1.0) for x, y in zip(coarse, fine)]
 
 
-def extrapolated_levels(m: int, n_max: int, params: PhysicalParams) -> Extrapolation:
+def extrapolated_levels(m: int, n_max: int) -> Extrapolation:
     """The levels n <= n_max of the Dirac operator B B^T at zero spacing.
 
     ``smallest_eigenvalues`` reads the levels k_coarse and k_fine on K and 2K
@@ -438,8 +438,8 @@ def extrapolated_levels(m: int, n_max: int, params: PhysicalParams) -> Extrapola
     state's turning point s b (``_turning_point``), so the extent reaches 4 b
     past it.  The error is second order in the spacing, so
     (4 k_fine - k_coarse) / 3 cancels its leading term, and the correction
-    |k - k_fine| / k_fine estimates the fine grid's error.  Only m and n_max
-    size the grids, and only finite-difference eigenvalues enter.  On one
+    |k - k_fine| / k_fine estimates the fine grid's error.  B B^T acts on
+    x = rho/b: the grids are in units of b, and only m and n_max enter.  On one
     spacing a shorter grid's B B^T is a leading principal submatrix of a
     longer grid's, so by Cauchy interlacing an extent too short can only
     raise the levels: it fails the comparison with 4(n + 1), never hides it.
@@ -455,7 +455,6 @@ def extrapolated_levels(m: int, n_max: int, params: PhysicalParams) -> Extrapola
     """
     count = n_max + 1
     intervals = 16 * math.ceil(2.0 * (_turning_point(m, n_max) + 4.0))
-    rho_max = intervals / 32.0 * params.oscillator_length
     head = min(count, 3)  # the solver reads starts for three levels only
     solves = []  # (intervals, levels) per solve, in order
     for n, levels in [(64, head), (128, head), (intervals, count), (2 * intervals, count)]:
@@ -464,7 +463,7 @@ def extrapolated_levels(m: int, n_max: int, params: PhysicalParams) -> Extrapola
             (n0, x), (n1, y) = solves[-2:]
             limit = _richardson(x, y, (n1 / n0) ** 2)
             starts = [L + (b - L) * (n1 / n) ** 2 for L, b in zip(limit, y)]
-        op = build_dirac_operator(m, RadialGrid(rho_max, n + 1), params)
+        op = build_dirac_operator(m, RadialGrid(intervals / 32.0, n + 1), natural_params())
         solves.append((n, smallest_eigenvalues(op, levels, starts=starts)))
     (_, k_coarse), (_, k_fine) = solves[-2:]
     levels = _richardson(k_coarse, k_fine, 4.0)

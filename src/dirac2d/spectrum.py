@@ -12,6 +12,7 @@ finding on the trial energy recovers the spectrum.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .units import PhysicalParams
@@ -71,10 +72,13 @@ def energy(qn: QuantumNumbers, params: PhysicalParams) -> EnergyLevel:
     """Closed-form energy of the state (n, m); E never depends on m.
 
     The excitation E - m0 c^2 = m0 c^2 x / (1 + sqrt(1 + x)), x = 4(n+1) lam,
-    keeps its digits where lam is below machine epsilon (SI units).  A level
-    whose E or excitation overflows (x overflows with E) raises ValueError.
+    keeps its digits where lam is below machine epsilon (SI units).  An n or m
+    past float64, or an E, excitation or k1 that overflows, raises ValueError.
     """
     n = qn.n
+    for name, index in (("n", n), ("m", qn.m)):
+        if index > sys.float_info.max:  # converting it to float would raise OverflowError
+            raise ValueError(f"{name} lies past float64's largest value")
     x = 4.0 * (n + 1) * params.lam
     root = math.sqrt(1.0 + x)
     E = params.rest_energy * root
@@ -85,6 +89,8 @@ def energy(qn: QuantumNumbers, params: PhysicalParams) -> EnergyLevel:
             f"4(n+1) lam = {x!r}, E = {E!r}"
         )
     k1 = 2.0 * (qn.m + 1) + 4.0 * (n + 1)
+    if not math.isfinite(k1):  # a finite k1 keeps kummer_a finite
+        raise ValueError(f"k1 = 2(m + 1) + 4(n + 1) of level n={n} leaves float64")
     kummer_a = 0.5 * (qn.m + 1 - 0.5 * k1)
     return EnergyLevel(qn=qn, E=E, k1=k1, kummer_a=kummer_a, excitation=excitation)
 

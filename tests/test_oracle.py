@@ -246,7 +246,7 @@ class TestTrapezoidNodes:
     @staticmethod
     def _node_checks(monkeypatch, m, n_max):
         # verify's closed-form checks alone: the FD oracle reads its exact ladder
-        def exact(m, n_max, params):
+        def exact(m, n_max):
             return oracle.Extrapolation([dirac_level(n) for n in range(n_max + 1)], 0.0, (0, 0))
 
         monkeypatch.setattr(oracle, "extrapolated_levels", exact)
@@ -368,7 +368,7 @@ class TestDiracOperator:
             monkeypatch.setattr(module, "kummer_m", refuse)
             monkeypatch.setattr(module, "_degree_rows", refuse)
         monkeypatch.setattr(spectrum, "energy", refuse)
-        levels, _, _ = extrapolated_levels(3, 3, natural_params())
+        levels, _, _ = extrapolated_levels(3, 3)
         assert_allclose(levels, [dirac_level(n) for n in range(4)], rtol=1e-12)  # 1.4e-13
 
 
@@ -735,18 +735,24 @@ class TestExtrapolatedLevels:
     """Richardson extrapolation from grids of K intervals of b/32 and 2K of b/64."""
 
     @pytest.mark.parametrize("m, n_max", [(0, 6), (3, 21)])
-    def test_ten_times_closer_than_the_fine_grid(self, m, n_max):
-        # measured: 4.9e-4 -> 1.4e-13 at m = 0 and 1.4e-3 -> 9.2e-12 at m = 3
+    def test_ten_times_closer_than_a_grid_four_times_finer(self, m, n_max):
+        # measured: 3.1e-5 -> 1.4e-13 at m = 0 and 8.8e-5 -> 9.2e-12 at m = 3
+        # against 8K intervals of b/256, four times finer than the fine grid
         p = natural_params()
-        levels, correction, (coarse, fine) = extrapolated_levels(m, n_max, p)
+        levels, correction, (coarse, fine) = extrapolated_levels(m, n_max)
         exact = np.array([dirac_level(n) for n in range(n_max + 1)])
-        grid = RadialGrid((coarse - 1) / 32.0, fine)
-        plain = smallest_eigenvalues(build_dirac_operator(m, grid, p), n_max + 1)
-        err_plain = np.max(np.abs(np.array(plain) - exact) / exact)
+
+        def plain_error(points):
+            grid = RadialGrid((coarse - 1) / 32.0, points)
+            plain = smallest_eigenvalues(build_dirac_operator(m, grid, p), n_max + 1)
+            return np.max(np.abs(np.array(plain) - exact) / exact)
+
+        err_finest = plain_error(4 * fine - 3)
         err = np.max(np.abs(np.array(levels) - exact) / exact)
-        assert err * 10.0 <= err_plain
-        # the correction estimates the fine grid's error
-        assert correction == pytest.approx(err_plain, rel=1e-2)
+        assert err * 10.0 <= err_finest
+        # the correction estimates the fine grid's error, 16 times the finest one
+        assert correction == pytest.approx(plain_error(fine), rel=1e-2)
+        assert err_finest < correction < 100.0 * err_finest
 
     @pytest.mark.parametrize(
         "m, n_max, built",
@@ -756,20 +762,19 @@ class TestExtrapolatedLevels:
         self, m, n_max, built, monkeypatch
     ):
         # K = 16 ceil(2(s + 4)) with s = sqrt(4(n_max + 1) + 2m): 272 and 432
-        # intervals over K/32 oscillator lengths, after the 64- and 128-interval heads
+        # intervals over K/32 oscillator lengths, after the 64- and 128-interval
+        # heads; the grids are built in units of b, so every spacing is exact
         seen = []
         original = oracle.build_dirac_operator
 
         def recorded(m, grid, params):
-            seen.append((grid.rho_max, grid.num_points))
+            seen.append((grid.rho_max, grid.num_points, params.oscillator_length))
             return original(m, grid, params)
 
         monkeypatch.setattr(oracle, "build_dirac_operator", recorded)
-        p = si_params()
-        result = extrapolated_levels(m, n_max, p)
+        result = extrapolated_levels(m, n_max)
         assert result.points == built[2:]
-        rho_max = (built[2] - 1) / 32.0 * p.oscillator_length
-        assert seen == [(rho_max, n) for n in built]
+        assert seen == [((built[2] - 1) / 32.0, n, 1.0) for n in built]
 
     def test_reads_only_the_two_grids_levels(self, monkeypatch):
         # k = (4 k_fine - k_coarse) / 3 and correction |k - k_fine| / k_fine;
@@ -780,7 +785,7 @@ class TestExtrapolatedLevels:
             "smallest_eigenvalues",
             lambda op, count, starts=(): fake[op.dimension + 2][:count],
         )
-        levels, correction, _ = extrapolated_levels(0, 1, natural_params())
+        levels, correction, _ = extrapolated_levels(0, 1)
         assert levels == [4.0, 8.0]
         assert correction == 0.125 / 8.125
 
@@ -799,7 +804,7 @@ class TestExtrapolatedLevels:
             lambda op, count, starts=(): fake[op.dimension + 2],
         )
         with pytest.raises(ValueError, match=r"swamps the operator's levels at m=0: one reads -?\d"):
-            extrapolated_levels(0, 0, natural_params())
+            extrapolated_levels(0, 0)
 
     @pytest.mark.parametrize("head", [[-1.0], [0.0], [math.nan]])
     def test_a_head_level_at_or_below_zero_only_steers(self, head, monkeypatch):
@@ -809,7 +814,7 @@ class TestExtrapolatedLevels:
             "smallest_eigenvalues",
             lambda op, count, starts=(): fake[op.dimension + 2],
         )
-        result = extrapolated_levels(0, 0, natural_params())
+        result = extrapolated_levels(0, 0)
         assert result.levels == [4.0]
 
     @pytest.mark.parametrize("m", [0, 1, 3, 10])
@@ -835,7 +840,7 @@ class TestExtrapolatedLevels:
         with pytest.raises(ValueError, match="must be below 4096"):
             oracle.trapezoid_nodes(m, n_max, 1.0)
         with pytest.raises(ValueError, match="must be below 4096"):
-            extrapolated_levels(m, n_max, natural_params())
+            extrapolated_levels(m, n_max)
 
     @staticmethod
     def _solves(monkeypatch, m, n_max):
@@ -848,7 +853,7 @@ class TestExtrapolatedLevels:
             return found
 
         monkeypatch.setattr(oracle, "smallest_eigenvalues", recorded)
-        extrapolated_levels(m, n_max, natural_params())
+        extrapolated_levels(m, n_max)
         return calls, original
 
     # K = 512 coarse intervals, and K = 304, which is not 128 times a power of two
@@ -877,7 +882,7 @@ class TestExtrapolatedLevels:
         # the solve chain's starts steer only the path: the levels are those of
         # coarse and fine solves without starts, extrapolated, bit for bit
         p = natural_params()
-        result = extrapolated_levels(m, n_max, p)
+        result = extrapolated_levels(m, n_max)
         rho_max = (result.points[0] - 1) / 32.0
         coarse, fine = (
             smallest_eigenvalues(build_dirac_operator(m, RadialGrid(rho_max, n), p), n_max + 1)

@@ -112,6 +112,22 @@ class TestEnergy:
         with pytest.raises(ValueError, match=f"n={n} overflows at lam="):
             energy(QuantumNumbers(n, 0), p)
 
+    @pytest.mark.parametrize(
+        "n, m, message",
+        [
+            (10**400, 0, "n lies past float64's largest value"),
+            (0, 10**400, "m lies past float64's largest value"),
+            # 2(m + 1) is inf although m itself converts
+            (0, 10**308, r"k1 = 2\(m \+ 1\) \+ 4\(n \+ 1\) of level n=0 leaves float64"),
+        ],
+        ids=["n-10**400", "m-10**400", "m-10**308"],
+    )
+    def test_an_index_past_float64_raises(self, n, m, message):
+        # the int-to-float conversion raised OverflowError, and m = 10**308
+        # returned k1 = inf and kummer_a = -inf
+        with pytest.raises(ValueError, match=message):
+            energy(QuantumNumbers(n, m), natural_params())
+
     def test_largest_finite_levels_still_evaluate(self):
         p = PhysicalParams(rest_mass=1.0, omega=1e300)
         level = energy(QuantumNumbers(1000, 0), p)
