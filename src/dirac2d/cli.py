@@ -281,7 +281,7 @@ def cmd_wavefn(config: RunConfig) -> Path:
         lower.values,
     )
     # where the trapezoid and Simpson totals part, the grid does not resolve the state
-    gap = abs(total / oracle.integrate_radial(weight, unit_grid) - 1.0)
+    gap = abs(total / wavefn.integrate_radial(weight, unit_grid) - 1.0)
     if gap > 1e-2:
         raise ValueError(f"trapezoid and Simpson norms differ by {gap:.1e}: use more --grid-points")
     scale = 1.0 / wavefn._root(total, unit)

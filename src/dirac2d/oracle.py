@@ -2,11 +2,11 @@
 
 Nothing in this module reuses the analytic spectrum or eigenfunction shapes:
 the eigensolver discretizes the Dirac coupling operator directly, the
-quadratures are composite Simpson and a trapezoid rule on nodes set by m,
-n_max and b alone, the Laguerre reference table is exact integer
-arithmetic, and the residual evaluators push candidate solutions back
-through the differential equations.  Agreement between this module and the
-closed-form modules is the package's primary correctness evidence.
+quadrature is a trapezoid rule on nodes set by m, n_max and b alone, the
+Laguerre reference table is exact integer arithmetic, and the residual
+evaluators push candidate solutions back through the differential
+equations.  Agreement between this module and the closed-form modules is
+the package's primary correctness evidence.
 
 The coupled equations factorise.  With x = rho/b, the lower component is
 A applied to the upper one, A = d/dx - m/x + x, and in the x dx inner
@@ -38,14 +38,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectrum import EnergyLevel, _require_count
-from .units import PhysicalParams, natural_params
-from .wavefn import RadialFunction, RadialGrid, derive_lower_component
+from .wavefn import RadialFunction, derive_lower_component
 from .wavefn import radial_psi1  # noqa: F401  (perfbench's tracer test reads it here)
 
 __all__ = [
     "TridiagonalOperator",
     "ResidualReport",
-    "integrate_radial",
     "TrapezoidNodes",
     "trapezoid_nodes",
     "build_dirac_operator",
@@ -55,10 +53,6 @@ __all__ = [
     "ode_residual",
     "coupled_residual",
 ]
-
-# The smallest grid, in points, that build_dirac_operator discretizes.
-_MIN_POINTS = 64
-
 
 @dataclass(frozen=True, eq=False)
 class TridiagonalOperator:
@@ -113,20 +107,6 @@ class ResidualReport:
             raise ValueError("rms residual cannot exceed the max residual")
 
 
-def integrate_radial(values, grid: RadialGrid) -> float:
-    """Composite Simpson integral of sampled values over [0, rho_max].
-
-    A RadialGrid's sample count is odd, so its interval count is even.
-    """
-    v = np.asarray(values, dtype=float)
-    if v.shape != (grid.num_points,):
-        raise ValueError("values must match the grid sample count")
-    h = grid.spacing
-    return float(
-        (h / 3.0) * (v[0] + v[-1] + 4.0 * v[1:-1:2].sum() + 2.0 * v[2:-1:2].sum())
-    )
-
-
 TrapezoidNodes = namedtuple("TrapezoidNodes", "samples weights")
 
 
@@ -162,35 +142,35 @@ def trapezoid_nodes(m: int, n_max: int, b: float) -> TrapezoidNodes:
     return TrapezoidNodes(b * x, h * 2.0 * math.pi * x / (1.0 + np.exp(-t)))
 
 
-def build_dirac_operator(
-    m: int, grid: RadialGrid, params: PhysicalParams
-) -> TridiagonalOperator:
-    """B B^T for the coupling operator A = d/dx - m/x + x, x = rho/b.
+def build_dirac_operator(m: int, x_max: float, intervals: int) -> TridiagonalOperator:
+    """B B^T for the coupling operator A = d/dx - m/x + x on [0, x_max], x = rho/b.
 
-    On K = N - 1 intervals of width h, r sits on the cell centres
-    c_j = (j - 1/2) h and g = A r on the interior faces f_j = j h, with
+    On ``intervals`` = K intervals of width h = x_max/K, r sits on the cell
+    centres c_j = (j - 1/2) h and g = A r on the interior faces f_j = j h, with
     g_j = (r_{j+1} - r_j)/h + (f_j - m/f_j)(r_j + r_{j+1})/2.  Scaling the
     rows by sqrt(f_j) and the columns by 1/sqrt(c_j) makes B act between
     the discrete x dx norms, so the eigenvalues of B B^T approximate those
-    of A A^dagger, 4(n + 1) for n >= 0.  Only A's coefficients enter.
+    of A A^dagger, 4(n + 1) for n >= 0.  Only A's coefficients enter: m,
+    the extent x_max in units of b (finite and positive) and K, an integer
+    of at least 64.  A grid whose entries would leave float64 is refused.
     """
     if not isinstance(m, (int, np.integer)) or m < 0:
         raise ValueError(f"m must be a non-negative integer, got {m!r}")
-    if grid.num_points < _MIN_POINTS:
-        raise ValueError(
-            "grid too coarse for the eigensolver: "
-            f"{grid.num_points} < {_MIN_POINTS} points"
-        )
-    x_max = grid.rho_max / params.oscillator_length
-    intervals = grid.num_points - 1
+    if isinstance(intervals, bool) or not isinstance(intervals, (int, np.integer)):
+        raise ValueError(f"intervals must be an integer, got {intervals!r}")
+    if intervals < 64:
+        raise ValueError(f"grid too coarse for the eigensolver: {intervals} < 64 intervals")
+    x_max, intervals = float(x_max), int(intervals)
+    if not (math.isfinite(x_max) and x_max > 0.0):
+        raise ValueError(f"x_max must be positive and finite, got {x_max!r}")
     h = x_max / intervals
     # B's entries stay below (m + 1)/h + x_max in modulus, so B B^T's stay
     # below 4 times its square: refuse a grid where that leaves float64.
-    bound = (m + 1) / h + x_max if h > 0.0 else math.inf
+    bound = (m + 1) / h + x_max if h > 0.0 and m < 2**1023 else math.inf
     if not math.isfinite(4.0 * bound * bound):
         raise ValueError(
-            f"rho_max={grid.rho_max!r} ({x_max!r} oscillator lengths) "
-            "puts the operator's entries beyond float64"
+            f"x_max={x_max!r} on {intervals} intervals puts the operator's entries "
+            "beyond float64 at this m"
         )
     centres = (np.arange(1, intervals + 1) - 0.5) * h
     faces = np.arange(1, intervals) * h
@@ -463,7 +443,7 @@ def extrapolated_levels(m: int, n_max: int) -> Extrapolation:
             (n0, x), (n1, y) = solves[-2:]
             limit = _richardson(x, y, (n1 / n0) ** 2)
             starts = [L + (b - L) * (n1 / n) ** 2 for L, b in zip(limit, y)]
-        op = build_dirac_operator(m, RadialGrid(intervals / 32.0, n + 1), natural_params())
+        op = build_dirac_operator(m, intervals / 32.0, n)
         solves.append((n, smallest_eigenvalues(op, levels, starts=starts)))
     (_, k_coarse), (_, k_fine) = solves[-2:]
     levels = _richardson(k_coarse, k_fine, 4.0)

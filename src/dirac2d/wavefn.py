@@ -57,6 +57,7 @@ __all__ = [
     "closed_form_norm_constant",
     "radial_psi1",
     "radial_psi2",
+    "integrate_radial",
     "normalize",
     "derive_lower_component",
     "spinor_sample",
@@ -357,6 +358,20 @@ def radial_psi2(
     return RadialFunction(grid, profile, params)
 
 
+def integrate_radial(values, grid: RadialGrid) -> float:
+    """Composite Simpson integral of sampled values over [0, rho_max].
+
+    A RadialGrid's sample count is odd, so its interval count is even.
+    """
+    v = np.asarray(values, dtype=float)
+    if v.shape != (grid.num_points,):
+        raise ValueError("values must match the grid sample count")
+    h = grid.spacing
+    return float(
+        (h / 3.0) * (v[0] + v[-1] + 4.0 * v[1:-1:2].sum() + 2.0 * v[2:-1:2].sum())
+    )
+
+
 def _norm_integral(integrand, integrate, grid: RadialGrid, *parts):
     """The norm integral ``integrate(integrand(rho, *parts), grid)``, scaled exactly.
 
@@ -379,9 +394,8 @@ def _norm_integral(integrand, integrate, grid: RadialGrid, *parts):
 def normalize(rf: RadialFunction) -> float:
     """The constant A such that 2*pi * integral |A R|^2 rho d rho = 1.
 
-    The quadrature comes from the oracle module so the constant can be
-    checked against the closed form from Laguerre orthogonality.  ``rf`` is
-    left as it is; A multiplies its values.  If the integrand still
+    The quadrature is ``integrate_radial``, composite Simpson on rf's grid.
+    ``rf`` is left as it is; A multiplies its values.  If the integrand still
     carries weight at rho_max (estimated tail mass above 1e-10 of the total,
     or an integrand that still rises there) the grid is too short and a
     TruncationError is raised.  The integral is scaled by powers of two
@@ -389,8 +403,6 @@ def normalize(rf: RadialFunction) -> float:
     outside float64's normal range is refused, and a profile that reads 0
     at every sample names the factor that underflowed.
     """
-    from .oracle import integrate_radial
-
     weight, total, grid, unit = _norm_integral(
         lambda rho, v: 2.0 * math.pi * np.abs(v) ** 2 * rho,
         integrate_radial,

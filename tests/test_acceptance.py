@@ -33,7 +33,6 @@ from dirac2d import (
     smallest_eigenvalues,
 )
 from dirac2d.cli import RunConfig, cmd_wavefn
-from dirac2d.wavefn import RadialGrid
 
 
 def report(number, label, passed, detail=""):
@@ -70,14 +69,12 @@ def test_criterion_2_m_independence_bitwise():
 
 def test_criterion_3_finite_difference_oracle_agreement():
     p = natural_params()
-    coarse = RadialGrid(12.0, 4097)
-    fine = RadialGrid(12.0, 8193)
     exact = np.array([4.0 * (n + 1) for n in range(4)])
     ok = True
     details = []
     for m in (0, 1, 2):
-        k_coarse = np.array(smallest_eigenvalues(build_dirac_operator(m, coarse, p), 4))
-        k_fine = np.array(smallest_eigenvalues(build_dirac_operator(m, fine, p), 4))
+        k_coarse = np.array(smallest_eigenvalues(build_dirac_operator(m, 12.0, 4096), 4))
+        k_fine = np.array(smallest_eigenvalues(build_dirac_operator(m, 12.0, 8192), 4))
         err_coarse = np.abs(k_coarse - exact) / exact
         err_fine = np.abs(k_fine - exact) / exact
         ratios = err_coarse / err_fine

@@ -23,7 +23,6 @@ from dirac2d import (
     derive_lower_component,
     energy,
     extrapolated_levels,
-    integrate_radial,
     natural_params,
     ode_residual,
     radial_psi1,
@@ -111,26 +110,26 @@ def plain_bisection(op, count):
 
 
 def _bisection_cases():
-    """(m, points, rho_max in b, units, levels) covering every value of each axis.
+    """(m, intervals, x_max, levels) covering every value of each axis.
 
-    Small grids run the full product; larger grids, where the reference
-    bisection costs seconds, a spread that still visits every m and extent.
+    Small grids run the full product, with an even and an odd interval count
+    each; larger grids, where the reference bisection costs seconds, a
+    spread that still visits every m and extent.
     """
     ms, extents = (0, 1, 3, 10, 60), (6.0, 12.0, 26.0)
     cases = [
-        (m, points, rho, units, 22)
-        for points in (65, 257)
+        (m, intervals, x_max, 22)
+        for intervals in (64, 65, 256, 257)
         for m in ms
-        for rho in extents
-        for units in ("natural", "si")
+        for x_max in extents
     ]
     cases += [
-        (m, 1025, rho, ("natural", "si")[(i + j) % 2], 12)
+        (m, (1024, 1025)[(i + j) % 2], x_max, 12)
         for i, m in enumerate(ms)
-        for j, rho in enumerate(extents)
+        for j, x_max in enumerate(extents)
     ]
-    cases += [(m, 4097, 12.0, "natural", 7) for m in (1, 10, 60)]
-    cases += [(3, 4097, 26.0, "si", 7), (0, 4097, 12.0, "natural", 22)]
+    cases += [(m, 4096, 12.0, 7) for m in (1, 10, 60)]
+    cases += [(3, 4097, 26.0, 7), (0, 4096, 12.0, 22)]
     return cases
 
 
@@ -173,43 +172,6 @@ def _tridiagonals(draw, binades=range(-6, 6)):
     entries = [_entry(w, pool, binades) for w in words[size:]]
     op = TridiagonalOperator(np.array(entries[:n]), np.array(entries[n:]))
     return op, draw(st.integers(1, n))
-
-
-class TestIntegrateRadial:
-    def test_constant(self):
-        grid = RadialGrid(2.0, 101)
-        assert_allclose(integrate_radial(np.ones(101), grid), 2.0, rtol=1e-14)
-
-    def test_linear_is_exact(self):
-        grid = RadialGrid(1.0, 101)
-        assert_allclose(integrate_radial(grid.samples, grid), 0.5, rtol=1e-12)
-
-    def test_gaussian_moment_against_antiderivative(self):
-        # integral of rho exp(-rho^2) over [0, 10] is (1 - exp(-100))/2
-        grid = RadialGrid(10.0, 8193)
-        f = grid.samples * np.exp(-grid.samples**2)
-        assert_allclose(integrate_radial(f, grid), 0.5, rtol=0, atol=1e-10)
-
-    def test_rejects_mismatched_values(self):
-        grid = RadialGrid(1.0, 101)
-        with pytest.raises(ValueError):
-            integrate_radial(np.ones(100), grid)
-
-    def test_even_sample_grids_cannot_exist(self):
-        with pytest.raises(ValueError):
-            RadialGrid(1.0, 100)
-
-    def test_fourth_order_convergence(self):
-        # error ratio per grid doubling approaches 16 on smooth integrands
-        exact = 0.5 * (1.0 - math.exp(-100.0))
-
-        def err(num_points):
-            grid = RadialGrid(10.0, num_points)
-            f = grid.samples * np.exp(-grid.samples**2)
-            return abs(integrate_radial(f, grid) - exact)
-
-        ratio = err(513) / err(1025)
-        assert 12.0 < ratio < 20.0
 
 
 class TestTrapezoidNodes:
@@ -278,28 +240,51 @@ class TestTridiagonalOperator:
 class TestDiracOperator:
     def test_rejects_negative_m(self):
         with pytest.raises(ValueError):
-            build_dirac_operator(-1, RadialGrid(12.0, 4097), natural_params())
+            build_dirac_operator(-1, 12.0, 4096)
 
     def test_rejects_coarse_grid(self):
         with pytest.raises(ValueError, match="coarse"):
-            build_dirac_operator(0, RadialGrid(12.0, 63), natural_params())
+            build_dirac_operator(0, 12.0, 63)
 
-    @pytest.mark.parametrize("rho_max", [1e-300, 1e-153, 1e160, 1e300])
-    def test_rejects_a_grid_whose_entries_overflow(self, rho_max):
+    @pytest.mark.parametrize("x_max", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_an_extent_that_is_not_positive_and_finite(self, x_max):
+        # RadialGrid made this check once; without it a nan or a
+        # non-positive extent read as entries beyond float64
+        with pytest.raises(ValueError, match="x_max must be positive and finite"):
+            build_dirac_operator(0, x_max, 64)
+
+    @pytest.mark.parametrize("intervals", [63, 64.0, True], ids=repr)
+    def test_rejects_an_interval_count_that_is_not_an_integer_of_at_least_64(self, intervals):
+        with pytest.raises(ValueError, match="intervals"):
+            build_dirac_operator(0, 12.0, intervals)
+
+    def test_takes_numpy_integers(self):
+        op = build_dirac_operator(np.int64(3), 12.0, np.int64(64))
+        plain = build_dirac_operator(3, 12.0, 64)
+        assert np.array_equal(op.diagonal, plain.diagonal)
+        assert np.array_equal(op.off_diagonal, plain.off_diagonal)
+
+    @pytest.mark.parametrize("x_max", [1e-300, 1e-153, 1e160, 1e300])
+    def test_rejects_a_grid_whose_entries_overflow(self, x_max):
         # 1/h or x_max, squared in B B^T's entries, leaves float64
-        with pytest.raises(ValueError, match="rho_max"):
-            build_dirac_operator(0, RadialGrid(rho_max, 65), natural_params())
+        with pytest.raises(ValueError, match="beyond float64"):
+            build_dirac_operator(0, x_max, 64)
 
-    @pytest.mark.parametrize("rho_max", [1e-150, 1e150])
-    def test_builds_where_only_the_entries_fourth_power_overflows(self, rho_max):
+    def test_rejects_an_index_whose_entries_overflow(self):
+        # (m + 1)/h past float64: refused, not an OverflowError
+        with pytest.raises(ValueError, match="beyond float64"):
+            build_dirac_operator(10**400, 12.0, 64)
+
+    @pytest.mark.parametrize("x_max", [1e-150, 1e150])
+    def test_builds_where_only_the_entries_fourth_power_overflows(self, x_max):
         # the solve scales the operator by a power of two, so only B B^T's
         # own entries must stay finite
-        op = build_dirac_operator(0, RadialGrid(rho_max, 65), natural_params())
+        op = build_dirac_operator(0, x_max, 64)
         assert np.all(np.isfinite(op.diagonal)) and np.all(np.isfinite(op.off_diagonal))
         assert all(math.isfinite(level) for level in smallest_eigenvalues(op, 3))
 
     def test_structural_symmetry(self):
-        op = build_dirac_operator(1, RadialGrid(12.0, 257), natural_params())
+        op = build_dirac_operator(1, 12.0, 256)
         assert op.dimension == 255
         assert op.off_diagonal.shape == (254,)
         assert np.all(np.isfinite(op.diagonal))
@@ -310,24 +295,22 @@ class TestDiracOperator:
         # B from its definition, dense: g_j = (r_{j+1} - r_j)/h
         # + (f_j - m/f_j)(r_j + r_{j+1})/2, rows times sqrt(f_j) and
         # columns over sqrt(c_j)
-        p = natural_params()
-        points = 65
-        h = 12.0 / (points - 1)
-        centres = (np.arange(points - 1) + 0.5) * h
-        faces = np.arange(1, points - 1) * h
+        intervals = 64
+        h = 12.0 / intervals
+        centres = (np.arange(intervals) + 0.5) * h
+        faces = np.arange(1, intervals) * h
         B = np.zeros((faces.size, centres.size))
         for j, f in enumerate(faces):
             B[j, j] = -1.0 / h + 0.5 * (f - m / f)
             B[j, j + 1] = 1.0 / h + 0.5 * (f - m / f)
         B = np.sqrt(faces)[:, None] * B / np.sqrt(centres)[None, :]
-        op = build_dirac_operator(m, RadialGrid(12.0, points), p)
+        op = build_dirac_operator(m, 12.0, intervals)
         dense = np.diag(op.diagonal) + np.diag(op.off_diagonal, 1) + np.diag(op.off_diagonal, -1)
         assert_allclose(dense, B @ B.T, rtol=1e-13, atol=1e-10)
 
     def test_ladder_on_default_grid(self):
         # measured: at most 1.7e-5 relative, the h^2 error
-        p = natural_params()
-        op = build_dirac_operator(0, RadialGrid(12.0, 4097), p)
+        op = build_dirac_operator(0, 12.0, 4096)
         found = smallest_eigenvalues(op, 4)
         for n, value in enumerate(found):
             assert abs(value - dirac_level(n)) / dirac_level(n) <= 2e-5
@@ -335,27 +318,11 @@ class TestDiracOperator:
     def test_levels_do_not_depend_on_m(self):
         # the paper's m-independence: the raw 1025-point levels of
         # m = 0..10 agree to 1.36e-8 relative over 22 levels
-        p = natural_params()
         levels = np.array(
-            [
-                smallest_eigenvalues(build_dirac_operator(m, RadialGrid(12.0, 1025), p), 22)
-                for m in range(11)
-            ]
+            [smallest_eigenvalues(build_dirac_operator(m, 12.0, 1024), 22) for m in range(11)]
         )
         spread = (levels.max(axis=0) - levels.min(axis=0)) / levels.min(axis=0)
         assert np.max(spread) <= 1.4e-8
-
-    def test_dimensionless_across_unit_systems(self):
-        # eigenvalues are those of A A^dagger in x = rho/b, whatever the raw scales
-        si = si_params()
-        natural = natural_params()
-        vals_si = smallest_eigenvalues(
-            build_dirac_operator(1, RadialGrid(12.0 * si.oscillator_length, 1025), si), 2
-        )
-        vals_nat = smallest_eigenvalues(
-            build_dirac_operator(1, RadialGrid(12.0, 1025), natural), 2
-        )
-        assert_allclose(vals_si, vals_nat, rtol=1e-12)
 
     def test_reads_no_closed_form(self, monkeypatch):
         # the oracle's side of fd-spectrum reads no energy and no Kummer row
@@ -399,8 +366,7 @@ class TestSmallestEigenvalues:
 
     def test_against_dense_diagonalization(self):
         # brute-force oracle on a small instance
-        p = natural_params()
-        op = build_dirac_operator(1, RadialGrid(12.0, 65), p)
+        op = build_dirac_operator(1, 12.0, 64)
         dense = (
             np.diag(op.diagonal)
             + np.diag(op.off_diagonal, 1)
@@ -410,15 +376,9 @@ class TestSmallestEigenvalues:
         sturm = smallest_eigenvalues(op, 5)
         assert_allclose(sturm, brute, rtol=0, atol=1e-9)
 
-    @pytest.mark.parametrize(
-        "m, points, rho, units, levels",
-        _bisection_cases(),
-        ids=str,
-    )
-    def test_same_floats_as_plain_bisection(self, m, points, rho, units, levels):
-        p = natural_params() if units == "natural" else si_params()
-        grid = RadialGrid(rho * p.oscillator_length, points)
-        op = build_dirac_operator(m, grid, p)
+    @pytest.mark.parametrize("m, intervals, x_max, levels", _bisection_cases(), ids=str)
+    def test_same_floats_as_plain_bisection(self, m, intervals, x_max, levels):
+        op = build_dirac_operator(m, x_max, intervals)
         assert smallest_eigenvalues(op, levels) == plain_bisection(op, levels)
 
     @settings(deadline=None, derandomize=True)  # examples from the profile
@@ -519,7 +479,7 @@ class TestSmallestEigenvalues:
         # read [-2e138, -2e138] against [0, 2e150]
         rng = np.random.default_rng(3)
         ops = [
-            build_dirac_operator(3, RadialGrid(12.0, 129), natural_params()),
+            build_dirac_operator(3, 12.0, 128),
             self._operator(rng.normal(size=40), rng.normal(size=39)),
             self._operator([1.0, 1.0], [1.0]),
         ]
@@ -566,9 +526,8 @@ class TestSmallestEigenvalues:
 
     def test_against_scipy_tridiagonal_solver(self):
         linalg = pytest.importorskip("scipy.linalg")
-        p = natural_params()
         for m in (0, 3):
-            op = build_dirac_operator(m, RadialGrid(12.0, 4097), p)
+            op = build_dirac_operator(m, 12.0, 4096)
             lapack = linalg.eigvalsh_tridiagonal(
                 op.diagonal, op.off_diagonal, select="i", select_range=(0, 11)
             )
@@ -576,8 +535,7 @@ class TestSmallestEigenvalues:
 
     def test_newton_pass_counts_and_log_derivative(self):
         # p'/p = sum 1/(sigma - lambda_i) over the dense spectrum
-        p = natural_params()
-        op = build_dirac_operator(1, RadialGrid(12.0, 65), p)
+        op = build_dirac_operator(1, 12.0, 64)
         dense = np.linalg.eigvalsh(
             np.diag(op.diagonal)
             + np.diag(op.off_diagonal, 1)
@@ -633,8 +591,7 @@ class TestSolverPasses:
     @classmethod
     def _passes(cls, monkeypatch, m, points, levels):
         passes = cls._counted(monkeypatch)
-        p = natural_params()
-        smallest_eigenvalues(build_dirac_operator(m, RadialGrid(12.0, points), p), levels)
+        smallest_eigenvalues(build_dirac_operator(m, 12.0, points - 1), levels)
         return passes
 
     @pytest.mark.parametrize("m", [0, 3])
@@ -738,13 +695,12 @@ class TestExtrapolatedLevels:
     def test_ten_times_closer_than_a_grid_four_times_finer(self, m, n_max):
         # measured: 3.1e-5 -> 1.4e-13 at m = 0 and 8.8e-5 -> 9.2e-12 at m = 3
         # against 8K intervals of b/256, four times finer than the fine grid
-        p = natural_params()
         levels, correction, (coarse, fine) = extrapolated_levels(m, n_max)
         exact = np.array([dirac_level(n) for n in range(n_max + 1)])
 
         def plain_error(points):
-            grid = RadialGrid((coarse - 1) / 32.0, points)
-            plain = smallest_eigenvalues(build_dirac_operator(m, grid, p), n_max + 1)
+            operator = build_dirac_operator(m, (coarse - 1) / 32.0, points - 1)
+            plain = smallest_eigenvalues(operator, n_max + 1)
             return np.max(np.abs(np.array(plain) - exact) / exact)
 
         err_finest = plain_error(4 * fine - 3)
@@ -767,14 +723,14 @@ class TestExtrapolatedLevels:
         seen = []
         original = oracle.build_dirac_operator
 
-        def recorded(m, grid, params):
-            seen.append((grid.rho_max, grid.num_points, params.oscillator_length))
-            return original(m, grid, params)
+        def recorded(m, x_max, intervals):
+            seen.append((x_max, intervals))
+            return original(m, x_max, intervals)
 
         monkeypatch.setattr(oracle, "build_dirac_operator", recorded)
         result = extrapolated_levels(m, n_max)
         assert result.points == built[2:]
-        assert seen == [((built[2] - 1) / 32.0, n, 1.0) for n in built]
+        assert seen == [((built[2] - 1) / 32.0, n - 1) for n in built]
 
     def test_reads_only_the_two_grids_levels(self, monkeypatch):
         # k = (4 k_fine - k_coarse) / 3 and correction |k - k_fine| / k_fine;
@@ -824,10 +780,8 @@ class TestExtrapolatedLevels:
         # submatrix of the longer one's, so by Cauchy interlacing its levels
         # lie at or above: an extent set too short fails fd-spectrum and hides
         # nothing.  Measured: 2 b above 4 b by up to 383, 9 b by up to 1e-4.
-        p = natural_params()
         short, long = (
-            smallest_eigenvalues(build_dirac_operator(m, RadialGrid(n / 32.0, n + 1), p), 10)
-            for n in (K, K + 64)
+            smallest_eigenvalues(build_dirac_operator(m, n / 32.0, n), 10) for n in (K, K + 64)
         )
         assert all(a >= b for a, b in zip(short, long))
 
@@ -881,11 +835,10 @@ class TestExtrapolatedLevels:
     def test_same_floats_as_two_solves_without_starts(self, m, n_max):
         # the solve chain's starts steer only the path: the levels are those of
         # coarse and fine solves without starts, extrapolated, bit for bit
-        p = natural_params()
         result = extrapolated_levels(m, n_max)
-        rho_max = (result.points[0] - 1) / 32.0
+        x_max = (result.points[0] - 1) / 32.0
         coarse, fine = (
-            smallest_eigenvalues(build_dirac_operator(m, RadialGrid(rho_max, n), p), n_max + 1)
+            smallest_eigenvalues(build_dirac_operator(m, x_max, n - 1), n_max + 1)
             for n in result.points
         )
         assert result.levels == [(4.0 * y - x) / 3.0 for x, y in zip(coarse, fine)]

@@ -631,6 +631,43 @@ class TestRadialPsi2:
             assert np.array_equal(ansatz.values.view(np.int64), below.values.view(np.int64))
 
 
+class TestIntegrateRadial:
+    def test_constant(self):
+        grid = RadialGrid(2.0, 101)
+        assert_allclose(integrate_radial(np.ones(101), grid), 2.0, rtol=1e-14)
+
+    def test_linear_is_exact(self):
+        grid = RadialGrid(1.0, 101)
+        assert_allclose(integrate_radial(grid.samples, grid), 0.5, rtol=1e-12)
+
+    def test_gaussian_moment_against_antiderivative(self):
+        # integral of rho exp(-rho^2) over [0, 10] is (1 - exp(-100))/2
+        grid = RadialGrid(10.0, 8193)
+        f = grid.samples * np.exp(-grid.samples**2)
+        assert_allclose(integrate_radial(f, grid), 0.5, rtol=0, atol=1e-10)
+
+    def test_rejects_mismatched_values(self):
+        grid = RadialGrid(1.0, 101)
+        with pytest.raises(ValueError):
+            integrate_radial(np.ones(100), grid)
+
+    def test_even_sample_grids_cannot_exist(self):
+        with pytest.raises(ValueError):
+            RadialGrid(1.0, 100)
+
+    def test_fourth_order_convergence(self):
+        # error ratio per grid doubling approaches 16 on smooth integrands
+        exact = 0.5 * (1.0 - math.exp(-100.0))
+
+        def err(num_points):
+            grid = RadialGrid(10.0, num_points)
+            f = grid.samples * np.exp(-grid.samples**2)
+            return abs(integrate_radial(f, grid) - exact)
+
+        ratio = err(513) / err(1025)
+        assert 12.0 < ratio < 20.0
+
+
 class TestNormalize:
     def test_matches_closed_form_constant(self):
         p = natural_params()
