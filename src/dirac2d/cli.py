@@ -60,7 +60,7 @@ TOLERANCES = {
     "ode-residual": 1e-12,
     "coupled-residual": 1e-12,
     "node-counts": 0.0,
-    "normalization": 1e-8,
+    "normalization": 1e-12,
     "kummer-laguerre": 1e-10,
 }
 

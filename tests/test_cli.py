@@ -265,6 +265,20 @@ class TestVerifyCommand:
         failed = [c["name"] for c in run_verification_checks(config) if not c["passed"]]
         assert failed == ["normalization"]
 
+    @pytest.mark.parametrize("units, m", [("natural", 0), ("natural", 3), ("si", 2)])
+    def test_a_norm_constant_off_by_1e_10_fails_normalization(self, units, m, monkeypatch):
+        # it reads 1.0e-10, which passed the former 1e-8 bound; the
+        # t-trapezoid norm itself reads at most a few 1e-15
+        config = RunConfig(command="verify", units=units, m=m, n_max=5)
+        constant = wavefn.closed_form_norm_constant
+        monkeypatch.setattr(
+            wavefn, "closed_form_norm_constant", lambda qn, p: constant(qn, p) * (1.0 + 1e-10)
+        )
+        checks = run_verification_checks(config)
+        assert [c["name"] for c in checks if not c["passed"]] == ["normalization"]
+        assert checks[5]["name"] == "normalization"
+        assert checks[5]["measured"] == pytest.approx(1e-10, rel=1e-3)
+
     def test_a_profile_zero_at_every_node_fails_four_checks(self, monkeypatch):
         # gamma with hbar**2 in SI units puts z near 1e28 at the first node,
         # where every psi1 sample underflows to 0: the norm reads 0, no node
