@@ -9,7 +9,9 @@ After an intended output change, regenerate every golden file with
 
     python tests/test_golden.py
 
-and review the diff before committing it.
+(no arguments: any argument prints the usage and writes nothing) and review
+the diff before committing it.  Each case is written to a temporary file
+first, which replaces its golden file only if the exit status matches.
 """
 
 import sys
@@ -80,11 +82,44 @@ def test_matches_golden(name, tmp_path):
         pytest.fail(f"{name}: {first_difference(expected, actual)}")
 
 
-def regenerate() -> None:
+def regenerate(argv) -> int:
+    """Rewrite every golden file and return 0; any argument returns 2 and writes nothing."""
+    if argv:
+        print("usage: python tests/test_golden.py  (no arguments)", file=sys.stderr)
+        return 2
     GOLDEN.mkdir(exist_ok=True)
     for name in sorted(CASES):
-        run_case(name, GOLDEN / name)
+        scratch = GOLDEN / f".{name}.new"
+        try:
+            run_case(name, scratch)
+            scratch.replace(GOLDEN / name)
+        finally:
+            scratch.unlink(missing_ok=True)
+    return 0
+
+
+def test_a_script_argument_prints_the_usage_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    # the script once ignored its arguments: --help rewrote every golden file
+    golden = tmp_path / "golden"
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN", golden)
+    assert regenerate(["--help"]) == 2
+    assert capsys.readouterr().err.startswith("usage: ")
+    assert not golden.exists()
+
+
+def test_a_case_whose_status_differs_keeps_its_golden_file(tmp_path, monkeypatch):
+    # the output replaces a golden file only after its exit status matched
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN", tmp_path)
+    cases = {"a.csv": ("spectrum --n-max 2", 0), "b.csv": ("spectrum --n-max 2", 1)}
+    monkeypatch.setattr(sys.modules[__name__], "CASES", cases)
+    for name in cases:
+        (tmp_path / name).write_bytes(b"pinned\n")
+    with pytest.raises(AssertionError, match="b.csv: exit status 0, expected 1"):
+        regenerate([])
+    assert (tmp_path / "b.csv").read_bytes() == b"pinned\n"
+    assert (tmp_path / "a.csv").read_bytes().startswith(b"n,")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["a.csv", "b.csv"]
 
 
 if __name__ == "__main__":
-    regenerate()
+    sys.exit(regenerate(sys.argv[1:]))
