@@ -127,16 +127,20 @@ def trapezoid_nodes(m: int, n_max: int, b: float) -> TrapezoidNodes:
     """Radii rho_k = b log(1 + e^{t_k}) and weights w_k for states n <= n_max at index m.
 
     b^2 sum_k w_k f(rho_k) is the t-trapezoid for integral 2 pi rho f d rho,
-    w_k = h 2 pi x dx/dt at x = rho/b; t_k = t_min + k h, t_min = -20/(m + 1),
-    up to the first at or past s + 7, s = sqrt(4(n_max + 1) + 2m), h = min(0.15, 2.3/s).
-    The integrand falls as e^{(2m + 2) t} below t_min and as a Gaussian past
-    the top state's turning point s b, so the rule converges exponentially
-    (Trefethen and Weideman, SIAM Review 56, 2014).  Only m, n_max, b enter;
-    s of 64 or more is refused.
+    w_k = h 2 pi x dx/dt at x = rho/b; t_k = t_min + k h up to the first at or past
+    s + 7, s = sqrt(4(n_max + 1) + 2m), h = min(0.15, 2.3/s).  The integrand falls
+    as a Gaussian past the top state's turning point s b, and below t as
+    e^{(2m + 2) t}: there a normalized state n <= n_max holds at most the mass
+    R e^{(2m + 2) t}, R = binom(n_max + m + 1, m) / (m + 1)!, since
+    |e^{-z/2} M(-(n+1), m+1, z)| <= 1.  So t_min is -20/(m + 1), stepped down by
+    whole steps h until that mass is at most e^-30.  The rule then converges
+    exponentially (Trefethen and Weideman, SIAM Review 56, 2014).  Only m,
+    n_max, b enter; s of 64 or more is refused.
     """
     s = _turning_point(m, n_max)
     h = min(0.15, 2.3 / s)
-    t_min = -20.0 / (m + 1)
+    log_r = math.log(math.comb(n_max + m + 1, m)) - math.lgamma(m + 2)  # log R
+    t_min = -20.0 / (m + 1) - h * max(0, math.ceil((log_r - 10.0) / ((2 * m + 2) * h)))
     t = t_min + h * np.arange(math.ceil((s + 7.0 - t_min) / h) + 1)
     x = np.logaddexp(0.0, t)
     return TrapezoidNodes(b * x, h * 2.0 * math.pi * x / (1.0 + np.exp(-t)))

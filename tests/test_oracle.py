@@ -225,6 +225,19 @@ class TestTrapezoidNodes:
         assert checks["normalization"] <= 1e-12
         assert max(checks["ode-residual"], checks["coupled-residual"]) <= 1e-15
 
+    @pytest.mark.parametrize("m, n_max", [(5, 200), (6, 150), (8, 150), (10, 150), (10, 250)])
+    def test_the_first_node_leaves_no_mass_below_it(self, m, n_max, monkeypatch):
+        # t_min = -20/(m + 1) alone lost up to R e^-40 of the top state's norm,
+        # R = binom(n_max + m + 1, m)/(m + 1)!: normalization read 4.8e-12 at
+        # (10, 150) and 6.0e-10 at (10, 250); stepped down until R e^{(2m+2) t_min}
+        # is at most e^-30, it reads at most 1.7e-14 here
+        rho, _ = oracle.trapezoid_nodes(m, n_max, 1.0)
+        log_r = math.log(math.comb(n_max + m + 1, m) / math.factorial(m + 1))
+        assert (2 * m + 2) * math.log(rho[0]) + log_r <= -30.0
+        checks = self._node_checks(monkeypatch, m, n_max)
+        assert checks["normalization"] <= 1e-13
+        assert checks["node-counts"] == 0.0
+
 
 class TestTridiagonalOperator:
     def test_rejects_an_off_diagonal_as_long_as_the_diagonal(self):
