@@ -160,10 +160,8 @@ def build_dirac_operator(m: int, x_max: float, intervals: int) -> TridiagonalOpe
     """
     if not isinstance(m, (int, np.integer)) or m < 0:
         raise ValueError(f"m must be a non-negative integer, got {m!r}")
-    if isinstance(intervals, bool) or not isinstance(intervals, (int, np.integer)):
-        raise ValueError(f"intervals must be an integer, got {intervals!r}")
-    if intervals < 64:
-        raise ValueError(f"grid too coarse for the eigensolver: {intervals} < 64 intervals")
+    if isinstance(intervals, bool) or not isinstance(intervals, (int, np.integer)) or intervals < 64:
+        raise ValueError(f"intervals must be an integer of at least 64, got {intervals!r}")
     x_max, intervals = float(x_max), int(intervals)
     if not (math.isfinite(x_max) and x_max > 0.0):
         raise ValueError(f"x_max must be positive and finite, got {x_max!r}")
