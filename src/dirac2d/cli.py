@@ -12,7 +12,8 @@ Output is CSV (comma separated, '.' decimals, LF line endings, floats in
 and "checks" keys; floats serialized in shortest round-trip form).  Rows are
 rendered column-wise through one row template, byte-identical to
 json.dumps(indent=2) of one dict per row, and written in pieces of
-_PIECE_ROWS rows: memory does not grow with the row count.  Identical
+_PIECE_ROWS rows, which ``spectrum`` and ``nr-limit`` also build a piece at
+a time: memory does not grow with the row count.  Identical
 configurations produce byte-identical files; files are written atomically.
 The environment variable DIRAC2D_OUTPUT_DIR redirects relative output paths.
 """
@@ -20,6 +21,7 @@ The environment variable DIRAC2D_OUTPUT_DIR redirects relative output paths.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -143,53 +145,62 @@ def _floats(column) -> bool:
     return set(map(type, column)) == {float}
 
 
-def _row_pieces(table: dict, formats: list, line: str, sep: str = ""):
-    """Pieces of _PIECE_ROWS rows: cells mapped by ``formats`` (None: as they are)."""
-    size = min(map(len, table.values()), default=0)
-    for start in range(0, size, _PIECE_ROWS):
-        parts = (column[start : start + _PIECE_ROWS] for column in table.values())
-        parts = [part.tolist() if isinstance(part, np.ndarray) else part for part in parts]
+def _pieces(table) -> tuple[list, object]:
+    """(names, pieces of _PIECE_ROWS rows) of a table, or of an iterator of its pieces."""
+    if not isinstance(table, dict):
+        first = next(table)  # read now, for the names
+        return list(first), itertools.chain([first], table)
+    cut = range(0, min(map(len, table.values()), default=0), _PIECE_ROWS)
+    return list(table), ({k: c[i : i + _PIECE_ROWS] for k, c in table.items()} for i in cut)
+
+
+def _row_pieces(pieces, slot, frame: tuple, sep: str = ""):
+    """The rows of each piece: ``slot(name, column)`` gives a column's slot and its cells'
+    format (None: as they are), and frame (start, joiner, end) joins the slots into one row."""
+    start, joiner, end = frame
+    for piece in pieces:
+        slots, formats = zip(*itertools.starmap(slot, piece.items()))
+        parts = [part.tolist() if isinstance(part, np.ndarray) else part for part in piece.values()]
         cells = (part if form is None else map(form, part) for part, form in zip(parts, formats))
-        yield sep.join(map(line.__mod__, zip(*cells)))
+        yield sep.join(map((start + joiner.join(slots) + end).__mod__, zip(*cells)))
 
 
-def _render_csv(table: dict):
+def _render_csv(table):
     """CSV table in pieces: a header of the column names, then one line per row.
 
     A column of floats fills a %.16e slot of the row template, which formats
     like f"{v:.16e}"; any other column is formatted through _fmt_csv.
     """
-    floats = list(map(_floats, table.values()))
-    line = ",".join("%.16e" if f else "%s" for f in floats) + "\n"
-    yield ",".join(table) + "\n"
-    yield from _row_pieces(table, [None if f else _fmt_csv for f in floats], line)
+    names, pieces = _pieces(table)
+    yield ",".join(names) + "\n"
+    slot = {True: ("%.16e", None), False: ("%s", _fmt_csv)}
+    yield from _row_pieces(pieces, lambda _, column: slot[_floats(column)], ("", ",", "\n"))
 
 
-def _render_json(config: RunConfig, table: dict, checks: list[dict]):
+def _render_json(config: RunConfig, table, checks: list[dict]):
     """The object {"config", "rows", "checks"} as json.dumps writes it, in pieces.
 
     Byte-identical to json.dumps(..., indent=2, allow_nan=False) with one
     dict per row of ``table``, but the rows fill one row template: a float
     cell as str (float.__repr__, as json writes it), any other cell through
-    json.dumps.  A float that is not finite raises ValueError before any piece.
+    json.dumps.  A float that is not finite raises ValueError before the
+    piece that holds it, and a check's before any piece.
     """
 
     def nested(value):  # a value of the top-level object, indented one level
         return json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n  ")
 
-    head = f'{{\n  "config": {nested(config.to_dict())},\n  "rows": '
-    tail = f',\n  "checks": {nested(checks)}\n}}\n'
-    cell = json.JSONEncoder(allow_nan=False).encode  # json.dumps(v, allow_nan=False)
-    slots, formats = [], []
-    for name, column in table.items():
+    def slot(name, column):
         floats = _floats(column)
         cells = column if floats else [v for v in column if isinstance(v, float)]
         if not np.isfinite(cells).all():
             raise ValueError(f"column {name!r} holds a float that is not finite")
-        slots.append(f'      {json.dumps(name).replace("%", "%%")}: %s')
-        formats.append(None if floats else cell)
-    row = "    {\n" + ",\n".join(slots) + "\n    }"
-    pieces = _row_pieces(table, formats, row, ",\n")
+        return f'      {json.dumps(name).replace("%", "%%")}: %s', None if floats else cell
+
+    head = f'{{\n  "config": {nested(config.to_dict())},\n  "rows": '
+    tail = f',\n  "checks": {nested(checks)}\n}}\n'
+    cell = json.JSONEncoder(allow_nan=False).encode  # json.dumps(v, allow_nan=False)
+    pieces = _row_pieces(_pieces(table)[1], slot, ("    {\n", ",\n", "\n    }"), ",\n")
     first = next(pieces, None)
     if first is None:
         return [head, "[]", tail]
@@ -206,6 +217,8 @@ def _resolve_output(config: RunConfig) -> Path:
 
 
 def _write_atomic(path: Path, pieces) -> None:
+    """Write ``pieces`` to ``path`` whole; where they raise, leave no file and no new directory."""
+    made = list(itertools.takewhile(lambda d: not d.exists(), path.parents))  # deepest first
     path.parent.mkdir(parents=True, exist_ok=True)
     # mode 0o666 leaves the umask to set the file's mode, as open(path, "w") does
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
@@ -217,15 +230,18 @@ def _write_atomic(path: Path, pieces) -> None:
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        for directory in made:
+            with contextlib.suppress(OSError):  # unless another writer filled it
+                os.rmdir(directory)
         raise
 
 
-def _emit(config: RunConfig, table: dict, checks: list[dict]) -> Path:
-    """Write ``table`` (column name -> column) or, in CSV without one, ``checks``."""
+def _emit(config: RunConfig, table, checks: list[dict]) -> Path:
+    """Write ``table`` (see ``_pieces``) or, in CSV without one, ``checks``."""
     if config.fmt == "csv":
         pieces = _render_csv(table or {k: [c[k] for c in checks] for k in checks[0]})
     else:
-        pieces = _render_json(config, table, checks)  # refuses before any write
+        pieces = _render_json(config, table, checks)  # refuses a check before any write
     path = _resolve_output(config)
     _write_atomic(path, pieces)
     return path
@@ -236,21 +252,26 @@ def _emit(config: RunConfig, table: dict, checks: list[dict]) -> Path:
 
 
 def cmd_spectrum(config: RunConfig) -> Path:
-    """Table of levels n = 0 .. n_max at fixed m."""
+    """Table of levels n = 0 .. n_max at fixed m, built and written a piece at a time."""
     params = config.params()
-    ns = range(config.n_max + 1)
-    levels = [spectrum.energy(QuantumNumbers(n=n, m=config.m), params) for n in ns]
-    gaps = spectrum.level_spacings(config.n_max, params) if config.n_max else []
-    table = {
-        "n": ns,
-        "m": [config.m] * len(ns),
-        "E": [level.E for level in levels],
-        "E_minus_mc2": [level.excitation for level in levels],
-        "k1": [level.k1 for level in levels],
-        "kummer_a": [level.kummer_a for level in levels],
-        "spacing_to_next": [*gaps, None],
-    }
-    return _emit(config, table, [])
+
+    def pieces():
+        for start in range(0, config.n_max + 1, _PIECE_ROWS):
+            ns = range(start, min(start + _PIECE_ROWS, config.n_max + 1))
+            levels = [spectrum.energy(QuantumNumbers(n=n, m=config.m), params) for n in ns]
+            top = min(ns.stop, config.n_max)
+            gaps = spectrum.level_spacings(top, params, start) if top > start else []
+            yield {
+                "n": ns,
+                "m": [config.m] * len(ns),
+                "E": [level.E for level in levels],
+                "E_minus_mc2": [level.excitation for level in levels],
+                "k1": [level.k1 for level in levels],
+                "kummer_a": [level.kummer_a for level in levels],
+                "spacing_to_next": gaps + [None] * (len(ns) - len(gaps)),
+            }
+
+    return _emit(config, pieces(), [])
 
 
 def cmd_wavefn(config: RunConfig) -> Path:
@@ -313,6 +334,19 @@ def _residual(report: oracle.ResidualReport) -> float:
     return 1.0 if report.degenerate else report.rms_residual
 
 
+def _level_column(levels) -> spectrum.EnergyLevel:
+    """``levels`` as one EnergyLevel of columns (states, 1), as the stacked residuals read it."""
+    names = ("E", "k1", "kummer_a", "excitation")
+    columns = (np.array([[getattr(x, name)] for x in levels]) for name in names)
+    return spectrum.EnergyLevel([x.qn for x in levels], *columns)
+
+
+def _trapezoid_roots(values, weights):
+    """Per row: the root of the t-trapezoid norm of the samples scaled by 2**-e, and e."""
+    e = np.frexp(np.max(np.abs(values), axis=-1, keepdims=True))[1]  # no square leaves float64
+    return np.sqrt(np.add.reduce(weights * np.ldexp(values, -e) ** 2, axis=-1)), e[..., 0]
+
+
 def run_verification_checks(config: RunConfig) -> list[dict]:
     """The oracle suite behind ``verify``; returns one record per check."""
     params = config.params()
@@ -339,29 +373,32 @@ def run_verification_checks(config: RunConfig) -> list[dict]:
         worst = max(worst, abs(excitation - state.excitation) / state.excitation)
     results.append(("dirac-energy-map", worst, f"{levels} mapped levels at m={m}"))
 
-    # One pass over the states, on the t-trapezoid nodes: each psi1 function
-    # is built once, the psi1 family reads their Kummer rows from one
-    # recurrence pass, and each row M(a, b) read is kept at 8 nodes spread
-    # evenly in rho, the outermost last, as (degree -a, alpha - m = b - m - 1, row).
+    # One stacked pass over the states, on the t-trapezoid nodes: the psi1 family
+    # holds blocks of states as (states, nodes) rows from one recurrence pass,
+    # and each Kummer row M(a, b) read is kept at 8 nodes spread evenly in rho,
+    # the outermost last, as (degree -a, alpha - m = b - m - 1, row).
     nodes = oracle.trapezoid_nodes(m, config.n_max, params.oscillator_length)
     worst_ode = worst_coupled = worst_norm = 0.0
     mismatches = 0
     picks = np.searchsorted(nodes.samples, nodes.samples[-1] * np.arange(1, 9) / 8.0)
     held = []
-    for state, rf in zip(states, wavefn._psi1_family(m, config.n_max, nodes, params)):
-        # Closed-form profile pushed through the second-order radial equation.
-        worst_ode = max(worst_ode, _residual(oracle.ode_residual(rf, m, state.k1)))
-        # Upper plus derived lower component in the coupled first-order system.
-        worst_coupled = max(worst_coupled, _residual(oracle.coupled_residual(state, rf)))
+    for rf in wavefn._psi1_family(m, config.n_max, nodes, params):
+        level = _level_column(states[: len(rf.profile.a)])
+        states = states[len(rf.profile.a) :]
+        # Closed-form profiles pushed through the second-order radial equation.
+        worst_ode = max([worst_ode, *map(_residual, oracle.ode_residual(rf, m, level.k1))])
+        # Upper plus derived lower components in the coupled first-order system.
+        worst_coupled = max([worst_coupled, *map(_residual, oracle.coupled_residual(level, rf))])
         # Node counts: n+1 sign changes in psi1's samples.
-        mismatches += wavefn.sign_changes(rf.values[1:-1]) != state.qn.n + 1
+        nodal = wavefn.sign_changes(rf.values[:, 1:-1])
+        mismatches += sum(count != qn.n + 1 for count, qn in zip(nodal.tolist(), level.qn))
         # The t-trapezoid norm of samples scaled by 2**-e, times the closed-form constant, is 1.
-        e = math.frexp(float(np.max(np.abs(rf.values))))[1]
-        root = math.sqrt(float(np.add.reduce(nodes.weights * np.ldexp(rf.values, -e) ** 2)))
-        closed = wavefn.closed_form_norm_constant(state.qn, params) * params.oscillator_length
-        worst_norm = max(worst_norm, abs(root * math.ldexp(closed, e) - 1.0))
-        keys = rf.profile._keys(2)
-        held += [(-round(a), round(b) - m - 1, rf._rows[a, b][picks]) for a, b in keys]
+        roots, exponents = _trapezoid_roots(rf.values, nodes.weights)
+        for qn, root, e in zip(level.qn, roots.tolist(), exponents.tolist()):
+            closed = wavefn.closed_form_norm_constant(qn, params) * params.oscillator_length
+            worst_norm = max(worst_norm, abs(root * math.ldexp(closed, e) - 1.0))
+        for (a, b), rows in rf._rows.items():  # less the zero rows, of degree below 0
+            held += [(-round(x), round(b) - m - 1, r) for x, r in zip(a, rows[:, picks]) if x <= 0]
     detail = f"n <= {config.n_max} at m={m}"
     results.append(("ode-residual", worst_ode, detail))
     results.append(("coupled-residual", worst_coupled, detail))
@@ -398,16 +435,20 @@ def cmd_nr_limit(config: RunConfig) -> Path:
             raise ValueError(f"lambda must lie in (0, 0.1], got {lam}")
         if lam * lam * lam < sys.float_info.min:
             raise ValueError(f"lambda={lam} is too small: lambda**3 underflows float64")
-    rows = []
-    for lam in config.lambdas:
-        params = PhysicalParams(rest_mass=1.0, omega=lam, hbar=1.0, c=1.0)
-        for n in range(config.n_max + 1):
-            exact = spectrum.energy(QuantumNumbers(n=n, m=0), params).E
-            approx = spectrum.nr_expansion(n, params).total
-            err = abs(exact - approx)
-            rows.append((lam, n, exact, approx, err, err / lam**3))
-    names = "lambda n E_exact E_three_term abs_error error_over_lambda_cubed"
-    return _emit(config, dict(zip(names.split(), zip(*rows))), [])
+
+    def rows():
+        for lam in config.lambdas:
+            params = PhysicalParams(rest_mass=1.0, omega=lam, hbar=1.0, c=1.0)
+            for n in range(config.n_max + 1):
+                exact = spectrum.energy(QuantumNumbers(n=n, m=0), params).E
+                approx = spectrum.nr_expansion(n, params).total
+                err = abs(exact - approx)
+                yield lam, n, exact, approx, err, err / lam**3
+
+    names = "lambda n E_exact E_three_term abs_error error_over_lambda_cubed".split()
+    rows = rows()  # built and written a piece at a time
+    pieces = iter(lambda: list(itertools.islice(rows, _PIECE_ROWS)), [])
+    return _emit(config, (dict(zip(names, zip(*piece))) for piece in pieces), [])
 
 
 # ---------------------------------------------------------------------------

@@ -476,7 +476,7 @@ def _laguerre_table(n_max: int, alphas, z_set) -> np.ndarray:
     return out
 
 
-def _report(equation_id, rho, equations, degenerate) -> ResidualReport:
+def _report(equation_id, rho, equations, degenerate):
     """Report the worse of ``equations``, each the list of its terms at ``rho``.
 
     An equation's relative residual is the modulus of its terms' sum per
@@ -488,31 +488,37 @@ def _report(equation_id, rho, equations, degenerate) -> ResidualReport:
     into [1, 2), so the mean square never leaves float64; the division is
     exact, so the residuals are those of the plain terms wherever their
     squares stay normal.  The dominant term and the sum accumulate the
-    terms in place, in their order.
+    terms in place, in their order.  Terms of shape (states, rho) give a list
+    of one report per row, the floats of that row's terms alone.
     """
-    stats = []  # (rms, max, radius of the max) per equation
+    stacked = np.ndim(equations[0][0]) > 1
+    stats = []  # (rms, max, radius of the max) per equation, an entry per row each
     for terms in equations:
+        terms = [np.atleast_2d(t) for t in terms]
         dominant = np.abs(terms[0])
         for t in terms[1:]:
             np.maximum(dominant, np.abs(t), out=dominant)
-        largest = float(dominant.max())
-        if not math.isfinite(largest):
+        largest = dominant.max(axis=1)
+        if not np.all(np.isfinite(largest)):
             raise ValueError(f"{equation_id}: a term of the equation leaves float64")
-        e = math.frexp(largest)[1] - 1
+        e = np.frexp(largest)[1][:, None] - 1
         np.ldexp(dominant, -e, out=dominant)
-        # np.add.reduce(x) / x.size is np.mean's pairwise sum and division
-        scale = float(np.sqrt(np.add.reduce(dominant * dominant) / dominant.size))
+        # np.add.reduce(x) / n is np.mean's pairwise sum and division
+        scale = np.sqrt(np.add.reduce(dominant * dominant, axis=1) / dominant.shape[1])
         rel = np.ldexp(terms[0], -e)
         for t in terms[1:]:
             rel += np.ldexp(t, -e)
-        rel = np.abs(rel, out=rel) / scale if scale else np.zeros_like(dominant)
-        i = int(rel.argmax())
-        peak = float(rel[i])
-        rms = float(np.sqrt(np.add.reduce(rel * rel) / rel.size))
-        stats.append((rms, peak, float(rho[i]) if peak else 0.0))
-    _, peak, worst_rho = max(stats, key=lambda s: s[1])
-    rms = max(s[0] for s in stats)
-    return ResidualReport(equation_id, rms, peak, degenerate, worst_rho)
+        rel = np.abs(rel, out=rel) / np.where(scale, scale, np.inf)[:, None]  # 0 where all are
+        i = rel.argmax(axis=1)
+        peak = rel[np.arange(len(i)), i]
+        rms = np.sqrt(np.add.reduce(rel * rel, axis=1) / rel.shape[1])
+        stats.append((rms, peak, np.where(peak, rho[i], 0.0)))
+    stats = np.array(stats)  # (equation, statistic, row)
+    rms = stats[:, 0].max(axis=0).tolist()
+    peak, worst_rho = stats[stats[:, 1].argmax(axis=0), 1:, range(len(rms))].T.tolist()
+    degenerate = np.broadcast_to(degenerate, len(rms)).tolist()
+    reports = [ResidualReport(equation_id, *r) for r in zip(rms, peak, degenerate, worst_rho)]
+    return reports if stacked else reports[0]
 
 
 def ode_residual(rf: RadialFunction, m: int, k1: float) -> ResidualReport:
@@ -521,7 +527,8 @@ def ode_residual(rf: RadialFunction, m: int, k1: float) -> ResidualReport:
     Evaluates z^2 F'' + z F' + (k1 z - m^2 - z^2) F / 4 at the interior
     samples, with z in ``rf``'s own units and F', F'' taken from the exact
     closed-form derivatives of the profile (no finite differencing), and
-    normalizes by the RMS of the per-sample dominant term.
+    normalizes by the RMS of the per-sample dominant term.  A stacked ``rf``
+    (``wavefn._psi1_family``) takes a column k1 and gives a list, a report per state.
     """
     rho, (f, fz, fzz) = rf.interior(2)
     z = rf._rows.z[1:-1]  # rf's own z at the interior samples
@@ -532,7 +539,7 @@ def ode_residual(rf: RadialFunction, m: int, k1: float) -> ResidualReport:
         -0.25 * (m * m) * f,
         -0.25 * z * z * f,
     ]
-    return _report("radial-ode", rho, [terms], degenerate=not np.any(rf.values))
+    return _report("radial-ode", rho, [terms], degenerate=~np.any(rf.values, axis=-1))
 
 
 def coupled_residual(level: EnergyLevel, psi1: RadialFunction) -> ResidualReport:
@@ -548,7 +555,8 @@ def coupled_residual(level: EnergyLevel, psi1: RadialFunction) -> ResidualReport
     factors e^{i m phi} and -i e^{i(m+1) phi} that multiply the two
     equations have modulus one, so every angle gives the same relative
     residual and the radial reduction is the whole check.
-    The report carries the worse of the two equations' relative RMS.
+    The report carries the worse of the two equations' relative RMS.  A
+    stacked ``psi1`` takes a level of columns and gives a list, a report per state.
     """
     E = level.E
     params = psi1.params
@@ -576,5 +584,5 @@ def coupled_residual(level: EnergyLevel, psi1: RadialFunction) -> ResidualReport
         tension * rho * r1,
         -(E + params.rest_energy) * g,
     ]
-    degenerate = not (np.any(psi1.values) or np.any(g))
+    degenerate = ~(np.any(psi1.values, axis=-1) | np.any(g, axis=-1))
     return _report("coupled-first-order", rho, [terms_up, terms_down], degenerate)

@@ -150,8 +150,8 @@ def nr_expansion(n: int, params: PhysicalParams) -> NrExpansion:
     )
 
 
-def level_spacings(n_max: int, params: PhysicalParams) -> list[float]:
-    """Gaps E(n+1) - E(n) for n = 0 .. n_max-1.
+def level_spacings(n_max: int, params: PhysicalParams, start: int = 0) -> list[float]:
+    """Gaps E(n+1) - E(n) for n = start .. n_max-1.
 
     All gaps are positive and strictly decreasing: E grows like the square
     root of an affine function of n, so the ladder compresses upward instead
@@ -159,8 +159,6 @@ def level_spacings(n_max: int, params: PhysicalParams) -> list[float]:
     which avoids the cancellation in E(n+1) - E(n) when lam is tiny.
     """
     _require_count("n_max", n_max, minimum=1)
-    levels = [
-        energy(QuantumNumbers(n=n, m=0), params).E for n in range(n_max + 1)
-    ]
+    levels = [energy(QuantumNumbers(n=n, m=0), params).E for n in range(start, n_max + 1)]
     quantum, rest = params.energy_quantum, params.rest_energy
-    return [4.0 * quantum * (rest / (levels[n] + levels[n + 1])) for n in range(n_max)]
+    return [4.0 * quantum * (rest / (low + high)) for low, high in zip(levels, levels[1:])]

@@ -27,8 +27,9 @@ tests compare the two conventions without privileging either.
 Every Kummer term is a row M(a, b, z) on a grid's z.  A ``RadialFunction``
 reads its rows from a private table keyed by (a, b), which sums a missing
 row once with ``kummer_m`` and keeps it; a derived lower component reads
-its psi1's table, and each state of ``_psi1_family`` a table of the rows
-it reads, filled by one recurrence pass.  The table forms exp(-z/2), and
+its psi1's table.  ``_psi1_family`` stacks a block of states as the rows of
+one function, whose table holds their (states, z) rows from one recurrence
+pass; a lone state is the one-row case.  The table forms exp(-z/2), and
 per power mu z**(mu/2) and the derivative terms, once on its own z, where
 a function samples its profile once: its interior samples are slices.
 """
@@ -150,6 +151,8 @@ class KummerProfile:
     derivative past it, so only terminating series are ever summed.
     A profile with coeff 0 is identically zero and sums no term at all.
     z may be a row table, whose z it evaluates at and whose rows it reads.
+    coeff and a may be columns (states, 1): each row is then one state's
+    floats, read from a table of (states, z) rows keyed by (tuple of the a+k, b+k).
     ``value_z``, ``dvalue_dz`` and ``d2value_dz2`` are single-output views.
     """
 
@@ -164,8 +167,9 @@ class KummerProfile:
 
     def _keys(self, order: int) -> list:
         """(a+k, b+k), k <= order, where coeff and the weight a (a+1)...(a+k-1) are not 0."""
-        live = (k for k in range(order + 1) if all(self.a + j for j in range(k)))
-        return [(self.a + k, self.b + k) for k in live] if self.coeff else []
+        live = (k for k in range(order + 1) if np.any(math.prod(self.a + j for j in range(k))))
+        key = float if np.ndim(self.a) == 0 else lambda a: tuple(a.ravel().tolist())
+        return [(key(self.a + k), self.b + k) for k in live] if np.any(self.coeff) else []
 
     def derivatives(self, z, order: int = 2):
         """[f, f', ..., f^(order)] at z (or a row table), order <= 2."""
@@ -179,7 +183,9 @@ class KummerProfile:
             decay = rows.once("exp", lambda: np.exp(-0.5 * z))
             pref = self.coeff * decay * rows.once(("power", mu), lambda: np.power(z, 0.5 * mu))
         if not np.all(np.isfinite(pref)):
-            bad = float(np.min(z[~np.isfinite(pref)]))
+            bad = np.atleast_2d(~np.isfinite(pref))
+            bad = bad[bad.any(axis=-1).argmax()]  # the first row that leaves float64
+            bad = float(np.min(np.broadcast_to(z, bad.shape)[bad]))
             raise ValueError(f"coeff exp(-z/2) z**(mu/2) leaves float64 at z = {bad:.6g}")
         w1, w2 = a / b, a * (a + 1.0) / (b * (b + 1.0))
         out = [pref * m[0]]
@@ -264,7 +270,7 @@ class RadialFunction:
 
     def interior(self, order: int):
         """rho and [f, ..., f^(order)] at grid.samples[1:-1], order <= 2, read-only."""
-        return self.grid.samples[1:-1], tuple(f[1:-1] for f in self._grid_samples(order))
+        return self.grid.samples[1:-1], tuple(f[..., 1:-1] for f in self._grid_samples(order))
 
 
 @dataclass(frozen=True)
@@ -321,27 +327,40 @@ def radial_psi1(
     return RadialFunction(grid, psi1_profile(qn), params)
 
 
-def _psi1_family(m: int, n_max: int, grid: RadialGrid, params: PhysicalParams):
-    """Yield ``radial_psi1`` of the states n = 0 .. n_max at angular index m.
+_FAMILY_BLOCK = 2**13  # samples per function of ``_psi1_family``, of at least one state
 
-    No state sums a row of its own: state n reads M(-(n+1-k), m+1+k), k <= 2,
-    the rows of degrees n+1, n and n-1 of one degree recurrence over the
-    column b = (m+1, m+2, m+3), n_max + 1 steps.  Each state's table holds
-    exactly those rows, and all share one z and one set of factors.  Each
+
+def _psi1_family(m: int, n_max: int, grid: RadialGrid, params: PhysicalParams):
+    """Yield the states n = 0 .. n_max at angular index m, _FAMILY_BLOCK // z.size to a function.
+
+    A function's profile stacks its states' ``psi1_profile`` as the columns
+    coeff and a, so row i of each sample is its state i's.  No state sums a
+    row of its own: state n reads M(a+k, m+1+k), k <= 2, the rows of degree
+    -a-k of one degree recurrence over the column b = (m+1, m+2, m+3), n_max + 1
+    steps for a = -(n+1).  Each table holds exactly its states' rows, zeros
+    where the weight is 0, and all share one z and one set of factors.  Each
     element of a row is the same steps as ``kummer_m`` of its degree and b,
-    so each function equals its own ``radial_psi1`` bit for bit.  Only
+    so each row equals its state's ``radial_psi1`` bit for bit.  Only
     ``grid.samples`` is read: ``verify`` passes ``oracle.trapezoid_nodes``.
     """
     z = to_dimensionless_z(grid.samples, params)
     z.setflags(write=False)
-    factors, held, stream = {}, {}, _degree_rows(m + np.array([[1.0], [2.0], [3.0]]), z)
-    for d, stacked in zip(range(n_max + 2), stream):
-        held = {key: row for key, row in held.items() if -key[0] > d - 3}
-        held.update(((-float(d), m + 1.0 + i), row) for i, row in enumerate(stacked))
-        if d:  # state d - 1 reads degrees d - 2 .. d
-            profile = psi1_profile(QuantumNumbers(d - 1, m))
-            own = {key: held[key] for key in profile._keys(2) if key in held}
-            yield RadialFunction(grid, profile, params, _rows=_Rows(z, factors, own))
+    profiles = [psi1_profile(QuantumNumbers(n, m)) for n in range(n_max + 1)]
+    coeff, a = (np.array([[getattr(p, name)] for p in profiles]) for name in ("coeff", "a"))
+    degrees, factors, held = -a - np.arange(3), {}, {}  # state n reads degrees[n, k]
+    stream = enumerate(_degree_rows(m + np.array([[1.0], [2.0], [3.0]]), z))
+    size = max(1, _FAMILY_BLOCK // z.size)
+    for block in (slice(start, start + size) for start in range(0, n_max + 1, size)):
+        while max(held, default=-1) < degrees[block].max():
+            d, held[d] = next(stream)
+        rows = np.zeros((3, len(profiles[block]), z.size))
+        for (i, k), d in np.ndenumerate(degrees[block]):
+            rows[k, i] = held[d][k] if d >= 0 else 0.0
+        later = degrees[block.stop :].min(initial=math.inf)  # the least degree later read
+        held = {d: row for d, row in held.items() if d >= later}
+        profile = KummerProfile(coeff[block], m, a[block])
+        own = dict(zip(profile._keys(2), rows))
+        yield RadialFunction(grid, profile, params, _rows=_Rows(z, factors, own))
 
 
 def radial_psi2(
@@ -460,18 +479,19 @@ def derive_lower_component(psi1_radial: RadialFunction, E: float) -> RadialFunct
     R = coeff e^{-z/2} z^{m/2} M(a, b, z) it equals
     2 sqrt(gamma) coeff (a/b) e^{-z/2} z^{(m+1)/2} M(a+1, b+1, z).
     It reads psi1's row table: its terms M(a+1+k, b+1+k) are psi1's from
-    k = 1 on, so a row that either reads is summed once.
+    k = 1 on, so a row that either reads is summed once.  A stacked psi1
+    takes a column E (states, 1).
     """
     grid, p, params = psi1_radial.grid, psi1_radial.profile, psi1_radial.params
     rest = params.rest_energy
-    if not (math.isfinite(E) and 0.0 < E + rest < math.inf):
-        raise ValueError(f"E + m0 c^2 must be positive and finite, got E={E!r}")
-    scale = params.hbar * params.c / (E + rest)
-    profile = KummerProfile(
-        coeff=p.coeff * scale * 2.0 * math.sqrt(params.gamma) * (p.a / p.b),
-        mu=p.mu + 1,
-        a=p.a + 1.0,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # a column of E; refused below
+        bad = ~(np.isfinite(E) & (0.0 < E + rest) & (E + rest < math.inf))
+        if np.any(bad):
+            E = np.extract(bad, E).tolist()[0]
+            raise ValueError(f"E + m0 c^2 must be positive and finite, got E={E!r}")
+        scale = params.hbar * params.c / (E + rest)
+        coeff = p.coeff * scale * 2.0 * math.sqrt(params.gamma) * (p.a / p.b)
+    profile = KummerProfile(coeff=coeff, mu=p.mu + 1, a=p.a + 1.0)
     return RadialFunction(grid, profile, params, _rows=psi1_radial._rows)
 
 
@@ -503,16 +523,17 @@ def spinor_sample(
     return SpinorSample(rho=float(rho), phi=phi, psi1=psi1, psi2=psi2)
 
 
-def sign_changes(values) -> int:
-    """Strict sign changes in a sequence of finite samples, ignoring near-zero ones."""
+def sign_changes(values):
+    """Strict sign changes in finite samples, ignoring near-zero ones: one count per row."""
     v = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(v)):
         raise ValueError("sign changes need finite samples")
-    scale = float(np.max(np.abs(v))) if v.size else 0.0
-    if scale == 0.0:
-        return 0
-    kept = v[np.abs(v) > NODE_FLOOR * scale]
-    return int(np.sum(kept[:-1] * kept[1:] < 0.0))
+    rows = np.abs(np.atleast_2d(v))
+    row, col = np.nonzero(rows > NODE_FLOOR * np.max(rows, axis=-1, keepdims=True, initial=0.0))
+    kept = np.atleast_2d(v)[row, col]
+    flips = (kept[:-1] * kept[1:] < 0.0) & (row[:-1] == row[1:])
+    counts = np.bincount(row[1:][flips], minlength=len(rows))
+    return int(counts[0]) if v.ndim < 2 else counts
 
 
 def count_radial_nodes(qn: QuantumNumbers, params: PhysicalParams) -> int:

@@ -526,17 +526,20 @@ class TestFactorBudget:
     """The factors of z formed per ``verify``, counted through ``wavefn.np``.
 
     The psi1 family reads one table, on the t-trapezoid nodes' z (the
-    4097-point grid's until the closed-form checks moved), and each function
-    samples its profile there once, at the highest order read: psi1 at
-    order 2 for both residuals, and its derived lower component at order 1
-    for the coupled residual.  The interior samples are slices of those.
-    The table forms exp(-z/2) once and z**(mu/2) once per mu: mu = m for
-    psi1 and m + 1 for the lower component.  An interior table of its own
-    formed exp(-z/2) and both powers again, on z[1:-1], and psi1 was
-    sampled a second time for its values: 5 factor arrays and 3
-    evaluations per state.  Each of four evaluations per state formed them
-    afresh before that: 84 exps and 84 powers at n_max 20.  The counts do
-    not depend on the machine.
+    4097-point grid's until the closed-form checks moved), and stacks its
+    states as the rows of one function, which samples its profile there
+    once, at the highest order read: psi1 at order 2 for both residuals,
+    and its derived lower component at order 1 for the coupled residual.
+    The interior samples are slices of those.  The table forms exp(-z/2)
+    once and z**(mu/2) once per mu: mu = m for psi1 and m + 1 for the
+    lower component.  Each state was sampled on its own, psi1 at order 2
+    and its lower component at order 1, 2(n_max + 1) evaluations, until
+    the states were stacked.  An interior table of its own formed
+    exp(-z/2) and both powers again, on z[1:-1], and psi1 was sampled a
+    second time for its values: 5 factor arrays and 3 evaluations per
+    state.  Each of four evaluations per state formed them afresh before
+    that: 84 exps and 84 powers at n_max 20.  The counts do not depend on
+    the machine.
     """
 
     @pytest.mark.parametrize("m, n_max, nodes", [(0, 5, 214), (3, 20, 145)], ids=["0-5", "3-20"])
@@ -572,9 +575,26 @@ class TestFactorBudget:
             ],
             key=repr,
         )
-        # per state psi1 at order 2, and the lower component at order 1
-        want = [(m, (nodes,), 2), (m + 1, (nodes,), 1)] * (n_max + 1)
-        assert sampled == want
+        # the stacked psi1 at order 2, and its lower component at order 1
+        assert sampled == [(m, (nodes,), 2), (m + 1, (nodes,), 1)]
+
+    @pytest.mark.parametrize(
+        "m, n_max, calls", [(0, 5, 1), (3, 5, 1), (0, 20, 1), (3, 20, 1), (0, 60, 3)]
+    )
+    def test_verify_calls_each_residual_once_per_block(self, m, n_max, calls, monkeypatch):
+        # a call per state until the states were stacked; a block holds
+        # 2**13 // nodes states (291 nodes at n_max 60, 28 states a block)
+        made = []
+        for name in ("ode_residual", "coupled_residual"):
+
+            def counted(*args, residual=getattr(oracle, name), name=name):
+                made.append(name)
+                return residual(*args)
+
+            monkeypatch.setattr(oracle, name, counted)
+        config = RunConfig(command="verify", m=m, n_max=n_max)
+        assert all(c["passed"] for c in run_verification_checks(config))
+        assert made == ["ode_residual", "coupled_residual"] * calls
 
 
 class TestSolverRows:
@@ -1184,12 +1204,12 @@ class TestColumnwiseRendering:
 
 
 class TestPiecewiseWriting:
-    """Tables are written in pieces; a refusal comes before the first write."""
+    """Tables are built and written in pieces; a refusal leaves nothing behind."""
 
     @staticmethod
-    def _assert_nothing_written(tmp_path, capsys, argv):
-        out = tmp_path / "new_dir" / "x.json"
-        assert main([*argv, "--format", "json", "--output", str(out)]) == 2
+    def _assert_nothing_written(tmp_path, capsys, argv, fmt="json"):
+        out = tmp_path / "new_dir" / f"x.{fmt}"
+        assert main([*argv, "--format", fmt, "--output", str(out)]) == 2
         assert len(capsys.readouterr().err.splitlines()) == 1
         assert list(tmp_path.rglob("*")) == []  # no file, no *.tmp, no new_dir
 
@@ -1202,6 +1222,34 @@ class TestPiecewiseWriting:
 
         monkeypatch.setattr(cli, "_emit", with_inf)
         self._assert_nothing_written(tmp_path, capsys, ["wavefn", "--n", "2"])
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_refusal_past_the_first_piece_writes_nothing(self, tmp_path, capsys, monkeypatch, fmt):
+        # spectrum and nr-limit build their rows a piece at a time, so the
+        # level that is refused at n = 300 comes after the first piece is written
+        energy = cli.spectrum.energy
+
+        def refused_at_300(qn, params):
+            if qn.n == 300:
+                raise ValueError("energy of level n=300 overflows")
+            return energy(qn, params)
+
+        monkeypatch.setattr(cli.spectrum, "energy", refused_at_300)
+        for argv in (["spectrum", "--n-max", "400"], ["nr-limit", "--n-max", "400"]):
+            self._assert_nothing_written(tmp_path, capsys, argv, fmt)
+
+    @pytest.mark.parametrize("command", ["spectrum", "nr-limit"])
+    def test_a_non_finite_cell_past_the_first_piece_writes_nothing(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        energy = cli.spectrum.energy
+
+        def nan_at_300(qn, params):
+            level = energy(qn, params)
+            return dataclasses.replace(level, E=math.nan) if qn.n == 300 else level
+
+        monkeypatch.setattr(cli.spectrum, "energy", nan_at_300)
+        self._assert_nothing_written(tmp_path, capsys, [command, "--n-max", "400"])
 
     def test_non_finite_check_writes_nothing(self, tmp_path, capsys, monkeypatch):
         checks = [cli._check("fd-spectrum", math.nan, 1e-3)]
@@ -1256,3 +1304,19 @@ class TestPiecewiseWriting:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    @pytest.mark.parametrize("command, fmt", [("spectrum", "json"), ("nr-limit", "csv")])
+    def test_rows_are_built_a_piece_at_a_time(self, tmp_path, command, fmt):
+        # they were built whole before the first write: at n_max 20000,
+        # 8.5 MB (spectrum) and 19.5 MB (nr-limit) of Python allocations at
+        # their peaks, ten times those at n_max 2000
+        peaks = []
+        for n_max in (2000, 20000):
+            config = RunConfig(command=command, n_max=n_max, fmt=fmt, output=str(tmp_path / "t"))
+            tracemalloc.start()
+            try:
+                cli.COMMANDS[command][1](config)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2 * peaks[0]

@@ -26,9 +26,10 @@ from dirac2d import (
     natural_params,
     ode_residual,
     radial_psi1,
+    sign_changes,
     smallest_eigenvalues,
 )
-from dirac2d import oracle
+from dirac2d import cli, oracle, wavefn
 from dirac2d.cli import RunConfig, run_verification_checks
 
 
@@ -1081,6 +1082,46 @@ class TestCoupledResidual:
         )
         with pytest.raises(TypeError):
             coupled_residual(energy(qn, p), radial_psi1(qn, grid, p))
+
+
+class TestStackedPass:
+    """``verify`` checks the psi1 family in one stacked pass per block of states.
+
+    Each state of it gets the floats of the lone calls on its own
+    ``radial_psi1`` on the same nodes: both residual reports, its node count
+    and its t-trapezoid norm, bit for bit.
+    """
+
+    @staticmethod
+    def _fields(report):
+        return repr((report.rms_residual, report.max_residual, report.worst_rho, report.degenerate))
+
+    @settings(max_examples=settings.default.max_examples // 5, deadline=None)
+    @given(m=st.integers(0, 60), n_max=st.integers(0, 40), units=st.sampled_from(["natural", "si"]))
+    @example(m=60, n_max=40, units="natural")  # two blocks of states
+    @example(m=0, n_max=0, units="si")
+    def test_stacked_pass_equals_the_lone_calls(self, m, n_max, units):
+        p = RunConfig(command="verify", units=units).params()
+        nodes = oracle.trapezoid_nodes(m, n_max, p.oscillator_length)
+        states = [energy(QuantumNumbers(n, m), p) for n in range(n_max + 1)]
+        for rf in wavefn._psi1_family(m, n_max, nodes, p):
+            block, states = states[: len(rf.profile.a)], states[len(rf.profile.a) :]
+            column = cli._level_column(block)
+            ode = ode_residual(rf, m, column.k1)
+            coupled = coupled_residual(column, rf)
+            counts = sign_changes(rf.values[:, 1:-1])
+            roots, exponents = cli._trapezoid_roots(rf.values, nodes.weights)
+            assert len(ode) == len(coupled) == len(counts) == len(roots) == len(block)
+            for row, level in enumerate(block):
+                alone = radial_psi1(level.qn, nodes, p)
+                assert self._fields(ode[row]) == self._fields(ode_residual(alone, m, level.k1))
+                assert self._fields(coupled[row]) == self._fields(coupled_residual(level, alone))
+                assert counts[row] == sign_changes(alone.values[1:-1])
+                # the per-state t-trapezoid norm verify took before the states were stacked
+                e = math.frexp(float(np.max(np.abs(alone.values))))[1]
+                root = math.sqrt(float(np.add.reduce(nodes.weights * np.ldexp(alone.values, -e) ** 2)))
+                assert (repr(float(roots[row])), int(exponents[row])) == (repr(root), e)
+        assert states == []
 
 
 class TestReportScaling:

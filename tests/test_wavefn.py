@@ -424,108 +424,125 @@ class TestRadialPsi1:
 
 
 class TestPsi1Family:
-    """``verify``'s states, whose Kummer rows come from one recurrence pass."""
+    """``verify``'s states, stacked as rows, whose Kummer rows come from one recurrence pass."""
+
+    @staticmethod
+    def _blocks(m, n_max, grid, p):
+        """(states, function, E column) per function of the family, in order."""
+        out, n = [], 0
+        for rf in wavefn._psi1_family(m, n_max, grid, p):
+            ns = list(range(n, n + len(rf.profile.a)))
+            out.append((ns, rf, np.array([[energy(QuantumNumbers(k, m), p).E] for k in ns])))
+            n += len(ns)
+        assert n == n_max + 1
+        return out
+
+    @staticmethod
+    def _verify_reads(rf, E):
+        """The floats verify reads: psi1's values and [f, f', f''], the lower [g, g']."""
+        return [rf.values, *rf.interior(2)[1], *derive_lower_component(rf, E).interior(1)[1]]
 
     @IN_BOTH_UNIT_SYSTEMS
     @pytest.mark.parametrize("m", [0, 3, 10])
-    def test_equals_radial_psi1_bit_for_bit(self, m, p, monkeypatch):
-        # each state, read as verify reads it, gives its standalone floats;
-        # the family sums no row with kummer_m, so none of weight zero
-        grid = default_grid(p)
-        kummer_m, calls = wavefn.kummer_m, []
-        monkeypatch.setattr(wavefn, "kummer_m", lambda *a: calls.append(a) or kummer_m(*a))
-        family = wavefn._psi1_family(m, 20, grid, p)
-        states = []
-        for n, rf in enumerate(family):
-            E = energy(QuantumNumbers(n, m), p).E
-            got = [rf.values, *rf.interior(2)[1]]
-            got += derive_lower_component(rf, E).interior(1)[1]
-            states.append((rf, E, got))
-        assert calls == [] and len(states) == 21
-        for n, (rf, E, got) in enumerate(states):
-            alone = radial_psi1(QuantumNumbers(n, m), grid, p)
-            assert rf.profile == alone.profile
-            want = [alone.values, *alone.interior(2)[1]]
-            want += derive_lower_component(alone, E).interior(1)[1]
-            assert [x.tobytes() for x in got] == [y.tobytes() for y in want], n
+    @pytest.mark.parametrize(
+        "points, sizes", [(257, [21]), (1025, [7] * 3), (4097, [1] * 21)], ids=["257", "1025", "4097"]
+    )
+    def test_each_row_equals_radial_psi1_bit_for_bit(self, m, p, points, sizes, kummer_calls):
+        # each state, read as verify reads it, gives its standalone floats, in
+        # blocks of 2**13 // points states; the family sums no row with
+        # kummer_m, so none of weight zero
+        grid = default_grid(p, num_points=points)
+        blocks = self._blocks(m, 20, grid, p)
+        assert [len(ns) for ns, _, _ in blocks] == sizes
+        got = [(ns, rf, self._verify_reads(rf, E)) for ns, rf, E in blocks]
+        assert kummer_calls == []
+        for ns, rf, floats in got:
+            assert rf.profile.mu == m
+            for row, n in enumerate(ns):
+                qn = QuantumNumbers(n, m)
+                alone = radial_psi1(qn, grid, p)
+                assert (rf.profile.coeff[row, 0], rf.profile.a[row, 0]) == (1.0, -(n + 1.0))
+                want = self._verify_reads(alone, energy(qn, p).E)
+                assert [x[row].tobytes() for x in floats] == [y.tobytes() for y in want], n
 
     @pytest.mark.parametrize("m", [0, 3])
-    def test_each_table_holds_exactly_its_own_rows(self, m):
-        # state n holds M(-(n+1)+k, m+1+k) for k <= 2 of nonzero weight
-        # (k <= 1 at n = 0) when drawn, and verify's reads add none
+    def test_each_table_holds_exactly_its_states_rows(self, m, monkeypatch):
+        # a block holds M(-(n+1)+k, m+1+k), k <= 2, for its states n, as
+        # (states, z) rows keyed by the tuple of the a + k; k = 2 is left
+        # out of a block of n = 0 alone, where its weight is 0, and reads
+        # zeros at n = 0 in any other; verify's reads add none
+        monkeypatch.setattr(wavefn, "_FAMILY_BLOCK", 257 * 4)
         p = natural_params()
-        for n, rf in enumerate(wavefn._psi1_family(m, 20, default_grid(p, num_points=257), p)):
-            own = [(-(n + 1.0) + k, m + 1.0 + k) for k in range(3 if n else 2)]
-            assert list(rf._rows) == own, n
-            rf.interior(2)
-            derive_lower_component(rf, energy(QuantumNumbers(n, m), p).E).interior(1)
-            assert list(rf._rows) == own, n
+        blocks = self._blocks(m, 20, default_grid(p, num_points=257), p)
+        assert [len(ns) for ns, _, _ in blocks] == [4] * 5 + [1]
+        for ns, rf, E in blocks:
+            shifts = range(3 if ns[-1] else 2)
+            own = [(tuple(-(n + 1.0) + k for n in ns), m + 1.0 + k) for k in shifts]
+            assert list(rf._rows) == own, ns
+            assert all(rows.shape == (len(ns), 257) for rows in rf._rows.values())
+            if ns[0] == 0 and ns[-1]:
+                assert not np.any(rf._rows[own[2]][0])
+            self._verify_reads(rf, E)
+            assert list(rf._rows) == own, ns
 
+    @pytest.mark.parametrize("on", ["grid", "nodes"])
     @pytest.mark.parametrize("m", [0, 3])
-    def test_held_states_read_late_sum_no_row(self, m, monkeypatch):
-        # states read after the pass has moved on, as a list holds them,
-        # give the floats of states read as they are drawn
-        p = natural_params()
-        grid = default_grid(p, num_points=257)
-
-        def floats(n, rf):
-            lower = derive_lower_component(rf, energy(QuantumNumbers(n, m), p).E)
-            return [x.tobytes() for x in (rf.values, *rf.interior(2)[1], *lower.interior(1)[1])]
-
-        streamed = [floats(n, rf) for n, rf in enumerate(wavefn._psi1_family(m, 20, grid, p))]
-        kummer_m, calls = wavefn.kummer_m, []
-        monkeypatch.setattr(wavefn, "kummer_m", lambda *a: calls.append(a) or kummer_m(*a))
-        held = list(wavefn._psi1_family(m, 20, grid, p))
-        assert [floats(n, rf) for n, rf in enumerate(held)] == streamed
-        assert calls == []
-
-    @pytest.mark.parametrize("m", [0, 3])
-    def test_held_rows_are_kummer_m_rows_bit_for_bit(self, m):
-        # verify's kummer-laguerre check reads these rows by key
+    def test_held_rows_are_kummer_m_rows_bit_for_bit(self, m, on):
+        # verify's kummer-laguerre check reads these rows; verify streams the
+        # family on the trapezoid nodes, not on a RadialGrid
         p = natural_params()
         grid = default_grid(p, num_points=257)
+        if on == "nodes":
+            grid = oracle.trapezoid_nodes(m, 20, p.oscillator_length)
         z = to_dimensionless_z(grid.samples, p)
-        for n, rf in enumerate(wavefn._psi1_family(m, 20, grid, p)):
+        for ns, rf, _ in self._blocks(m, 20, grid, p):
             assert not rf._rows.z.flags.writeable
             assert rf._rows.z.tobytes() == z.tobytes()
-            for (a, b), row in rf._rows.items():
-                assert row.tobytes() == wavefn.kummer_m(a, b, z).tobytes(), (n, a, b)
+            for (a, b), rows in rf._rows.items():
+                for row, x in zip(rows, a):
+                    want = wavefn.kummer_m(x, b, z) if x <= 0.0 else np.zeros_like(z)
+                    assert row.tobytes() == want.tobytes(), (ns, x, b)
 
     @pytest.mark.parametrize("m", [0, 3])
-    def test_rows_on_the_trapezoid_nodes_are_kummer_m_rows_bit_for_bit(self, m):
-        # verify streams the family on the nodes, not on a RadialGrid
+    def test_blocks_read_late_sum_no_row_and_keep_their_floats(self, m, monkeypatch, kummer_calls):
+        # blocks read after the pass has moved on, as a list holds them, give
+        # the floats of blocks read as they are drawn; the stream steps in
+        # place, and what a block holds stays as it was once the family is done
+        monkeypatch.setattr(wavefn, "_FAMILY_BLOCK", 257 * 3)
         p = natural_params()
-        nodes = oracle.trapezoid_nodes(m, 20, p.oscillator_length)
-        z = to_dimensionless_z(nodes.samples, p)
-        for n, rf in enumerate(wavefn._psi1_family(m, 20, nodes, p)):
-            assert rf._rows.z.tobytes() == z.tobytes()
-            for (a, b), row in rf._rows.items():
-                assert row.tobytes() == wavefn.kummer_m(a, b, z).tobytes(), (n, a, b)
-            alone = RadialFunction(nodes, wavefn.psi1_profile(QuantumNumbers(n, m)), p)
-            assert rf.interior(2)[1][2].tobytes() == alone.interior(2)[1][2].tobytes()
+        grid = default_grid(p, num_points=257)
+        streamed = []
+        for ns, rf, E in self._blocks(m, 20, grid, p):
+            streamed.append([x.tobytes() for x in self._verify_reads(rf, E)])
+        held = self._blocks(m, 20, grid, p)
+        tables = [{key: row.tobytes() for key, row in rf._rows.items()} for _, rf, _ in held]
+        assert [[x.tobytes() for x in self._verify_reads(rf, E)] for _, rf, E in held] == streamed
+        assert [{key: row.tobytes() for key, row in rf._rows.items()} for _, rf, _ in held] == tables
+        assert kummer_calls == []
 
-    def test_states_keep_their_floats_after_the_pass(self):
-        # the stream steps in place; the rows it yielded, and the values
-        # formed from them, stay as they were when the family is exhausted
-        def floats(rf, held):
-            return [rf.values.tobytes(), *(row.tobytes() for row in held.values())]
-
+    @pytest.mark.parametrize("block, sizes", [(2**13, [21]), (257 * 5, [5] * 4 + [1]), (1, [1] * 21)])
+    def test_one_stream_of_n_max_plus_one_steps_whatever_the_blocks(self, block, sizes, monkeypatch):
+        streams, steps = [], []
+        rows, step = wavefn._degree_rows, specfun._degree_step
+        monkeypatch.setattr(wavefn, "_FAMILY_BLOCK", block)
+        monkeypatch.setattr(wavefn, "_degree_rows", lambda *a: streams.append(a) or rows(*a))
+        monkeypatch.setattr(specfun, "_degree_step", lambda *a: steps.append(a) or step(*a))
         p = natural_params()
-        seen = []
-        for rf in wavefn._psi1_family(3, 12, default_grid(p, num_points=257), p):
-            held = dict(rf._rows)
-            seen.append((rf, held, floats(rf, held)))
-        assert len(seen) == 13
-        for n, (rf, held, before) in enumerate(seen):
-            assert floats(rf, held) == before, n
+        blocks = self._blocks(3, 20, default_grid(p, num_points=257), p)
+        assert [len(ns) for ns, _, _ in blocks] == sizes
+        assert len(streams) == 1 and len(steps) == 21
 
     def test_n_max_zero_yields_the_ground_state_alone(self):
         p = natural_params()
         grid = default_grid(p, num_points=257)
         (rf,) = wavefn._psi1_family(2, 0, grid, p)
         alone = radial_psi1(QuantumNumbers(0, 2), grid, p)
-        assert rf.profile == alone.profile
-        assert rf.values.tobytes() == alone.values.tobytes()
+        assert (rf.profile.coeff.tolist(), rf.profile.mu, rf.profile.a.tolist()) == (
+            [[1.0]], 2, [[-1.0]]
+        )
+        assert list(rf._rows) == [((-1.0,), 3.0), ((0.0,), 4.0)]
+        assert rf.values.shape == (1, 257)
+        assert rf.values[0].tobytes() == alone.values.tobytes()
 
     READS = ["values", "interior 0", "interior 1", "interior 2", "lower values", "lower 0", "lower 1"]
 
@@ -545,7 +562,7 @@ class TestPsi1Family:
             order = int(read[-1]) if read[-1].isdigit() else None
             floats += [rf.values] if order is None else rf.interior(order)[1]
             keys += rf.profile._keys(order or 0)
-        return [x.tobytes() for x in floats], list(dict.fromkeys(keys))
+        return floats, list(dict.fromkeys(keys))
 
     @IN_BOTH_UNIT_SYSTEMS
     @settings(deadline=None)
@@ -554,42 +571,43 @@ class TestPsi1Family:
         # a family state and its standalone twin give the same floats for
         # any order of reads, of rows and of the factors of z, and each read
         # gives the floats it gives first on a fresh function; the
-        # standalone table sums each live key read once, and the family's
-        # table holds every key its state reads
+        # standalone table sums each live key read once, the family's none
         grid = default_grid(p, num_points=257)
-        E = energy(QuantumNumbers(n, m), p).E
+        (ns, state, E), = self._blocks(m, n, grid, p)
         kummer_m, calls = wavefn.kummer_m, []
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(wavefn, "kummer_m", lambda *a: calls.append(a[:2]) or kummer_m(*a))
-            state = next(itertools.islice(wavefn._psi1_family(m, n, grid, p), n, None))
-            family = self._read(state, reads, E)
+            family = [x[n].tobytes() for x in self._read(state, reads, E)[0]]
             assert calls == []
-            alone = self._read(radial_psi1(QuantumNumbers(n, m), grid, p), reads, E)
-        assert family[0] == alone[0]
-        assert calls == family[1] == alone[1]
-        qn = QuantumNumbers(n, m)
-        fresh = [self._read(radial_psi1(qn, grid, p), [read], E)[0] for read in reads]
-        assert family[0] == [x for floats in fresh for x in floats]
-
+            qn = QuantumNumbers(n, m)
+            alone, keys = self._read(radial_psi1(qn, grid, p), reads, E[n, 0])
+        assert family == [x.tobytes() for x in alone]
+        assert calls == keys
+        fresh = [self._read(radial_psi1(qn, grid, p), [read], E[n, 0])[0] for read in reads]
+        assert family == [x.tobytes() for floats in fresh for x in floats]
 
     @IN_BOTH_UNIT_SYSTEMS
     @settings(deadline=None)
     @given(n=st.integers(0, 20), m=st.integers(0, 10), half=st.integers(32, 2048))
     def test_interior_samples_are_the_grid_samples_sliced(self, p, n, m, half):
-        # a family state and its lower component each sample their profile
-        # once on the whole grid, and the interior samples slice that: they
-        # are the floats the profile forms afresh at the interior z, and the
-        # values are those it forms on the grid
+        # a family block and its lower component each sample their profile
+        # once on the whole grid, and the interior samples slice that: each
+        # row is the floats its state's profile forms afresh at the interior
+        # z, and the values those it forms on the grid
         grid = default_grid(p, num_points=2 * half + 1)
         z = to_dimensionless_z(grid.samples, p)
-        state = next(itertools.islice(wavefn._psi1_family(m, n, grid, p), n, None))
-        lower = derive_lower_component(state, energy(QuantumNumbers(n, m), p).E)
-        for rf, order in [(state, 2), (lower, 1)]:
-            rho, got = rf.interior(order)
-            assert rho.tobytes() == grid.samples[1:-1].tobytes()
-            want = rf.profile.derivatives(z[1:-1], order)
-            assert [f.tobytes() for f in got] == [f.tobytes() for f in want]
-            assert rf.values.tobytes() == rf.profile.value_z(z).tobytes()
+        *_, (ns, state, E) = self._blocks(m, n, grid, p)
+        lower = derive_lower_component(state, E)
+        assert ns[-1] == n
+        for row, k in enumerate(ns):
+            alone = radial_psi1(QuantumNumbers(k, m), grid, p)
+            alone_lower = derive_lower_component(alone, E[row, 0])
+            for rf, own, order in [(state, alone, 2), (lower, alone_lower, 1)]:
+                rho, got = rf.interior(order)
+                assert rho.tobytes() == grid.samples[1:-1].tobytes()
+                want = own.profile.derivatives(z[1:-1], order)
+                assert [f[row].tobytes() for f in got] == [f.tobytes() for f in want]
+                assert rf.values[row].tobytes() == own.profile.value_z(z).tobytes()
 
 
 class TestRadialPsi2:
@@ -755,7 +773,7 @@ class TestNormalize:
             return 2.0 * math.pi * np.abs(v) ** 2 * rho
 
         for m in range(6):
-            for rf in wavefn._psi1_family(m, 20, grid, p):
+            for rf in (radial_psi1(QuantumNumbers(n, m), grid, p) for n in range(21)):
                 plain = integrate_radial(square(grid.samples, rf.values), grid)
                 _, total, _, unit = wavefn._norm_integral(
                     square, integrate_radial, grid, rf.values
