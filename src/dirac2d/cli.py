@@ -78,7 +78,6 @@ class RunConfig:
     n_max: int = 5
     m: int = 0
     n: int = 0
-    rho_max_in_b: float = 12.0
     grid_points: int = 4097
     fmt: str = "csv"
     output: str | None = None
@@ -280,17 +279,17 @@ def cmd_wavefn(config: RunConfig) -> Path:
     Columns: rho, z, R1_normalized, R2_derived and the spinor density
     2 pi rho (|psi1|^2 + |psi2|^2).  The emitted columns are scaled so the
     density column integrates to one under the trapezoid rule on the emitted
-    rows themselves, making the table self-consistently normalized.  A state
-    that the grid truncates raises ``TruncationError`` and writes no table;
-    so does a grid too coarse for its trapezoid and Simpson norms to agree
-    within 1e-2, with a ValueError.
+    rows themselves, making the table self-consistently normalized.  The
+    grid is the state's ``wavefn.default_grid``, which reaches 7 b past its
+    turning point, so no state is truncated; a grid too coarse for its
+    trapezoid and Simpson norms to agree within 1e-2 raises ValueError and
+    writes no table.
     """
     params = config.params()
     qn = QuantumNumbers(n=config.n, m=config.m)
-    grid = wavefn.default_grid(params, config.rho_max_in_b, config.grid_points)
     level = spectrum.energy(qn, params)
+    grid = wavefn.default_grid(qn, params, config.grid_points)
     upper = wavefn.radial_psi1(qn, grid, params)
-    wavefn.normalize(upper)  # tail-mass check only; the table scales itself
     lower = wavefn.derive_lower_component(upper, level.E)
 
     rho = grid.samples
@@ -301,11 +300,11 @@ def cmd_wavefn(config: RunConfig) -> Path:
         upper.values,
         lower.values,
     )
+    scale = 1.0 / wavefn._root(total, unit)  # refuses a total of 0
     # where the trapezoid and Simpson totals part, the grid does not resolve the state
     gap = abs(total / wavefn.integrate_radial(weight, unit_grid) - 1.0)
     if gap > 1e-2:
         raise ValueError(f"trapezoid and Simpson norms differ by {gap:.1e}: use more --grid-points")
-    scale = 1.0 / wavefn._root(total, unit)
 
     r1 = scale * upper.values
     r2 = scale * lower.values
@@ -465,12 +464,6 @@ OPTIONS = {
     "--omega": dict(type=float, help="oscillator frequency"),
     "--m0": dict(type=float, help="rest mass"),
     "--units": dict(choices=tuple(_UNITS), help="unit system"),
-    "--rho-max": dict(
-        type=float,
-        dest="rho_max_in_b",
-        metavar="RHO_MAX",
-        help="grid extent in units of the oscillator length",
-    ),
     "--grid-points": dict(type=int, help="radial samples (odd)"),
     "--lambdas": dict(help="comma-separated frequency ratios in (0, 0.1]"),
     "--format": dict(choices=("csv", "json"), dest="fmt"),
@@ -488,7 +481,7 @@ COMMANDS = {
     "wavefn": (
         "tabulate radial profiles for one state",
         cmd_wavefn,
-        "--n --m --omega --m0 --units --rho-max --grid-points --format --output",
+        "--n --m --omega --m0 --units --grid-points --format --output",
     ),
     "verify": (
         "run the oracle verification suite",

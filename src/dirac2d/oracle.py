@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import EnergyLevel, _require_count
+from .spectrum import EnergyLevel, _turning_point
 from .wavefn import RadialFunction, derive_lower_component
 from .wavefn import radial_psi1  # noqa: F401  (perfbench's tracer test reads it here)
 
@@ -108,19 +108,6 @@ class ResidualReport:
 
 
 TrapezoidNodes = namedtuple("TrapezoidNodes", "samples weights")
-
-
-def _turning_point(m: int, n_max: int) -> float:
-    """s = sqrt(4(n_max + 1) + 2m), the top state's turning point in oscillator lengths.
-
-    Both oracles size their samples from s.  4(n_max + 1) + 2m of 4096 or
-    more (s of 64 or more) is refused, in integer arithmetic, before any float.
-    """
-    _require_count("m", m)
-    _require_count("n_max", n_max)
-    if 4 * (n_max + 1) + 2 * m >= 4096:
-        raise ValueError("4(n_max + 1) + 2m must be below 4096 (a turning point inside 64 b)")
-    return math.sqrt(4 * (n_max + 1) + 2 * m)
 
 
 def trapezoid_nodes(m: int, n_max: int, b: float) -> TrapezoidNodes:

@@ -35,6 +35,20 @@ def _require_count(name: str, value, minimum: int = 0) -> None:
         raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
+def _turning_point(m: int, n_max: int) -> float:
+    """s = sqrt(4(n_max + 1) + 2m), the top state's turning point in oscillator lengths.
+
+    Every radial grid is sized from s: the oracles' nodes and grids, and
+    ``wavefn.default_grid``.  4(n_max + 1) + 2m of 4096 or more (s of 64 or
+    more) is refused, in integer arithmetic, before any float.
+    """
+    _require_count("m", m)
+    _require_count("n_max", n_max)
+    if 4 * (n_max + 1) + 2 * m >= 4096:
+        raise ValueError("4(n_max + 1) + 2m must be below 4096 (a turning point inside 64 b)")
+    return math.sqrt(4 * (n_max + 1) + 2 * m)
+
+
 @dataclass(frozen=True)
 class QuantumNumbers:
     """Radial termination index n >= 0 and angular momentum index m >= 0.

@@ -44,7 +44,7 @@ from functools import cached_property
 import numpy as np
 
 from .specfun import _degree_rows, kummer_m
-from .spectrum import QuantumNumbers
+from .spectrum import QuantumNumbers, _turning_point
 from .units import PhysicalParams, to_dimensionless_z
 
 __all__ = [
@@ -109,10 +109,17 @@ class RadialGrid:
 
 
 def default_grid(
-    params: PhysicalParams, rho_max_in_b: float = 12.0, num_points: int = 4097
+    qn: QuantumNumbers, params: PhysicalParams, num_points: int = 4097
 ) -> RadialGrid:
-    """Grid reaching 12 oscillator lengths: exp(-z/2) there is ~1e-32."""
-    return RadialGrid(rho_max_in_b * params.oscillator_length, num_points)
+    """Grid over [0, ceil(s + 7) b] for the state qn, s b its turning point.
+
+    s = sqrt(4(n + 1) + 2m) (``spectrum._turning_point``, which refuses s of
+    64 or more).  Past s b the density falls as a Gaussian, and 7 b further
+    on it holds no measurable norm.  The extent is rounded up to whole
+    oscillator lengths, so the default spacing stays dyadic in units of b.
+    """
+    extent = math.ceil(_turning_point(qn.m, qn.n) + 7.0)
+    return RadialGrid(extent * params.oscillator_length, num_points)
 
 
 class _Rows(dict):
@@ -432,9 +439,9 @@ def normalize(rf: RadialFunction) -> float:
         z, profile = rf._rows.z[1:], rf.profile
         cause = "cannot normalize an identically zero radial function"
         if profile.coeff and not np.any(np.power(z, 0.5 * profile.mu)):
-            cause = "z**(mu/2) underflows to 0 at every sample: use a larger --rho-max"
+            cause = "z**(mu/2) underflows to 0 at every sample: the grid ends too near the origin"
         elif profile.coeff and not np.any(np.exp(-0.5 * z)):
-            cause = "exp(-z/2) underflows to 0 past the first sample: use more --grid-points"
+            cause = "exp(-z/2) underflows to 0 past the first sample: the grid is too coarse"
         raise ValueError(cause)
     f_end = float(weight[-1])
     if f_end > 0.0:
@@ -500,16 +507,15 @@ def spinor_sample(
 ) -> SpinorSample:
     """Both spinor components at (rho, phi), with psi1 normalized.
 
-    psi1 = A e^{i m phi} R1(rho) with A fixed by ``normalize`` on the default
-    grid; psi2 follows from the coupling operator applied to that psi1, so
-    the pair satisfies the first-order system by construction.  Only psi1
+    psi1 = A e^{i m phi} R1(rho) with A fixed by ``normalize`` on the state's
+    default grid; psi2 follows from the coupling operator applied to that
+    psi1, so the pair satisfies the first-order system by construction.  Only psi1
     has unit norm: the whole spinor's squared norm is 2E/(E + m0 c^2).
     (``dirac2d wavefn`` tables normalize the whole spinor density instead.)
     """
     if not (rho >= 0.0 and math.isfinite(phi)):
         raise ValueError(f"rho must be >= 0 and phi finite: rho={rho!r}, phi={phi!r}")
-    grid = default_grid(params)
-    psi1_rf = radial_psi1(qn, grid, params)
+    psi1_rf = radial_psi1(qn, default_grid(qn, params), params)
     A = normalize(psi1_rf)
     lower = derive_lower_component(psi1_rf, E)
     lower.values  # refuses a lower component that leaves float64 on the grid
@@ -530,19 +536,17 @@ def sign_changes(values):
         raise ValueError("sign changes need finite samples")
     rows = np.abs(np.atleast_2d(v))
     row, col = np.nonzero(rows > NODE_FLOOR * np.max(rows, axis=-1, keepdims=True, initial=0.0))
-    kept = np.atleast_2d(v)[row, col]
-    flips = (kept[:-1] * kept[1:] < 0.0) & (row[:-1] == row[1:])
+    negative = np.signbit(np.atleast_2d(v)[row, col])  # no product: kept samples are not 0
+    flips = (negative[:-1] != negative[1:]) & (row[:-1] == row[1:])
     counts = np.bincount(row[1:][flips], minlength=len(rows))
     return int(counts[0]) if v.ndim < 2 else counts
 
 
 def count_radial_nodes(qn: QuantumNumbers, params: PhysicalParams) -> int:
-    """Sign changes of the upper radial profile on (0, rho_max); equals n+1.
+    """Sign changes of the upper radial profile inside the default grid; equals n+1.
 
-    rho_max = (2 sqrt(4(n+1) + 2m) + 4) * b covers every root of the
-    terminating polynomial with margin (Laguerre root bound).
+    Every root of the terminating polynomial lies inside the turning point
+    s b, which the grid passes by 7 b.
     """
-    span = 2.0 * math.sqrt(4.0 * (qn.n + 1) + 2.0 * qn.m) + 4.0
-    grid = RadialGrid(span * params.oscillator_length, 4097)
-    rf = radial_psi1(qn, grid, params)
+    rf = radial_psi1(qn, default_grid(qn, params), params)
     return sign_changes(rf.values[1:-1])

@@ -120,7 +120,6 @@ def test_criterion_4_quantization_monotonicity_and_bisection():
 
 def test_criterion_5_eigenfunction_self_consistency():
     p = natural_params()
-    grid = default_grid(p)
     worst_ode = 0.0
     worst_coupled = 0.0
     weakest_perturbed = math.inf
@@ -128,7 +127,7 @@ def test_criterion_5_eigenfunction_self_consistency():
         for m in range(3):
             qn = QuantumNumbers(n, m)
             level = energy(qn, p)
-            rf = radial_psi1(qn, grid, p)
+            rf = radial_psi1(qn, default_grid(qn, p), p)
             worst_ode = max(worst_ode, ode_residual(rf, m, level.k1).rms_residual)
             worst_coupled = max(
                 worst_coupled,
@@ -151,13 +150,12 @@ def test_criterion_5_eigenfunction_self_consistency():
 
 def test_criterion_6_node_counts():
     p = natural_params()
-    grid = default_grid(p)
     ok = True
     for n in range(9):
         for m in range(6):
             qn = QuantumNumbers(n, m)
             ok = ok and count_radial_nodes(qn, p) == n + 1
-            ok = ok and sign_changes(radial_psi2(qn, grid, p).values[1:-1]) == n
+            ok = ok and sign_changes(radial_psi2(qn, default_grid(qn, p), p).values[1:-1]) == n
     report(6, "psi1 has n+1 sign changes, psi2 ansatz has n (n <= 8, m <= 5)", ok)
 
 
@@ -205,12 +203,11 @@ def test_criterion_8_nonrelativistic_limit():
 
 def test_criterion_9_normalization(tmp_path):
     p = natural_params()
-    grid = default_grid(p)
     worst = 0.0
     for n in range(4):
         for m in range(3):
             qn = QuantumNumbers(n, m)
-            quad = normalize(radial_psi1(qn, grid, p))
+            quad = normalize(radial_psi1(qn, default_grid(qn, p), p))
             worst = max(worst, abs(quad / closed_form_norm_constant(qn, p) - 1.0))
     config = RunConfig(command="wavefn", n=2, m=1, output=str(tmp_path / "w.json"), fmt="json")
     rows = json.loads(cmd_wavefn(config).read_text())["rows"]

@@ -135,6 +135,28 @@ class TestWavefnCommand:
         kept = values[np.abs(values) > 1e-13 * np.max(np.abs(values))]
         assert int(np.sum(kept[:-1] * kept[1:] < 0.0)) == 1
 
+    @pytest.mark.parametrize(
+        "n, m", [(24, 0), (30, 0), (100, 0), (250, 0), (0, 80), (0, 171), (20, 100)]
+    )
+    def test_states_past_12_b_write_a_normalized_table(self, n, m, tmp_path):
+        # a fixed 12 b grid refused each of these with a TruncationError
+        out = tmp_path / "w.csv"
+        assert main(["wavefn", "--n", str(n), "--m", str(m), "--output", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 4097
+        assert _trapezoid(rows, "probability_density") == pytest.approx(1.0, abs=1e-12)
+        values = np.array([float(r["R1_normalized"]) for r in rows])
+        kept = values[np.abs(values) > 1e-13 * np.max(np.abs(values))]
+        assert np.count_nonzero(np.diff(np.signbit(kept))) == n + 1
+
+    @pytest.mark.parametrize("units", ["natural", "si"])
+    @pytest.mark.parametrize("n, m, extent", [(0, 0, 9), (3, 2, 12), (2, 1, 11), (250, 0, 39)])
+    def test_grid_ends_at_whole_b_past_the_turning_point(self, units, n, m, extent, tmp_path):
+        # ceil(s + 7) oscillator lengths, s = sqrt(4(n + 1) + 2m)
+        config = RunConfig(command="wavefn", units=units, n=n, m=m, output=str(tmp_path / "w.csv"))
+        _, rows = read_csv(cmd_wavefn(config))
+        assert float(rows[-1]["rho"]) == extent * config.params().oscillator_length
+
     def test_density_includes_lower_component(self, tmp_path):
         config = RunConfig(command="wavefn", n=1, m=1, output=str(tmp_path / "w.csv"))
         _, rows = read_csv(cmd_wavefn(config))
@@ -476,7 +498,7 @@ class TestKummerBudget:
         p = natural_params()
         qn = QuantumNumbers(n, m)
         level = energy(qn, p)
-        psi1 = wavefn.radial_psi1(qn, wavefn.default_grid(p), p)
+        psi1 = wavefn.radial_psi1(qn, wavefn.default_grid(qn, p), p)
         if derive_first:
             wavefn.derive_lower_component(psi1, level.E).values
         oracle.coupled_residual(level, psi1)
@@ -807,18 +829,6 @@ class TestMainEntry:
         assert "n=0 overflows at lam=1e+308" in capsys.readouterr().err
         assert not (tmp_path / "s.csv").exists()
 
-    def test_truncated_wavefn_returns_two(self, tmp_path, monkeypatch, capsys):
-        # n = 120 reaches about 22 oscillator lengths; the default grid stops at 12
-        monkeypatch.chdir(tmp_path)
-        code = main(["wavefn", "--n", "120", "--output", "w.csv"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "integrand still rises at rho_max" in err and "enlarge the grid" in err
-        assert not (tmp_path / "w.csv").exists()
-        wide = ["wavefn", "--n", "120", "--rho-max", "26", "--output", "w.csv"]
-        assert main(wide) == 0
-        assert (tmp_path / "w.csv").exists()
-
     def test_lambda_whose_cube_underflows_returns_two(self, tmp_path, monkeypatch, capsys):
         # lambda**3 underflowed to 0 and the error column divided by it
         monkeypatch.chdir(tmp_path)
@@ -846,40 +856,6 @@ class TestMainEntry:
             f"error: m0*omega/hbar {shown} is not a positive finite ratio"
         ]
         assert not (tmp_path / "out.csv").exists()
-
-    @pytest.mark.parametrize(
-        "argv, factor, flags",
-        [
-            (["--rho-max", "1e-160"], "z**(mu/2)", "a larger --rho-max"),
-            (["--rho-max", "1e5", "--grid-points", "65"], "exp(-z/2)", "more --grid-points"),
-        ],
-    )
-    def test_a_profile_that_underflows_at_every_sample_names_its_factor(
-        self, argv, factor, flags, tmp_path, monkeypatch, capsys
-    ):
-        # both read "identically zero", although the profile is not: z**(3/2)
-        # underflows on the short grid, exp(-z/2) past the origin of the long one
-        monkeypatch.chdir(tmp_path)
-        assert main(["wavefn", "--m", "3", *argv, "--output", "w.csv"]) == 2
-        (line,) = capsys.readouterr().err.splitlines()
-        assert line.startswith(f"error: {factor} underflows to 0 ")
-        assert flags in line
-        assert not (tmp_path / "w.csv").exists()
-
-    def test_overflowing_z_is_refused_without_a_warning(self, tmp_path):
-        # a subprocess sees what a user sees: numpy's RuntimeWarning printed
-        # before the refusal, which pytest would raise as an error instead
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, PYTHONPATH=str(src))
-        done = subprocess.run(
-            [sys.executable, "-m", "dirac2d.cli", "wavefn", "--rho-max", "1e300"],
-            cwd=tmp_path, env=env, capture_output=True, text=True,
-        )
-        assert done.returncode == 2
-        assert done.stderr.splitlines() == [
-            "error: z = gamma * rho**2 overflows float64 at rho=1e+300"
-        ]
-        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("points", ["3", "5", "17"])
     def test_grid_too_coarse_for_the_state_is_refused(
@@ -983,42 +959,49 @@ class TestExtremeScales:
             coupled = {r["name"]: float(r["measured"]) for r in rows}["coupled-residual"]
             assert coupled < 1e-15
 
-    def test_prefactor_outside_float64_is_one_refusal(self, tmp_path):
-        # a subprocess sees what a user sees: four RuntimeWarning lines from
-        # exp(-z/2) * z**100 = 0 * inf came before the refusal
+    @staticmethod
+    def _user_run(argv, cwd):
+        """A subprocess sees what a user sees, here with RuntimeWarning as an error."""
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
-        argv = "wavefn --n 0 --m 200 --rho-max 40 --output w.csv".split()
-        done = subprocess.run(
-            [sys.executable, "-m", "dirac2d.cli", *argv],
-            cwd=tmp_path, env=env, capture_output=True, text=True,
+        command = [sys.executable, "-W", "error::RuntimeWarning", "-m", "dirac2d.cli"]
+        return subprocess.run(
+            [*command, *argv.split()], cwd=cwd, env=env, capture_output=True, text=True
         )
+
+    def test_prefactor_outside_float64_is_one_refusal(self, tmp_path):
+        # four RuntimeWarning lines from exp(-z/2) * z**100 = 0 * inf came
+        # before the refusal at m = 200 on a 40 b grid; its own 28 b grid
+        # holds z**100, and at m = 250 z**125 leaves float64 inside its 30 b
+        done = self._user_run("wavefn --n 0 --m 250 --output w.csv", tmp_path)
         assert done.returncode == 2
         assert done.stderr.splitlines() == [
-            "error: coeff exp(-z/2) z**(mu/2) leaves float64 at z = 1210.01"
+            "error: coeff exp(-z/2) z**(mu/2) leaves float64 at z = 292.48"
+        ]
+        assert list(tmp_path.iterdir()) == []
+        done = self._user_run("wavefn --n 0 --m 200 --output w.csv", tmp_path)
+        assert done.returncode == 0 and done.stderr == ""
+        _, rows = read_csv(tmp_path / "w.csv")
+        assert _trapezoid(rows, "probability_density") == pytest.approx(1.0, abs=1e-12)
+
+    def test_verify_past_the_norm_constant_is_one_refusal(self, tmp_path):
+        # the sign test multiplied neighbouring psi1 samples, which overflowed
+        # past 1e154: two RuntimeWarning lines, or under -W error a traceback
+        # and exit 1, which reads as a failed check
+        done = self._user_run("verify --m 200 --n-max 0 --output v.csv", tmp_path)
+        assert done.returncode == 2
+        assert done.stderr.splitlines() == [
+            "error: the norm constant at n=0, m=200 leaves float64"
         ]
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
-        "argv, wider, refusal",
-        [
-            ("wavefn --m0 1e-300 --n 14 --m 32", "--rho-max 14", "estimated tail mass"),
-            (
-                "wavefn --omega 1e-300 --n 26 --m 26 --grid-points 65",
-                "--rho-max 15",
-                "integrand still rises at rho_max",
-            ),
-        ],
+        "argv", ["wavefn --m0 1e-300 --n 14 --m 32", "wavefn --omega 1e-300 --n 26 --m 26"]
     )
-    def test_wavefn_norm_outside_float64(
-        self, argv, wider, refusal, tmp_path, monkeypatch, capsys
-    ):
-        # the states reach past 12 oscillator lengths, in natural units too;
-        # on a longer grid the rescaled norm writes a normalized table
-        code, err, _ = self._run(argv.split(), tmp_path, monkeypatch, capsys)
-        assert code == 2
-        assert refusal in err
-        code, _, rows = self._run([*argv.split(), *wider.split()], tmp_path, monkeypatch, capsys)
+    def test_wavefn_norm_outside_float64(self, argv, tmp_path, monkeypatch, capsys):
+        # the plain norm integral leaves float64; the rescaled one writes a
+        # normalized table.  A fixed 12 b grid refused both states as truncated.
+        code, _, rows = self._run(argv.split(), tmp_path, monkeypatch, capsys)
         assert code == 0
         assert any(float(r["R1_normalized"]) for r in rows)
         assert _trapezoid(rows, "probability_density") == pytest.approx(1.0, abs=1e-12)
@@ -1028,7 +1011,7 @@ class TestExtremeScales:
 READS = {
     "spectrum": {"n_max", "m", "omega", "m0", "units", "fmt", "output"},
     "wavefn": {
-        "n", "m", "omega", "m0", "units", "rho_max_in_b", "grid_points", "fmt", "output"
+        "n", "m", "omega", "m0", "units", "grid_points", "fmt", "output"
     },
     "verify": {"n_max", "m", "omega", "m0", "units", "fmt", "output"},
     "nr-limit": {"n_max", "lambdas", "fmt", "output"},
@@ -1041,6 +1024,7 @@ REFUSED = [
     ("spectrum", "--grid-points", "1025"),
     ("spectrum", "--tolerance", "ode-residual=1"),
     ("wavefn", "--n-max", "3"),
+    ("wavefn", "--rho-max", "12"),
     ("wavefn", "--tolerance", "ode-residual=1"),
     ("nr-limit", "--m", "3"),
     ("nr-limit", "--omega", "0.5"),
@@ -1102,7 +1086,7 @@ class TestSingleDeclaration:
 
     def test_json_config_has_one_key_per_field(self, tmp_path):
         # the command and the fields its flags set, in declaration order
-        sizes = {"spectrum": 7, "wavefn": 9, "verify": 7, "nr-limit": 4}
+        sizes = {"spectrum": 7, "wavefn": 8, "verify": 7, "nr-limit": 4}
         for command, size in sizes.items():
             out = tmp_path / f"{command}.json"
             argv = [command, "--format", "json", "--output", str(out)]

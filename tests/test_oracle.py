@@ -941,7 +941,7 @@ class TestCoupledResidual:
     def test_derived_pair_is_self_consistent(self):
         p = natural_params()
         qn = QuantumNumbers(0, 0)
-        report = coupled_residual(energy(qn, p), radial_psi1(qn, default_grid(p), p))
+        report = coupled_residual(energy(qn, p), radial_psi1(qn, default_grid(qn, p), p))
         assert report.rms_residual <= 1e-12
         assert report.equation_id == "coupled-first-order"
 
@@ -951,7 +951,7 @@ class TestCoupledResidual:
         p = si_params()
         for n, m in [(0, 0), (2, 1)]:
             level = energy(QuantumNumbers(n, m), p)
-            psi1 = radial_psi1(level.qn, default_grid(p, num_points=1025), p)
+            psi1 = radial_psi1(level.qn, default_grid(level.qn, p, num_points=1025), p)
             report = coupled_residual(level, psi1)
             assert report.rms_residual <= 1e-12, (n, m)
 
@@ -975,7 +975,7 @@ class TestCoupledResidual:
             E = 1.01 * level.E
             report = coupled_residual(
                 replace(level, E=E, excitation=E - p.rest_energy),
-                radial_psi1(qn, default_grid(p), p),
+                radial_psi1(qn, default_grid(qn, p), p),
             )
             assert report.rms_residual > 1e-3, (n, m)
 
@@ -992,7 +992,7 @@ class TestCoupledResidual:
         # k <= 2 when coupled_residual hands them to the lower component;
         # a psi1 that holds M(a, b) alone gives the same reports
         p = natural_params() if units == "natural" else si_params()
-        grid = default_grid(p, num_points=1025)
+        grid = RadialGrid(12.0 * p.oscillator_length, 1025)
         for n, m in [(0, 0), (3, 2)]:
             level = energy(QuantumNumbers(n, m), p)
             own = radial_psi1(level.qn, grid, p)
@@ -1237,7 +1237,7 @@ class TestReportReference:
 
         monkeypatch.setattr(oracle, "_report", recording)
         p = natural_params() if units == "natural" else si_params()
-        grid = default_grid(p, num_points=1025)
+        grid = RadialGrid(12.0 * p.oscillator_length, 1025)
         for qn in [QuantumNumbers(0, 0), QuantumNumbers(3, 1), QuantumNumbers(7, 4)]:
             psi1 = radial_psi1(qn, grid, p)
             level = energy(qn, p)

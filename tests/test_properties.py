@@ -1,23 +1,21 @@
 """Property tests over the domain of the Kummer recurrence.
 
 In natural and SI units, for n <= 80 and m <= 40, the upper radial profile
-has n + 1 nodes, and its Simpson norm on an 8193-point grid past every root
+has n + 1 nodes, and its Simpson norm on its 8193-point default grid
 meets the closed-form constant from Laguerre orthogonality to 1e-8.  The
 ascending series that the recurrence replaced lost these states to
 cancellation near the turning point: the norm missed 1e-8 from n = 48 at
 m >= 14 (by 1.6e-7 at (50, 20)), and (n, m) = (66, 0) counted 69 nodes.
 """
 
-import math
-
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dirac2d import (
     QuantumNumbers,
-    RadialGrid,
     closed_form_norm_constant,
     count_radial_nodes,
+    default_grid,
     normalize,
     radial_psi1,
 )
@@ -32,15 +30,14 @@ def _params(units):
 
 
 def _norm_error(n, m, units):
-    """|quadrature A / closed-form A - 1| on a grid past every root.
+    """|quadrature A / closed-form A - 1| on the state's default grid of 8193 points.
 
-    The grid ends at the Laguerre root bound that ``count_radial_nodes``
-    uses, where the Gaussian tail is far below 1e-8.
+    The grid ends 7 b or more past the turning point, where the Gaussian
+    tail is far below 1e-8.
     """
     p = _params(units)
-    span = 2.0 * math.sqrt(4.0 * (n + 1) + 2.0 * m) + 4.0
     qn = QuantumNumbers(n, m)
-    rf = radial_psi1(qn, RadialGrid(span * p.oscillator_length, 8193), p)
+    rf = radial_psi1(qn, default_grid(qn, p, num_points=8193), p)
     return abs(normalize(rf) / closed_form_norm_constant(qn, p) - 1.0)
 
 

@@ -254,7 +254,7 @@ class TestRadialFunction:
     def test_values_are_the_profile_on_the_grid(self, p):
         # psi1, the psi2 ansatz and the derived lower component all sample
         # their own profile, bit for bit, in their own units
-        grid = default_grid(p, num_points=257)
+        grid = default_grid(QuantumNumbers(2, 1), p, num_points=257)
         z = to_dimensionless_z(grid.samples, p)
         qn = QuantumNumbers(2, 1)
         upper = radial_psi1(qn, grid, p)
@@ -272,9 +272,9 @@ class TestRadialFunction:
         # grid: they are the floats of value_z, and summing the higher terms
         # for interior(2) leaves them as they were
         p = natural_params()
-        grid = default_grid(p)
-        z = to_dimensionless_z(grid.samples, p)
         qn = QuantumNumbers(n, m)
+        grid = default_grid(qn, p)
+        z = to_dimensionless_z(grid.samples, p)
         rf = radial_psi1(qn, grid, p)
         assert rf.profile == psi1_profile(qn)
         before = rf.values.copy()
@@ -291,7 +291,7 @@ class TestRadialFunction:
         # slices the interior; Kummer terms are elementwise, so the slice
         # gives the floats of terms summed at the interior.  The n = 0 term
         # k = 2 has weight zero and is never summed.
-        grid = default_grid(p)
+        grid = RadialGrid(12.0 * p.oscillator_length, 4097)
         z = to_dimensionless_z(grid.samples, p)
         inner_z = to_dimensionless_z(grid.samples[1:-1], p)
         assert np.array_equal(z[1:-1], inner_z)
@@ -315,7 +315,8 @@ class TestRadialFunction:
         # so interior(2) then sums its three terms, as on a fresh function,
         # and the floats are a fresh function's
         p = natural_params()
-        rf = radial_psi1(QuantumNumbers(5, 1), default_grid(p), p)
+        qn = QuantumNumbers(5, 1)
+        rf = radial_psi1(qn, default_grid(qn, p), p)
         kummer_m, calls = wavefn.kummer_m, []
         monkeypatch.setattr(wavefn, "kummer_m", lambda *a: calls.append(a) or kummer_m(*a))
         with pytest.raises(ValueError, match="order must be 0, 1 or 2, got 3"):
@@ -323,7 +324,7 @@ class TestRadialFunction:
         assert calls == []
         _, got = rf.interior(2)
         assert [call[:2] for call in calls] == [(-6.0, 2.0), (-5.0, 3.0), (-4.0, 4.0)]
-        _, want = radial_psi1(QuantumNumbers(5, 1), default_grid(p), p).interior(2)
+        _, want = radial_psi1(qn, default_grid(qn, p), p).interior(2)
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
     @IN_BOTH_UNIT_SYSTEMS
@@ -332,7 +333,7 @@ class TestRadialFunction:
         # ones it lacks; whichever order comes first, it gives the floats of
         # profile.derivatives at the interior z, for psi1, the psi2 ansatz
         # and the lower component derived after psi1's first request
-        grid = default_grid(p, num_points=1025)
+        grid = RadialGrid(12.0 * p.oscillator_length, 1025)
         z = to_dimensionless_z(grid.samples, p)
         for n, m in [(0, 0), (3, 2)]:
             qn = QuantumNumbers(n, m)
@@ -360,8 +361,8 @@ class TestRadialFunction:
         # f and f' read from interior(2) slice them, and are the floats a
         # fresh interior(1) forms
         p = natural_params()
-        grid = default_grid(p, num_points=1025)
         qn = QuantumNumbers(n, m)
+        grid = default_grid(qn, p, num_points=1025)
         rf = radial_psi1(qn, grid, p)
         _, second = rf.interior(2)
         rho, first = rf.interior(1)
@@ -418,7 +419,7 @@ class TestRadialPsi1:
 
     def test_angular_index_metadata(self):
         p = natural_params()
-        rf = radial_psi1(QuantumNumbers(2, 3), default_grid(p), p)
+        rf = radial_psi1(QuantumNumbers(2, 3), default_grid(QuantumNumbers(2, 3), p), p)
         assert rf.angular_index == 3
         assert rf.profile.mu == 3
 
@@ -451,7 +452,7 @@ class TestPsi1Family:
         # each state, read as verify reads it, gives its standalone floats, in
         # blocks of 2**13 // points states; the family sums no row with
         # kummer_m, so none of weight zero
-        grid = default_grid(p, num_points=points)
+        grid = default_grid(QuantumNumbers(20, m), p, num_points=points)
         blocks = self._blocks(m, 20, grid, p)
         assert [len(ns) for ns, _, _ in blocks] == sizes
         got = [(ns, rf, self._verify_reads(rf, E)) for ns, rf, E in blocks]
@@ -473,7 +474,7 @@ class TestPsi1Family:
         # zeros at n = 0 in any other; verify's reads add none
         monkeypatch.setattr(wavefn, "_FAMILY_BLOCK", 257 * 4)
         p = natural_params()
-        blocks = self._blocks(m, 20, default_grid(p, num_points=257), p)
+        blocks = self._blocks(m, 20, default_grid(QuantumNumbers(20, m), p, num_points=257), p)
         assert [len(ns) for ns, _, _ in blocks] == [4] * 5 + [1]
         for ns, rf, E in blocks:
             shifts = range(3 if ns[-1] else 2)
@@ -491,7 +492,7 @@ class TestPsi1Family:
         # verify's kummer-laguerre check reads these rows; verify streams the
         # family on the trapezoid nodes, not on a RadialGrid
         p = natural_params()
-        grid = default_grid(p, num_points=257)
+        grid = default_grid(QuantumNumbers(20, m), p, num_points=257)
         if on == "nodes":
             grid = oracle.trapezoid_nodes(m, 20, p.oscillator_length)
         z = to_dimensionless_z(grid.samples, p)
@@ -510,7 +511,7 @@ class TestPsi1Family:
         # place, and what a block holds stays as it was once the family is done
         monkeypatch.setattr(wavefn, "_FAMILY_BLOCK", 257 * 3)
         p = natural_params()
-        grid = default_grid(p, num_points=257)
+        grid = default_grid(QuantumNumbers(20, m), p, num_points=257)
         streamed = []
         for ns, rf, E in self._blocks(m, 20, grid, p):
             streamed.append([x.tobytes() for x in self._verify_reads(rf, E)])
@@ -528,13 +529,13 @@ class TestPsi1Family:
         monkeypatch.setattr(wavefn, "_degree_rows", lambda *a: streams.append(a) or rows(*a))
         monkeypatch.setattr(specfun, "_degree_step", lambda *a: steps.append(a) or step(*a))
         p = natural_params()
-        blocks = self._blocks(3, 20, default_grid(p, num_points=257), p)
+        blocks = self._blocks(3, 20, default_grid(QuantumNumbers(20, 3), p, num_points=257), p)
         assert [len(ns) for ns, _, _ in blocks] == sizes
         assert len(streams) == 1 and len(steps) == 21
 
     def test_n_max_zero_yields_the_ground_state_alone(self):
         p = natural_params()
-        grid = default_grid(p, num_points=257)
+        grid = default_grid(QuantumNumbers(0, 2), p, num_points=257)
         (rf,) = wavefn._psi1_family(2, 0, grid, p)
         alone = radial_psi1(QuantumNumbers(0, 2), grid, p)
         assert (rf.profile.coeff.tolist(), rf.profile.mu, rf.profile.a.tolist()) == (
@@ -572,7 +573,7 @@ class TestPsi1Family:
         # any order of reads, of rows and of the factors of z, and each read
         # gives the floats it gives first on a fresh function; the
         # standalone table sums each live key read once, the family's none
-        grid = default_grid(p, num_points=257)
+        grid = default_grid(QuantumNumbers(n, m), p, num_points=257)
         (ns, state, E), = self._blocks(m, n, grid, p)
         kummer_m, calls = wavefn.kummer_m, []
         with pytest.MonkeyPatch.context() as patch:
@@ -594,7 +595,7 @@ class TestPsi1Family:
         # once on the whole grid, and the interior samples slice that: each
         # row is the floats its state's profile forms afresh at the interior
         # z, and the values those it forms on the grid
-        grid = default_grid(p, num_points=2 * half + 1)
+        grid = default_grid(QuantumNumbers(n, m), p, num_points=2 * half + 1)
         z = to_dimensionless_z(grid.samples, p)
         *_, (ns, state, E) = self._blocks(m, n, grid, p)
         lower = derive_lower_component(state, E)
@@ -641,7 +642,7 @@ class TestRadialPsi2:
     def test_ansatz_is_psi1_one_state_down(self, m):
         # verify counts the ansatz nodes of state n on psi1's values at n-1
         p = natural_params()
-        grid = default_grid(p)
+        grid = RadialGrid(12.0 * p.oscillator_length, 4097)
         for n in range(1, 21):
             ansatz = radial_psi2(QuantumNumbers(n, m), grid, p)
             below = radial_psi1(QuantumNumbers(n - 1, m), grid, p)
@@ -696,7 +697,7 @@ class TestNormalize:
     def test_closed_form_sweep(self):
         p = PhysicalParams(rest_mass=2.0, omega=0.5)
         b = p.oscillator_length
-        grid = default_grid(p)
+        grid = RadialGrid(12.0 * p.oscillator_length, 4097)
         for n in range(4):
             for m in range(3):
                 A = normalize(radial_psi1(QuantumNumbers(n, m), grid, p))
@@ -704,14 +705,14 @@ class TestNormalize:
 
     def test_norm_integral_is_one(self):
         p = natural_params()
-        grid = default_grid(p)
+        grid = default_grid(QuantumNumbers(1, 1), p)
         rf = radial_psi1(QuantumNumbers(1, 1), grid, p)
         weight = 2.0 * math.pi * (normalize(rf) * rf.values) ** 2 * grid.samples
         assert_allclose(integrate_radial(weight, grid), 1.0, rtol=1e-12)
 
     def test_doubling_values_halves_constant(self):
         p = natural_params()
-        grid = default_grid(p)
+        grid = default_grid(QuantumNumbers(0, 0), p)
         rf = radial_psi1(QuantumNumbers(0, 0), grid, p)
         doubled = RadialFunction(grid, replace(rf.profile, coeff=2.0), p)
         assert_allclose(normalize(doubled), 0.5 * normalize(rf), rtol=1e-14)
@@ -719,7 +720,7 @@ class TestNormalize:
     def test_idempotent(self):
         # normalize is pure: the same A every time, the function unchanged
         p = natural_params()
-        grid = default_grid(p)
+        grid = default_grid(QuantumNumbers(2, 0), p)
         rf = radial_psi1(QuantumNumbers(2, 0), grid, p)
         before = rf.values.copy()
         first = normalize(rf)
@@ -734,6 +735,27 @@ class TestNormalize:
         with pytest.raises(ValueError, match="identically zero"):
             normalize(rf)
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            (
+                RadialGrid(1e-160, 4097),
+                "z**(mu/2) underflows to 0 at every sample: the grid ends too near the origin",
+            ),
+            (
+                RadialGrid(1e5, 65),
+                "exp(-z/2) underflows to 0 past the first sample: the grid is too coarse",
+            ),
+        ],
+    )
+    def test_a_profile_that_underflows_at_every_sample_names_its_factor(self, grid, message):
+        # both read "identically zero", although the profile is not: z**(3/2)
+        # underflows on the short grid, exp(-z/2) past the origin of the long one
+        rf = radial_psi1(QuantumNumbers(0, 3), grid, natural_params())
+        with pytest.raises(ValueError) as err:
+            normalize(rf)
+        assert str(err.value) == message
+
     def test_truncation_error_on_short_grid(self):
         p = natural_params()
         grid = RadialGrid(2.5, 257)
@@ -744,7 +766,7 @@ class TestNormalize:
     def test_norm_integral_outside_float64_is_rescaled(self, coeff):
         # the plain integral overflows to inf (A read 0) or underflows to 0
         p = natural_params()
-        grid = default_grid(p)
+        grid = default_grid(QuantumNumbers(3, 2), p)
         rf = radial_psi1(QuantumNumbers(3, 2), grid, p)
         scaled = RadialFunction(grid, replace(rf.profile, coeff=coeff), p)
         assert_allclose(normalize(scaled) * coeff, normalize(rf), rtol=1e-13)
@@ -758,7 +780,7 @@ class TestNormalize:
 
     def test_constant_outside_float64_is_refused(self):
         p = natural_params()
-        rf = radial_psi1(QuantumNumbers(0, 0), default_grid(p), p)
+        rf = radial_psi1(QuantumNumbers(0, 0), default_grid(QuantumNumbers(0, 0), p), p)
         tiny = RadialFunction(rf.grid, replace(rf.profile, coeff=5e-324), p)
         with pytest.raises(ValueError, match="leaves float64"):
             normalize(tiny)
@@ -767,7 +789,7 @@ class TestNormalize:
     def test_scaled_integral_is_the_plain_one_bit_for_bit(self, units):
         # the parts and rho are divided by powers of two, which is exact
         p = RunConfig(command="verify", units=units).params()
-        grid = default_grid(p)
+        grid = RadialGrid(12.0 * p.oscillator_length, 4097)
 
         def square(rho, v):
             return 2.0 * math.pi * np.abs(v) ** 2 * rho
@@ -787,7 +809,7 @@ class TestNormalize:
         # dividing by the peak instead rounds: the constant moved by a few
         # ulps wherever the plain integral left float64
         p = natural_params()
-        rf = radial_psi1(QuantumNumbers(n, m), default_grid(p), p)
+        rf = radial_psi1(QuantumNumbers(n, m), default_grid(QuantumNumbers(n, m), p), p)
         with np.errstate(over="ignore"):
             expected = np.ldexp(rf.values, k)
         assume(np.array_equal(np.ldexp(expected, -k), rf.values))
@@ -975,7 +997,7 @@ class TestDeriveLowerComponent:
         # the derived profile solves the second-order equation with angular
         # index m+1 and eigenvalue k1 - 2
         p = natural_params()
-        grid = default_grid(p)
+        grid = RadialGrid(12.0 * p.oscillator_length, 4097)
         for n in range(3):
             for m in range(3):
                 qn = QuantumNumbers(n, m)
@@ -988,7 +1010,7 @@ class TestDeriveLowerComponent:
         # derived shape matches the lower-component ansatz read with angular
         # index m+1, and does not match it read with index m
         p = natural_params()
-        grid = default_grid(p)
+        grid = RadialGrid(12.0 * p.oscillator_length, 4097)
         for n, m in [(0, 0), (2, 1), (3, 2)]:
             qn = QuantumNumbers(n, m)
             level = energy(qn, p)
@@ -1060,6 +1082,17 @@ class TestSpinorSample:
         with pytest.raises(ValueError, match=re.escape(f"leaves float64 at z = {z}")):
             spinor_sample(qn, rho, 0.3, energy(qn, p).E, p)
 
+    @pytest.mark.parametrize("n", [24, 30])
+    def test_states_past_12_b_answer(self, n):
+        # a fixed 12 b grid refused both with a TruncationError; the state's
+        # default grid reaches 7 b past its turning point
+        p = natural_params()
+        qn = QuantumNumbers(n, 0)
+        sample = spinor_sample(qn, 1.0, 0.0, energy(qn, p).E, p)
+        closed = closed_form_norm_constant(qn, p) * psi1_profile(qn).value_z(1.0)
+        assert_allclose(sample.psi1.real, closed, rtol=1e-8)
+        assert sample.psi1.imag == 0.0
+
     def test_lower_component_suppressed_in_nr_limit(self):
         # |psi2/psi1| shrinks like sqrt(lam) as c grows at fixed interior rho
         qn = QuantumNumbers(0, 0)
@@ -1085,14 +1118,24 @@ class TestNodeCounts:
         assert count_radial_nodes(QuantumNumbers(0, 5), natural_params()) == 1
 
     def test_prefactor_outside_float64_is_refused(self):
-        # the root-bound grid reaches z = 1953, where z**100 overflowed and
-        # 0 * inf raised a RuntimeWarning; the answer 1 needs a log-space prefactor
-        with pytest.raises(ValueError, match=r"z\*\*\(mu/2\) leaves float64 at z = 1209"):
-            count_radial_nodes(QuantumNumbers(0, 200), natural_params())
+        # at m = 200 the 2s + 4 root-bound grid reached z = 1953, where z**100
+        # overflowed and was refused at z = 1209; the default grid ends at
+        # z = 784.  At m = 250 z**125 leaves float64 inside it, and the answer
+        # 1 needs a log-space prefactor
+        assert count_radial_nodes(QuantumNumbers(0, 200), natural_params()) == 1
+        with pytest.raises(ValueError, match=r"z\*\*\(mu/2\) leaves float64 at z = 292\.48"):
+            count_radial_nodes(QuantumNumbers(0, 250), natural_params())
+
+    @pytest.mark.parametrize("n", [200, 250])
+    def test_past_the_unscaled_laguerre_span(self, n):
+        # the 2s + 4 span reached z = 3686 at n = 200, where M(-201, 1, z)
+        # overflowed float64; the default grid ends at z = 1296 (n = 200)
+        # and z = 1521 (n = 250)
+        assert count_radial_nodes(QuantumNumbers(n, 0), natural_params()) == n + 1
 
     def test_full_sweep_both_components(self):
         p = natural_params()
-        grid = default_grid(p)
+        grid = RadialGrid(12.0 * p.oscillator_length, 4097)
         for n in range(9):
             for m in range(6):
                 qn = QuantumNumbers(n, m)
@@ -1119,7 +1162,7 @@ class TestProfileShape:
 
     def test_radial_orthogonality(self):
         p = natural_params()
-        grid = default_grid(p)
+        grid = RadialGrid(12.0 * p.oscillator_length, 4097)
         for m in range(3):
             profiles = {}
             for n in range(4):
@@ -1141,6 +1184,12 @@ class TestSignChanges:
     def test_ignores_noise_at_roots(self):
         values = np.array([1.0, 1e-16, -1.0, -0.5, 1e-15, 1.0])
         assert sign_changes(values) == 2
+
+    def test_samples_whose_product_overflows(self):
+        # signs were compared through kept[:-1] * kept[1:], which overflows
+        # past |v| of about 1e154 (RuntimeWarning, an error in this suite)
+        assert sign_changes([1e200, -1e200, 1e200]) == 2
+        assert sign_changes([[1e300, -1e300], [-1e300, -1e300]]).tolist() == [1, 0]
 
     @pytest.mark.parametrize(
         "values", [[1.0, math.nan, -1.0], [math.inf, 1.0, -1.0], [1.0, -math.inf]]
