@@ -45,7 +45,7 @@ def _turning_point(m: int, n_max: int) -> float:
     _require_count("m", m)
     _require_count("n_max", n_max)
     if 4 * (n_max + 1) + 2 * m >= 4096:
-        raise ValueError("4(n_max + 1) + 2m must be below 4096 (a turning point inside 64 b)")
+        raise ValueError("4(n + 1) + 2m must be below 4096 (a turning point inside 64 b)")
     return math.sqrt(4 * (n_max + 1) + 2 * m)
 
 

@@ -879,6 +879,15 @@ class TestMainEntry:
         assert len(rows) == 129
         assert _trapezoid(rows, "probability_density") == pytest.approx(1.0, abs=1e-12)
 
+    def test_turning_point_past_64_b_is_refused(self, tmp_path, monkeypatch, capsys):
+        # the one extent rule admits 4(n + 1) + 2m below 4096, as verify's does
+        monkeypatch.chdir(tmp_path)
+        assert main(["wavefn", "--n", "1023", "--output", "w.csv"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: 4(n + 1) + 2m must be below 4096 (a turning point inside 64 b)"
+        ]
+        assert list(tmp_path.iterdir()) == []
+
     def test_grid_points_validated(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         code = main(["wavefn", "--grid-points", "100"])
