@@ -419,7 +419,8 @@ class TestRadialPsi1:
 
     def test_angular_index_metadata(self):
         p = natural_params()
-        rf = radial_psi1(QuantumNumbers(2, 3), default_grid(QuantumNumbers(2, 3), p), p)
+        qn = QuantumNumbers(2, 3)
+        rf = radial_psi1(qn, default_grid(qn, p), p)
         assert rf.angular_index == 3
         assert rf.profile.mu == 3
 
@@ -780,7 +781,8 @@ class TestNormalize:
 
     def test_constant_outside_float64_is_refused(self):
         p = natural_params()
-        rf = radial_psi1(QuantumNumbers(0, 0), default_grid(QuantumNumbers(0, 0), p), p)
+        qn = QuantumNumbers(0, 0)
+        rf = radial_psi1(qn, default_grid(qn, p), p)
         tiny = RadialFunction(rf.grid, replace(rf.profile, coeff=5e-324), p)
         with pytest.raises(ValueError, match="leaves float64"):
             normalize(tiny)
@@ -809,7 +811,8 @@ class TestNormalize:
         # dividing by the peak instead rounds: the constant moved by a few
         # ulps wherever the plain integral left float64
         p = natural_params()
-        rf = radial_psi1(QuantumNumbers(n, m), default_grid(QuantumNumbers(n, m), p), p)
+        qn = QuantumNumbers(n, m)
+        rf = radial_psi1(qn, default_grid(qn, p), p)
         with np.errstate(over="ignore"):
             expected = np.ldexp(rf.values, k)
         assume(np.array_equal(np.ldexp(expected, -k), rf.values))
